@@ -1,10 +1,11 @@
 """Machine-readable benchmark summaries (``BENCH_*.json``).
 
 Benchmarks in this directory call :func:`update_bench_json` to merge one
-named entry into a JSON artifact at the repo root (``BENCH_throughput.json``,
-``BENCH_gateway.json``, ...).  Each file maps entry name → flat stats dict,
-so future PRs can diff perf numbers without scraping pytest-benchmark's
-console table.
+named entry into a JSON artifact at the repo root (``BENCH_cohort.json``,
+...).  Each file maps entry name → flat stats dict beside a ``_meta``
+provenance block (:func:`repro.gateway.scenario.run_metadata`, the same
+one the CLIs stamp), so future PRs can diff numbers without scraping
+pytest-benchmark's console table.
 
 The artifacts are regenerated on every run (entries merge by name; a file
 survives partial runs).  Timing-derived fields (ops/sec) vary with the host;
@@ -15,81 +16,17 @@ counts, virtual-latency percentiles) is stable across machines.
 from __future__ import annotations
 
 import json
-import platform
-import subprocess
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
+
+from repro.gateway.scenario import run_metadata
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Process start (module import) time: ``run_metadata`` reports how long
-#: the benchmark run had been going when the artifact was written.
+#: Process start (module import) time: the ``_meta`` block reports how
+#: long the benchmark run had been going when the artifact was written.
 _RUN_START = time.time()
-
-_GIT_REV: Optional[str] = None
-
-
-def _git_rev() -> str:
-    """Short git revision of the repo, "" when unavailable (no git,
-    tarball checkout, sandboxed runner)."""
-    global _GIT_REV
-    if _GIT_REV is None:
-        try:
-            proc = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                timeout=5,
-            )
-            _GIT_REV = proc.stdout.strip() if proc.returncode == 0 else ""
-        except (OSError, subprocess.SubprocessError):
-            _GIT_REV = ""
-    return _GIT_REV
-
-
-def run_metadata() -> Dict[str, object]:
-    """Provenance stamped into every ``BENCH_*.json`` under ``"_meta"``.
-
-    Answers "which machine/toolchain/revision produced these numbers"
-    when two artifacts are diffed across PRs.  Wall-clock fields vary by
-    host and run; everything else is stable for a given checkout.
-    """
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "git_rev": _git_rev(),
-        "run_duration_s": round(time.time() - _RUN_START, 3),
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-
-
-def percentile(values: List[float], p: float) -> float:
-    """Nearest-rank percentile (p in [0, 100]); 0.0 on empty input."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
-    return ordered[index]
-
-
-def benchmark_entry(benchmark) -> Dict[str, float]:
-    """Flatten a pytest-benchmark fixture's stats into a JSON-safe dict.
-
-    Call *after* the ``benchmark(...)`` run.  Percentiles come from the
-    raw per-round timings, which pytest-benchmark's summary table omits.
-    """
-    stats = benchmark.stats.stats
-    data = list(getattr(stats, "sorted_data", []) or [])
-    return {
-        "ops_per_s": round(stats.ops, 2),
-        "mean_ms": round(stats.mean * 1000, 6),
-        "p50_ms": round(percentile(data, 50) * 1000, 6),
-        "p99_ms": round(percentile(data, 99) * 1000, 6),
-        "rounds": stats.rounds,
-    }
 
 
 def update_bench_json(
@@ -109,7 +46,7 @@ def update_bench_json(
     if not isinstance(payload, dict):
         payload = {}
     payload[entry_name] = entry
-    payload["_meta"] = run_metadata()
+    payload["_meta"] = run_metadata(time.time() - _RUN_START)
     target.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

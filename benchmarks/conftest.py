@@ -8,40 +8,13 @@ the authors' 2007 testbed), and reports wall time through pytest-benchmark.
 Heavy trace-driven experiments run one round (``run_once``); the regenerated
 rows are printed (run with ``-s`` to see them live).
 
-Pass ``--trace-out PATH`` to capture a JSONL span log of every G-HBA query
-the micro-benchmarks issue (see :mod:`repro.obs`).  Without the flag the
-benchmarks run under the null tracer — the configuration whose overhead the
-throughput numbers are meant to reflect.
+Wall-clock throughput and per-layer cost are not measured here: that is
+the layered benchmark's job (``python -m bench run``, ``bench/README.md``).
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.obs.export import write_spans_jsonl
-from repro.obs.trace import NULL_TRACER, CollectingTracer
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--trace-out",
-        action="store",
-        default=None,
-        help="write a JSONL span log of benchmarked G-HBA queries to PATH",
-    )
-
-
-@pytest.fixture(scope="session")
-def obs_tracer(request):
-    """Session tracer: collecting when --trace-out was given, else null."""
-    trace_out = request.config.getoption("--trace-out")
-    if not trace_out:
-        yield NULL_TRACER
-        return
-    tracer = CollectingTracer()
-    yield tracer
-    written = write_spans_jsonl(tracer.finished_spans(), trace_out)
-    print(f"\nwrote {written} spans to {trace_out}")
 
 
 @pytest.fixture

@@ -18,28 +18,27 @@ import argparse
 import sys
 import time
 
-from repro.gateway.__main__ import run_bench
+from repro.gateway.scenario import ScenarioSpec
+from repro.gateway.scenarios import run_shield
 from repro.obs.trace import CollectingTracer
 
 
-def _bench_args(ops: int) -> argparse.Namespace:
-    return argparse.Namespace(
+def _spec(ops: int) -> ScenarioSpec:
+    return ScenarioSpec(
         servers=8, group_size=4, files=800, ops=ops, clients=6,
         profile="HP", seed=7, cache_capacity=2048, lease_ttl_s=5.0,
         rate_per_s=float(ops), hot_threshold=16, top=5, chaos=False,
-        chaos_start_s=0.2, chaos_window_s=0.5, json=None,
+        chaos_start_s=0.2, chaos_window_s=0.5,
     )
 
 
 def _stats(ops: int, tracer) -> dict:
-    stats = run_bench(_bench_args(ops), tracer=tracer)
-    stats.pop("_gateway")  # live object, not comparable
-    return stats
+    return run_shield(_spec(ops), tracer=tracer).stats
 
 
 def _timed(ops: int, make_tracer) -> float:
     started = time.process_time()
-    run_bench(_bench_args(ops), tracer=make_tracer())
+    run_shield(_spec(ops), tracer=make_tracer())
     return time.process_time() - started
 
 

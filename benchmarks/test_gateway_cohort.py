@@ -8,52 +8,44 @@ the MDS fleet than N independent gateways offering the *same* staleness
 bound — and the auditor must observe **zero** staleness-bound violations
 on either deployment.
 
-Runs the same harness as ``python -m repro.gateway bench --cohort N``
+Runs the same scenario as ``python -m repro.gateway bench --cohort N``
 and emits ``BENCH_cohort.json`` at the repo root.
 """
 
-import argparse
+import dataclasses
 
 import pytest
 
-from repro.gateway.__main__ import run_cohort_bench
+from repro.gateway.scenario import ScenarioSpec
+from repro.gateway.scenarios import run_cohort
 
 from _bench_json import update_bench_json
 
-
-def _cohort_args(**overrides):
-    defaults = dict(
-        servers=20,
-        group_size=5,
-        files=3_000,
-        ops=20_000,
-        clients=8,
-        profile="HP",
-        seed=7,
-        cache_capacity=4096,
-        lease_ttl_s=30.0,
-        rate_per_s=2000.0,
-        hot_threshold=32,
-        top=5,
-        chaos=False,
-        cohort=4,
-        heartbeat_s=0.05,
-        suspect_after_s=0.15,
-        ttl_clamp_s=0.10,
-        trace_rate=150.0,
-        chaos_start_s=0.5,
-        chaos_window_s=1.0,
-        json=None,
-    )
-    defaults.update(overrides)
-    return argparse.Namespace(**defaults)
+SPEC = ScenarioSpec(
+    servers=20,
+    group_size=5,
+    files=3_000,
+    ops=20_000,
+    clients=8,
+    profile="HP",
+    seed=7,
+    cache_capacity=4096,
+    lease_ttl_s=30.0,
+    rate_per_s=2000.0,
+    hot_threshold=32,
+    cohort=4,
+    heartbeat_s=0.05,
+    suspect_after_s=0.15,
+    ttl_clamp_s=0.10,
+    trace_rate=150.0,
+)
 
 
 @pytest.fixture(scope="module")
 def cohort_stats():
     # One replay shared by the whole module; everything asserted below is
     # a deterministic simulation output, not a wall-clock timing.
-    return run_cohort_bench(_cohort_args())
+    return run_cohort(SPEC).stats
 
 
 def test_backend_query_reduction(cohort_stats):
@@ -107,7 +99,9 @@ def test_bench_json_emitted(cohort_stats):
 @pytest.mark.slow
 def test_soak_larger_cohort_holds_bound():
     """Soak variant: a wider cohort on a longer trace still holds the bound."""
-    stats = run_cohort_bench(_cohort_args(cohort=6, ops=40_000, seed=11))
+    stats = run_cohort(
+        dataclasses.replace(SPEC, cohort=6, ops=40_000, seed=11)
+    ).stats
     assert stats["violations"] == 0
     assert stats["independent_violations"] == 0
     assert stats["backend_reduction"] >= 1.5, stats

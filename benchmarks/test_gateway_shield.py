@@ -6,40 +6,33 @@ seeded Zipfian workload replayed through the gateway must send **at least
 cache-served answer matches the live cluster at read time (the bench audits
 each one — zero stale reads is asserted, not sampled).
 
-Runs the same harness as ``python -m repro.gateway bench`` and emits
-``BENCH_gateway.json`` at the repo root.
+Runs the same scenario as ``python -m repro.gateway bench``.
 """
-
-import argparse
 
 import pytest
 
-from repro.gateway.__main__ import run_bench
+from repro.gateway.scenario import ScenarioSpec
+from repro.gateway.scenarios import run_shield
 
 from _bench_json import update_bench_json
 
-
-def _bench_args(**overrides):
-    defaults = dict(
-        servers=20,
-        group_size=5,
-        files=2_000,
-        ops=4_000,
-        clients=8,
-        profile="HP",
-        seed=7,
-        cache_capacity=4096,
-        lease_ttl_s=5.0,
-        rate_per_s=2000.0,
-        hot_threshold=32,
-        top=5,
-        chaos=False,
-        chaos_start_s=0.5,
-        chaos_window_s=1.0,
-        json=None,
-    )
-    defaults.update(overrides)
-    return argparse.Namespace(**defaults)
+SPEC = ScenarioSpec(
+    servers=20,
+    group_size=5,
+    files=2_000,
+    ops=4_000,
+    clients=8,
+    profile="HP",
+    seed=7,
+    cache_capacity=4096,
+    lease_ttl_s=5.0,
+    rate_per_s=2000.0,
+    hot_threshold=32,
+    top=5,
+    chaos=False,
+    chaos_start_s=0.5,
+    chaos_window_s=1.0,
+)
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +40,7 @@ def shield_stats():
     # One replay shared by the whole module.  No pytest-benchmark here:
     # the interesting numbers (reduction, hit rate, virtual latency) are
     # deterministic simulation outputs, not wall-clock timings.
-    stats = run_bench(_bench_args())
-    stats.pop("_gateway")
-    return stats
+    return run_shield(SPEC).stats
 
 
 def test_backend_query_reduction(shield_stats):
@@ -75,9 +66,9 @@ def test_shed_accounting(shield_stats):
     assert answered + shield_stats["shed"] >= shield_stats["lookups_submitted"]
 
 
-def test_bench_json_emitted(shield_stats):
+def test_bench_json_emitted(shield_stats, tmp_path):
     target = update_bench_json(
-        "BENCH_gateway.json",
+        "shield.json",
         "gateway_shield",
         {
             "hit_rate": shield_stats["hit_rate"],
@@ -93,5 +84,6 @@ def test_bench_json_emitted(shield_stats):
             "seed": shield_stats["seed"],
             "ops": shield_stats["ops"],
         },
+        root=tmp_path,
     )
     assert target.exists()

@@ -9,46 +9,39 @@ RPCs while the end-of-run namespace matches the acknowledgement oracle
 exactly in both modes: every acknowledged mutation is durable, every loss
 is explicit, and the two modes converge to the same namespace.
 
-Runs the same harness as ``python -m repro.gateway bench --writeback``
-and emits ``BENCH_writeback.json`` at the repo root.
+Runs the same scenario as ``python -m repro.gateway bench --writeback``.
 """
-
-import argparse
 
 import pytest
 
-from repro.gateway.__main__ import run_writeback_bench
+from repro.gateway.scenario import ScenarioSpec
+from repro.gateway.scenarios import run_writeback
 
 from _bench_json import update_bench_json
 
-
-def _bench_args(**overrides):
-    defaults = dict(
-        servers=20,
-        group_size=5,
-        files=3_000,
-        ops=5_000,
-        clients=8,
-        profile="HP",
-        seed=7,
-        cache_capacity=4096,
-        lease_ttl_s=5.0,
-        rate_per_s=2000.0,
-        hot_threshold=32,
-        chaos=False,
-        flush_max_pending=16,
-        flush_age_s=0.25,
-        json=None,
-    )
-    defaults.update(overrides)
-    return argparse.Namespace(**defaults)
+SPEC = ScenarioSpec(
+    servers=20,
+    group_size=5,
+    files=3_000,
+    ops=5_000,
+    clients=8,
+    profile="HP",
+    seed=7,
+    cache_capacity=4096,
+    lease_ttl_s=5.0,
+    rate_per_s=2000.0,
+    hot_threshold=32,
+    chaos=False,
+    flush_max_pending=16,
+    flush_age_s=0.25,
+)
 
 
 @pytest.fixture(scope="module")
 def writeback_stats():
     # One pair of replays shared by the whole module; deterministic
     # simulation outputs, not wall-clock timings.
-    return run_writeback_bench(_bench_args())
+    return run_writeback(SPEC).stats
 
 
 def test_mutation_rpc_reduction(writeback_stats):
@@ -93,10 +86,11 @@ def test_flushes_batched(writeback_stats):
     assert back["flush_batches"] < writeback_stats["mutations"]
 
 
-def test_bench_json_emitted(writeback_stats):
+def test_bench_json_emitted(writeback_stats, tmp_path):
     target = update_bench_json(
-        "BENCH_writeback.json",
+        "writeback.json",
         "gateway_writeback",
         writeback_stats,
+        root=tmp_path,
     )
     assert target.exists()

@@ -29,7 +29,12 @@ traffic never reaches it:
   over the fault-injectable prototype transport, with anti-entropy
   catch-up and a TTL clamp bounding staleness under partitions.
 - :mod:`repro.gateway.staleness` — the staleness-window auditor shared
-  by the cohort bench and the correctness harness.
+  by the cohort scenario and the correctness harness.
+- :mod:`repro.gateway.scenario` — the scenario engine behind ``python -m
+  repro.gateway bench``: one spec, one fleet recipe, one replay, one
+  emit-and-gate tail; the shield / cohort / write-back / tenant
+  scenarios (:mod:`~repro.gateway.scenarios`,
+  :mod:`~repro.gateway.tenant_bench`) run on it.
 - :mod:`repro.gateway.writeback` — the write-back mutation buffer:
   per-home buckets of versioned final-state mutations, absorbed in
   place, drained as batched ``MUTATE_BATCH`` flushes with lease-version
@@ -42,7 +47,6 @@ queried directly behaves bit-identically to a build without this package.
 
 from repro.gateway.admission import (
     DEFAULT_TENANT,
-    AdmissionController,
     FairAdmissionController,
     TickResult,
     TokenBucket,
@@ -73,7 +77,6 @@ from repro.gateway.writeback import (
 )
 
 __all__ = [
-    "AdmissionController",
     "DEFAULT_TENANT",
     "FairAdmissionController",
     "TickResult",

@@ -315,7 +315,7 @@ class MetadataClient:
         self.backend_queries = 0  # full walks + batch round trips
         #: Mutation-path RPCs to the fleet: write-through mutations, flush
         #: batches (and their retries), renames, conflict re-reads and
-        #: delete-routing resolutions — the figure BENCH_writeback.json
+        #: delete-routing resolutions — the figure the write-back scenario
         #: compares across modes.
         self.backend_mutations = 0
         #: The write-back tier (None in write-through mode).

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.cluster import GHBACluster
 from repro.gateway.client import GatewayResponse, Outcome
+from repro.sim.stats import percentile
 
 
 @dataclass(frozen=True)
@@ -75,19 +76,20 @@ class AuditStats:
     violations: int = 0
     staleness_samples: List[float] = field(default_factory=list)
 
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile of observed stale windows (0 if none)."""
-        if not self.staleness_samples:
-            return 0.0
-        ordered = sorted(self.staleness_samples)
-        index = min(
-            len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1)))
-        )
-        return ordered[index]
-
     @property
     def max_staleness_s(self) -> float:
         return max(self.staleness_samples, default=0.0)
+
+
+def matches_fleet(cluster: GHBACluster, response: GatewayResponse) -> bool:
+    """Does a cache-served answer agree with the live fleet right now
+    (same home and record, or absent on both sides)?"""
+    live_home = cluster.home_of(response.path)
+    if response.outcome is Outcome.NEGATIVE_HIT or response.home_id is None:
+        return live_home is None
+    if live_home != response.home_id:
+        return False
+    return cluster.servers[live_home].store.get(response.path) == response.record
 
 
 class StalenessAuditor:
@@ -183,7 +185,7 @@ class StalenessAuditor:
         if not response.from_cache:
             return None
         self.stats.cache_served += 1
-        if self._matches_fleet(response):
+        if matches_fleet(self.cluster, response):
             return None
         stale = StaleRead(
             path=response.path,
@@ -210,18 +212,6 @@ class StalenessAuditor:
                 self.stats.staleness_samples.append(stale.staleness_s)
         return stale
 
-    def _matches_fleet(self, response: GatewayResponse) -> bool:
-        live_home = self.cluster.home_of(response.path)
-        negative = response.outcome is Outcome.NEGATIVE_HIT or (
-            response.home_id is None
-        )
-        if negative:
-            return live_home is None
-        if live_home != response.home_id:
-            return False
-        live_record = self.cluster.servers[live_home].store.get(response.path)
-        return live_record == response.record
-
     # ------------------------------------------------------------------
     # Verdict
     # ------------------------------------------------------------------
@@ -237,8 +227,8 @@ class StalenessAuditor:
             "cache_served": stats.cache_served,
             "stale_reads": stats.stale,
             "violations": stats.violations,
-            "staleness_p50_s": round(stats.percentile(50), 4),
-            "staleness_p99_s": round(stats.percentile(99), 4),
+            "staleness_p50_s": round(percentile(stats.staleness_samples, 50), 4),
+            "staleness_p99_s": round(percentile(stats.staleness_samples, 99), 4),
             "staleness_max_s": round(stats.max_staleness_s, 4),
         }
 

@@ -42,15 +42,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.cluster import GHBACluster
-from repro.core.config import GHBAConfig
 from repro.gateway.admission import fractional_fair_shares
-from repro.gateway.client import GatewayConfig, MetadataClient, Outcome
-from repro.traces.profiles import PROFILES
+from repro.gateway.client import MetadataClient
+from repro.gateway.scenario import (
+    ScenarioResult,
+    ScenarioSpec,
+    drain,
+    fault_clock,
+    replay,
+)
+from repro.sim.stats import percentile
 from repro.traces.records import TraceRecord
-from repro.traces.synthetic import SyntheticTraceGenerator
 from repro.traces.tenants import TenantModel
 
 #: Virtual tick width: all arrivals inside one tick are submitted
@@ -72,16 +76,31 @@ def jain_index(values: Sequence[float]) -> float:
     return (total * total) / (len(values) * square_sum)
 
 
-def _percentile(values: List[float], p: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
-    return ordered[index]
+class _TenantTicks:
+    """One :meth:`MetadataClient.lookup_tick` per window; per-tenant
+    goodput and latency of every answer."""
+
+    def __init__(self, gateway: MetadataClient) -> None:
+        self.gateway = gateway
+        self.goodput: Dict[str, int] = {}
+        self.latencies: Dict[str, List[float]] = {}
+
+    def account(self, responses) -> None:
+        for response in responses:
+            if response.outcome.is_answer:
+                tenant = response.tenant
+                self.goodput[tenant] = self.goodput.get(tenant, 0) + 1
+                self.latencies.setdefault(tenant, []).append(
+                    response.latency_ms
+                )
+
+    def lookups(self, batch, now: float) -> None:
+        tick = tuple((record.tenant, record.path) for _, record in batch)
+        self.account(self.gateway.lookup_tick(tick, now))
 
 
-def _replay(
-    args,
+def replay_admission(
+    spec: ScenarioSpec,
     lookups: Sequence[TraceRecord],
     paths: Sequence[str],
     rate_per_s: float,
@@ -90,74 +109,33 @@ def _replay(
 ) -> Dict[str, object]:
     """One replay of ``lookups`` through a fresh gateway + fleet.
 
-    Ticks are fixed ``TICK_S`` windows on the trace clock; every window's
-    arrivals go through :meth:`MetadataClient.lookup_tick` together, and
-    the admission queue is pumped to quiescence after the last record so
-    every submitted lookup ends as goodput or an explicit shed.
-    ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan`) puts the
-    fleet under a fresh seeded injector — the isolation integration test
-    runs the whole comparison beneath one.
+    Ticks are fixed ``TICK_S`` windows on the trace clock, and the
+    admission queue is drained after the last record so every submitted
+    lookup ends as goodput or an explicit shed.  ``fault_plan`` (a
+    :class:`~repro.faults.plan.FaultPlan`) puts the fleet under a fresh
+    seeded injector — the isolation integration test runs the whole
+    comparison beneath one.
     """
-    config = GHBAConfig(
-        max_group_size=args.group_size,
-        expected_files_per_mds=max(256, args.files * 3 // args.servers),
-        lru_capacity=max(256, args.files // 4),
-        lru_filter_bits=1 << 12,
-        seed=args.seed,
-    )
     faults = None
     if fault_plan is not None:
         from repro.faults.injector import PlanFaultInjector
 
         faults = PlanFaultInjector(fault_plan)
-    cluster = GHBACluster(
-        args.servers, config, seed=args.seed, faults=faults
-    )
-    cluster.populate(list(paths))
-    cluster.synchronize_replicas(force=True)
+    fleet = spec.fleet(list(paths), faults=faults)
     gateway = MetadataClient(
-        cluster,
-        GatewayConfig(
-            cache_capacity=args.cache_capacity,
-            lease_ttl_s=args.lease_ttl_s,
+        fleet,
+        spec.gateway_config(
             rate_per_s=rate_per_s,
             # A small burst keeps the bench in steady-state contention
             # instead of letting the noisy tenant spend a deep bucket.
             burst=max(8.0, rate_per_s * 0.1),
-            hot_threshold=args.hot_threshold,
             admission_mode=mode,
         ),
     )
-
-    goodput: Dict[str, int] = {}
-    latencies: Dict[str, List[float]] = {}
-
-    def account(responses) -> None:
-        for response in responses:
-            if response.outcome.is_answer:
-                tenant = response.tenant
-                goodput[tenant] = goodput.get(tenant, 0) + 1
-                latencies.setdefault(tenant, []).append(response.latency_ms)
-
-    tick: List[Tuple[str, str]] = []
-    boundary = TICK_S
-    for record in lookups:
-        while record.timestamp >= boundary:
-            if cluster.faults.enabled:
-                cluster.faults.advance(boundary)
-            account(gateway.lookup_tick(tuple(tick), boundary))
-            tick.clear()
-            boundary += TICK_S
-        tick.append((record.tenant, record.path))
-    account(gateway.lookup_tick(tuple(tick), boundary))
-    # Drain to quiescence: each pump step advances past another queue
-    # deadline, so everything parked either gets its token or sheds.
-    for step in range(1, 41):
-        account(
-            gateway.pump(boundary + step * gateway.config.queue_deadline_s)
-        )
-        if gateway.admission.queue_depth == 0:
-            break
+    run = _TenantTicks(gateway)
+    end = replay(lookups, run, tick_s=TICK_S, advance=fault_clock(fleet))
+    drain(gateway, end, run.account)
+    goodput, latencies = run.goodput, run.latencies
 
     per_tenant: Dict[str, Dict[str, object]] = {}
     unaccounted = 0
@@ -175,8 +153,8 @@ def _replay(
             "shed_rate": (
                 round(shed / stats.submitted, 4) if stats.submitted else 0.0
             ),
-            "p50_ms": round(_percentile(latencies.get(tenant, []), 50), 4),
-            "p99_ms": round(_percentile(latencies.get(tenant, []), 99), 4),
+            "p50_ms": round(percentile(latencies.get(tenant, []), 50), 4),
+            "p99_ms": round(percentile(latencies.get(tenant, []), 99), 4),
         }
     digest = hashlib.sha256(
         json.dumps(per_tenant, sort_keys=True).encode("utf-8")
@@ -312,47 +290,35 @@ def _point_gates(
     return summary, failures
 
 
-def run_tenant_bench(args) -> Dict[str, object]:
-    """The full sweep: per ``--trace-rate`` point, fair (x2 for the
-    determinism digest) vs global vs per-tenant solo baselines."""
-    profile = PROFILES[args.profile]
-    model = TenantModel(args.tenants, zipf_alpha=args.tenant_zipf)
-    tenants = [model.tenant_name(i) for i in range(args.tenants)]
+def run_tenants(spec: ScenarioSpec, tracer=None, flight=None) -> ScenarioResult:
+    """The full sweep: per trace-rate point, fair (x2 for the
+    determinism digest) vs global vs per-tenant solo baselines.  Every
+    failed gate of every point is a failure message."""
+    model = TenantModel(spec.tenants, zipf_alpha=spec.tenant_zipf)
+    tenants = [model.tenant_name(i) for i in range(spec.tenants)]
     points: List[float] = sorted(
-        args.tenant_rates
-        if args.tenant_rates
-        else {args.trace_rate, 1000.0}
+        spec.tenant_rates or {spec.trace_rate, 1000.0}
     )
     sweep: List[Dict[str, object]] = []
     failures: List[str] = []
     for trace_rate in points:
-        generator = SyntheticTraceGenerator(
-            profile,
-            num_files=args.files,
-            seed=args.seed,
-            ops_per_second=trace_rate,
-            tenants=model,
+        records, paths = spec.trace(ops_per_second=trace_rate, tenants=model)
+        lookups = [record for record in records if record.op.is_lookup]
+        rate_per_s = trace_rate * spec.tenant_rate_factor
+        fair = replay_admission(spec, lookups, paths, rate_per_s, "fair")
+        fair_repeat = replay_admission(
+            spec, lookups, paths, rate_per_s, "fair"
         )
-        lookups = [
-            record
-            for record in generator.generate(args.ops)
-            if record.op.is_lookup
-        ]
-        rate_per_s = trace_rate * args.tenant_rate_factor
-        fair = _replay(args, lookups, generator.paths, rate_per_s, "fair")
-        fair_repeat = _replay(
-            args, lookups, generator.paths, rate_per_s, "fair"
-        )
-        global_mode = _replay(
-            args, lookups, generator.paths, rate_per_s, "global"
+        global_mode = replay_admission(
+            spec, lookups, paths, rate_per_s, "global"
         )
         solo: Dict[str, Dict[str, object]] = {}
         for tenant in tenants:
             mine = [r for r in lookups if r.tenant == tenant]
             if not mine:
                 continue
-            solo[tenant] = _replay(
-                args, mine, generator.paths, rate_per_s, "fair"
+            solo[tenant] = replay_admission(
+                spec, mine, paths, rate_per_s, "fair"
             )
         gates, point_failures = _point_gates(
             tenants, fair, fair_repeat, global_mode, solo
@@ -374,20 +340,21 @@ def run_tenant_bench(args) -> Dict[str, object]:
                 "gates": gates,
             }
         )
-    return {
-        "seed": args.seed,
-        "profile": args.profile,
-        "servers": args.servers,
-        "ops": args.ops,
-        "tenants": args.tenants,
-        "tenant_zipf": args.tenant_zipf,
-        "rate_factor": args.tenant_rate_factor,
+    stats: Dict[str, object] = {
+        "seed": spec.seed,
+        "profile": spec.profile,
+        "servers": spec.servers,
+        "ops": spec.ops,
+        "tenants": spec.tenants,
+        "tenant_zipf": spec.tenant_zipf,
+        "rate_factor": spec.tenant_rate_factor,
         "sweep": sweep,
         "failures": failures,
     }
+    return ScenarioResult(stats, _render(stats), failures)
 
 
-def render_tenant_bench(stats: Dict[str, object]) -> str:
+def _render(stats: Dict[str, object]) -> str:
     lines = [
         "== gateway tenant bench ==",
         f"workload                : {stats['profile']} x {stats['ops']} ops, "

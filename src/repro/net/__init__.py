@@ -18,12 +18,12 @@ package supplies the second implementation of that surface:
   retry policy as the in-process transport.
 - :mod:`repro.net.supervisor` — launches each MDS as a real OS process
   (``python -m repro.net serve``) wired together by a static port map.
-- :mod:`repro.net.bench` — the multi-process wall-clock bench behind
-  ``python -m repro.gateway bench --transport tcp``.
 
 The in-process transport remains the deterministic tier-1 harness; this
 package is where real serialization cost, real backpressure, and
-wall-clock numbers come from.
+wall-clock numbers come from — measured by ``python -m bench run
+--workload wire_mixed`` (two ``serve`` processes, one closed-loop client,
+a final re-read as the lost-ack oracle).
 
 Submodules are resolved lazily (PEP 562) so that importing
 ``repro.prototype`` — whose transport uses only the reliability layer —

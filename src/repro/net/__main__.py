@@ -9,10 +9,8 @@
         python -m repro.net serve --node-id 0 \\
             --portmap-file portmap.json --config-file config.json
 
-``bench-worker``
-    One gateway's share of the TCP bench (spawned by
-    ``python -m repro.gateway bench --transport tcp``); emits its JSON
-    report on stdout.
+The wire's wall-clock cost is measured by the layered benchmark:
+``python -m bench run --workload wire_mixed`` launches two of these.
 """
 
 from __future__ import annotations
@@ -54,15 +52,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_bench_worker(args) -> int:
-    from repro.net.bench import run_gateway_worker
-
-    report = run_gateway_worker(args)
-    json.dump(report, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.net",
@@ -87,21 +76,6 @@ def main(argv=None) -> int:
     )
     serve.add_argument("--timeout-s", type=float, default=30.0)
     serve.set_defaults(func=_cmd_serve)
-
-    worker = sub.add_parser(
-        "bench-worker", help="one gateway's share of the TCP bench"
-    )
-    worker.add_argument("--gateway-id", type=int, required=True)
-    worker.add_argument("--gateways", type=int, required=True)
-    worker.add_argument("--servers", type=int, required=True)
-    worker.add_argument("--files", type=int, required=True)
-    worker.add_argument("--ops", type=int, required=True)
-    worker.add_argument("--seed", type=int, default=0)
-    worker.add_argument("--lookup-frac", type=float, default=0.8)
-    worker.add_argument("--timeout-s", type=float, default=10.0)
-    worker.add_argument("--portmap-file", required=True)
-    worker.add_argument("--config-file", required=True)
-    worker.set_defaults(func=_cmd_bench_worker)
 
     args = parser.parse_args(argv)
     return args.func(args)

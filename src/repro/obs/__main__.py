@@ -63,24 +63,20 @@ def _build_cluster(args, tracer):
     """A populated demo cluster with a Zipf-ish mixed workload applied."""
     # Imported here so `repro.obs` stays importable without `repro.core`
     # fully loaded (and to keep module import light for library users).
-    from repro.core.cluster import GHBACluster
-    from repro.core.config import GHBAConfig
+    from repro.gateway.scenario import build_fleet
     from repro.metadata.attributes import FileMetadata
     from repro.sim.rng import make_rng
 
-    config = GHBAConfig(
-        max_group_size=args.group_size,
-        expected_files_per_mds=max(256, args.files * 3 // args.servers),
-        lru_capacity=max(256, args.files // 4),
-        lru_filter_bits=1 << 12,
-        seed=args.seed,
+    known = [f"/obs/dir{i % 16}/file{i}" for i in range(args.files)]
+    cluster = build_fleet(
+        args.servers,
+        args.files,
+        args.seed,
+        known,
+        group_size=args.group_size,
+        tracer=tracer,
     )
-    cluster = GHBACluster(args.servers, config, seed=args.seed, tracer=tracer)
-    paths = [f"/obs/dir{i % 16}/file{i}" for i in range(args.files)]
-    placement = cluster.populate(paths)
-    cluster.synchronize_replicas(force=True)
     rng = make_rng(args.seed ^ 0x0B5)
-    known = list(placement)
     inode = len(known)
     for index in range(args.ops):
         roll = rng.random()

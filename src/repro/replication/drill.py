@@ -31,10 +31,10 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.cluster import GHBACluster
-from repro.core.config import GHBAConfig
 from repro.faults.injector import PlanFaultInjector
 from repro.faults.plan import FaultPlan
 from repro.gateway.client import MetadataClient, Outcome
+from repro.gateway.scenario import build_fleet, run_metadata
 from repro.metadata.attributes import FileMetadata
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import replication_report
@@ -61,47 +61,11 @@ from repro.replication.standby import StandbyNode
 STANDBY_ID = 9001
 
 
-def _run_metadata(duration_s: float) -> Dict[str, object]:
-    """Provenance stamped into CLI-written ``BENCH_*.json`` artifacts
-    (same shape as ``benchmarks/_bench_json.run_metadata``, which lives
-    outside the installed package)."""
-    import platform
-    import subprocess
-    import time
-
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        git_rev = proc.stdout.strip() if proc.returncode == 0 else ""
-    except (OSError, subprocess.SubprocessError):
-        git_rev = ""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "git_rev": git_rev,
-        "run_duration_s": round(duration_s, 3),
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-
-
 def _build_primary(args) -> GHBACluster:
-    config = GHBAConfig(
-        max_group_size=4,
-        expected_files_per_mds=max(256, args.files * 3 // args.servers),
-        lru_capacity=max(256, args.files // 4),
-        lru_filter_bits=1 << 12,
-        seed=args.seed,
-    )
-    cluster = GHBACluster(args.servers, config, seed=args.seed)
     paths = [f"/repl/d{i % args.dirs}/f{i}" for i in range(args.files)]
-    cluster.populate(paths)
-    cluster.synchronize_replicas(force=True)
-    return cluster
+    return build_fleet(
+        args.servers, args.files, args.seed, paths, group_size=4
+    )
 
 
 def _apply_to_oracle(
@@ -412,7 +376,7 @@ def run_drill(args) -> int:
             json.dump(
                 {
                     "replication": entry,
-                    "_meta": _run_metadata(_time.time() - started),
+                    "_meta": run_metadata(_time.time() - started),
                 },
                 handle,
                 indent=2,

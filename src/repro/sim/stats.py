@@ -15,7 +15,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence
+
+
+def percentile(values: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile of a plain list (``p`` in [0, 100]); 0.0
+    on empty input.  The one list-based percentile in the repo: bench
+    reports, staleness audits and ``BENCH_*.json`` writers all use it
+    (:class:`LatencyRecorder` below interpolates over a reservoir — a
+    different estimator for streams too long to keep)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    index = min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
+    return ordered[index]
 
 
 class Counter:

@@ -6,7 +6,7 @@ mutation hooks, the multi-key VERIFY_BATCH path, metrics accounting, the
 zero-overhead-when-disabled discipline, and determinism of the bench CLI.
 """
 
-import argparse
+import dataclasses
 
 import pytest
 
@@ -14,7 +14,8 @@ from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.gateway import GatewayConfig, MetadataClient, Outcome
 from repro.gateway.__main__ import main as gateway_main
-from repro.gateway.__main__ import run_bench
+from repro.gateway.scenario import ScenarioSpec
+from repro.gateway.scenarios import run_shield
 from repro.obs.report import gateway_hotspot_report, render_report
 
 
@@ -251,29 +252,22 @@ class TestHotspotShielding:
 
 
 class TestBenchDeterminism:
-    def _args(self, **overrides):
-        defaults = dict(
-            servers=8, group_size=4, files=500, ops=800, clients=6,
-            profile="HP", seed=7, cache_capacity=2048, lease_ttl_s=5.0,
-            rate_per_s=2000.0, hot_threshold=16, top=5, chaos=False,
-            chaos_start_s=0.2, chaos_window_s=0.5, json=None,
-        )
-        defaults.update(overrides)
-        return argparse.Namespace(**defaults)
-
-    def _strip(self, stats):
-        stats.pop("_gateway")
-        return stats
+    SPEC = ScenarioSpec(
+        servers=8, group_size=4, files=500, ops=800, clients=6,
+        profile="HP", seed=7, cache_capacity=2048, lease_ttl_s=5.0,
+        rate_per_s=2000.0, hot_threshold=16, top=5, chaos=False,
+        chaos_start_s=0.2, chaos_window_s=0.5,
+    )
 
     def test_same_seed_same_stats(self):
-        a = self._strip(run_bench(self._args()))
-        b = self._strip(run_bench(self._args()))
+        a = run_shield(self.SPEC).stats
+        b = run_shield(self.SPEC).stats
         assert a == b
         assert a["stale_reads"] == 0 and a["home_mismatches"] == 0
 
     def test_same_seed_same_stats_under_faults(self):
-        a = self._strip(run_bench(self._args(chaos=True)))
-        b = self._strip(run_bench(self._args(chaos=True)))
+        a = run_shield(dataclasses.replace(self.SPEC, chaos=True)).stats
+        b = run_shield(dataclasses.replace(self.SPEC, chaos=True)).stats
         assert a == b
         assert a["stale_reads"] == 0
 

@@ -26,13 +26,12 @@ share (isolation is a promise to exactly those tenants).  Asserted:
   meaningful baseline.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.faults.plan import FaultPlan, Partition
 from repro.gateway.admission import fractional_fair_shares
-from repro.gateway.tenant_bench import NOISY_TENANT, _replay
+from repro.gateway.scenario import ScenarioSpec
+from repro.gateway.tenant_bench import NOISY_TENANT, replay_admission
 from repro.traces.profiles import PROFILES
 from repro.traces.synthetic import SyntheticTraceGenerator
 from repro.traces.tenants import TenantModel
@@ -43,7 +42,7 @@ NUM_TENANTS = 4
 
 
 def _args(seed):
-    return SimpleNamespace(
+    return ScenarioSpec(
         servers=6,
         group_size=4,
         files=400,
@@ -104,9 +103,9 @@ def test_quiet_tenants_isolated_from_noisy_neighbour(seed):
     args = _args(seed)
     lookups, paths = _lookups(args)
     plan = _fault_plan(seed)
-    fair = _replay(args, lookups, paths, RATE_PER_S, "fair", plan)
-    repeat = _replay(args, lookups, paths, RATE_PER_S, "fair", plan)
-    global_mode = _replay(
+    fair = replay_admission(args, lookups, paths, RATE_PER_S, "fair", plan)
+    repeat = replay_admission(args, lookups, paths, RATE_PER_S, "fair", plan)
+    global_mode = replay_admission(
         args, lookups, paths, RATE_PER_S, "global", plan
     )
 
@@ -127,7 +126,7 @@ def test_quiet_tenants_isolated_from_noisy_neighbour(seed):
     global_breaks = []
     for tenant in quiet:
         mine = [r for r in lookups if r.tenant == tenant]
-        solo = _replay(args, mine, paths, RATE_PER_S, "fair", plan)
+        solo = replay_admission(args, mine, paths, RATE_PER_S, "fair", plan)
         solo_stats = solo["per_tenant"][tenant]
         fair_stats = fair["per_tenant"][tenant]
         global_stats = global_mode["per_tenant"].get(
@@ -171,8 +170,8 @@ def test_global_mode_shares_pain_proportionally():
     args = _args(seed)
     lookups, paths = _lookups(args)
     plan = _fault_plan(seed)
-    fair = _replay(args, lookups, paths, RATE_PER_S, "fair", plan)
-    global_mode = _replay(
+    fair = replay_admission(args, lookups, paths, RATE_PER_S, "fair", plan)
+    global_mode = replay_admission(
         args, lookups, paths, RATE_PER_S, "global", plan
     )
     assert (

@@ -87,6 +87,22 @@ class TestBloomFilterArray:
         assert array.query("/f1").unique_hit == 1
         assert array.query("/f2").unique_hit == 2
 
+    def test_probe_batch_matches_per_item_query(self):
+        # L2 shape: one array of 8 same-geometry replicas; every lookup
+        # of a batch walks all of them, and agrees with query().
+        array = BloomFilterArray()
+        for home_id in range(8):
+            array.add_replica(
+                home_id, make_filter([f"/seg{home_id}/f{i}" for i in range(50)])
+            )
+        probes = [f"/seg3/f{i}" for i in range(40)] + ["/absent"]
+        lookups = array.probe_batch(probes)
+        assert len(lookups) == len(probes)
+        assert all(lookup.probes == 8 for lookup in lookups)
+        assert lookups == [array.query(item) for item in probes]
+        assert all(3 in lookup.hits for lookup in lookups[:-1])
+        assert array.probe_batch([]) == []
+
     def test_size_bytes_sums_replicas(self):
         array = BloomFilterArray()
         array.add_replica(1, make_filter([]))
@@ -103,6 +119,31 @@ class TestLRUArray:
         lru.record("/hot", home_id=3)
         lookup = lru.query("/hot")
         assert lookup.is_unique and lookup.unique_hit == 3
+
+    def test_probe_batch_resolves_every_warm_entry(self):
+        # L1 shape: per-home counting filters over a warm cache.  Warm
+        # entries resolve to their recorded home (plus rare false-positive
+        # extras); none may come back empty, and the hit/miss statistics
+        # move exactly as per-item query() calls would.
+        lru = LRUBloomFilterArray(
+            capacity=200, filter_bits=1 << 12, num_hashes=6, seed=9
+        )
+        items = [f"/lru/d{i % 11}/f{i}" for i in range(150)]
+        for index, item in enumerate(items):
+            lru.record(item, index % 30)
+        lookups = lru.probe_batch(items[:64])
+        assert len(lookups) == 64
+        assert all(lookup.probes == 30 for lookup in lookups)
+        assert all(
+            index % 30 in lookup.hits for index, lookup in enumerate(lookups)
+        )
+        twin = LRUBloomFilterArray(
+            capacity=200, filter_bits=1 << 12, num_hashes=6, seed=9
+        )
+        for index, item in enumerate(items):
+            twin.record(item, index % 30)
+        assert lookups == [twin.query(item) for item in items[:64]]
+        assert lru.hit_rate() == twin.hit_rate()
 
     def test_capacity_eviction_removes_lru_entry(self):
         lru = self.make(capacity=2)

@@ -8,10 +8,10 @@ from repro.gateway.adaptive import AdaptiveController, ControllerConfig
 from repro.gateway.admission import (
     DEFAULT_TENANT,
     SHED_DEADLINE,
-    AdmissionController,
     FairAdmissionController,
     TokenBucket,
 )
+from tests._reference_admission import AdmissionController
 
 
 class TestTokenBucket:
