@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.cluster import GHBACluster, MutationEvent, MutationOutcome
@@ -461,7 +461,7 @@ class MetadataClient:
         ).set(len(self.cache))
         m.gauge(
             "gateway_hot_paths", "Paths currently flagged hot."
-        ).set(len(self.hotspots.hot_keys()))
+        ).set(len(self.hotspots.hot_set()))
         m.gauge(
             "gateway_queue_depth", "Requests waiting in the admission queue."
         ).set(self.admission.queue_depth)
@@ -618,19 +618,22 @@ class MetadataClient:
         self,
         paths: List[str],
         now: float,
-        tenants: Optional[List[str]] = None,
+        tenants: List[str],
     ) -> List[GatewayResponse]:
         cfg = self.config
-        if tenants is None:
-            for path in paths:
-                self.hotspots.observe(path, now)
-        else:
-            for path, tenant in zip(paths, tenants):
-                self.hotspots.observe(path, now, tenant=tenant)
+        for path, tenant in zip(paths, tenants):
+            self.hotspots.observe(path, now, tenant=tenant)
         # ---- cache ----------------------------------------------------
         answered: Dict[str, GatewayResponse] = {}
         predictions: List[Tuple[str, Optional[int]]] = []
         flight = coalesce(paths)
+        #: Each flight answers under its first waiter's tenant, so the
+        #: fan-out hands that waiter the response as built.
+        owner = {
+            path: tenants[indices[0]]
+            for path, indices in flight.waiters.items()
+        }
+        positive_hits = negative_hits = 0
         for path in flight.leaders:
             # ---- write-back overlay: read-your-writes ----------------
             if self.writeback is not None:
@@ -645,6 +648,7 @@ class MetadataClient:
                             record=pending.record,
                             latency_ms=cfg.cache_hit_latency_ms,
                             from_overlay=True,
+                            tenant=owner[path],
                         )
                     else:  # pending delete: the path is (about to be) gone
                         answered[path] = GatewayResponse(
@@ -652,20 +656,22 @@ class MetadataClient:
                             outcome=Outcome.OVERLAY,
                             latency_ms=cfg.cache_hit_latency_ms,
                             from_overlay=True,
+                            tenant=owner[path],
                         )
                     continue
             lookup = self.cache.get(path, now)
             if lookup.hit:
                 if lookup.negative:
-                    self._cache_hits.labels("negative").inc()
+                    negative_hits += 1
                     answered[path] = GatewayResponse(
                         path=path,
                         outcome=Outcome.NEGATIVE_HIT,
                         latency_ms=cfg.cache_hit_latency_ms,
                         from_cache=True,
+                        tenant=owner[path],
                     )
                 else:
-                    self._cache_hits.labels("positive").inc()
+                    positive_hits += 1
                     answered[path] = GatewayResponse(
                         path=path,
                         outcome=Outcome.HIT,
@@ -673,9 +679,14 @@ class MetadataClient:
                         record=lookup.record,
                         latency_ms=cfg.cache_hit_latency_ms,
                         from_cache=True,
+                        tenant=owner[path],
                     )
                 continue
             predictions.append((path, lookup.predicted_home))
+        if negative_hits:
+            self._cache_hits.labels("negative").inc(negative_hits)
+        if positive_hits:
+            self._cache_hits.labels("positive").inc(positive_hits)
         # ---- batched re-validation ------------------------------------
         batches, unroutable = self.batcher.plan(predictions)
         fallthrough: List[str] = list(unroutable)
@@ -710,6 +721,7 @@ class MetadataClient:
                     home_id=batch.home_id,
                     record=record,
                     latency_ms=outcome.latency_ms,
+                    tenant=owner[path],
                 )
         # ---- full backend walks ---------------------------------------
         for path in fallthrough:
@@ -744,13 +756,13 @@ class MetadataClient:
                 record=record,
                 latency_ms=result.latency_ms,
                 degraded=result.degraded,
+                tenant=owner[path],
             )
         # ---- shield refresh: pin what is hot --------------------------
-        for path in self.hotspots.hot_keys():
-            # Touch-renewal of hot leases is only coherent when the
-            # cluster hook invalidates them; hook-less members pin for
-            # eviction immunity but let leases expire on schedule.
-            self.cache.pin(path, now, extend=self.hooked)
+        # Touch-renewal of hot leases is only coherent when the cluster
+        # hook invalidates them; hook-less members pin for eviction
+        # immunity but let leases expire on schedule.
+        self.cache.pin_all(self.hotspots.hot_set(), now, extend=self.hooked)
         # ---- gateway spans (one per leader flight) --------------------
         if self.tracer.enabled:
             for path in flight.leaders:
@@ -782,29 +794,20 @@ class MetadataClient:
         responses: List[GatewayResponse] = [None] * len(paths)  # type: ignore[list-item]
         for leader, indices in flight.waiters.items():
             base = answered[leader]
-            for position, index in enumerate(indices):
-                tenant = (
-                    tenants[index] if tenants is not None else DEFAULT_TENANT
+            responses[indices[0]] = base
+            for index in indices[1:]:
+                self._coalesced.inc()
+                responses[index] = GatewayResponse(
+                    path=base.path,
+                    outcome=Outcome.COALESCED,
+                    home_id=base.home_id,
+                    record=base.record,
+                    latency_ms=base.latency_ms,
+                    degraded=base.degraded,
+                    from_cache=base.from_cache,
+                    from_overlay=base.from_overlay,
+                    tenant=tenants[index],
                 )
-                if position == 0:
-                    responses[index] = (
-                        base
-                        if tenant == base.tenant
-                        else replace(base, tenant=tenant)
-                    )
-                else:
-                    self._coalesced.inc()
-                    responses[index] = GatewayResponse(
-                        path=base.path,
-                        outcome=Outcome.COALESCED,
-                        home_id=base.home_id,
-                        record=base.record,
-                        latency_ms=base.latency_ms,
-                        degraded=base.degraded,
-                        from_cache=base.from_cache,
-                        from_overlay=base.from_overlay,
-                        tenant=tenant,
-                    )
         return list(responses)
 
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ locks both halves of this contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 #: Tenant key used when the caller does not identify one (kept in sync
 #: with ``repro.gateway.admission.DEFAULT_TENANT`` without importing it —
@@ -59,9 +59,13 @@ class HeavyHitter:
 class SpaceSavingSketch:
     """Fixed-size space-saving counter table.
 
-    ``offer(key)`` is O(1) amortized on dict operations plus an O(capacity)
-    min-scan on eviction; fine at the gateway's capacities (tens to a few
-    thousand counters).
+    ``offer(key)`` is a constant number of dict operations for a monitored
+    key or a table with room, plus an O(capacity) min-scan whenever it
+    evicts.  That scan is not rare: once the table is full, *every* offer
+    of an unmonitored key evicts, so under a uniform scan it runs on each
+    observation — it stays in C (no Python callback per counter) and its
+    cost is set by the counter budget (64 per epoch in the gateway), never
+    by how much the lease cache holds.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -91,9 +95,9 @@ class SpaceSavingSketch:
             return None
         # Evict the minimum counter; the newcomer inherits its count as
         # over-estimation error (ties broken by key for determinism).
-        victim = min(self._counts, key=lambda k: (self._counts[k], k))
-        floor = self._counts.pop(victim)
-        self._errors.pop(victim)
+        floor, victim = min(zip(self._counts.values(), self._counts))
+        del self._counts[victim]
+        del self._errors[victim]
         self._counts[key] = floor + amount
         self._errors[key] = floor
         return victim
@@ -151,15 +155,16 @@ class HotspotDetector:
     ) -> None:
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
-        if hot_threshold < 1:
-            raise ValueError(
-                f"hot_threshold must be >= 1, got {hot_threshold}"
-            )
         self.capacity = capacity
         self.window_s = window_s
-        self.hot_threshold = hot_threshold
         self._current = SpaceSavingSketch(capacity)
         self._previous = SpaceSavingSketch(capacity)
+        #: Every monitored key whose windowed estimate reaches the
+        #: threshold, maintained incrementally: an observation can change
+        #: the state of the observed key and of the key its offer evicted,
+        #: nothing else; rotation and a threshold change rebuild it.
+        self._hot: Set[str] = set()
+        self._hot_threshold = 0
         # Per-tenant attribution of each monitored key's heat, one map
         # per epoch, pruned in lockstep with sketch evictions so memory
         # stays bounded by ``2 × capacity`` keys.
@@ -167,11 +172,36 @@ class HotspotDetector:
         self._previous_tenants: Dict[str, Dict[str, int]] = {}
         self._epoch_start = 0.0
         self.rotations = 0
+        self.hot_threshold = hot_threshold  # validated by the property
+
+    @property
+    def hot_threshold(self) -> int:
+        return self._hot_threshold
+
+    @hot_threshold.setter
+    def hot_threshold(self, value: int) -> None:
+        # The adaptive controller assigns this every tick, mostly the
+        # value it already has.
+        if value < 1:
+            raise ValueError(f"hot_threshold must be >= 1, got {value}")
+        if value != self._hot_threshold:
+            self._hot_threshold = value
+            self._rebuild_hot()
+
+    def _rebuild_hot(self) -> None:
+        # In place: a caller holding ``hot_set()`` keeps a live view.
+        monitored = (*self._current._counts, *self._previous._counts)
+        self._hot.clear()
+        self._hot.update(
+            key for key in monitored
+            if self.estimate(key) >= self._hot_threshold
+        )
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
     def _maybe_rotate(self, now: float) -> None:
+        before = self.rotations
         while now - self._epoch_start >= self.window_s:
             self._previous = self._current
             self._current = SpaceSavingSketch(self.capacity)
@@ -179,6 +209,8 @@ class HotspotDetector:
             self._current_tenants = {}
             self._epoch_start += self.window_s
             self.rotations += 1
+        if self.rotations != before:
+            self._rebuild_hot()
 
     def observe(
         self, key: str, now: float, tenant: str = DEFAULT_TENANT
@@ -192,6 +224,11 @@ class HotspotDetector:
         evicted = self._current.offer(key)
         if evicted is not None:
             self._current_tenants.pop(evicted, None)
+            # The evicted key keeps only its previous-epoch count.
+            if self._previous.estimate(evicted) < self._hot_threshold:
+                self._hot.discard(evicted)
+        if self.estimate(key) >= self._hot_threshold:
+            self._hot.add(key)
         per_tenant = self._current_tenants.setdefault(key, {})
         per_tenant[tenant] = per_tenant.get(tenant, 0) + 1
 
@@ -203,17 +240,16 @@ class HotspotDetector:
         return self._current.estimate(key) + self._previous.estimate(key)
 
     def is_hot(self, key: str) -> bool:
-        return self.estimate(key) >= self.hot_threshold
+        return key in self._hot
 
     def hot_keys(self) -> List[str]:
         """Every currently-hot key, sorted (deterministic)."""
-        keys = set(self._counts_union())
-        return sorted(k for k in keys if self.is_hot(k))
+        return sorted(self._hot)
 
-    def _counts_union(self) -> List[str]:
-        return list(self._current._counts) + [
-            k for k in self._previous._counts if k not in self._current._counts
-        ]
+    def hot_set(self) -> AbstractSet[str]:
+        """The maintained hot set itself — a live, unordered view for
+        per-tick callers; do not mutate."""
+        return self._hot
 
     def tenant_counts(self, key: str) -> Dict[str, int]:
         """Windowed per-tenant attribution of ``key``'s heat.

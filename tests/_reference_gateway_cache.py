@@ -1,100 +1,31 @@
-"""Lease-based client metadata cache: path → (home MDS, record).
+"""Frozen reference: the gateway lease cache and hotspot detector as they
+stood before ISSUE 13 made their per-lookup steps constant-time.
 
-Entries carry a TTL *lease* in virtual seconds; a fresh lease means the
-gateway may answer without touching the MDS fleet.  Expired entries are
-retained (until LRU eviction) as *predictions* — their last-known home MDS
-seeds the multi-key batched verification in :mod:`repro.gateway.coalesce`.
-
-Negative results (path does not exist anywhere) are cached too, under a
-separate — typically much shorter — TTL, so repeated lookups of a missing
-path do not hammer the L4 global multicast.
-
-Coherence rules (see DESIGN.md §9):
-
-- ``create``/``delete`` invalidate the exact path (a create also kills a
-  cached negative entry; a delete kills a cached positive one).
-- ``rename`` of a directory invalidates the *whole subtree* under both the
-  old and the new prefix — the classic stale-subtree bug is the thing the
-  rename-correctness tests pin down.
-- A server leaving the cluster (graceful or crash) invalidates every entry
-  whose lease points at it.
-- Degraded backend answers (fault injection) must never be inserted; the
-  client enforces that, the cache just provides the API.
-
-Hot entries (flagged by :mod:`repro.gateway.hotspot`) are *pinned*: they
-get extended leases and are exempt from LRU eviction, shielding the MDS
-fleet from the heaviest hitters even under cache pressure.
+``RefGatewayCache`` evicts by copying and walking every entry
+(``list(self._entries)``), ``RefHotspotDetector.hot_keys`` rebuilds and
+sorts the hot set on every call, and ``RefSpaceSavingSketch.offer`` finds
+its minimum through a Python lambda per counter.  The class bodies are
+verbatim copies (only the class names gained a ``Ref`` prefix; the value
+types are imported from the live modules, which did not change them).
+``tests/property/test_gateway_cache_differential.py`` replays seeded op
+sequences through both and diffs every observable after every op — so do
+not "fix" or modernize this file; it is the oracle, like
+``_reference_admission.py`` and ``_reference_bloom.py``.  In particular
+``unpin`` still has no production caller here either: pins are never
+released (DESIGN.md §9, known defect).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from repro.gateway.cache import CacheEntry, CacheLookup, CacheStats
+from repro.gateway.hotspot import DEFAULT_TENANT, HeavyHitter
 from repro.metadata.attributes import FileMetadata
 
 
-@dataclass
-class CacheEntry:
-    """One cached lease.
-
-    ``home_id``/``record`` are ``None`` for negative entries.  ``version``
-    bumps on every refresh so tests can distinguish a re-validated lease
-    from a stale survivor.
-    """
-
-    path: str
-    home_id: Optional[int]
-    record: Optional[FileMetadata]
-    expires_at: float
-    negative: bool = False
-    pinned: bool = False
-    version: int = 0
-    #: Backend path version at install time (``None`` when the installer
-    #: did not learn one) — the base the write-back buffer stamps on
-    #: mutations so the home MDS can arbitrate version races.
-    backend_version: Optional[int] = None
-
-    def fresh(self, now: float) -> bool:
-        return now < self.expires_at
-
-
-@dataclass(frozen=True)
-class CacheLookup:
-    """Outcome of one cache probe.
-
-    ``hit`` is True only for a fresh lease.  ``predicted_home`` is the
-    last-known home MDS from an expired (but retained) positive entry —
-    the batcher's routing hint; ``None`` when the cache knows nothing.
-    """
-
-    path: str
-    hit: bool = False
-    negative: bool = False
-    home_id: Optional[int] = None
-    record: Optional[FileMetadata] = None
-    predicted_home: Optional[int] = None
-
-
-@dataclass
-class CacheStats:
-    """Plain tallies; the client mirrors them into the metrics registry."""
-
-    hits: int = 0
-    negative_hits: int = 0
-    misses: int = 0
-    expired: int = 0
-    insertions: int = 0
-    evictions: int = 0
-    clamped: int = 0
-    invalidations: Dict[str, int] = field(default_factory=dict)
-
-    def count_invalidation(self, cause: str, amount: int = 1) -> None:
-        self.invalidations[cause] = self.invalidations.get(cause, 0) + amount
-
-
-class GatewayCache:
+class RefGatewayCache:
     """LRU cache of leases with subtree-aware invalidation.
 
     Parameters
@@ -132,11 +63,6 @@ class GatewayCache:
         #: peer gateway may be lost (partition), bounding staleness.
         self.ttl_clamp_s: Optional[float] = None
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        #: The unpinned subset of ``_entries``, in the same recency order —
-        #: its head is the eviction victim, so an install never walks the
-        #: pinned entries.  Every method that adds, drops, touches or
-        #: (un)pins an entry keeps the two orders in step.
-        self._unpinned: "OrderedDict[str, None]" = OrderedDict()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -155,8 +81,6 @@ class GatewayCache:
             return CacheLookup(path=path)
         if entry.fresh(now):
             self._entries.move_to_end(path)
-            if not entry.pinned:
-                self._unpinned.move_to_end(path)
             if entry.negative:
                 self.stats.negative_hits += 1
                 return CacheLookup(path=path, hit=True, negative=True)
@@ -227,24 +151,31 @@ class GatewayCache:
     def _install(self, entry: CacheEntry) -> CacheEntry:
         previous = self._entries.pop(entry.path, None)
         if previous is not None:
-            self._unpinned.pop(entry.path, None)
             entry.version = previous.version + 1
             # A refresh never *loses* the pin a hot entry earned.
             entry.pinned = entry.pinned or (previous.pinned and not entry.negative)
         self._entries[entry.path] = entry
-        if not entry.pinned:
-            self._unpinned[entry.path] = None
         self.stats.insertions += 1
-        while len(self._entries) > self.capacity:
-            # The least-recent unpinned entry goes (the newcomer itself
-            # when it is the only one).  Degenerate case, everything
-            # pinned: the oldest entry, rather than growing without bound.
-            if self._unpinned:
-                del self._entries[self._unpinned.popitem(last=False)[0]]
-            else:
-                self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        self._evict_over_capacity()
         return entry
+
+    def _evict_over_capacity(self) -> None:
+        """Evict least-recent unpinned entries down to capacity."""
+        if len(self._entries) <= self.capacity:
+            return
+        for path in list(self._entries):
+            if len(self._entries) <= self.capacity:
+                break
+            entry = self._entries[path]
+            if entry.pinned:
+                continue
+            del self._entries[path]
+            self.stats.evictions += 1
+        # Degenerate case: everything pinned.  Evict oldest pinned entries
+        # rather than growing without bound.
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     # ------------------------------------------------------------------
     # Hot-entry shielding
@@ -265,44 +196,21 @@ class GatewayCache:
 
         Returns True when an entry existed to pin.
         """
-        return self.pin_all((path,), now, extend) == 1
-
-    def pin_all(
-        self, paths: Iterable[str], now: float, extend: bool = True
-    ) -> int:
-        """:meth:`pin` every path of ``paths`` (the shield refresh: one
-        call per tick for the whole hot set); returns how many had an
-        entry to pin.  The outcome does not depend on iteration order."""
-        limit = None
+        entry = self._entries.get(path)
+        if entry is None or entry.negative:
+            return False
+        entry.pinned = True
         if extend:
             extension = self.hot_lease_ttl_s
             if self.ttl_clamp_s is not None:
                 extension = min(extension, self.ttl_clamp_s)
-            limit = now + extension
-        entries = self._entries
-        pinned = 0
-        for path in paths:
-            entry = entries.get(path)
-            if entry is None or entry.negative:
-                continue
-            pinned += 1
-            if not entry.pinned:
-                entry.pinned = True
-                del self._unpinned[path]
-            if limit is not None and entry.expires_at < limit:
-                entry.expires_at = limit
-        return pinned
+            entry.expires_at = max(entry.expires_at, now + extension)
+        return True
 
     def unpin(self, path: str) -> None:
-        """Release ``path``'s pin; it competes for eviction again from
-        its true recency position.  O(n) — nothing on the serving path
-        calls it (DESIGN.md §9: pins are currently never released)."""
         entry = self._entries.get(path)
-        if entry is not None and entry.pinned:
+        if entry is not None:
             entry.pinned = False
-            self._unpinned = OrderedDict(
-                (p, None) for p, e in self._entries.items() if not e.pinned
-            )
 
     def pinned_paths(self) -> List[str]:
         return sorted(p for p, e in self._entries.items() if e.pinned)
@@ -340,7 +248,6 @@ class GatewayCache:
     def invalidate(self, path: str, cause: str = "mutation") -> bool:
         """Drop the entry for ``path``; True when something was dropped."""
         if self._entries.pop(path, None) is not None:
-            self._unpinned.pop(path, None)
             self.stats.count_invalidation(cause)
             return True
         return False
@@ -357,7 +264,11 @@ class GatewayCache:
             for path in self._entries
             if path == prefix or path.startswith(prefix + "/")
         ]
-        return self._drop(victims, cause)
+        for path in victims:
+            del self._entries[path]
+        if victims:
+            self.stats.count_invalidation(cause, len(victims))
+        return len(victims)
 
     def invalidate_home(self, server_id: int, cause: str = "server_lost") -> int:
         """Drop every lease pointing at ``server_id`` (it left the fleet)."""
@@ -366,19 +277,14 @@ class GatewayCache:
             for path, entry in self._entries.items()
             if entry.home_id == server_id
         ]
-        return self._drop(victims, cause)
-
-    def _drop(self, victims: List[str], cause: str) -> int:
         for path in victims:
             del self._entries[path]
-            self._unpinned.pop(path, None)
         if victims:
             self.stats.count_invalidation(cause, len(victims))
         return len(victims)
 
     def clear(self) -> None:
         self._entries.clear()
-        self._unpinned.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -400,4 +306,204 @@ class GatewayCache:
         return (
             f"GatewayCache(entries={len(self._entries)}/{self.capacity}, "
             f"hit_rate={self.hit_rate():.3f})"
+        )
+
+
+class RefSpaceSavingSketch:
+    """Fixed-size space-saving counter table.
+
+    ``offer(key)`` is O(1) amortized on dict operations plus an O(capacity)
+    min-scan on eviction; fine at the gateway's capacities (tens to a few
+    thousand counters).
+    """
+
+    def __init__(self, capacity: int = 64) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._counts: Dict[str, int] = {}
+        self._errors: Dict[str, int] = {}
+        self.observed = 0
+
+    def offer(self, key: str, amount: int = 1) -> Optional[str]:
+        """Account one observation of ``key``.
+
+        Returns the evicted key when the offer displaced a monitored
+        counter, else None — callers keeping per-key side state (the
+        detector's tenant attribution) prune on it.
+        """
+        if amount < 1:
+            raise ValueError(f"amount must be >= 1, got {amount}")
+        self.observed += amount
+        if key in self._counts:
+            self._counts[key] += amount
+            return None
+        if len(self._counts) < self.capacity:
+            self._counts[key] = amount
+            self._errors[key] = 0
+            return None
+        # Evict the minimum counter; the newcomer inherits its count as
+        # over-estimation error (ties broken by key for determinism).
+        victim = min(self._counts, key=lambda k: (self._counts[k], k))
+        floor = self._counts.pop(victim)
+        self._errors.pop(victim)
+        self._counts[key] = floor + amount
+        self._errors[key] = floor
+        return victim
+
+    def estimate(self, key: str) -> int:
+        """Estimated count (never an under-count; 0 if unmonitored)."""
+        return self._counts.get(key, 0)
+
+    def guaranteed(self, key: str) -> int:
+        """Lower bound on the true count (estimate minus error)."""
+        return self._counts.get(key, 0) - self._errors.get(key, 0)
+
+    def top(self, k: int) -> List[HeavyHitter]:
+        """The ``k`` largest counters, count-descending then key-ascending."""
+        ranked = sorted(
+            self._counts.items(), key=lambda item: (-item[1], item[0])
+        )
+        return [
+            HeavyHitter(key=key, count=count, error=self._errors[key])
+            for key, count in ranked[:k]
+        ]
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._counts
+
+    def __repr__(self) -> str:
+        return (
+            f"SpaceSavingSketch(keys={len(self._counts)}/{self.capacity}, "
+            f"observed={self.observed})"
+        )
+
+
+class RefHotspotDetector:
+    """Two-epoch sliding window over a space-saving sketch.
+
+    Parameters
+    ----------
+    capacity:
+        Counter budget per epoch sketch.
+    window_s:
+        Epoch length in virtual seconds; an observation influences the
+        hot set for at most two windows.
+    hot_threshold:
+        Windowed estimate at which a key counts as hot.
+    """
+
+    def __init__(
+        self,
+        capacity: int = 64,
+        window_s: float = 5.0,
+        hot_threshold: int = 32,
+    ) -> None:
+        if window_s <= 0:
+            raise ValueError(f"window_s must be positive, got {window_s}")
+        if hot_threshold < 1:
+            raise ValueError(
+                f"hot_threshold must be >= 1, got {hot_threshold}"
+            )
+        self.capacity = capacity
+        self.window_s = window_s
+        self.hot_threshold = hot_threshold
+        self._current = RefSpaceSavingSketch(capacity)
+        self._previous = RefSpaceSavingSketch(capacity)
+        # Per-tenant attribution of each monitored key's heat, one map
+        # per epoch, pruned in lockstep with sketch evictions so memory
+        # stays bounded by ``2 × capacity`` keys.
+        self._current_tenants: Dict[str, Dict[str, int]] = {}
+        self._previous_tenants: Dict[str, Dict[str, int]] = {}
+        self._epoch_start = 0.0
+        self.rotations = 0
+
+    # ------------------------------------------------------------------
+    # Ingest
+    # ------------------------------------------------------------------
+    def _maybe_rotate(self, now: float) -> None:
+        while now - self._epoch_start >= self.window_s:
+            self._previous = self._current
+            self._current = RefSpaceSavingSketch(self.capacity)
+            self._previous_tenants = self._current_tenants
+            self._current_tenants = {}
+            self._epoch_start += self.window_s
+            self.rotations += 1
+
+    def observe(
+        self, key: str, now: float, tenant: str = DEFAULT_TENANT
+    ) -> None:
+        """Account one request for ``key`` at virtual time ``now``.
+
+        ``tenant`` attributes the heat for observability; it never
+        changes what is hot (the shield is shared — see module docs).
+        """
+        self._maybe_rotate(now)
+        evicted = self._current.offer(key)
+        if evicted is not None:
+            self._current_tenants.pop(evicted, None)
+        per_tenant = self._current_tenants.setdefault(key, {})
+        per_tenant[tenant] = per_tenant.get(tenant, 0) + 1
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def estimate(self, key: str) -> int:
+        """Windowed estimate: current + previous epoch."""
+        return self._current.estimate(key) + self._previous.estimate(key)
+
+    def is_hot(self, key: str) -> bool:
+        return self.estimate(key) >= self.hot_threshold
+
+    def hot_keys(self) -> List[str]:
+        """Every currently-hot key, sorted (deterministic)."""
+        keys = set(self._counts_union())
+        return sorted(k for k in keys if self.is_hot(k))
+
+    def _counts_union(self) -> List[str]:
+        return list(self._current._counts) + [
+            k for k in self._previous._counts if k not in self._current._counts
+        ]
+
+    def tenant_counts(self, key: str) -> Dict[str, int]:
+        """Windowed per-tenant attribution of ``key``'s heat.
+
+        Only meaningful while ``key`` is monitored; an evicted or
+        rotated-out key returns {} (attribution is bounded best-effort,
+        exactly like the sketch estimates it annotates).
+        """
+        merged: Dict[str, int] = {}
+        for epoch in (self._current_tenants, self._previous_tenants):
+            for tenant, count in epoch.get(key, {}).items():
+                merged[tenant] = merged.get(tenant, 0) + count
+        return merged
+
+    def dominant_tenant(self, key: str) -> Optional[str]:
+        """The tenant contributing the most heat to ``key`` (ties by
+        name; None when the key carries no attribution)."""
+        counts = self.tenant_counts(key)
+        if not counts:
+            return None
+        return min(counts, key=lambda t: (-counts[t], t))
+
+    def top_k(self, k: int = 5) -> List[HeavyHitter]:
+        """Top hotspots by windowed estimate (merged across both epochs)."""
+        merged: Dict[str, Tuple[int, int]] = {}
+        for sketch in (self._current, self._previous):
+            for key, count in sketch._counts.items():
+                total, error = merged.get(key, (0, 0))
+                merged[key] = (total + count, error + sketch._errors[key])
+        ranked = sorted(merged.items(), key=lambda item: (-item[1][0], item[0]))
+        return [
+            HeavyHitter(key=key, count=count, error=error)
+            for key, (count, error) in ranked[:k]
+        ]
+
+    def __repr__(self) -> str:
+        return (
+            f"HotspotDetector(window={self.window_s}s, "
+            f"threshold={self.hot_threshold}, rotations={self.rotations})"
         )

@@ -35,6 +35,8 @@ from repro.gateway.admission import (
     FairAdmissionController,
 )
 
+from tests._shrink import greedy_shrink
+
 SEEDS = range(24)
 
 TENANTS = ["a", "b", "c", "d"]
@@ -129,17 +131,7 @@ def _run(seed, ticks):
 
 def _shrink(seed, ticks, failure):
     """Greedy delta-debug: drop ticks while the failure reproduces."""
-    current = list(ticks)
-    shrunk = True
-    while shrunk and len(current) > 1:
-        shrunk = False
-        for index in range(len(current) - 1, -1, -1):
-            candidate = current[:index] + current[index + 1:]
-            if candidate and _run(seed, candidate) is not None:
-                current = candidate
-                shrunk = True
-                break
-    return current
+    return greedy_shrink(ticks, lambda c: _run(seed, c) is not None)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -48,6 +48,7 @@ from tests._reference_bloom import (
     RefCountingBloomFilter,
     RefHashFamily,
 )
+from tests._shrink import greedy_shrink
 
 SEEDS = range(30)
 
@@ -305,17 +306,9 @@ def _shrink(seed, ops):
     The geometry header (op 0) is pinned — a sequence without it is
     vacuously passing, so the shrinker only considers real ops.
     """
-    current = list(ops)
-    shrunk = True
-    while shrunk and len(current) > 2:
-        shrunk = False
-        for index in range(len(current) - 1, 0, -1):
-            candidate = current[:index] + current[index + 1:]
-            if _run(seed, candidate) is not None:
-                current = candidate
-                shrunk = True
-                break
-    return current
+    return greedy_shrink(
+        ops, lambda c: _run(seed, c) is not None, keep_head=1
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -34,6 +34,8 @@ from repro.replication import ChangeCapture, StandbyEndpoint
 from repro.replication.audit import diff_states, snapshot_state
 from repro.replication.cdc import entry_to_wire
 
+from tests._shrink import greedy_shrink
+
 SEEDS = range(20)
 
 NUM_SERVERS = 4
@@ -195,17 +197,7 @@ def _run(seed, ops):
 
 def _shrink(seed, ops):
     """Greedy delta-debug: drop ops while the failure reproduces."""
-    current = list(ops)
-    shrunk = True
-    while shrunk and len(current) > 1:
-        shrunk = False
-        for index in range(len(current) - 1, -1, -1):
-            candidate = current[:index] + current[index + 1:]
-            if candidate and _run(seed, candidate) is not None:
-                current = candidate
-                shrunk = True
-                break
-    return current
+    return greedy_shrink(ops, lambda c: _run(seed, c) is not None)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -25,6 +25,8 @@ from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.gateway import GatewayConfig, MetadataClient, Outcome
 
+from tests._shrink import greedy_shrink
+
 SEEDS = range(24)
 
 NUM_SERVERS = 5
@@ -175,17 +177,7 @@ def _run(seed, ops):
 
 def _shrink(seed, ops, failure):
     """Greedy delta-debug: drop ops while the failure reproduces."""
-    current = list(ops)
-    shrunk = True
-    while shrunk and len(current) > 1:
-        shrunk = False
-        for index in range(len(current) - 1, -1, -1):
-            candidate = current[:index] + current[index + 1:]
-            if candidate and _run(seed, candidate) is not None:
-                current = candidate
-                shrunk = True
-                break
-    return current
+    return greedy_shrink(ops, lambda c: _run(seed, c) is not None)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -97,6 +97,52 @@ class TestLRU:
         cache.put("/hot", 2, _record("/hot"), 1.0)  # plain refresh
         assert cache.peek("/hot").pinned
 
+    def test_cold_install_into_all_pinned_cache_evicts_itself(self):
+        cache = GatewayCache(capacity=2)
+        cache.put("/a", 1, _record("/a"), 0.0, hot=True)
+        cache.put("/b", 1, _record("/b"), 0.1, hot=True)
+        cache.put("/cold", 1, _record("/cold"), 0.2)
+        assert cache.pinned_paths() == ["/a", "/b"]
+        assert "/cold" not in cache and cache.stats.evictions == 1
+        # A hot newcomer cannot go itself: the oldest pinned entry does.
+        cache.put("/c", 1, _record("/c"), 0.3, hot=True)
+        assert cache.pinned_paths() == ["/b", "/c"]
+
+    def test_unpin_reenters_eviction_order_at_true_recency(self):
+        cache = GatewayCache(capacity=3)
+        cache.put("/old", 1, _record("/old"), 0.0, hot=True)
+        cache.put("/mid", 1, _record("/mid"), 0.1)
+        cache.put("/new", 1, _record("/new"), 0.2)
+        cache.unpin("/old")
+        assert cache.pinned_paths() == []
+        # /old was touched least recently, so — pin released — it is the
+        # next victim, ahead of the entries installed after it.
+        cache.put("/x", 1, _record("/x"), 0.3)
+        assert "/old" not in cache and "/mid" in cache
+        # A released entry a hit has since refreshed is the *last* victim.
+        cache.pin("/mid", 0.4)
+        cache.get("/mid", 0.5)
+        cache.unpin("/mid")
+        cache.put("/y", 1, _record("/y"), 0.6)
+        cache.put("/z", 1, _record("/z"), 0.7)
+        assert "/mid" in cache and "/new" not in cache and "/x" not in cache
+        cache.unpin("/absent")  # no entry: a no-op, not an error
+
+    def test_pin_all_is_pin_for_each_path(self):
+        one, batch = GatewayCache(capacity=4), GatewayCache(capacity=4)
+        for cache in (one, batch):
+            cache.put("/a", 1, _record("/a"), 0.0)
+            cache.put("/b", 1, _record("/b"), 0.0, hot=True)
+            cache.put_negative("/gone", 0.0)
+        paths = {"/a", "/b", "/gone", "/absent"}
+        assert batch.pin_all(paths, 1.0, extend=False) == 2
+        assert sum(one.pin(p, 1.0, extend=False) for p in sorted(paths)) == 2
+        assert batch.pin_all(paths, 2.0) == 2
+        assert sum(one.pin(p, 2.0) for p in sorted(paths)) == 2
+        for path in ("/a", "/b", "/gone"):
+            assert batch.peek(path) == one.peek(path)
+        assert batch.peek("/a").expires_at == 2.0 + batch.hot_lease_ttl_s
+
 
 class TestInvalidation:
     def test_create_and_delete_invalidate_exact_path(self):

@@ -72,6 +72,33 @@ class TestHotspotDetector:
         assert not detector.is_hot("/cold")
         assert detector.hot_keys() == ["/hot"]
 
+    def test_threshold_assignment_reclassifies_the_monitored_keys(self):
+        """The adaptive controller moves the threshold by plain attribute
+        assignment; the maintained hot set must follow at once."""
+        detector = HotspotDetector(window_s=5.0, hot_threshold=3)
+        for count, key in ((4, "/a"), (2, "/b"), (1, "/c")):
+            for _ in range(count):
+                detector.observe(key, 0.0)
+        assert detector.hot_keys() == ["/a"]
+        view = detector.hot_set()
+        detector.hot_threshold = 2
+        assert detector.hot_keys() == ["/a", "/b"]
+        assert view == {"/a", "/b"} and detector.hot_set() is view  # live
+        assert detector.is_hot("/b") and not detector.is_hot("/c")
+        detector.hot_threshold = 5
+        assert detector.hot_keys() == [] and not detector.is_hot("/a")
+        with pytest.raises(ValueError):
+            detector.hot_threshold = 0
+        assert detector.hot_threshold == 5
+
+    def test_sketch_eviction_cools_the_evicted_key(self):
+        detector = HotspotDetector(capacity=2, window_s=5.0, hot_threshold=1)
+        detector.observe("/a", 0.0)
+        detector.observe("/b", 0.0)
+        detector.observe("/c", 0.0)  # displaces /a (count tie, key order)
+        assert detector.hot_keys() == ["/b", "/c"]
+        assert not detector.is_hot("/a")
+
     def test_window_rotation_decays_cold_keys(self):
         detector = HotspotDetector(window_s=1.0, hot_threshold=3)
         for i in range(4):

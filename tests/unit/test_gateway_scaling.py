@@ -1,0 +1,114 @@
+"""The lease cache and the shield refresh cost the same at any occupancy.
+
+Counted, not timed: under ``sys.settrace`` the number of source lines
+executed inside ``repro/gateway/`` by one install into a full, all-pinned
+cache — and by one whole gateway tick, shield refresh included — must be
+*equal* at capacity 64 and at capacity 16 384.  That is the property the
+``gw_cold_scan`` ledger numbers rest on (the parent walked every pinned
+lease per install: 4 097 loop iterations at the benchmark's capacity),
+checkable without a clock.  Lines are the unit because the C-level work
+left on the path (dict and ``OrderedDict`` operations, the sketch's
+``min`` over its own fixed counter budget) does not depend on the cache
+either.
+"""
+
+import os
+import sys
+
+import pytest
+
+import repro.gateway
+from repro.core.cluster import GHBACluster
+from repro.core.config import GHBAConfig
+from repro.gateway import GatewayConfig, MetadataClient
+from repro.gateway.cache import GatewayCache
+from repro.metadata.attributes import FileMetadata
+
+CAPACITIES = (64, 16_384)
+GATEWAY_DIR = os.path.dirname(repro.gateway.__file__)
+
+
+def _gateway_lines(call):
+    """Source lines ``call()`` executes in ``repro/gateway/``."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if not frame.f_code.co_filename.startswith(GATEWAY_DIR):
+            return None
+        if event == "line":
+            lines += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def _all_pinned(cache):
+    for index in range(cache.capacity):
+        path = f"/pin/{index}"
+        cache.put(path, 0, FileMetadata(path=path, inode=index), 0.0, hot=True)
+    assert len(cache.pinned_paths()) == cache.capacity
+    return cache
+
+
+@pytest.mark.parametrize("hot", [False, True], ids=["cold", "hot"])
+def test_install_into_full_pinned_cache_is_occupancy_independent(hot):
+    """Both eviction branches: a cold newcomer (the only unpinned entry,
+    so it goes itself) and a hot one (the oldest pinned entry goes)."""
+    counts = []
+    for capacity in CAPACITIES:
+        cache = _all_pinned(GatewayCache(capacity=capacity))
+        record = FileMetadata(path="/new", inode=1)
+        counts.append(
+            _gateway_lines(lambda: cache.put("/new", 1, record, 1.0, hot=hot))
+        )
+        assert cache.stats.evictions == 1 and len(cache) == capacity
+    # Fewer lines than even the small cache has entries: no walk at all.
+    assert counts[0] == counts[1] and 0 < counts[0] < CAPACITIES[0]
+
+
+def test_gateway_tick_with_shield_refresh_is_occupancy_independent():
+    """One ``lookup_tick`` over a full, all-pinned cache: misses that
+    walk the backend and install, a hit, a negative, a coalesced
+    duplicate, and the shield refresh pinning a 16-key hot set."""
+    counts = []
+    for capacity in CAPACITIES:
+        cluster = GHBACluster(
+            4,
+            GHBAConfig(
+                max_group_size=4,
+                expected_files_per_mds=64,
+                lru_capacity=64,
+                lru_filter_bits=1 << 10,
+                seed=5,
+            ),
+            seed=5,
+        )
+        files = [f"/s/d{i % 3}/f{i}" for i in range(40)]
+        cluster.populate(files)
+        cluster.synchronize_replicas(force=True)
+        client = MetadataClient(
+            cluster,
+            GatewayConfig(
+                cache_capacity=capacity, rate_per_s=1e6, burst=1e4,
+                hot_threshold=2,
+            ),
+        )
+        _all_pinned(client.cache)
+        for key in [f"/pin/{i}" for i in range(12)] + files[:4]:
+            client.hotspots.observe(key, 0.0)
+            client.hotspots.observe(key, 0.0)
+        assert len(client.hotspots.hot_set()) == 16
+        tick = [("-", path) for path in files[:8]]
+        tick += [("u1", files[0]), ("-", "/pin/3"), ("-", "/s/absent")]
+        evictions = client.cache.stats.evictions
+        counts.append(_gateway_lines(lambda: client.lookup_tick(tick, 1.0)))
+        assert client.cache.stats.evictions - evictions == 9
+        assert client.cache.stats.hits == 1
+    assert counts[0] == counts[1] > 0
