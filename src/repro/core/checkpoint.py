@@ -133,27 +133,11 @@ def snapshot_server(server: MetadataServer) -> Dict[str, Any]:
         },
         "writeback_outcomes": {
             str(origin): {
-                str(version): _encode_outcome(outcome)
+                str(version): dict(outcome)
                 for version, outcome in outcomes.items()
             }
             for origin, outcomes in server.writeback_outcomes.items()
         },
-    }
-
-
-def _encode_outcome(outcome: Any) -> Dict[str, Any]:
-    """JSON-safe form of a cached mutation outcome (dataclass or dict)."""
-    if isinstance(outcome, dict):
-        return dict(outcome)
-    return {
-        "version": outcome.version,
-        "op": outcome.op,
-        "path": outcome.path,
-        "applied": outcome.applied,
-        "conflict": outcome.conflict,
-        "changed": outcome.changed,
-        "deduped": outcome.deduped,
-        "new_version": outcome.new_version,
     }
 
 

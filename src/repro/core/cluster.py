@@ -458,6 +458,19 @@ class GHBACluster:
                 return server.server_id
         return None
 
+    def record_at(self, home_id: int, path: str) -> Optional[FileMetadata]:
+        """The record ``home_id`` holds for ``path`` (None when it holds
+        none): the store access a client pays after a walk named its home."""
+        return self.servers[home_id].store.get(path)
+
+    def file_count(self) -> int:
+        """Metadata records held fleet-wide."""
+        return sum(server.file_count for server in self.servers.values())
+
+    def round_trip_ms(self) -> float:
+        """Modelled latency of one client-to-MDS round trip."""
+        return self.config.network.round_trip_ms()
+
     # ------------------------------------------------------------------
     # Mutation hooks (cache coherence for the gateway tier)
     # ------------------------------------------------------------------
@@ -471,11 +484,6 @@ class GHBACluster:
         cluster still reaches every cache in front of it.
         """
         self._mutation_listeners.append(listener)
-
-    def remove_mutation_listener(
-        self, listener: Callable[[MutationEvent], None]
-    ) -> None:
-        self._mutation_listeners.remove(listener)
 
     def _notify(self, event: MutationEvent) -> None:
         for listener in self._mutation_listeners:
@@ -521,18 +529,7 @@ class GHBACluster:
         """Store ``meta`` on ``home_id`` (random MDS when omitted)."""
         if home_id is None:
             home_id = self._rng.choice(self._sorted_ids)
-        self.servers[home_id].insert_metadata(meta)
-        self._bump_path_version(meta.path)
-        if self._mutation_listeners:
-            self._notify(
-                MutationEvent(op="create", path=meta.path, home_id=home_id)
-            )
-        if self._change_listeners:
-            self._emit_change(
-                ChangeEvent(
-                    op="create", path=meta.path, home_id=home_id, record=meta
-                )
-            )
+        self._commit_create(home_id, meta)
         return home_id
 
     def delete_file(self, path: str) -> Optional[int]:
@@ -547,8 +544,36 @@ class GHBACluster:
         home_id = self.home_of(path)
         if home_id is None:
             return None
+        self._commit_delete(home_id, path)
+        return home_id
+
+    def _commit_create(self, home_id: int, meta: FileMetadata) -> int:
+        """Make ``home_id`` the home of ``meta``; returns the new path version.
+
+        With :meth:`_commit_delete`, the one place a create or delete
+        reaches durable state, whichever entry point it came through — so
+        every applied mutation bumps the version once and emits exactly
+        one :class:`MutationEvent` and one :class:`ChangeEvent`.
+        """
+        self.servers[home_id].insert_metadata(meta)
+        version = self._bump_path_version(meta.path)
+        if self._mutation_listeners:
+            self._notify(
+                MutationEvent(op="create", path=meta.path, home_id=home_id)
+            )
+        if self._change_listeners:
+            self._emit_change(
+                ChangeEvent(
+                    op="create", path=meta.path, home_id=home_id, record=meta
+                )
+            )
+        return version
+
+    def _commit_delete(self, home_id: int, path: str) -> int:
+        """Remove ``path`` from its home and drop the stale L1 entries at
+        every origin; returns the new path version."""
         self.servers[home_id].remove_metadata(path)
-        self._bump_path_version(path)
+        version = self._bump_path_version(path)
         for server in self.servers.values():
             server.lru.invalidate(path)
         if self._mutation_listeners:
@@ -559,7 +584,7 @@ class GHBACluster:
             self._emit_change(
                 ChangeEvent(op="delete", path=path, home_id=home_id)
             )
-        return home_id
+        return version
 
     def populate(
         self,
@@ -578,7 +603,7 @@ class GHBACluster:
         server_ids = sorted(self.servers)
         placement: Dict[str, int] = {}
         batches: Dict[int, List[FileMetadata]] = {sid: [] for sid in server_ids}
-        inode = sum(s.file_count for s in self.servers.values())
+        inode = self.file_count()
         for index, path in enumerate(paths):
             if policy == "random":
                 home = self._rng.choice(server_ids)
@@ -1092,12 +1117,7 @@ class GHBACluster:
             self._messages.inc(1)
             return result
         server = self.servers[server_id]
-        floor = max(server.writeback_floor.get(origin, 0), acked_version)
-        server.writeback_floor[origin] = floor
-        cache = server.writeback_outcomes.setdefault(origin, {})
-        if floor:
-            for version in [v for v in cache if v <= floor]:
-                del cache[version]
+        server.writeback_advance(origin, acked_version)
         latency = net.round_trip_ms() + net.queueing_ms(outstanding)
         meta_fraction = server.memory.resident_fraction(CONSUMER_METADATA)
         record_ms = (
@@ -1106,47 +1126,35 @@ class GHBACluster:
         )
         for mutation in mutations:
             latency += net.memory_probe_ms
-            cached = cache.get(mutation.version)
-            if cached is not None:
-                # Retried batch: the effect already happened; repeat the
-                # ack (from the outcome cache) without touching state.
-                # A checkpoint round trip stores outcomes as dicts.
-                if isinstance(cached, MutationOutcome):
-                    applied, conflict = cached.applied, cached.conflict
-                    new_version = cached.new_version
-                else:
-                    applied = bool(cached.get("applied", True))
-                    conflict = bool(cached.get("conflict", False))
-                    new_version = int(cached.get("new_version", 0))
-                outcome = MutationOutcome(
-                    version=mutation.version,
-                    op=mutation.op,
-                    path=mutation.path,
-                    applied=applied,
-                    conflict=conflict,
-                    changed=False,
-                    deduped=True,
-                    new_version=new_version,
+            replay = server.writeback_replay(
+                origin, mutation.version, mutation.op, mutation.path
+            )
+            if replay is not None:
+                # Retried batch or stray re-delivery: the effect already
+                # happened; repeat the ack without touching state (a
+                # settled version carries no detail: live path version).
+                result.outcomes.append(
+                    MutationOutcome(
+                        version=mutation.version,
+                        op=mutation.op,
+                        path=mutation.path,
+                        applied=replay["applied"],
+                        conflict=replay.get("conflict", False),
+                        changed=False,
+                        deduped=True,
+                        new_version=replay.get(
+                            "new_version",
+                            self._path_versions.get(mutation.path, 0),
+                        ),
+                    )
                 )
-                result.outcomes.append(outcome)
                 continue
-            if mutation.version <= floor:
-                # Settled client-side (the floor only covers versions the
-                # gateway will never retry): a stray re-delivery, acked
-                # as applied-without-detail.
-                outcome = MutationOutcome(
-                    version=mutation.version,
-                    op=mutation.op,
-                    path=mutation.path,
-                    applied=True,
-                    deduped=True,
-                    new_version=self._path_versions.get(mutation.path, 0),
-                )
-                result.outcomes.append(outcome)
-                continue
-            outcome = self._apply_one_mutation(server_id, server, mutation)
-            latency += record_ms if outcome.changed else 0.0
-            cache[mutation.version] = outcome
+            outcome = self._apply_one_mutation(server_id, mutation)
+            if outcome.changed:
+                latency += record_ms
+            # vars(): the outcome's fields in declaration order, which is
+            # the dict a checkpoint writes (remember() takes its own copy).
+            server.writeback_remember(origin, mutation.version, vars(outcome))
             result.outcomes.append(outcome)
             if self.tracer.enabled and mutation.trace is not None:
                 trace_id, parent_id, trace_origin = mutation.trace
@@ -1184,10 +1192,7 @@ class GHBACluster:
         return result
 
     def _apply_one_mutation(
-        self,
-        server_id: int,
-        server: MetadataServer,
-        mutation: PathMutation,
+        self, server_id: int, mutation: PathMutation
     ) -> MutationOutcome:
         """Arbitrate and apply one mutation; returns its outcome."""
         path = mutation.path
@@ -1211,22 +1216,10 @@ class GHBACluster:
                     new_version=current,
                 )
             assert mutation.record is not None
-            server.insert_metadata(mutation.record)
-            new_version = self._bump_path_version(path)
-            server.writeback_applied += 1
-            if self._mutation_listeners:
-                self._notify(
-                    MutationEvent(op="create", path=path, home_id=server_id)
-                )
-            if self._change_listeners:
-                self._emit_change(
-                    ChangeEvent(
-                        op="create",
-                        path=path,
-                        home_id=server_id,
-                        record=mutation.record,
-                    )
-                )
+            # Counted before the commit notifies: a listener reading the
+            # counter sees this mutation included.
+            self.servers[server_id].writeback_applied += 1
+            new_version = self._commit_create(server_id, mutation.record)
             return MutationOutcome(
                 version=mutation.version,
                 op=mutation.op,
@@ -1263,19 +1256,8 @@ class GHBACluster:
                     conflict=True,
                     new_version=current,
                 )
-            server.remove_metadata(path)
-            new_version = self._bump_path_version(path)
-            server.writeback_applied += 1
-            for other in self.servers.values():
-                other.lru.invalidate(path)
-            if self._mutation_listeners:
-                self._notify(
-                    MutationEvent(op="delete", path=path, home_id=server_id)
-                )
-            if self._change_listeners:
-                self._emit_change(
-                    ChangeEvent(op="delete", path=path, home_id=server_id)
-                )
+            self.servers[server_id].writeback_applied += 1
+            new_version = self._commit_delete(server_id, path)
             return MutationOutcome(
                 version=mutation.version,
                 op=mutation.op,

@@ -109,9 +109,11 @@ class MetadataServer:
         #: of every version applied *above* the floor.  A version is a
         #: duplicate iff it is at or below the floor or present in the
         #: cache.  Both ride :func:`~repro.core.checkpoint.snapshot_server`
-        #: so a crash between apply and ack cannot double-apply a retry.
+        #: so a crash between apply and ack cannot double-apply a retry;
+        #: outcomes are kept as the JSON-safe dicts the checkpoint writes.
+        #: Every driver goes through the three ``writeback_*`` methods.
         self.writeback_floor: Dict[int, int] = {}
-        self.writeback_outcomes: Dict[int, Dict[int, Any]] = {}
+        self.writeback_outcomes: Dict[int, Dict[int, Dict[str, Any]]] = {}
         #: Mutations this server actually applied (not deduped, not noop) —
         #: the observable the at-most-once tests assert on.
         self.writeback_applied = 0
@@ -212,6 +214,51 @@ class MetadataServer:
                 self._metadata_bytes -= meta.size_bytes()
             self._refresh_memory_accounting()
         return removed
+
+    # ------------------------------------------------------------------
+    # At-most-once MUTATE_BATCH record
+    # ------------------------------------------------------------------
+    def writeback_advance(self, origin: int, acked: int) -> None:
+        """Start a batch from ``origin``: raise its cumulative-ack floor
+        to ``acked`` and prune the outcome cache beneath it."""
+        floor = max(self.writeback_floor.get(origin, 0), acked)
+        self.writeback_floor[origin] = floor
+        cache = self.writeback_outcomes.setdefault(origin, {})
+        if floor:
+            for version in [v for v in cache if v <= floor]:
+                del cache[version]
+
+    def writeback_replay(
+        self, origin: int, version: int, op: str, path: str
+    ) -> Optional[Dict[str, Any]]:
+        """The ack to repeat for a duplicate ``(origin, version)``; None
+        on a first delivery, which the caller applies and records with
+        :meth:`writeback_remember`.
+
+        A cached version replays its recorded outcome; one at or below
+        the floor (settled client-side, never retried) is a stray
+        re-delivery, acked as applied-without-detail.  Neither touches
+        the store.  Call after :meth:`writeback_advance`.
+        """
+        cached = self.writeback_outcomes[origin].get(version)
+        if cached is not None:
+            return dict(cached, deduped=True)
+        if version <= self.writeback_floor[origin]:
+            return {
+                "version": version,
+                "op": op,
+                "path": path,
+                "applied": True,
+                "changed": False,
+                "deduped": True,
+            }
+        return None
+
+    def writeback_remember(
+        self, origin: int, version: int, outcome: Dict[str, Any]
+    ) -> None:
+        """Record the outcome of a first delivery for later replays."""
+        self.writeback_outcomes[origin][version] = dict(outcome)
 
     def rebuild_local_filter(self) -> BloomFilter:
         """Rebuild the local filter from the store (clears deletions)."""

@@ -16,7 +16,7 @@ module reads the wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -121,19 +121,6 @@ class FaultPlan:
         order = [c.at_s for c in self.crashes]
         if order != sorted(order):
             raise ValueError("crashes must be sorted by at_s")
-
-    @property
-    def any_message_faults(self) -> bool:
-        """True when the memoryless per-message faults can ever fire."""
-        return (
-            self.drop_rate > 0
-            or self.delay_rate > 0
-            or self.duplicate_rate > 0
-            or bool(self.partitions)
-        )
-
-    def partitions_at(self, now_s: float) -> List[Partition]:
-        return [p for p in self.partitions if p.active_at(now_s)]
 
     def severed(self, sender: int, dest: int, now_s: float) -> bool:
         """True when an active partition cuts the ``sender -> dest`` link."""

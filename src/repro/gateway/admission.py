@@ -232,10 +232,6 @@ class TickResult(Generic[T]):
     admitted: List[Tuple[str, T]] = field(default_factory=list)
     shed: List[Tuple[str, T, str]] = field(default_factory=list)
 
-    def merge(self, other: "TickResult[T]") -> None:
-        self.admitted.extend(other.admitted)
-        self.shed.extend(other.shed)
-
 
 class _TenantState(Generic[T]):
     """Per-tenant queue + tallies inside the fair controller."""

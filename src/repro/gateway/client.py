@@ -1,10 +1,11 @@
 """The gateway facade: admission → cache → coalescer → cluster.
 
-:class:`MetadataClient` fronts a :class:`~repro.core.cluster.GHBACluster`
-for a pool of clients.  Requests are served in *ticks* — all lookups
-submitted at one virtual instant are admitted, coalesced, batched and
-resolved together, which is the deterministic-simulation model of
-concurrency used throughout this repo.
+:class:`MetadataClient` fronts an MDS fleet for a pool of clients, and
+touches it only through :class:`~repro.gateway.backend.MetadataBackend`
+(today a :class:`~repro.core.cluster.GHBACluster`).  Requests are served
+in *ticks* — all lookups submitted at one virtual instant are admitted,
+coalesced, batched and resolved together, which is the
+deterministic-simulation model of concurrency used throughout this repo.
 
 Pipeline per tick (:meth:`MetadataClient.lookup_many`):
 
@@ -32,20 +33,17 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.cluster import GHBACluster, MutationEvent, MutationOutcome
-from repro.gateway.adaptive import (
-    AdaptiveController,
-    ControllerConfig,
-    LoadEstimator,
-)
+from repro.core.cluster import MutationEvent, MutationOutcome
+from repro.core.query import QueryResult
 from repro.gateway.admission import (
     DEFAULT_TENANT,
     FairAdmissionController,
     TickResult,
 )
+from repro.gateway.backend import MetadataBackend
 from repro.gateway.cache import GatewayCache
 from repro.gateway.coalesce import HomeBatcher, coalesce
 from repro.gateway.hotspot import HeavyHitter, HotspotDetector
@@ -136,22 +134,6 @@ class GatewayConfig:
     hotspot_capacity: int = 64
     hotspot_window_s: float = 5.0
     hot_threshold: int = 32
-    #: Adapt ``hot_threshold`` to observed load (MIDAS-style) instead of
-    #: keeping it fixed.  Off by default: with the flag off the detector
-    #: is bit-identical to the static constant.  When on, the target
-    #: threshold is ``observed rate × window × hot_fraction`` — "hot"
-    #: means "takes at least this fraction of the window's traffic" —
-    #: chased by a bounded-step controller with hysteresis
-    #: (:mod:`repro.gateway.adaptive`), clamped to
-    #: [hot_threshold_min, hot_threshold_max].
-    adaptive_hotspot: bool = False
-    hot_threshold_min: int = 8
-    hot_threshold_max: int = 512
-    hot_fraction: float = 0.02
-    #: Damping shared by the gateway-side adaptive controllers.
-    adaptive_step_frac: float = 0.25
-    adaptive_deadband_frac: float = 0.2
-    adaptive_cooldown_s: float = 1.0
     # Client-side cost model: a lease answer costs one local memory probe
     # equivalent; it never touches the network.
     cache_hit_latency_ms: float = 0.001
@@ -198,16 +180,6 @@ class GatewayConfig:
                 raise ValueError(
                     f"tenant {tenant!r} weight must be positive, got {weight}"
                 )
-        if self.adaptive_hotspot:
-            if not 1 <= self.hot_threshold_min <= self.hot_threshold_max:
-                raise ValueError(
-                    "need 1 <= hot_threshold_min <= hot_threshold_max, got "
-                    f"{self.hot_threshold_min}..{self.hot_threshold_max}"
-                )
-            if not 0 < self.hot_fraction <= 1:
-                raise ValueError(
-                    f"hot_fraction must be in (0, 1], got {self.hot_fraction}"
-                )
         if self.writeback:
             if self.flush_max_pending < 1:
                 raise ValueError(
@@ -229,7 +201,7 @@ class GatewayConfig:
 
 
 class MetadataClient:
-    """Client-facing metadata gateway over a :class:`GHBACluster`.
+    """Client-facing metadata gateway over a :class:`MetadataBackend`.
 
     Parameters
     ----------
@@ -258,7 +230,7 @@ class MetadataClient:
 
     def __init__(
         self,
-        cluster: GHBACluster,
+        cluster: MetadataBackend,
         config: Optional[GatewayConfig] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -296,22 +268,6 @@ class MetadataClient:
             window_s=cfg.hotspot_window_s,
             hot_threshold=cfg.hot_threshold,
         )
-        #: MIDAS-style shield adaptation (None unless opted in — the
-        #: static path stays bit-identical).
-        self._hot_controller: Optional[AdaptiveController] = None
-        self._load: Optional[LoadEstimator] = None
-        if cfg.adaptive_hotspot:
-            self._hot_controller = AdaptiveController(
-                initial=float(cfg.hot_threshold),
-                config=ControllerConfig(
-                    minimum=float(cfg.hot_threshold_min),
-                    maximum=float(cfg.hot_threshold_max),
-                    max_step_frac=cfg.adaptive_step_frac,
-                    deadband_frac=cfg.adaptive_deadband_frac,
-                    cooldown_s=cfg.adaptive_cooldown_s,
-                ),
-            )
-            self._load = LoadEstimator(window_s=1.0)
         self.backend_queries = 0  # full walks + batch round trips
         #: Mutation-path RPCs to the fleet: write-through mutations, flush
         #: batches (and their retries), renames, conflict re-reads and
@@ -467,7 +423,7 @@ class MetadataClient:
         ).set(self.admission.queue_depth)
         m.gauge(
             "gateway_hot_threshold",
-            "Current hotspot shield threshold (adaptive or static).",
+            "Current hotspot shield threshold.",
         ).set(self.hotspots.hot_threshold)
 
     # ------------------------------------------------------------------
@@ -544,32 +500,15 @@ class MetadataClient:
         """
         if self.writeback is not None:
             self.maybe_flush(now)
-        if self._load is not None and self._hot_controller is not None:
-            # MIDAS-style shield adaptation: "hot" tracks a fraction of
-            # the observed window traffic instead of a fixed count.
-            rate = self._load.observe(len(items), now)
-            target = (
-                rate * self.config.hotspot_window_s * self.config.hot_fraction
-            )
-            self.hotspots.hot_threshold = max(
-                1, int(round(self._hot_controller.update(target, now)))
-            )
+        items = list(items)  # one snapshot: tallied here, then admitted
         counts: Dict[str, int] = {}
         for tenant, _ in items:
             counts[tenant] = counts.get(tenant, 0) + 1
         for tenant, count in counts.items():
             self._requests.labels("lookup", tenant).inc(count)
         before_queued = self.admission.stats.queued
-        tick = self.admission.submit_tick(list(items), now)
-        responses = self._account_tick(tick, before_queued)
-        if tick.admitted:
-            responses.extend(
-                self._serve_tick(
-                    [path for _, path in tick.admitted],
-                    now,
-                    tenants=[tenant for tenant, _ in tick.admitted],
-                )
-            )
+        tick = self.admission.submit_tick(items, now)
+        responses = self._serve_admitted(tick, before_queued, now)
         for response in responses:
             if response.outcome not in (Outcome.QUEUED, Outcome.REJECTED):
                 self._lookup_latency.labels(response.tenant).observe(
@@ -577,10 +516,12 @@ class MetadataClient:
                 )
         return responses
 
-    def _account_tick(
-        self, tick: TickResult[str], before_queued: int
+    def _serve_admitted(
+        self, tick: TickResult[str], before_queued: int, now: float
     ) -> List[GatewayResponse]:
-        """REJECTED responses + exact shed/queued metric reconciliation."""
+        """What admission decided, carried out: REJECTED responses with
+        exact shed/queued metric reconciliation, then the admitted
+        requests through the serving pipeline."""
         queued_delta = self.admission.stats.queued - before_queued
         if queued_delta:
             self._queued.inc(queued_delta)
@@ -592,6 +533,8 @@ class MetadataClient:
                     path=path, outcome=Outcome.REJECTED, tenant=tenant
                 )
             )
+        if tick.admitted:
+            responses.extend(self._serve_tick(tick.admitted, now))
         return responses
 
     def pump(self, now: float) -> List[GatewayResponse]:
@@ -599,29 +542,18 @@ class MetadataClient:
         if self.writeback is not None:
             self.maybe_flush(now)
         before_queued = self.admission.stats.queued
-        tick = self.admission.pump(now)
-        responses = self._account_tick(tick, before_queued)
-        if tick.admitted:
-            responses.extend(
-                self._serve_tick(
-                    [path for _, path in tick.admitted],
-                    now,
-                    tenants=[tenant for tenant, _ in tick.admitted],
-                )
-            )
-        return responses
+        return self._serve_admitted(self.admission.pump(now), before_queued, now)
 
     # ------------------------------------------------------------------
     # The serving pipeline
     # ------------------------------------------------------------------
     def _serve_tick(
-        self,
-        paths: List[str],
-        now: float,
-        tenants: List[str],
+        self, admitted: List[Tuple[str, str]], now: float
     ) -> List[GatewayResponse]:
         cfg = self.config
-        for path, tenant in zip(paths, tenants):
+        tenants = [tenant for tenant, _ in admitted]
+        paths = [path for _, path in admitted]
+        for tenant, path in admitted:
             self.hotspots.observe(path, now, tenant=tenant)
         # ---- cache ----------------------------------------------------
         answered: Dict[str, GatewayResponse] = {}
@@ -633,7 +565,7 @@ class MetadataClient:
             path: tenants[indices[0]]
             for path, indices in flight.waiters.items()
         }
-        positive_hits = negative_hits = 0
+        hits = {"negative": 0, "positive": 0}
         for path in flight.leaders:
             # ---- write-back overlay: read-your-writes ----------------
             if self.writeback is not None:
@@ -662,7 +594,7 @@ class MetadataClient:
             lookup = self.cache.get(path, now)
             if lookup.hit:
                 if lookup.negative:
-                    negative_hits += 1
+                    hits["negative"] += 1
                     answered[path] = GatewayResponse(
                         path=path,
                         outcome=Outcome.NEGATIVE_HIT,
@@ -671,7 +603,7 @@ class MetadataClient:
                         tenant=owner[path],
                     )
                 else:
-                    positive_hits += 1
+                    hits["positive"] += 1
                     answered[path] = GatewayResponse(
                         path=path,
                         outcome=Outcome.HIT,
@@ -683,10 +615,9 @@ class MetadataClient:
                     )
                 continue
             predictions.append((path, lookup.predicted_home))
-        if negative_hits:
-            self._cache_hits.labels("negative").inc(negative_hits)
-        if positive_hits:
-            self._cache_hits.labels("positive").inc(positive_hits)
+        for kind, count in hits.items():
+            if count:
+                self._cache_hits.labels(kind).inc(count)
         # ---- batched re-validation ------------------------------------
         batches, unroutable = self.batcher.plan(predictions)
         fallthrough: List[str] = list(unroutable)
@@ -725,30 +656,14 @@ class MetadataClient:
                 )
         # ---- full backend walks ---------------------------------------
         for path in fallthrough:
-            result = self.cluster.query(path)
+            result, record, _ = self._walk_and_lease(
+                path, now, "query", shield=True
+            )
             self.backend_queries += 1
-            self._backend.labels("query").inc()
-            record = None
-            if result.home_id is not None:
-                record = self.cluster.servers[result.home_id].store.get(path)
-            if result.degraded:
-                # Fault-degraded answers are served but never cached: an
-                # incomplete multicast may have missed the true home.
-                self._uncacheable.inc()
-            elif result.home_id is not None:
-                hot = self.hotspots.is_hot(path)
-                self.cache.put(
-                    path,
-                    result.home_id,
-                    record,
-                    now,
-                    hot=hot,
-                    backend_version=self.cluster.path_version(path),
-                )
-            else:
-                self.cache.put_negative(
-                    path, now, backend_version=self.cluster.path_version(path)
-                )
+            if result.degraded and result.home_id is not None:
+                # Served all the same (never leased): read what the
+                # walk, having nothing to lease, did not.
+                record = self.cluster.record_at(result.home_id, path)
             answered[path] = GatewayResponse(
                 path=path,
                 outcome=Outcome.SERVED,
@@ -810,6 +725,38 @@ class MetadataClient:
                 )
         return list(responses)
 
+    def _walk_and_lease(
+        self, path: str, now: float, label: str, shield: bool = False
+    ) -> Tuple[QueryResult, Optional[FileMetadata], Optional[int]]:
+        """One full L1-L4 walk at the fleet (RPC ``label``; the caller
+        counts it as a backend query or mutation).  A conclusive answer
+        is leased — positive with the home's record (``shield``: under
+        the hotspot shield when the path is hot), or negative — and
+        returned as ``(result, record, backend path version)``.  A
+        fault-degraded answer is never leased — an incomplete multicast
+        may have missed the true home — and nothing may be concluded
+        from it: neither record nor version is read.
+        """
+        result = self.cluster.query(path)
+        self._backend.labels(label).inc()
+        if result.degraded:
+            self._uncacheable.inc()
+            return result, None, None
+        version = self.cluster.path_version(path)
+        if result.home_id is None:
+            self.cache.put_negative(path, now, backend_version=version)
+            return result, None, version
+        record = self.cluster.record_at(result.home_id, path)
+        self.cache.put(
+            path,
+            result.home_id,
+            record,
+            now,
+            hot=shield and self.hotspots.is_hot(path),
+            backend_version=version,
+        )
+        return result, record, version
+
     # ------------------------------------------------------------------
     # Mutations (write path)
     # ------------------------------------------------------------------
@@ -830,14 +777,14 @@ class MetadataClient:
         self._requests.labels("create", tenant).inc()
         if self.writeback is not None:
             return self._buffer_create(path, now, home_id)
-        inode = sum(s.file_count for s in self.cluster.servers.values())
         home = self.cluster.insert_file(
-            FileMetadata(path=path, inode=inode), home_id=home_id
+            FileMetadata(path=path, inode=self.cluster.file_count()),
+            home_id=home_id,
         )
         self.backend_mutations += 1
         self._backend.labels("mutate").inc()
         # The mutation hook dropped any (negative) lease; write through.
-        record = self.cluster.servers[home].store.get(path)
+        record = self.cluster.record_at(home, path)
         self.cache.put(
             path,
             home,
@@ -850,7 +797,7 @@ class MetadataClient:
             outcome=Outcome.SERVED,
             home_id=home,
             record=record,
-            latency_ms=self.cluster.config.network.round_trip_ms(),
+            latency_ms=self.cluster.round_trip_ms(),
         )
 
     def delete(
@@ -860,6 +807,10 @@ class MetadataClient:
         self._requests.labels("delete", tenant).inc()
         if self.writeback is not None:
             return self._buffer_delete(path, now)
+        return self._delete_through(path, now)
+
+    def _delete_through(self, path: str, now: float) -> GatewayResponse:
+        """Synchronous delete at the fleet (which owns routing)."""
         home = self.cluster.delete_file(path)
         self.backend_mutations += 1
         self._backend.labels("mutate").inc()
@@ -871,7 +822,7 @@ class MetadataClient:
             path=path,
             outcome=Outcome.SERVED if home is not None else Outcome.NEGATIVE_HIT,
             home_id=home,
-            latency_ms=self.cluster.config.network.round_trip_ms(),
+            latency_ms=self.cluster.round_trip_ms(),
         )
 
     def rename(
@@ -944,24 +895,15 @@ class MetadataClient:
                 if entry is not None and entry.home_id is not None:
                     home_id = entry.home_id
                 else:
-                    home_id = self._wb_rng.choice(sorted(self.cluster.servers))
+                    home_id = self._wb_rng.choice(self.cluster.server_ids())
         if pending is None:
             entry = self.cache.peek(path)
             if entry is not None:
                 base_version = entry.backend_version
         record = FileMetadata(path=path, inode=self._next_inode())
-        mutation = buffer.enqueue(
-            "create",
-            path,
-            home_id,
-            now,
-            record=record,
-            base_version=base_version,
+        self._enqueue(
+            "create", path, home_id, now, record=record, base_version=base_version
         )
-        self._wb["enqueued"].labels("create").inc()
-        self._note_enqueue(mutation, now)
-        self._mirror_absorbed()
-        self.maybe_flush(now)
         pending_after = buffer.get(path)
         return GatewayResponse(
             path=path,
@@ -1000,55 +942,58 @@ class MetadataClient:
                 # No routing hint: resolve the home through the backend
                 # (a mutation-path RPC) so the delete batches correctly;
                 # the caller blocked on that round trip.
-                home_id, base_version, degraded = self._resolve_for_delete(
-                    path, now
+                result, _, base_version = self._walk_and_lease(
+                    path, now, "mutate_resolve"
                 )
-                latency_ms = self.cluster.config.network.round_trip_ms()
-                if degraded:
-                    # Partial multicast: routing unknown.  Never drop the
+                self.backend_mutations += 1
+                if result.degraded:
+                    # Partial multicast: routing unknown, and the path
+                    # must not be treated as absent.  Never drop the
                     # delete — fall through to the synchronous path (the
                     # cluster owns routing), exactly as write-through
                     # would.  Guessing a home is not sound: a wrong-home
                     # delete settles as a conflict, not a retry.
                     self._wb["passthrough"].labels("delete").inc()
-                    home = self.cluster.delete_file(path)
-                    self.backend_mutations += 1
-                    self._backend.labels("mutate").inc()
-                    if home is not None:
-                        self.cache.put_negative(
-                            path,
-                            now,
-                            backend_version=self.cluster.path_version(path),
-                        )
-                    return GatewayResponse(
-                        path=path,
-                        outcome=(
-                            Outcome.SERVED
-                            if home is not None
-                            else Outcome.NEGATIVE_HIT
-                        ),
-                        home_id=home,
-                        latency_ms=latency_ms,
-                    )
+                    return self._delete_through(path, now)
+                latency_ms = self.cluster.round_trip_ms()
+                home_id = result.home_id
                 if home_id is None:
                     return GatewayResponse(
                         path=path,
                         outcome=Outcome.NEGATIVE_HIT,
                         latency_ms=latency_ms,
                     )
-        mutation = buffer.enqueue(
-            "delete", path, home_id, now, base_version=base_version
-        )
-        self._wb["enqueued"].labels("delete").inc()
-        self._note_enqueue(mutation, now)
-        self._mirror_absorbed()
-        self.maybe_flush(now)
+        self._enqueue("delete", path, home_id, now, base_version=base_version)
         return GatewayResponse(
             path=path,
             outcome=Outcome.BUFFERED,
             latency_ms=latency_ms,
             from_overlay=True,
         )
+
+    def _enqueue(
+        self,
+        op: str,
+        path: str,
+        home_id: int,
+        now: float,
+        record: Optional[FileMetadata] = None,
+        base_version: Optional[int] = None,
+    ) -> None:
+        """Park one mutation in the buffer: its counters (the buffer's
+        absorption tally is mirrored into one), its trace root, and the
+        flush trigger it may have tripped."""
+        buffer = self.writeback
+        assert buffer is not None
+        mutation = buffer.enqueue(
+            op, path, home_id, now, record=record, base_version=base_version
+        )
+        self._wb["enqueued"].labels(op).inc()
+        self._note_enqueue(mutation, now)
+        delta = buffer.absorbed - int(self._wb["absorbed"].value)
+        if delta:
+            self._wb["absorbed"].inc(delta)
+        self.maybe_flush(now)
 
     def _note_enqueue(self, mutation: PendingMutation, now: float) -> None:
         """Trace/flight bookkeeping for one buffered mutation.
@@ -1085,46 +1030,10 @@ class MetadataClient:
                 version=mutation.version,
             )
 
-    def _resolve_for_delete(
-        self, path: str, now: float
-    ) -> Tuple[Optional[int], Optional[int], bool]:
-        """Find the home (and base version) of a delete with no lease.
-
-        Returns ``(home_id, base_version, degraded)``; ``degraded`` means
-        the multicast was partial and *nothing* can be concluded — the
-        caller must not treat the path as absent.
-        """
-        result = self.cluster.query(path)
-        self.backend_mutations += 1
-        self._backend.labels("mutate_resolve").inc()
-        if result.degraded:
-            self._uncacheable.inc()
-            return None, None, True
-        version = self.cluster.path_version(path)
-        if result.home_id is None:
-            self.cache.put_negative(path, now, backend_version=version)
-            return None, None, False
-        record = self.cluster.servers[result.home_id].store.get(path)
-        self.cache.put(
-            path, result.home_id, record, now, backend_version=version
-        )
-        return result.home_id, version, False
-
     def _next_inode(self) -> int:
-        inode = (
-            sum(s.file_count for s in self.cluster.servers.values())
-            + self._wb_created
-        )
+        inode = self.cluster.file_count() + self._wb_created
         self._wb_created += 1
         return inode
-
-    def _mirror_absorbed(self) -> None:
-        """Mirror the buffer's absorption tally into the counter."""
-        buffer = self.writeback
-        assert buffer is not None
-        delta = buffer.absorbed - int(self._wb["absorbed"].value)
-        if delta:
-            self._wb["absorbed"].inc(delta)
 
     # ------------------------------------------------------------------
     # The flush engine
@@ -1143,7 +1052,11 @@ class MetadataClient:
                 buffer.pending_for(home_id) >= cfg.flush_max_pending
                 or buffer.oldest_age(home_id, now) >= cfg.flush_age_s
             ):
-                report.merge(self._flush_home(home_id, now, final=False))
+                report.merge(
+                    self._flush_mutations(
+                        home_id, buffer.drain_home(home_id), now, final=False
+                    )
+                )
         return report
 
     def flush_barrier(self, now: float = 0.0) -> FlushReport:
@@ -1161,16 +1074,12 @@ class MetadataClient:
             return report
         self._wb["barriers"].inc()
         for home_id in buffer.homes():
-            report.merge(self._flush_home(home_id, now, final=True))
+            report.merge(
+                self._flush_mutations(
+                    home_id, buffer.drain_home(home_id), now, final=True
+                )
+            )
         return report
-
-    def _flush_home(
-        self, home_id: int, now: float, final: bool
-    ) -> FlushReport:
-        buffer = self.writeback
-        assert buffer is not None
-        batch = buffer.drain_home(home_id)
-        return self._flush_mutations(home_id, batch, now, final)
 
     def _flush_mutations(
         self,
@@ -1193,7 +1102,6 @@ class MetadataClient:
             # so the MDS arbitration span and the invalidation mint both
             # land *under* the flush hop in the assembled tree.
             origin = self.config.writeback_origin
-            payload = []
             for m in batch:
                 ctx = m.trace
                 span = self.tracer.start_span(
@@ -1206,9 +1114,7 @@ class MetadataClient:
                 )
                 flush_spans[m.version] = span
                 m.trace = span.context(origin)
-                payload.append(m.as_path_mutation())
-        else:
-            payload = [m.as_path_mutation() for m in batch]
+        payload = [m.as_path_mutation() for m in batch]
         result = None
         for _ in range(self.config.flush_retry_limit):
             report.attempts += 1
@@ -1234,34 +1140,13 @@ class MetadataClient:
                     count=len(batch),
                     final=final,
                 )
-            if final:
-                # Explicit loss: count, record, surface — and drop the
-                # leases so later reads refetch true (pre-mutation) state
-                # instead of serving the phantom write.
-                self._wb["lost"].inc(len(batch))
-                for mutation in batch:
-                    buffer.settle(mutation.version)
-                    self.lost_mutations.append(mutation)
-                    self.cache.invalidate(mutation.path, cause="writeback_lost")
-                    self._finish_flush_span(
-                        flush_spans, mutation, home_id, "WB-LOST"
-                    )
-                    self._fire_ack(mutation, None)
-                report.lost.extend(batch)
-            else:
-                # Transient: re-park for a later trigger (the fault
-                # window may close); only a barrier declares loss.
-                self._wb["deferred"].inc(len(batch))
+            if not final:
                 for mutation in batch:
                     mutation.retries += 1
-                    self._finish_flush_span(
-                        flush_spans, mutation, home_id, "WB-DEFERRED"
-                    )
-                buffer.requeue(batch)
                 self._wb_backoff[home_id] = (
                     now + self.config.flush_retry_backoff_s
                 )
-                report.deferred.extend(batch)
+            self._unacked(batch, home_id, final, flush_spans, report)
             return report
         self._wb_backoff.pop(home_id, None)
         outcomes = {o.version: o for o in result.outcomes}
@@ -1270,42 +1155,25 @@ class MetadataClient:
             if outcome is None:
                 # The home never saw this version (should not happen with
                 # an intact reply); treat as deferred/lost conservatively.
-                if final:
-                    self._wb["lost"].inc()
-                    buffer.settle(mutation.version)
-                    self.lost_mutations.append(mutation)
-                    self.cache.invalidate(mutation.path, cause="writeback_lost")
-                    self._finish_flush_span(
-                        flush_spans, mutation, home_id, "WB-LOST"
-                    )
-                    self._fire_ack(mutation, None)
-                    report.lost.append(mutation)
-                else:
-                    self._wb["deferred"].inc()
-                    self._finish_flush_span(
-                        flush_spans, mutation, home_id, "WB-DEFERRED"
-                    )
-                    buffer.requeue([mutation])
-                    report.deferred.append(mutation)
+                self._unacked([mutation], home_id, final, flush_spans, report)
                 continue
             buffer.settle(mutation.version)
-            if flush_spans:
-                span = flush_spans.get(mutation.version)
-                if span is not None:
-                    span.event(
-                        "wb_ack",
-                        target=home_id,
-                        applied=outcome.applied,
-                        conflict=outcome.conflict,
-                        deduped=outcome.deduped,
-                        new_version=outcome.new_version,
-                    )
-                    span.finish(
-                        "WB-ACKED" if outcome.applied else "WB-CONFLICT",
-                        home_id,
-                        0.0,
-                        2,
-                    )
+            span = flush_spans.get(mutation.version)
+            if span is not None:
+                span.event(
+                    "wb_ack",
+                    target=home_id,
+                    applied=outcome.applied,
+                    conflict=outcome.conflict,
+                    deduped=outcome.deduped,
+                    new_version=outcome.new_version,
+                )
+                span.finish(
+                    "WB-ACKED" if outcome.applied else "WB-CONFLICT",
+                    home_id,
+                    0.0,
+                    2,
+                )
             if outcome.applied:
                 self._wb["flushed"].labels(mutation.op, home_id).inc()
                 if mutation.op == "create":
@@ -1337,48 +1205,54 @@ class MetadataClient:
                 self.cache.invalidate(
                     mutation.path, cause="writeback_conflict"
                 )
-                self._reread_after_conflict(mutation.path, now)
+                # Refetch the race winner's state under a fresh lease.
+                self._wb["rereads"].inc()
+                self._walk_and_lease(mutation.path, now, "writeback_reread")
+                self.backend_mutations += 1
                 report.conflicts.append(mutation)
             self._fire_ack(mutation, outcome)
         return report
 
-    @staticmethod
-    def _finish_flush_span(
-        flush_spans: Dict[int, Span],
-        mutation: PendingMutation,
+    def _unacked(
+        self,
+        batch: List[PendingMutation],
         home_id: int,
-        level: str,
+        final: bool,
+        flush_spans: Dict[int, Span],
+        report: FlushReport,
     ) -> None:
-        """Seal one flush span on the non-acked exits (lost/deferred)."""
-        if not flush_spans:
-            return
-        span = flush_spans.get(mutation.version)
-        if span is not None:
-            span.event(
-                "wb_flush_exit",
-                target=home_id,
-                op=mutation.op,
-                retries=mutation.retries,
-            )
-            span.finish(level, home_id, 0.0, 1)
-
-    def _reread_after_conflict(self, path: str, now: float) -> None:
-        """Refetch the race winner's state and install a fresh lease."""
-        result = self.cluster.query(path)
-        self.backend_mutations += 1
-        self._backend.labels("writeback_reread").inc()
-        self._wb["rereads"].inc()
-        if result.degraded:
-            self._uncacheable.inc()
-            return
-        version = self.cluster.path_version(path)
-        if result.home_id is not None:
-            record = self.cluster.servers[result.home_id].store.get(path)
-            self.cache.put(
-                path, result.home_id, record, now, backend_version=version
-            )
+        """Dispose of flushed mutations their home did not acknowledge."""
+        buffer = self.writeback
+        assert buffer is not None
+        self._wb["lost" if final else "deferred"].inc(len(batch))
+        for mutation in batch:
+            if final:
+                # Explicit loss: count, record, surface — and drop the
+                # lease so later reads refetch true (pre-mutation) state
+                # instead of serving the phantom write.
+                buffer.settle(mutation.version)
+                self.lost_mutations.append(mutation)
+                self.cache.invalidate(mutation.path, cause="writeback_lost")
+            span = flush_spans.get(mutation.version)
+            if span is not None:
+                span.event(
+                    "wb_flush_exit",
+                    target=home_id,
+                    op=mutation.op,
+                    retries=mutation.retries,
+                )
+                span.finish(
+                    "WB-LOST" if final else "WB-DEFERRED", home_id, 0.0, 1
+                )
+            if final:
+                self._fire_ack(mutation, None)
+        if final:
+            report.lost.extend(batch)
         else:
-            self.cache.put_negative(path, now, backend_version=version)
+            # Transient: re-park for a later trigger (the fault window
+            # may close); only a barrier declares loss.
+            buffer.requeue(batch)
+            report.deferred.extend(batch)
 
     # ------------------------------------------------------------------
     # Introspection

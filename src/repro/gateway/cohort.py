@@ -47,13 +47,9 @@ import queue
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cluster import GHBACluster, MutationEvent, MutationOutcome
+from repro.core.cluster import MutationEvent, MutationOutcome
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
-from repro.gateway.adaptive import (
-    AdaptiveController,
-    ControllerConfig,
-    JitterEstimator,
-)
+from repro.gateway.backend import MetadataBackend
 from repro.gateway.client import (
     GatewayConfig,
     GatewayResponse,
@@ -61,7 +57,6 @@ from repro.gateway.client import (
     Outcome,
 )
 from repro.gateway.writeback import FlushReport, PendingMutation
-from repro.metadata.attributes import FileMetadata
 from repro.obs.flight import NULL_RECORDER, FlightRecorderHub
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -150,22 +145,6 @@ class CohortConfig:
     heartbeat_interval_s: float = 0.05
     suspect_after_s: float = 0.15
     ttl_clamp_s: float = 0.10
-    #: Adapt the suspicion timeout to observed heartbeat jitter instead
-    #: of the fixed constant (off by default — the static path stays
-    #: bit-identical).  When on, each peer's silence threshold chases a
-    #: Jacobson-style ``mean gap + k·deviation`` target through a
-    #: bounded-step controller with hysteresis
-    #: (:mod:`repro.gateway.adaptive`), clamped to
-    #: ``[suspect_after_min_s, suspect_after_max_s]``.  The staleness
-    #: bound then quotes ``suspect_after_max_s`` — the worst the
-    #: controller can ever pick — so the contract stays sound whatever
-    #: the jitter does.
-    adaptive_suspicion: bool = False
-    suspect_after_min_s: float = 0.05
-    suspect_after_max_s: float = 0.60
-    #: Deviations beyond the mean heartbeat gap before silence counts as
-    #: evidence of failure rather than jitter.
-    suspicion_k: float = 4.0
     #: Minimum spacing between anti-entropy requests to one origin, so a
     #: burst of out-of-order records does not stampede the publisher.
     resync_interval_s: float = 0.05
@@ -195,29 +174,6 @@ class CohortConfig:
                 "heartbeat_interval_s must not exceed suspect_after_s "
                 "(a healthy peer would be suspected between heartbeats)"
             )
-        if self.adaptive_suspicion:
-            if not (
-                0
-                < self.suspect_after_min_s
-                <= self.suspect_after_s
-                <= self.suspect_after_max_s
-            ):
-                raise ValueError(
-                    "need suspect_after_min_s <= suspect_after_s <= "
-                    "suspect_after_max_s, got "
-                    f"{self.suspect_after_min_s} / {self.suspect_after_s} / "
-                    f"{self.suspect_after_max_s}"
-                )
-            if self.heartbeat_interval_s > self.suspect_after_min_s:
-                raise ValueError(
-                    "heartbeat_interval_s must not exceed "
-                    "suspect_after_min_s (the adaptive floor must still "
-                    "outlast a healthy heartbeat gap)"
-                )
-            if self.suspicion_k <= 0:
-                raise ValueError(
-                    f"suspicion_k must be positive, got {self.suspicion_k}"
-                )
 
     @property
     def staleness_bound_s(self) -> float:
@@ -230,14 +186,9 @@ class CohortConfig:
         ``suspect_after`` of grace before suspicion engages the clamp,
         after which no lease survives longer than ``ttl_clamp``.
         """
-        suspect = (
-            self.suspect_after_max_s
-            if self.adaptive_suspicion
-            else self.suspect_after_s
-        )
         propagation = 2.0 * self.heartbeat_interval_s
         degraded = (
-            self.heartbeat_interval_s + suspect + self.ttl_clamp_s
+            self.heartbeat_interval_s + self.suspect_after_s + self.ttl_clamp_s
         )
         return max(propagation, degraded) + self.scheduling_slack_s
 
@@ -253,7 +204,7 @@ class CohortMember:
         self,
         member_id: int,
         peers: Sequence[int],
-        cluster: GHBACluster,
+        cluster: MetadataBackend,
         transport: InProcessTransport,
         config: CohortConfig,
         metrics: MetricsRegistry,
@@ -311,22 +262,6 @@ class CohortMember:
         }
         self.last_heard: Dict[int, float] = {p: 0.0 for p in self.peers}
         self.gap_since: Dict[int, Optional[float]] = {p: None for p in self.peers}
-        # Adaptive suspicion (None unless opted in): per-peer heartbeat
-        # jitter estimators and the damped per-peer silence thresholds.
-        self._jitter: Optional[Dict[int, JitterEstimator]] = None
-        self._suspicion: Optional[Dict[int, AdaptiveController]] = None
-        if self.config.adaptive_suspicion:
-            cfg = self.config
-            ctl_cfg = ControllerConfig(
-                minimum=cfg.suspect_after_min_s,
-                maximum=cfg.suspect_after_max_s,
-                cooldown_s=cfg.heartbeat_interval_s,
-            )
-            self._jitter = {p: JitterEstimator() for p in self.peers}
-            self._suspicion = {
-                p: AdaptiveController(cfg.suspect_after_s, ctl_cfg)
-                for p in self.peers
-            }
         self._last_sync_sent: Dict[int, float] = {p: float("-inf") for p in self.peers}
         self.suspected: Set[int] = set()
         self.clamped = False
@@ -341,12 +276,6 @@ class CohortMember:
     def lookup(self, path: str, now: float) -> GatewayResponse:
         self._clock = now
         return self.client.lookup(path, now)
-
-    def lookup_many(
-        self, paths: Sequence[str], now: float
-    ) -> List[GatewayResponse]:
-        self._clock = now
-        return self.client.lookup_many(paths, now)
 
     # ------------------------------------------------------------------
     # Mutations (write path + publish)
@@ -524,10 +453,6 @@ class CohortMember:
     def _handle(self, message: Message, now: float) -> None:
         sender = message.sender
         if sender in self.last_heard:
-            if self._jitter is not None:
-                gap = now - self.last_heard[sender]
-                if gap > 0:
-                    self._jitter[sender].observe(gap)
             self.last_heard[sender] = now
         payload = message.payload
         if message.kind is MessageKind.INVALIDATE:
@@ -690,21 +615,10 @@ class CohortMember:
             self.log_base = floor
             self._c["log_truncated"].labels(self._label).inc(drop)
 
-    def suspect_after(self, peer: int, now: float) -> float:
-        """The silence threshold for ``peer`` — static, or the damped
-        jitter-tracking value when adaptive suspicion is on."""
-        cfg = self.config
-        if self._suspicion is None or self._jitter is None:
-            return cfg.suspect_after_s
-        target = self._jitter[peer].timeout(
-            cfg.suspicion_k, default=cfg.suspect_after_s
-        )
-        return self._suspicion[peer].update(target, now)
-
     def _update_suspicion(self, now: float) -> None:
         cfg = self.config
+        threshold = cfg.suspect_after_s
         for peer in self.peers:
-            threshold = self.suspect_after(peer, now)
             silent = now - self.last_heard[peer] > threshold
             gap = self.gap_since[peer]
             gap_stuck = gap is not None and now - gap > threshold
@@ -801,7 +715,7 @@ class GatewayCohort:
 
     def __init__(
         self,
-        cluster: GHBACluster,
+        cluster: MetadataBackend,
         size: int,
         config: Optional[CohortConfig] = None,
         faults: Optional[FaultInjector] = None,
@@ -966,9 +880,6 @@ class GatewayCohort:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def member(self, member_id: int) -> CohortMember:
-        return self.members[member_id]
-
     @property
     def size(self) -> int:
         return len(self.members)

@@ -180,8 +180,6 @@ class HotspotDetector:
 
     @hot_threshold.setter
     def hot_threshold(self, value: int) -> None:
-        # The adaptive controller assigns this every tick, mostly the
-        # value it already has.
         if value < 1:
             raise ValueError(f"hot_threshold must be >= 1, got {value}")
         if value != self._hot_threshold:

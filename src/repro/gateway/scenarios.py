@@ -113,10 +113,7 @@ class _Shield:
         # Pin the mirror's placement: the fleets' RNG streams have
         # diverged (queries draw origins), so an independent draw would
         # scatter the same file onto different homes.
-        self.mirror.insert_file(
-            self.fleet.servers[created.home_id].store.get(record.path),
-            home_id=created.home_id,
-        )
+        self.mirror.insert_file(created.record, home_id=created.home_id)
 
     def unlink(self, index, record, now: float) -> None:
         self.gateway.delete(record.path, now)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.cluster import GHBACluster
+from repro.gateway.backend import MetadataBackend
 from repro.gateway.client import GatewayResponse, Outcome
 from repro.sim.stats import percentile
 
@@ -81,7 +81,7 @@ class AuditStats:
         return max(self.staleness_samples, default=0.0)
 
 
-def matches_fleet(cluster: GHBACluster, response: GatewayResponse) -> bool:
+def matches_fleet(cluster: MetadataBackend, response: GatewayResponse) -> bool:
     """Does a cache-served answer agree with the live fleet right now
     (same home and record, or absent on both sides)?"""
     live_home = cluster.home_of(response.path)
@@ -89,7 +89,7 @@ def matches_fleet(cluster: GHBACluster, response: GatewayResponse) -> bool:
         return live_home is None
     if live_home != response.home_id:
         return False
-    return cluster.servers[live_home].store.get(response.path) == response.record
+    return cluster.record_at(live_home, response.path) == response.record
 
 
 class StalenessAuditor:
@@ -115,7 +115,7 @@ class StalenessAuditor:
 
     def __init__(
         self,
-        cluster: GHBACluster,
+        cluster: MetadataBackend,
         bound_s: float,
         metrics=None,
         flight=None,

@@ -98,10 +98,6 @@ class FlushReport:
     deferred: List[PendingMutation] = field(default_factory=list)
     lost: List[PendingMutation] = field(default_factory=list)
 
-    @property
-    def flushed(self) -> int:
-        return len(self.acked) + len(self.conflicts)
-
     def merge(self, other: "FlushReport") -> None:
         self.batches += other.batches
         self.attempts += other.attempts
@@ -273,15 +269,6 @@ class MutationBuffer:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._by_path)
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._by_path
-
-    def snapshot(self) -> List[Tuple[int, str, str]]:
-        """(version, op, path) triples, version-ordered — for tests."""
-        return sorted(
-            (m.version, m.op, m.path) for m in self._by_path.values()
-        )
 
     def __repr__(self) -> str:
         return (

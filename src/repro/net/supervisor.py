@@ -117,18 +117,6 @@ class ProcessSupervisor:
         self._procs[node_id] = proc
         return proc
 
-    def spawn_worker(self, argv: List[str], log_name: str) -> subprocess.Popen:
-        """Start an auxiliary child (bench gateway worker) with stdout
-        captured for the caller to parse."""
-        log = open(self.workdir / log_name, "ab")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.net"] + argv,
-            env=self._child_env(),
-            stdout=subprocess.PIPE,
-            stderr=log,
-        )
-        return proc
-
     def wait_ready(
         self,
         transport: TcpTransport,

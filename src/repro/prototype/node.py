@@ -287,12 +287,7 @@ class MDSNode(threading.Thread):
         acked = int(message.payload.get("acked", 0))
         mutations = message.payload["mutations"]
         server = self.server
-        floor = max(server.writeback_floor.get(origin, 0), acked)
-        server.writeback_floor[origin] = floor
-        cache = server.writeback_outcomes.setdefault(origin, {})
-        if floor:
-            for version in [v for v in cache if v <= floor]:
-                del cache[version]
+        server.writeback_advance(origin, acked)
         net = self.config.network
         service_ms = 0.0
         outcomes = []
@@ -301,25 +296,9 @@ class MDSNode(threading.Thread):
             op = str(raw["op"])
             path = str(raw["path"])
             service_ms += net.memory_probe_ms
-            cached = cache.get(version)
-            if cached is not None:
-                outcome = dict(cached)
-                outcome["deduped"] = True
-                outcomes.append(outcome)
-                continue
-            if version <= floor:
-                # Settled client-side; a stray re-delivery, acked as
-                # applied-without-detail.
-                outcomes.append(
-                    {
-                        "version": version,
-                        "op": op,
-                        "path": path,
-                        "applied": True,
-                        "changed": False,
-                        "deduped": True,
-                    }
-                )
+            replay = server.writeback_replay(origin, version, op, path)
+            if replay is not None:
+                outcomes.append(replay)
                 continue
             changed = False
             if op == "create":
@@ -348,7 +327,7 @@ class MDSNode(threading.Thread):
                 "changed": changed,
                 "deduped": False,
             }
-            cache[version] = dict(outcome)
+            server.writeback_remember(origin, version, outcome)
             outcomes.append(outcome)
         finish = self._serve(message.arrival_vtime, service_ms)
         return message.reply(outcomes=outcomes, finish_vtime=finish)

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.gateway.adaptive import AdaptiveController, ControllerConfig
 from repro.gateway.admission import (
     DEFAULT_TENANT,
     SHED_DEADLINE,
@@ -212,73 +211,3 @@ class TestFairAdmissionController:
         late = ctl.submit_tick([("quiet", "q1")], 0.001)
         assert not late.shed  # the quiet tenant queues despite the flood
         assert ctl.queue_depth_of("quiet") == 1
-
-
-class TestAdaptiveHysteresis:
-    def _controller(self, initial=100.0, **kwargs):
-        defaults = dict(
-            minimum=10.0,
-            maximum=1000.0,
-            max_step_frac=0.25,
-            deadband_frac=0.2,
-            cooldown_s=1.0,
-        )
-        defaults.update(kwargs)
-        return AdaptiveController(
-            initial=initial, config=ControllerConfig(**defaults)
-        )
-
-    def test_constant_load_never_oscillates(self):
-        """On constant input the controller converges monotonically and
-        then stops: no step ever reverses direction, and once inside the
-        deadband the value is frozen — thresholds cannot flap."""
-        ctl = self._controller(initial=50.0)
-        target = 400.0
-        values = [ctl.value]
-        for step in range(1, 60):
-            values.append(ctl.update(target, float(step) * 2.0))
-        deltas = [b - a for a, b in zip(values, values[1:]) if b != a]
-        assert deltas, "controller never moved toward the target"
-        assert all(d > 0 for d in deltas)  # monotone: no direction flip
-        # Converged: the tail is constant and inside the deadband.
-        tail = values[-10:]
-        assert len(set(tail)) == 1
-        assert abs(target - tail[-1]) <= 0.2 * tail[-1]
-        # And stays frozen under continued constant load.
-        settled = tail[-1]
-        for step in range(60, 80):
-            assert ctl.update(target, float(step) * 2.0) == settled
-
-    def test_deadband_ignores_small_wobble(self):
-        """Input wobbling inside the deadband never moves the value."""
-        ctl = self._controller(initial=100.0)
-        rng = random.Random(3)
-        for step in range(1, 40):
-            wobble = 100.0 * (1.0 + (rng.random() - 0.5) * 0.3)
-            ctl.update(wobble, float(step) * 2.0)
-            assert ctl.value == 100.0
-
-    def test_step_size_is_bounded(self):
-        """A huge target error moves at most max_step_frac per update."""
-        ctl = self._controller(initial=100.0)
-        ctl.update(1000.0, 2.0)
-        assert ctl.value == 125.0  # 100 * (1 + 0.25)
-
-    def test_cooldown_rate_limits_steps(self):
-        ctl = self._controller(initial=100.0, cooldown_s=5.0)
-        assert ctl.update(1000.0, 1.0) == 125.0
-        assert ctl.update(1000.0, 2.0) == 125.0  # inside cooldown
-        assert ctl.update(1000.0, 6.5) > 125.0
-
-    def test_clamped_to_bounds(self):
-        """Targets beyond the bounds are clamped before chasing: the
-        value settles inside the deadband of the bound, never past it."""
-        ctl = self._controller(initial=20.0, minimum=10.0, maximum=30.0)
-        for step in range(1, 30):
-            ctl.update(1e9, float(step) * 2.0)
-        assert ctl.value <= 30.0
-        assert abs(30.0 - ctl.value) <= 0.2 * ctl.value  # deadband rest
-        for step in range(30, 80):
-            ctl.update(0.0, float(step) * 2.0)
-        assert ctl.value >= 10.0
-        assert abs(ctl.value - 10.0) <= 0.2 * ctl.value

@@ -73,8 +73,8 @@ class TestHotspotDetector:
         assert detector.hot_keys() == ["/hot"]
 
     def test_threshold_assignment_reclassifies_the_monitored_keys(self):
-        """The adaptive controller moves the threshold by plain attribute
-        assignment; the maintained hot set must follow at once."""
+        """The threshold moves by plain attribute assignment (the cache
+        differential drives it); the maintained hot set must follow at once."""
         detector = HotspotDetector(window_s=5.0, hot_threshold=3)
         for count, key in ((4, "/a"), (2, "/b"), (1, "/c")):
             for _ in range(count):

@@ -20,6 +20,7 @@ from repro.gateway import (
     Outcome,
 )
 from repro.metadata.attributes import FileMetadata
+from repro.obs.trace import CollectingTracer
 
 
 def _config(seed=17):
@@ -286,6 +287,67 @@ class TestExplicitLoss:
         assert report.lost[0].path == "/wb/doomed"
         assert [m.path for m in client.lost_mutations] == ["/wb/doomed"]
         assert "/wb/doomed" not in _fleet_paths(cluster)
+
+    def test_each_lost_mutation_is_settled_and_dropped_before_its_ack(self):
+        """Per mutation: settle -> drop the lease -> seal its flush span
+        -> ack; an ack listener never sees a lost mutation still pending
+        or leased, nor a later mutation's flush span already sealed."""
+        injector = PlanFaultInjector(FaultPlan(seed=5))
+        cluster = _cluster(faults=injector)
+        tracer = CollectingTracer()
+        client = MetadataClient(
+            cluster,
+            GatewayConfig(
+                writeback=True,
+                flush_max_pending=100,
+                flush_age_s=1e9,
+                flush_retry_limit=1,
+            ),
+            tracer=tracer,
+        )
+        paths = ["/wb/doomed-a", "/wb/doomed-b"]
+        for path in paths:
+            client.create(path, now=0.0, home_id=1)
+        seen = []
+
+        def on_ack(mutation, outcome):
+            assert outcome is None
+            seen.append(
+                (
+                    mutation.path,
+                    client.writeback.get(mutation.path) is None,
+                    client.cache.peek(mutation.path) is None,
+                    [m.path for m in client.lost_mutations],
+                    [
+                        span.path
+                        for span in tracer.finished_spans()
+                        if span.kind == "wb_flush"
+                    ],
+                )
+            )
+
+        client.add_ack_listener(on_ack)
+        injector.silence(1)
+        client.flush_barrier(now=0.0)
+        assert seen == [
+            (paths[0], True, True, paths[:1], paths[:1]),
+            (paths[1], True, True, paths, paths),
+        ]
+
+    def test_mutation_listener_sees_the_applied_counter_include_it(self):
+        cluster = _cluster()
+        client = _client(cluster, flush_max_pending=100, flush_age_s=1e9)
+        counted = []
+        cluster.add_mutation_listener(
+            lambda event: counted.append(
+                (event.op, cluster.servers[event.home_id].writeback_applied)
+            )
+        )
+        client.create("/wb/counted", now=0.0, home_id=2)
+        client.flush_barrier(now=0.0)
+        client.delete("/wb/counted", now=0.1)
+        client.flush_barrier(now=0.1)
+        assert counted == [("create", 1), ("delete", 2)]
 
     def test_non_final_flush_defers_instead_of_losing(self):
         injector = PlanFaultInjector(FaultPlan(seed=5))
