@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional
 
+from repro.core.cluster import populate_servers
 from repro.core.config import GHBAConfig
 from repro.core.query import QueryLevel, QueryResult
 from repro.core.server import CONSUMER_METADATA, MetadataServer
@@ -113,23 +114,7 @@ class HBACluster:
         return home_id
 
     def populate(self, paths: Iterable[str], policy: str = "random") -> Dict[str, int]:
-        if policy not in ("random", "round_robin"):
-            raise ValueError(f"unknown policy {policy!r}")
-        server_ids = sorted(self.servers)
-        placement: Dict[str, int] = {}
-        batches: Dict[int, List[FileMetadata]] = {sid: [] for sid in server_ids}
-        inode = sum(s.file_count for s in self.servers.values())
-        for index, path in enumerate(paths):
-            if policy == "random":
-                home = self._rng.choice(server_ids)
-            else:
-                home = server_ids[index % len(server_ids)]
-            batches[home].append(FileMetadata(path=path, inode=inode + index))
-            placement[path] = home
-        for server_id, records in batches.items():
-            if records:
-                self.servers[server_id].insert_many(records)
-        return placement
+        return populate_servers(self.servers, paths, policy, self._rng)
 
     # ------------------------------------------------------------------
     # Queries
@@ -172,11 +157,7 @@ class HBACluster:
             latency += net.memory_probe_ms
             if not server.local_filter.query(path):
                 return None
-            meta_fraction = server.memory.resident_fraction(CONSUMER_METADATA)
-            latency += (
-                meta_fraction * net.memory_record_ms
-                + (1.0 - meta_fraction) * net.disk_access_ms
-            )
+            latency += server.fetch_penalty_cached(net)
             return server.store.get(path)
 
         def forward_and_verify(target_id: int) -> Optional[FileMetadata]:
@@ -199,8 +180,7 @@ class HBACluster:
 
         # L2: the full replica array — HBA's defining probe.  The array
         # holds N-1 replicas; its memory residency drives Figures 8-10.
-        replica_fraction = origin.replica_memory_fraction()
-        latency += net.probe_cost_ms(origin.theta, replica_fraction)
+        latency += origin.probe_cost_cached(net)
         latency += net.memory_probe_ms  # own local filter
         l2 = origin.probe_segment(path)
         if l2.is_unique:

@@ -24,7 +24,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bloom.compressed import transfer_cost_report
 from repro.core.config import GHBAConfig
-from repro.core.group import Group, GroupError
+from repro.core.group import (
+    Group,
+    GroupError,
+    balanced_groups,
+    group_with_room,
+    merge_pair,
+    split_victim,
+)
 from repro.core.query import QueryLevel, QueryResult
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.core.server import (
@@ -209,6 +216,39 @@ class BatchMutateResult:
     @property
     def conflicts(self) -> int:
         return sum(1 for o in self.outcomes if o.conflict)
+
+
+def populate_servers(
+    servers: Dict[int, MetadataServer],
+    paths: Iterable[str],
+    policy: str,
+    rng: random.Random,
+) -> Dict[str, int]:
+    """Bulk-insert fresh metadata records for ``paths`` — the one
+    home-assignment rule of every cluster flavour (G-HBA, HBA, prototype).
+
+    ``policy`` is ``"random"`` (the paper: "all MDSs are initially
+    populated randomly"; drawn from ``rng``) or ``"round_robin"`` over the
+    sorted server IDs.  Inodes continue from the records already held, so
+    repeated calls never reuse one.  Returns the placement map.
+    """
+    if policy not in ("random", "round_robin"):
+        raise ValueError(f"unknown policy {policy!r}")
+    server_ids = sorted(servers)
+    placement: Dict[str, int] = {}
+    batches: Dict[int, List[FileMetadata]] = {sid: [] for sid in server_ids}
+    inode = sum(server.file_count for server in servers.values())
+    for index, path in enumerate(paths):
+        if policy == "random":
+            home = rng.choice(server_ids)
+        else:
+            home = server_ids[index % len(server_ids)]
+        batches[home].append(FileMetadata(path=path, inode=inode + index))
+        placement[path] = home
+    for server_id, records in batches.items():
+        if records:
+            servers[server_id].insert_many(records)
+    return placement
 
 
 class GHBACluster:
@@ -406,27 +446,17 @@ class GHBACluster:
         return group
 
     def _bootstrap(self, num_servers: int) -> None:
-        """Create servers, pack them into balanced groups, install replicas.
-
-        ``ceil(N / M)`` groups whose sizes differ by at most one — a
-        trailing singleton group would otherwise host the entire mirror
-        alone, defeating the load balance the scheme is built for.
-        """
-        max_size = self.config.max_group_size
+        """Create servers, pack them into balanced groups
+        (:func:`~repro.core.group.balanced_groups`), install replicas."""
         for _ in range(num_servers):
             self._new_server()
         server_ids = sorted(self.servers)
-        num_groups = -(-len(server_ids) // max_size)  # ceil
-        base_size, extra = divmod(len(server_ids), num_groups)
-        cursor = 0
-        for index in range(num_groups):
-            size = base_size + (1 if index < extra else 0)
+        for members in balanced_groups(server_ids, self.config.max_group_size):
             group = self._new_group()
-            for server_id in server_ids[cursor : cursor + size]:
+            for server_id in members:
                 group.idbfa.add_member(server_id)
                 group.adopt_member(self.servers[server_id])
                 self._group_of[server_id] = group.group_id
-            cursor += size
         for group in self.groups.values():
             for server_id in server_ids:
                 if server_id in group:
@@ -587,34 +617,14 @@ class GHBACluster:
         return version
 
     def populate(
-        self,
-        paths: Iterable[str],
-        policy: str = "random",
+        self, paths: Iterable[str], policy: str = "random"
     ) -> Dict[str, int]:
-        """Bulk-insert fresh metadata records for ``paths``.
-
-        ``policy`` is ``"random"`` (the paper: "all MDSs are initially
-        populated randomly") or ``"round_robin"``.  Returns the placement
-        map.  Call :meth:`synchronize_replicas` afterwards to publish
-        filters.
-        """
-        if policy not in ("random", "round_robin"):
-            raise ValueError(f"unknown policy {policy!r}")
-        server_ids = sorted(self.servers)
-        placement: Dict[str, int] = {}
-        batches: Dict[int, List[FileMetadata]] = {sid: [] for sid in server_ids}
-        inode = self.file_count()
-        for index, path in enumerate(paths):
-            if policy == "random":
-                home = self._rng.choice(server_ids)
-            else:
-                home = server_ids[index % len(server_ids)]
-            batches[home].append(FileMetadata(path=path, inode=inode + index))
-            placement[path] = home
+        """Bulk-insert fresh metadata records (:func:`populate_servers`);
+        returns the placement map.  Call :meth:`synchronize_replicas`
+        afterwards to publish filters."""
+        placement = populate_servers(self.servers, paths, policy, self._rng)
+        for path in placement:
             self._bump_path_version(path)
-        for server_id, records in batches.items():
-            if records:
-                self.servers[server_id].insert_many(records)
         return placement
 
     def rename_subtree(self, old_prefix: str, new_prefix: str) -> int:
@@ -632,10 +642,6 @@ class GHBACluster:
         Returns the number of records renamed (none of which crossed
         servers).
         """
-        if not old_prefix.startswith("/") or not new_prefix.startswith("/"):
-            raise ValueError("prefixes must be absolute paths")
-        if old_prefix == new_prefix:
-            return 0
         renamed = 0
         for server_id in self.server_ids():
             renamed += self.rename_subtree_at(server_id, old_prefix, new_prefix)
@@ -1020,25 +1026,11 @@ class GHBACluster:
             raise ValueError("verify_batch requires at least one path")
         net = self.config.network
         result = BatchVerifyResult(server_id=server_id)
-        unreachable = server_id not in self.servers or (
-            self.faults.enabled and self.faults.is_silenced(server_id)
-        )
-        if unreachable:
-            # The request times out: one message on the wire, no reply.
-            result.degraded = True
-            result.messages = 1
-            result.latency_ms = net.round_trip_ms() + net.queueing_ms(
-                outstanding
-            )
-            self._messages.inc(1)
+        server = self._batch_target(result, outstanding)
+        if server is None:
             return result
-        server = self.servers[server_id]
-        latency = net.round_trip_ms() + net.queueing_ms(outstanding)
-        meta_fraction = server.memory.resident_fraction(CONSUMER_METADATA)
-        record_cost = (
-            meta_fraction * net.memory_record_ms
-            + (1.0 - meta_fraction) * net.disk_access_ms
-        )
+        latency = result.latency_ms
+        record_cost = server.fetch_penalty_cached(net)
         # One pass over the local filter for the whole batch, then store
         # lookups only for the (possible) positives.
         latency += net.memory_probe_ms * len(paths)
@@ -1054,14 +1046,40 @@ class GHBACluster:
         path_versions = self._path_versions
         for path in paths:
             versions[path] = path_versions.get(path, 0)
+        return self._batch_served(
+            result,
+            latency,
+            "ghba_batch_verifies_total",
+            "Multi-key gateway verifications served, by server.",
+        )
+
+    def _batch_target(self, result, outstanding: int) -> Optional[MetadataServer]:
+        """The MDS a one-round-trip batch is addressed to, the round trip
+        charged to ``result``; None when it is unknown or silenced (fault
+        injection) — ``result`` is then the finished degraded answer: the
+        request timed out, one message on the wire, no reply."""
+        net = self.config.network
+        result.latency_ms = net.round_trip_ms() + net.queueing_ms(outstanding)
+        server_id = result.server_id
+        unreachable = server_id not in self.servers or (
+            self.faults.enabled and self.faults.is_silenced(server_id)
+        )
+        if unreachable:
+            result.degraded = True
+            result.messages = 1
+            self._messages.inc(1)
+            return None
+        return self.servers[server_id]
+
+    def _batch_served(self, result, latency: float, family: str, help_text: str):
+        """Close a served batch: request + reply on the wire, the final
+        latency, one tick of the per-server ``family`` counter."""
         result.messages = 2
         result.latency_ms = latency
         self._messages.inc(2)
-        self.metrics.counter(
-            "ghba_batch_verifies_total",
-            "Multi-key gateway verifications served, by server.",
-            labels=("server",),
-        ).labels(server_id).inc()
+        self.metrics.counter(family, help_text, labels=("server",)).labels(
+            result.server_id
+        ).inc()
         return result
 
     def apply_mutation_batch(
@@ -1104,26 +1122,12 @@ class GHBACluster:
             raise ValueError("apply_mutation_batch requires at least one mutation")
         net = self.config.network
         result = BatchMutateResult(server_id=server_id)
-        unreachable = server_id not in self.servers or (
-            self.faults.enabled and self.faults.is_silenced(server_id)
-        )
-        if unreachable:
-            # The request times out: one message on the wire, no reply.
-            result.degraded = True
-            result.messages = 1
-            result.latency_ms = net.round_trip_ms() + net.queueing_ms(
-                outstanding
-            )
-            self._messages.inc(1)
+        server = self._batch_target(result, outstanding)
+        if server is None:
             return result
-        server = self.servers[server_id]
         server.writeback_advance(origin, acked_version)
-        latency = net.round_trip_ms() + net.queueing_ms(outstanding)
-        meta_fraction = server.memory.resident_fraction(CONSUMER_METADATA)
-        record_ms = (
-            meta_fraction * net.memory_record_ms
-            + (1.0 - meta_fraction) * net.disk_access_ms
-        )
+        latency = result.latency_ms
+        record_ms = server.fetch_penalty_cached(net)
         for mutation in mutations:
             latency += net.memory_probe_ms
             replay = server.writeback_replay(
@@ -1181,20 +1185,25 @@ class GHBACluster:
                     0.0,
                     0,
                 )
-        result.messages = 2
-        result.latency_ms = latency
-        self._messages.inc(2)
-        self.metrics.counter(
+        return self._batch_served(
+            result,
+            latency,
             "ghba_batch_mutations_total",
             "Write-back mutation batches applied, by server.",
-            labels=("server",),
-        ).labels(server_id).inc()
-        return result
+        )
 
     def _apply_one_mutation(
         self, server_id: int, mutation: PathMutation
     ) -> MutationOutcome:
-        """Arbitrate and apply one mutation; returns its outcome."""
+        """Arbitrate and apply one mutation; returns its outcome.
+
+        A mutation conflicts when its base lost the race or the path is
+        homed on a *different* MDS (never mint a second home; a delete
+        routed to the wrong MDS clobbers nothing).  Otherwise it applies;
+        it changes state unless it deletes a path that is already absent.
+        """
+        if mutation.op not in ("create", "delete"):
+            raise ValueError(f"unknown mutation op {mutation.op!r}")
         path = mutation.path
         current = self._path_versions.get(path, 0)
         existing_home = self.home_of(path)
@@ -1202,71 +1211,29 @@ class GHBACluster:
             mutation.base_version is not None
             and mutation.base_version != current
         )
-        if mutation.op == "create":
-            conflict = lost_race or (
-                existing_home is not None and existing_home != server_id
-            )
-            if conflict:
-                return MutationOutcome(
-                    version=mutation.version,
-                    op=mutation.op,
-                    path=path,
-                    applied=False,
-                    conflict=True,
-                    new_version=current,
-                )
-            assert mutation.record is not None
+        applied = not lost_race and existing_home in (None, server_id)
+        changed = applied and (
+            mutation.op == "create" or existing_home is not None
+        )
+        new_version = current
+        if changed:
             # Counted before the commit notifies: a listener reading the
             # counter sees this mutation included.
             self.servers[server_id].writeback_applied += 1
-            new_version = self._commit_create(server_id, mutation.record)
-            return MutationOutcome(
-                version=mutation.version,
-                op=mutation.op,
-                path=path,
-                applied=True,
-                changed=True,
-                new_version=new_version,
-            )
-        if mutation.op == "delete":
-            if lost_race:
-                return MutationOutcome(
-                    version=mutation.version,
-                    op=mutation.op,
-                    path=path,
-                    applied=False,
-                    conflict=True,
-                    new_version=current,
-                )
-            if existing_home is None:
-                # Final state ("path absent") already holds.
-                return MutationOutcome(
-                    version=mutation.version,
-                    op=mutation.op,
-                    path=path,
-                    applied=True,
-                    new_version=current,
-                )
-            if existing_home != server_id:
-                return MutationOutcome(
-                    version=mutation.version,
-                    op=mutation.op,
-                    path=path,
-                    applied=False,
-                    conflict=True,
-                    new_version=current,
-                )
-            self.servers[server_id].writeback_applied += 1
-            new_version = self._commit_delete(server_id, path)
-            return MutationOutcome(
-                version=mutation.version,
-                op=mutation.op,
-                path=path,
-                applied=True,
-                changed=True,
-                new_version=new_version,
-            )
-        raise ValueError(f"unknown mutation op {mutation.op!r}")
+            if mutation.op == "create":
+                assert mutation.record is not None
+                new_version = self._commit_create(server_id, mutation.record)
+            else:
+                new_version = self._commit_delete(server_id, path)
+        return MutationOutcome(
+            version=mutation.version,
+            op=mutation.op,
+            path=path,
+            applied=applied,
+            conflict=not applied,
+            changed=changed,
+            new_version=new_version,
+        )
 
     def _share_lru_hint(self, origin_id: int, path: str, home: int) -> int:
         """Cooperative caching (Section 7 extension): push the resolved
@@ -1300,71 +1267,59 @@ class GHBACluster:
         MDS per *other* group, located via that group's IDBFA.
         """
         report = SyncReport()
-        net = self.config.network
         threshold = self.config.update_threshold_bits
         for server in self.servers.values():
             stale_bits = server.staleness_bits()
             if not force and stale_bits <= threshold:
                 continue
-            replica_template = server.publish_filter()
-            report.servers_updated += 1
-            payload = transfer_cost_report(replica_template)
-            own_group = self._group_of[server.server_id]
-            for group in self.groups.values():
-                if group.group_id == own_group:
-                    continue
-                messages, false_candidates = group.update_replica(
-                    server.server_id, replica_template.copy()
-                )
-                report.groups_contacted += 1
-                report.messages += messages
-                report.false_candidates += false_candidates
-                report.bytes_raw += payload.raw_bytes
-                report.bytes_compressed += payload.compressed_bytes
-            # One multicast round to all groups, performed concurrently.
-            report.latency_ms += net.multicast_ms(max(0, self.num_groups - 1))
+            payload = transfer_cost_report(self._ship_filter(server, report))
+            copies = self.num_groups - 1  # one to each other group
+            report.bytes_raw += copies * payload.raw_bytes
+            report.bytes_compressed += copies * payload.compressed_bytes
         return report
 
     def update_server_replicas(self, server_id: int) -> SyncReport:
         """Force-update the replicas of one server (Figure 12's operation)."""
         report = SyncReport()
-        net = self.config.network
-        server = self.servers[server_id]
+        self._ship_filter(self.servers[server_id], report)
+        return report
+
+    def _ship_filter(self, server: MetadataServer, report: SyncReport):
+        """Publish ``server``'s filter and replace its replica in every
+        other group, accounting into ``report``; returns what was shipped."""
         replica_template = server.publish_filter()
-        report.servers_updated = 1
-        own_group = self._group_of[server_id]
+        report.servers_updated += 1
+        own_group = self._group_of[server.server_id]
         for group in self.groups.values():
             if group.group_id == own_group:
                 continue
             messages, false_candidates = group.update_replica(
-                server_id, replica_template.copy()
+                server.server_id, replica_template.copy()
             )
             report.groups_contacted += 1
             report.messages += messages
             report.false_candidates += false_candidates
-        report.latency_ms = net.multicast_ms(max(0, self.num_groups - 1))
-        return report
+        # One multicast round to all groups, performed concurrently.
+        report.latency_ms += self.config.network.multicast_ms(
+            max(0, self.num_groups - 1)
+        )
+        return replica_template
 
     # ------------------------------------------------------------------
     # Reconfiguration (Sections 3.1-3.2)
     # ------------------------------------------------------------------
-    def _group_with_room(self) -> Optional[Group]:
-        candidates = [
-            group
-            for group in self.groups.values()
-            if group.size < self.config.max_group_size
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda g: (g.size, g.group_id))
+    def _group_sizes(self) -> Dict[int, int]:
+        return {gid: group.size for gid, group in self.groups.items()}
 
     def add_server(self) -> ReconfigReport:
         """Add one MDS (Section 3.1), splitting a group if needed (3.2)."""
         server = self._new_server()
         report = ReconfigReport(server_id=server.server_id)
-        group = self._group_with_room()
-        if group is None:
+        room = group_with_room(self._group_sizes(), self.config.max_group_size)
+        if room is None:
             group = self._split_for(server, report)
+        else:
+            group = self.groups[room]
         n_after = self.num_servers
         migrated = group.add_member(server, n_after)
         self._group_of[server.server_id] = group.group_id
@@ -1374,12 +1329,12 @@ class GHBACluster:
         # Mirror repair: a group born empty from an M=1 split holds no
         # replicas yet — the newcomer fetches the full mirror now.
         hosted = set(group.hosted_replica_ids())
-        for server_id in self.server_ids():
-            if server_id in group or server_id in hosted:
-                continue
-            replica = self.servers[server_id].published_filter.copy()
-            group.install_replica(server_id, replica)
-            migrated += 1
+        lacking = [
+            server_id
+            for server_id in self.server_ids()
+            if server_id not in group and server_id not in hosted
+        ]
+        self._fetch_replicas(group, lacking, report)
         report.migrated_replicas += migrated
         report.messages += migrated  # each migrated replica is one transfer
         # Light-weight migration bookkeeping: the updated IDBFA is multicast
@@ -1403,7 +1358,7 @@ class GHBACluster:
         (including the newcomer).  Equivalent to deleting ``floor(M/2)``
         members from the old group and inserting them into the new one.
         """
-        victim = max(self.groups.values(), key=lambda g: (g.size, -g.group_id))
+        victim = self.groups[split_victim(self._group_sizes())]
         half = self.config.max_group_size // 2
         to_move = victim.member_ids()[-half:] if half else []
         new_group = self._new_group()
@@ -1427,23 +1382,29 @@ class GHBACluster:
         # group is still empty here; the newcomer installs the mirror after
         # joining (see the post-join repair in add_server).
         if new_group.size > 0:
-            for server_id in self.server_ids():
-                if server_id in new_group or server_id == server.server_id:
-                    continue
-                replica = self.servers[server_id].published_filter.copy()
-                new_group.install_replica(server_id, replica)
-                report.migrated_replicas += 1
-                report.messages += 1
+            outside = [
+                server_id
+                for server_id in self.server_ids()
+                if server_id not in new_group and server_id != server.server_id
+            ]
+            self._fetch_replicas(new_group, outside, report)
         # Step 4: the shrunken old group now lacks replicas of the members
         # that left (they were internal before; now they are outside).
-        for member in moved_servers:
-            replica = member.published_filter.copy()
-            victim.install_replica(member.server_id, replica)
-            report.migrated_replicas += 1
-            report.messages += 1
+        self._fetch_replicas(victim, to_move, report)
         # ... and the new group must not host replicas of its own members;
         # none were installed above, so the mirror invariant holds.
         return new_group
+
+    def _fetch_replicas(
+        self, group: Group, home_ids: Iterable[int], report: ReconfigReport
+    ) -> None:
+        """``group`` installs the last published filter of each server in
+        ``home_ids``: one migrated replica and one transfer apiece."""
+        for home_id in home_ids:
+            replica = self.servers[home_id].published_filter.copy()
+            group.install_replica(home_id, replica)
+            report.migrated_replicas += 1
+            report.messages += 1
 
     def remove_server(self, server_id: int, rehome: bool = True) -> ReconfigReport:
         """Gracefully remove an MDS (Section 3.1's departure procedure)."""
@@ -1465,11 +1426,25 @@ class GHBACluster:
             del self.groups[group.group_id]
             report.migrated_replicas += 0  # replicas existed elsewhere too
             report.messages += len(orphaned)
+        # Re-home the departing server's metadata so files stay reachable.
+        orphans = list(server.store.records()) if rehome else []
+        self._excise(server_id, report, orphans)
+        return report
+
+    def _excise(
+        self,
+        server_id: int,
+        report: ReconfigReport,
+        orphans: Sequence[FileMetadata] = (),
+    ) -> None:
+        """What every departure, graceful or crash, does once the server's
+        own group has let it go: drop it from the indexes, have every
+        other group delete its replica and rebalance the freed load
+        (Section 3.1 steps 2-3), re-home ``orphans`` round-robin, drop the
+        L1 entries naming it, tell the listeners, merge what now fits."""
         del self._group_of[server_id]
         del self.servers[server_id]
         self._sorted_ids.remove(server_id)
-        # (2)+(3) every other group deletes the departing server's replica
-        # and rebalances the freed load across its members.
         for other in self.groups.values():
             if server_id in other.hosted_replica_ids():
                 other.remove_replica(server_id)
@@ -1477,15 +1452,12 @@ class GHBACluster:
             moved = other.rebalance()
             report.migrated_replicas += moved
             report.messages += moved
-        # Re-home the departing server's metadata so files stay reachable.
-        if rehome and server.file_count:
-            records = list(server.store.records())
+        if orphans:
             target_ids = sorted(self.servers)
-            for index, meta in enumerate(records):
+            for index, meta in enumerate(orphans):
                 target = self.servers[target_ids[index % len(target_ids)]]
                 target.insert_metadata(meta)
-            report.messages += len(records)
-        # Drop stale LRU entries pointing at the departed server.
+            report.messages += len(orphans)
         for remaining in self.servers.values():
             remaining.lru.invalidate_home(server_id)
         if self._mutation_listeners:
@@ -1493,18 +1465,15 @@ class GHBACluster:
                 MutationEvent(op="server_removed", home_id=server_id)
             )
         self._maybe_merge(report)
-        return report
 
     def _maybe_merge(self, report: ReconfigReport) -> None:
         """Merge the two smallest groups while they fit within M (3.2)."""
         while True:
-            groups = sorted(self.groups.values(), key=lambda g: (g.size, g.group_id))
-            if len(groups) < 2:
+            pair = merge_pair(self._group_sizes(), self.config.max_group_size)
+            if pair is None:
                 return
-            smallest, second = groups[0], groups[1]
-            if smallest.size + second.size > self.config.max_group_size:
-                return
-            self._merge_groups(second, smallest, report)
+            target, source = pair
+            self._merge_groups(self.groups[target], self.groups[source], report)
             report.merged = True
 
     def _merge_groups(self, target: Group, source: Group, report: ReconfigReport) -> None:
@@ -1551,31 +1520,11 @@ class GHBACluster:
             # Drop without migration (the node is gone), then re-fetch.
             group.abandon_member(server_id)
             group.idbfa.remove_member(server_id)
-            for home_id in hosted:
-                replica = self.servers[home_id].published_filter.copy()
-                group.install_replica(home_id, replica)
-                report.migrated_replicas += 1
-                report.messages += 1
+            self._fetch_replicas(group, hosted, report)
         else:
             group.dissolve()
             del self.groups[group.group_id]
-        del self._group_of[server_id]
-        del self.servers[server_id]
-        self._sorted_ids.remove(server_id)
-        for other in self.groups.values():
-            if server_id in other.hosted_replica_ids():
-                other.remove_replica(server_id)
-                report.messages += 1
-            moved = other.rebalance()
-            report.migrated_replicas += moved
-            report.messages += moved
-        for remaining in self.servers.values():
-            remaining.lru.invalidate_home(server_id)
-        if self._mutation_listeners:
-            self._notify(
-                MutationEvent(op="server_removed", home_id=server_id)
-            )
-        self._maybe_merge(report)
+        self._excise(server_id, report)
         return report
 
     def recover_server(self, server_id: int) -> ReconfigReport:

@@ -17,7 +17,7 @@ and a leaver's replicas are redistributed to the lightest members.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bloom.arrays import ArrayLookup, IDBloomFilterArray
 from repro.bloom.bloom_filter import BloomFilter
@@ -29,6 +29,59 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 
 class GroupError(Exception):
     """Raised on group-invariant violations."""
+
+
+# Formation and placement policy (Sections 3.1-3.2) as pure choices over
+# ``{group id: size}``: the simulator (``Group`` objects) and the prototype
+# (a directory of member lists) carry them out by different mechanics but
+# must choose alike.
+def balanced_groups(
+    server_ids: Sequence[int], max_group_size: int
+) -> List[List[int]]:
+    """``ceil(N / M)`` groups of consecutive IDs, sizes differing by at
+    most one — a trailing singleton group would otherwise host the entire
+    mirror alone, defeating the load balance the scheme is built for."""
+    num_groups = -(-len(server_ids) // max_group_size)  # ceil
+    base_size, extra = divmod(len(server_ids), num_groups)
+    groups: List[List[int]] = []
+    cursor = 0
+    for index in range(num_groups):
+        size = base_size + (1 if index < extra else 0)
+        groups.append(list(server_ids[cursor : cursor + size]))
+        cursor += size
+    return groups
+
+
+def join_target(total_servers: int, old_size: int) -> int:
+    """Replicas each member of a group of ``old_size`` keeps when one more
+    joins, ``ceil((N - M') / (M' + 1))`` with N counted *after* the join;
+    what a member hosts beyond it is offloaded to the newcomer."""
+    return math.ceil(max(0, total_servers - (old_size + 1)) / (old_size + 1))
+
+
+def group_with_room(sizes: Dict[int, int], max_group_size: int) -> Optional[int]:
+    """The smallest group below M (ties to the lowest ID), or None."""
+    roomy = [gid for gid, size in sizes.items() if size < max_group_size]
+    return min(roomy, key=lambda gid: (sizes[gid], gid)) if roomy else None
+
+
+def split_victim(sizes: Dict[int, int]) -> int:
+    """The group split when none has room: the fullest, lowest ID first."""
+    return max(sizes, key=lambda gid: (sizes[gid], -gid))
+
+
+def merge_pair(
+    sizes: Dict[int, int], max_group_size: int
+) -> Optional[Tuple[int, int]]:
+    """``(target, source)``: the smallest group folds into the second
+    smallest when together they fit within M; None when they do not."""
+    by_size = sorted(sizes, key=lambda gid: (sizes[gid], gid))
+    if len(by_size) < 2:
+        return None
+    source, target = by_size[:2]
+    if sizes[source] + sizes[target] > max_group_size:
+        return None
+    return (target, source)
 
 
 class Group:
@@ -230,9 +283,7 @@ class Group:
         self.adopt_member(server)
         if old_size == 0:
             return 0
-        # Replicas the group hosts after the join: every server outside it.
-        outside = total_servers - (old_size + 1)
-        target_per_member = math.ceil(max(0, outside) / (old_size + 1))
+        target_per_member = join_target(total_servers, old_size)
         migrated = 0
         for member in self.members():
             if member.server_id == server.server_id:

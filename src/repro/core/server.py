@@ -147,10 +147,6 @@ class MetadataServer:
             CONSUMER_METADATA, self._metadata_bytes, PRIORITY_METADATA
         )
 
-    def replica_memory_fraction(self) -> float:
-        """Fraction of this MDS's replica array that is memory-resident."""
-        return self.memory.resident_fraction(CONSUMER_REPLICAS)
-
     def probe_cost_cached(self, net) -> float:
         """Memoized ``net.probe_cost_ms(theta, replica residency)``.
 

@@ -5,10 +5,10 @@ protocol step is a :class:`~repro.prototype.messages.Message` delivered by
 a transport object exposing ``send`` / ``request`` / ``gather``.  This
 package supplies the second implementation of that surface:
 
-- :mod:`repro.net.reliability` — the transport-agnostic retry/backoff
-  driver (hoisted out of ``InProcessTransport``) plus the shared
-  :class:`~repro.net.reliability.GatherResult` /
-  :class:`~repro.net.reliability.TransportClosed` vocabulary.
+- :mod:`repro.net.reliability` — the core both transports are built on
+  (:class:`~repro.net.reliability.ReliableTransport`), its
+  transport-agnostic retry/backoff drivers, and the shared
+  ``GatherResult`` / ``TransportClosed`` vocabulary.
 - :mod:`repro.net.codec` — a versioned, length-prefixed, deterministic
   binary wire format for every :class:`~repro.prototype.messages.
   MessageKind` payload (stdlib only).

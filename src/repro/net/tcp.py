@@ -28,15 +28,15 @@ the node's mailbox, and arms ``message.reply_to`` with a shim whose
 ``put(reply)`` encodes the reply back onto the originating connection —
 the node's handler loop cannot tell the two transports apart.
 
-Fault-boundary parity: every ``send`` consults the same
-:class:`~repro.faults.injector.FaultInjector` verdict protocol as the
-in-process transport (drop → ``False`` but still counted, delay →
-virtual arrival bump, duplicate → extra frames), and retry/backoff is
-the shared :mod:`repro.net.reliability` driver, so recovery semantics
-are identical by construction.  A peer that cannot be reached (connect
-refused after bounded attempts, or not in the port map) raises
-:class:`TransportClosed` — which ``gather`` reports as ``unreachable``,
-matching a deregistered in-process node.
+Fault-boundary parity: ``send`` (count, then the fault injector's
+verdict: drop → ``False`` but still counted, delay → virtual arrival
+bump, duplicate → extra frames), the counters and the retry/backoff loop
+are inherited from :class:`~repro.net.reliability.ReliableTransport`,
+the core the in-process transport sits on too, so accounting and
+recovery are identical by construction; this module adds the wire.  A
+peer that cannot be reached (connect refused after bounded attempts, or
+not in the port map) raises :class:`TransportClosed` — which ``gather``
+reports as ``unreachable``, matching a deregistered in-process node.
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ from __future__ import annotations
 import asyncio
 import json
 import queue
-import random
 import socket
 import struct
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.faults.injector import FaultInjector, NULL_INJECTOR
-from repro.faults.retry import DEFAULT_RETRY, RetryPolicy
+from repro.faults.injector import FaultInjector
+from repro.faults.retry import RetryPolicy
 from repro.net.codec import (
     MAX_FRAME_BYTES,
     CodecError,
@@ -60,9 +59,8 @@ from repro.net.codec import (
 )
 from repro.net.reliability import (
     GatherResult,
+    ReliableTransport,
     TransportClosed,
-    reliable_gather,
-    reliable_request,
 )
 from repro.prototype.messages import Message
 
@@ -134,13 +132,7 @@ class PortMap:
 
     @classmethod
     def from_json(cls, raw: str) -> "PortMap":
-        data = json.loads(raw)
-        return cls(
-            {
-                int(node_id): (host, int(port))
-                for node_id, (host, port) in data.items()
-            }
-        )
+        return cls(json.loads(raw))
 
 
 class _ReplyShim:
@@ -193,7 +185,7 @@ class _Outbound:
                 frame = struct.pack(">I", len(body)) + body
                 writer.write(frame)
                 await writer.drain()
-                transport._count_wire_out(len(frame))
+                transport._count_wire("out", len(frame))
         except (ConnectionError, OSError):
             pass
         finally:
@@ -215,11 +207,12 @@ class _PeerConnection:
         self.closed = False
 
 
-class TcpTransport:
+class TcpTransport(ReliableTransport):
     """TCP implementation of the prototype transport surface.
 
-    Parameters mirror :class:`~repro.prototype.transport.
-    InProcessTransport`, plus the TCP-specific connection knobs.
+    Parameters are those of :class:`~repro.net.reliability.
+    ReliableTransport`, plus the port map and the TCP-specific
+    connection knobs.
     """
 
     def __init__(
@@ -233,54 +226,28 @@ class TcpTransport:
         connect_backoff_s: float = 0.05,
         outbound_queue_limit: int = 1024,
     ) -> None:
+        super().__init__(default_timeout_s, injector, retry, metrics)
         self.portmap = portmap
-        self._default_timeout = default_timeout_s
-        self.injector: FaultInjector = (
-            injector if injector is not None else NULL_INJECTOR
-        )
-        self.retry: RetryPolicy = retry if retry is not None else DEFAULT_RETRY
-        self._retry_rng = random.Random(0)
         self._connect_attempts = max(1, connect_attempts)
         self._connect_backoff_s = connect_backoff_s
         self._outbound_queue_limit = outbound_queue_limit
 
-        self._lock = threading.Lock()
-        self._messages_sent = 0
-        self._replies_received = 0
-        self._retries = 0
-        self._exhausted = 0
         # Wire-level stats (TCP-only; the in-process transport has no wire).
-        self._bytes_in = 0
-        self._bytes_out = 0
-        self._frames_in = 0
-        self._frames_out = 0
+        self._bytes = {"in": 0, "out": 0}
+        self._frames = {"in": 0, "out": 0}
         self._connects = 0
         self._connect_retries = 0
         self._backpressure_stalls = 0
         self._queue_high_water = 0
 
         self._pending: Dict[int, "queue.Queue[Message]"] = {}
-        self._mailboxes: Dict[int, "queue.Queue[Message]"] = {}
         self._servers: Dict[int, asyncio.AbstractServer] = {}
         self._conns: Dict[int, _PeerConnection] = {}
         self._closed = False
 
-        self._metrics = metrics
         self._m = {}
         if metrics is not None:
             self._m = {
-                "retries": metrics.counter(
-                    "transport_retries_total",
-                    "Request attempts re-sent after a reply timed out.",
-                ),
-                "exhausted": metrics.counter(
-                    "transport_retry_exhausted_total",
-                    "Requests/multicast legs that ran out of retry attempts.",
-                ),
-                "backoff": metrics.histogram(
-                    "transport_retry_backoff_ms",
-                    "Backoff (virtual milliseconds) charged before each retry.",
-                ).labels(),
                 "bytes": metrics.counter(
                     "transport_bytes_total",
                     "Bytes moved on the wire, by direction.",
@@ -327,64 +294,30 @@ class TcpTransport:
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     # ------------------------------------------------------------------
-    # Counters (same surface as InProcessTransport, plus wire stats)
+    # Wire stats (the message counters are the transport core's)
     # ------------------------------------------------------------------
-    @property
-    def messages_sent(self) -> int:
-        with self._lock:
-            return self._messages_sent
-
-    @property
-    def replies_received(self) -> int:
-        with self._lock:
-            return self._replies_received
-
-    @property
-    def retries(self) -> int:
-        with self._lock:
-            return self._retries
-
-    @property
-    def exhausted(self) -> int:
-        with self._lock:
-            return self._exhausted
-
-    def reset_counters(self) -> None:
-        with self._lock:
-            self._messages_sent = 0
-            self._replies_received = 0
-            self._retries = 0
-            self._exhausted = 0
-
     def stats(self) -> Dict[str, int]:
         """Wire-level stats snapshot (monotonic since construction)."""
         with self._lock:
             return {
-                "bytes_in": self._bytes_in,
-                "bytes_out": self._bytes_out,
-                "frames_in": self._frames_in,
-                "frames_out": self._frames_out,
+                "bytes_in": self._bytes["in"],
+                "bytes_out": self._bytes["out"],
+                "frames_in": self._frames["in"],
+                "frames_out": self._frames["out"],
                 "connects": self._connects,
                 "connect_retries": self._connect_retries,
                 "backpressure_stalls": self._backpressure_stalls,
                 "queue_high_water": self._queue_high_water,
             }
 
-    def _count_wire_out(self, nbytes: int) -> None:
+    def _count_wire(self, direction: str, nbytes: int) -> None:
+        """One frame of ``nbytes`` moved ``"in"`` or ``"out"``."""
         with self._lock:
-            self._bytes_out += nbytes
-            self._frames_out += 1
+            self._bytes[direction] += nbytes
+            self._frames[direction] += 1
         if self._m:
-            self._m["bytes"].labels("out").inc(nbytes)
-            self._m["frames"].labels("out").inc()
-
-    def _count_wire_in(self, nbytes: int) -> None:
-        with self._lock:
-            self._bytes_in += nbytes
-            self._frames_in += 1
-        if self._m:
-            self._m["bytes"].labels("in").inc(nbytes)
-            self._m["frames"].labels("in").inc()
+            self._m["bytes"].labels(direction).inc(nbytes)
+            self._m["frames"].labels(direction).inc()
 
     def _note_queue_depth(self, depth: int) -> None:
         with self._lock:
@@ -394,33 +327,11 @@ class TcpTransport:
         if self._m:
             self._m["high_water"].labels().set(high)
 
-    def _count_reply(self) -> None:
-        with self._lock:
-            self._messages_sent += 1  # the reply on the wire
-            self._replies_received += 1
-
-    def _note_retry(self, backoff_s: float) -> None:
-        with self._lock:
-            self._retries += 1
-        if self._m:
-            self._m["retries"].inc()
-            self._m["backoff"].observe(backoff_s * 1000.0)
-
-    def _note_exhausted(self, count: int = 1) -> None:
-        with self._lock:
-            self._exhausted += count
-        if self._m:
-            self._m["exhausted"].inc(count)
-
     # ------------------------------------------------------------------
     # Registration (server side)
     # ------------------------------------------------------------------
     def register(self, node_id: int) -> "queue.Queue[Message]":
-        with self._lock:
-            if node_id in self._mailboxes:
-                raise ValueError(f"node {node_id} already registered")
-            mailbox: "queue.Queue[Message]" = queue.Queue()
-            self._mailboxes[node_id] = mailbox
+        mailbox = super().register(node_id)
         host, port = self.portmap.endpoint(node_id)
         server = self._call(self._start_server(node_id, host, port))
         self._servers[node_id] = server
@@ -446,32 +357,37 @@ class TcpTransport:
 
         return await asyncio.start_server(handle, host, port)
 
+    async def _read_frame(self, reader) -> Optional[Tuple[Message, bool]]:
+        """The next ``(message, expects_reply)`` off one connection; None
+        once the connection is to be dropped — the peer closed or reset
+        it, or sent an oversized (corrupt) or undecodable frame."""
+        try:
+            header = await reader.readexactly(4)
+            (length,) = struct.unpack(">I", header)
+            if length > MAX_FRAME_BYTES:
+                return None
+            body = await reader.readexactly(length)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return None
+        self._count_wire("in", 4 + length)
+        try:
+            return decode_body(body)
+        except CodecError:
+            return None
+
     async def _pump_inbound(self, reader, mailbox, outbound) -> None:
         """Decode inbound frames from one connection into the mailbox."""
         while True:
-            try:
-                header = await reader.readexactly(4)
-            except (asyncio.IncompleteReadError, ConnectionError):
+            frame = await self._read_frame(reader)
+            if frame is None:
                 break
-            (length,) = struct.unpack(">I", header)
-            if length > MAX_FRAME_BYTES:
-                break  # corrupt peer; drop the connection
-            try:
-                body = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                break
-            self._count_wire_in(4 + length)
-            try:
-                message, expects_reply = decode_body(body)
-            except CodecError:
-                break  # protocol violation; drop the connection
+            message, expects_reply = frame
             if expects_reply:
                 message.reply_to = _ReplyShim(self, outbound)
             mailbox.put(message)
 
     def deregister(self, node_id: int) -> None:
-        with self._lock:
-            self._mailboxes.pop(node_id, None)
+        super().deregister(node_id)
         server = self._servers.pop(node_id, None)
         if server is not None:
             self._call(self._close_server(server))
@@ -529,22 +445,10 @@ class TcpTransport:
         """Demultiplex reply frames from one peer to waiting requests."""
         try:
             while True:
-                try:
-                    header = await reader.readexactly(4)
-                except (asyncio.IncompleteReadError, ConnectionError):
+                frame = await self._read_frame(reader)
+                if frame is None:
                     break
-                (length,) = struct.unpack(">I", header)
-                if length > MAX_FRAME_BYTES:
-                    break
-                try:
-                    body = await reader.readexactly(length)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                self._count_wire_in(4 + length)
-                try:
-                    message, _ = decode_body(body)
-                except CodecError:
-                    break
+                message, _ = frame
                 with self._lock:
                     waiter = self._pending.get(message.request_id)
                 if waiter is not None:
@@ -556,109 +460,48 @@ class TcpTransport:
             if conn.outbound is not None and not conn.outbound.closed:
                 await conn.outbound.queue.put(None)
 
+    async def _put_frame(self, outbound: _Outbound, body: bytes) -> None:
+        """Queue one frame for the writer; a full queue is a counted stall."""
+        if outbound.queue.full():
+            with self._lock:
+                self._backpressure_stalls += 1
+            if self._m:
+                self._m["stalls"].inc()
+        await outbound.queue.put(body)
+        self._note_queue_depth(outbound.queue.qsize())
+
     async def _enqueue_frames(self, dest: int, bodies: List[bytes]) -> None:
         conn = await self._get_connection(dest)
         for body in bodies:
-            if conn.outbound.queue.full():
-                with self._lock:
-                    self._backpressure_stalls += 1
-                if self._m:
-                    self._m["stalls"].inc()
-            await conn.outbound.queue.put(body)
-            self._note_queue_depth(conn.outbound.queue.qsize())
+            await self._put_frame(conn.outbound, body)
 
     def _enqueue_threadsafe(self, outbound: _Outbound, body: bytes) -> None:
         """Reply path: enqueue one frame on an inbound connection."""
 
         async def put() -> None:
-            if outbound.closed:
-                return  # peer went away; reply has nowhere to go
-            if outbound.queue.full():
-                with self._lock:
-                    self._backpressure_stalls += 1
-                if self._m:
-                    self._m["stalls"].inc()
-            await outbound.queue.put(body)
-            self._note_queue_depth(outbound.queue.qsize())
+            if not outbound.closed:  # else the reply has nowhere to go
+                await self._put_frame(outbound, body)
 
         self._call(put())
 
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
-    def send(self, dest: int, message: Message, count: bool = True) -> bool:
-        """One-way send; parity with ``InProcessTransport.send``.
-
-        Returns True when the frame was handed to the peer connection;
-        False when the fault layer dropped it (still counted — it went
-        on the wire and vanished there).  Raises :class:`TransportClosed`
-        for a peer that is absent from the port map or refuses
-        connections beyond the bounded connect retries.
-        """
+    def _route(self, dest: int) -> int:
         if self._closed:
             raise TransportClosed("transport is closed")
-        # Counting and the injector verdict come first, exactly like the
-        # in-process transport: a dropped message was still sent.
-        with self._lock:
-            if count:
-                self._messages_sent += 1
-        copies = 1
-        if self.injector.enabled:
-            verdict = self.injector.on_send(dest, message)
-            if not verdict.deliver:
-                return False
-            if verdict.delay_s:
-                message.arrival_vtime += verdict.delay_s
-            copies = verdict.copies
+        return dest
+
+    def _deliver(self, route: int, message: Message, copies: int) -> None:
+        """Encode once, hand ``copies`` frames to the peer connection.
+        A peer absent from the port map, or refusing connections beyond
+        the bounded connect retries, raises :class:`TransportClosed`."""
         expects_reply = message.reply_to is not None
         if expects_reply:
             with self._lock:
                 self._pending[message.request_id] = message.reply_to
         body = encode_body(message, expects_reply)
-        self._call(self._enqueue_frames(dest, [body] * copies))
-        return True
-
-    # ------------------------------------------------------------------
-    # Wire adapter driven by repro.net.reliability
-    # ------------------------------------------------------------------
-    def dispatch_attempt(self, dest: int, message: Message, count: bool) -> bool:
-        message.reply_to = queue.Queue()
-        return self.send(dest, message, count=count)
-
-    def collect_reply(
-        self, message: Message, timeout_s: float
-    ) -> Optional[Message]:
-        try:
-            return message.reply_to.get(timeout=timeout_s)
-        except queue.Empty:
-            return None
-
-    def reply_received(self, count: bool) -> None:
-        if count:
-            self._count_reply()
-        else:
-            with self._lock:
-                self._replies_received += 1
-
-    def next_backoff(self, retry_index: int) -> float:
-        with self._lock:
-            return self.retry.backoff_s(retry_index, self._retry_rng)
-
-    def note_retry(self, backoff_s: float) -> None:
-        self._note_retry(backoff_s)
-
-    def note_exhausted(self, count: int) -> None:
-        self._note_exhausted(count)
-
-    def retry_attempt(self, message: Message, backoff_s: float) -> Message:
-        return Message(
-            kind=message.kind,
-            sender=message.sender,
-            payload=message.payload,
-            request_id=message.request_id,
-            arrival_vtime=message.arrival_vtime + self.retry.timeout_s + backoff_s,
-            trace=message.trace,
-        )
+        self._call(self._enqueue_frames(route, [body] * copies))
 
     def request(
         self,
@@ -667,11 +510,8 @@ class TcpTransport:
         timeout_s: Optional[float] = None,
         count: bool = True,
     ) -> Message:
-        timeout = timeout_s if timeout_s is not None else self._default_timeout
         try:
-            return reliable_request(
-                self, self.retry, dest, message, timeout, count
-            )
+            return super().request(dest, message, timeout_s, count)
         finally:
             with self._lock:
                 self._pending.pop(message.request_id, None)
@@ -682,7 +522,6 @@ class TcpTransport:
         build_message: Callable[[int], Message],
         timeout_s: Optional[float] = None,
     ) -> GatherResult:
-        timeout = timeout_s if timeout_s is not None else self._default_timeout
         issued: List[int] = []
 
         def build(dest: int) -> Message:
@@ -691,7 +530,7 @@ class TcpTransport:
             return message
 
         try:
-            return reliable_gather(self, self.retry, dests, build, timeout)
+            return super().gather(dests, build, timeout_s)
         finally:
             with self._lock:
                 for request_id in issued:

@@ -10,18 +10,24 @@ counts are observed on the wire.
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.checkpoint import restore_server, snapshot_server
+from repro.core.cluster import populate_servers
 from repro.core.config import GHBAConfig
+from repro.core.group import (
+    balanced_groups,
+    group_with_room,
+    join_target,
+    merge_pair,
+    split_victim,
+)
 from repro.core.query import QueryLevel
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
-from repro.metadata.attributes import FileMetadata
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.prototype.messages import Message, MessageKind
@@ -164,15 +170,8 @@ class PrototypeCluster:
                             node_id, replica.copy()
                         )
             return
-        max_size = self.config.max_group_size
-        num_groups = -(-len(node_ids) // max_size)  # ceil: balanced groups
-        base_size, extra = divmod(len(node_ids), num_groups)
-        cursor = 0
-        for index in range(num_groups):
-            size = base_size + (1 if index < extra else 0)
+        for members in balanced_groups(node_ids, self.config.max_group_size):
             group_id = self._new_group_id()
-            members = node_ids[cursor : cursor + size]
-            cursor += size
             self.groups[group_id] = members
             self._placements[group_id] = {}
             for node_id in members:
@@ -199,6 +198,16 @@ class PrototypeCluster:
                 counts[host] += 1
         return min(counts, key=lambda member: (counts[member], member))
 
+    def _group_sizes(self) -> Dict[int, int]:
+        return {gid: len(members) for gid, members in self.groups.items()}
+
+    def _tell(self, node_id: int, kind: MessageKind, **payload) -> None:
+        """One control message from the coordinating client to ``node_id``
+        (one-way: counted on the wire, no reply awaited)."""
+        self.transport.send(
+            node_id, Message(kind=kind, sender=CLIENT, payload=payload)
+        )
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -214,19 +223,8 @@ class PrototypeCluster:
     # ------------------------------------------------------------------
     def populate(self, paths: Iterable[str], policy: str = "random") -> Dict[str, int]:
         """Insert fresh records and refresh every replica (direct, bulk)."""
-        node_ids = sorted(self.nodes)
-        placement: Dict[str, int] = {}
-        batches: Dict[int, List[FileMetadata]] = {nid: [] for nid in node_ids}
-        for index, path in enumerate(paths):
-            if policy == "random":
-                home = self._rng.choice(node_ids)
-            else:
-                home = node_ids[index % len(node_ids)]
-            batches[home].append(FileMetadata(path=path, inode=index))
-            placement[path] = home
-        for node_id, records in batches.items():
-            if records:
-                self.nodes[node_id].server.insert_many(records)
+        servers = {node_id: node.server for node_id, node in self.nodes.items()}
+        placement = populate_servers(servers, paths, policy, self._rng)
         self._refresh_replicas()
         return placement
 
@@ -518,13 +516,32 @@ class PrototypeCluster:
         """
         if node_id not in self.nodes:
             raise KeyError(f"unknown node {node_id}")
+        payload = {"paths": list(paths)}
+        return self._batch_request(
+            node_id, MessageKind.VERIFY_BATCH, payload, vtime, "found", {}
+        )
+
+    def _batch_request(
+        self,
+        node_id: int,
+        kind: MessageKind,
+        payload: Dict[str, object],
+        vtime: float,
+        answer: str,
+        nothing: object,
+    ) -> Dict[str, object]:
+        """One client round trip carrying a batch to ``node_id``.
+
+        Returns the reply's ``answer`` field with the virtual latency; on
+        a timeout or a vanished node, ``nothing`` in its place, the whole
+        retry budget as the latency, and ``degraded`` set.
+        """
         net = self.config.network
-        arrival = vtime + net.unicast_ms / 1000.0
         message = Message(
-            kind=MessageKind.VERIFY_BATCH,
+            kind=kind,
             sender=CLIENT,
-            payload={"paths": list(paths)},
-            arrival_vtime=arrival,
+            payload=payload,
+            arrival_vtime=vtime + net.unicast_ms / 1000.0,
         )
         try:
             reply = self.transport.request(node_id, message)
@@ -532,13 +549,13 @@ class PrototypeCluster:
             retry = self.transport.retry
             penalty = retry.timeout_s * retry.max_attempts
             return {
-                "found": {},
+                answer: nothing,
                 "virtual_latency_ms": penalty * 1000.0,
                 "degraded": True,
             }
         finish = reply.payload["finish_vtime"] + net.unicast_ms / 1000.0
         return {
-            "found": reply.payload["found"],
+            answer: reply.payload[answer],
             "virtual_latency_ms": (finish - vtime) * 1000.0,
             "degraded": False,
         }
@@ -564,34 +581,14 @@ class PrototypeCluster:
         """
         if node_id not in self.nodes and node_id not in self._crashed:
             raise KeyError(f"unknown node {node_id}")
-        net = self.config.network
-        arrival = vtime + net.unicast_ms / 1000.0
-        message = Message(
-            kind=MessageKind.MUTATE_BATCH,
-            sender=CLIENT,
-            payload={
-                "origin": origin,
-                "acked": acked_version,
-                "mutations": list(mutations),
-            },
-            arrival_vtime=arrival,
-        )
-        try:
-            reply = self.transport.request(node_id, message)
-        except (TransportClosed, TimeoutError):
-            retry = self.transport.retry
-            penalty = retry.timeout_s * retry.max_attempts
-            return {
-                "outcomes": [],
-                "virtual_latency_ms": penalty * 1000.0,
-                "degraded": True,
-            }
-        finish = reply.payload["finish_vtime"] + net.unicast_ms / 1000.0
-        return {
-            "outcomes": reply.payload["outcomes"],
-            "virtual_latency_ms": (finish - vtime) * 1000.0,
-            "degraded": False,
+        payload = {
+            "origin": origin,
+            "acked": acked_version,
+            "mutations": list(mutations),
         }
+        return self._batch_request(
+            node_id, MessageKind.MUTATE_BATCH, payload, vtime, "outcomes", []
+        )
 
     # ------------------------------------------------------------------
     # Node addition (Figure 15's measured operation)
@@ -604,8 +601,10 @@ class PrototypeCluster:
             self._hba_join(newcomer)
         else:
             self._ghba_join(newcomer)
-        messages = self.transport.messages_sent - before
+        # Count only once the wire is quiet: the transfers that nodes relay
+        # for COPY_REPLICA_TO / SEND_LOCAL_TO are sent from their threads.
         self.quiesce()
+        messages = self.transport.messages_sent - before
         return {"node_id": newcomer.node_id, "messages": messages}
 
     def quiesce(self) -> None:
@@ -648,27 +647,17 @@ class PrototypeCluster:
     def _ghba_join(self, newcomer: MDSNode) -> None:
         """G-HBA join: fill a group with room, or split the fullest group."""
         max_size = self.config.max_group_size
-        with_room = [
-            gid for gid, members in self.groups.items() if len(members) < max_size
-        ]
-        if not with_room:
+        group_id = group_with_room(self._group_sizes(), max_size)
+        if group_id is None:
             self._split_fullest_group()
             # The split's replica transfers are one-way and may still be in
             # flight; the join below redistributes some of those replicas,
             # so wait for them to land first.
             self.quiesce()
-            with_room = [
-                gid
-                for gid, members in self.groups.items()
-                if len(members) < max_size
-            ]
-        group_id = min(with_room, key=lambda gid: (len(self.groups[gid]), gid))
+            group_id = group_with_room(self._group_sizes(), max_size)
         members = self.groups[group_id]
         placements = self._placements[group_id]
-        n_after = self.num_nodes
-        target = math.ceil(
-            max(0, n_after - (len(members) + 1)) / (len(members) + 1)
-        )
+        target = join_target(self.num_nodes, len(members))
         # Light-weight migration: members offload excess replicas by telling
         # the host to ship them to the newcomer (control + transfer).
         counts: Dict[int, List[int]] = {member: [] for member in members}
@@ -678,41 +667,34 @@ class PrototypeCluster:
             hosted = sorted(counts[member])
             excess = len(hosted) - target
             for replica_id in hosted[-max(0, excess):] if excess > 0 else []:
-                self.transport.send(
+                self._tell(
                     member,
-                    Message(
-                        kind=MessageKind.COPY_REPLICA_TO,
-                        sender=CLIENT,
-                        payload={
-                            "home_id": replica_id,
-                            "dest": newcomer.node_id,
-                            "drop": True,
-                        },
-                    ),
+                    MessageKind.COPY_REPLICA_TO,
+                    home_id=replica_id,
+                    dest=newcomer.node_id,
+                    drop=True,
                 )
                 placements[replica_id] = newcomer.node_id
         # Updated IDBFA multicast within the group (one message per member).
         for member in members:
-            self.transport.send(
-                member,
-                Message(kind=MessageKind.PING, sender=CLIENT),
-            )
+            self._tell(member, MessageKind.PING)
         self.groups[group_id].append(newcomer.node_id)
         self.groups[group_id].sort()
         self._group_of[newcomer.node_id] = group_id
+        # Mirror repair: a group born empty from an M = 1 split holds no
+        # replicas yet — the newcomer fetches the full mirror now.
+        for node_id in self.node_ids():
+            if node_id not in members and node_id not in placements:
+                self._tell(
+                    node_id, MessageKind.SEND_LOCAL_TO, dest=newcomer.node_id
+                )
+                placements[node_id] = newcomer.node_id
         # The newcomer's filter goes to one node of every *other* group.
         for other_gid in self.groups:
             if other_gid == group_id:
                 continue
             host = self._lightest_member(other_gid)
-            self.transport.send(
-                newcomer.node_id,
-                Message(
-                    kind=MessageKind.SEND_LOCAL_TO,
-                    sender=CLIENT,
-                    payload={"dest": host},
-                ),
-            )
+            self._tell(newcomer.node_id, MessageKind.SEND_LOCAL_TO, dest=host)
             self._placements[other_gid][newcomer.node_id] = host
 
     def remove_node(self, node_id: int) -> Dict[str, int]:
@@ -733,8 +715,8 @@ class PrototypeCluster:
             self._hba_leave(node_id)
         else:
             self._ghba_leave(node_id)
-        messages = self.transport.messages_sent - before
         self.quiesce()  # let the one-way drops and transfers land
+        messages = self.transport.messages_sent - before
         # Out-of-band re-homing of the departing node's metadata, followed
         # by a replica refresh so the moved files become routable.
         records = list(departing.server.store.records())
@@ -751,16 +733,8 @@ class PrototypeCluster:
         group_id = self._group_of.pop(node_id)
         self.groups[group_id].remove(node_id)
         for other_id in self.node_ids():
-            if other_id == node_id:
-                continue
-            self.transport.send(
-                other_id,
-                Message(
-                    kind=MessageKind.DROP_REPLICA,
-                    sender=CLIENT,
-                    payload={"home_id": node_id},
-                ),
-            )
+            if other_id != node_id:
+                self._tell(other_id, MessageKind.DROP_REPLICA, home_id=node_id)
 
     def _ghba_leave(self, node_id: int) -> None:
         group_id = self._group_of.pop(node_id)
@@ -778,34 +752,24 @@ class PrototypeCluster:
                 del placements[replica_id]
                 continue
             dest = self._lightest_member(group_id)
-            self.transport.send(
+            self._tell(
                 node_id,
-                Message(
-                    kind=MessageKind.COPY_REPLICA_TO,
-                    sender=CLIENT,
-                    payload={"home_id": replica_id, "dest": dest, "drop": True},
-                ),
+                MessageKind.COPY_REPLICA_TO,
+                home_id=replica_id,
+                dest=dest,
+                drop=True,
             )
             placements[replica_id] = dest
         # (2) updated IDBFA multicast within the group.
         for member in members:
-            self.transport.send(
-                member, Message(kind=MessageKind.PING, sender=CLIENT)
-            )
+            self._tell(member, MessageKind.PING)
         # (3) every other group drops the departing node's replica.
         for other_gid, other_placements in self._placements.items():
             if other_gid == group_id:
                 continue
             host = other_placements.pop(node_id, None)
             if host is not None:
-                self.transport.send(
-                    host,
-                    Message(
-                        kind=MessageKind.DROP_REPLICA,
-                        sender=CLIENT,
-                        payload={"home_id": node_id},
-                    ),
-                )
+                self._tell(host, MessageKind.DROP_REPLICA, home_id=node_id)
         if not members:
             del self.groups[group_id]
             del self._placements[group_id]
@@ -813,15 +777,11 @@ class PrototypeCluster:
 
     def _maybe_merge_groups(self) -> None:
         """Merge the two smallest groups while they fit within M."""
-        max_size = self.config.max_group_size
         while True:
-            by_size = sorted(self.groups, key=lambda g: (len(self.groups[g]), g))
-            if len(by_size) < 2:
+            pair = merge_pair(self._group_sizes(), self.config.max_group_size)
+            if pair is None:
                 return
-            small_gid, next_gid = by_size[0], by_size[1]
-            if len(self.groups[small_gid]) + len(self.groups[next_gid]) > max_size:
-                return
-            self._merge_into(next_gid, small_gid)
+            self._merge_into(*pair)
 
     def _merge_into(self, target_gid: int, source_gid: int) -> None:
         """Fold ``source_gid`` into ``target_gid``: the target keeps its
@@ -832,25 +792,11 @@ class PrototypeCluster:
         source_placements = self._placements.pop(source_gid)
         target_placements = self._placements[target_gid]
         for replica_id, host in source_placements.items():
-            self.transport.send(
-                host,
-                Message(
-                    kind=MessageKind.DROP_REPLICA,
-                    sender=CLIENT,
-                    payload={"home_id": replica_id},
-                ),
-            )
+            self._tell(host, MessageKind.DROP_REPLICA, home_id=replica_id)
         for member in source_members:
             host = target_placements.pop(member, None)
             if host is not None:
-                self.transport.send(
-                    host,
-                    Message(
-                        kind=MessageKind.DROP_REPLICA,
-                        sender=CLIENT,
-                        payload={"home_id": member},
-                    ),
-                )
+                self._tell(host, MessageKind.DROP_REPLICA, home_id=member)
             self.groups[target_gid].append(member)
             self._group_of[member] = target_gid
         self.groups[target_gid].sort()
@@ -862,7 +808,7 @@ class PrototypeCluster:
         the replicas it now lacks from the other half and receives the
         other half's members' own filters.
         """
-        victim_gid = max(self.groups, key=lambda gid: (len(self.groups[gid]), -gid))
+        victim_gid = split_victim(self._group_sizes())
         members = self.groups[victim_gid]
         half = len(members) // 2
         a_members = members[: len(members) - half]
@@ -882,61 +828,38 @@ class PrototypeCluster:
         self._placements[b_gid] = b_placements
         for member in b_members:
             self._group_of[member] = b_gid
+        if not b_members:
+            # M = 1: no member moves, the victim keeps its whole mirror and
+            # the new group stays empty until the newcomer joins it and
+            # fetches the mirror (the repair in _ghba_join).
+            return
+        halves = (
+            (victim_gid, a_placements, b_members, b_placements),
+            (b_gid, b_placements, a_members, a_placements),
+        )
         # Cross-copy the replicas each half lacks (copy, not migrate).
-        for replica_id, host in list(b_placements.items()):
-            if replica_id in a_placements:
-                continue
-            dest = self._lightest_member(victim_gid)
-            self.transport.send(
-                host,
-                Message(
-                    kind=MessageKind.COPY_REPLICA_TO,
-                    sender=CLIENT,
-                    payload={"home_id": replica_id, "dest": dest, "drop": False},
-                ),
-            )
-            a_placements[replica_id] = dest
-        for replica_id, host in list(a_placements.items()):
-            if replica_id in b_placements:
-                continue
-            dest = self._lightest_member(b_gid)
-            self.transport.send(
-                host,
-                Message(
-                    kind=MessageKind.COPY_REPLICA_TO,
-                    sender=CLIENT,
-                    payload={"home_id": replica_id, "dest": dest, "drop": False},
-                ),
-            )
-            b_placements[replica_id] = dest
+        for gid, lacking, _, holding in halves:
+            for replica_id, host in list(holding.items()):
+                if replica_id in lacking:
+                    continue
+                dest = self._lightest_member(gid)
+                self._tell(
+                    host,
+                    MessageKind.COPY_REPLICA_TO,
+                    home_id=replica_id,
+                    dest=dest,
+                    drop=False,
+                )
+                lacking[replica_id] = dest
         # Each half needs the other half's members' own filters as replicas.
-        for member in b_members:
-            dest = self._lightest_member(victim_gid)
-            self.transport.send(
-                member,
-                Message(
-                    kind=MessageKind.SEND_LOCAL_TO,
-                    sender=CLIENT,
-                    payload={"dest": dest},
-                ),
-            )
-            a_placements[member] = dest
-        for member in a_members:
-            dest = self._lightest_member(b_gid)
-            self.transport.send(
-                member,
-                Message(
-                    kind=MessageKind.SEND_LOCAL_TO,
-                    sender=CLIENT,
-                    payload={"dest": dest},
-                ),
-            )
-            b_placements[member] = dest
+        for gid, lacking, other_members, _ in halves:
+            for member in other_members:
+                dest = self._lightest_member(gid)
+                self._tell(member, MessageKind.SEND_LOCAL_TO, dest=dest)
+                lacking[member] = dest
         # Rebuilt IDBFAs are multicast within each new group.
         for member in a_members + b_members:
-            self.transport.send(
-                member, Message(kind=MessageKind.PING, sender=CLIENT)
-            )
+            self._tell(member, MessageKind.PING)
 
     # ------------------------------------------------------------------
     # Crash / restore (repro.faults)

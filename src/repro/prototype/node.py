@@ -16,13 +16,52 @@ import threading
 from typing import Dict
 
 from repro.core.config import GHBAConfig
-from repro.core.server import CONSUMER_METADATA, MetadataServer
+from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.transport import InProcessTransport
 
 
-class MDSNode(threading.Thread):
+class MailboxNode(threading.Thread):
+    """A daemon thread serving one transport mailbox — the loop of every
+    node, whatever it serves and whichever transport delivers to it:
+    register, pass each message to the subclass's ``_handle(message)``
+    (which answers through ``message.reply_to``), exit on STOP.
+    """
+
+    def __init__(self, name: str, node_id: int, transport) -> None:
+        super().__init__(name=name, daemon=True)
+        self.node_id = node_id
+        self.transport = transport
+        self._mailbox = transport.register(node_id)
+
+    def run(self) -> None:  # pragma: no cover - exercised via integration
+        while True:
+            message = self._mailbox.get()
+            if message.kind is MessageKind.STOP:
+                if message.reply_to is not None:
+                    message.reply_to.put(message.reply(stopped=True))
+                break
+            self._handle(message)
+
+    def stop(self, timeout_s: float = 5.0) -> None:
+        """Ask the node to exit and join the thread.  The STOP is harness
+        shutdown, not protocol traffic: it stays off the wire totals, like
+        the one ``PrototypeCluster.crash_node`` puts into the mailbox."""
+        try:
+            self.transport.request(
+                self.node_id,
+                Message(kind=MessageKind.STOP, sender=-1),
+                timeout_s=timeout_s,
+                count=False,
+            )
+        except Exception:
+            pass
+        self.join(timeout=timeout_s)
+        self.transport.deregister(self.node_id)
+
+
+class MDSNode(MailboxNode):
     """A metadata server thread.
 
     Parameters
@@ -42,18 +81,17 @@ class MDSNode(threading.Thread):
         transport: InProcessTransport,
         server: "MetadataServer" = None,
     ) -> None:
-        super().__init__(name=f"mds-{node_id}", daemon=True)
-        self.node_id = node_id
-        self.config = config
-        self.transport = transport
         # A restored node (crash recovery) resumes with its checkpointed
         # server state instead of a fresh one.
-        self.server = server if server is not None else MetadataServer(node_id, config)
-        if self.server.server_id != node_id:
+        if server is None:
+            server = MetadataServer(node_id, config)
+        if server.server_id != node_id:
             raise ValueError(
-                f"server id {self.server.server_id} != node id {node_id}"
+                f"server id {server.server_id} != node id {node_id}"
             )
-        self._mailbox = transport.register(node_id)
+        super().__init__(f"mds-{node_id}", node_id, transport)
+        self.config = config
+        self.server = server
         self._clock_lock = threading.Lock()
         self._busy_until = 0.0
         self.requests_served = 0
@@ -63,6 +101,24 @@ class MDSNode(threading.Thread):
         #: half of the capture point GHBACluster exposes via
         #: ``add_change_listener``.  ``None`` default: zero overhead.
         self.cdc = None
+        self._handlers = {
+            MessageKind.PROBE_LRU: self._on_probe_lru,
+            MessageKind.PROBE_LOCAL: self._on_probe_local,
+            MessageKind.PROBE_SEGMENT: self._on_probe_segment,
+            MessageKind.COPY_REPLICA_TO: self._on_copy_replica_to,
+            MessageKind.SEND_LOCAL_TO: self._on_send_local_to,
+            MessageKind.EXCHANGE_REPLICA: self._on_exchange_replica,
+            MessageKind.VERIFY: self._on_verify,
+            MessageKind.VERIFY_BATCH: self._on_verify_batch,
+            MessageKind.MUTATE_BATCH: self._on_mutate_batch,
+            MessageKind.INSERT: self._on_insert,
+            MessageKind.HOST_REPLICA: self._on_host_replica,
+            MessageKind.DROP_REPLICA: self._on_drop_replica,
+            MessageKind.REPLACE_REPLICA: self._on_replace_replica,
+            MessageKind.PUBLISH: self._on_publish,
+            MessageKind.RECORD_LRU: self._on_record_lru,
+            MessageKind.PING: self._on_ping,
+        }
 
     # ------------------------------------------------------------------
     # Virtual clock
@@ -90,51 +146,39 @@ class MDSNode(threading.Thread):
 
     def _segment_probe_ms(self) -> float:
         net = self.config.network
-        fraction = self.server.replica_memory_fraction()
-        return net.probe_cost_ms(self.server.theta, fraction) + net.memory_probe_ms
+        return self.server.probe_cost_cached(net) + net.memory_probe_ms
 
     def _verify_ms(self, positive: bool) -> float:
         net = self.config.network
         cost = net.memory_probe_ms
         if positive:
-            fraction = self.server.memory.resident_fraction(CONSUMER_METADATA)
-            cost += (
-                fraction * net.memory_record_ms
-                + (1.0 - fraction) * net.disk_access_ms
-            )
+            cost += self.server.fetch_penalty_cached(net)
         return cost
 
-    # ------------------------------------------------------------------
-    # Event loop
-    # ------------------------------------------------------------------
-    def run(self) -> None:  # pragma: no cover - exercised via integration
-        while True:
-            message = self._mailbox.get()
-            if message.kind is MessageKind.STOP:
-                if message.reply_to is not None:
-                    message.reply_to.put(message.reply(stopped=True))
-                break
-            self._handle(message)
+    def _serve_record_op(self, message: Message) -> float:
+        """The flat charge of a replica or record operation (one in-memory
+        record access) on the virtual clock; returns the finish time."""
+        return self._serve(
+            message.arrival_vtime, self.config.network.memory_record_ms
+        )
 
+    def _ship_replica(self, dest: int, home_id: int, replica, finish: float) -> None:
+        """Hand ``replica`` (of ``home_id``) to ``dest`` to host, one-way."""
+        self.transport.send(
+            dest,
+            Message(
+                kind=MessageKind.HOST_REPLICA,
+                sender=self.node_id,
+                payload={"home_id": home_id, "replica": replica},
+                arrival_vtime=finish,
+            ),
+        )
+
+    # ------------------------------------------------------------------
+    # Dispatch
+    # ------------------------------------------------------------------
     def _handle(self, message: Message) -> None:
-        handler = {
-            MessageKind.PROBE_LRU: self._on_probe_lru,
-            MessageKind.PROBE_LOCAL: self._on_probe_local,
-            MessageKind.PROBE_SEGMENT: self._on_probe_segment,
-            MessageKind.COPY_REPLICA_TO: self._on_copy_replica_to,
-            MessageKind.SEND_LOCAL_TO: self._on_send_local_to,
-            MessageKind.EXCHANGE_REPLICA: self._on_exchange_replica,
-            MessageKind.VERIFY: self._on_verify,
-            MessageKind.VERIFY_BATCH: self._on_verify_batch,
-            MessageKind.MUTATE_BATCH: self._on_mutate_batch,
-            MessageKind.INSERT: self._on_insert,
-            MessageKind.HOST_REPLICA: self._on_host_replica,
-            MessageKind.DROP_REPLICA: self._on_drop_replica,
-            MessageKind.REPLACE_REPLICA: self._on_replace_replica,
-            MessageKind.PUBLISH: self._on_publish,
-            MessageKind.RECORD_LRU: self._on_record_lru,
-            MessageKind.PING: self._on_ping,
-        }.get(message.kind)
+        handler = self._handlers.get(message.kind)
         if handler is None:
             reply = message.reply(error=f"unknown kind {message.kind.value}")
         else:
@@ -179,49 +223,26 @@ class MDSNode(threading.Thread):
         home_id = message.payload["home_id"]
         dest = message.payload["dest"]
         drop = message.payload.get("drop", False)
-        finish = self._serve(
-            message.arrival_vtime, self.config.network.memory_record_ms
-        )
+        finish = self._serve_record_op(message)
         if drop:
             replica = self.server.drop_replica(home_id)
         else:
             replica = self.server.segment.get_replica(home_id).copy()
-        self.transport.send(
-            dest,
-            Message(
-                kind=MessageKind.HOST_REPLICA,
-                sender=self.node_id,
-                payload={"home_id": home_id, "replica": replica},
-                arrival_vtime=finish,
-            ),
-        )
+        self._ship_replica(dest, home_id, replica, finish)
         return message.reply(ok=True, finish_vtime=finish)
 
     def _on_send_local_to(self, message: Message) -> Message:
         """Ship this node's own filter as a replica to ``dest`` (one-way)."""
         dest = message.payload["dest"]
-        finish = self._serve(
-            message.arrival_vtime, self.config.network.memory_record_ms
-        )
-        replica = self.server.publish_filter()
-        self.transport.send(
-            dest,
-            Message(
-                kind=MessageKind.HOST_REPLICA,
-                sender=self.node_id,
-                payload={"home_id": self.node_id, "replica": replica},
-                arrival_vtime=finish,
-            ),
-        )
+        finish = self._serve_record_op(message)
+        self._ship_replica(dest, self.node_id, self.server.publish_filter(), finish)
         return message.reply(ok=True, finish_vtime=finish)
 
     def _on_exchange_replica(self, message: Message) -> Message:
         """HBA join: host the newcomer's filter, reply with our own."""
         home_id = message.payload["home_id"]
         replica = message.payload["replica"]
-        finish = self._serve(
-            message.arrival_vtime, self.config.network.memory_record_ms
-        )
+        finish = self._serve_record_op(message)
         if home_id in self.server.segment:
             self.server.replace_replica(home_id, replica)
         else:
@@ -334,35 +355,27 @@ class MDSNode(threading.Thread):
 
     def _on_insert(self, message: Message) -> Message:
         meta: FileMetadata = message.payload["meta"]
-        finish = self._serve(
-            message.arrival_vtime, self.config.network.memory_record_ms
-        )
+        finish = self._serve_record_op(message)
         self.server.insert_metadata(meta)
         return message.reply(ok=True, finish_vtime=finish)
 
     def _on_host_replica(self, message: Message) -> Message:
         home_id = message.payload["home_id"]
         replica = message.payload["replica"]
-        finish = self._serve(
-            message.arrival_vtime, self.config.network.memory_record_ms
-        )
+        finish = self._serve_record_op(message)
         self.server.host_replica(home_id, replica)
         return message.reply(ok=True, finish_vtime=finish)
 
     def _on_drop_replica(self, message: Message) -> Message:
         home_id = message.payload["home_id"]
-        finish = self._serve(
-            message.arrival_vtime, self.config.network.memory_record_ms
-        )
+        finish = self._serve_record_op(message)
         replica = self.server.drop_replica(home_id)
         return message.reply(ok=True, replica=replica, finish_vtime=finish)
 
     def _on_replace_replica(self, message: Message) -> Message:
         home_id = message.payload["home_id"]
         replica = message.payload["replica"]
-        finish = self._serve(
-            message.arrival_vtime, self.config.network.memory_record_ms
-        )
+        finish = self._serve_record_op(message)
         if home_id in self.server.segment:
             self.server.replace_replica(home_id, replica)
             return message.reply(ok=True, finish_vtime=finish)
@@ -370,9 +383,7 @@ class MDSNode(threading.Thread):
         return message.reply(ok=False, finish_vtime=finish)
 
     def _on_publish(self, message: Message) -> Message:
-        finish = self._serve(
-            message.arrival_vtime, self.config.network.memory_record_ms
-        )
+        finish = self._serve_record_op(message)
         return message.reply(
             replica=self.server.publish_filter(), finish_vtime=finish
         )
@@ -388,19 +399,3 @@ class MDSNode(threading.Thread):
 
     def _on_ping(self, message: Message) -> Message:
         return message.reply(alive=True, finish_vtime=message.arrival_vtime)
-
-    # ------------------------------------------------------------------
-    # Shutdown
-    # ------------------------------------------------------------------
-    def stop(self, timeout_s: float = 5.0) -> None:
-        """Ask the node to exit and join the thread."""
-        try:
-            self.transport.request(
-                self.node_id,
-                Message(kind=MessageKind.STOP, sender=-1),
-                timeout_s=timeout_s,
-            )
-        except Exception:
-            pass
-        self.join(timeout=timeout_s)
-        self.transport.deregister(self.node_id)

@@ -17,15 +17,15 @@ promoted; from then on every ship from the old primary's epoch is
 **fenced** — rejected without touching state — so a straggler shipper
 cannot scribble on the new authority.
 
-:class:`StandbyNode` wraps an endpoint in the same mailbox-thread shape
-as :class:`~repro.prototype.node.MDSNode`, so it serves either
+:class:`StandbyNode` serves an endpoint from the mailbox loop
+:class:`~repro.prototype.node.MDSNode` runs too
+(:class:`~repro.prototype.node.MailboxNode`), so it serves either
 transport unmodified.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -33,6 +33,7 @@ from repro.core import checkpoint as core_checkpoint
 from repro.core.checkpoint import CheckpointError, atomic_write_text
 from repro.core.cluster import GHBACluster
 from repro.prototype.messages import Message, MessageKind
+from repro.prototype.node import MailboxNode
 from repro.replication.cdc import entry_from_wire
 
 #: Bumped on any incompatible change to the standby checkpoint layout.
@@ -339,12 +340,11 @@ class StandbyEndpoint:
             self._fenced.inc()
 
 
-class StandbyNode(threading.Thread):
+class StandbyNode(MailboxNode):
     """A standby endpoint served from a transport mailbox.
 
-    The same shape as :class:`~repro.prototype.node.MDSNode`: register
-    on the transport, drain the mailbox, answer ``REPL_*`` (and PING /
-    STOP).  Works identically over :class:`InProcessTransport` and
+    Answers ``REPL_*`` (and PING) on the shared mailbox loop.  Works
+    identically over :class:`InProcessTransport` and
     :class:`TcpTransport` — the reply rides ``message.reply_to``.
     """
 
@@ -356,9 +356,7 @@ class StandbyNode(threading.Thread):
         metrics=None,
         checkpoint_path=None,
     ) -> None:
-        super().__init__(name=f"standby-{node_id}", daemon=True)
-        self.node_id = node_id
-        self.transport = transport
+        super().__init__(f"standby-{node_id}", node_id, transport)
         self.endpoint = (
             endpoint
             if endpoint is not None
@@ -368,16 +366,6 @@ class StandbyNode(threading.Thread):
                 checkpoint_path=checkpoint_path,
             )
         )
-        self._mailbox = transport.register(node_id)
-
-    def run(self) -> None:  # pragma: no cover - exercised via integration
-        while True:
-            message = self._mailbox.get()
-            if message.kind is MessageKind.STOP:
-                if message.reply_to is not None:
-                    message.reply_to.put(message.reply(stopped=True))
-                break
-            self._handle(message)
 
     def _handle(self, message: Message) -> None:
         endpoint = self.endpoint
@@ -398,16 +386,3 @@ class StandbyNode(threading.Thread):
             result = {"error": f"{type(exc).__name__}: {exc}"}
         if message.reply_to is not None:
             message.reply_to.put(message.reply(**result))
-
-    def stop(self, timeout_s: float = 5.0) -> None:
-        """Ask the node to exit and join the thread."""
-        try:
-            self.transport.request(
-                self.node_id,
-                Message(kind=MessageKind.STOP, sender=-1),
-                timeout_s=timeout_s,
-            )
-        except Exception:
-            pass
-        self.join(timeout=timeout_s)
-        self.transport.deregister(self.node_id)

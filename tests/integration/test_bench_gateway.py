@@ -25,7 +25,7 @@ from bench import use_checkout_sources
 
 use_checkout_sources()
 
-from bench import runner  # noqa: E402
+from bench import layers, runner  # noqa: E402
 
 SEED = 7
 #: ``python -m bench run --quick``: a fiftieth of the nominal six seconds.
@@ -48,3 +48,20 @@ def test_gateway_outspends_core_on_a_warm_hot_lookup():
     gateway = sum(v for f, v in ledger.items() if f.startswith("gateway"))
     core = sum(v for f, v in ledger.items() if f.startswith(("core.", "bloom.")))
     assert gateway > core, ledger
+
+
+def test_every_layer_target_is_defined_on_the_class_the_benchmark_names():
+    """``bench.spans.Patches.replace`` reads ``vars(owner)[attr]`` — the
+    class's *own* dict — so hoisting a wrapped method into a base class
+    (``TcpTransport.request`` overrides one) breaks the frozen benchmark,
+    and otherwise only the non-tier-1 ``bench`` job would say so."""
+    import importlib
+
+    missing = []
+    for module_name, class_name, attr, _family, _units in layers.TARGETS:
+        owner = importlib.import_module(module_name)
+        if class_name is not None:
+            owner = getattr(owner, class_name)
+        if attr not in vars(owner):
+            missing.append(f"{module_name}:{class_name}.{attr}")
+    assert not missing

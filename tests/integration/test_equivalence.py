@@ -8,6 +8,7 @@ drift between the two implementations.
 
 import pytest
 
+from repro.baselines.hba import HBACluster
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.query import QueryLevel
@@ -79,3 +80,100 @@ class TestRoutingEquivalence:
             for path in paths[::17]:
                 assert sim.query(path).home_id == placement[path]
                 assert proto.lookup(path).home_id == placement[path]
+
+
+def _sim_directory(sim):
+    return (
+        {gid: group.member_ids() for gid, group in sim.groups.items()},
+        {gid: group.idbfa.placements() for gid, group in sim.groups.items()},
+    )
+
+
+def _proto_directory(proto):
+    return (
+        {gid: list(members) for gid, members in proto.groups.items()},
+        {gid: dict(hosts) for gid, hosts in proto._placements.items()},
+    )
+
+
+class TestDirectoryEquivalence:
+    """Formation and the join are one policy (``repro.core.group``): both
+    drivers end with the same groups and the same ``{home: host}``
+    placements.  Split *mechanics* differ (the prototype keeps hosted
+    replicas and cross-copies, the simulator migrates and rebuilds), so
+    only joins that find room are compared for M > 1; with M = 1 a split
+    moves nobody and the two agree there too."""
+
+    @pytest.mark.parametrize(
+        "num_servers, max_group_size",
+        [(10, 4), (20, 7), (13, 6), (9, 2), (5, 1)],
+    )
+    def test_same_groups_and_placements_after_formation_and_join(
+        self, num_servers, max_group_size
+    ):
+        config = GHBAConfig(
+            max_group_size=max_group_size,
+            expected_files_per_mds=64,
+            lru_capacity=16,
+            lru_filter_bits=64,
+            seed=3,
+        )
+        sim = GHBACluster(num_servers, config, seed=3)
+        with PrototypeCluster(num_servers, config, scheme="ghba", seed=3) as proto:
+            assert _proto_directory(proto) == _sim_directory(sim)
+            sim.add_server()
+            proto.add_node()
+            sim.check_invariants()
+            proto.check_directory()
+            assert _proto_directory(proto) == _sim_directory(sim)
+
+    def test_join_at_group_size_one_founds_a_group_and_serves(self):
+        """M = 1: the newcomer founds its own group and fetches the whole
+        mirror (as ``GHBACluster._split_for`` documents); nothing raises
+        and every file still resolves — also from the newcomer."""
+        config = GHBAConfig(
+            max_group_size=1,
+            expected_files_per_mds=64,
+            lru_capacity=16,
+            lru_filter_bits=64,
+            seed=3,
+        )
+        with PrototypeCluster(4, config, scheme="ghba", seed=3) as proto:
+            placement = proto.populate(f"/m1/f{i}" for i in range(60))
+            newcomer = proto.add_node()["node_id"]
+            proto.check_directory()
+            assert proto.groups[proto._group_of[newcomer]] == [newcomer]
+            for path, home in list(placement.items())[::7]:
+                assert proto.lookup(path, origin_id=newcomer).home_id == home
+
+
+class TestOnePopulateRule:
+    @pytest.mark.parametrize("flavour", ["ghba", "hba", "prototype"])
+    def test_two_populate_calls_never_reuse_an_inode(self, config, flavour):
+        first = [f"/one/f{i}" for i in range(40)]
+        second = [f"/two/f{i}" for i in range(40)]
+        if flavour == "prototype":
+            with PrototypeCluster(6, config, scheme="ghba", seed=9) as proto:
+                proto.populate(first)
+                proto.populate(second)
+                servers = [node.server for node in proto.nodes.values()]
+                inodes = [r.inode for s in servers for r in s.store.records()]
+        else:
+            cluster_cls = GHBACluster if flavour == "ghba" else HBACluster
+            cluster = cluster_cls(6, config, seed=9)
+            cluster.populate(first)
+            cluster.populate(second)
+            inodes = [
+                record.inode
+                for server in cluster.servers.values()
+                for record in server.store.records()
+            ]
+        assert len(inodes) == 80
+        assert len(set(inodes)) == 80
+
+    def test_same_round_robin_homes_on_all_three(self, config):
+        paths = [f"/rr/f{i}" for i in range(50)]
+        expected = GHBACluster(6, config, seed=1).populate(paths, "round_robin")
+        assert HBACluster(6, config, seed=2).populate(paths, "round_robin") == expected
+        with PrototypeCluster(6, config, scheme="hba", seed=3) as proto:
+            assert proto.populate(paths, "round_robin") == expected

@@ -198,6 +198,26 @@ class TestNodeRemoval:
             ghba_proto.remove_node(999)
 
 
+class TestWireCounts:
+    """``messages`` is the whole operation, read once the wire is quiet:
+    transfers that nodes relay (HOST_REPLICA for COPY_REPLICA_TO /
+    SEND_LOCAL_TO) are sent from node threads and must not depend on who
+    won the race to the counter — Figure 15 is built from these numbers."""
+
+    @pytest.mark.parametrize("scheme", ["ghba", "hba"])
+    def test_reported_messages_equal_the_transport_delta(self, config, scheme):
+        # 8 nodes, M=4: both groups are full, so the G-HBA add splits
+        # (dozens of relayed transfers); the removal then migrates.
+        with PrototypeCluster(8, config, scheme=scheme, seed=2) as proto:
+            proto.populate(f"/w/f{i}" for i in range(40))
+            before = proto.transport.messages_sent
+            report = proto.add_node()
+            after_add = proto.transport.messages_sent
+            assert report["messages"] == after_add - before
+            report = proto.remove_node(proto.node_ids()[0])
+            assert report["messages"] == proto.transport.messages_sent - after_add
+
+
 class TestShutdown:
     def test_context_manager_stops_threads(self, config):
         with PrototypeCluster(4, config, scheme="ghba") as proto:

@@ -10,6 +10,7 @@ from repro.metadata.attributes import FileMetadata
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.node import MDSNode
 from repro.prototype.transport import InProcessTransport, TransportClosed
+from repro.replication.standby import StandbyNode
 
 
 @pytest.fixture
@@ -178,3 +179,40 @@ class TestNode:
             0, Message(kind=MessageKind.REPLY, sender=-1)
         )
         assert "error" in reply.payload
+
+
+class TestSharedMailboxLoop:
+    """``MDSNode`` and ``StandbyNode`` run one loop
+    (:class:`~repro.prototype.node.MailboxNode`): each answers its own
+    kinds, ends on STOP, and STOP stays off the wire totals."""
+
+    @pytest.mark.parametrize("kind", ["mds", "standby"])
+    @pytest.mark.parametrize("wire", ["inproc", "tcp"])
+    def test_serves_and_stops_cleanly(self, config, kind, wire):
+        if wire == "tcp":
+            from repro.net.tcp import PortMap, TcpTransport
+
+            transport = TcpTransport(PortMap.reserve([7]), default_timeout_s=5.0)
+        else:
+            transport = InProcessTransport(default_timeout_s=5.0)
+        try:
+            if kind == "mds":
+                node = MDSNode(7, config, transport)
+            else:
+                node = StandbyNode(7, transport)
+            node.start()
+            pong = transport.request(
+                7, Message(kind=MessageKind.PING, sender=-1), timeout_s=5.0
+            )
+            assert pong.payload["alive"] is True
+            sent = transport.messages_sent
+            node.stop(timeout_s=5.0)
+            assert not node.is_alive()
+            assert transport.messages_sent == sent
+            with pytest.raises((TransportClosed, TimeoutError)):
+                transport.request(
+                    7, Message(kind=MessageKind.PING, sender=-1), timeout_s=0.2
+                )
+        finally:
+            if wire == "tcp":
+                transport.close()
