@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.metadata.attributes import FileMetadata
+from repro.metadata.namespace import is_under
 
 
 def _path_hash(path: str, seed: int = 0) -> int:
@@ -107,11 +108,7 @@ class HashMetadataCluster:
             return MigrationReport()
         report = MigrationReport()
         for server_index, store in enumerate(self._stores):
-            victims = [
-                path
-                for path in store
-                if path == old_prefix or path.startswith(old_prefix + "/")
-            ]
+            victims = [path for path in store if is_under(path, old_prefix)]
             for path in victims:
                 meta = store.pop(path)
                 new_path = new_prefix + path[len(old_prefix):]

@@ -493,7 +493,12 @@ class LRUBloomFilterArray:
         return self._entries.get(item)
 
     def size_bytes(self) -> int:
-        return sum(bloom.size_bytes() for bloom in self._filters.values())
+        """Footprint of the per-home filters, at O(1): :meth:`_filter_for`
+        builds every one of them with one geometry and counter width."""
+        filters = self._filters
+        if not filters:
+            return 0
+        return len(filters) * next(iter(filters.values())).size_bytes()
 
     def __repr__(self) -> str:
         return (

@@ -670,27 +670,16 @@ class GHBACluster:
             raise ValueError("prefixes must be absolute paths")
         if old_prefix == new_prefix:
             return 0
-        server = self.servers[server_id]
-        victims = [
-            path
-            for path in server.store.paths()
-            if path == old_prefix or path.startswith(old_prefix + "/")
-        ]
-        for path in victims:
-            meta = server.store.get(path)
-            server.store.remove(path)
-            new_meta = meta.renamed(new_prefix + path[len(old_prefix):])
-            server.store.put(new_meta)
-            server.local_filter.add(new_meta.path)
-            # Both names mutated: the old path vanished, the new one
-            # appeared — a buffered mutation based on either is stale.
-            self._bump_path_version(path)
-            self._bump_path_version(new_meta.path)
-        if victims:
-            server._refresh_memory_accounting()
+        rekeyed = self.servers[server_id].rekey_subtree(old_prefix, new_prefix)
+        if rekeyed:
+            for path, new_path in rekeyed:
+                # Both names mutated: the old path vanished, the new one
+                # appeared — a buffered mutation based on either is stale.
+                self._bump_path_version(path)
+                self._bump_path_version(new_path)
             # Stale LRU entries for the old names drop at every origin.
             for other in self.servers.values():
-                for path in victims:
+                for path, _ in rekeyed:
                     other.lru.invalidate(path)
             if self._change_listeners:
                 self._emit_change(
@@ -701,7 +690,7 @@ class GHBACluster:
                         new_path=new_prefix,
                     )
                 )
-        return len(victims)
+        return len(rekeyed)
 
     # ------------------------------------------------------------------
     # The four-level query critical path (Section 2.3)
@@ -1578,6 +1567,13 @@ class GHBACluster:
             raise GroupError(
                 f"ungrouped servers: {sorted(all_ids - seen)}"
             )
+        for server_id, server in self.servers.items():
+            stored = sum(meta.size_bytes() for meta in server.store.records())
+            if server._metadata_bytes != stored:
+                raise GroupError(
+                    f"MDS {server_id} accounts {server._metadata_bytes} "
+                    f"metadata bytes, its store holds {stored}"
+                )
 
     def replicas_per_server(self) -> Dict[int, int]:
         """theta of every server — Table 5's memory driver."""

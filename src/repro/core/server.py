@@ -20,7 +20,7 @@ needs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -134,14 +134,29 @@ class MetadataServer:
     # Memory accounting
     # ------------------------------------------------------------------
     def _refresh_memory_accounting(self) -> None:
+        """Re-read all four footprints: what a replica or filter change,
+        a bulk load and a restore call."""
         self.memory.set_consumer(
             CONSUMER_LOCAL_FILTER, self.local_filter.size_bytes(), PRIORITY_PINNED
         )
         self.memory.set_consumer(
-            CONSUMER_LRU, self.lru.size_bytes(), PRIORITY_PINNED
-        )
-        self.memory.set_consumer(
             CONSUMER_REPLICAS, self.segment.size_bytes(), PRIORITY_REPLICAS
+        )
+        self._refresh_record_accounting()
+
+    def _refresh_record_accounting(self) -> None:
+        """The O(1) refresh of one insert, delete or re-key.
+
+        Only the metadata footprint moved (the local filter and the
+        segment change under a full refresh, nowhere else).  The L1
+        array's is re-read too: it grows on the *query* path, and the next
+        mutation is what has always carried that growth into the memory
+        model (DESIGN.md §17).  Either ``set_consumer`` drops the
+        residency dict, so the ``*_cached`` identity tokens below re-derive
+        exactly as after a full refresh.
+        """
+        self.memory.set_consumer(
+            CONSUMER_LRU, self.lru.size_bytes(), PRIORITY_PINNED
         )
         self.memory.set_consumer(
             CONSUMER_METADATA, self._metadata_bytes, PRIORITY_METADATA
@@ -185,7 +200,7 @@ class MetadataServer:
             self._metadata_bytes += meta.size_bytes()
         self.store.put(meta)
         self.local_filter.add(meta.path)
-        self._refresh_memory_accounting()
+        self._refresh_record_accounting()
 
     def insert_many(self, records: List[FileMetadata]) -> None:
         """Bulk insert; single memory-accounting refresh at the end."""
@@ -208,8 +223,40 @@ class MetadataServer:
         if removed:
             if meta is not None:
                 self._metadata_bytes -= meta.size_bytes()
-            self._refresh_memory_accounting()
+            self._refresh_record_accounting()
         return removed
+
+    def rekey_subtree(
+        self, old_prefix: str, new_prefix: str
+    ) -> List[Tuple[str, str]]:
+        """Re-key every record at or under ``old_prefix`` to the same
+        place under ``new_prefix``; returns the ``(old, new)`` names.
+
+        The home half of a rename: records stay on this server, the new
+        names join the local filter (the old names' bits linger until the
+        next rebuild) and the byte accounting follows the names, because a
+        record's size includes its path.  Victims come from the store's
+        path index and are re-keyed in sorted order (DESIGN.md §17 names
+        where that order can be observed).
+        """
+        store = self.store
+        skip = len(old_prefix)
+        rekeyed = []
+        for path in store.paths_under(old_prefix):
+            meta = store.get(path)
+            store.remove(path)
+            renamed = meta.renamed(new_prefix + path[skip:])
+            self._metadata_bytes -= meta.size_bytes()
+            # As in insert_metadata: a record overwritten under the new
+            # name hands its bytes to the one replacing it.
+            if renamed.path not in store:
+                self._metadata_bytes += renamed.size_bytes()
+            store.put(renamed)
+            self.local_filter.add(renamed.path)
+            rekeyed.append((path, renamed.path))
+        if rekeyed:
+            self._refresh_record_accounting()
+        return rekeyed
 
     # ------------------------------------------------------------------
     # At-most-once MUTATE_BATCH record

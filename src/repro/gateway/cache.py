@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.metadata.attributes import FileMetadata
+from repro.metadata.namespace import is_under
 
 
 @dataclass
@@ -352,11 +353,7 @@ class GatewayCache:
         forget every cached lease under ``/a`` — each one names a path
         that no longer exists (and whose record content is stale).
         """
-        victims = [
-            path
-            for path in self._entries
-            if path == prefix or path.startswith(prefix + "/")
-        ]
+        victims = [path for path in self._entries if is_under(path, prefix)]
         return self._drop(victims, cause)
 
     def invalidate_home(self, server_id: int, cause: str = "server_lost") -> int:

@@ -26,6 +26,7 @@ from repro.gateway.scenario import (
     replay,
 )
 from repro.gateway.staleness import StalenessAuditor, matches_fleet
+from repro.metadata.namespace import is_under
 from repro.obs.report import gateway_hotspot_report
 from repro.sim.stats import percentile
 from repro.traces.records import MetadataOp
@@ -319,11 +320,7 @@ class _AckOracle:
         self.client.rename(record.path, record.new_path, now)
         # Mirror ``rename_subtree`` boundary semantics on the oracle set.
         old, new = record.path, record.new_path
-        victims = [
-            path
-            for path in self.oracle
-            if path == old or path.startswith(old + "/")
-        ]
+        victims = [path for path in self.oracle if is_under(path, old)]
         for path in victims:
             self.oracle.discard(path)
             self.oracle.add(new + path[len(old):])

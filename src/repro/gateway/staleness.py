@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.gateway.backend import MetadataBackend
 from repro.gateway.client import GatewayResponse, Outcome
+from repro.metadata.namespace import is_under
 from repro.sim.stats import percentile
 
 
@@ -45,10 +46,7 @@ class MutationStamp:
 
     def invalidates(self, path: str) -> bool:
         if self.op == "rename":
-            for prefix in (self.path, self.new_path):
-                if path == prefix or path.startswith(prefix + "/"):
-                    return True
-            return False
+            return is_under(path, self.path) or is_under(path, self.new_path)
         return path == self.path
 
 

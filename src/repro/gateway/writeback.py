@@ -38,6 +38,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.cluster import MutationOutcome, PathMutation
 from repro.metadata.attributes import FileMetadata
+from repro.metadata.namespace import is_under
 
 #: Ack listener signature: (mutation, outcome) at flush-ack time, or
 #: (mutation, None) when the mutation is declared lost at a barrier.
@@ -214,11 +215,7 @@ class MutationBuffer:
     def paths_under(self, prefix: str) -> List[str]:
         """Pending paths at or under ``prefix`` (boundary-aware: ``/a/b``
         matches ``/a/b`` and ``/a/b/c`` but never ``/a/bc``)."""
-        return [
-            path
-            for path in self._by_path
-            if path == prefix or path.startswith(prefix + "/")
-        ]
+        return [path for path in self._by_path if is_under(path, prefix)]
 
     # ------------------------------------------------------------------
     # Drain

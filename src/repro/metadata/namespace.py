@@ -9,7 +9,7 @@ truth from which MDS-local Bloom filters are built in tests and examples.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
 from repro.metadata.attributes import FileKind, FileMetadata
 
@@ -70,6 +70,25 @@ def ancestor_paths(path: str) -> List[str]:
     for i in range(1, len(parts)):
         ancestors.append("/" + "/".join(parts[:i]))
     return ancestors
+
+
+def is_under(path: str, prefix: str) -> bool:
+    """Is ``path`` the subtree root ``prefix`` itself or anything below it?
+
+    The one prefix predicate of renames, subtree invalidation and audits:
+    ``/a/b`` is under ``/a``; the siblings ``/ab`` and ``/a.mv`` are not.
+    """
+    return path == prefix or path.startswith(prefix + "/")
+
+
+def subtree_bounds(prefix: str) -> Tuple[str, str]:
+    """The half-open key range ``[low, high)`` holding exactly the paths
+    strictly below ``prefix`` — :func:`is_under` minus ``prefix`` itself.
+
+    ``"0"`` is the code point after ``"/"`` and strings order by code
+    point, so a sorted path index answers a subtree with two bisections.
+    """
+    return prefix + "/", prefix + "0"
 
 
 class _Node:

@@ -14,11 +14,13 @@ tier.  Access promotes records back into memory, evicting the LRU record.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.metadata.attributes import FileMetadata
+from repro.metadata.namespace import subtree_bounds
 
 
 class StoreAccess(enum.Enum):
@@ -72,6 +74,11 @@ class MetadataStore:
         self._memory: "OrderedDict[str, FileMetadata]" = OrderedDict()
         self._disk: Dict[str, FileMetadata] = {}
         self._memory_bytes = 0
+        #: Every stored path of both tiers, sorted, so a subtree is a key
+        #: range (:meth:`paths_under`).  Built by the first subtree query
+        #: and maintained by put / remove from then on: a store that is
+        #: never asked for a subtree never pays for it.
+        self._index: Optional[List[str]] = None
         self.stats = StoreStats()
 
     # ------------------------------------------------------------------
@@ -131,6 +138,8 @@ class MetadataStore:
         """Insert or overwrite the record for ``meta.path``."""
         self.remove(meta.path, missing_ok=True)
         self._admit(meta)
+        if self._index is not None:
+            insort(self._index, meta.path)
         self.stats.inserts += 1
 
     def get(self, path: str) -> Optional[FileMetadata]:
@@ -164,14 +173,14 @@ class MetadataStore:
         meta = self._memory.pop(path, None)
         if meta is not None:
             self._memory_bytes -= meta.size_bytes()
-            self.stats.removals += 1
-            return True
-        if self._disk.pop(path, None) is not None:
-            self.stats.removals += 1
-            return True
-        if not missing_ok:
-            raise KeyError(path)
-        return False
+        elif self._disk.pop(path, None) is None:
+            if not missing_ok:
+                raise KeyError(path)
+            return False
+        if self._index is not None:
+            del self._index[bisect_left(self._index, path)]
+        self.stats.removals += 1
+        return True
 
     def paths(self) -> Iterator[str]:
         """Yield every stored path (memory tier first)."""
@@ -182,10 +191,28 @@ class MetadataStore:
         yield from self._memory.values()
         yield from self._disk.values()
 
+    def paths_under(self, prefix: str) -> List[str]:
+        """Stored paths equal to ``prefix`` or below it, in sorted order.
+
+        Two bisections of the sorted path index instead of a scan of the
+        store: the cost is the size of the answer, not of the store.
+        """
+        index = self._index
+        if index is None:
+            index = self._index = sorted(self.paths())
+        low, high = subtree_bounds(prefix)
+        start = bisect_left(index, low)
+        under = index[start:bisect_left(index, high, start)]
+        if prefix in self:
+            # ``prefix`` sorts before ``prefix + "/"``: still sorted.
+            under.insert(0, prefix)
+        return under
+
     def clear(self) -> None:
         self._memory.clear()
         self._disk.clear()
         self._memory_bytes = 0
+        self._index = None
 
     def __repr__(self) -> str:
         return (

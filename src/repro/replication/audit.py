@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 from repro.core.cluster import GHBACluster
+from repro.metadata.namespace import is_under
 from repro.replication.cdc import CapturedChange
 
 #: Oracle state: path -> (home_id, inode).
@@ -54,8 +55,7 @@ def replay(state: State, entries: Iterable[CapturedChange]) -> State:
             victims = [
                 path
                 for path, (home, _inode) in result.items()
-                if home == entry.home_id
-                and (path == old or path.startswith(old + "/"))
+                if home == entry.home_id and is_under(path, old)
             ]
             for path in victims:
                 home, inode = result.pop(path)

@@ -36,6 +36,7 @@ from repro.faults.plan import FaultPlan
 from repro.gateway.client import MetadataClient, Outcome
 from repro.gateway.scenario import build_fleet, run_metadata
 from repro.metadata.attributes import FileMetadata
+from repro.metadata.namespace import is_under
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import replication_report
 from repro.obs.slo import SLOEngine, replication_objectives
@@ -77,9 +78,7 @@ def _apply_to_oracle(
     elif op == "delete":
         oracle.pop(path, None)
     else:  # rename: cluster-wide re-prefix (every home re-keys its own)
-        victims = [
-            p for p in oracle if p == path or p.startswith(path + "/")
-        ]
+        victims = [p for p in oracle if is_under(p, path)]
         for p in victims:
             oracle[new_path + p[len(path):]] = oracle.pop(p)
 

@@ -13,7 +13,6 @@ either.
 """
 
 import os
-import sys
 
 import pytest
 
@@ -24,29 +23,15 @@ from repro.gateway import GatewayConfig, MetadataClient
 from repro.gateway.cache import GatewayCache
 from repro.metadata.attributes import FileMetadata
 
+from tests._linecount import lines_executed
+
 CAPACITIES = (64, 16_384)
 GATEWAY_DIR = os.path.dirname(repro.gateway.__file__)
 
 
 def _gateway_lines(call):
     """Source lines ``call()`` executes in ``repro/gateway/``."""
-    lines = 0
-
-    def tracer(frame, event, arg):
-        nonlocal lines
-        if not frame.f_code.co_filename.startswith(GATEWAY_DIR):
-            return None
-        if event == "line":
-            lines += 1
-        return tracer
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        call()
-    finally:
-        sys.settrace(previous)
-    return lines
+    return lines_executed(call, GATEWAY_DIR)
 
 
 def _all_pinned(cache):

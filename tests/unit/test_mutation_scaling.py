@@ -1,0 +1,208 @@
+"""A mutation costs what it touches, not what the fleet holds.
+
+Counted, not timed (the pattern of ``test_gateway_scaling.py``): under
+``sys.settrace`` the number of source lines executed inside
+``repro/core``, ``repro/metadata`` and ``repro/bloom`` by
+
+- one ``rename_subtree`` of a 12-file directory must be *equal* with
+  2 000 and with 64 000 files in the fleet (the parent walked every
+  stored path on every server per rename: ``for path in
+  server.store.paths()``), and
+- one ``insert_file`` and one ``delete_file`` must be *equal* with 2 and
+  with 29 per-home filters in the home's L1 array (the parent re-summed
+  every filter's size on each: ``sum(bloom.size_bytes() for …)``).
+
+Lines are the unit because the C-level work left on the path is a
+handful of calls whatever the store holds: two ``bisect`` searches and a
+slice per store, one ``insort`` / ``del`` on the index per re-keyed
+record (a pointer ``memmove``), ``dict`` operations.  The renames are
+measured warm: the first subtree query of a store sorts its paths once
+(lazily, so a fleet that never renames never does) and the first hash of
+a name is memoised, and neither one-off is the steady state.
+
+An AST guard closes the door behind it: nothing reachable from the
+mutation entry points may iterate ``store.paths()`` / ``store.records()``
+except the index's own lazy build.
+"""
+
+import ast
+import inspect
+import os
+import sys
+
+import repro.bloom
+import repro.core
+import repro.metadata
+from repro.bloom.arrays import LRUBloomFilterArray
+from repro.core.cluster import GHBACluster
+from repro.core.config import GHBAConfig
+from repro.core.server import MetadataServer
+from repro.metadata.attributes import FileMetadata
+from repro.metadata.store import MetadataStore
+
+from tests._linecount import lines_executed
+
+COUNTED_DIRS = tuple(
+    os.path.dirname(package.__file__)
+    for package in (repro.core, repro.metadata, repro.bloom)
+)
+SERVERS = 8
+
+
+def _lines(call):
+    """Source lines ``call()`` executes in the three counted packages."""
+    return lines_executed(call, COUNTED_DIRS)
+
+
+def _fleet(files):
+    cluster = GHBACluster(
+        SERVERS,
+        GHBAConfig(
+            max_group_size=4,
+            expected_files_per_mds=256,
+            lru_capacity=64,
+            lru_filter_bits=1 << 8,
+            lru_num_hashes=3,
+            seed=3,
+        ),
+        seed=3,
+    )
+    cluster.populate(f"/bulk/d{i % 97}/f{i}" for i in range(files))
+    return cluster
+
+
+def test_rename_cost_is_independent_of_fleet_size():
+    counts = []
+    for files in (2_000, 64_000):
+        cluster = _fleet(files)
+        # The renamed directory: 12 files on the same homes at both sizes,
+        # beside a sibling the range must not swallow.
+        for index in range(12):
+            cluster.insert_file(
+                FileMetadata(path=f"/hot/dir/f{index}", inode=index),
+                home_id=index % SERVERS,
+            )
+        cluster.insert_file(FileMetadata(path="/hot/dir.mv", inode=99), home_id=0)
+        # There and back once: every store's index is built and both sets
+        # of names are in the Bloom layer's hash memo, as in steady state.
+        assert cluster.rename_subtree("/hot/dir", "/hot/dir.moved") == 12
+        assert cluster.rename_subtree("/hot/dir.moved", "/hot/dir") == 12
+        renamed = []
+        counts.append(
+            _lines(
+                lambda: renamed.append(
+                    cluster.rename_subtree("/hot/dir", "/hot/dir.moved")
+                )
+            )
+        )
+        assert renamed == [12]
+        assert cluster.home_of("/hot/dir.moved/f5") == 5
+        assert cluster.home_of("/hot/dir.mv") == 0
+        cluster.check_invariants()
+    assert counts[0] == counts[1] > 0
+
+
+def test_insert_and_delete_cost_is_independent_of_l1_filter_count():
+    inserts, deletes = [], []
+    for homes in (2, 29):
+        cluster = GHBACluster(
+            30,
+            GHBAConfig(
+                max_group_size=6,
+                expected_files_per_mds=64,
+                lru_capacity=256,
+                lru_filter_bits=1 << 8,
+                lru_num_hashes=3,
+                seed=3,
+            ),
+            seed=3,
+        )
+        home = cluster.servers[4]
+        for other in [sid for sid in cluster.server_ids() if sid != 4][:homes]:
+            home.record_lru(f"/seen/at{other}", other)
+        assert home.lru.num_filters == homes
+        meta = FileMetadata(path="/new/file", inode=1)
+        # Once unmeasured: the first hash of a name is memoised process-wide.
+        cluster.insert_file(meta, home_id=4)
+        cluster.delete_file("/new/file")
+        inserts.append(_lines(lambda: cluster.insert_file(meta, home_id=4)))
+        deletes.append(_lines(lambda: cluster.delete_file("/new/file")))
+        assert cluster.home_of("/new/file") is None
+        assert home.memory.consumer_bytes("lru_array") == home.lru.size_bytes()
+        cluster.check_invariants()
+    assert inserts[0] == inserts[1] > 0
+    assert deletes[0] == deletes[1] > 0
+
+
+# ----------------------------------------------------------------------
+# AST guard
+# ----------------------------------------------------------------------
+CLASSES = (GHBACluster, MetadataServer, MetadataStore, LRUBloomFilterArray)
+ENTRY_POINTS = (
+    "insert_file", "delete_file", "rename_subtree", "rename_subtree_at",
+    "_commit_create", "_commit_delete",
+)
+SCANS = {"paths", "records"}
+#: The index's own lazy build is the one sanctioned walk of a store.
+SANCTIONED = {("MetadataStore", "paths_under")}
+
+
+def _methods():
+    """``{(class, method): FunctionDef}`` of the four classes a mutation
+    can run through."""
+    out = {}
+    for cls in CLASSES:
+        tree = ast.parse(inspect.getsource(sys.modules[cls.__module__]))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name == cls.__name__:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        out[(cls.__name__, item.name)] = item
+    return out
+
+
+def _called_names(function):
+    """``(receiver_is_self, attribute)`` of every ``x.attr(...)`` call."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value
+            yield (
+                isinstance(receiver, ast.Name) and receiver.id == "self",
+                node.func.attr,
+            )
+
+
+def test_nothing_reachable_from_a_mutation_walks_a_store():
+    """Name-based reachability (an over-approximation: ``x.m()`` reaches
+    ``m`` of *every* other class that defines it, ``self.m()`` the own
+    class's) from the mutation entry points finds no ``.paths()`` /
+    ``.records()`` call outside the sanctioned lazy build."""
+    methods = _methods()
+    frontier = [("GHBACluster", name) for name in ENTRY_POINTS]
+    assert all(key in methods for key in frontier)
+    reached = set()
+    while frontier:
+        key = frontier.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        for on_self, name in _called_names(methods[key]):
+            for other in methods:
+                if other[1] == name and (other[0] == key[0]) == on_self:
+                    frontier.append(other)
+    # The walk got somewhere: through the server into the store and L1.
+    for expected in (
+        ("MetadataServer", "rekey_subtree"),
+        ("MetadataServer", "remove_metadata"),
+        ("MetadataStore", "paths_under"),
+        ("MetadataStore", "put"),
+        ("LRUBloomFilterArray", "invalidate"),
+        ("LRUBloomFilterArray", "size_bytes"),
+    ):
+        assert expected in reached, expected
+    walkers = {
+        key
+        for key in reached
+        if any(name in SCANS for _, name in _called_names(methods[key]))
+    }
+    assert walkers == SANCTIONED, sorted(walkers - SANCTIONED)

@@ -10,8 +10,10 @@ from repro.metadata.namespace import (
     NotADirectory,
     PathNotFound,
     ancestor_paths,
+    is_under,
     normalize_path,
     path_components,
+    subtree_bounds,
 )
 
 
@@ -35,6 +37,17 @@ class TestPathHelpers:
     def test_ancestors(self):
         assert ancestor_paths("/a/b/c") == ["/", "/a", "/a/b"]
         assert ancestor_paths("/top") == ["/"]
+
+    def test_is_under_respects_the_component_boundary(self):
+        assert is_under("/a/b", "/a/b") and is_under("/a/b/c", "/a/b")
+        for sibling in ("/a/bc", "/a/b.mv", "/a/b0", "/a", "/a/b-/c"):
+            assert not is_under(sibling, "/a/b")
+
+    def test_subtree_bounds_bracket_exactly_the_descendants(self):
+        low, high = subtree_bounds("/a/b")
+        assert low <= "/a/b/" < "/a/b/c" < "/a/b/\U0010ffff" < high
+        for outside in ("/a/b", "/a/b.mv", "/a/b-", "/a/b0", "/a/c"):
+            assert not low <= outside < high
 
 
 class TestCreation:

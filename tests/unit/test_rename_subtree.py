@@ -71,3 +71,90 @@ class TestRenameSubtree:
         cluster, _ = populated_cluster
         cluster.rename_subtree("/fs/dir5", "/fs/dir5_new")
         cluster.check_invariants()
+
+
+def _meta(path, inode=1):
+    from repro.metadata.attributes import FileMetadata
+
+    return FileMetadata(path=path, inode=inode)
+
+
+class TestRenameByteAccounting:
+    """A record's size includes its path, so a rename moves the home's
+    metadata footprint (ISSUE 16: the re-key used to skip the accounting
+    and a later delete drove the footprint below zero)."""
+
+    def test_rename_to_longer_name_then_delete_all(self, small_cluster):
+        cluster = small_cluster
+        for index in range(20):
+            cluster.insert_file(_meta(f"/a/f{index}", index))
+        assert cluster.rename_subtree("/a", "/a_much_longer_directory_name") == 20
+        cluster.check_invariants()
+        for index in range(20):
+            # Raised "bytes_used must be non-negative" before the fix.
+            assert cluster.delete_file(
+                f"/a_much_longer_directory_name/f{index}"
+            ) is not None
+        assert all(s._metadata_bytes == 0 for s in cluster.servers.values())
+        cluster.check_invariants()
+
+    def test_footprint_follows_the_names(self, small_cluster):
+        cluster = small_cluster
+        server = cluster.servers[0]
+        cluster.insert_file(_meta("/dir/a"), home_id=0)
+        cluster.insert_file(_meta("/dir/b"), home_id=0)
+        before = server.memory.consumer_bytes("metadata")
+        cluster.rename_subtree("/dir", "/dir.mv")
+        assert server.memory.consumer_bytes("metadata") == before + 2 * 3
+        cluster.rename_subtree("/dir.mv", "/d")
+        assert server.memory.consumer_bytes("metadata") == before - 2 * 2
+
+    def test_overwritten_record_releases_its_bytes(self, small_cluster):
+        cluster = small_cluster
+        server = cluster.servers[0]
+        cluster.insert_file(_meta("/old/f", 1), home_id=0)
+        cluster.insert_file(_meta("/new/f", 2), home_id=0)
+        assert cluster.rename_subtree("/old", "/new") == 1
+        assert server.file_count == 1
+        assert server.store.get("/new/f").inode == 1
+        assert server._metadata_bytes == _meta("/new/f").size_bytes()
+        cluster.check_invariants()
+
+    def test_invariant_catches_a_drifted_count(self, small_cluster):
+        from repro.core.group import GroupError
+
+        small_cluster.insert_file(_meta("/x"), home_id=0)
+        small_cluster.servers[0]._metadata_bytes += 3
+        with pytest.raises(GroupError, match="metadata bytes"):
+            small_cluster.check_invariants()
+
+
+class TestRekeyOrder:
+    """Victims are re-keyed in sorted path order, whatever the store's
+    recency order was (DESIGN.md "What a mutation touches")."""
+
+    def test_renamed_records_land_at_the_mru_end_sorted(self, small_cluster):
+        cluster = small_cluster
+        for name in ("c", "a", "b"):
+            cluster.insert_file(_meta(f"/d/{name}"), home_id=0)
+        cluster.insert_file(_meta("/keep"), home_id=0)
+        cluster.servers[0].store.get("/d/a")  # recency: c, b, keep, a
+        cluster.rename_subtree("/d", "/e")
+        assert list(cluster.servers[0].store.paths()) == [
+            "/keep", "/e/a", "/e/b", "/e/c",
+        ]
+
+    def test_rename_into_own_subtree_is_decided_by_that_order(self, small_cluster):
+        """``/a → /a/b`` has victims that are also targets; sorted order
+        reaches ``/a/b/x`` (moved out of the way to ``/a/b/b/x``) before
+        ``/a/x`` takes its name, so nothing is overwritten here — and
+        ``/a/a`` before ``/a/b/a``, which is."""
+        cluster = small_cluster
+        for inode, path in enumerate(("/a/x", "/a/b/x", "/a/a", "/a/b/a")):
+            cluster.insert_file(_meta(path, inode), home_id=0)
+        assert cluster.rename_subtree("/a", "/a/b") == 4
+        store = cluster.servers[0].store
+        assert {m.path: m.inode for m in store.records()} == {
+            "/a/b/x": 0, "/a/b/b/x": 1, "/a/b/b/a": 2,
+        }
+        cluster.check_invariants()

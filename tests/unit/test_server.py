@@ -71,6 +71,25 @@ class TestHomeMetadata:
         server.insert_metadata(meta("/f"))
         assert server.memory.consumer_bytes(CONSUMER_METADATA) == bytes_before
 
+    def test_record_mutations_carry_l1_growth_into_the_memory_model(self, server):
+        """The L1 array grows on the query path; the next insert or delete
+        is what re-reads its footprint (ISSUE 16 kept that when it stopped
+        re-reading the two footprints a record mutation cannot move)."""
+        for home_id in range(3):
+            server.record_lru(f"/seen/{home_id}", home_id)
+        assert server.memory.consumer_bytes("lru_array") == 0
+        token = server.memory._residency()
+        server.insert_metadata(meta("/f"))
+        assert server.memory.consumer_bytes("lru_array") == server.lru.size_bytes() > 0
+        assert server.lru.size_bytes() == sum(
+            bloom.size_bytes() for bloom in server.lru._filters.values()
+        )
+        # A fresh residency dict: the *_cached latency memos re-derive.
+        assert server.memory._residency() is not token
+        token = server.memory._residency()
+        server.remove_metadata("/f")
+        assert server.memory._residency() is not token
+
 
 class TestReplicaHosting:
     def test_host_and_drop(self, server, config):
