@@ -20,8 +20,9 @@ from repro.core import checkpoint
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.failure import HeartbeatMonitor
-from repro.core.metrics import format_summary, summarize
+from repro.core.metrics import summarize
 from repro.metadata.attributes import FileMetadata
+from repro.obs.report import render_summary
 from repro.sim.engine import Simulator
 
 
@@ -48,7 +49,7 @@ def main() -> None:
     for path in list(placement)[:400]:
         cluster.query(path)
     print("\n-- health summary --")
-    print(format_summary(summarize(cluster)))
+    print(render_summary(summarize(cluster)))
 
     # Heartbeat-detected crash, degraded service, then recovery.
     print("\n-- crash, detect, recover --")

@@ -22,7 +22,7 @@ from repro.core.group import Group
 from repro.core.cluster import GHBACluster
 from repro.core.failure import FailureEvent, HeartbeatMonitor
 from repro.core import checkpoint
-from repro.core.metrics import ClusterSummary, format_summary, summarize
+from repro.core.metrics import ClusterSummary, summarize
 from repro.core.optimal import (
     HitRates,
     OptimalityModel,
@@ -41,7 +41,6 @@ __all__ = [
     "HeartbeatMonitor",
     "checkpoint",
     "ClusterSummary",
-    "format_summary",
     "summarize",
     "HitRates",
     "OptimalityModel",

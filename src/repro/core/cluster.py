@@ -24,14 +24,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bloom.compressed import transfer_cost_report
 from repro.core.config import GHBAConfig
-from repro.core.group import (
-    Group,
-    GroupError,
-    balanced_groups,
-    group_with_room,
-    merge_pair,
-    split_victim,
-)
+from repro.core import reconfiguration
+from repro.core.group import Group, GroupError
 from repro.core.query import QueryLevel, QueryResult
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.core.server import (
@@ -446,23 +440,12 @@ class GHBACluster:
         return group
 
     def _bootstrap(self, num_servers: int) -> None:
-        """Create servers, pack them into balanced groups
-        (:func:`~repro.core.group.balanced_groups`), install replicas."""
+        """Create servers and carry out the formation plan: balanced
+        groups, each holding one replica of every outside server."""
         for _ in range(num_servers):
             self._new_server()
-        server_ids = sorted(self.servers)
-        for members in balanced_groups(server_ids, self.config.max_group_size):
-            group = self._new_group()
-            for server_id in members:
-                group.idbfa.add_member(server_id)
-                group.adopt_member(self.servers[server_id])
-                self._group_of[server_id] = group.group_id
-        for group in self.groups.values():
-            for server_id in server_ids:
-                if server_id in group:
-                    continue
-                replica = self.servers[server_id].publish_filter()
-                group.install_replica(server_id, replica)
+        plan = reconfiguration.form(self.servers, self.config.max_group_size)
+        self._carry_out(plan, server_id=-1)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1295,152 +1278,97 @@ class GHBACluster:
         return replica_template
 
     # ------------------------------------------------------------------
-    # Reconfiguration (Sections 3.1-3.2)
+    # Reconfiguration (Sections 3.1-3.2) and failure handling (4.5)
     # ------------------------------------------------------------------
-    def _group_sizes(self) -> Dict[int, int]:
-        return {gid: group.size for gid, group in self.groups.items()}
+    def _directory(self) -> reconfiguration.Directory:
+        """The fleet as :mod:`repro.core.reconfiguration` sees it, read off
+        the groups' membership and IDBFA placements."""
+        return reconfiguration.Directory(
+            {gid: group.member_ids() for gid, group in self.groups.items()},
+            {gid: group.idbfa.placements() for gid, group in self.groups.items()},
+            self._next_group_id,
+        )
+
+    def _carry_out(
+        self, plan: reconfiguration.Plan, server_id: int
+    ) -> ReconfigReport:
+        """Apply ``plan`` to the groups and report its model cost: members
+        that change group are re-adopted first, then each step runs on the
+        hosts it names, then emptied groups and stale IDBFA rows go."""
+        after = plan.directory
+        while self._next_group_id < after.next_group_id:
+            self._new_group()
+        now_in = {m: gid for gid, members in after.groups.items() for m in members}
+        leaving = [
+            (m, gid) for m, gid in self._group_of.items() if now_in.get(m) != gid
+        ]
+        for member, was in leaving:
+            self.groups[was].abandon_member(member)
+            del self._group_of[member]
+        for member, now in now_in.items():
+            if member not in self._group_of:
+                self.groups[now].idbfa.add_member(member)
+                self.groups[now].adopt_member(self.servers[member])
+                self._group_of[member] = now
+        servers = self.servers
+        for step in plan.steps:
+            group = self.groups[step.group]
+            if step.kind == reconfiguration.MOVE:
+                group.move_replica(step.home, servers[step.src], servers[step.dst])
+            elif step.kind == reconfiguration.FETCH:
+                replica = servers[step.home].published_filter.copy()
+                group.install_replica(step.home, replica, servers[step.dst])
+            elif step.kind == reconfiguration.DROP:
+                group.remove_replica(step.home, servers[step.src])
+        for member, was in leaving:
+            if was in after.groups:
+                self.groups[was].idbfa.remove_member(member)
+        for gid in self.groups.keys() - after.groups.keys():
+            del self.groups[gid]
+        cost = plan.cost()
+        return ReconfigReport(
+            server_id=server_id,
+            migrated_replicas=cost.migrated,
+            messages=cost.model,
+            split=plan.new_group_id is not None,
+            merged=plan.merged,
+            new_group_id=plan.new_group_id,
+        )
 
     def add_server(self) -> ReconfigReport:
         """Add one MDS (Section 3.1), splitting a group if needed (3.2)."""
-        server = self._new_server()
-        report = ReconfigReport(server_id=server.server_id)
-        room = group_with_room(self._group_sizes(), self.config.max_group_size)
-        if room is None:
-            group = self._split_for(server, report)
-        else:
-            group = self.groups[room]
-        n_after = self.num_servers
-        migrated = group.add_member(server, n_after)
-        self._group_of[server.server_id] = group.group_id
-        # The ceil-based offload can leave the newcomer empty when members
-        # sit exactly at the target; a rebalance pass evens things out.
-        migrated += group.rebalance()
-        # Mirror repair: a group born empty from an M=1 split holds no
-        # replicas yet — the newcomer fetches the full mirror now.
-        hosted = set(group.hosted_replica_ids())
-        lacking = [
-            server_id
-            for server_id in self.server_ids()
-            if server_id not in group and server_id not in hosted
-        ]
-        self._fetch_replicas(group, lacking, report)
-        report.migrated_replicas += migrated
-        report.messages += migrated  # each migrated replica is one transfer
-        # Light-weight migration bookkeeping: the updated IDBFA is multicast
-        # to the group (one message per existing member).
-        report.messages += group.size - 1
-        # The new server's (empty) filter is replicated to one MDS of every
-        # other group (Figure 15's principal saving vs. HBA).
-        replica_template = server.publish_filter()
-        for other in self.groups.values():
-            if other.group_id == group.group_id:
-                continue
-            other.install_replica(server.server_id, replica_template.copy())
-            report.messages += 1
-        return report
-
-    def _split_for(self, server: MetadataServer, report: ReconfigReport) -> Group:
-        """Split the fullest group to make room for ``server``.
-
-        Implements Section 3.2: adding to a group with M members divides it
-        into two groups of ``M - floor(M/2)`` and ``floor(M/2) + 1``
-        (including the newcomer).  Equivalent to deleting ``floor(M/2)``
-        members from the old group and inserting them into the new one.
-        """
-        victim = self.groups[split_victim(self._group_sizes())]
-        half = self.config.max_group_size // 2
-        to_move = victim.member_ids()[-half:] if half else []
-        new_group = self._new_group()
-        report.split = True
-        report.new_group_id = new_group.group_id
-        # Step 1: deletion of floor(M/2) members from the victim group —
-        # their hosted replicas migrate to the remaining members.
-        moved_servers: List[MetadataServer] = []
-        for server_id in to_move:
-            member, migrated = victim.remove_member(server_id)
-            report.migrated_replicas += migrated
-            report.messages += migrated
-            moved_servers.append(member)
-        # Step 2: insert them into the new group.
-        for member in moved_servers:
-            new_group.idbfa.add_member(member.server_id)
-            new_group.adopt_member(member)
-            self._group_of[member.server_id] = new_group.group_id
-        # Step 3: the new group must rebuild a full mirror — a replica of
-        # every server outside it.  With M = 1 no members moved, so the
-        # group is still empty here; the newcomer installs the mirror after
-        # joining (see the post-join repair in add_server).
-        if new_group.size > 0:
-            outside = [
-                server_id
-                for server_id in self.server_ids()
-                if server_id not in new_group and server_id != server.server_id
-            ]
-            self._fetch_replicas(new_group, outside, report)
-        # Step 4: the shrunken old group now lacks replicas of the members
-        # that left (they were internal before; now they are outside).
-        self._fetch_replicas(victim, to_move, report)
-        # ... and the new group must not host replicas of its own members;
-        # none were installed above, so the mirror invariant holds.
-        return new_group
-
-    def _fetch_replicas(
-        self, group: Group, home_ids: Iterable[int], report: ReconfigReport
-    ) -> None:
-        """``group`` installs the last published filter of each server in
-        ``home_ids``: one migrated replica and one transfer apiece."""
-        for home_id in home_ids:
-            replica = self.servers[home_id].published_filter.copy()
-            group.install_replica(home_id, replica)
-            report.migrated_replicas += 1
-            report.messages += 1
+        server_id = self._new_server().server_id
+        plan = reconfiguration.join(
+            self._directory(), server_id, self.config.max_group_size
+        )
+        return self._carry_out(plan, server_id)
 
     def remove_server(self, server_id: int, rehome: bool = True) -> ReconfigReport:
-        """Gracefully remove an MDS (Section 3.1's departure procedure)."""
+        """Gracefully remove an MDS (Section 3.1's departure procedure);
+        its metadata is re-homed so files stay reachable."""
+        self._check_may_depart(server_id, "remove")
+        orphans = list(self.servers[server_id].store.records()) if rehome else []
+        return self._depart(server_id, reconfiguration.leave, orphans)
+
+    def _check_may_depart(self, server_id: int, verb: str) -> None:
         if server_id not in self.servers:
             raise KeyError(f"unknown server {server_id}")
         if self.num_servers == 1:
-            raise GroupError("cannot remove the last server of the cluster")
-        server = self.servers[server_id]
-        group = self.group_of(server_id)
-        report = ReconfigReport(server_id=server_id)
-        # (1) migrate its hosted replicas to the remaining group members
-        if group.size > 1:
-            _, migrated = group.remove_member(server_id)
-            report.migrated_replicas += migrated
-            report.messages += migrated
-            report.messages += group.size  # updated IDBFA multicast
-        else:
-            orphaned = group.dissolve()
-            del self.groups[group.group_id]
-            report.migrated_replicas += 0  # replicas existed elsewhere too
-            report.messages += len(orphaned)
-        # Re-home the departing server's metadata so files stay reachable.
-        orphans = list(server.store.records()) if rehome else []
-        self._excise(server_id, report, orphans)
-        return report
+            raise GroupError(f"cannot {verb} the last server of the cluster")
 
-    def _excise(
+    def _depart(
         self,
         server_id: int,
-        report: ReconfigReport,
+        planner: Callable[..., reconfiguration.Plan],
         orphans: Sequence[FileMetadata] = (),
-    ) -> None:
-        """What every departure, graceful or crash, does once the server's
-        own group has let it go: drop it from the indexes, have every
-        other group delete its replica and rebalance the freed load
-        (Section 3.1 steps 2-3), re-home ``orphans`` round-robin, drop the
-        L1 entries naming it, tell the listeners, merge what now fits."""
-        del self._group_of[server_id]
+    ) -> ReconfigReport:
+        """What every departure, graceful or crash, does: carry out the
+        plan, drop the server from the indexes, re-home ``orphans``
+        round-robin, drop the L1 entries naming it, tell the listeners."""
+        plan = planner(self._directory(), server_id, self.config.max_group_size)
+        report = self._carry_out(plan, server_id)
         del self.servers[server_id]
         self._sorted_ids.remove(server_id)
-        for other in self.groups.values():
-            if server_id in other.hosted_replica_ids():
-                other.remove_replica(server_id)
-                report.messages += 1
-            moved = other.rebalance()
-            report.migrated_replicas += moved
-            report.messages += moved
         if orphans:
             target_ids = sorted(self.servers)
             for index, meta in enumerate(orphans):
@@ -1453,37 +1381,8 @@ class GHBACluster:
             self._notify(
                 MutationEvent(op="server_removed", home_id=server_id)
             )
-        self._maybe_merge(report)
+        return report
 
-    def _maybe_merge(self, report: ReconfigReport) -> None:
-        """Merge the two smallest groups while they fit within M (3.2)."""
-        while True:
-            pair = merge_pair(self._group_sizes(), self.config.max_group_size)
-            if pair is None:
-                return
-            target, source = pair
-            self._merge_groups(self.groups[target], self.groups[source], report)
-            report.merged = True
-
-    def _merge_groups(self, target: Group, source: Group, report: ReconfigReport) -> None:
-        """Fold ``source`` into ``target`` via light-weight migration."""
-        members = source.members()
-        source.dissolve()  # duplicates of replicas target already holds
-        del self.groups[source.group_id]
-        for member in members:
-            # target currently hosts a replica of this (previously outside)
-            # member; drop it before the member joins.
-            if member.server_id in target.hosted_replica_ids():
-                target.remove_replica(member.server_id)
-                report.messages += 1
-            migrated = target.add_member(member, self.num_servers)
-            self._group_of[member.server_id] = target.group_id
-            report.migrated_replicas += migrated
-            report.messages += migrated + target.size - 1
-
-    # ------------------------------------------------------------------
-    # Failure handling (Section 4.5)
-    # ------------------------------------------------------------------
     def fail_server(self, server_id: int) -> ReconfigReport:
         """Crash-remove an MDS: its metadata is lost, filters are excised.
 
@@ -1493,28 +1392,13 @@ class GHBACluster:
         The failed server's *hosted* replicas are re-fetched from their
         home servers' published filters to restore the group mirror.
         """
-        if server_id not in self.servers:
-            raise KeyError(f"unknown server {server_id}")
-        if self.num_servers == 1:
-            raise GroupError("cannot fail the last server of the cluster")
-        group = self.group_of(server_id)
-        report = ReconfigReport(server_id=server_id)
+        self._check_may_depart(server_id, "fail")
         # The crashed server's metadata survives on its disk; keep it so a
         # later recover_server() can restore service for its files.
         self._crashed_stores[server_id] = list(
             self.servers[server_id].store.records()
         )
-        hosted = list(self.servers[server_id].hosted_replicas())
-        if group.size > 1:
-            # Drop without migration (the node is gone), then re-fetch.
-            group.abandon_member(server_id)
-            group.idbfa.remove_member(server_id)
-            self._fetch_replicas(group, hosted, report)
-        else:
-            group.dissolve()
-            del self.groups[group.group_id]
-        self._excise(server_id, report)
-        return report
+        return self._depart(server_id, reconfiguration.fail)
 
     def recover_server(self, server_id: int) -> ReconfigReport:
         """Restore a crashed MDS from its on-disk metadata (Table 1).
@@ -1544,29 +1428,24 @@ class GHBACluster:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert every structural invariant; raises GroupError on violation."""
-        all_ids = set(self.servers)
-        seen: set = set()
-        for group in self.groups.values():
-            if group.size == 0:
-                raise GroupError(f"group {group.group_id} is empty")
-            if group.size > self.config.max_group_size:
-                raise GroupError(
-                    f"group {group.group_id} exceeds M="
-                    f"{self.config.max_group_size}: {group.size}"
-                )
-            for server_id in group.member_ids():
-                if server_id in seen:
-                    raise GroupError(f"MDS {server_id} in two groups")
-                seen.add(server_id)
-                if self._group_of.get(server_id) != group.group_id:
-                    raise GroupError(
-                        f"group index out of sync for MDS {server_id}"
-                    )
-            group.check_mirror_invariant(all_ids)
-        if seen != all_ids:
+        try:  # sizes, one group per MDS, full mirrors
+            self._directory().check(self.config.max_group_size)
+        except AssertionError as error:
+            raise GroupError(str(error)) from None
+        grouped = {
+            member: gid
+            for gid, group in self.groups.items()
+            for member in group.member_ids()
+        }
+        if grouped != self._group_of:
+            raise GroupError(f"group index out of sync: {self._group_of}")
+        if grouped.keys() != self.servers.keys():
             raise GroupError(
-                f"ungrouped servers: {sorted(all_ids - seen)}"
+                f"ungrouped servers: {sorted(self.servers.keys() - grouped.keys())}"
             )
+        for group in self.groups.values():
+            # ... and the members really hold what the IDBFA says.
+            group.check_mirror_invariant(self.servers)
         for server_id, server in self.servers.items():
             stored = sum(meta.size_bytes() for meta in server.store.records())
             if server._metadata_bytes != stored:

@@ -8,19 +8,18 @@ answer any lookup — the "global mirror image" invariant of Section 2.1.
 Replica placement inside the group is tracked by an
 :class:`~repro.bloom.arrays.IDBloomFilterArray` (Section 2.4): updating a
 replica first *locates* it by probing the ID filters; false candidates
-simply drop the request.  Member join/leave uses the light-weight migration
-of Section 3.1: each existing member offloads
-``len(current_replicas) - ceil((N - M') / (M' + 1))`` replicas to a joiner,
-and a leaver's replicas are redistributed to the lightest members.
+simply drop the request.  The group only *carries out* membership and
+placement changes, on the member it is told: who joins, leaves, offloads
+or receives what is decided in :mod:`repro.core.reconfiguration`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.bloom.arrays import ArrayLookup, IDBloomFilterArray
 from repro.bloom.bloom_filter import BloomFilter
+from repro.core.reconfiguration import imbalance
 from repro.core.server import MetadataServer
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -29,59 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 
 class GroupError(Exception):
     """Raised on group-invariant violations."""
-
-
-# Formation and placement policy (Sections 3.1-3.2) as pure choices over
-# ``{group id: size}``: the simulator (``Group`` objects) and the prototype
-# (a directory of member lists) carry them out by different mechanics but
-# must choose alike.
-def balanced_groups(
-    server_ids: Sequence[int], max_group_size: int
-) -> List[List[int]]:
-    """``ceil(N / M)`` groups of consecutive IDs, sizes differing by at
-    most one — a trailing singleton group would otherwise host the entire
-    mirror alone, defeating the load balance the scheme is built for."""
-    num_groups = -(-len(server_ids) // max_group_size)  # ceil
-    base_size, extra = divmod(len(server_ids), num_groups)
-    groups: List[List[int]] = []
-    cursor = 0
-    for index in range(num_groups):
-        size = base_size + (1 if index < extra else 0)
-        groups.append(list(server_ids[cursor : cursor + size]))
-        cursor += size
-    return groups
-
-
-def join_target(total_servers: int, old_size: int) -> int:
-    """Replicas each member of a group of ``old_size`` keeps when one more
-    joins, ``ceil((N - M') / (M' + 1))`` with N counted *after* the join;
-    what a member hosts beyond it is offloaded to the newcomer."""
-    return math.ceil(max(0, total_servers - (old_size + 1)) / (old_size + 1))
-
-
-def group_with_room(sizes: Dict[int, int], max_group_size: int) -> Optional[int]:
-    """The smallest group below M (ties to the lowest ID), or None."""
-    roomy = [gid for gid, size in sizes.items() if size < max_group_size]
-    return min(roomy, key=lambda gid: (sizes[gid], gid)) if roomy else None
-
-
-def split_victim(sizes: Dict[int, int]) -> int:
-    """The group split when none has room: the fullest, lowest ID first."""
-    return max(sizes, key=lambda gid: (sizes[gid], -gid))
-
-
-def merge_pair(
-    sizes: Dict[int, int], max_group_size: int
-) -> Optional[Tuple[int, int]]:
-    """``(target, source)``: the smallest group folds into the second
-    smallest when together they fit within M; None when they do not."""
-    by_size = sorted(sizes, key=lambda gid: (sizes[gid], gid))
-    if len(by_size) < 2:
-        return None
-    source, target = by_size[:2]
-    if sizes[source] + sizes[target] > max_group_size:
-        return None
-    return (target, source)
 
 
 class Group:
@@ -159,55 +105,37 @@ class Group:
         """All replica home-IDs hosted anywhere in the group."""
         return sorted(self.idbfa.placements())
 
-    def lightest_member(self, exclude: Iterable[int] = ()) -> MetadataServer:
-        """Member hosting the fewest replicas (ties broken by ID)."""
-        excluded = set(exclude)
-        candidates = [
-            server
-            for server_id, server in self._members.items()
-            if server_id not in excluded
-        ]
-        if not candidates:
-            raise GroupError(f"group {self.group_id} has no eligible members")
-        return min(candidates, key=lambda s: (s.theta, s.server_id))
-
     # ------------------------------------------------------------------
     # Replica management
     # ------------------------------------------------------------------
-    def install_replica(self, home_id: int, replica: BloomFilter) -> int:
-        """Host a new replica on the lightest member; return its server ID.
-
-        Mirrors Figure 3: the incoming replica goes to the member with the
-        lightest load, which then records itself in the IDBFA.
-        """
-        if home_id in self._members:
-            raise GroupError(
-                f"MDS {home_id} is a member of group {self.group_id}; "
-                "groups only host replicas of outside servers"
-            )
+    def install_replica(
+        self, home_id: int, replica: BloomFilter, host: MetadataServer
+    ) -> None:
+        """``host`` starts hosting the replica of ``home_id`` and records
+        itself in the IDBFA (Figure 3)."""
         if self.idbfa.host_of(home_id) is not None:
             raise GroupError(
                 f"group {self.group_id} already hosts a replica of {home_id}"
             )
-        target = self.lightest_member()
-        target.host_replica(home_id, replica)
-        self.idbfa.place(home_id, target.server_id)
-        return target.server_id
+        host.host_replica(home_id, replica)
+        self.idbfa.place(home_id, host.server_id)
 
-    def remove_replica(self, home_id: int) -> int:
-        """Drop the replica of ``home_id``; return the member that held it."""
-        host_id = self.idbfa.host_of(home_id)
-        if host_id is None:
+    def move_replica(
+        self, home_id: int, src: MetadataServer, dst: MetadataServer
+    ) -> None:
+        """Migrate the replica of ``home_id`` from ``src`` to ``dst``."""
+        dst.host_replica(home_id, src.drop_replica(home_id))
+        self.idbfa.move(home_id, dst.server_id)
+
+    def remove_replica(self, home_id: int, host: MetadataServer) -> None:
+        """``host`` stops hosting the replica of ``home_id``."""
+        if self.idbfa.host_of(home_id) != host.server_id:
             raise GroupError(
-                f"group {self.group_id} hosts no replica of {home_id}"
+                f"MDS {host.server_id} hosts no replica of {home_id} "
+                f"for group {self.group_id}"
             )
         self.idbfa.unplace(home_id)
-        self._members[host_id].drop_replica(home_id)
-        return host_id
-
-    def locate_replica(self, home_id: int) -> ArrayLookup:
-        """Probabilistic IDBFA lookup for where a replica lives."""
-        return self.idbfa.locate(home_id)
+        host.drop_replica(home_id)
 
     def update_replica(self, home_id: int, replica: BloomFilter) -> Tuple[int, int]:
         """Replace the stored replica of ``home_id`` with a fresh copy.
@@ -227,7 +155,7 @@ class Group:
             raise GroupError(
                 f"group {self.group_id} hosts no replica of {home_id}"
             )
-        lookup = self.locate_replica(home_id)
+        lookup = self.idbfa.locate(home_id)
         candidates = set(lookup.hits) | {true_host}
         false_candidates = len(candidates) - 1
         self._members[true_host].replace_replica(home_id, replica)
@@ -239,15 +167,14 @@ class Group:
         return (len(candidates), false_candidates)
 
     # ------------------------------------------------------------------
-    # Membership changes (light-weight migration, Section 3.1)
+    # Membership changes
     # ------------------------------------------------------------------
     def adopt_member(self, server: MetadataServer) -> None:
         """Raw membership insert: bookkeeping only, no replica migration.
 
-        Every path that makes ``server`` a member — including cluster
-        formation, group splits, and checkpoint restore — must come through
-        here (or :meth:`add_member`, which calls this) so the membership
-        version, the member-ID cache, and the fused L3 probe plan stay
+        Every path that makes ``server`` a member — cluster formation,
+        reconfiguration, checkpoint restore — must come through here so the
+        membership version, the member-ID cache, and the fused L3 probe plan stay
         coherent.  The group also registers itself on the server: replica
         installs/updates/drops on any member push-invalidate the plan.
         """
@@ -263,101 +190,6 @@ class Group:
         server._plan_owners.remove(self)
         self._probe_plan = None
         return server
-
-    def add_member(self, server: MetadataServer, total_servers: int) -> int:
-        """Add ``server`` to the group, offloading replicas onto it.
-
-        ``total_servers`` is N *after* the join.  Each existing member
-        randomly offloads ``len(current) - ceil((N - M') / (M' + 1))``
-        replicas to the newcomer (Section 3.1; we offload the highest
-        replica IDs for determinism).  Returns the number migrated.
-        """
-        if server.server_id in self._members:
-            raise GroupError(
-                f"MDS {server.server_id} already in group {self.group_id}"
-            )
-        if server.theta:
-            raise GroupError("joining server must not host replicas yet")
-        old_size = self.size
-        self.idbfa.add_member(server.server_id)
-        self.adopt_member(server)
-        if old_size == 0:
-            return 0
-        target_per_member = join_target(total_servers, old_size)
-        migrated = 0
-        for member in self.members():
-            if member.server_id == server.server_id:
-                continue
-            excess = member.theta - target_per_member
-            for _ in range(max(0, excess)):
-                home_id = max(member.hosted_replicas())
-                replica = member.drop_replica(home_id)
-                server.host_replica(home_id, replica)
-                self.idbfa.move(home_id, server.server_id)
-                migrated += 1
-        # A member's own filter must never be hosted by itself as a replica;
-        # if the group previously held a replica of the joining server
-        # (it was in another group before), the cluster removes it first.
-        return migrated
-
-    def remove_member(self, server_id: int) -> Tuple[MetadataServer, int]:
-        """Remove a member, migrating its replicas to remaining members.
-
-        Returns the removed server and the number of replicas migrated.
-        Raises if this is the last member (the cluster must dissolve the
-        group instead).
-        """
-        server = self.get_member(server_id)
-        if self.size == 1:
-            raise GroupError(
-                f"cannot remove last member of group {self.group_id}; "
-                "dissolve the group instead"
-            )
-        hosted = list(server.hosted_replicas())
-        self.abandon_member(server_id)
-        self.idbfa.remove_member(server_id)
-        migrated = 0
-        for home_id in hosted:
-            replica = server.drop_replica(home_id)
-            target = self.lightest_member()
-            target.host_replica(home_id, replica)
-            self.idbfa.place(home_id, target.server_id)
-            migrated += 1
-        return server, migrated
-
-    def rebalance(self) -> int:
-        """Even out replica counts across members (imbalance <= 1).
-
-        Replica deletions (departed servers elsewhere in the system) remove
-        load from whichever member happened to host them; this light-weight
-        pass migrates replicas from the heaviest to the lightest member
-        until balanced.  Returns the number of replicas moved.
-        """
-        moved = 0
-        while True:
-            members = self.members()
-            if len(members) < 2:
-                return moved
-            heaviest = max(members, key=lambda s: (s.theta, -s.server_id))
-            lightest = min(members, key=lambda s: (s.theta, s.server_id))
-            if heaviest.theta - lightest.theta <= 1:
-                return moved
-            home_id = max(heaviest.hosted_replicas())
-            replica = heaviest.drop_replica(home_id)
-            lightest.host_replica(home_id, replica)
-            self.idbfa.move(home_id, lightest.server_id)
-            moved += 1
-
-    def dissolve(self) -> List[Tuple[int, BloomFilter]]:
-        """Empty the group, returning every hosted ``(home_id, replica)``."""
-        replicas: List[Tuple[int, BloomFilter]] = []
-        for member in self.members():
-            for home_id in list(member.hosted_replicas()):
-                replicas.append((home_id, member.drop_replica(home_id)))
-        for server_id in self.member_ids():
-            self.abandon_member(server_id)
-        self.idbfa = IDBloomFilterArray()
-        return replicas
 
     # ------------------------------------------------------------------
     # Group-level query (L3)
@@ -485,10 +317,7 @@ class Group:
 
     def load_imbalance(self) -> int:
         """Max minus min replicas per member (0 or 1 when balanced)."""
-        thetas = [member.theta for member in self.members()]
-        if not thetas:
-            return 0
-        return max(thetas) - min(thetas)
+        return imbalance(member.theta for member in self._members.values())
 
     def __repr__(self) -> str:
         return f"Group(id={self.group_id}, members={self.member_ids()})"

@@ -9,11 +9,10 @@ forwards) and replication freshness (staleness bits outstanding).
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.core.cluster import GHBACluster
-from repro.obs.report import render_summary
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class HealthLimits:
     min_files_per_server: int = 10
 
 
-#: The defaults `healthy()` used before the limits became configurable.
+#: What `healthy()` holds a summary to unless told otherwise.
 DEFAULT_HEALTH_LIMITS = HealthLimits()
 
 
@@ -65,24 +64,8 @@ class ClusterSummary:
     stale_bits_outstanding: int
     mean_lru_hit_rate: float
 
-    def healthy(
-        self,
-        limits: Optional[Union[HealthLimits, float]] = None,
-        max_imbalance: Optional[float] = None,
-    ) -> bool:
-        """A coarse health predicate: balanced and not misrouting wildly.
-
-        ``limits`` carries every threshold (defaults to
-        :data:`DEFAULT_HEALTH_LIMITS`).  ``max_imbalance`` — and, for
-        backward compatibility, a bare float passed positionally as
-        ``limits`` — overrides ``limits.max_file_imbalance``.
-        """
-        if isinstance(limits, (int, float)) and not isinstance(limits, bool):
-            limits, max_imbalance = None, float(limits)
-        if limits is None:
-            limits = DEFAULT_HEALTH_LIMITS
-        if max_imbalance is not None:
-            limits = replace(limits, max_file_imbalance=max_imbalance)
+    def healthy(self, limits: HealthLimits = DEFAULT_HEALTH_LIMITS) -> bool:
+        """A coarse health predicate: balanced and not misrouting wildly."""
         if self.num_servers == 0:
             return False
         if self.file_imbalance > limits.max_file_imbalance and (
@@ -135,12 +118,3 @@ def summarize(cluster: GHBACluster) -> ClusterSummary:
             statistics.mean(lru_rates) if lru_rates else 0.0
         ),
     )
-
-
-def format_summary(summary: ClusterSummary) -> str:
-    """Render a summary as aligned text.
-
-    Thin wrapper over :func:`repro.obs.report.render_summary`, which owns
-    the dashboard rendering (see ``python -m repro.obs report``).
-    """
-    return render_summary(summary)

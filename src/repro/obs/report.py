@@ -1,7 +1,6 @@
 """Operator surface: dashboard-style text reports and hotspot ranking.
 
-:func:`render_summary` renders a :class:`~repro.core.metrics.ClusterSummary`
-(the old ``format_summary``, which is now a thin wrapper over this).
+:func:`render_summary` renders a :class:`~repro.core.metrics.ClusterSummary`.
 :func:`hotspot_report` ranks servers and groups by query share,
 false-forward rate and stale-bit backlog — the "where is it hot" view a
 G-HBA operator reads before rebalancing.  :func:`render_report` combines
@@ -9,7 +8,7 @@ both into the full dashboard shown by ``python -m repro.obs report``.
 
 Everything here works off the cluster's metrics registry and public
 introspection surface; there are no module-level imports from
-``repro.core``, so ``repro.core.metrics`` can import this module freely.
+``repro.core``.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 ``PrototypeCluster`` builds either a G-HBA deployment (nodes packed into
 groups of at most M, each group holding one replica mirror) or an HBA
 deployment (every node holds every replica).  Clients call :meth:`lookup`,
-which drives the real request/reply protocol over the transport; node
-additions run the join/split machinery message by message so Figure 15's
-counts are observed on the wire.
+which drives the real request/reply protocol over the transport.  G-HBA
+joins and departures are plans from :mod:`repro.core.reconfiguration`,
+sent step by step as messages so Figure 15's counts are observed on the
+wire.
 """
 
 from __future__ import annotations
@@ -16,15 +17,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.checkpoint import restore_server, snapshot_server
+from repro.core import reconfiguration
 from repro.core.cluster import populate_servers
 from repro.core.config import GHBAConfig
-from repro.core.group import (
-    balanced_groups,
-    group_with_room,
-    join_target,
-    merge_pair,
-    split_victim,
-)
 from repro.core.query import QueryLevel
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
@@ -131,12 +126,9 @@ class PrototypeCluster:
         self._lock = threading.Lock()
         self.nodes: Dict[int, MDSNode] = {}
         self._next_node_id = 0
-        # Directory: group id -> sorted member list; replica placements
-        # per group: {replica_home_id: hosting node}.
-        self.groups: Dict[int, List[int]] = {}
-        self._group_of: Dict[int, int] = {}
-        self._placements: Dict[int, Dict[int, int]] = {}
-        self._next_group_id = 0
+        #: Who is in which group and which member hosts whose replica; HBA
+        #: is one group of everybody with no placements.
+        self.directory = reconfiguration.Directory()
         #: Durable ("on-disk") state of crashed nodes, by node id.
         self._crashed: Dict[int, Dict] = {}
         self._build(num_nodes)
@@ -156,11 +148,7 @@ class PrototypeCluster:
             self._spawn_node()
         node_ids = sorted(self.nodes)
         if self.scheme == "hba":
-            group_id = self._new_group_id()
-            self.groups[group_id] = list(node_ids)
-            for node_id in node_ids:
-                self._group_of[node_id] = group_id
-            self._placements[group_id] = {}
+            self.directory = reconfiguration.Directory({0: node_ids}, {0: {}}, 1)
             # Full replication: every node hosts every other node's filter.
             for node_id in node_ids:
                 replica = self.nodes[node_id].server.publish_filter()
@@ -170,36 +158,18 @@ class PrototypeCluster:
                             node_id, replica.copy()
                         )
             return
-        for members in balanced_groups(node_ids, self.config.max_group_size):
-            group_id = self._new_group_id()
-            self.groups[group_id] = members
-            self._placements[group_id] = {}
-            for node_id in members:
-                self._group_of[node_id] = group_id
-        for group_id, members in self.groups.items():
-            for node_id in node_ids:
-                if node_id in members:
-                    continue
-                replica = self.nodes[node_id].server.publish_filter()
-                host = self._lightest_member(group_id)
-                self.nodes[host].server.host_replica(node_id, replica)
-                self._placements[group_id][node_id] = host
+        # Formation happens before traffic, like population: its fetches
+        # are applied in place rather than sent.
+        plan = reconfiguration.form(node_ids, self.config.max_group_size)
+        self.directory = plan.directory
+        for step in plan.steps:
+            replica = self.nodes[step.home].server.publish_filter()
+            self.nodes[step.dst].server.host_replica(step.home, replica)
 
-    def _new_group_id(self) -> int:
-        group_id = self._next_group_id
-        self._next_group_id += 1
-        return group_id
-
-    def _lightest_member(self, group_id: int) -> int:
-        counts = {member: 0 for member in self.groups[group_id]}
-        for host in self._placements[group_id].values():
-            # Hosts mid-departure are no longer members; ignore their load.
-            if host in counts:
-                counts[host] += 1
-        return min(counts, key=lambda member: (counts[member], member))
-
-    def _group_sizes(self) -> Dict[int, int]:
-        return {gid: len(members) for gid, members in self.groups.items()}
+    @property
+    def groups(self) -> Dict[int, List[int]]:
+        """Group ID -> sorted member list."""
+        return self.directory.groups
 
     def _tell(self, node_id: int, kind: MessageKind, **payload) -> None:
         """One control message from the coordinating client to ``node_id``
@@ -251,7 +221,7 @@ class PrototypeCluster:
                     if other.node_id != node_id:
                         other.server.replace_replica(node_id, template.copy())
                 continue
-            for group_id, placements in self._placements.items():
+            for placements in self.directory.placements.values():
                 host = placements.get(node_id)
                 # A crashed host misses the refresh; it rejoins with its
                 # checkpointed (possibly stale) replica set.
@@ -423,7 +393,7 @@ class PrototypeCluster:
 
         # L3: multicast within the origin's group (G-HBA only).
         if self.scheme == "ghba":
-            group_id = self._group_of[origin_id]
+            group_id = self.directory.group_of(origin_id)
             members = [m for m in self.groups[group_id] if m != origin_id]
             if members:
                 arrival = t + net.unicast_ms / 1000.0
@@ -600,7 +570,7 @@ class PrototypeCluster:
         if self.scheme == "hba":
             self._hba_join(newcomer)
         else:
-            self._ghba_join(newcomer)
+            self._carry_out(reconfiguration.join, newcomer.node_id)
         # Count only once the wire is quiet: the transfers that nodes relay
         # for COPY_REPLICA_TO / SEND_LOCAL_TO are sent from their threads.
         self.quiesce()
@@ -624,10 +594,43 @@ class PrototypeCluster:
                     count=False,
                 )
 
+    def _send(self, step: reconfiguration.Step) -> None:
+        """One step of a plan as its control message to the node that acts."""
+        if step.kind == reconfiguration.MOVE:
+            self._tell(
+                step.src,
+                MessageKind.COPY_REPLICA_TO,
+                home_id=step.home,
+                dest=step.dst,
+            )
+        elif step.kind == reconfiguration.FETCH:
+            self._tell(step.src, MessageKind.SEND_LOCAL_TO, dest=step.dst)
+        elif step.kind == reconfiguration.DROP:
+            self._tell(step.src, MessageKind.DROP_REPLICA, home_id=step.home)
+        else:  # notify: the updated IDBFA
+            self._tell(step.src, MessageKind.PING)
+
+    def _carry_out(self, planner, node_id: int) -> None:
+        """Plan ``node_id``'s join or departure and send it step by step,
+        in order.  A move or fetch is relayed — the node told ships the
+        replica on from its own thread — so a later step that moves or
+        drops what an earlier one is still delivering waits for the wire
+        to drain first."""
+        plan = planner(self.directory, node_id, self.config.max_group_size)
+        in_flight: set = set()  # nodes owed a replica some peer is relaying
+        for step in plan.steps:
+            holds = step.kind in (reconfiguration.MOVE, reconfiguration.DROP)
+            if holds and step.src in in_flight:
+                self.quiesce()
+                in_flight.clear()
+            self._send(step)
+            if step.dst is not None:
+                in_flight.add(step.dst)
+        self.directory = plan.directory
+
     def _hba_join(self, newcomer: MDSNode) -> None:
         """HBA join: exchange Bloom filters with every existing node."""
         template = newcomer.server.publish_filter()
-        group_id = self._group_of[next(iter(self.groups.values()))[0]]
         for node_id in self.node_ids():
             if node_id == newcomer.node_id:
                 continue
@@ -640,62 +643,7 @@ class PrototypeCluster:
                 ),
             )
             newcomer.server.host_replica(node_id, reply.payload["replica"])
-        self.groups[group_id].append(newcomer.node_id)
-        self.groups[group_id].sort()
-        self._group_of[newcomer.node_id] = group_id
-
-    def _ghba_join(self, newcomer: MDSNode) -> None:
-        """G-HBA join: fill a group with room, or split the fullest group."""
-        max_size = self.config.max_group_size
-        group_id = group_with_room(self._group_sizes(), max_size)
-        if group_id is None:
-            self._split_fullest_group()
-            # The split's replica transfers are one-way and may still be in
-            # flight; the join below redistributes some of those replicas,
-            # so wait for them to land first.
-            self.quiesce()
-            group_id = group_with_room(self._group_sizes(), max_size)
-        members = self.groups[group_id]
-        placements = self._placements[group_id]
-        target = join_target(self.num_nodes, len(members))
-        # Light-weight migration: members offload excess replicas by telling
-        # the host to ship them to the newcomer (control + transfer).
-        counts: Dict[int, List[int]] = {member: [] for member in members}
-        for replica_id, host in placements.items():
-            counts[host].append(replica_id)
-        for member in members:
-            hosted = sorted(counts[member])
-            excess = len(hosted) - target
-            for replica_id in hosted[-max(0, excess):] if excess > 0 else []:
-                self._tell(
-                    member,
-                    MessageKind.COPY_REPLICA_TO,
-                    home_id=replica_id,
-                    dest=newcomer.node_id,
-                    drop=True,
-                )
-                placements[replica_id] = newcomer.node_id
-        # Updated IDBFA multicast within the group (one message per member).
-        for member in members:
-            self._tell(member, MessageKind.PING)
-        self.groups[group_id].append(newcomer.node_id)
-        self.groups[group_id].sort()
-        self._group_of[newcomer.node_id] = group_id
-        # Mirror repair: a group born empty from an M = 1 split holds no
-        # replicas yet — the newcomer fetches the full mirror now.
-        for node_id in self.node_ids():
-            if node_id not in members and node_id not in placements:
-                self._tell(
-                    node_id, MessageKind.SEND_LOCAL_TO, dest=newcomer.node_id
-                )
-                placements[node_id] = newcomer.node_id
-        # The newcomer's filter goes to one node of every *other* group.
-        for other_gid in self.groups:
-            if other_gid == group_id:
-                continue
-            host = self._lightest_member(other_gid)
-            self._tell(newcomer.node_id, MessageKind.SEND_LOCAL_TO, dest=host)
-            self._placements[other_gid][newcomer.node_id] = host
+        self.groups[0].append(newcomer.node_id)
 
     def remove_node(self, node_id: int) -> Dict[str, int]:
         """Gracefully remove a node via the live protocol (Section 3.1).
@@ -714,7 +662,7 @@ class PrototypeCluster:
         if self.scheme == "hba":
             self._hba_leave(node_id)
         else:
-            self._ghba_leave(node_id)
+            self._carry_out(reconfiguration.leave, node_id)
         self.quiesce()  # let the one-way drops and transfers land
         messages = self.transport.messages_sent - before
         # Out-of-band re-homing of the departing node's metadata, followed
@@ -730,136 +678,9 @@ class PrototypeCluster:
         return {"node_id": node_id, "messages": messages}
 
     def _hba_leave(self, node_id: int) -> None:
-        group_id = self._group_of.pop(node_id)
-        self.groups[group_id].remove(node_id)
-        for other_id in self.node_ids():
-            if other_id != node_id:
-                self._tell(other_id, MessageKind.DROP_REPLICA, home_id=node_id)
-
-    def _ghba_leave(self, node_id: int) -> None:
-        group_id = self._group_of.pop(node_id)
-        members = self.groups[group_id]
-        members.remove(node_id)
-        placements = self._placements[group_id]
-        # (1) migrate the departing node's hosted replicas to peers.
-        hosted = sorted(
-            replica_id
-            for replica_id, host in placements.items()
-            if host == node_id
-        )
-        for replica_id in hosted:
-            if not members:
-                del placements[replica_id]
-                continue
-            dest = self._lightest_member(group_id)
-            self._tell(
-                node_id,
-                MessageKind.COPY_REPLICA_TO,
-                home_id=replica_id,
-                dest=dest,
-                drop=True,
-            )
-            placements[replica_id] = dest
-        # (2) updated IDBFA multicast within the group.
-        for member in members:
-            self._tell(member, MessageKind.PING)
-        # (3) every other group drops the departing node's replica.
-        for other_gid, other_placements in self._placements.items():
-            if other_gid == group_id:
-                continue
-            host = other_placements.pop(node_id, None)
-            if host is not None:
-                self._tell(host, MessageKind.DROP_REPLICA, home_id=node_id)
-        if not members:
-            del self.groups[group_id]
-            del self._placements[group_id]
-        self._maybe_merge_groups()
-
-    def _maybe_merge_groups(self) -> None:
-        """Merge the two smallest groups while they fit within M."""
-        while True:
-            pair = merge_pair(self._group_sizes(), self.config.max_group_size)
-            if pair is None:
-                return
-            self._merge_into(*pair)
-
-    def _merge_into(self, target_gid: int, source_gid: int) -> None:
-        """Fold ``source_gid`` into ``target_gid``: the target keeps its
-        mirror; the source's members drop their (now duplicate) replicas
-        and join; replicas of the ex-source members become internal and are
-        dropped from the target."""
-        source_members = self.groups.pop(source_gid)
-        source_placements = self._placements.pop(source_gid)
-        target_placements = self._placements[target_gid]
-        for replica_id, host in source_placements.items():
-            self._tell(host, MessageKind.DROP_REPLICA, home_id=replica_id)
-        for member in source_members:
-            host = target_placements.pop(member, None)
-            if host is not None:
-                self._tell(host, MessageKind.DROP_REPLICA, home_id=member)
-            self.groups[target_gid].append(member)
-            self._group_of[member] = target_gid
-        self.groups[target_gid].sort()
-
-    def _split_fullest_group(self) -> None:
-        """Split the fullest group in two (Section 3.2), message by message.
-
-        Members keep the replicas they already host; each half then copies
-        the replicas it now lacks from the other half and receives the
-        other half's members' own filters.
-        """
-        victim_gid = split_victim(self._group_sizes())
-        members = self.groups[victim_gid]
-        half = len(members) // 2
-        a_members = members[: len(members) - half]
-        b_members = members[len(members) - half :]
-        b_gid = self._new_group_id()
-        old_placements = self._placements[victim_gid]
-        a_placements: Dict[int, int] = {}
-        b_placements: Dict[int, int] = {}
-        for replica_id, host in old_placements.items():
-            if host in a_members:
-                a_placements[replica_id] = host
-            else:
-                b_placements[replica_id] = host
-        self.groups[victim_gid] = a_members
-        self.groups[b_gid] = b_members
-        self._placements[victim_gid] = a_placements
-        self._placements[b_gid] = b_placements
-        for member in b_members:
-            self._group_of[member] = b_gid
-        if not b_members:
-            # M = 1: no member moves, the victim keeps its whole mirror and
-            # the new group stays empty until the newcomer joins it and
-            # fetches the mirror (the repair in _ghba_join).
-            return
-        halves = (
-            (victim_gid, a_placements, b_members, b_placements),
-            (b_gid, b_placements, a_members, a_placements),
-        )
-        # Cross-copy the replicas each half lacks (copy, not migrate).
-        for gid, lacking, _, holding in halves:
-            for replica_id, host in list(holding.items()):
-                if replica_id in lacking:
-                    continue
-                dest = self._lightest_member(gid)
-                self._tell(
-                    host,
-                    MessageKind.COPY_REPLICA_TO,
-                    home_id=replica_id,
-                    dest=dest,
-                    drop=False,
-                )
-                lacking[replica_id] = dest
-        # Each half needs the other half's members' own filters as replicas.
-        for gid, lacking, other_members, _ in halves:
-            for member in other_members:
-                dest = self._lightest_member(gid)
-                self._tell(member, MessageKind.SEND_LOCAL_TO, dest=dest)
-                lacking[member] = dest
-        # Rebuilt IDBFAs are multicast within each new group.
-        for member in a_members + b_members:
-            self._tell(member, MessageKind.PING)
+        self.groups[0].remove(node_id)
+        for other_id in self.groups[0]:
+            self._tell(other_id, MessageKind.DROP_REPLICA, home_id=node_id)
 
     # ------------------------------------------------------------------
     # Crash / restore (repro.faults)
@@ -921,19 +742,12 @@ class PrototypeCluster:
     # Consistency check & shutdown
     # ------------------------------------------------------------------
     def check_directory(self) -> None:
-        """Assert each G-HBA group holds a full mirror of outside nodes."""
+        """Assert each G-HBA group holds a full, balanced mirror of the
+        outside nodes and that the named hosts really hold the replicas."""
         if self.scheme != "ghba":
             return
-        all_ids = set(self.nodes)
-        for group_id, members in self.groups.items():
-            expected = all_ids - set(members)
-            placements = self._placements[group_id]
-            if set(placements) != expected:
-                raise AssertionError(
-                    f"group {group_id} mirror broken: "
-                    f"missing={sorted(expected - set(placements))}, "
-                    f"extra={sorted(set(placements) - expected)}"
-                )
+        self.directory.check(self.config.max_group_size)
+        for group_id, placements in self.directory.placements.items():
             for replica_id, host in placements.items():
                 if replica_id not in self.nodes[host].server.segment:
                     raise AssertionError(

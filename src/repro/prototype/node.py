@@ -214,21 +214,12 @@ class MDSNode(MailboxNode):
         )
 
     def _on_copy_replica_to(self, message: Message) -> Message:
-        """Ship the hosted replica of ``home_id`` to ``dest`` (one-way).
-
-        Used during group split/merge and joins: the receiving peer gets a
-        HOST_REPLICA message.  With ``drop=True`` this is a migration (the
-        replica leaves this node); otherwise a copy.
-        """
+        """Migrate the hosted replica of ``home_id`` to ``dest`` (one-way):
+        it leaves this node and the peer gets a HOST_REPLICA message."""
         home_id = message.payload["home_id"]
-        dest = message.payload["dest"]
-        drop = message.payload.get("drop", False)
         finish = self._serve_record_op(message)
-        if drop:
-            replica = self.server.drop_replica(home_id)
-        else:
-            replica = self.server.segment.get_replica(home_id).copy()
-        self._ship_replica(dest, home_id, replica, finish)
+        replica = self.server.drop_replica(home_id)
+        self._ship_replica(message.payload["dest"], home_id, replica, finish)
         return message.reply(ok=True, finish_vtime=finish)
 
     def _on_send_local_to(self, message: Message) -> Message:

@@ -6,9 +6,12 @@ state they must agree on every routing decision.  This pins down protocol
 drift between the two implementations.
 """
 
+import random
+
 import pytest
 
 from repro.baselines.hba import HBACluster
+from repro.core import reconfiguration
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.query import QueryLevel
@@ -90,34 +93,48 @@ def _sim_directory(sim):
 
 
 def _proto_directory(proto):
-    return (
-        {gid: list(members) for gid, members in proto.groups.items()},
-        {gid: dict(hosts) for gid, hosts in proto._placements.items()},
+    return (proto.directory.groups, proto.directory.placements)
+
+
+def _tiny_config(max_group_size):
+    return GHBAConfig(
+        max_group_size=max_group_size,
+        expected_files_per_mds=64,
+        lru_capacity=16,
+        lru_filter_bits=64,
+        seed=3,
     )
+
+
+def _script(num_servers, max_group_size):
+    """A seeded join/leave script: ``("a", None)`` or ``("r", draw)``.
+    M joins fill every group and split one; 2M departures of random
+    victims drain the groups until two merge; then both again, shorter."""
+    rng = random.Random(num_servers * 31 + max_group_size)
+    ops = []
+    for joining, count in (
+        (True, max_group_size), (False, 2 * max_group_size), (True, 3), (False, 3)
+    ):
+        for _ in range(count):
+            ops.append(("a", None) if joining else ("r", rng.random()))
+    return ops
+
+
+SHAPES = [(10, 4), (20, 7), (13, 6), (9, 2), (5, 1), (8, 8), (12, 4)]
 
 
 class TestDirectoryEquivalence:
-    """Formation and the join are one policy (``repro.core.group``): both
-    drivers end with the same groups and the same ``{home: host}``
-    placements.  Split *mechanics* differ (the prototype keeps hosted
-    replicas and cross-copies, the simulator migrates and rebuilds), so
-    only joins that find room are compared for M > 1; with M = 1 a split
-    moves nobody and the two agree there too."""
+    """Formation, join, leave, split and merge are one plan
+    (``repro.core.reconfiguration``) that both drivers carry out: they end
+    every step with the same groups and the same ``{home: host}``
+    placements, and what each reports is the plan's cost in its own
+    column of the one charge table."""
 
-    @pytest.mark.parametrize(
-        "num_servers, max_group_size",
-        [(10, 4), (20, 7), (13, 6), (9, 2), (5, 1)],
-    )
+    @pytest.mark.parametrize("num_servers, max_group_size", SHAPES[:5])
     def test_same_groups_and_placements_after_formation_and_join(
         self, num_servers, max_group_size
     ):
-        config = GHBAConfig(
-            max_group_size=max_group_size,
-            expected_files_per_mds=64,
-            lru_capacity=16,
-            lru_filter_bits=64,
-            seed=3,
-        )
+        config = _tiny_config(max_group_size)
         sim = GHBACluster(num_servers, config, seed=3)
         with PrototypeCluster(num_servers, config, scheme="ghba", seed=3) as proto:
             assert _proto_directory(proto) == _sim_directory(sim)
@@ -127,22 +144,51 @@ class TestDirectoryEquivalence:
             proto.check_directory()
             assert _proto_directory(proto) == _sim_directory(sim)
 
+    @pytest.mark.parametrize("num_servers, max_group_size", SHAPES)
+    def test_same_directory_and_the_plans_cost_after_every_step(
+        self, num_servers, max_group_size
+    ):
+        config = _tiny_config(max_group_size)
+        sim = GHBACluster(num_servers, config, seed=3)
+        splits = merges = 0
+        with PrototypeCluster(num_servers, config, scheme="ghba", seed=3) as proto:
+            for op, draw in _script(num_servers, max_group_size):
+                before = sim._directory()
+                if op == "a":
+                    report = sim.add_server()
+                    plan = reconfiguration.join(
+                        before, report.server_id, max_group_size
+                    )
+                    sent = proto.add_node()
+                elif sim.num_servers > 2:
+                    ids = sim.server_ids()
+                    victim = ids[int(draw * len(ids))]
+                    plan = reconfiguration.leave(before, victim, max_group_size)
+                    report = sim.remove_server(victim)
+                    sent = proto.remove_node(victim)
+                else:
+                    continue
+                cost = plan.cost()
+                assert report.messages == cost.model
+                assert report.migrated_replicas == cost.migrated
+                assert sent == {"node_id": report.server_id, "messages": cost.wire}
+                sim.check_invariants()
+                proto.check_directory()
+                assert _proto_directory(proto) == _sim_directory(sim)
+                splits += report.split
+                merges += report.merged
+        # Not vacuous: the script split a group and (M > 1) merged two.
+        assert splits > 0 and (merges > 0 or max_group_size == 1)
+
     def test_join_at_group_size_one_founds_a_group_and_serves(self):
         """M = 1: the newcomer founds its own group and fetches the whole
-        mirror (as ``GHBACluster._split_for`` documents); nothing raises
+        mirror (the repair in ``reconfiguration.join``); nothing raises
         and every file still resolves — also from the newcomer."""
-        config = GHBAConfig(
-            max_group_size=1,
-            expected_files_per_mds=64,
-            lru_capacity=16,
-            lru_filter_bits=64,
-            seed=3,
-        )
-        with PrototypeCluster(4, config, scheme="ghba", seed=3) as proto:
+        with PrototypeCluster(4, _tiny_config(1), scheme="ghba", seed=3) as proto:
             placement = proto.populate(f"/m1/f{i}" for i in range(60))
             newcomer = proto.add_node()["node_id"]
             proto.check_directory()
-            assert proto.groups[proto._group_of[newcomer]] == [newcomer]
+            assert proto.groups[proto.directory.group_of(newcomer)] == [newcomer]
             for path, home in list(placement.items())[::7]:
                 assert proto.lookup(path, origin_id=newcomer).home_id == home
 

@@ -1,9 +1,11 @@
-"""Unit tests for Group: replica hosting, IDBFA coordination, membership."""
+"""Unit tests for Group: replica hosting, IDBFA coordination, membership
+(the membership *choices* are the plan's, tested here as a value)."""
 
 import pytest
 
 from repro.core.config import GHBAConfig
 from repro.core.group import Group, GroupError
+from repro.core.reconfiguration import DROP, MOVE, form, imbalance, join, leave
 from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 
@@ -35,50 +37,78 @@ def make_group(config, member_ids=(0, 1, 2)):
     return group
 
 
+def install(group, home_id, config, host=0):
+    replica = make_server(home_id, config).publish_filter()
+    group.install_replica(home_id, replica, group.get_member(host))
+
+
 class TestReplicaHosting:
-    def test_install_goes_to_lightest(self, config):
+    def test_install_goes_to_lightest(self):
+        """The plan sends an incoming replica to the lightest member."""
+        plan = form(range(5), max_group_size=3)  # groups [0, 1, 2] and [3, 4]
+        first, second = [s for s in plan.steps if s.group == 0]
+        members = plan.directory.groups[0]
+        assert first.dst in members
+        assert plan.directory.placements[0][first.home] == first.dst
+        # Second replica lands on a different (now lighter) member.
+        assert second.dst in members and second.dst != first.dst
+
+    def test_install_lands_on_the_named_host(self, config):
         group = make_group(config)
         outside = make_server(10, config, files=["/r10"])
-        host = group.install_replica(10, outside.publish_filter())
-        assert host in group.member_ids()
-        assert group.idbfa.host_of(10) == host
-        # Second replica lands on a different (now lighter) member.
-        outside2 = make_server(11, config)
-        host2 = group.install_replica(11, outside2.publish_filter())
-        assert host2 != host
+        group.install_replica(10, outside.publish_filter(), group.get_member(2))
+        assert group.idbfa.host_of(10) == 2
+        assert group.get_member(2).hosted_replicas() == [10]
 
     def test_install_member_replica_rejected(self, config):
+        """Groups only host replicas of outside servers: a member's own
+        replica is reported by the mirror check, as it is by the plan's."""
         group = make_group(config)
-        with pytest.raises(GroupError):
-            group.install_replica(1, make_server(1, config).publish_filter())
+        group.install_replica(
+            1, make_server(1, config).publish_filter(), group.get_member(0)
+        )
+        with pytest.raises(GroupError, match="extra"):
+            group.check_mirror_invariant([0, 1, 2])
+        directory = form(range(5), max_group_size=3).directory
+        directory.placements[0][1] = 0
+        with pytest.raises(AssertionError, match="extra"):
+            directory.check(3)
 
     def test_install_duplicate_rejected(self, config):
         group = make_group(config)
-        group.install_replica(10, make_server(10, config).publish_filter())
+        install(group, 10, config)
         with pytest.raises(GroupError):
-            group.install_replica(10, make_server(10, config).publish_filter())
+            install(group, 10, config, host=1)
 
     def test_remove_replica(self, config):
         group = make_group(config)
-        host = group.install_replica(
-            10, make_server(10, config).publish_filter()
-        )
-        assert group.remove_replica(10) == host
-        assert group.idbfa.host_of(10) is None
+        install(group, 10, config, host=1)
         with pytest.raises(GroupError):
-            group.remove_replica(10)
+            group.remove_replica(10, group.get_member(0))
+        group.remove_replica(10, group.get_member(1))
+        assert group.idbfa.host_of(10) is None
+        assert group.get_member(1).theta == 0
+        with pytest.raises(GroupError):
+            group.remove_replica(10, group.get_member(1))
+
+    def test_move_replica(self, config):
+        group = make_group(config)
+        install(group, 10, config, host=1)
+        group.move_replica(10, group.get_member(1), group.get_member(2))
+        assert group.idbfa.host_of(10) == 2
+        assert group.get_member(1).theta == 0
+        assert group.get_member(2).hosted_replicas() == [10]
 
     def test_update_replica_reaches_true_host(self, config):
         group = make_group(config)
         outside = make_server(10, config)
-        host = group.install_replica(10, outside.publish_filter())
+        group.install_replica(10, outside.publish_filter(), group.get_member(1))
         outside.insert_metadata(FileMetadata(path="/fresh", inode=9))
         messages, false_candidates = group.update_replica(
             10, outside.publish_filter()
         )
         assert messages >= 1
-        hosting = group.get_member(host)
-        assert hosting.segment.get_replica(10).query("/fresh")
+        assert group.get_member(1).segment.get_replica(10).query("/fresh")
 
     def test_update_unknown_replica_rejected(self, config):
         group = make_group(config)
@@ -96,7 +126,7 @@ class TestGroupQuery:
     def test_multicast_finds_hosted_replica(self, config):
         group = make_group(config)
         outside = make_server(10, config, files=["/outside-file"])
-        group.install_replica(10, outside.publish_filter())
+        group.install_replica(10, outside.publish_filter(), group.get_member(0))
         lookup = group.multicast_query("/outside-file")
         assert lookup.unique_hit == 10
 
@@ -106,52 +136,57 @@ class TestGroupQuery:
 
 
 class TestMembership:
-    def test_add_member_offloads_replicas(self, config):
-        group = make_group(config, member_ids=(0, 1))
-        # Group of 2 in a 10-server system: hosts 8 outside replicas.
-        for outside_id in range(2, 10):
-            group.install_replica(
-                outside_id, make_server(outside_id, config).publish_filter()
-            )
-        newcomer = make_server(20, config)
-        migrated = group.add_member(newcomer, total_servers=11)
-        assert migrated > 0
-        assert newcomer.theta == migrated
-        assert group.load_imbalance() <= 1
+    """Who offloads, inherits or drops what when membership changes is
+    the plan's choice (``repro.core.reconfiguration``); no cluster needed."""
 
-    def test_add_member_with_replicas_rejected(self, config):
-        group = make_group(config)
-        loaded = make_server(20, config)
-        loaded.host_replica(99, make_server(99, config).publish_filter())
-        with pytest.raises(GroupError):
-            group.add_member(loaded, total_servers=4)
+    def test_add_member_offloads_replicas(self):
+        # Groups of 4/3/3 in a 10-server system; the newcomer joins group
+        # 1, whose three members host the seven outside replicas.
+        directory = form(range(10), max_group_size=4).directory
+        plan = join(directory, 20, max_group_size=4)
+        offloaded = [s for s in plan.steps if s.kind == MOVE]
+        assert offloaded
+        assert all(s.group == 1 and s.dst == 20 for s in offloaded)
+        assert plan.cost().migrated == len(offloaded)
+        loads = plan.directory.loads(1)
+        assert loads[20] == len(offloaded)
+        assert imbalance(loads.values()) <= 1
 
-    def test_remove_member_migrates_hosted_replicas(self, config):
-        group = make_group(config)
-        for outside_id in (10, 11, 12):
-            group.install_replica(
-                outside_id, make_server(outside_id, config).publish_filter()
-            )
-        victim_id = group.idbfa.host_of(10)
-        _, migrated = group.remove_member(victim_id)
-        assert group.idbfa.host_of(10) is not None
-        assert group.idbfa.host_of(10) != victim_id
-        assert victim_id not in group
+    def test_add_member_with_replicas_rejected(self):
+        """A joiner must not host replicas yet: whoever is already in a
+        group cannot join another."""
+        directory = form(range(4), max_group_size=4).directory
+        with pytest.raises(ValueError):
+            join(directory, 2, max_group_size=4)
 
-    def test_remove_last_member_rejected(self, config):
-        group = make_group(config, member_ids=(0,))
-        with pytest.raises(GroupError):
-            group.remove_member(0)
+    def test_remove_member_migrates_hosted_replicas(self):
+        directory = form(range(6), max_group_size=3).directory
+        victim = directory.placements[0][3]
+        plan = leave(directory, victim, max_group_size=3)
+        inherited = [
+            s for s in plan.steps if s.kind == MOVE and s.src == victim
+        ]
+        assert {s.home for s in inherited} == {
+            home for home, host in directory.placements[0].items()
+            if host == victim
+        }
+        assert plan.directory.placements[0][3] != victim
+        assert victim not in plan.directory.groups[0]
 
-    def test_dissolve_returns_all_replicas(self, config):
-        group = make_group(config)
-        for outside_id in (10, 11):
-            group.install_replica(
-                outside_id, make_server(outside_id, config).publish_filter()
-            )
-        replicas = group.dissolve()
-        assert sorted(home for home, _ in replicas) == [10, 11]
-        assert group.size == 0
+    def test_remove_last_member_rejected(self):
+        """A last member is never removed with migration — there is nobody
+        to inherit; its group dissolves instead."""
+        directory = form(range(3), max_group_size=1).directory
+        plan = leave(directory, 0, max_group_size=1)
+        assert not [s for s in plan.steps if s.kind == MOVE and s.src == 0]
+        assert 0 not in plan.directory.groups
+
+    def test_dissolve_returns_all_replicas(self):
+        directory = form(range(3), max_group_size=1).directory
+        plan = leave(directory, 0, max_group_size=1)
+        dropped = [s.home for s in plan.steps if s.kind == DROP and s.src == 0]
+        assert sorted(dropped) == [1, 2]
+        assert all(0 not in members for members in plan.directory.groups.values())
 
 
 class TestInvariant:
@@ -159,9 +194,7 @@ class TestInvariant:
         group = make_group(config)
         all_ids = [0, 1, 2, 10, 11]
         for outside_id in (10, 11):
-            group.install_replica(
-                outside_id, make_server(outside_id, config).publish_filter()
-            )
+            install(group, outside_id, config)
         group.check_mirror_invariant(all_ids)
 
     def test_mirror_invariant_detects_missing(self, config):
@@ -171,7 +204,7 @@ class TestInvariant:
 
     def test_mirror_invariant_detects_idbfa_drift(self, config):
         group = make_group(config)
-        group.install_replica(10, make_server(10, config).publish_filter())
+        install(group, 10, config)
         group.check_mirror_invariant([0, 1, 2, 10])
         # Corrupt the IDBFA placement record.
         group.idbfa.move(10, group.member_ids()[0])

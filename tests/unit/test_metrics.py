@@ -9,9 +9,9 @@ from repro.core.metrics import (
     DEFAULT_HEALTH_LIMITS,
     ClusterSummary,
     HealthLimits,
-    format_summary,
     summarize,
 )
+from repro.obs.report import render_summary
 from repro.metadata.attributes import FileMetadata
 
 
@@ -78,7 +78,7 @@ class TestSummarize:
     def test_format_renders_every_section(self, populated_cluster):
         cluster, placement = populated_cluster
         cluster.query(next(iter(placement)))
-        text = format_summary(summarize(cluster))
+        text = render_summary(summarize(cluster))
         for fragment in ("servers / groups", "files", "theta", "queries",
                          "stale bits", "LRU hit rate"):
             assert fragment in text
@@ -132,16 +132,4 @@ class TestHealthLimits:
         assert not _summary(replica_imbalance=3).healthy()
         assert _summary(replica_imbalance=3).healthy(
             HealthLimits(max_replica_imbalance=3)
-        )
-
-    def test_legacy_positional_float_still_works(self):
-        # healthy(1.1) predates HealthLimits; it must mean max_imbalance.
-        assert not _summary(file_imbalance=1.5).healthy(1.1)
-        assert _summary(file_imbalance=1.5).healthy(2)
-
-    def test_max_imbalance_keyword_overrides_limits(self):
-        limits = HealthLimits(max_file_imbalance=1.1)
-        assert _summary(file_imbalance=1.5).healthy(limits, max_imbalance=2.0)
-        assert not _summary(file_imbalance=1.5).healthy(
-            limits, max_imbalance=1.2
         )
