@@ -1428,7 +1428,7 @@ class GHBACluster:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert every structural invariant; raises GroupError on violation."""
-        try:  # sizes, one group per MDS, full mirrors
+        try:  # sizes, one group per MDS, full mirrors, imbalance <= 1
             self._directory().check(self.config.max_group_size)
         except AssertionError as error:
             raise GroupError(str(error)) from None

@@ -95,7 +95,7 @@ class Directory:
     def check(self, max_group_size: int) -> None:
         """Raise AssertionError unless every node is in one group, no group
         is empty or above M, every group hosts exactly one replica of every
-        outside node on its own members."""
+        outside node on its own members, and imbalance is at most one."""
 
         def require(holds: bool, what: str) -> None:
             if not holds:
@@ -113,6 +113,10 @@ class Directory:
                 f"extra={sorted(set(hosts) - outside)}",
             )
             require(set(hosts.values()) <= set(members), f"group {gid} hosts")
+            require(
+                imbalance(self.loads(gid).values()) <= 1,
+                f"group {gid} unbalanced {self.loads(gid)}",
+            )
 
 
 @dataclass
@@ -323,6 +327,7 @@ class _Planner:
             self.drop(target, node)
             self.admit(target, node)
             self.notify(target, skip=node)
+        self.rebalance(target)  # as after any join: admit() can leave 0 next to 3
         self.plan.merged = True
 
     def excise(self, node: int) -> None:

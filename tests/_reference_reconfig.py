@@ -16,6 +16,13 @@ keep: ``adopt_member`` / ``abandon_member``, the IDBFA, a server's
 remove / fail / recover scripts through a live cluster and a twin driven
 by these functions and diffs every observable — so do not "fix" or
 modernize this file; it is the oracle, like ``_reference_rename.py``.
+
+One thing differs from the pre-ISSUE-17 code, on purpose: ``_merge_groups``
+ends with a ``ref_rebalance(target)`` pass, charged like every other
+(marked below).  The original forgot the pass its join has, and a merge could leave a group at per-member
+replica counts like ``[1, 0, 3, 0, 1, 1, 1, 1]``; ISSUE 17's second
+commit fixed that in the plan's merge, and the oracle got the same fix so
+it keeps gating everything else.
 """
 
 from __future__ import annotations
@@ -377,6 +384,9 @@ def _merge_groups(self, target: Group, source: Group, report: ReconfigReport) ->
         self._group_of[member.server_id] = target.group_id
         report.migrated_replicas += migrated
         report.messages += migrated + target.size - 1
+    moved = ref_rebalance(target)  # the ISSUE 17 fix; see the header
+    report.migrated_replicas += moved
+    report.messages += moved
 
 
 # ----------------------------------------------------------------------

@@ -115,6 +115,6 @@ class TestReconfigurationInvariants:
                 else:
                     cluster.fail_server(victim)
         for group in cluster.groups.values():
-            # Light-weight migration keeps members within a couple of
-            # replicas of each other.
-            assert group.load_imbalance() <= 2
+            # Light-weight migration keeps members within one replica of
+            # each other (a merge rebalances too, since ISSUE 17).
+            assert group.load_imbalance() <= 1

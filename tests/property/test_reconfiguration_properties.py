@@ -18,6 +18,7 @@ from repro.core.reconfiguration import (
     NOTIFY,
     fail,
     form,
+    imbalance,
     join,
     leave,
     merge_pair,
@@ -72,8 +73,8 @@ class TestDirectoryAfterwards:
     @settings(max_examples=120, deadline=None)
     def test_well_formed_after_any_script(self, initial, max_group, ops):
         """Every node in exactly one group, sizes within M, each group's
-        hosts its own members and its replicas all outside nodes —
-        ``Directory.check``, and by hand."""
+        hosts its own members and its replicas all outside nodes, replica
+        imbalance at most one — ``Directory.check``, and by hand."""
         for _, plan in _plans(initial, max_group, ops):
             directory = plan.directory
             directory.check(max_group)
@@ -85,6 +86,7 @@ class TestDirectoryAfterwards:
                 hosts = directory.placements[gid]
                 assert set(hosts) == set(nodes) - set(members)
                 assert set(hosts.values()) <= set(members)
+                assert imbalance(directory.loads(gid).values()) <= 1
 
     @given(ops=ops_strategy, **shapes)
     @settings(max_examples=60, deadline=None)

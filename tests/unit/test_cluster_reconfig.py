@@ -112,6 +112,20 @@ class TestLeave:
         assert cluster.num_groups == 1
         cluster.check_invariants()
 
+    def test_merge_leaves_the_group_balanced(self, small_config):
+        """Regression (ISSUE 17): a merge admitted each folded member with
+        the ceil-based offload and never rebalanced, so this script ended
+        with group 2 at per-member replica counts [0, 1, 1, 2]."""
+        cluster = GHBACluster(10, small_config, seed=3)
+        cluster.remove_server(6)
+        cluster.add_server()
+        cluster.remove_server(8)
+        report = cluster.remove_server(4)
+        assert report.merged
+        for group in cluster.groups.values():
+            assert group.load_imbalance() <= 1, group
+        cluster.check_invariants()
+
     def test_many_leaves_keep_invariants(self, small_cluster):
         for _ in range(7):
             victim = small_cluster.server_ids()[-1]
