@@ -1293,8 +1293,11 @@ class GHBACluster:
         self, plan: reconfiguration.Plan, server_id: int
     ) -> ReconfigReport:
         """Apply ``plan`` to the groups and report its model cost: members
-        that change group are re-adopted first, then each step runs on the
-        hosts it names, then emptied groups and stale IDBFA rows go."""
+        that change group leave the old one first, each step runs on the
+        hosts it names — a member arrives in its new group with the first
+        step that names it a host there, so what the group did about its
+        replica before (fetch it, drop it) happened to an outsider's — then
+        emptied groups and stale IDBFA rows go."""
         after = plan.directory
         while self._next_group_id < after.next_group_id:
             self._new_group()
@@ -1305,14 +1308,20 @@ class GHBACluster:
         for member, was in leaving:
             self.groups[was].abandon_member(member)
             del self._group_of[member]
-        for member, now in now_in.items():
-            if member not in self._group_of:
-                self.groups[now].idbfa.add_member(member)
-                self.groups[now].adopt_member(self.servers[member])
-                self._group_of[member] = now
+        arriving = {m: gid for m, gid in now_in.items() if m not in self._group_of}
+
+        def arrive(member: int) -> None:
+            gid = self._group_of[member] = arriving.pop(member)
+            self.groups[gid].idbfa.add_member(member)
+            self.groups[gid].adopt_member(self.servers[member])
+
         servers = self.servers
         for step in plan.steps:
             group = self.groups[step.group]
+            hosts = (step.dst, None if step.kind == reconfiguration.FETCH else step.src)
+            for host in hosts:
+                if arriving.get(host) == step.group:
+                    arrive(host)
             if step.kind == reconfiguration.MOVE:
                 group.move_replica(step.home, servers[step.src], servers[step.dst])
             elif step.kind == reconfiguration.FETCH:
@@ -1320,6 +1329,8 @@ class GHBACluster:
                 group.install_replica(step.home, replica, servers[step.dst])
             elif step.kind == reconfiguration.DROP:
                 group.remove_replica(step.home, servers[step.src])
+        for member in list(arriving):  # those no step named
+            arrive(member)
         for member, was in leaving:
             if was in after.groups:
                 self.groups[was].idbfa.remove_member(member)
@@ -1346,42 +1357,7 @@ class GHBACluster:
     def remove_server(self, server_id: int, rehome: bool = True) -> ReconfigReport:
         """Gracefully remove an MDS (Section 3.1's departure procedure);
         its metadata is re-homed so files stay reachable."""
-        self._check_may_depart(server_id, "remove")
-        orphans = list(self.servers[server_id].store.records()) if rehome else []
-        return self._depart(server_id, reconfiguration.leave, orphans)
-
-    def _check_may_depart(self, server_id: int, verb: str) -> None:
-        if server_id not in self.servers:
-            raise KeyError(f"unknown server {server_id}")
-        if self.num_servers == 1:
-            raise GroupError(f"cannot {verb} the last server of the cluster")
-
-    def _depart(
-        self,
-        server_id: int,
-        planner: Callable[..., reconfiguration.Plan],
-        orphans: Sequence[FileMetadata] = (),
-    ) -> ReconfigReport:
-        """What every departure, graceful or crash, does: carry out the
-        plan, drop the server from the indexes, re-home ``orphans``
-        round-robin, drop the L1 entries naming it, tell the listeners."""
-        plan = planner(self._directory(), server_id, self.config.max_group_size)
-        report = self._carry_out(plan, server_id)
-        del self.servers[server_id]
-        self._sorted_ids.remove(server_id)
-        if orphans:
-            target_ids = sorted(self.servers)
-            for index, meta in enumerate(orphans):
-                target = self.servers[target_ids[index % len(target_ids)]]
-                target.insert_metadata(meta)
-            report.messages += len(orphans)
-        for remaining in self.servers.values():
-            remaining.lru.invalidate_home(server_id)
-        if self._mutation_listeners:
-            self._notify(
-                MutationEvent(op="server_removed", home_id=server_id)
-            )
-        return report
+        return self._depart(server_id, crashed=False, rehome=rehome)
 
     def fail_server(self, server_id: int) -> ReconfigReport:
         """Crash-remove an MDS: its metadata is lost, filters are excised.
@@ -1392,13 +1368,39 @@ class GHBACluster:
         The failed server's *hosted* replicas are re-fetched from their
         home servers' published filters to restore the group mirror.
         """
-        self._check_may_depart(server_id, "fail")
-        # The crashed server's metadata survives on its disk; keep it so a
-        # later recover_server() can restore service for its files.
-        self._crashed_stores[server_id] = list(
-            self.servers[server_id].store.records()
-        )
-        return self._depart(server_id, reconfiguration.fail)
+        return self._depart(server_id, crashed=True, rehome=False)
+
+    def _depart(self, server_id: int, crashed: bool, rehome: bool) -> ReconfigReport:
+        """What every departure, graceful or crash, does: carry out the
+        plan, drop the server from the indexes, re-home its records
+        round-robin (``rehome``) or keep them for :meth:`recover_server`
+        (``crashed``: they survive on its disk), drop the L1 entries naming
+        it, tell the listeners."""
+        if server_id not in self.servers:
+            raise KeyError(f"unknown server {server_id}")
+        if self.num_servers == 1:
+            verb = "fail" if crashed else "remove"
+            raise GroupError(f"cannot {verb} the last server of the cluster")
+        planner = reconfiguration.fail if crashed else reconfiguration.leave
+        plan = planner(self._directory(), server_id, self.config.max_group_size)
+        report = self._carry_out(plan, server_id)
+        records = list(self.servers.pop(server_id).store.records())
+        self._sorted_ids.remove(server_id)
+        if crashed:
+            self._crashed_stores[server_id] = records
+        elif rehome:
+            target_ids = sorted(self.servers)
+            for index, meta in enumerate(records):
+                target = self.servers[target_ids[index % len(target_ids)]]
+                target.insert_metadata(meta)
+            report.messages += len(records)
+        for remaining in self.servers.values():
+            remaining.lru.invalidate_home(server_id)
+        if self._mutation_listeners:
+            self._notify(
+                MutationEvent(op="server_removed", home_id=server_id)
+            )
+        return report
 
     def recover_server(self, server_id: int) -> ReconfigReport:
         """Restore a crashed MDS from its on-disk metadata (Table 1).

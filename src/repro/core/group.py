@@ -113,6 +113,11 @@ class Group:
     ) -> None:
         """``host`` starts hosting the replica of ``home_id`` and records
         itself in the IDBFA (Figure 3)."""
+        if home_id in self._members:
+            raise GroupError(
+                f"MDS {home_id} is a member of group {self.group_id}; "
+                "groups only host replicas of outside servers"
+            )
         if self.idbfa.host_of(home_id) is not None:
             raise GroupError(
                 f"group {self.group_id} already hosts a replica of {home_id}"

@@ -129,6 +129,8 @@ class PrototypeCluster:
         #: Who is in which group and which member hosts whose replica; HBA
         #: is one group of everybody with no placements.
         self.directory = reconfiguration.Directory()
+        #: Node -> group of ``directory``, for the L3 walk (G-HBA only).
+        self._group_of: Dict[int, int] = {}
         #: Durable ("on-disk") state of crashed nodes, by node id.
         self._crashed: Dict[int, Dict] = {}
         self._build(num_nodes)
@@ -161,10 +163,17 @@ class PrototypeCluster:
         # Formation happens before traffic, like population: its fetches
         # are applied in place rather than sent.
         plan = reconfiguration.form(node_ids, self.config.max_group_size)
-        self.directory = plan.directory
+        self._adopt(plan.directory)
         for step in plan.steps:
             replica = self.nodes[step.home].server.publish_filter()
             self.nodes[step.dst].server.host_replica(step.home, replica)
+
+    def _adopt(self, directory: reconfiguration.Directory) -> None:
+        """``directory`` is current from now on; index it by node."""
+        self.directory = directory
+        self._group_of = {
+            node: gid for gid, members in directory.groups.items() for node in members
+        }
 
     @property
     def groups(self) -> Dict[int, List[int]]:
@@ -393,7 +402,7 @@ class PrototypeCluster:
 
         # L3: multicast within the origin's group (G-HBA only).
         if self.scheme == "ghba":
-            group_id = self.directory.group_of(origin_id)
+            group_id = self._group_of[origin_id]
             members = [m for m in self.groups[group_id] if m != origin_id]
             if members:
                 arrival = t + net.unicast_ms / 1000.0
@@ -626,7 +635,7 @@ class PrototypeCluster:
             self._send(step)
             if step.dst is not None:
                 in_flight.add(step.dst)
-        self.directory = plan.directory
+        self._adopt(plan.directory)
 
     def _hba_join(self, newcomer: MDSNode) -> None:
         """HBA join: exchange Bloom filters with every existing node."""

@@ -6,7 +6,9 @@ The bodies are verbatim copies of ``GHBACluster.add_server`` /
 ``_maybe_merge`` / ``_merge_groups`` / ``fail_server`` /
 ``recover_server`` and of the choosing methods of ``Group``
 (``lightest_member``, ``install_replica``, ``remove_replica``,
-``add_member``, ``remove_member``, ``rebalance``, ``dissolve``) — they
+``add_member``, ``remove_member``, ``rebalance``, ``dissolve``) and of
+the four placement helpers that lived beside them (``join_target``,
+``group_with_room``, ``split_victim``, ``merge_pair``) — the methods
 became module functions whose first parameter is still called ``self``
 (the cluster or the group), and calls between them go to the frozen
 copies instead of the live methods.  They use only what the live classes
@@ -27,20 +29,50 @@ it keeps gating everything else.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bloom.arrays import IDBloomFilterArray
 from repro.bloom.bloom_filter import BloomFilter
 from repro.core.cluster import MutationEvent, ReconfigReport
 from repro.core.group import Group, GroupError
-from repro.core.reconfiguration import (
-    group_with_room,
-    join_target,
-    merge_pair,
-    split_victim,
-)
 from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
+
+
+# ----------------------------------------------------------------------
+# The placement choices PR 15 exported from ``core/group.py``
+# ----------------------------------------------------------------------
+def join_target(total_servers: int, old_size: int) -> int:
+    """Replicas each member of a group of ``old_size`` keeps when one more
+    joins, ``ceil((N - M') / (M' + 1))`` with N counted *after* the join;
+    what a member hosts beyond it is offloaded to the newcomer."""
+    return math.ceil(max(0, total_servers - (old_size + 1)) / (old_size + 1))
+
+
+def group_with_room(sizes: Dict[int, int], max_group_size: int) -> Optional[int]:
+    """The smallest group below M (ties to the lowest ID), or None."""
+    roomy = [gid for gid, size in sizes.items() if size < max_group_size]
+    return min(roomy, key=lambda gid: (sizes[gid], gid)) if roomy else None
+
+
+def split_victim(sizes: Dict[int, int]) -> int:
+    """The group split when none has room: the fullest, lowest ID first."""
+    return max(sizes, key=lambda gid: (sizes[gid], -gid))
+
+
+def merge_pair(
+    sizes: Dict[int, int], max_group_size: int
+) -> Optional[Tuple[int, int]]:
+    """``(target, source)``: the smallest group folds into the second
+    smallest when together they fit within M; None when they do not."""
+    by_size = sorted(sizes, key=lambda gid: (sizes[gid], gid))
+    if len(by_size) < 2:
+        return None
+    source, target = by_size[:2]
+    if sizes[source] + sizes[target] > max_group_size:
+        return None
+    return (target, source)
 
 
 # ----------------------------------------------------------------------

@@ -61,14 +61,12 @@ class TestReplicaHosting:
         assert group.get_member(2).hosted_replicas() == [10]
 
     def test_install_member_replica_rejected(self, config):
-        """Groups only host replicas of outside servers: a member's own
-        replica is reported by the mirror check, as it is by the plan's."""
         group = make_group(config)
-        group.install_replica(
-            1, make_server(1, config).publish_filter(), group.get_member(0)
-        )
-        with pytest.raises(GroupError, match="extra"):
-            group.check_mirror_invariant([0, 1, 2])
+        with pytest.raises(GroupError):
+            group.install_replica(
+                1, make_server(1, config).publish_filter(), group.get_member(0)
+            )
+        # The plan's own check reports the same mistake in a directory.
         directory = form(range(5), max_group_size=3).directory
         directory.placements[0][1] = 0
         with pytest.raises(AssertionError, match="extra"):
