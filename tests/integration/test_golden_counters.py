@@ -25,7 +25,7 @@ from pathlib import Path
 from repro.bloom import BloomFilter
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.experiments import fig13, fig14
+from repro.experiments import fig08_10, fig12, fig13, fig14, scalability, table05
 from repro.faults import FaultPlan, PlanFaultInjector
 from repro.traces.profiles import HP_PROFILE
 from repro.traces.synthetic import generate_trace
@@ -159,6 +159,34 @@ def scenario_fig14() -> dict:
     return {"rows": _round_floats(rows)}
 
 
+def scenario_hba_baseline() -> dict:
+    """The HBA columns of Figures 8-10 and 12, Table 5 and the scalability
+    sweep, recorded before ISSUE 18 made ``HBACluster`` a ``GHBACluster``
+    at ``max_group_size = 1``: the walk, the cost model and the memory
+    model the two schemes now share must keep printing these."""
+    fig08 = fig08_10.run_one(
+        "hba",
+        "HP",
+        0.45,
+        num_servers=12,
+        group_size=4,
+        num_files=2_000,
+        num_ops=6_000,
+    )
+    return {
+        "fig08_hba": _round_floats(fig08),
+        "fig12": _round_floats(
+            fig12.run(
+                configs=(("HP", 20, 5),), num_updates=10, files_per_update=3
+            ).rows
+        ),
+        "table05": _round_floats(
+            table05.run(server_counts=(20,), files_per_server=500).rows
+        ),
+        "scalability": _round_floats(scalability.run(server_counts=(20,)).rows),
+    }
+
+
 def scenario_serialization() -> dict:
     """Content hash of the Bloom wire form for a fixed item set."""
     digests = {}
@@ -176,6 +204,7 @@ SCENARIOS = {
     "gateway_cohort": scenario_gateway_cohort,
     "fig13": scenario_fig13,
     "fig14": scenario_fig14,
+    "hba_baseline": scenario_hba_baseline,
     "serialization": scenario_serialization,
 }
 
@@ -197,6 +226,9 @@ class TestGoldenCounters:
 
     def test_fig14_matches_golden(self):
         assert scenario_fig14() == _load_golden()["fig14"]
+
+    def test_hba_baseline_matches_golden(self):
+        assert scenario_hba_baseline() == _load_golden()["hba_baseline"]
 
     def test_serialization_matches_golden(self):
         assert scenario_serialization() == _load_golden()["serialization"]
