@@ -875,64 +875,66 @@ class GHBACluster:
 
         # ---- L3: multicast within the group ----------------------------
         group = self.group_of(origin_id)
-        latency += net.group_multicast_ms(group.size) + q_ms
-        if faults.enabled:
-            peers = [m for m in group.member_ids() if m != origin_id]
-            lost_peers: List[int] = []
-            if peers:
-                peers, lost_peers = faults.filter_targets(origin_id, peers)
-            # Requests go to every peer; only the reachable ones reply.
-            messages += (group.size - 1) + len(peers)
-            if lost_peers:
-                degraded = True
-                latency += rtt  # waited out the silent members
-            num_reached = len(peers)
-        else:
-            # Fault-free fast path: every peer is reached, so the reply
-            # count mirrors the request count and the fused full-group
-            # probe plan applies without a reachability restriction.
-            peers = None
-            lost_peers = ()
-            messages += 2 * (group.size - 1)
-            num_reached = group.size - 1
-        # The multicast waits for the slowest responding member:
-        # max(probe_cost + memory_probe_ms) == max(probe_cost) +
-        # memory_probe_ms since IEEE addition of a shared constant is
-        # monotonic, so the memoized bare costs compare directly.
-        worst_cost = -1.0
-        for member in group.iter_members():
-            sid = member.server_id
-            if sid == origin_id or sid in lost_peers:
-                continue
-            cost = member.probe_cost_cached(net)
-            if cost > worst_cost:
-                worst_cost = cost
-        if worst_cost >= 0.0:
-            latency += worst_cost + mpm
-        if peers is None:
-            l3 = group.multicast_query(path)
-        else:
-            l3 = group.multicast_query(path, member_ids=[origin_id] + peers)
-        child = self._group_multicast_children.get(group.group_id)
-        if child is None:
-            child = self._group_multicasts.labels(group.group_id)
-            self._group_multicast_children[group.group_id] = child
-        child.inc()
-        if traced:
-            l3_detail = {"lost": len(lost_peers)} if lost_peers else {}
-            hop(
-                "group_multicast",
-                target=group.group_id,
-                msg=(group.size - 1) + num_reached,
-                hits=len(l3.hits),
-                **l3_detail,
-            )
-        if len(l3.hits) == 1:
-            l3_hit = l3.hits[0]
-            meta = forward_and_verify(l3_hit)
-            if meta is not None:
-                return finish(QueryLevel.L3, l3_hit)
-            false_forwards += 1
+        # A group of one (M = 1, which is HBA, or N = 1) has no peers to
+        # ask: L2 already probed everything the "group" holds.
+        if group.size > 1:
+            latency += net.group_multicast_ms(group.size) + q_ms
+            if faults.enabled:
+                peers, lost_peers = faults.filter_targets(
+                    origin_id, [m for m in group.member_ids() if m != origin_id]
+                )
+                # Requests go to every peer; only the reachable ones reply.
+                messages += (group.size - 1) + len(peers)
+                if lost_peers:
+                    degraded = True
+                    latency += rtt  # waited out the silent members
+                num_reached = len(peers)
+            else:
+                # Fault-free fast path: every peer is reached, so the reply
+                # count mirrors the request count and the fused full-group
+                # probe plan applies without a reachability restriction.
+                peers = None
+                lost_peers = ()
+                messages += 2 * (group.size - 1)
+                num_reached = group.size - 1
+            # The multicast waits for the slowest responding member:
+            # max(probe_cost + memory_probe_ms) == max(probe_cost) +
+            # memory_probe_ms since IEEE addition of a shared constant is
+            # monotonic, so the memoized bare costs compare directly.
+            worst_cost = -1.0
+            for member in group.iter_members():
+                sid = member.server_id
+                if sid == origin_id or sid in lost_peers:
+                    continue
+                cost = member.probe_cost_cached(net)
+                if cost > worst_cost:
+                    worst_cost = cost
+            if worst_cost >= 0.0:
+                latency += worst_cost + mpm
+            if peers is None:
+                l3 = group.multicast_query(path)
+            else:
+                l3 = group.multicast_query(path, member_ids=[origin_id] + peers)
+            child = self._group_multicast_children.get(group.group_id)
+            if child is None:
+                child = self._group_multicasts.labels(group.group_id)
+                self._group_multicast_children[group.group_id] = child
+            child.inc()
+            if traced:
+                l3_detail = {"lost": len(lost_peers)} if lost_peers else {}
+                hop(
+                    "group_multicast",
+                    target=group.group_id,
+                    msg=(group.size - 1) + num_reached,
+                    hits=len(l3.hits),
+                    **l3_detail,
+                )
+            if len(l3.hits) == 1:
+                l3_hit = l3.hits[0]
+                meta = forward_and_verify(l3_hit)
+                if meta is not None:
+                    return finish(QueryLevel.L3, l3_hit)
+                false_forwards += 1
 
         # ---- L4: global multicast ---------------------------------------
         others = [sid for sid in self.servers if sid != origin_id]

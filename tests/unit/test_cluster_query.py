@@ -112,6 +112,56 @@ class TestQueryCorrectness:
         assert loaded.latency_ms > relaxed.latency_ms
 
 
+class TestGroupOfOne:
+    """A group with no peers has no L3: a query that misses L1 and L2 goes
+    straight to the global multicast (M = 1 is HBA, ISSUE 18)."""
+
+    @pytest.fixture
+    def stale(self, small_config):
+        """N = 10 at M = 1; one file deleted at its home, replicas not yet
+        synchronized — every other MDS still routes it there."""
+        import dataclasses
+
+        config = dataclasses.replace(small_config, max_group_size=1)
+        cluster = GHBACluster(10, config, seed=7)
+        cluster.insert_file(FileMetadata(path="/gone", inode=1), home_id=3)
+        cluster.synchronize_replicas(force=True)
+        cluster.delete_file("/gone")
+        return cluster
+
+    def test_refuted_l2_hit_is_forwarded_once(self, stale):
+        net = stale.config.network
+        origin, home = stale.servers[0], stale.servers[3]
+        assert stale.group_of(0).size == 1
+        result = stale.query("/gone", origin_id=0)
+        assert result.level is QueryLevel.NEGATIVE
+        assert result.false_forwards == 1
+        # L2's forward and its reply, then the global multicast.
+        assert result.messages == 2 + 2 * (stale.num_servers - 1)
+        l1 = net.memory_probe_ms * max(1, origin.lru.num_filters)
+        l2 = origin.probe_cost_cached(net) + net.memory_probe_ms
+        forward = net.round_trip_ms()
+        refuted = net.memory_probe_ms + home.fetch_penalty_cached(net)
+        # The home's filter still says yes (Bloom filters cannot delete),
+        # so its L4 verification is the slowest: probe + record access.
+        l4 = net.global_multicast_ms(stale.num_servers) + (
+            net.memory_probe_ms + net.memory_record_ms
+        )
+        assert result.latency_ms == pytest.approx(
+            l1 + l2 + forward + refuted + l4, rel=1e-12
+        )
+
+    def test_no_queueing_charged_for_the_absent_multicast(self, stale):
+        net = stale.config.network
+        relaxed = stale.query("/gone", origin_id=0)
+        loaded = stale.query("/gone", origin_id=0, outstanding=3)
+        # Arrival, the one forward, the global multicast: three hops queue.
+        assert loaded.latency_ms - relaxed.latency_ms == pytest.approx(
+            3 * net.queueing_ms(3), rel=1e-9
+        )
+        assert loaded.messages == relaxed.messages
+
+
 class TestMetrics:
     def test_level_counter_accumulates(self, populated_cluster):
         cluster, placement = populated_cluster
