@@ -25,7 +25,8 @@ Packages
 - ``repro.sim`` — discrete-event engine, network/memory models, metrics.
 - ``repro.traces`` — synthetic HP/INS/RES-shaped workloads and TIF scaling.
 - ``repro.core`` — the G-HBA scheme itself.
-- ``repro.baselines`` — HBA, pure BFA, hash placement, static subtrees.
+- ``repro.baselines`` — HBA (the cluster at M = 1), the BFA memory
+  formula, hash placement, static subtrees.
 - ``repro.prototype`` — threaded message-passing prototype.
 - ``repro.experiments`` — one module per paper table/figure.
 """

@@ -2,10 +2,11 @@
 
 - :class:`~repro.baselines.hba.HBACluster` — HBA (Zhu, Jiang, Wang 2004):
   every MDS replicates every other MDS's Bloom filter locally, plus an LRU
-  array.  The paper's principal comparison target.
-- :class:`~repro.baselines.bfa.BFACluster` — the pure Bloom Filter Array at
-  a configurable bit/file ratio (Table 5's BFA8 / BFA16 baselines): HBA
-  without the LRU front-end.
+  array.  The paper's principal comparison target; here a
+  :class:`~repro.core.cluster.GHBACluster` at ``max_group_size = 1``.
+- :func:`~repro.baselines.bfa.bfa_memory_bytes_per_server` — the pure Bloom
+  Filter Array at a given bit/file ratio (Table 5's BFA8 / BFA16 unit):
+  HBA's array without the LRU front-end, as a formula.
 - :mod:`~repro.baselines.hash_placement` — modular-hash replica placement
   within a group (the design Section 2.4 argues against): join/leave forces
   wholesale replica migration.
@@ -17,7 +18,7 @@
 """
 
 from repro.baselines.hba import HBACluster
-from repro.baselines.bfa import BFACluster
+from repro.baselines.bfa import bfa_memory_bytes_per_server
 from repro.baselines.hash_placement import HashPlacementGroup, hash_join_migrations
 from repro.baselines.hash_metadata import HashMetadataCluster, MigrationReport
 from repro.baselines.subtree import StaticSubtreePartition
@@ -27,7 +28,7 @@ from repro.baselines.comparison import COMPARISON_TABLE, SchemeTraits
 
 __all__ = [
     "HBACluster",
-    "BFACluster",
+    "bfa_memory_bytes_per_server",
     "HashPlacementGroup",
     "hash_join_migrations",
     "HashMetadataCluster",

@@ -1,64 +1,21 @@
 """Pure Bloom Filter Array (BFA) — Table 5's BFA8 / BFA16 baselines.
 
 BFA is HBA without the LRU front-end: every MDS holds one Bloom filter per
-MDS in the system (its own plus N - 1 replicas) at a fixed bit/file ratio,
-and every query is a membership probe over the full array.  The class exists
-primarily for the memory-overhead comparison (Table 5) and as the
-degenerate-locality ablation for the LRU level.
+MDS in the system (its own plus N - 1 replicas) at a fixed bit/file ratio.
+The paper uses it only as the unit of Table 5's memory comparison, so it is
+a formula here; a live array at M = 1 (``HBACluster``'s replica segment
+plus local filter) measures the same bytes.
 """
 
 from __future__ import annotations
-
-import dataclasses
-from typing import Optional
-
-from repro.baselines.hba import HBACluster
-from repro.core.config import GHBAConfig
-
-
-class BFACluster(HBACluster):
-    """A pure BFA deployment at a given bit/file ratio.
-
-    Parameters
-    ----------
-    num_servers:
-        Number of MDSs.
-    bits_per_file:
-        The array's bit ratio — 8 for BFA8, 16 for BFA16 (Table 5).
-    config:
-        Optional base configuration; its ``bits_per_file`` is overridden.
-    """
-
-    def __init__(
-        self,
-        num_servers: int,
-        bits_per_file: float = 8.0,
-        config: Optional[GHBAConfig] = None,
-        seed: int = 0,
-    ) -> None:
-        base = config or GHBAConfig()
-        tuned = dataclasses.replace(base, bits_per_file=bits_per_file)
-        super().__init__(num_servers, tuned, seed=seed, use_lru=False)
-
-    @property
-    def bits_per_file(self) -> float:
-        return self.config.bits_per_file
-
-    def __repr__(self) -> str:
-        return (
-            f"BFACluster(servers={self.num_servers}, "
-            f"bits_per_file={self.bits_per_file})"
-        )
 
 
 def bfa_memory_bytes_per_server(
     num_servers: int, files_per_server: int, bits_per_file: float
 ) -> int:
-    """Analytic per-MDS memory of a BFA deployment (no LRU).
-
-    Each MDS stores N filters (its own + N - 1 replicas), each sized for
-    ``files_per_server`` items at ``bits_per_file``.
-    """
+    """Per-MDS memory of a BFA deployment: N filters (its own + N - 1
+    replicas), each sized for ``files_per_server`` items at
+    ``bits_per_file``."""
     if num_servers < 1:
         raise ValueError(f"num_servers must be >= 1, got {num_servers}")
     if files_per_server <= 0:

@@ -85,8 +85,8 @@ def run(
             ghba_latency += ghba_report.latency_ms
             ghba_messages += ghba_report.messages
             hba_report = hba.update_server_replicas(server_id)
-            hba_latency += hba_report["latency_ms"]
-            hba_messages += int(hba_report["messages"])
+            hba_latency += hba_report.latency_ms
+            hba_messages += hba_report.messages
         result.rows.append(
             {
                 "trace": trace,

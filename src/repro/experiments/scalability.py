@@ -70,11 +70,11 @@ def run(
                 "ghba_bytes_per_mds": int(ghba_bytes),
                 "hba_bytes_per_mds": int(hba_bytes),
                 "ghba_update_messages": ghba_update.messages,
-                "hba_update_messages": int(hba_update["messages"]),
+                "hba_update_messages": hba_update.messages,
                 "ghba_join_replicas": ghba.servers[
                     ghba_join.server_id
                 ].theta,
-                "hba_join_replicas": hba_join["migrated_replicas"],
+                "hba_join_replicas": hba_join.migrated_replicas,
             }
         )
     return result

@@ -173,7 +173,7 @@ def run(
             "scheme": "hba",
             "lookup_probes": float(num_servers),  # probes all N filters
             "memory_per_mds": int(hba_memory),
-            "join_migration": hba_join["migrated_replicas"],
+            "join_migration": hba_join.migrated_replicas,
             "rename_migration": 0.0,
             "load_imbalance": 1.0,  # random placement balances
         }

@@ -9,8 +9,12 @@ The paper compares, per MDS and as a function of N:
   M for each N) plus the LRU array: 0.2002 at N = 20 falling to 0.1121 at
   N = 100.
 
-We *measure* the ratios on live clusters (summing the actual byte sizes of
-every Bloom structure per MDS) rather than computing them analytically.
+We *measure* the HBA and G-HBA ratios on live clusters — the same cluster
+at ``max_group_size`` 1 and at the optimal M — summing the actual byte
+sizes of every Bloom structure per MDS.  The two BFA columns are their
+definition, N filters at that bit ratio and nothing else
+(:func:`~repro.baselines.bfa.bfa_memory_bytes_per_server`): exactly the
+replica array plus local filter a live HBA cluster holds at that ratio.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import dataclasses
 import statistics
 from typing import Sequence
 
-from repro.baselines.bfa import BFACluster
+from repro.baselines.bfa import bfa_memory_bytes_per_server
 from repro.baselines.hba import HBACluster
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
@@ -30,19 +34,18 @@ from repro.experiments.common import ExperimentResult
 PAPER_GHBA = {20: 0.2002, 40: 0.1670, 60: 0.1434, 80: 0.1258, 100: 0.1121}
 
 
-def _mean_memory(cluster: object, warm: bool = True) -> float:
+def _mean_memory(cluster: GHBACluster) -> float:
     """Mean Bloom-structure bytes per MDS, after warming the LRU arrays.
 
     LRU filters allocate lazily; a short query burst from every origin puts
     each cluster in its steady state so the LRU footprint is measured, not
     zero (the paper's HBA column is 1.0002..1.0010, i.e. BFA8 + a warm LRU).
     """
-    if warm and hasattr(cluster, "query"):
-        paths = [f"/warm/f{i}" for i in range(64)]
-        cluster.populate(paths)
-        for origin_id in cluster.server_ids():
-            for path in paths[:8]:
-                cluster.query(path, origin_id=origin_id)
+    paths = [f"/warm/f{i}" for i in range(64)]
+    cluster.populate(paths)
+    for origin_id in cluster.server_ids():
+        for path in paths[:8]:
+            cluster.query(path, origin_id=origin_id)
     per_server = cluster.memory_bytes_per_server()
     return statistics.mean(per_server.values())
 
@@ -79,8 +82,8 @@ def run(
             num_servers, TRACE_MODELS[trace], max_group_size=20
         )
         config = dataclasses.replace(base, max_group_size=group_size)
-        bfa8 = _mean_memory(BFACluster(num_servers, 8.0, config, seed=seed))
-        bfa16 = _mean_memory(BFACluster(num_servers, 16.0, config, seed=seed))
+        bfa8 = bfa_memory_bytes_per_server(num_servers, files_per_server, 8.0)
+        bfa16 = bfa_memory_bytes_per_server(num_servers, files_per_server, 16.0)
         hba = _mean_memory(HBACluster(num_servers, config, seed=seed))
         ghba = _mean_memory(GHBACluster(num_servers, config, seed=seed))
         result.rows.append(

@@ -1,0 +1,329 @@
+"""Frozen reference: ``repro.baselines.hba`` as it stood before ISSUE 18
+made ``HBACluster`` a ``GHBACluster`` at ``max_group_size = 1``.
+
+Everything below the next docstring marker is a verbatim copy of that
+module — its own L1 -> L2 -> L4 walk, its update / sync / join / leave
+accounting and its ``Counter`` / ``LatencyRecorder`` bookkeeping.
+``tests/property/test_hba_differential.py`` drives this class and the live
+one through the same seeded scripts and diffs every observable, so do not
+"fix" or modernize this file; it is the oracle, like
+``_reference_rename.py`` and ``_reference_reconfig.py``.
+
+One number is *expected* to differ and is not compared: a departure here
+costs N - 1 messages (the survivors' drops); the live class carries out the
+reconfiguration plan, which also charges the N - 1 drops the departing MDS
+is told to make (DESIGN.md section 2, "HBA is G-HBA at M = 1").
+
+The original module docstring follows.
+
+HBA: Hierarchical Bloom filter Arrays (Zhu, Jiang, Wang — Cluster 2004).
+
+The state-of-the-art Bloom-filter scheme the paper compares against.  Every
+MDS stores a *complete* array of Bloom filter replicas — one per MDS in the
+system — fronted by an LRU Bloom filter array exploiting temporal locality.
+Queries resolve in two local levels:
+
+- L1: the LRU array (identical to G-HBA's L1);
+- L2: the full replica array — a unique hit names the home MDS directly;
+- fallback: a global multicast (rare: only on zero/multiple hits or false
+  routing).
+
+The costs that G-HBA improves upon are structural:
+
+- **memory** — N replicas per MDS instead of ``(N - M') / M'``; at scale the
+  array outgrows main memory and probes start paying disk latency
+  (Figures 8-10);
+- **updates** — a replica update must reach every MDS (N - 1 messages)
+  instead of one MDS per group (Figure 12);
+- **reconfiguration** — a joining MDS must receive all N existing replicas
+  and ship its own to everyone (Figures 11 and 15).
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Dict, Iterable, List, Optional
+
+from repro.core.cluster import populate_servers
+from repro.core.config import GHBAConfig
+from repro.core.query import QueryLevel, QueryResult
+from repro.core.server import CONSUMER_METADATA, MetadataServer
+from repro.metadata.attributes import FileMetadata
+from repro.sim.stats import Counter, LatencyRecorder
+
+
+class HBACluster:
+    """An HBA deployment of ``num_servers`` MDSs.
+
+    Reuses :class:`~repro.core.server.MetadataServer` with the *segment*
+    array repurposed as the full replica array (every other server's
+    replica is hosted locally).
+
+    Parameters
+    ----------
+    num_servers:
+        Number of MDSs (N).
+    config:
+        Shared tunables (filter geometry, LRU, memory budget).  The
+        ``max_group_size`` field is ignored — HBA has no groups.
+    use_lru:
+        Disable to obtain the pure BFA behaviour (no L1 level).
+    """
+
+    def __init__(
+        self,
+        num_servers: int,
+        config: Optional[GHBAConfig] = None,
+        seed: int = 0,
+        use_lru: bool = True,
+    ) -> None:
+        if num_servers < 1:
+            raise ValueError(f"num_servers must be >= 1, got {num_servers}")
+        self.config = config or GHBAConfig()
+        self.use_lru = use_lru
+        self._rng = random.Random(seed)
+        self._next_server_id = 0
+        self.servers: Dict[int, MetadataServer] = {}
+        self.level_counter = Counter()
+        self.latency = LatencyRecorder(seed=seed)
+        self.total_messages = 0
+        self.total_false_forwards = 0
+        for _ in range(num_servers):
+            self._add_initial_server()
+        self._install_all_replicas()
+
+    def _add_initial_server(self) -> MetadataServer:
+        server = MetadataServer(self._next_server_id, self.config)
+        self.servers[server.server_id] = server
+        self._next_server_id += 1
+        return server
+
+    def _install_all_replicas(self) -> None:
+        for server in self.servers.values():
+            template = server.publish_filter()
+            for other in self.servers.values():
+                if other.server_id == server.server_id:
+                    continue
+                if server.server_id in other.segment:
+                    other.replace_replica(server.server_id, template.copy())
+                else:
+                    other.host_replica(server.server_id, template.copy())
+
+    # ------------------------------------------------------------------
+    # Introspection / population (mirrors GHBACluster's interface)
+    # ------------------------------------------------------------------
+    @property
+    def num_servers(self) -> int:
+        return len(self.servers)
+
+    def server_ids(self) -> List[int]:
+        return sorted(self.servers)
+
+    def home_of(self, path: str) -> Optional[int]:
+        for server in self.servers.values():
+            if server.has_metadata(path):
+                return server.server_id
+        return None
+
+    def insert_file(self, meta: FileMetadata, home_id: Optional[int] = None) -> int:
+        if home_id is None:
+            home_id = self._rng.choice(sorted(self.servers))
+        self.servers[home_id].insert_metadata(meta)
+        return home_id
+
+    def populate(self, paths: Iterable[str], policy: str = "random") -> Dict[str, int]:
+        return populate_servers(self.servers, paths, policy, self._rng)
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    def query(
+        self,
+        path: str,
+        origin_id: Optional[int] = None,
+        outstanding: int = 0,
+    ) -> QueryResult:
+        """Resolve ``path``: L1 LRU → L2 full array → global multicast."""
+        net = self.config.network
+        if origin_id is None:
+            origin_id = self._rng.choice(sorted(self.servers))
+        origin = self.servers[origin_id]
+        latency = net.queueing_ms(outstanding)
+        messages = 0
+        false_forwards = 0
+
+        def finish(level: QueryLevel, home: Optional[int]) -> QueryResult:
+            result = QueryResult(
+                path=path,
+                home_id=home,
+                level=level,
+                latency_ms=latency,
+                messages=messages,
+                false_forwards=false_forwards,
+                origin_id=origin_id,
+            )
+            self.level_counter.increment(level.label)
+            self.latency.record(latency)
+            self.total_messages += messages
+            self.total_false_forwards += false_forwards
+            if home is not None and self.use_lru:
+                origin.record_lru(path, home)
+            return result
+
+        def verify_at(server: MetadataServer) -> Optional[FileMetadata]:
+            nonlocal latency
+            latency += net.memory_probe_ms
+            if not server.local_filter.query(path):
+                return None
+            latency += server.fetch_penalty_cached(net)
+            return server.store.get(path)
+
+        def forward_and_verify(target_id: int) -> Optional[FileMetadata]:
+            nonlocal latency, messages
+            if target_id != origin_id:
+                latency += net.round_trip_ms() + net.queueing_ms(outstanding)
+                messages += 2
+            return verify_at(self.servers[target_id])
+
+        # L1: LRU array
+        if self.use_lru:
+            latency += net.memory_probe_ms * max(1, origin.lru.num_filters)
+            l1 = origin.probe_lru(path)
+            if l1.is_unique:
+                meta = forward_and_verify(l1.unique_hit)
+                if meta is not None:
+                    return finish(QueryLevel.L1, l1.unique_hit)
+                false_forwards += 1
+                origin.lru.invalidate(path)
+
+        # L2: the full replica array — HBA's defining probe.  The array
+        # holds N-1 replicas; its memory residency drives Figures 8-10.
+        latency += origin.probe_cost_cached(net)
+        latency += net.memory_probe_ms  # own local filter
+        l2 = origin.probe_segment(path)
+        if l2.is_unique:
+            meta = forward_and_verify(l2.unique_hit)
+            if meta is not None:
+                return finish(QueryLevel.L2, l2.unique_hit)
+            false_forwards += 1
+
+        # Fallback: global multicast (counted as L4 to align level labels).
+        latency += net.global_multicast_ms(self.num_servers)
+        latency += net.queueing_ms(outstanding)
+        messages += 2 * (self.num_servers - 1)
+        verify_costs = [net.memory_probe_ms]
+        found_home: Optional[int] = None
+        for server in self.servers.values():
+            if not server.local_filter.query(path):
+                continue
+            meta_fraction = server.memory.resident_fraction(CONSUMER_METADATA)
+            verify_costs.append(
+                net.memory_probe_ms
+                + meta_fraction * net.memory_record_ms
+                + (1.0 - meta_fraction) * net.disk_access_ms
+            )
+            if server.store.get(path) is not None:
+                found_home = server.server_id
+        latency += max(verify_costs)
+        if found_home is not None:
+            return finish(QueryLevel.L4, found_home)
+        return finish(QueryLevel.NEGATIVE, None)
+
+    # ------------------------------------------------------------------
+    # Replica updates (Figure 12's HBA cost)
+    # ------------------------------------------------------------------
+    def update_server_replicas(self, server_id: int) -> Dict[str, float]:
+        """Re-publish one server's filter to every other MDS.
+
+        Returns message and latency accounting: a system-wide multicast of
+        N - 1 messages (vs. G-HBA's one message per group).
+        """
+        server = self.servers[server_id]
+        template = server.publish_filter()
+        messages = 0
+        for other in self.servers.values():
+            if other.server_id == server_id:
+                continue
+            other.replace_replica(server_id, template.copy())
+            messages += 1
+        latency_ms = self.config.network.multicast_ms(self.num_servers - 1)
+        return {"messages": messages, "latency_ms": latency_ms}
+
+    def synchronize_replicas(self, force: bool = False) -> Dict[str, float]:
+        """Update every drifted server's replicas everywhere."""
+        threshold = self.config.update_threshold_bits
+        messages = 0
+        latency_ms = 0.0
+        updated = 0
+        for server in list(self.servers.values()):
+            if not force and server.staleness_bits() <= threshold:
+                continue
+            report = self.update_server_replicas(server.server_id)
+            messages += int(report["messages"])
+            latency_ms += report["latency_ms"]
+            updated += 1
+        return {
+            "servers_updated": updated,
+            "messages": messages,
+            "latency_ms": latency_ms,
+        }
+
+    # ------------------------------------------------------------------
+    # Reconfiguration (Figures 11 and 15's HBA cost)
+    # ------------------------------------------------------------------
+    def add_server(self) -> Dict[str, int]:
+        """Add one MDS: it must receive all N replicas and ship its own.
+
+        Returns ``migrated_replicas`` (N: the full mirror copied to the
+        newcomer — the paper's Figure 11 line for HBA) and ``messages``
+        (the replica exchange with every existing MDS, Figure 15).
+        """
+        existing = list(self.servers.values())
+        newcomer = self._add_initial_server()
+        migrated = 0
+        messages = 0
+        for other in existing:
+            newcomer.host_replica(other.server_id, other.published_filter.copy())
+            migrated += 1
+            messages += 1
+        template = newcomer.publish_filter()
+        for other in existing:
+            other.host_replica(newcomer.server_id, template.copy())
+            messages += 1
+        return {
+            "server_id": newcomer.server_id,
+            "migrated_replicas": migrated,
+            "messages": messages,
+        }
+
+    def remove_server(self, server_id: int) -> Dict[str, int]:
+        """Remove an MDS; every other MDS drops its replica."""
+        if server_id not in self.servers:
+            raise KeyError(f"unknown server {server_id}")
+        if self.num_servers == 1:
+            raise ValueError("cannot remove the last server")
+        del self.servers[server_id]
+        messages = 0
+        for other in self.servers.values():
+            if server_id in other.segment:
+                other.drop_replica(server_id)
+                messages += 1
+            other.lru.invalidate_home(server_id)
+        return {"server_id": server_id, "messages": messages}
+
+    # ------------------------------------------------------------------
+    # Accounting
+    # ------------------------------------------------------------------
+    def memory_bytes_per_server(self) -> Dict[int, int]:
+        return {
+            sid: server.segment.size_bytes()
+            + server.local_filter.size_bytes()
+            + (server.lru.size_bytes() if self.use_lru else 0)
+            for sid, server in self.servers.items()
+        }
+
+    def level_fractions(self) -> Dict[str, float]:
+        return self.level_counter.fractions()
+
+    def __repr__(self) -> str:
+        return f"HBACluster(servers={self.num_servers}, use_lru={self.use_lru})"

@@ -106,5 +106,5 @@ class TestGHBAvsHBAUpdateCost:
         hba = HBACluster(12, small_config)
         ghba_report = ghba.update_server_replicas(0)
         hba_report = hba.update_server_replicas(0)
-        assert ghba_report.messages < hba_report["messages"]
-        assert ghba_report.latency_ms < hba_report["latency_ms"]
+        assert ghba_report.messages < hba_report.messages == 11
+        assert ghba_report.latency_ms < hba_report.latency_ms
