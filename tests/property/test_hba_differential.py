@@ -32,7 +32,7 @@ import pytest
 
 from repro.baselines.hba import HBACluster
 from repro.core.config import GHBAConfig
-from repro.core.query import QueryLevel, QueryResult
+from repro.core.query import QueryLevel
 from repro.metadata.attributes import FileMetadata
 
 from tests._reference_hba import HBACluster as ReferenceHBACluster
@@ -124,15 +124,16 @@ class _Twins:
         config = _config(seed, budget)
         self.live = HBACluster(servers, config, seed=seed)
         self.twin = ReferenceHBACluster(servers, config, seed=seed)
-        self.placement = self.live.populate(PATHS, policy)
-        assert self.twin.populate(PATHS, policy) == self.placement
+        assert self.live.populate(PATHS, policy) == self.twin.populate(PATHS, policy)
 
     def apply(self, op, arg):
         live, twin = self.live, self.twin
         if op == "query":
             path, draw = arg
             origin = None if draw is None else _pick(live.server_ids(), draw)
-            got = tuple(live.query(path, origin, self.outstanding))
+            # As tuples: QueryResult's repr rounds what a failure must show.
+            self.last_result = live.query(path, origin, self.outstanding)
+            got = tuple(self.last_result)
             want = tuple(twin.query(path, origin, self.outstanding))
         elif op == "insert":
             inode, draw = arg
@@ -178,7 +179,6 @@ class _Twins:
             got = want = None  # state only: the count is the known difference
         else:  # pragma: no cover - generator and runner must stay in sync
             return f"unknown op {op!r}"
-        self.last = got
         if got != want:
             return f"returned {got!r}, reference {want!r}"
         return None
@@ -267,7 +267,7 @@ def test_scripts_reach_the_cases_that_matter():
                     shipped += any(bits > threshold for bits in stale)
                 assert twins.apply(op, arg) is None
                 if op == "query":
-                    result = QueryResult(*twins.last)
+                    result = twins.last_result
                     levels.add(result.level)
                     refuted += result.false_forwards >= 1
                     refuted_twice += result.false_forwards == 2

@@ -1,5 +1,7 @@
 """Unit tests for the G-HBA cluster's four-level query path."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.cluster import GHBACluster
@@ -120,8 +122,6 @@ class TestGroupOfOne:
     def stale(self, small_config):
         """N = 10 at M = 1; one file deleted at its home, replicas not yet
         synchronized — every other MDS still routes it there."""
-        import dataclasses
-
         config = dataclasses.replace(small_config, max_group_size=1)
         cluster = GHBACluster(10, config, seed=7)
         cluster.insert_file(FileMetadata(path="/gone", inode=1), home_id=3)
