@@ -8,8 +8,7 @@ the MDS fleet than N independent gateways offering the *same* staleness
 bound — and the auditor must observe **zero** staleness-bound violations
 on either deployment.
 
-Runs the same scenario as ``python -m repro.gateway bench --cohort N``
-and emits ``BENCH_cohort.json`` at the repo root.
+Runs the same scenario as ``python -m repro.gateway bench --cohort N``.
 """
 
 import dataclasses
@@ -18,8 +17,6 @@ import pytest
 
 from repro.gateway.scenario import ScenarioSpec
 from repro.gateway.scenarios import run_cohort
-
-from _bench_json import update_bench_json
 
 SPEC = ScenarioSpec(
     servers=20,
@@ -68,32 +65,6 @@ def test_protocol_exercised_under_faults(cohort_stats):
     assert cohort_stats["sync_records_recovered"] > 0
     assert cohort_stats["peer_outages"] > 0, "partition never suspected a peer"
     assert cohort_stats["clamp_engagements"] > 0
-
-
-def test_bench_json_emitted(cohort_stats):
-    target = update_bench_json(
-        "BENCH_cohort.json",
-        "gateway_cohort",
-        {
-            "cohort": cohort_stats["cohort"],
-            "seed": cohort_stats["seed"],
-            "ops": cohort_stats["ops"],
-            "staleness_bound_s": cohort_stats["staleness_bound_s"],
-            "violations": cohort_stats["violations"],
-            "independent_violations": cohort_stats["independent_violations"],
-            "staleness_p99_s": cohort_stats["cohort_audit"]["staleness_p99_s"],
-            "staleness_max_s": cohort_stats["cohort_audit"]["staleness_max_s"],
-            "backend_queries_cohort": cohort_stats["backend_queries_cohort"],
-            "backend_queries_independent": cohort_stats[
-                "backend_queries_independent"
-            ],
-            "backend_reduction": cohort_stats["backend_reduction"],
-            "invalidation_messages": cohort_stats["invalidation_messages"],
-            "cohort_hit_rate": cohort_stats["cohort_hit_rate"],
-            "independent_hit_rate": cohort_stats["independent_hit_rate"],
-        },
-    )
-    assert target.exists()
 
 
 @pytest.mark.slow

@@ -14,8 +14,6 @@ import pytest
 from repro.gateway.scenario import ScenarioSpec
 from repro.gateway.scenarios import run_shield
 
-from _bench_json import update_bench_json
-
 SPEC = ScenarioSpec(
     servers=20,
     group_size=5,
@@ -64,26 +62,3 @@ def test_shed_accounting(shield_stats):
         if outcome not in ("rejected", "queued")
     )
     assert answered + shield_stats["shed"] >= shield_stats["lookups_submitted"]
-
-
-def test_bench_json_emitted(shield_stats, tmp_path):
-    target = update_bench_json(
-        "shield.json",
-        "gateway_shield",
-        {
-            "hit_rate": shield_stats["hit_rate"],
-            "backend_reduction": shield_stats["backend_reduction"],
-            "backend_queries": shield_stats["backend_queries"],
-            "direct_queries": shield_stats["direct_queries"],
-            "shed_rate": shield_stats["shed_rate"],
-            "stale_reads": shield_stats["stale_reads"],
-            "p50_ms": shield_stats["p50_ms"],
-            "p99_ms": shield_stats["p99_ms"],
-            "direct_p50_ms": shield_stats["direct_p50_ms"],
-            "direct_p99_ms": shield_stats["direct_p99_ms"],
-            "seed": shield_stats["seed"],
-            "ops": shield_stats["ops"],
-        },
-        root=tmp_path,
-    )
-    assert target.exists()

@@ -17,8 +17,6 @@ import pytest
 from repro.gateway.scenario import ScenarioSpec
 from repro.gateway.scenarios import run_writeback
 
-from _bench_json import update_bench_json
-
 SPEC = ScenarioSpec(
     servers=20,
     group_size=5,
@@ -84,13 +82,3 @@ def test_flushes_batched(writeback_stats):
     back = writeback_stats["writeback"]
     assert back["flush_batches"] > 0
     assert back["flush_batches"] < writeback_stats["mutations"]
-
-
-def test_bench_json_emitted(writeback_stats, tmp_path):
-    target = update_bench_json(
-        "writeback.json",
-        "gateway_writeback",
-        writeback_stats,
-        root=tmp_path,
-    )
-    assert target.exists()

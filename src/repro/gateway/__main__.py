@@ -5,9 +5,9 @@ Usage::
     python -m repro.gateway bench --seed 7
     python -m repro.gateway bench --servers 20 --files 4000 --ops 6000 \\
         --profile HP --chaos --json gateway.json
-    python -m repro.gateway bench --cohort 4 --json BENCH_cohort.json
+    python -m repro.gateway bench --cohort 4 --json cohort.json
     python -m repro.gateway bench --writeback --json wb.json
-    python -m repro.gateway bench --tenants 4 --json BENCH_tenants.json
+    python -m repro.gateway bench --tenants 4 --json tenants.json
 
 ``bench`` replays a synthetic :mod:`repro.traces` workload through one
 of four scenarios of the same engine (:mod:`repro.gateway.scenario`) and

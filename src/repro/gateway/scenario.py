@@ -205,7 +205,7 @@ def drain(
 
 
 def run_metadata(duration_s: float) -> Dict[str, object]:
-    """Provenance stamped into every ``BENCH_*.json`` under ``"_meta"``:
+    """Provenance stamped into every ``--json`` file under ``"_meta"``:
     which machine, toolchain and revision produced the numbers.
     ``git_rev`` is the checkout this module was loaded from ("" when that
     is not a git work tree)."""
@@ -253,8 +253,7 @@ def run_scenario(
     """Run, print, emit, gate: the tail every scenario shares.
 
     JSON is written only to an explicit ``json_path`` (stats nested
-    under ``json_key`` when given — the shape the benchmarks suite's
-    ``update_bench_json`` writes — beside a ``_meta`` provenance block).
+    under ``json_key`` when given, beside a ``_meta`` provenance block).
     A red gate dumps the flight rings (they hold the events leading up
     to it) to ``flight_dir`` as ``<name>-gate-failure``; exit code 1.
     """

@@ -1,5 +1,5 @@
 """Multi-tenant admission bench: weighted max-min quotas vs a noisy
-neighbour (DESIGN.md §16; artifact ``BENCH_tenants.json``).
+neighbour (DESIGN.md §16; ``--json PATH`` writes the stats).
 
 One Zipf-mixed tenant workload (tenant ``u0`` is the noisy neighbour by
 construction — Zipf rank 1 of the tenant popularity law) is replayed

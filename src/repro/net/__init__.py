@@ -12,22 +12,22 @@ package supplies the second implementation of that surface:
 - :mod:`repro.net.codec` — a versioned, length-prefixed, deterministic
   binary wire format for every :class:`~repro.prototype.messages.
   MessageKind` payload (stdlib only).
-- :mod:`repro.net.tcp` — :class:`~repro.net.tcp.TcpTransport`, an asyncio
-  TCP transport with per-peer connection pooling and bounded outbound
-  queues, speaking the codec and driving the same fault injector and
-  retry policy as the in-process transport.
+- :mod:`repro.net.tcp` — :class:`~repro.net.tcp.TcpTransport`, blocking
+  sockets with one pooled connection per peer, one reader thread per
+  connection and bounded writes, speaking the codec and driving the same
+  fault injector and retry policy as the in-process transport.
 - :mod:`repro.net.supervisor` — launches each MDS as a real OS process
   (``python -m repro.net serve``) wired together by a static port map.
 
 The in-process transport remains the deterministic tier-1 harness; this
-package is where real serialization cost, real backpressure, and
+package is where real serialization cost, real sockets, and
 wall-clock numbers come from — measured by ``python -m bench run
 --workload wire_mixed`` (two ``serve`` processes, one closed-loop client,
 a final re-read as the lost-ack oracle).
 
-Submodules are resolved lazily (PEP 562) so that importing
-``repro.prototype`` — whose transport uses only the reliability layer —
-never pays for asyncio.
+The names below are resolved lazily (PEP 562): no import cycle needs it,
+but ``repro.prototype`` and ``repro.gateway`` use only the reliability
+layer and should not load the codec and the socket modules on import.
 """
 
 _EXPORTS = {

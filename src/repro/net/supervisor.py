@@ -109,6 +109,7 @@ class ProcessSupervisor:
             checkpoint_path = self.workdir / f"checkpoint-{node_id}.json"
             checkpoint_path.write_text(json.dumps(checkpoint))
             argv += ["--checkpoint", str(checkpoint_path)]
+        self._close_log(node_id)  # of a previous, dead incarnation
         log = open(self.workdir / f"mds-{node_id}.log", "ab")
         self._logs[node_id] = log
         proc = subprocess.Popen(
@@ -179,10 +180,13 @@ class ProcessSupervisor:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+        self._close_log(node_id)
+        return proc.returncode
+
+    def _close_log(self, node_id: int) -> None:
         log = self._logs.pop(node_id, None)
         if log is not None:
             log.close()
-        return proc.returncode
 
     def kill_mds(self, node_id: int) -> None:
         """Crash a node hard (SIGKILL) — the crash/restart harness."""

@@ -1,4 +1,4 @@
-"""Asyncio TCP transport speaking the ``repro.net.codec`` wire format.
+"""Blocking-socket TCP transport speaking the ``repro.net.codec`` wire format.
 
 One :class:`TcpTransport` per OS process.  It exposes the exact surface
 of :class:`~repro.prototype.transport.InProcessTransport` — ``register``
@@ -8,25 +8,30 @@ the same counters, the same fault-injector hook — which is what lets
 ``PrototypeCluster``, the gateway cohort, and the write-back flush
 engine run on either transport.
 
-Architecture
-------------
-A single daemon thread runs an asyncio event loop; caller threads talk
-to it through ``run_coroutine_threadsafe``.  Per peer there is one
-pooled client connection carrying all requests, with:
+Threading model
+---------------
+Whoever holds a frame writes it, as on the in-process transport: a
+request is encoded and written by the calling thread, a reply by the
+node thread (``message.reply_to`` is a shim whose ``put(reply)`` writes
+to the connection the request came in on, so the node's handler loop
+cannot tell the two transports apart).  A per-connection lock keeps
+frames whole when several threads share the one pooled connection to a
+peer.  Every connection — accepted, or pooled per peer — has one daemon
+reader thread that decodes frames into the node's mailbox (server side)
+or hands replies to waiting requests by ``request_id`` (client side);
+each registered node adds one accept thread.  All are named
+``tcp-transport-*`` and none exists before the first ``register`` or
+connect.  The two thread-to-thread hand-offs left per RPC (reader →
+mailbox, reader → reply queue) are the node's contract, not the wire's.
 
-- a **bounded outbound queue** (``outbound_queue_limit`` frames): when
-  it is full the *caller thread blocks* until the writer drains — that
-  is real backpressure, surfaced in ``transport_backpressure_stalls_total``
-  and the ``transport_queue_high_water`` gauge rather than hidden in an
-  unbounded buffer;
-- a writer task (write + drain, counting bytes/frames out);
-- a reader task demultiplexing REPLY frames to waiting requests by
-  ``request_id``.
-
-The server side (``register``) accepts connections, decodes frames into
-the node's mailbox, and arms ``message.reply_to`` with a shim whose
-``put(reply)`` encodes the reply back onto the originating connection —
-the node's handler loop cannot tell the two transports apart.
+A write is bounded by ``default_timeout_s``: a peer that stops reading
+costs the writer one timeout, then the connection is dropped (a torn
+frame is never followed by another), the frame counts as lost on the
+wire and the retry layer takes over.  Reads wait indefinitely — an idle
+connection is not an error.  Frames that found another frame ahead of
+them on their connection are counted in
+``transport_backpressure_stalls_total``, the deepest such line in the
+``transport_queue_high_water`` gauge.
 
 Fault-boundary parity: ``send`` (count, then the fault injector's
 verdict: drop → ``False`` but still counted, delay → virtual arrival
@@ -41,13 +46,14 @@ reports as ``unreachable``, matching a deregistered in-process node.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import queue
+import select
 import socket
 import struct
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+import time
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
@@ -135,84 +141,50 @@ class PortMap:
         return cls(json.loads(raw))
 
 
+class _Connection:
+    """One TCP connection: the socket, the lock that keeps frames whole
+    on it, how many frames are at that lock, and the reader thread, which
+    owns the socket's lifetime (``TcpTransport._drop`` ends it)."""
+
+    __slots__ = ("sock", "write_lock", "waiting", "closed", "reader")
+
+    def __init__(self, sock: socket.socket) -> None:
+        # A frame is a whole request or reply: never wait to coalesce it.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.write_lock = threading.Lock()
+        self.waiting = 0
+        self.closed = False
+        self.reader: Optional[threading.Thread] = None
+
+
 class _ReplyShim:
     """Stands in for the in-process reply queue on the server side.
 
-    The node's handler calls ``reply_to.put(reply)``; here that encodes
-    the reply and enqueues it on the originating connection's bounded
-    outbound queue (blocking the node thread when the peer reads slowly
-    — reply backpressure, same accounting as the client side).
+    The node's handler calls ``reply_to.put(reply)``; here the node
+    thread encodes the reply and writes it to the connection the request
+    arrived on (bounded like every write: a peer that reads slowly costs
+    the node one timeout and its connection).
     """
 
-    __slots__ = ("_transport", "_outbound")
+    __slots__ = ("_transport", "_conn")
 
-    def __init__(self, transport: "TcpTransport", outbound: "_Outbound"):
+    def __init__(self, transport: "TcpTransport", conn: _Connection):
         self._transport = transport
-        self._outbound = outbound
+        self._conn = conn
 
     def put(self, reply: Message) -> None:
         body = encode_body(reply, expects_reply=False)
-        self._transport._enqueue_threadsafe(self._outbound, body)
-
-
-class _Outbound:
-    """One bounded outbound frame queue + writer task for a connection."""
-
-    __slots__ = ("queue", "task", "closed")
-
-    def __init__(
-        self,
-        transport: "TcpTransport",
-        writer: asyncio.StreamWriter,
-        limit: int,
-    ) -> None:
-        self.queue: "asyncio.Queue[Optional[bytes]]" = asyncio.Queue(
-            maxsize=limit
-        )
-        self.closed = False
-        self.task = asyncio.get_running_loop().create_task(
-            self._drain(transport, writer)
-        )
-
-    async def _drain(
-        self, transport: "TcpTransport", writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                body = await self.queue.get()
-                if body is None:
-                    break
-                frame = struct.pack(">I", len(body)) + body
-                writer.write(frame)
-                await writer.drain()
-                transport._count_wire("out", len(frame))
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self.closed = True
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-
-class _PeerConnection:
-    """One pooled client connection to a peer node."""
-
-    __slots__ = ("outbound", "reader_task", "closed")
-
-    def __init__(self) -> None:
-        self.outbound: Optional[_Outbound] = None
-        self.reader_task: Optional[asyncio.Task] = None
-        self.closed = False
+        self._transport._write_frame(self._conn, body)
 
 
 class TcpTransport(ReliableTransport):
     """TCP implementation of the prototype transport surface.
 
     Parameters are those of :class:`~repro.net.reliability.
-    ReliableTransport`, plus the port map and the TCP-specific
-    connection knobs.
+    ReliableTransport` (``default_timeout_s`` also bounds every connect
+    and every socket write), plus the port map and the bounded connect
+    retries.
     """
 
     def __init__(
@@ -224,13 +196,11 @@ class TcpTransport(ReliableTransport):
         metrics=None,
         connect_attempts: int = 10,
         connect_backoff_s: float = 0.05,
-        outbound_queue_limit: int = 1024,
     ) -> None:
         super().__init__(default_timeout_s, injector, retry, metrics)
         self.portmap = portmap
         self._connect_attempts = max(1, connect_attempts)
         self._connect_backoff_s = connect_backoff_s
-        self._outbound_queue_limit = outbound_queue_limit
 
         # Wire-level stats (TCP-only; the in-process transport has no wire).
         self._bytes = {"in": 0, "out": 0}
@@ -241,8 +211,12 @@ class TcpTransport(ReliableTransport):
         self._queue_high_water = 0
 
         self._pending: Dict[int, "queue.Queue[Message]"] = {}
-        self._servers: Dict[int, asyncio.AbstractServer] = {}
-        self._conns: Dict[int, _PeerConnection] = {}
+        self._listeners: Dict[int, Tuple[socket.socket, threading.Thread]] = {}
+        self._pooled: Dict[int, _Connection] = {}
+        self._connect_gates: Dict[int, threading.Lock] = {}
+        # Every live connection, accepted ones included, so close() can
+        # end and join each reader.
+        self._connections: Set[_Connection] = set()
         self._closed = False
 
         self._m = {}
@@ -268,30 +242,15 @@ class TcpTransport(ReliableTransport):
                 ),
                 "stalls": metrics.counter(
                     "transport_backpressure_stalls_total",
-                    "Sends that blocked on a full outbound queue.",
+                    "Frames that found another frame ahead of them on "
+                    "their connection.",
                 ),
                 "high_water": metrics.gauge(
                     "transport_queue_high_water",
-                    "Maximum outbound queue depth observed (frames).",
+                    "Most frames waiting on one connection at once, the "
+                    "one being written included.",
                 ),
             }
-
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="tcp-transport", daemon=True
-        )
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    # Event loop plumbing
-    # ------------------------------------------------------------------
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    def _call(self, coro):
-        """Run a coroutine on the loop from a caller thread."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     # ------------------------------------------------------------------
     # Wire stats (the message counters are the transport core's)
@@ -319,55 +278,75 @@ class TcpTransport(ReliableTransport):
             self._m["bytes"].labels(direction).inc(nbytes)
             self._m["frames"].labels(direction).inc()
 
-    def _note_queue_depth(self, depth: int) -> None:
+    # ------------------------------------------------------------------
+    # Connections: one reader thread each
+    # ------------------------------------------------------------------
+    def _adopt(
+        self, sock: socket.socket, name: str, mailbox: Optional[queue.Queue]
+    ) -> Optional[_Connection]:
+        """Start the reader of a fresh connection; None (socket closed)
+        when the transport was closed meanwhile."""
+        conn = _Connection(sock)
+        conn.reader = threading.Thread(
+            target=self._read_loop,
+            args=(conn, mailbox),
+            name=f"tcp-transport-{name}",
+            daemon=True,
+        )
         with self._lock:
-            if depth > self._queue_high_water:
-                self._queue_high_water = depth
-            high = self._queue_high_water
-        if self._m:
-            self._m["high_water"].labels().set(high)
+            if self._closed:
+                sock.close()
+                return None
+            self._connections.add(conn)
+        conn.reader.start()
+        return conn
 
-    # ------------------------------------------------------------------
-    # Registration (server side)
-    # ------------------------------------------------------------------
-    def register(self, node_id: int) -> "queue.Queue[Message]":
-        mailbox = super().register(node_id)
-        host, port = self.portmap.endpoint(node_id)
-        server = self._call(self._start_server(node_id, host, port))
-        self._servers[node_id] = server
-        return mailbox
+    def _read_loop(
+        self, conn: _Connection, mailbox: Optional[queue.Queue]
+    ) -> None:
+        """Decode one connection's frames into ``mailbox`` (server side),
+        or hand them to the requests waiting for them (``mailbox`` None:
+        a pooled client connection) — until the connection is dropped."""
+        try:
+            with conn.sock.makefile("rb") as stream:
+                while True:
+                    frame = self._read_frame(stream)
+                    if frame is None:
+                        break
+                    message, expects_reply = frame
+                    if mailbox is not None:
+                        if expects_reply:
+                            message.reply_to = _ReplyShim(self, conn)
+                        mailbox.put(message)
+                        continue
+                    with self._lock:
+                        waiter = self._pending.get(message.request_id)
+                    if waiter is not None:
+                        waiter.put(message)
+                    # else: a reply nobody waits for anymore (late duplicate
+                    # after the retry budget) — dropped, like in-process.
+        finally:
+            self._drop(conn)  # fails a writer stalled on this connection
+            with conn.write_lock:  # ... so none is mid-send on the fd
+                conn.sock.close()
+            with self._lock:
+                self._connections.discard(conn)
 
-    async def _start_server(
-        self, node_id: int, host: str, port: int
-    ) -> asyncio.AbstractServer:
-        mailbox = self._mailboxes[node_id]
-
-        async def handle(reader, writer):
-            outbound = _Outbound(self, writer, self._outbound_queue_limit)
-            try:
-                await self._pump_inbound(reader, mailbox, outbound)
-            except asyncio.CancelledError:
-                pass  # transport shutdown; end the task uncancelled
-            finally:
-                if not outbound.closed:
-                    try:
-                        outbound.queue.put_nowait(None)
-                    except asyncio.QueueFull:
-                        outbound.task.cancel()
-
-        return await asyncio.start_server(handle, host, port)
-
-    async def _read_frame(self, reader) -> Optional[Tuple[Message, bool]]:
+    def _read_frame(self, stream) -> Optional[Tuple[Message, bool]]:
         """The next ``(message, expects_reply)`` off one connection; None
         once the connection is to be dropped — the peer closed or reset
         it, or sent an oversized (corrupt) or undecodable frame."""
         try:
-            header = await reader.readexactly(4)
+            header = stream.read(4)
+            if len(header) < 4:
+                return None
             (length,) = struct.unpack(">I", header)
             if length > MAX_FRAME_BYTES:
-                return None
-            body = await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError):
+                return None  # before a byte of it is allocated
+            body = stream.read(length)
+        except OSError:
+            return None
+        if len(body) < length:
             return None
         self._count_wire("in", 4 + length)
         try:
@@ -375,27 +354,102 @@ class TcpTransport(ReliableTransport):
         except CodecError:
             return None
 
-    async def _pump_inbound(self, reader, mailbox, outbound) -> None:
-        """Decode inbound frames from one connection into the mailbox."""
-        while True:
-            frame = await self._read_frame(reader)
-            if frame is None:
-                break
-            message, expects_reply = frame
-            if expects_reply:
-                message.reply_to = _ReplyShim(self, outbound)
-            mailbox.put(message)
+    def _drop(self, conn: _Connection) -> None:
+        """End a connection: its reader sees end-of-stream and closes the
+        socket, a write stalled on it fails at once."""
+        with self._lock:
+            if conn.closed:
+                return
+            conn.closed = True
+            try:
+                conn.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer reset it first
+
+    def _write_frame(self, conn: _Connection, body: bytes) -> None:
+        """Write one whole frame within ``default_timeout_s``, or drop the
+        connection: the frame is then lost on the wire, which the retry
+        layer recovers like any other loss."""
+        frame = struct.pack(">I", len(body)) + body
+        with self._lock:
+            conn.waiting += 1
+            stalled = conn.waiting > 1
+            if stalled:
+                self._backpressure_stalls += 1
+            high = max(self._queue_high_water, conn.waiting)
+            self._queue_high_water = high
+        if self._m:
+            if stalled:
+                self._m["stalls"].inc()
+            self._m["high_water"].labels().set(high)
+        try:
+            with conn.write_lock:
+                sent = not conn.closed and self._send_all(conn.sock, frame)
+        finally:
+            with self._lock:
+                conn.waiting -= 1
+        if sent:
+            self._count_wire("out", len(frame))
+        else:
+            self._drop(conn)
+
+    def _send_all(self, sock: socket.socket, frame: bytes) -> bool:
+        """``sendall`` with a deadline on the write alone (a socket
+        timeout would also bound the reader's idle ``recv``)."""
+        deadline = time.monotonic() + self._default_timeout
+        view = memoryview(frame)
+        try:
+            while view:
+                try:
+                    view = view[sock.send(view, socket.MSG_DONTWAIT):]
+                except BlockingIOError:  # the peer's window is full
+                    writable = select.poll()
+                    writable.register(sock, select.POLLOUT)
+                    left_ms = (deadline - time.monotonic()) * 1000.0
+                    if left_ms <= 0 or not writable.poll(left_ms):
+                        return False
+        except OSError:
+            return False
+        return True
+
+    # ------------------------------------------------------------------
+    # Registration (server side)
+    # ------------------------------------------------------------------
+    def register(self, node_id: int) -> "queue.Queue[Message]":
+        mailbox = super().register(node_id)
+        listener = socket.create_server(self.portmap.endpoint(node_id))
+        acceptor = threading.Thread(
+            target=self._accept_loop,
+            args=(listener, node_id, mailbox),
+            name=f"tcp-transport-accept-{node_id}",
+            daemon=True,
+        )
+        self._listeners[node_id] = (listener, acceptor)
+        acceptor.start()
+        return mailbox
+
+    def _accept_loop(
+        self, listener: socket.socket, node_id: int, mailbox: queue.Queue
+    ) -> None:
+        with listener:
+            while True:
+                try:
+                    sock, _ = listener.accept()
+                except ConnectionAbortedError:
+                    continue  # that peer gave up in the backlog
+                except OSError:
+                    break  # deregister() / close() shut the listener down
+                self._adopt(sock, f"serve-{node_id}", mailbox)
 
     def deregister(self, node_id: int) -> None:
         super().deregister(node_id)
-        server = self._servers.pop(node_id, None)
-        if server is not None:
-            self._call(self._close_server(server))
-
-    @staticmethod
-    async def _close_server(server: asyncio.AbstractServer) -> None:
-        server.close()
-        await server.wait_closed()
+        listener, acceptor = self._listeners.pop(node_id, (None, None))
+        if listener is not None:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+            except OSError:
+                pass
+            acceptor.join(timeout=5.0)
 
     def node_ids(self) -> List[int]:
         return self.portmap.node_ids()
@@ -406,15 +460,31 @@ class TcpTransport(ReliableTransport):
     # ------------------------------------------------------------------
     # Client connections
     # ------------------------------------------------------------------
-    async def _get_connection(self, dest: int) -> _PeerConnection:
-        conn = self._conns.get(dest)
-        if conn is not None and not conn.closed and not conn.outbound.closed:
+    def _connection(self, dest: int) -> _Connection:
+        """The pooled connection to ``dest``, dialled on first use and
+        again after it was dropped."""
+        conn = self._pooled.get(dest)
+        if conn is not None and not conn.closed:
             return conn
+        with self._lock:
+            gate = self._connect_gates.setdefault(dest, threading.Lock())
+        with gate:  # callers racing to one peer share one connection
+            conn = self._pooled.get(dest)
+            if conn is not None and not conn.closed:
+                return conn
+            conn = self._adopt(self._dial(dest), f"peer-{dest}", None)
+            if conn is None:
+                raise TransportClosed("transport is closed")
+            self._pooled[dest] = conn
+            return conn
+
+    def _dial(self, dest: int) -> socket.socket:
         host, port = self.portmap.endpoint(dest)
-        reader = writer = None
         for attempt in range(self._connect_attempts):
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                sock = socket.create_connection(
+                    (host, port), timeout=self._default_timeout
+                )
                 break
             except OSError:
                 with self._lock:
@@ -426,63 +496,13 @@ class TcpTransport(ReliableTransport):
                         f"node {dest} unreachable at {host}:{port} after "
                         f"{self._connect_attempts} connect attempt(s)"
                     ) from None
-                await asyncio.sleep(self._connect_backoff_s * (attempt + 1))
+                time.sleep(self._connect_backoff_s * (attempt + 1))
+        sock.settimeout(None)  # the timeout was for the connect alone
         with self._lock:
             self._connects += 1
         if self._m:
             self._m["connects"].inc()
-        conn = _PeerConnection()
-        conn.outbound = _Outbound(self, writer, self._outbound_queue_limit)
-        conn.reader_task = self._loop.create_task(
-            self._client_reader(dest, conn, reader)
-        )
-        self._conns[dest] = conn
-        return conn
-
-    async def _client_reader(
-        self, dest: int, conn: _PeerConnection, reader: asyncio.StreamReader
-    ) -> None:
-        """Demultiplex reply frames from one peer to waiting requests."""
-        try:
-            while True:
-                frame = await self._read_frame(reader)
-                if frame is None:
-                    break
-                message, _ = frame
-                with self._lock:
-                    waiter = self._pending.get(message.request_id)
-                if waiter is not None:
-                    waiter.put(message)
-                # else: a reply nobody waits for anymore (late duplicate
-                # after the retry budget) — dropped, like in-process.
-        finally:
-            conn.closed = True
-            if conn.outbound is not None and not conn.outbound.closed:
-                await conn.outbound.queue.put(None)
-
-    async def _put_frame(self, outbound: _Outbound, body: bytes) -> None:
-        """Queue one frame for the writer; a full queue is a counted stall."""
-        if outbound.queue.full():
-            with self._lock:
-                self._backpressure_stalls += 1
-            if self._m:
-                self._m["stalls"].inc()
-        await outbound.queue.put(body)
-        self._note_queue_depth(outbound.queue.qsize())
-
-    async def _enqueue_frames(self, dest: int, bodies: List[bytes]) -> None:
-        conn = await self._get_connection(dest)
-        for body in bodies:
-            await self._put_frame(conn.outbound, body)
-
-    def _enqueue_threadsafe(self, outbound: _Outbound, body: bytes) -> None:
-        """Reply path: enqueue one frame on an inbound connection."""
-
-        async def put() -> None:
-            if not outbound.closed:  # else the reply has nowhere to go
-                await self._put_frame(outbound, body)
-
-        self._call(put())
+        return sock
 
     # ------------------------------------------------------------------
     # Messaging
@@ -493,7 +513,7 @@ class TcpTransport(ReliableTransport):
         return dest
 
     def _deliver(self, route: int, message: Message, copies: int) -> None:
-        """Encode once, hand ``copies`` frames to the peer connection.
+        """Encode once, write ``copies`` frames to the peer connection.
         A peer absent from the port map, or refusing connections beyond
         the bounded connect retries, raises :class:`TransportClosed`."""
         expects_reply = message.reply_to is not None
@@ -501,7 +521,9 @@ class TcpTransport(ReliableTransport):
             with self._lock:
                 self._pending[message.request_id] = message.reply_to
         body = encode_body(message, expects_reply)
-        self._call(self._enqueue_frames(route, [body] * copies))
+        conn = self._connection(route)
+        for _ in range(copies):
+            self._write_frame(conn, body)
 
     def request(
         self,
@@ -540,45 +562,19 @@ class TcpTransport(ReliableTransport):
     # Shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Tear down servers, connections, and the event loop."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._call(self._shutdown())
-        except Exception:
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        if not self._loop.is_running():
-            self._loop.close()
-
-    async def _shutdown(self) -> None:
-        for server in self._servers.values():
-            server.close()
-        for server in self._servers.values():
-            try:
-                await server.wait_closed()
-            except Exception:
-                pass
-        self._servers.clear()
-        for conn in self._conns.values():
-            if conn.outbound is not None and not conn.outbound.closed:
-                await conn.outbound.queue.put(None)
-            if conn.reader_task is not None:
-                conn.reader_task.cancel()
-        self._conns.clear()
-        # Server-side connection handlers (and their drain tasks) are
-        # still parked on reads; cancel them inside the live loop so the
-        # loop closes without "Task was destroyed but it is pending".
-        tasks = [
-            task
-            for task in asyncio.all_tasks()
-            if task is not asyncio.current_task()
-        ]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        """Stop listening, end every connection, join every thread."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True  # from here _adopt refuses new connections
+        for node_id in list(self._listeners):
+            self.deregister(node_id)
+        with self._lock:
+            connections = list(self._connections)
+        for conn in connections:
+            self._drop(conn)
+        for conn in connections:
+            conn.reader.join(timeout=5.0)
 
     def __enter__(self) -> "TcpTransport":
         return self

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence
 def percentile(values: Sequence[float], p: float) -> float:
     """Nearest-rank percentile of a plain list (``p`` in [0, 100]); 0.0
     on empty input.  The one list-based percentile in the repo: bench
-    reports, staleness audits and ``BENCH_*.json`` writers all use it
+    reports, staleness audits and the scenarios' ``--json`` stats all use it
     (:class:`LatencyRecorder` below interpolates over a reservoir — a
     different estimator for streams too long to keep)."""
     if not values:

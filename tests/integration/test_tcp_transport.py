@@ -11,6 +11,9 @@ machinery.
 """
 
 import re
+import socket
+import sys
+import threading
 
 import pytest
 
@@ -337,3 +340,113 @@ class TestTcpWireStats:
         finally:
             _stop_fleet(fleet, nodes)
             client.close()
+
+
+class TestTcpThreadingModel:
+    def test_no_thread_before_the_first_register_or_connect(self):
+        def transport_threads():
+            return [
+                thread.name
+                for thread in threading.enumerate()
+                if thread.name.startswith("tcp-transport")
+            ]
+
+        portmap = PortMap.reserve([0])
+        fleet = TcpTransport(portmap, default_timeout_s=5.0)
+        client = TcpTransport(portmap, default_timeout_s=5.0)
+        assert transport_threads() == []
+        node = MDSNode(0, _config(), fleet)
+        node.start()
+        try:
+            assert transport_threads() == ["tcp-transport-accept-0"]
+            client.request(0, Message(kind=MessageKind.PING, sender=-1))
+            assert sorted(transport_threads()) == [
+                "tcp-transport-accept-0",
+                "tcp-transport-peer-0",
+                "tcp-transport-serve-0",
+            ]
+            # A frame is a whole request or reply: Nagle is off on
+            # accepted and dialled connections alike.
+            for transport in (fleet, client):
+                (conn,) = transport._connections
+                assert conn.sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+        finally:
+            _stop_fleet(fleet, {0: node})
+            client.close()
+        assert transport_threads() == []
+
+    def test_many_callers_share_one_pooled_connection(self):
+        """8 threads x 200 mixed request / one-way send to one node:
+        every caller gets its own replies, the counters are exact once
+        everything has settled, and frames never interleave (one decode
+        failure would have dropped the connection and forced a second
+        connect).  The first test to put two frames on one connection at
+        once, so the first to see the stall counter move."""
+        callers, rounds = 8, 200
+        portmap = PortMap.reserve([0])
+        fleet, nodes = _start_fleet(portmap, [0])
+        client = TcpTransport(portmap, default_timeout_s=10.0)
+        wrong = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def caller(index):
+            for step in range(rounds):
+                path = f"/shared/{index}/{step}"
+                if step % 2:
+                    client.send(
+                        0,
+                        Message(
+                            kind=MessageKind.RECORD_LRU,
+                            sender=-1,
+                            payload={"path": path, "home_id": 0},
+                        ),
+                    )
+                    continue
+                reply = client.request(
+                    0,
+                    Message(
+                        kind=MessageKind.VERIFY_BATCH,
+                        sender=-1,
+                        payload={"paths": [path]},
+                    ),
+                )
+                if reply.payload["found"] != {path: False}:
+                    wrong.append((path, reply.payload))
+
+        threads = [
+            threading.Thread(target=caller, args=(index,), daemon=True)
+            for index in range(callers)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            # One more round trip: the mailbox is FIFO, so every one-way
+            # send has been served once this is answered.
+            client.request(0, Message(kind=MessageKind.PING, sender=-1))
+        finally:
+            sys.setswitchinterval(previous)
+            _stop_fleet(fleet, nodes)
+            client.close()
+        assert wrong == []
+        requests = callers * rounds // 2 + 1
+        sends = callers * rounds // 2
+        assert nodes[0].requests_served == requests + sends
+        assert client.messages_sent == 2 * requests + sends
+        assert client.replies_received == requests
+        assert client.retries == 0
+        stats = client.stats()
+        assert stats["connects"] == 1
+        assert stats["frames_out"] == requests + sends
+        assert stats["frames_in"] == requests
+        # The hosting transport also sent itself the STOP and its reply.
+        served = fleet.stats()
+        assert served["frames_in"] == requests + sends + 2
+        assert served["frames_out"] == requests + 2
+        assert stats["backpressure_stalls"] > 0
+        assert stats["queue_high_water"] > 1

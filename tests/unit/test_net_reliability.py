@@ -11,10 +11,13 @@ CI machines cannot turn a reply that *would* have arrived into a missed
 wave and perturb the retry counters.
 """
 
+import ast
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.faults.injector import FaultPlan, PlanFaultInjector
 from repro.faults.retry import RetryPolicy
 from repro.net.reliability import (
@@ -252,3 +255,35 @@ def test_gather_retries_silent_peers_then_reports_missing():
     assert wire.retries == 1 and wire.exhausted == 1
     retried = [c for c in wire.calls if c[0] == "dispatch" and c[3] == "silent"]
     assert len(retried) == 2
+
+
+def _imports_of(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_nothing_under_src_imports_asyncio():
+    """Both transports have one threading model — whoever holds a frame
+    delivers it.  An event loop coming back under ``src/`` would be a
+    second one."""
+    root = Path(repro.__file__).resolve().parent
+    offenders = [
+        str(source.relative_to(root))
+        for source in sorted(root.rglob("*.py"))
+        for name in _imports_of(ast.parse(source.read_text(encoding="utf-8")))
+        if name.split(".")[0] == "asyncio"
+    ]
+    assert offenders == []
+
+
+def test_the_import_check_sees_asyncio():
+    tree = ast.parse(
+        "import os, asyncio.tasks\n"
+        "def f():\n"
+        "    from asyncio import Queue\n"
+        "from . import sibling\n"
+    )
+    assert list(_imports_of(tree)) == ["os", "asyncio.tasks", "asyncio"]
