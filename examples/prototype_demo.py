@@ -60,7 +60,7 @@ def main() -> None:
         ]
         levels = Counter(outcome.level.name for _, _, outcome in results)
         mean_latency = sum(
-            o.virtual_latency_ms for _, _, o in results
+            o.latency_ms for _, _, o in results
         ) / len(results)
         print(f"resolved {len(results)} lookups from 4 concurrent clients")
         print(f"  misroutes:      {len(wrong)} (must be 0)")

@@ -89,7 +89,7 @@ def run_one(
             gap_ms = 2.0 * (1.0 - 0.9 * progress)
             vtime += gap_ms / 1000.0
             outcome = proto.lookup(record.path, vtime=vtime)
-            series.record(issued, outcome.virtual_latency_ms)
+            series.record(issued, outcome.latency_ms)
             issued += 1
         for point in series.finish():
             rows.append(

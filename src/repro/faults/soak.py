@@ -278,7 +278,7 @@ def run_soak(config: SoakConfig, tracer=None, flight=None) -> SoakReport:
                 report.lost += 1
                 continue
             report.ops += 1
-            latency_sum += outcome.virtual_latency_ms
+            latency_sum += outcome.latency_ms
             level = outcome.level.label
             report.by_level[level] = report.by_level.get(level, 0) + 1
             if outcome.degraded:

@@ -19,13 +19,15 @@ Public API:
   message counting.
 - :class:`~repro.prototype.node.MDSNode` — one MDS daemon thread.
 - :class:`~repro.prototype.cluster.PrototypeCluster` — builds a G-HBA or
-  HBA node fleet, exposes ``lookup`` and ``add_node``.
+  HBA node fleet, exposes ``lookup`` (a
+  :class:`~repro.core.query.QueryResult`, as the simulator's ``query``
+  returns) and ``add_node``.
 """
 
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.transport import InProcessTransport, TransportClosed
 from repro.prototype.node import MDSNode
-from repro.prototype.cluster import LookupOutcome, PrototypeCluster
+from repro.prototype.cluster import PrototypeCluster
 
 __all__ = [
     "Message",
@@ -33,6 +35,5 @@ __all__ = [
     "InProcessTransport",
     "TransportClosed",
     "MDSNode",
-    "LookupOutcome",
     "PrototypeCluster",
 ]

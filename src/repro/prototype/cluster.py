@@ -2,25 +2,27 @@
 
 ``PrototypeCluster`` builds either a G-HBA deployment (nodes packed into
 groups of at most M, each group holding one replica mirror) or an HBA
-deployment (every node holds every replica).  Clients call :meth:`lookup`,
-which drives the real request/reply protocol over the transport.  G-HBA
-joins and departures are plans from :mod:`repro.core.reconfiguration`,
-sent step by step as messages so Figure 15's counts are observed on the
-wire.
+deployment (every node holds every replica: the same directory at M = 1).
+Clients call :meth:`lookup`: :func:`repro.core.walk.walk` decides the
+L1 -> L4 sequence and a :class:`_WireWalk` sends each step over the
+transport.  G-HBA joins and departures are plans from
+:mod:`repro.core.reconfiguration`, sent step by step as messages so
+Figure 15's counts are observed on the wire; an HBA join or departure
+reaches the plan's directory by its own, cheaper, piggy-backed exchange.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.checkpoint import restore_server, snapshot_server
 from repro.core import reconfiguration
 from repro.core.cluster import populate_servers
 from repro.core.config import GHBAConfig
-from repro.core.query import QueryLevel
+from repro.core.query import QueryLevel, QueryResult
+from repro.core.walk import walk
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
 from repro.obs.registry import MetricsRegistry
@@ -33,26 +35,211 @@ from repro.prototype.transport import InProcessTransport, TransportClosed
 CLIENT = -1
 
 
-@dataclass(frozen=True)
-class LookupOutcome:
-    """Result of one prototype lookup.
+class _WireWalk:
+    """One :meth:`PrototypeCluster.lookup` as the executor of
+    :func:`repro.core.walk.walk`: every step is a request (or a gather)
+    over the transport, timed on the nodes' virtual clocks.  It decides
+    nothing.  ``messages`` is what the lookup puts on the wire when
+    nothing is retried: 2 per answered request, 1 per lost one, requests
+    plus replies per gather, 1 for the closing ``RECORD_LRU``.
 
-    ``degraded`` is True when a fault forced the lookup off its normal
-    path — a protocol step timed out, a multicast lost members, or the
-    group probe escalated to the global broadcast.  Fault-free lookups
-    always report False.
+    MDS-to-MDS steps carry ``sender=origin_id`` so the fault layer can
+    sever them along group partitions; the client itself is never
+    partitioned from the service.  A step that fails is not an exception:
+    the lookup is ``degraded`` and the retry budget is charged as latency.
     """
 
-    path: str
-    home_id: Optional[int]
-    level: QueryLevel
-    virtual_latency_ms: float
-    origin_id: int
-    degraded: bool = False
+    def __init__(
+        self, cluster: "PrototypeCluster", path: str, origin_id: int, vtime: float
+    ) -> None:
+        self.cluster = cluster
+        self.transport = cluster.transport
+        self.path = path
+        self.origin_id = origin_id
+        self.span = cluster.tracer.start_span(
+            path, origin_id, component="prototype", kind="lookup"
+        )
+        # Causal context threaded onto every protocol message of this
+        # lookup (None when tracing is off — no per-message allocation).
+        self.trace_ctx = (
+            self.span.context(origin_id) if cluster.tracer.enabled else None
+        )
+        self.hop_s = cluster.config.network.unicast_ms / 1000.0
+        #: Virtual time: the lookup's start, and where it has got to — a
+        #: request sent now arrives one hop later.
+        self.vtime = self.t = vtime
+        self.checkpoint_ms = 0.0
+        self.messages = 0
+        self.degraded = False
+        # Virtual wait a client spends on a request that never answers.
+        retry = self.transport.retry
+        self.exhaust_penalty_s = retry.timeout_s * retry.max_attempts
+        #: The origin's L2 hits once known: PROBE_LOCAL carries L1 + L2 in
+        #: one request and skips L2 when L1 is unique.
+        self.l2_hits: Optional[List[int]] = None
+        self.forget = False
+        #: The origin's group and its other members, whom L3 asks.
+        self.group_id = cluster.directory.group_of(origin_id)
+        members = cluster.directory.groups[self.group_id]
+        self.peers = [m for m in members if m != origin_id]
 
-    @property
-    def found(self) -> bool:
-        return self.home_id is not None
+    def hop(self, kind: str, target: Optional[int] = None, msg: int = 0, **detail) -> None:
+        """Span event covering the virtual latency since the last hop."""
+        elapsed_ms = (self.t - self.vtime) * 1000.0
+        self.span.event(
+            kind,
+            target=target,
+            latency_ms=elapsed_ms - self.checkpoint_ms,
+            messages=msg,
+            **detail,
+        )
+        self.checkpoint_ms = elapsed_ms
+
+    def _message(self, kind: MessageKind, arrival: float, **payload) -> Message:
+        return Message(
+            kind=kind,
+            sender=self.origin_id,
+            payload=payload,
+            arrival_vtime=arrival,
+            trace=self.trace_ctx,
+        )
+
+    def _ask(self, dest: int, kind: MessageKind, **payload) -> Dict[str, object]:
+        """One request about the path; the clock moves on to when its reply
+        is back.  An empty answer (not an exception) on failure."""
+        arrival = self.t + self.hop_s
+        message = self._message(kind, arrival, path=self.path, **payload)
+        try:
+            answer = self.transport.request(dest, message).payload
+        except (TransportClosed, TimeoutError):
+            self.messages += 1
+            self.degraded = True
+            self.t = max(self.t, arrival + self.exhaust_penalty_s)
+            self.hop("step_timeout", target=dest)
+            return {}
+        self.messages += 2
+        self.t = answer["finish_vtime"] + self.hop_s
+        return answer
+
+    def _gather(self, dests: List[int], kind: MessageKind):
+        """``kind`` to every one of ``dests`` at once; returns the replies
+        and the virtual time the last of them (or the retry budget, when
+        some never answered) was in."""
+        arrival = self.t + self.hop_s
+        result = self.transport.gather(
+            dests, lambda dest: self._message(kind, arrival, path=self.path)
+        )
+        self.messages += len(dests) + len(result.replies)
+        finish = self.t
+        for reply in result.replies.values():
+            finish = max(finish, reply.payload["finish_vtime"])
+        if not result.complete:
+            # Waited out the silent members before giving up.
+            self.degraded = True
+            finish = max(finish, arrival + self.exhaust_penalty_s)
+        return result.replies, finish
+
+    # ---- L1 (+ L2, batched): one request to the origin node ------------
+    def probe_lru(self) -> List[int]:
+        answer = self._ask(self.origin_id, MessageKind.PROBE_LOCAL)
+        # An unreachable origin has nothing local to probe.
+        hits, self.l2_hits = answer.get("l1_hits", []), answer.get("l2_hits", [])
+        self.hop("l1_probe", target=self.origin_id, msg=2, hits=len(hits))
+        return hits
+
+    def forget_lru(self) -> None:
+        self.forget = True  # rides on the PROBE_SEGMENT that follows
+
+    # ---- L2: already answered, or a separate probe after a refuted L1 ---
+    def probe_segment(self) -> List[int]:
+        if self.l2_hits is None:
+            answer = self._ask(
+                self.origin_id, MessageKind.PROBE_SEGMENT, forget=self.forget
+            )
+            self.l2_hits = answer.get("hits", [])
+        self.hop("l2_probe", target=self.origin_id, hits=len(self.l2_hits))
+        return self.l2_hits
+
+    # ---- L3: multicast within the origin's group ------------------------
+    def multicast(self) -> List[int]:
+        replies, finish = self._gather(self.peers, MessageKind.PROBE_SEGMENT)
+        hits = set(self.l2_hits)
+        for reply in replies.values():
+            hits.update(reply.payload["hits"])
+        self.t = finish + self.hop_s
+        self.hop(
+            "group_multicast",
+            target=self.group_id,
+            msg=2 * len(self.peers),
+            hits=len(hits),
+        )
+        return sorted(hits)
+
+    # ---- A unique hit: forward to it for verification --------------------
+    def forward(self, target: int) -> bool:
+        self.hop("forward", target=target, msg=2)
+        found = self._ask(target, MessageKind.VERIFY).get("found", False)
+        self.hop("verify", target=target, found=found)
+        if not found:
+            self.hop("false_forward", target=target)
+        return found
+
+    # ---- L4: global multicast — every node verifies locally --------------
+    def broadcast(self) -> Optional[int]:
+        origin_id = self.origin_id
+        others = [nid for nid in self.cluster.node_ids() if nid != origin_id]
+        replies, finish = self._gather(others, MessageKind.VERIFY)
+        home: Optional[int] = None
+        for node_id, reply in replies.items():
+            if reply.payload["found"]:
+                home = node_id
+        # The origin itself may be the home; it is asked alongside.
+        if self._ask(origin_id, MessageKind.VERIFY).get("found"):
+            home = origin_id
+        self.t = max(self.t, finish + self.hop_s)
+        self.hop(
+            "global_multicast",
+            msg=2 * (len(others) + 1),
+            found=home is not None,
+        )
+        return home
+
+    def finish(self, level: int, home: Optional[int], false_forwards: int) -> QueryResult:
+        """Feed the answer back into the origin's L1, book the lookup's
+        totals, close the span."""
+        cluster = self.cluster
+        level = QueryLevel(level)
+        if home is not None:
+            hint = Message(
+                kind=MessageKind.RECORD_LRU,
+                sender=CLIENT,
+                payload={"path": self.path, "home_id": home},
+                arrival_vtime=self.t,
+                trace=self.trace_ctx,
+            )
+            try:
+                self.transport.send(self.origin_id, hint)
+                self.messages += 1
+            except TransportClosed:
+                pass  # origin crashed mid-lookup; the hint is lost
+        latency_ms = (self.t - self.vtime) * 1000.0
+        cluster._lookups_by_level.labels(level.label).inc()
+        cluster._lookup_latency.observe(latency_ms)
+        if self.degraded:
+            cluster._degraded_lookups.inc()
+        self.span.finish(
+            level.label, home, latency_ms, self.span.total_event_messages()
+        )
+        return QueryResult(
+            path=self.path,
+            home_id=home,
+            level=level,
+            latency_ms=latency_ms,
+            messages=self.messages,
+            false_forwards=false_forwards,
+            origin_id=self.origin_id,
+            degraded=self.degraded,
+        )
 
 
 class PrototypeCluster:
@@ -101,6 +288,9 @@ class PrototypeCluster:
             raise ValueError(f"scheme must be 'ghba' or 'hba', got {scheme!r}")
         self.config = config or GHBAConfig()
         self.scheme = scheme
+        #: The directory's M.  HBA is G-HBA at M = 1: every node a group of
+        #: its own, holding a replica of everybody else.
+        self.max_group_size = 1 if scheme == "hba" else self.config.max_group_size
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         #: Optional FlightRecorderHub; crash_node records and dumps here.
         self.flight = flight
@@ -126,11 +316,8 @@ class PrototypeCluster:
         self._lock = threading.Lock()
         self.nodes: Dict[int, MDSNode] = {}
         self._next_node_id = 0
-        #: Who is in which group and which member hosts whose replica; HBA
-        #: is one group of everybody with no placements.
+        #: Who is in which group and which member hosts whose replica.
         self.directory = reconfiguration.Directory()
-        #: Node -> group of ``directory``, for the L3 walk (G-HBA only).
-        self._group_of: Dict[int, int] = {}
         #: Durable ("on-disk") state of crashed nodes, by node id.
         self._crashed: Dict[int, Dict] = {}
         self._build(num_nodes)
@@ -148,32 +335,13 @@ class PrototypeCluster:
     def _build(self, num_nodes: int) -> None:
         for _ in range(num_nodes):
             self._spawn_node()
-        node_ids = sorted(self.nodes)
-        if self.scheme == "hba":
-            self.directory = reconfiguration.Directory({0: node_ids}, {0: {}}, 1)
-            # Full replication: every node hosts every other node's filter.
-            for node_id in node_ids:
-                replica = self.nodes[node_id].server.publish_filter()
-                for other_id in node_ids:
-                    if other_id != node_id:
-                        self.nodes[other_id].server.host_replica(
-                            node_id, replica.copy()
-                        )
-            return
         # Formation happens before traffic, like population: its fetches
         # are applied in place rather than sent.
-        plan = reconfiguration.form(node_ids, self.config.max_group_size)
-        self._adopt(plan.directory)
+        plan = reconfiguration.form(sorted(self.nodes), self.max_group_size)
+        self.directory = plan.directory
         for step in plan.steps:
             replica = self.nodes[step.home].server.publish_filter()
             self.nodes[step.dst].server.host_replica(step.home, replica)
-
-    def _adopt(self, directory: reconfiguration.Directory) -> None:
-        """``directory`` is current from now on; index it by node."""
-        self.directory = directory
-        self._group_of = {
-            node: gid for gid, members in directory.groups.items() for node in members
-        }
 
     @property
     def groups(self) -> Dict[int, List[int]]:
@@ -225,11 +393,6 @@ class PrototypeCluster:
         """Re-publish every node's filter into the hosting structures."""
         for node_id, node in self.nodes.items():
             template = node.server.publish_filter()
-            if self.scheme == "hba":
-                for other in self.nodes.values():
-                    if other.node_id != node_id:
-                        other.server.replace_replica(node_id, template.copy())
-                continue
             for placements in self.directory.placements.values():
                 host = placements.get(node_id)
                 # A crashed host misses the refresh; it rejoins with its
@@ -247,238 +410,21 @@ class PrototypeCluster:
         path: str,
         vtime: float = 0.0,
         origin_id: Optional[int] = None,
-    ) -> LookupOutcome:
-        """Resolve ``path`` via real messages; return the virtual latency.
+    ) -> QueryResult:
+        """Resolve ``path`` via real messages: :func:`repro.core.walk.walk`
+        decides, a :class:`_WireWalk` sends each step and pays the wire.
+        ``latency_ms`` is virtual, counted from ``vtime``.
 
         Under fault injection the protocol degrades instead of raising: a
         timed-out step is skipped (its virtual timeout is charged to the
-        latency), an incomplete group multicast escalates to the global
-        broadcast, and the outcome is flagged ``degraded``.
+        latency), a multicast that lost members goes on with the replies
+        it has, and the result is flagged ``degraded``.
         """
-        net = self.config.network
-        retry = self.transport.retry
         if origin_id is None:
             with self._lock:
                 origin_id = self._rng.choice(sorted(self.nodes))
-        span = self.tracer.start_span(
-            path, origin_id, component="prototype", kind="lookup"
-        )
-        # Causal context threaded onto every protocol message of this
-        # lookup (None when tracing is off — no per-message allocation).
-        trace_ctx = (
-            span.context(origin_id) if self.tracer.enabled else None
-        )
-        t = vtime + net.unicast_ms / 1000.0
-        checkpoint_ms = 0.0
-        degraded = False
-        # Virtual wait a client spends on a request that never answers.
-        exhaust_penalty_s = retry.timeout_s * retry.max_attempts
-
-        def hop(kind: str, target: Optional[int] = None, msg: int = 0, **detail) -> None:
-            """Span event covering the virtual latency since the last hop."""
-            nonlocal checkpoint_ms
-            elapsed_ms = (t - vtime) * 1000.0
-            span.event(
-                kind,
-                target=target,
-                latency_ms=elapsed_ms - checkpoint_ms,
-                messages=msg,
-                **detail,
-            )
-            checkpoint_ms = elapsed_ms
-
-        def try_request(
-            dest: int, kind: MessageKind, arrival: float, **payload
-        ) -> Optional[Message]:
-            """One protocol request; None (not an exception) on failure.
-
-            MDS-to-MDS protocol steps carry ``sender=origin_id`` so the
-            fault layer can sever them along group partitions; the client
-            itself is never partitioned from the service.
-            """
-            nonlocal t, degraded
-            message = Message(
-                kind=kind,
-                sender=origin_id,
-                payload=payload,
-                arrival_vtime=arrival,
-                trace=trace_ctx,
-            )
-            try:
-                return self.transport.request(dest, message)
-            except (TransportClosed, TimeoutError):
-                degraded = True
-                t = max(t, arrival + exhaust_penalty_s)
-                hop("step_timeout", target=dest)
-                return None
-
-        def verify(target: int, arrival: float) -> Tuple[bool, float]:
-            reply = try_request(target, MessageKind.VERIFY, arrival, path=path)
-            if reply is None:
-                return (False, t)
-            finish = reply.payload["finish_vtime"]
-            return (reply.payload["found"], finish + net.unicast_ms / 1000.0)
-
-        def verify_hop(target: int) -> bool:
-            """Forward to ``target`` for verification, tracing the hops."""
-            nonlocal t
-            hop("forward", target=target, msg=2)
-            found, t = verify(target, t + net.unicast_ms / 1000.0)
-            hop("verify", target=target, found=found)
-            if not found:
-                hop("false_forward", target=target)
-            return found
-
-        def record_and_finish(
-            level: QueryLevel, home: Optional[int], t_done: float
-        ) -> LookupOutcome:
-            if home is not None:
-                try:
-                    self.transport.send(
-                        origin_id,
-                        Message(
-                            kind=MessageKind.RECORD_LRU,
-                            sender=CLIENT,
-                            payload={"path": path, "home_id": home},
-                            arrival_vtime=t_done,
-                            trace=trace_ctx,
-                        ),
-                    )
-                except TransportClosed:
-                    pass  # origin crashed mid-lookup; the hint is lost
-            latency_ms = (t_done - vtime) * 1000.0
-            self._lookups_by_level.labels(level.label).inc()
-            self._lookup_latency.observe(latency_ms)
-            if degraded:
-                self._degraded_lookups.inc()
-            span.finish(
-                level.label,
-                home,
-                latency_ms,
-                span.total_event_messages(),
-            )
-            return LookupOutcome(
-                path=path,
-                home_id=home,
-                level=level,
-                virtual_latency_ms=latency_ms,
-                origin_id=origin_id,
-                degraded=degraded,
-            )
-
-        # L1 + L2: one request to the origin node.
-        reply = try_request(origin_id, MessageKind.PROBE_LOCAL, t, path=path)
-        if reply is None:
-            # The origin itself is unreachable: nothing local to probe;
-            # fall through to the global broadcast.
-            l1_hits: List[int] = []
-            l2_hits: Optional[List[int]] = None
-        else:
-            t = reply.payload["finish_vtime"] + net.unicast_ms / 1000.0
-            l1_hits = reply.payload["l1_hits"]
-            l2_hits = reply.payload["l2_hits"]
-        hop("l1_probe", target=origin_id, msg=2, hits=len(l1_hits))
-        if len(l1_hits) == 1:
-            if verify_hop(l1_hits[0]):
-                return record_and_finish(QueryLevel.L1, l1_hits[0], t)
-            # Stale L1 entry: fall back to a separate L2 probe.
-            reply = try_request(
-                origin_id,
-                MessageKind.PROBE_SEGMENT,
-                t + net.unicast_ms / 1000.0,
-                path=path,
-            )
-            if reply is not None:
-                t = reply.payload["finish_vtime"] + net.unicast_ms / 1000.0
-                l2_hits = reply.payload["hits"]
-        hop(
-            "l2_probe",
-            target=origin_id,
-            hits=len(l2_hits) if l2_hits is not None else 0,
-        )
-        if l2_hits is not None and len(l2_hits) == 1:
-            if verify_hop(l2_hits[0]):
-                return record_and_finish(QueryLevel.L2, l2_hits[0], t)
-
-        # L3: multicast within the origin's group (G-HBA only).
-        if self.scheme == "ghba":
-            group_id = self._group_of[origin_id]
-            members = [m for m in self.groups[group_id] if m != origin_id]
-            if members:
-                arrival = t + net.unicast_ms / 1000.0
-                result = self.transport.gather(
-                    members,
-                    lambda dest: Message(
-                        kind=MessageKind.PROBE_SEGMENT,
-                        sender=origin_id,
-                        payload={"path": path},
-                        arrival_vtime=arrival,
-                        trace=trace_ctx,
-                    ),
-                )
-                hits: set = set(l2_hits or [])
-                finish = t
-                for reply in result.replies.values():
-                    hits.update(reply.payload["hits"])
-                    finish = max(finish, reply.payload["finish_vtime"])
-                if not result.complete:
-                    # Waited out the silent members before giving up.
-                    degraded = True
-                    finish = max(finish, arrival + exhaust_penalty_s)
-                t = finish + net.unicast_ms / 1000.0
-                hop(
-                    "group_multicast",
-                    target=group_id,
-                    msg=2 * len(members),
-                    hits=len(hits),
-                )
-                # A unique hit from a *partial* multicast is not trusted:
-                # the silent member might host the real home's replica, so
-                # the query escalates to the global broadcast instead.
-                if len(hits) == 1 and result.complete:
-                    target = next(iter(hits))
-                    if verify_hop(target):
-                        return record_and_finish(QueryLevel.L3, target, t)
-
-        # L4: global multicast — every node verifies locally.
-        others = [nid for nid in self.node_ids() if nid != origin_id]
-        arrival = t + net.unicast_ms / 1000.0
-        result = self.transport.gather(
-            others,
-            lambda dest: Message(
-                kind=MessageKind.VERIFY,
-                sender=origin_id,
-                payload={"path": path},
-                arrival_vtime=arrival,
-                trace=trace_ctx,
-            ),
-        )
-        home: Optional[int] = None
-        finish = t
-        for node_id, reply in result.replies.items():
-            finish = max(finish, reply.payload["finish_vtime"])
-            if reply.payload["found"]:
-                home = node_id
-        if not result.complete:
-            degraded = True
-            finish = max(finish, arrival + exhaust_penalty_s)
-        # The origin itself may be the home.
-        origin_reply = try_request(
-            origin_id, MessageKind.VERIFY, t + net.unicast_ms / 1000.0, path=path
-        )
-        if origin_reply is not None:
-            finish = max(finish, origin_reply.payload["finish_vtime"])
-            if origin_reply.payload["found"]:
-                home = origin_id
-        t = max(t, finish + net.unicast_ms / 1000.0)
-        hop(
-            "global_multicast",
-            msg=2 * (len(others) + 1),
-            found=home is not None,
-        )
-        if home is not None:
-            return record_and_finish(QueryLevel.L4, home, t)
-        return record_and_finish(QueryLevel.NEGATIVE, None, t)
+        x = _WireWalk(self, path, origin_id, vtime)
+        return x.finish(*walk(x))
 
     def verify_batch(
         self,
@@ -625,7 +571,7 @@ class PrototypeCluster:
         replica on from its own thread — so a later step that moves or
         drops what an earlier one is still delivering waits for the wire
         to drain first."""
-        plan = planner(self.directory, node_id, self.config.max_group_size)
+        plan = planner(self.directory, node_id, self.max_group_size)
         in_flight: set = set()  # nodes owed a replica some peer is relaying
         for step in plan.steps:
             holds = step.kind in (reconfiguration.MOVE, reconfiguration.DROP)
@@ -635,10 +581,12 @@ class PrototypeCluster:
             self._send(step)
             if step.dst is not None:
                 in_flight.add(step.dst)
-        self._adopt(plan.directory)
+        self.directory = plan.directory
 
     def _hba_join(self, newcomer: MDSNode) -> None:
-        """HBA join: exchange Bloom filters with every existing node."""
+        """HBA join: exchange Bloom filters with every existing node — the
+        directory of the plan at M = 1, reached by one piggy-backed round
+        trip per node (2N messages) instead of the plan's steps."""
         template = newcomer.server.publish_filter()
         for node_id in self.node_ids():
             if node_id == newcomer.node_id:
@@ -652,7 +600,9 @@ class PrototypeCluster:
                 ),
             )
             newcomer.server.host_replica(node_id, reply.payload["replica"])
-        self.groups[0].append(newcomer.node_id)
+        self.directory = reconfiguration.join(
+            self.directory, newcomer.node_id, 1
+        ).directory
 
     def remove_node(self, node_id: int) -> Dict[str, int]:
         """Gracefully remove a node via the live protocol (Section 3.1).
@@ -687,9 +637,11 @@ class PrototypeCluster:
         return {"node_id": node_id, "messages": messages}
 
     def _hba_leave(self, node_id: int) -> None:
-        self.groups[0].remove(node_id)
-        for other_id in self.groups[0]:
-            self._tell(other_id, MessageKind.DROP_REPLICA, home_id=node_id)
+        """HBA departure: every survivor is told to drop the replica."""
+        self.directory = reconfiguration.leave(self.directory, node_id, 1).directory
+        for other_id in self.node_ids():
+            if other_id != node_id:
+                self._tell(other_id, MessageKind.DROP_REPLICA, home_id=node_id)
 
     # ------------------------------------------------------------------
     # Crash / restore (repro.faults)
@@ -751,11 +703,9 @@ class PrototypeCluster:
     # Consistency check & shutdown
     # ------------------------------------------------------------------
     def check_directory(self) -> None:
-        """Assert each G-HBA group holds a full, balanced mirror of the
-        outside nodes and that the named hosts really hold the replicas."""
-        if self.scheme != "ghba":
-            return
-        self.directory.check(self.config.max_group_size)
+        """Assert each group holds a full, balanced mirror of the outside
+        nodes and that the named hosts really hold the replicas."""
+        self.directory.check(self.max_group_size)
         for group_id, placements in self.directory.placements.items():
             for replica_id, host in placements.items():
                 if replica_id not in self.nodes[host].server.segment:

@@ -244,6 +244,10 @@ class MDSNode(MailboxNode):
 
     def _on_probe_segment(self, message: Message) -> Message:
         path = message.payload["path"]
+        if message.payload.get("forget"):
+            # The origin's own L2 probe after its unique L1 hit was refuted:
+            # the stale entry goes, so the next lookup does not repeat it.
+            self.server.lru.invalidate(path)
         finish = self._serve(message.arrival_vtime, self._segment_probe_ms())
         lookup = self.server.probe_segment(path)
         return message.reply(hits=list(lookup.hits), finish_vtime=finish)

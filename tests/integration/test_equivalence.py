@@ -6,6 +6,7 @@ state they must agree on every routing decision.  This pins down protocol
 drift between the two implementations.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core import reconfiguration
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.query import QueryLevel
+from repro.metadata.attributes import FileMetadata
 from repro.prototype.cluster import PrototypeCluster
 
 
@@ -192,6 +194,199 @@ class TestDirectoryEquivalence:
             for path, home in list(placement.items())[::7]:
                 assert proto.lookup(path, origin_id=newcomer).home_id == home
 
+
+class TestHBAIsGroupSizeOne:
+    def test_hba_fleet_keeps_the_plans_directory_with_its_own_cheaper_exchange(self):
+        """``scheme="hba"`` is the directory at M = 1 — whatever the config's
+        M says — reached by a piggy-backed exchange: a join costs 2N wire
+        messages and a departure N - 1, not the plan's steps, and
+        ``check_directory`` holds after each."""
+        sim = HBACluster(5, _tiny_config(4), seed=3)
+        with PrototypeCluster(5, _tiny_config(4), scheme="hba", seed=3) as proto:
+            proto.check_directory()
+            assert _proto_directory(proto) == _sim_directory(sim)
+            for op, draw in _script(5, 1):
+                others = sim.num_servers
+                if op == "a":
+                    sim.add_server()
+                    assert proto.add_node()["messages"] == 2 * others
+                else:
+                    ids = sim.server_ids()
+                    victim = ids[int(draw * len(ids))]
+                    sim.remove_server(victim)
+                    assert proto.remove_node(victim)["messages"] == others - 1
+                proto.check_directory()
+                assert _proto_directory(proto) == _sim_directory(sim)
+
+
+WALK_SHAPES = [
+    (10, 4, "ghba"), (12, 4, "ghba"), (7, 3, "ghba"), (6, 1, "ghba"), (6, 1, "hba"),
+]
+WALK_PATHS = [f"/eq/d{i % 5}/f{i}" for i in range(150)]
+
+
+def _walk_script(num_servers, max_group_size):
+    """Seeded lookups for both drivers: ``("q", path, origin draw)``, cold
+    and repeated (hot) and for files that never existed; ``("stale", path,
+    draw)`` learns a path at one origin, deletes it at its home out of band
+    and asks three more times (stale L1 entry, stale replicas); ``("del",
+    path)`` deletes at the home only (unsynced: L2 / L3 are refuted);
+    ``("new", path, home draw)`` creates one there (unsynced: only L4 finds
+    it); ``("sync",)`` republishes every filter; ``("a",)`` joins a node —
+    M + 1 of them, so a group splits."""
+    rng = random.Random(num_servers * 37 + max_group_size)
+    ops, joins, created = [], 0, []
+    for _ in range(160):
+        roll = rng.random()
+        if roll < 0.55:
+            kind = rng.random()
+            if kind < 0.15:
+                path = f"/ghost/f{rng.randrange(6)}"
+            elif kind < 0.35 and created:
+                path = rng.choice(created)
+            else:
+                path = rng.choice(WALK_PATHS)
+            ops.append(("q", path, rng.random()))
+            if rng.random() < 0.4:
+                ops.append(ops[-1])
+        elif roll < 0.62:
+            created.append(f"/eq/new/f{len(created)}")
+            ops.append(("new", created[-1], rng.random()))
+            ops.append(("q", created[-1], rng.random()))
+        elif roll < 0.75:
+            ops.append(("stale", rng.choice(WALK_PATHS), rng.random()))
+        elif roll < 0.87:
+            ops.append(("del", rng.choice(WALK_PATHS)))
+        elif roll < 0.93:
+            ops.append(("sync",))
+        elif joins <= max_group_size:
+            joins += 1
+            ops.append(("a",))
+    return ops
+
+
+class _BothDrivers:
+    """The simulator and the prototype, populated alike.  Every lookup is
+    asked of both; the simulator's answer is the prototype's oracle."""
+
+    def __init__(self, num_servers, max_group_size, scheme, proto):
+        self.proto = proto
+        sim_cls = HBACluster if scheme == "hba" else GHBACluster
+        self.sim = sim_cls(num_servers, _tiny_config(max_group_size), seed=3)
+        self.placement = self.sim.populate(WALK_PATHS, policy="round_robin")
+        assert proto.populate(WALK_PATHS, policy="round_robin") == self.placement
+        self.sim.synchronize_replicas(force=True)
+        self.answers = []
+
+    def ask(self, path, draw):
+        ids = self.sim.server_ids()
+        origin = ids[int(draw * len(ids))]
+        want = self.sim.query(path, origin_id=origin)
+        sent_before = self.proto.transport.messages_sent
+        got = self.proto.lookup(path, origin_id=origin)
+        self.proto.quiesce()  # the closing RECORD_LRU is one-way
+        assert (got.home_id, got.level, got.false_forwards) == (
+            want.home_id, want.level, want.false_forwards
+        ), (path, origin)
+        assert got.home_id == self.placement.get(path)
+        assert not got.degraded
+        assert got.messages == self.proto.transport.messages_sent - sent_before
+        self.answers.append(got)
+        return got
+
+    def delete_at_home(self, path):
+        home = self.placement.pop(path, None)
+        if home is not None:
+            self.sim.servers[home].remove_metadata(path)
+            self.proto.nodes[home].server.remove_metadata(path)
+
+    def create_at_home(self, path, draw):
+        ids = self.sim.server_ids()
+        home = self.placement[path] = ids[int(draw * len(ids))]
+        meta = FileMetadata(path=path, inode=10_000 + len(self.placement))
+        self.sim.servers[home].insert_metadata(meta)
+        self.proto.nodes[home].server.insert_metadata(dataclasses.replace(meta))
+
+    def apply(self, op, *args):
+        if op == "q":
+            self.ask(*args)
+        elif op == "new":
+            self.create_at_home(*args)
+        elif op == "stale":
+            path, draw = args
+            self.ask(path, draw)
+            self.delete_at_home(path)
+            for _ in range(3):
+                self.ask(path, draw)
+        elif op == "del":
+            self.delete_at_home(*args)
+        elif op == "sync":
+            self.sim.synchronize_replicas(force=True)
+            self.proto._refresh_replicas()
+        else:
+            # Joins start from published filters: a fetch ships the home's
+            # last publication in the simulator and a fresh one in the
+            # prototype (ROADMAP item 4) — reconfiguration's, not the walk's.
+            self.apply("sync")
+            self.sim.add_server()
+            self.proto.add_node()
+            self.proto.check_directory()
+
+
+class TestWalkEquivalence:
+    """Both drivers execute one walk (``repro.core.walk``), so the
+    simulator — itself held to a frozen reference — is the prototype's
+    oracle: same home, same level, same false forwards on every lookup,
+    and what a prototype lookup reports as ``messages`` is what it put on
+    the wire.  Departures are left out of the script: the simulator's
+    survivors drop their L1 entries naming the departed MDS, the
+    prototype's do not yet (ROADMAP item 4)."""
+
+    @pytest.mark.parametrize("num_servers, max_group_size, scheme", WALK_SHAPES)
+    def test_same_home_level_and_false_forwards_on_every_lookup(
+        self, num_servers, max_group_size, scheme
+    ):
+        config = _tiny_config(max_group_size)
+        with PrototypeCluster(num_servers, config, scheme=scheme, seed=3) as proto:
+            both = _BothDrivers(num_servers, max_group_size, scheme, proto)
+            for op in _walk_script(num_servers, max_group_size):
+                both.apply(*op)
+            assert proto.num_nodes > num_servers
+        # Not vacuous: every level answered, hits were refuted — at every
+        # level of one walk, too — and negatives were certain.
+        levels = {answer.level for answer in both.answers}
+        grouped = {QueryLevel.L3} if max_group_size > 1 else set()
+        assert levels == set(QueryLevel) - {QueryLevel.L3} | grouped
+        assert sum(answer.false_forwards for answer in both.answers) > 20
+        most = max(answer.false_forwards for answer in both.answers)
+        assert most == (3 if max_group_size > 1 else 2)
+
+    def test_refuted_l1_entry_is_forgotten_at_the_origin(self):
+        """Warm a path at one origin, delete it at its home out of band,
+        look it up three times: the first forwards on the stale L1 entry
+        and forgets it (the flag rides on the PROBE_SEGMENT that follows),
+        so the repeats save that round trip and the separate L2 probe —
+        as the simulator's origin has always done."""
+        path, origin = WALK_PATHS[5], 2
+        with PrototypeCluster(8, _tiny_config(4), scheme="ghba", seed=3) as proto:
+            both = _BothDrivers(8, 4, "ghba", proto)
+            sim, wire = both.sim, proto.transport
+            for _ in range(2):
+                sim.query(path, origin_id=origin)
+                proto.lookup(path, origin_id=origin)
+                proto.quiesce()
+            both.delete_at_home(path)
+            sent, got, want = [], [], []
+            for _ in range(3):
+                want.append(sim.query(path, origin_id=origin).false_forwards)
+                before = wire.messages_sent
+                got.append(proto.lookup(path, origin_id=origin))
+                proto.quiesce()
+                sent.append(wire.messages_sent - before)
+        assert sent[1] == sent[2] == sent[0] - 4
+        assert [result.messages for result in got] == sent
+        assert [result.false_forwards for result in got] == want
+        assert want[0] == want[1] + 1 == want[2] + 1
 
 class TestOnePopulateRule:
     @pytest.mark.parametrize("flavour", ["ghba", "hba", "prototype"])

@@ -149,6 +149,53 @@ class TestDegradedFallback:
         assert control.home_id == home
         assert not control.degraded
 
+    def test_unique_hit_of_a_partial_multicast_is_forwarded_by_both_drivers(self):
+        """Partition one peer of the origin's group that does *not* host
+        the queried home's replica: the multicast loses a member, its
+        unique hit is forwarded and verified all the same, and simulator
+        and prototype both answer at L3 — degraded — instead of paying for
+        the broadcast."""
+        config, paths = _config(), _paths(120)
+        sim = GHBACluster(9, config, seed=21)
+        placement = sim.populate(paths, policy="round_robin")
+        sim.synchronize_replicas(force=True)
+        origin = sim.server_ids()[0]
+        group = sim.group_of(origin)
+        hosts = group.idbfa.placements()  # outside home -> hosting member
+        path, home = next(
+            (path, home)
+            for path, home in sorted(placement.items())
+            if home in hosts and hosts[home] != origin
+        )
+        bystander = next(
+            member
+            for member in group.member_ids()
+            if member not in (origin, hosts[home])
+        )
+        plan = FaultPlan(
+            seed=21,
+            partitions=(
+                Partition(start_s=0.0, end_s=1e9, island=frozenset({bystander})),
+            ),
+        )
+        sim.faults = PlanFaultInjector(plan)
+        answers = [sim.query(path, origin_id=origin)]
+        with PrototypeCluster(9, config, scheme="ghba", seed=21) as proto:
+            assert proto.populate(paths, policy="round_robin") == placement
+            group_id = proto.directory.group_of(origin)
+            assert proto.directory.placements[group_id] == hosts
+            proto.transport.injector = PlanFaultInjector(plan)
+            try:
+                answers.append(proto.lookup(path, origin_id=origin))
+            finally:
+                proto.transport.injector = NULL_INJECTOR
+                proto.quiesce()
+        for answer in answers:
+            assert answer.level is QueryLevel.L3
+            assert answer.degraded
+            assert answer.home_id == home
+            assert answer.false_forwards == 0
+
     def test_prototype_unreachable_home_degrades_instead_of_raising(self):
         config = _config(max_group_size=3)
         with PrototypeCluster(6, config, scheme="ghba", seed=21) as proto:

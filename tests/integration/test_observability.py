@@ -206,10 +206,10 @@ class TestPrototypeTracing:
             assert span.level == outcome.level.label
             assert span.home_id == outcome.home_id
             assert span.latency_ms == pytest.approx(
-                outcome.virtual_latency_ms
+                outcome.latency_ms
             )
             assert span.total_event_latency_ms() == pytest.approx(
-                outcome.virtual_latency_ms
+                outcome.latency_ms
             )
             assert span.total_event_messages() == span.messages
             assert span.level_path() == EXPECTED_WALKS[outcome.level.label]
