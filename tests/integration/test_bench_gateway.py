@@ -1,8 +1,8 @@
-"""The layered benchmark's gateway workloads, held from tier-1.
+"""The layered benchmark's in-process workloads, held from tier-1.
 
 ``bench/`` is frozen by ``BENCHMARK.json``; these two checks live here so
-a gateway change is told in seconds when it (1) moves an answer of the
-``python -m bench run --quick`` gateway workloads, or (2) breaks the
+a change is told in seconds when it (1) moves an answer of the
+``python -m bench run --quick`` gateway or fleet workloads, or (2) breaks the
 premise ``gw_hot_lookup`` is built on — with a warm lease cache the
 gateway layers out-spend ``core`` + ``bloom``.
 
@@ -30,10 +30,17 @@ from bench import layers, runner  # noqa: E402
 SEED = 7
 #: ``python -m bench run --quick``: a fiftieth of the nominal six seconds.
 QUICK_SECONDS = 6 / 50
-RECORDED = json.loads(
-    (Path(__file__).parent / "data" / "bench_quick_gateway_digests.json").read_text()
-)
-WORKLOADS = [name for name in RECORDED if name != "_meta"]
+#: The three gateway workloads (recorded before ISSUE 13) and the two
+#: that drive ``GHBACluster`` directly (recorded before ISSUE 22).
+RECORDED = {
+    name: answers
+    for file in ("bench_quick_gateway_digests.json", "bench_quick_fleet_digests.json")
+    for name, answers in json.loads(
+        (Path(__file__).parent / "data" / file).read_text()
+    ).items()
+    if name != "_meta"
+}
+WORKLOADS = list(RECORDED)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
