@@ -24,6 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.counting import CountingBloomFilter
+from repro.bloom.hashing import shared_family
 
 # ``slots=True`` for dataclasses is 3.10+; CI also runs 3.9.
 if sys.version_info >= (3, 10):
@@ -233,6 +234,16 @@ class LRUBloomFilterArray:
     filters (so false positives can and do occur), and evictions decrement
     counters so the filters track the cache contents exactly.
 
+    A probe does not visit the filters.  ``_slices`` is their transpose:
+    one small integer per counter cell whose bit ``s`` says that the filter
+    in slot ``s`` has a non-zero counter there, so the homes that may own an
+    item are the AND of the k slices at its cells (DESIGN.md §15).  A slot
+    is a position handed out when a home's filter is created and handed
+    back when :meth:`invalidate_home` drops it, so slices are as wide as
+    the most homes ever held at once, whatever the server ids are.  The
+    counters stay the truth: every mutation goes through the filter's own
+    ``add`` / ``discard`` and then re-reads the counters it touched.
+
     Parameters
     ----------
     capacity:
@@ -281,6 +292,11 @@ class LRUBloomFilterArray:
         self._hits = 0
         self._misses = 0
         self._filters: Dict[int, CountingBloomFilter] = {}
+        self._family = shared_family(num_hashes, filter_bits, seed)
+        self._slices: List[int] = [0] * filter_bits
+        #: home -> ``1 << slot``, in ``_filters`` order; slot -> home.
+        self._slot_bits: Dict[int, int] = {}
+        self._slot_homes: List[Optional[int]] = []
 
     # ------------------------------------------------------------------
     # Properties
@@ -324,7 +340,25 @@ class LRUBloomFilterArray:
                 self._filter_bits, self._num_hashes, self._seed
             )
             self._filters[home_id] = bloom
+            homes = self._slot_homes
+            if None not in homes:
+                homes.append(None)
+            slot = homes.index(None)
+            homes[slot] = home_id
+            self._slot_bits[home_id] = 1 << slot
         return bloom
+
+    def _reslice(self, item: object, home_id: int) -> None:
+        """Re-read the counters ``item`` maps to in ``home_id``'s filter
+        into that home's bit of the k slices."""
+        bit = self._slot_bits[home_id]
+        counters = self._filters[home_id]._counters
+        slices = self._slices
+        for cell in self._family.probe(item)[0]:
+            if counters[cell]:
+                slices[cell] |= bit
+            else:
+                slices[cell] &= ~bit
 
     def record(self, item: object, home_id: int) -> None:
         """Record that ``item`` was resolved to ``home_id`` (query success).
@@ -339,12 +373,15 @@ class LRUBloomFilterArray:
             previous = self._entries[item]
             if previous != home_id:
                 self._filters[previous].discard(item)
+                self._reslice(item, previous)
                 self._entries[item] = home_id
                 self._filter_for(home_id).add(item)
+                self._reslice(item, home_id)
             return
         previous = self._entries.pop(item, None)
         if previous is not None and previous != home_id:
             self._filters[previous].discard(item)
+            self._reslice(item, previous)
             previous = None
         self._entries[item] = home_id
         if self._is_lfu:
@@ -353,6 +390,7 @@ class LRUBloomFilterArray:
             self._use_counts[item] = self._use_counts.get(item, 0) + 1
         if previous is None:
             self._filter_for(home_id).add(item)
+            self._reslice(item, home_id)
         if len(self._entries) > self._capacity:
             self._evict_one()
 
@@ -389,6 +427,7 @@ class LRUBloomFilterArray:
                     if key in self._entries
                 }
         self._filters[home_id].discard(item)
+        self._reslice(item, home_id)
 
     def invalidate(self, item: object) -> bool:
         """Drop ``item`` from the cache (e.g. after a false forward)."""
@@ -397,6 +436,7 @@ class LRUBloomFilterArray:
             return False
         self._use_counts.pop(item, None)
         self._filters[home_id].discard(item)
+        self._reslice(item, home_id)
         return True
 
     def invalidate_home(self, home_id: int) -> int:
@@ -410,39 +450,60 @@ class LRUBloomFilterArray:
         for item in victims:
             del self._entries[item]
             self._use_counts.pop(item, None)
-        self._filters.pop(home_id, None)
+        bloom = self._filters.pop(home_id, None)
+        if bloom is not None:
+            bit = self._slot_bits.pop(home_id)
+            self._slot_homes[bit.bit_length() - 1] = None
+            counters = bloom._counters
+            probe = self._family.probe
+            cells = {cell for item in victims for cell in probe(item)[0]}
+            if len(cells) != len(counters) - counters.count(0):
+                # A saturated counter outlives the items that raised it.
+                cells = [cell for cell, count in enumerate(counters) if count]
+            slices = self._slices
+            for cell in cells:
+                slices[cell] &= ~bit
         return len(victims)
 
     def clear(self) -> None:
         self._entries.clear()
         self._use_counts.clear()
         self._filters.clear()
+        self._slices = [0] * self._filter_bits
+        self._slot_bits.clear()
+        self._slot_homes.clear()
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def query(self, item: object) -> ArrayLookup:
-        """Probe the per-MDS counting filters (L1 lookup).
+        """Which homes' filters hold ``item`` (L1 lookup).
 
-        Updates the hit/miss counters used for Figure 13's per-level rates.
-        Every per-home filter is built by :meth:`_filter_for` with one
-        geometry, so they all share one interned hash family and the probe
-        mask is computed exactly once.
+        ANDs the k slices at the item's memoised cells and stops at zero;
+        the bits left standing are the slots whose filter has every one of
+        those counters non-zero — what probing each filter would answer —
+        and ``probes`` still counts every filter represented, which is what
+        the cost model charges.  Updates the hit/miss counters used for
+        Figure 13's per-level rates.
         """
-        hits_list: List[int] = []
-        filters = self._filters
-        if filters:
-            mask = next(iter(filters.values()))._hashes.mask(item)
-            for home_id, bloom in filters.items():
-                if (bloom._nonzero & mask) == mask:
-                    hits_list.append(home_id)
-        probes = len(filters)
-        if hits_list:
-            if len(hits_list) == 1:
-                self._hits += 1
+        probes = len(self._filters)
+        if probes:
+            slices = self._slices
+            live = -1
+            for cell in self._family.probe(item)[0]:
+                live &= slices[cell]
+                if not live:
+                    break
             else:
-                self._misses += 1
-            return ArrayLookup(hits=tuple(hits_list), probes=probes)
+                if live & (live - 1):
+                    self._misses += 1
+                    hits = tuple(
+                        [home for home, bit in self._slot_bits.items() if live & bit]
+                    )
+                else:
+                    self._hits += 1
+                    hits = (self._slot_homes[live.bit_length() - 1],)
+                return ArrayLookup(hits, probes)
         self._misses += 1
         empty = self._empty_lru_lookup
         if empty is None or empty.probes != probes:
@@ -451,28 +512,8 @@ class LRUBloomFilterArray:
         return empty
 
     def probe_batch(self, items: Sequence[object]) -> List[ArrayLookup]:
-        """Batched :meth:`query` over the per-home counting filters.
-
-        Updates the hit/miss statistics exactly as per-item :meth:`query`
-        calls would.
-        """
-        filters = list(self._filters.items())
-        probes = len(filters)
-        mask_of = filters[0][1]._hashes.mask if filters else None
-        out: List[ArrayLookup] = []
-        for item in items:
-            hits_list: List[int] = []
-            if filters:
-                mask = mask_of(item)
-                for home_id, bloom in filters:
-                    if (bloom._nonzero & mask) == mask:
-                        hits_list.append(home_id)
-            out.append(ArrayLookup(hits=tuple(hits_list), probes=probes))
-            if len(hits_list) == 1:
-                self._hits += 1
-            else:
-                self._misses += 1
-        return out
+        """:meth:`query` of each item in turn (statistics included)."""
+        return [self.query(item) for item in items]
 
     def touch(self, item: object) -> None:
         """Register a use of ``item`` without changing its mapping.
@@ -491,6 +532,24 @@ class LRUBloomFilterArray:
     def peek(self, item: object) -> Optional[int]:
         """Ground-truth lookup (no Bloom probing, no stat updates)."""
         return self._entries.get(item)
+
+    def check_slices(self) -> None:
+        """Raise ``AssertionError`` unless the slices are the transpose of
+        the counters: bit ``s`` of ``_slices[c]`` stands iff the filter in
+        slot ``s`` has ``counters[c] > 0``, and at no other slot."""
+        if list(self._slot_bits) != list(self._filters):
+            raise AssertionError(f"slots {list(self._slot_bits)} != filters")
+        expected = [0] * self._filter_bits
+        for home_id, bloom in self._filters.items():
+            bit = self._slot_bits[home_id]
+            if self._slot_homes[bit.bit_length() - 1] != home_id:
+                raise AssertionError(f"slot of home {home_id} names another")
+            for cell, count in enumerate(bloom._counters):
+                if count:
+                    expected[cell] |= bit
+        for cell, (want, have) in enumerate(zip(expected, self._slices)):
+            if want != have:
+                raise AssertionError(f"cell {cell}: slice {have:#b}, counters {want:#b}")
 
     def size_bytes(self) -> int:
         """Footprint of the per-home filters, at O(1): :meth:`_filter_for`

@@ -6,16 +6,22 @@ when the replica migrates or its MDS departs.  Each position holds a small
 counter instead of a single bit; insertion increments, deletion decrements,
 and membership tests check that every counter is non-zero.
 
-Hot path: alongside the counter list the filter maintains ``_nonzero``, a
+Hot path: alongside the counters the filter maintains ``_nonzero``, a
 packed big-int mirror with bit ``i`` set iff ``counters[i] > 0``.  A
 membership test is then identical to the plain filter's — one AND plus a
-compare against the memoized probe mask — instead of k list indexings
+compare against the memoized probe mask — instead of k indexings
 (DESIGN.md §15).  The counters stay the source of truth; the mirror is
 updated on every zero-crossing.
+
+Storage: one byte per cell (two when ``counter_bits > 8``), not a list of
+Python ints — a fleet holds one of these per (MDS, home) pair.  That is
+the process's footprint; :meth:`CountingBloomFilter.size_bytes` stays the
+*modelled* ``counter_bits`` per cell that ``MemoryModel`` budgets with.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, List, Sequence
 
 from repro.bloom.bloom_filter import BloomFilter
@@ -52,7 +58,11 @@ class CountingBloomFilter:
             raise ValueError(f"num_counters must be positive, got {num_counters}")
         if counter_bits <= 0 or counter_bits > 16:
             raise ValueError(f"counter_bits must be in [1, 16], got {counter_bits}")
-        self._counters: List[int] = [0] * num_counters
+        self._counters = (
+            bytearray(num_counters)
+            if counter_bits <= 8
+            else array("H", [0]) * num_counters
+        )
         self._nonzero = 0
         self._hashes = shared_family(num_hashes, num_counters, seed)
         self._num_items = 0
@@ -210,7 +220,7 @@ class CountingBloomFilter:
             self.num_counters, self.num_hashes, self.seed
         )
         clone._max_count = self._max_count
-        clone._counters = list(self._counters)
+        clone._counters = self._counters[:]
         clone._nonzero = self._nonzero
         clone._num_items = self._num_items
         return clone

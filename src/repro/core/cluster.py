@@ -487,14 +487,8 @@ class _ModelWalk:
                         self.hop("lru_hint", msg=hints)
         latency, messages = self.latency, self.messages
         result = QueryResult(
-            path=self.path,
-            home_id=home,
-            level=level,
-            latency_ms=latency,
-            messages=messages,
-            false_forwards=false_forwards,
-            origin_id=origin_id,
-            degraded=self.degraded,
+            self.path, home, level, latency, messages, false_forwards,
+            origin_id, self.degraded,
         )
         if self.degraded:
             child = cluster._degraded_child

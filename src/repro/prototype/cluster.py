@@ -231,14 +231,8 @@ class _WireWalk:
             level.label, home, latency_ms, self.span.total_event_messages()
         )
         return QueryResult(
-            path=self.path,
-            home_id=home,
-            level=level,
-            latency_ms=latency_ms,
-            messages=self.messages,
-            false_forwards=false_forwards,
-            origin_id=self.origin_id,
-            degraded=self.degraded,
+            self.path, home, level, latency_ms, self.messages, false_forwards,
+            self.origin_id, self.degraded,
         )
 
 

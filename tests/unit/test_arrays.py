@@ -204,6 +204,96 @@ class TestLRUArray:
         assert lru.num_filters == 2
 
 
+class TestLRUSlices:
+    """The transposed index under the L1 array (DESIGN.md §15)."""
+
+    def make(self, capacity=64, filter_bits=64, num_hashes=3):
+        return LRUBloomFilterArray(capacity, filter_bits, num_hashes, seed=5)
+
+    def pile(self, lru, size):
+        """``size`` items that all map onto counter cell 0."""
+        items, n = [], 0
+        while len(items) < size:
+            if 0 in lru._family.probe(f"/pile/{n}")[0]:
+                items.append(f"/pile/{n}")
+            n += 1
+        return items
+
+    def test_slice_width_does_not_depend_on_the_server_id(self):
+        small, large = self.make(), self.make()
+        for index in range(20):
+            small.record(f"/f{index}", 3)
+            large.record(f"/f{index}", 10_000)
+        assert large._slices == small._slices
+        assert max(large._slices).bit_length() == 1
+        assert large.query("/f7").hits == (10_000,)
+
+    def test_invalidate_home_then_record_answers_like_a_fresh_array(self):
+        lru = self.make()
+        pile = self.pile(lru, 20)
+        for item in pile:  # cell 0 of home 7 saturates at 15 ...
+            lru.record(item, 7)
+        for item in pile[:8]:  # ... and outlives the items that raised it
+            lru.invalidate(item)
+        assert lru._filters[7].counters()[0] == 15
+        lru.check_slices()
+        assert lru.invalidate_home(7) == 12
+        assert not any(lru._slices)
+        lru.record("/x", 7)
+        fresh = self.make()
+        fresh.record("/x", 7)
+        assert lru._slices == fresh._slices
+        for item in pile + ["/x", "/never"]:
+            assert lru.query(item) == fresh.query(item)
+        lru.check_slices()
+
+    def test_a_slot_is_handed_out_again_and_hits_keep_filter_order(self):
+        # One hash over four cells: a home with a few entries answers for
+        # nearly everything, so several filters fire per probe.
+        lru = self.make(filter_bits=4, num_hashes=1)
+        for home in (11, 22, 33):
+            for index in range(12):
+                lru.record(f"/h{home}/f{index}", home)
+        assert lru.query("/any").hits == (11, 22, 33)
+        lru.invalidate_home(11)
+        for index in range(12):
+            lru.record(f"/h44/f{index}", 44)
+        assert lru._slot_bits == {22: 2, 33: 4, 44: 1}
+        assert max(lru._slices).bit_length() == 3
+        lookup = lru.query("/any")
+        assert lookup.hits == (22, 33, 44) and lookup.probes == 3
+        lru.check_slices()
+
+    def test_clear_empties_slices_and_slots(self):
+        lru = self.make()
+        for index in range(30):
+            lru.record(f"/f{index}", index % 5)
+        lru.clear()
+        assert not any(lru._slices) and len(lru._slices) == 64
+        assert lru._slot_bits == {} and lru._slot_homes == []
+        assert lru.query("/f3") == ArrayLookup(hits=(), probes=0)
+        lru.record("/f3", 4)
+        assert lru.query("/f3").hits == (4,)
+        lru.check_slices()
+
+    def test_check_slices_raises_on_a_bit_the_counters_do_not_back(self):
+        lru = self.make()
+        lru.record("/a", 1)
+        lru.check_slices()
+        lru._slices[lru._slices.index(0)] = 1
+        with pytest.raises(AssertionError):
+            lru.check_slices()
+
+    def test_no_popcount_builtin_newer_than_the_oldest_ci_python(self):
+        """``int.bit_count`` is 3.10+; CI's oldest leg is 3.9."""
+        import inspect
+
+        from repro.bloom import arrays, counting
+
+        for module in (arrays, counting):
+            assert "bit_count" not in inspect.getsource(module)
+
+
 class TestIDBFA:
     def make(self):
         idbfa = IDBloomFilterArray(num_counters=256, num_hashes=4)

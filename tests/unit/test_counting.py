@@ -123,3 +123,50 @@ class TestConversions:
 
     def test_size_bytes_positive(self):
         assert CountingBloomFilter(128, 4).size_bytes() > 0
+
+
+class TestTypedStorage:
+    """Counters live in a ``bytearray`` (``array('H')`` beyond 8 bits);
+    nothing a caller can see depends on which."""
+
+    def test_wide_counters_keep_their_width_and_ceiling_through_copy(self):
+        cbf = CountingBloomFilter(8, 1, counter_bits=12)
+        for _ in range(4_090):
+            cbf.add("x")
+        clone = cbf.copy()
+        assert clone._counters.itemsize == cbf._counters.itemsize == 2
+        assert clone.max_count == 4_095
+        for _ in range(10):
+            cbf.add("x")
+            clone.add("x")
+        assert max(clone.counters()) == max(cbf.counters()) == 4_095
+        clone.remove("x")  # saturated: stays put
+        assert clone.counters() == cbf.counters()
+
+    def test_narrow_counters_saturate_without_overflowing_their_byte(self):
+        cbf = CountingBloomFilter(8, 1, counter_bits=8)
+        for _ in range(300):
+            cbf.add("x")
+        assert max(cbf.counters()) == 255
+
+    def test_clear_zeroes_in_place(self):
+        for counter_bits in (4, 12):
+            cbf = CountingBloomFilter(64, 3, counter_bits=counter_bits)
+            storage = cbf._counters
+            cbf.update(f"i{i}" for i in range(20))
+            cbf.clear()
+            assert cbf._counters is storage
+            assert not any(storage) and cbf.nonzero_value == 0
+            assert cbf.num_items == 0 and "i3" not in cbf
+
+    def test_counters_is_a_list_copy(self):
+        cbf = CountingBloomFilter(16, 2)
+        cbf.add("a")
+        snapshot = cbf.counters()
+        assert type(snapshot) is list and sum(snapshot) == 2
+        snapshot[0] = 9
+        assert cbf.counters() != snapshot
+
+    def test_size_bytes_is_the_modelled_width_not_the_storage(self):
+        assert CountingBloomFilter(4096, 6).size_bytes() == 2_048
+        assert CountingBloomFilter(4096, 6, counter_bits=12).size_bytes() == 6_144
