@@ -293,7 +293,7 @@ class LRUBloomFilterArray:
         self._misses = 0
         self._filters: Dict[int, CountingBloomFilter] = {}
         self._family = shared_family(num_hashes, filter_bits, seed)
-        self._slices: List[int] = [0] * filter_bits
+        self._slices: List[int] = []  # allocated with the first filter
         #: home -> ``1 << slot``, in ``_filters`` order; slot -> home.
         self._slot_bits: Dict[int, int] = {}
         self._slot_homes: List[Optional[int]] = []
@@ -339,6 +339,8 @@ class LRUBloomFilterArray:
             bloom = CountingBloomFilter(
                 self._filter_bits, self._num_hashes, self._seed
             )
+            if not self._slices:
+                self._slices = [0] * self._filter_bits
             self._filters[home_id] = bloom
             homes = self._slot_homes
             if None not in homes:
@@ -469,7 +471,7 @@ class LRUBloomFilterArray:
         self._entries.clear()
         self._use_counts.clear()
         self._filters.clear()
-        self._slices = [0] * self._filter_bits
+        self._slices = []
         self._slot_bits.clear()
         self._slot_homes.clear()
 
@@ -539,6 +541,8 @@ class LRUBloomFilterArray:
         slot ``s`` has ``counters[c] > 0``, and at no other slot."""
         if list(self._slot_bits) != list(self._filters):
             raise AssertionError(f"slots {list(self._slot_bits)} != filters")
+        if self._filters and len(self._slices) != self._filter_bits:
+            raise AssertionError(f"{len(self._slices)} slices for filters held")
         expected = [0] * self._filter_bits
         for home_id, bloom in self._filters.items():
             bit = self._slot_bits[home_id]

@@ -119,6 +119,14 @@ def _generate_ops(seed, length=300):
     return ops
 
 
+def _call(array, op, arg):
+    if op == "record":
+        return array.record(*arg)
+    if op == "clear":
+        return array.clear()
+    return getattr(array, op)(arg)
+
+
 class _Mirror:
     """The live array and its frozen twin."""
 
@@ -131,15 +139,7 @@ class _Mirror:
     def apply(self, op, arg):
         """Apply one op to both sides; a failure string when the two
         return values differ, else None."""
-        live, ref = self.live, self.ref
-        if op == "record":
-            got, want = live.record(*arg), ref.record(*arg)
-        elif op == "clear":
-            got, want = live.clear(), ref.clear()
-        elif op in ("query", "probe_batch", "invalidate", "invalidate_home", "touch"):
-            got, want = getattr(live, op)(arg), getattr(ref, op)(arg)
-        else:  # pragma: no cover - generator and runner must stay in sync
-            return f"unknown op {op!r}"
+        got, want = _call(self.live, op, arg), _call(self.ref, op, arg)
         if got != want:
             return f"returned {got!r}, reference {want!r}"
         return None
@@ -211,7 +211,7 @@ def test_scripts_reach_the_cases_that_matter():
         for op, arg in ops[1:]:
             before = len(live)
             previous = live.peek(arg[0]) if op == "record" else None
-            got = getattr(live, op)(*(arg if op == "record" else () if arg is None else (arg,)))
+            got = _call(live, op, arg)
             if op == "query":
                 unique += got.is_unique
                 several += len(got.hits) > 1
