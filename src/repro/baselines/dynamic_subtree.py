@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.metadata.namespace import ancestor_paths, normalize_path
-from repro.sim.stats import Counter
 
 
 class DynamicSubtreePartition:
@@ -50,7 +49,7 @@ class DynamicSubtreePartition:
             )
         self._assignments = normalized
         self._threshold = imbalance_threshold
-        self._subtree_hits: Counter = Counter()
+        self._subtree_hits: Dict[str, int] = {}
         self._migrations = 0
 
     # ------------------------------------------------------------------
@@ -68,7 +67,7 @@ class DynamicSubtreePartition:
 
     def query(self, path: str) -> int:
         subtree = self._owning_subtree(path)
-        self._subtree_hits.increment(subtree)
+        self._subtree_hits[subtree] = self._subtree_hits.get(subtree, 0) + 1
         return self._assignments[subtree]
 
     # ------------------------------------------------------------------
@@ -78,7 +77,7 @@ class DynamicSubtreePartition:
         loads: Dict[int, int] = {
             server_id: 0 for server_id in set(self._assignments.values())
         }
-        for subtree, hits in self._subtree_hits.as_dict().items():
+        for subtree, hits in self._subtree_hits.items():
             loads[self._assignments[subtree]] += hits
         return loads
 
@@ -117,7 +116,7 @@ class DynamicSubtreePartition:
             if mean == 0 or loads[hottest_server] / mean <= self._threshold:
                 break
             candidates = [
-                (self._subtree_hits.get(subtree), subtree)
+                (self._subtree_hits.get(subtree, 0), subtree)
                 for subtree, server in self._assignments.items()
                 if server == hottest_server and subtree != "/"
             ]

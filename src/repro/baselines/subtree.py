@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from repro.metadata.namespace import ancestor_paths, normalize_path
-from repro.sim.stats import Counter
 
 
 class StaticSubtreePartition:
@@ -33,7 +32,7 @@ class StaticSubtreePartition:
         if "/" not in normalized:
             raise ValueError("assignments must include the root '/'")
         self._assignments = normalized
-        self.access_counter = Counter()
+        self._accesses: Dict[int, int] = {}
 
     @classmethod
     def divide_evenly(
@@ -62,7 +61,7 @@ class StaticSubtreePartition:
     def query(self, path: str) -> int:
         """Lookup with access accounting (for skew measurement)."""
         home = self.home_of(path)
-        self.access_counter.increment(str(home))
+        self._accesses[home] = self._accesses.get(home, 0) + 1
         return home
 
     def lookup_depth(self, path: str) -> int:
@@ -79,17 +78,14 @@ class StaticSubtreePartition:
     # ------------------------------------------------------------------
     def load_imbalance(self) -> float:
         """Max/mean access ratio across servers (1.0 = perfectly balanced)."""
-        counts = list(self.access_counter.as_dict().values())
+        counts = list(self._accesses.values())
         if not counts:
             return 1.0
         mean = sum(counts) / len(counts)
         return max(counts) / mean if mean else 1.0
 
     def server_loads(self) -> Dict[int, int]:
-        return {
-            int(server): count
-            for server, count in self.access_counter.as_dict().items()
-        }
+        return dict(self._accesses)
 
     @property
     def migration_cost_on_join(self) -> int:

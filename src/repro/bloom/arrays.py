@@ -73,17 +73,9 @@ class BloomFilterArray:
         # Insertion-ordered like every dict; a plain dict probes and
         # iterates faster than OrderedDict on the query hot path.
         self._filters: Dict[int, BloomFilter] = {}
-        #: Monotonic mutation counter.  Callers that cache a flattened view
-        #: of the array (the group's fused L3 probe plan) compare versions
-        #: to detect replica installs/updates/removals.
-        self._version = 0
         # Most probes miss every filter; reuse one (immutable) empty result
         # instead of allocating a fresh ArrayLookup per miss.
         self._empty_lookup: Optional[ArrayLookup] = None
-
-    @property
-    def version(self) -> int:
-        return self._version
 
     # ------------------------------------------------------------------
     # Replica management
@@ -100,14 +92,12 @@ class BloomFilterArray:
         if home_id in self._filters:
             raise ValueError(f"replica for MDS {home_id} already present")
         self._filters[home_id] = bloom
-        self._version += 1
 
     def replace_replica(self, home_id: int, bloom: BloomFilter) -> None:
         """Overwrite the replica for ``home_id`` (replica update path)."""
         if home_id not in self._filters:
             raise KeyError(f"no replica for MDS {home_id}")
         self._filters[home_id] = bloom
-        self._version += 1
 
     def remove_replica(self, home_id: int) -> BloomFilter:
         """Remove and return the replica for ``home_id``."""
@@ -115,7 +105,6 @@ class BloomFilterArray:
             replica = self._filters.pop(home_id)
         except KeyError:
             raise KeyError(f"no replica for MDS {home_id}") from None
-        self._version += 1
         return replica
 
     def get_replica(self, home_id: int) -> BloomFilter:
@@ -356,7 +345,7 @@ class LRUBloomFilterArray:
         bit = self._slot_bits[home_id]
         counters = self._filters[home_id]._counters
         slices = self._slices
-        for cell in self._family.probe(item)[0]:
+        for cell in self._family.cells(item):
             if counters[cell]:
                 slices[cell] |= bit
             else:
@@ -457,8 +446,8 @@ class LRUBloomFilterArray:
             bit = self._slot_bits.pop(home_id)
             self._slot_homes[bit.bit_length() - 1] = None
             counters = bloom._counters
-            probe = self._family.probe
-            cells = {cell for item in victims for cell in probe(item)[0]}
+            cells_of = self._family.cells
+            cells = {cell for item in victims for cell in cells_of(item)}
             if len(cells) != len(counters) - counters.count(0):
                 # A saturated counter outlives the items that raised it.
                 cells = [cell for cell, count in enumerate(counters) if count]
@@ -492,7 +481,7 @@ class LRUBloomFilterArray:
         if probes:
             slices = self._slices
             live = -1
-            for cell in self._family.probe(item)[0]:
+            for cell in self._family.cells(item):
                 live &= slices[cell]
                 if not live:
                     break

@@ -42,7 +42,7 @@ class BloomFilter:
 
     def __init__(self, num_bits: int, num_hashes: int, seed: int = 0) -> None:
         self._bits = BitVector(num_bits)
-        # Same-geometry filters share one family — and one probe cache —
+        # Same-geometry filters share one family — and one mask memo —
         # so a key hashed at one replica is free at every other.
         self._hashes = shared_family(num_hashes, num_bits, seed)
         self._num_items = 0
@@ -135,10 +135,6 @@ class BloomFilter:
     def query(self, item: object) -> bool:
         """Return True if ``item`` *may* be in the set (no false negatives)."""
         mask = self._hashes.mask(item)
-        return (self._bits.value & mask) == mask
-
-    def query_mask(self, mask: int) -> bool:
-        """Membership test for a precomputed probe mask (the batch path)."""
         return (self._bits.value & mask) == mask
 
     def contains_many(self, items: Sequence[object]) -> List[bool]:

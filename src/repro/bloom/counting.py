@@ -6,12 +6,12 @@ when the replica migrates or its MDS departs.  Each position holds a small
 counter instead of a single bit; insertion increments, deletion decrements,
 and membership tests check that every counter is non-zero.
 
-Hot path: alongside the counters the filter maintains ``_nonzero``, a
-packed big-int mirror with bit ``i`` set iff ``counters[i] > 0``.  A
-membership test is then identical to the plain filter's — one AND plus a
-compare against the memoized probe mask — instead of k indexings
-(DESIGN.md §15).  The counters stay the source of truth; the mirror is
-updated on every zero-crossing.
+The counters are the filter's only state (DESIGN.md §15): a membership
+test reads the k counters at the item's memoized cells, and the packed
+"counter > 0" form is computed when someone asks for it
+(:attr:`CountingBloomFilter.nonzero_value`, :meth:`to_bloom_filter`).  The
+L1 array, which probes many of these at once, keeps its own transposed
+index over them instead of a packed form per filter.
 
 Storage: one byte per cell (two when ``counter_bits > 8``), not a list of
 Python ints — a fleet holds one of these per (MDS, home) pair.  That is
@@ -22,7 +22,7 @@ the process's footprint; :meth:`CountingBloomFilter.size_bytes` stays the
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.hashing import HashFamily, shared_family
@@ -45,7 +45,7 @@ class CountingBloomFilter:
         with negligible probability).
     """
 
-    __slots__ = ("_counters", "_nonzero", "_hashes", "_num_items", "_max_count")
+    __slots__ = ("_counters", "_hashes", "_num_items", "_max_count")
 
     def __init__(
         self,
@@ -63,7 +63,6 @@ class CountingBloomFilter:
             if counter_bits <= 8
             else array("H", [0]) * num_counters
         )
-        self._nonzero = 0
         self._hashes = shared_family(num_hashes, num_counters, seed)
         self._num_items = 0
         self._max_count = (1 << counter_bits) - 1
@@ -98,8 +97,13 @@ class CountingBloomFilter:
 
     @property
     def nonzero_value(self) -> int:
-        """Packed mirror: bit ``i`` set iff ``counters[i] > 0``."""
-        return self._nonzero
+        """Packed form, computed on demand: bit ``i`` set iff
+        ``counters[i] > 0``."""
+        value = 0
+        for index, count in enumerate(self._counters):
+            if count:
+                value |= 1 << index
+        return value
 
     def counters(self) -> List[int]:
         """A copy of the raw counter array (the source of truth)."""
@@ -112,16 +116,10 @@ class CountingBloomFilter:
         """Insert ``item``, incrementing (saturating) its counters."""
         counters = self._counters
         max_count = self._max_count
-        # Mirror bits flip only on 0 -> 1 transitions (not a blanket mask
-        # OR): duplicate indices in one probe sequence can leave a counter
-        # at zero after an increment, and the mirror must agree with the
-        # per-counter truth ``count > 0`` in that corner too.
-        for index in self._hashes.probe(item)[0]:
+        for index in self._hashes.cells(item):
             count = counters[index]
             if count < max_count:
                 counters[index] = count + 1
-                if count == 0:
-                    self._nonzero |= 1 << index
         self._num_items += 1
 
     def update(self, items: Iterable[object]) -> None:
@@ -139,10 +137,8 @@ class CountingBloomFilter:
             collide is undetectable — that is inherent to counting filters —
             but deleting an item whose counters are zero is always an error.
         """
-        indices = self._hashes.probe(item)[0]
+        indices = self._hashes.cells(item)
         counters = self._counters
-        # The exact per-counter check, not the mirror: the historical
-        # contract raises only when some counter is exactly zero.
         if any(counters[i] == 0 for i in indices):
             raise KeyError(f"item not present in counting filter: {item!r}")
         max_count = self._max_count
@@ -152,8 +148,6 @@ class CountingBloomFilter:
             count = counters[index]
             if count < max_count:
                 counters[index] = count - 1
-                if count == 1:
-                    self._nonzero &= ~(1 << index)
         self._num_items = max(0, self._num_items - 1)
 
     def discard(self, item: object) -> bool:
@@ -169,22 +163,8 @@ class CountingBloomFilter:
 
     def query(self, item: object) -> bool:
         """Return True if ``item`` *may* be present."""
-        mask = self._hashes.probe(item)[1]
-        return (self._nonzero & mask) == mask
-
-    def query_mask(self, mask: int) -> bool:
-        """Membership test for a precomputed probe mask (the batch path)."""
-        return (self._nonzero & mask) == mask
-
-    def contains_many(self, items: Sequence[object]) -> List[bool]:
-        """Batched membership: one AND/compare per item."""
-        nonzero = self._nonzero
-        probe = self._hashes.probe
-        return [(nonzero & (m := probe(item)[1])) == m for item in items]
-
-    def contains_indices(self, indices: List[int]) -> bool:
-        """Membership test with precomputed indices (shared-family probes)."""
-        return all(self._counters[i] > 0 for i in indices)
+        counters = self._counters
+        return all([counters[i] for i in self._hashes.cells(item)])
 
     def count_estimate(self, item: object) -> int:
         """Minimum counter value across the item's positions.
@@ -192,12 +172,11 @@ class CountingBloomFilter:
         This is an upper bound on the number of times ``item`` was added
         (the count-min sketch estimate restricted to this filter).
         """
-        return min(self._counters[i] for i in self._hashes.probe(item)[0])
+        return min(self._counters[i] for i in self._hashes.cells(item))
 
     def clear(self) -> None:
         for i in range(len(self._counters)):
             self._counters[i] = 0
-        self._nonzero = 0
         self._num_items = 0
 
     # ------------------------------------------------------------------
@@ -206,7 +185,7 @@ class CountingBloomFilter:
     def to_bloom_filter(self) -> BloomFilter:
         """Project to a plain Bloom filter (counter > 0 → bit set)."""
         bloom = BloomFilter(self.num_counters, self.num_hashes, self.seed)
-        bloom.bits.set_mask(self._nonzero)
+        bloom.bits.set_mask(self.nonzero_value)
         bloom._num_items = self._num_items
         return bloom
 
@@ -221,7 +200,6 @@ class CountingBloomFilter:
         )
         clone._max_count = self._max_count
         clone._counters = self._counters[:]
-        clone._nonzero = self._nonzero
         clone._num_items = self._num_items
         return clone
 

@@ -18,25 +18,42 @@ int ops, so this module adds two layers on top of the construction:
   :class:`HashFamily` per ``(num_hashes, num_bits, seed)``.  Every filter
   of the same geometry (all L1 LRU filters, all L2 segment replicas of a
   group, every server's global replica) shares one instance, and
-  therefore one probe cache: a key hashed once while probing server 1's
+  therefore one memo: a key hashed once while probing server 1's
   replica is free at servers 2..N.
-* **Probe cache** — :meth:`HashFamily.probe` memoizes
-  ``item -> (indices, mask)`` where ``mask`` is the OR of ``1 << index``.
-  A membership test against a packed :class:`~repro.bloom.bitvector.BitVector`
-  is then ``(bits & mask) == mask`` — no per-index loop at all.  The
-  cache is bounded; on overflow the oldest half (dict insertion order)
-  is dropped in one slice.
+* **Two memos, one per form** — :meth:`HashFamily.cells` memoizes
+  ``item -> (index, ...)`` and :meth:`HashFamily.mask` memoizes
+  ``item -> OR of 1 << index``, each filled only by the callers that ask
+  for it.  Counter arrays are read by cell (counting filters, the L1
+  slices); a packed :class:`~repro.bloom.bitvector.BitVector` is tested
+  with ``(bits & mask) == mask`` — no per-index loop at all (plain
+  filters, segment arrays, the L3 plan).  A geometry's filters are all of
+  one kind, so it holds one form per item, not both.  Both memos are
+  bounded — cells by entries, masks by bytes, since a mask is as wide as
+  the filter; on overflow the oldest half (dict insertion order) is
+  dropped in one slice.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from typing import Dict, List, Tuple
 
-#: Per-family bound on memoized probes.  Sized to hold the hot set of the
-#: bench workloads (thousands of distinct paths) with slack; at ~200 bytes
-#: per entry the worst case is a few MB per geometry.
-PROBE_CACHE_CAPACITY = 1 << 16
+#: Per-family bound on memoized cell tuples (~250 bytes each at k = 6,
+#: integers included).
+CELL_MEMO_CAPACITY = 1 << 16
+
+#: Per-family bound on the bytes of memoized masks (the int objects; keys
+#: and the dict's table come on top, ~100 bytes per entry).  A mask is
+#: ``num_bits / 7.5`` bytes, so the entry bound follows from the geometry:
+#: 31 000 masks at the bench fleet's 16 000 bits (its largest census is
+#: 21 900), 3 100 at ``GHBAConfig()``'s 160 000 (``wire_mixed``: 2 000).
+MASK_MEMO_BYTES = 64 << 20
+
+
+def _drop_oldest_half(memo: Dict[object, object]) -> None:
+    for key in list(memo)[: (len(memo) + 1) // 2]:
+        del memo[key]
 
 
 def _digest64(data: bytes, salt: bytes) -> int:
@@ -66,7 +83,9 @@ class HashFamily:
         "_seed",
         "_salt1",
         "_salt2",
-        "_probe_cache",
+        "_cells",
+        "_masks",
+        "_mask_capacity",
     )
 
     def __init__(self, num_hashes: int, num_bits: int, seed: int = 0) -> None:
@@ -79,7 +98,13 @@ class HashFamily:
         self._seed = seed
         self._salt1 = seed.to_bytes(8, "big", signed=True) + b"\x01"
         self._salt2 = seed.to_bytes(8, "big", signed=True) + b"\x02"
-        self._probe_cache: Dict[object, Tuple[Tuple[int, ...], int]] = {}
+        # bytes/str/int items only (enforced by _encode), so the item
+        # itself is a safe, hashable memo key.
+        self._cells: Dict[object, Tuple[int, ...]] = {}
+        self._masks: Dict[object, int] = {}
+        self._mask_capacity = max(
+            1, MASK_MEMO_BYTES // sys.getsizeof(1 << (num_bits - 1))
+        )
 
     @property
     def num_hashes(self) -> int:
@@ -104,7 +129,7 @@ class HashFamily:
             f"items must be str, bytes or int, got {type(item).__name__}"
         )
 
-    def _compute(self, item: object) -> Tuple[Tuple[int, ...], int]:
+    def _compute(self, item: object) -> Tuple[int, ...]:
         data = self._encode(item)
         h1 = _digest64(data, self._salt1)
         h2 = _digest64(data, self._salt2)
@@ -112,46 +137,37 @@ class HashFamily:
         # is even; forcing it odd keeps the probe sequence well distributed.
         h2 |= 1
         m = self._num_bits
-        indices = tuple((h1 + i * h2) % m for i in range(self._num_hashes))
-        mask = 0
-        for index in indices:
-            mask |= 1 << index
-        return indices, mask
+        return tuple((h1 + i * h2) % m for i in range(self._num_hashes))
 
-    def probe(self, item: object) -> Tuple[Tuple[int, ...], int]:
-        """Return (and memoize) ``(indices, mask)`` for ``item``.
-
-        ``mask`` is the OR of ``1 << i`` over the ``k`` indices — the
-        single-int form consumed by
-        :meth:`~repro.bloom.bitvector.BitVector.contains_mask`.
-        """
-        cache = self._probe_cache
-        entry = cache.get(item)
-        if entry is None:
-            if len(cache) >= PROBE_CACHE_CAPACITY:
-                # Drop the oldest (insertion-ordered) half in one pass.
-                for key in list(cache)[: PROBE_CACHE_CAPACITY // 2]:
-                    del cache[key]
-            entry = self._compute(item)
-            # bytes/str/int keys only (enforced by _encode), so the item
-            # itself is a safe, hashable cache key.
-            cache[item] = entry
-        return entry
+    def cells(self, item: object) -> Tuple[int, ...]:
+        """The ``k`` indices of ``item`` (memoized) — the form a counter
+        array is read by."""
+        memo = self._cells
+        cells = memo.get(item)
+        if cells is None:
+            if len(memo) >= CELL_MEMO_CAPACITY:
+                _drop_oldest_half(memo)
+            cells = memo[item] = self._compute(item)
+        return cells
 
     def mask(self, item: object) -> int:
-        """The packed probe mask of ``item`` (memoized)."""
-        entry = self._probe_cache.get(item)
-        if entry is None:
-            entry = self.probe(item)
-        return entry[1]
+        """The OR of ``1 << i`` over the ``k`` indices of ``item``
+        (memoized) — the single-int form consumed by
+        :meth:`~repro.bloom.bitvector.BitVector.contains_mask`."""
+        memo = self._masks
+        mask = memo.get(item)
+        if mask is None:
+            if len(memo) >= self._mask_capacity:
+                _drop_oldest_half(memo)
+            mask = 0
+            for index in self._compute(item):
+                mask |= 1 << index
+            memo[item] = mask
+        return mask
 
     def indices(self, item: object) -> List[int]:
         """Return the ``k`` bit indices for ``item``."""
-        return list(self.probe(item)[0])
-
-    def cache_info(self) -> Tuple[int, int]:
-        """``(entries, capacity)`` of the probe cache (for introspection)."""
-        return len(self._probe_cache), PROBE_CACHE_CAPACITY
+        return list(self.cells(item))
 
     def parameters(self) -> Tuple[int, int, int]:
         """Return ``(num_hashes, num_bits, seed)``."""
@@ -177,7 +193,7 @@ class HashFamily:
 
 
 # ----------------------------------------------------------------------
-# Interning — one family (and one probe cache) per geometry
+# Interning — one family (and one memo) per geometry
 # ----------------------------------------------------------------------
 _SHARED_FAMILIES: Dict[Tuple[int, int, int], HashFamily] = {}
 
@@ -187,7 +203,7 @@ def shared_family(num_hashes: int, num_bits: int, seed: int = 0) -> HashFamily:
 
     Filters share hash state purely by value (`parameters()`), so handing
     every same-geometry filter the same instance is semantically
-    invisible — it only fuses their probe caches, which is exactly what
+    invisible — it only fuses their memos, which is exactly what
     the replica fan-out wants: the L3 multicast probes ~N replicas of
     identical geometry with the same key.
     """

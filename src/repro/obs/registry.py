@@ -88,7 +88,7 @@ class HistogramChild:
     :class:`~repro.sim.stats.LatencyRecorder`.
     """
 
-    __slots__ = ("bounds", "bucket_counts", "recorder", "sum")
+    __slots__ = ("bounds", "bucket_counts", "recorder")
 
     def __init__(
         self,
@@ -99,18 +99,20 @@ class HistogramChild:
         self.bounds: Tuple[float, ...] = tuple(bounds)
         self.bucket_counts = [0] * (len(self.bounds) + 1)  # last is +Inf
         self.recorder = LatencyRecorder(reservoir_size=reservoir_size, seed=seed)
-        self.sum = 0.0
 
     def observe(self, value: float) -> None:
         self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
         self.recorder.record(value)
-        self.sum += value
 
     # Convenience passthroughs so a histogram can stand in for the bare
     # LatencyRecorder it replaced in older call sites.
     @property
     def count(self) -> int:
         return self.recorder.count
+
+    @property
+    def sum(self) -> float:
+        return self.recorder.total
 
     @property
     def mean(self) -> float:
@@ -204,8 +206,7 @@ class MetricFamily:
 
 class CounterFamily(MetricFamily):
     """Counter family; also provides the tally views legacy code expects
-    (``as_dict``/``fractions``/``total``, mirroring
-    :class:`repro.sim.stats.Counter`)."""
+    (``as_dict``/``fractions``/``total``)."""
 
     def __init__(self, name: str, help_text: str, label_names: Tuple[str, ...]):
         super().__init__(name, "counter", help_text, label_names)

@@ -17,7 +17,7 @@ provides the simulator's foundations:
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import NetworkModel
 from repro.sim.memory import MemoryModel
-from repro.sim.stats import Counter, LatencyRecorder, SeriesRecorder
+from repro.sim.stats import LatencyRecorder, SeriesRecorder
 from repro.sim.rng import ZipfSampler, make_rng
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "Simulator",
     "NetworkModel",
     "MemoryModel",
-    "Counter",
     "LatencyRecorder",
     "SeriesRecorder",
     "ZipfSampler",

@@ -1,9 +1,8 @@
 """Metric recorders used by the simulator and the benchmark harness.
 
-Three recorders cover every figure in the paper:
+Two recorders cover the paper's latency figures (event counts live in the
+metrics registry, :mod:`repro.obs.registry`):
 
-- :class:`Counter` — named event counts (per-level hits for Figure 13,
-  message counts for Figures 11/15).
 - :class:`LatencyRecorder` — streaming mean/min/max plus exact percentiles
   over a bounded reservoir.
 - :class:`SeriesRecorder` — windowed averages, producing the
@@ -29,41 +28,6 @@ def percentile(values: Sequence[float], p: float) -> float:
     ordered = sorted(values)
     index = min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
     return ordered[index]
-
-
-class Counter:
-    """A bag of named integer counters."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def increment(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def total(self) -> int:
-        return sum(self._counts.values())
-
-    def fractions(self) -> Dict[str, float]:
-        """Each counter as a fraction of the total (empty → {})."""
-        total = self.total()
-        if total == 0:
-            return {}
-        return {name: count / total for name, count in self._counts.items()}
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def clear(self) -> None:
-        self._counts.clear()
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
-
-    def __repr__(self) -> str:
-        return f"Counter({self._counts!r})"
 
 
 class LatencyRecorder:
@@ -110,6 +74,11 @@ class LatencyRecorder:
     @property
     def count(self) -> int:
         return self._count
+
+    @property
+    def total(self) -> float:
+        """Sum of the recorded values, added in recording order."""
+        return self._sum
 
     @property
     def mean(self) -> float:

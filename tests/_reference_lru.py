@@ -1,13 +1,19 @@
 """Frozen reference: ``LRUBloomFilterArray`` as it stood before ISSUE 22 put
-a transposed (bit-sliced) index under it.
+a transposed (bit-sliced) index under it, with the counting filter and the
+hash family it probed.
 
-``RefLRUBloomFilterArray`` is the parent commit's class body, verbatim
-(only the class name gained a ``Ref`` prefix): ``query`` ANDs the item's
-probe mask against *every* per-home counting filter's ``_nonzero`` mirror,
+``RefLRUBloomFilterArray`` is that commit's class body, verbatim (only the
+class name gained a ``Ref`` prefix): ``query`` ANDs the item's probe mask
+against *every* per-home counting filter's ``_nonzero`` mirror,
 ``probe_batch`` carries its own copy of that loop, and ``invalidate_home``
-forgets a home by dropping its filter.  The counting filters, the hash
-family and ``ArrayLookup`` are the live ones — ``CountingBloomFilter`` has
-its own oracle in ``_reference_bloom.py``.
+forgets a home by dropping its filter.  ISSUE 23 took the mirror out of the
+live ``CountingBloomFilter`` and ``probe()`` out of the live ``HashFamily``,
+so the two classes this one was written against are frozen here too, as
+they stood at the commit before: ``HashFamily`` / ``shared_family`` (one
+memo of ``(indices, mask)`` pairs) and ``CountingBloomFilter`` (counters
+plus the packed non-zero mirror), bodies verbatim.  Only ``ArrayLookup``,
+``REPLACEMENT_POLICIES`` and the plain ``BloomFilter`` that
+``to_bloom_filter`` projects to are live.
 ``tests/property/test_lru_differential.py`` drives this and the live class
 through seeded scripts and compares every returned ``ArrayLookup``, the
 hit / miss counters, the entries in order and every filter's counters with
@@ -17,10 +23,389 @@ hit / miss counters, the entries in order and every filter's counters with
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import hashlib
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bloom.arrays import REPLACEMENT_POLICIES, ArrayLookup
-from repro.bloom.counting import CountingBloomFilter
+from repro.bloom.bloom_filter import BloomFilter
+
+#: Per-family bound on memoized probes.  Sized to hold the hot set of the
+#: bench workloads (thousands of distinct paths) with slack; at ~200 bytes
+#: per entry the worst case is a few MB per geometry.
+PROBE_CACHE_CAPACITY = 1 << 16
+
+
+def _digest64(data: bytes, salt: bytes) -> int:
+    """Return a 64-bit digest of ``data`` salted with ``salt``."""
+    return int.from_bytes(
+        hashlib.blake2b(data, digest_size=8, key=salt).digest(), "big"
+    )
+
+
+class HashFamily:
+    """``k`` index functions over ``[0, m)`` via double hashing.
+
+    Parameters
+    ----------
+    num_hashes:
+        Number of index functions (``k``).
+    num_bits:
+        Size of the target bit space (``m``).
+    seed:
+        Integer seed; families with equal ``(num_hashes, num_bits, seed)``
+        are interchangeable.
+    """
+
+    __slots__ = (
+        "_num_hashes",
+        "_num_bits",
+        "_seed",
+        "_salt1",
+        "_salt2",
+        "_probe_cache",
+    )
+
+    def __init__(self, num_hashes: int, num_bits: int, seed: int = 0) -> None:
+        if num_hashes <= 0:
+            raise ValueError(f"num_hashes must be positive, got {num_hashes}")
+        if num_bits <= 0:
+            raise ValueError(f"num_bits must be positive, got {num_bits}")
+        self._num_hashes = num_hashes
+        self._num_bits = num_bits
+        self._seed = seed
+        self._salt1 = seed.to_bytes(8, "big", signed=True) + b"\x01"
+        self._salt2 = seed.to_bytes(8, "big", signed=True) + b"\x02"
+        self._probe_cache: Dict[object, Tuple[Tuple[int, ...], int]] = {}
+
+    @property
+    def num_hashes(self) -> int:
+        return self._num_hashes
+
+    @property
+    def num_bits(self) -> int:
+        return self._num_bits
+
+    @property
+    def seed(self) -> int:
+        return self._seed
+
+    def _encode(self, item: object) -> bytes:
+        if isinstance(item, bytes):
+            return item
+        if isinstance(item, str):
+            return item.encode("utf-8")
+        if isinstance(item, int):
+            return item.to_bytes(16, "big", signed=True)
+        raise TypeError(
+            f"items must be str, bytes or int, got {type(item).__name__}"
+        )
+
+    def _compute(self, item: object) -> Tuple[Tuple[int, ...], int]:
+        data = self._encode(item)
+        h1 = _digest64(data, self._salt1)
+        h2 = _digest64(data, self._salt2)
+        # An even h2 could cycle through a strict subset of positions when m
+        # is even; forcing it odd keeps the probe sequence well distributed.
+        h2 |= 1
+        m = self._num_bits
+        indices = tuple((h1 + i * h2) % m for i in range(self._num_hashes))
+        mask = 0
+        for index in indices:
+            mask |= 1 << index
+        return indices, mask
+
+    def probe(self, item: object) -> Tuple[Tuple[int, ...], int]:
+        """Return (and memoize) ``(indices, mask)`` for ``item``.
+
+        ``mask`` is the OR of ``1 << i`` over the ``k`` indices — the
+        single-int form consumed by
+        :meth:`~repro.bloom.bitvector.BitVector.contains_mask`.
+        """
+        cache = self._probe_cache
+        entry = cache.get(item)
+        if entry is None:
+            if len(cache) >= PROBE_CACHE_CAPACITY:
+                # Drop the oldest (insertion-ordered) half in one pass.
+                for key in list(cache)[: PROBE_CACHE_CAPACITY // 2]:
+                    del cache[key]
+            entry = self._compute(item)
+            # bytes/str/int keys only (enforced by _encode), so the item
+            # itself is a safe, hashable cache key.
+            cache[item] = entry
+        return entry
+
+    def mask(self, item: object) -> int:
+        """The packed probe mask of ``item`` (memoized)."""
+        entry = self._probe_cache.get(item)
+        if entry is None:
+            entry = self.probe(item)
+        return entry[1]
+
+    def indices(self, item: object) -> List[int]:
+        """Return the ``k`` bit indices for ``item``."""
+        return list(self.probe(item)[0])
+
+    def cache_info(self) -> Tuple[int, int]:
+        """``(entries, capacity)`` of the probe cache (for introspection)."""
+        return len(self._probe_cache), PROBE_CACHE_CAPACITY
+
+    def parameters(self) -> Tuple[int, int, int]:
+        """Return ``(num_hashes, num_bits, seed)``."""
+        return (self._num_hashes, self._num_bits, self._seed)
+
+    def is_compatible(self, other: "HashFamily") -> bool:
+        """True if both families map items to identical index sequences."""
+        return self.parameters() == other.parameters()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HashFamily):
+            return NotImplemented
+        return self.parameters() == other.parameters()
+
+    def __hash__(self) -> int:
+        return hash(self.parameters())
+
+    def __repr__(self) -> str:
+        return (
+            f"HashFamily(num_hashes={self._num_hashes}, "
+            f"num_bits={self._num_bits}, seed={self._seed})"
+        )
+
+
+# ----------------------------------------------------------------------
+# Interning — one family (and one probe cache) per geometry
+# ----------------------------------------------------------------------
+_SHARED_FAMILIES: Dict[Tuple[int, int, int], HashFamily] = {}
+
+
+def shared_family(num_hashes: int, num_bits: int, seed: int = 0) -> HashFamily:
+    """Return the canonical :class:`HashFamily` for this geometry.
+
+    Filters share hash state purely by value (`parameters()`), so handing
+    every same-geometry filter the same instance is semantically
+    invisible — it only fuses their probe caches, which is exactly what
+    the replica fan-out wants: the L3 multicast probes ~N replicas of
+    identical geometry with the same key.
+    """
+    key = (num_hashes, num_bits, seed)
+    family = _SHARED_FAMILIES.get(key)
+    if family is None:
+        family = HashFamily(num_hashes, num_bits, seed)
+        _SHARED_FAMILIES[key] = family
+    return family
+
+
+class CountingBloomFilter:
+    """A Bloom filter whose positions are counters, supporting deletion.
+
+    Parameters
+    ----------
+    num_counters:
+        Number of counter cells (the ``m`` of the equivalent plain filter).
+    num_hashes:
+        Number of hash functions (``k``).
+    seed:
+        Hash family seed.
+    counter_bits:
+        Width of each counter; counters saturate at ``2**counter_bits - 1``
+        rather than overflowing (4 bits is the classic choice and overflows
+        with negligible probability).
+    """
+
+    __slots__ = ("_counters", "_nonzero", "_hashes", "_num_items", "_max_count")
+
+    def __init__(
+        self,
+        num_counters: int,
+        num_hashes: int,
+        seed: int = 0,
+        counter_bits: int = 4,
+    ) -> None:
+        if num_counters <= 0:
+            raise ValueError(f"num_counters must be positive, got {num_counters}")
+        if counter_bits <= 0 or counter_bits > 16:
+            raise ValueError(f"counter_bits must be in [1, 16], got {counter_bits}")
+        self._counters = (
+            bytearray(num_counters)
+            if counter_bits <= 8
+            else array("H", [0]) * num_counters
+        )
+        self._nonzero = 0
+        self._hashes = shared_family(num_hashes, num_counters, seed)
+        self._num_items = 0
+        self._max_count = (1 << counter_bits) - 1
+
+    # ------------------------------------------------------------------
+    # Properties
+    # ------------------------------------------------------------------
+    @property
+    def num_counters(self) -> int:
+        return len(self._counters)
+
+    @property
+    def hash_family(self) -> HashFamily:
+        return self._hashes
+
+    @property
+    def num_hashes(self) -> int:
+        return self._hashes.num_hashes
+
+    @property
+    def seed(self) -> int:
+        return self._hashes.seed
+
+    @property
+    def num_items(self) -> int:
+        """Net number of items currently represented (adds minus removes)."""
+        return self._num_items
+
+    @property
+    def max_count(self) -> int:
+        return self._max_count
+
+    @property
+    def nonzero_value(self) -> int:
+        """Packed mirror: bit ``i`` set iff ``counters[i] > 0``."""
+        return self._nonzero
+
+    def counters(self) -> List[int]:
+        """A copy of the raw counter array (the source of truth)."""
+        return list(self._counters)
+
+    # ------------------------------------------------------------------
+    # Core operations
+    # ------------------------------------------------------------------
+    def add(self, item: object) -> None:
+        """Insert ``item``, incrementing (saturating) its counters."""
+        counters = self._counters
+        max_count = self._max_count
+        # Mirror bits flip only on 0 -> 1 transitions (not a blanket mask
+        # OR): duplicate indices in one probe sequence can leave a counter
+        # at zero after an increment, and the mirror must agree with the
+        # per-counter truth ``count > 0`` in that corner too.
+        for index in self._hashes.probe(item)[0]:
+            count = counters[index]
+            if count < max_count:
+                counters[index] = count + 1
+                if count == 0:
+                    self._nonzero |= 1 << index
+        self._num_items += 1
+
+    def update(self, items: Iterable[object]) -> None:
+        for item in items:
+            self.add(item)
+
+    def remove(self, item: object) -> None:
+        """Delete ``item``, decrementing its counters.
+
+        Raises
+        ------
+        KeyError
+            If the filter definitely does not contain ``item`` (some counter
+            is already zero).  Deleting a never-inserted item that happens to
+            collide is undetectable — that is inherent to counting filters —
+            but deleting an item whose counters are zero is always an error.
+        """
+        indices = self._hashes.probe(item)[0]
+        counters = self._counters
+        # The exact per-counter check, not the mirror: the historical
+        # contract raises only when some counter is exactly zero.
+        if any(counters[i] == 0 for i in indices):
+            raise KeyError(f"item not present in counting filter: {item!r}")
+        max_count = self._max_count
+        for index in indices:
+            # Saturated counters cannot be decremented safely: the true count
+            # is unknown.  Leaving them saturated keeps false negatives out.
+            count = counters[index]
+            if count < max_count:
+                counters[index] = count - 1
+                if count == 1:
+                    self._nonzero &= ~(1 << index)
+        self._num_items = max(0, self._num_items - 1)
+
+    def discard(self, item: object) -> bool:
+        """Like :meth:`remove` but returns False instead of raising."""
+        try:
+            self.remove(item)
+        except KeyError:
+            return False
+        return True
+
+    def __contains__(self, item: object) -> bool:
+        return self.query(item)
+
+    def query(self, item: object) -> bool:
+        """Return True if ``item`` *may* be present."""
+        mask = self._hashes.probe(item)[1]
+        return (self._nonzero & mask) == mask
+
+    def query_mask(self, mask: int) -> bool:
+        """Membership test for a precomputed probe mask (the batch path)."""
+        return (self._nonzero & mask) == mask
+
+    def contains_many(self, items: Sequence[object]) -> List[bool]:
+        """Batched membership: one AND/compare per item."""
+        nonzero = self._nonzero
+        probe = self._hashes.probe
+        return [(nonzero & (m := probe(item)[1])) == m for item in items]
+
+    def contains_indices(self, indices: List[int]) -> bool:
+        """Membership test with precomputed indices (shared-family probes)."""
+        return all(self._counters[i] > 0 for i in indices)
+
+    def count_estimate(self, item: object) -> int:
+        """Minimum counter value across the item's positions.
+
+        This is an upper bound on the number of times ``item`` was added
+        (the count-min sketch estimate restricted to this filter).
+        """
+        return min(self._counters[i] for i in self._hashes.probe(item)[0])
+
+    def clear(self) -> None:
+        for i in range(len(self._counters)):
+            self._counters[i] = 0
+        self._nonzero = 0
+        self._num_items = 0
+
+    # ------------------------------------------------------------------
+    # Conversions and introspection
+    # ------------------------------------------------------------------
+    def to_bloom_filter(self) -> BloomFilter:
+        """Project to a plain Bloom filter (counter > 0 → bit set)."""
+        bloom = BloomFilter(self.num_counters, self.num_hashes, self.seed)
+        bloom.bits.set_mask(self._nonzero)
+        bloom._num_items = self._num_items
+        return bloom
+
+    def fill_ratio(self) -> float:
+        """Fraction of non-zero counters."""
+        nonzero = sum(1 for count in self._counters if count > 0)
+        return nonzero / len(self._counters)
+
+    def copy(self) -> "CountingBloomFilter":
+        clone = CountingBloomFilter(
+            self.num_counters, self.num_hashes, self.seed
+        )
+        clone._max_count = self._max_count
+        clone._counters = self._counters[:]
+        clone._nonzero = self._nonzero
+        clone._num_items = self._num_items
+        return clone
+
+    def is_compatible(self, other: "CountingBloomFilter") -> bool:
+        return self._hashes.is_compatible(other._hashes)
+
+    def __repr__(self) -> str:
+        return (
+            f"CountingBloomFilter(num_counters={self.num_counters}, "
+            f"num_hashes={self.num_hashes}, num_items={self._num_items})"
+        )
+
+    def size_bytes(self) -> int:
+        """Approximate in-memory payload size (counter_bits per cell)."""
+        bits = len(self._counters) * max(1, self._max_count.bit_length())
+        return (bits + 7) // 8
 
 
 class RefLRUBloomFilterArray:

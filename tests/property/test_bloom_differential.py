@@ -22,7 +22,7 @@ Covered per sequence:
   XOR-threshold update rule (``bit_difference`` / ``needs_update``);
 - counting filter ``add`` / ``discard`` / ``query`` / ``count_estimate``
   / ``to_bloom_filter`` with counter saturation (1-, 2- and 4-bit
-  counters) and the packed non-zero mirror invariant;
+  counters) and the on-demand packed form ``nonzero_value``;
 - serialization: ``to_bytes`` byte-identical to the reference wire form,
   ``from_bytes`` round trips, and the zlib transfer path of
   ``repro.bloom.compressed``.
@@ -170,13 +170,13 @@ class _Mirror:
                 f"counting num_items {self.clive.num_items} "
                 f"!= ref {self.cref.num_items}"
             )
-        # The packed non-zero mirror must agree with the per-counter truth.
+        # The packed form must agree with the per-counter truth.
         nonzero = self.clive.nonzero_value
         for index, count in enumerate(self.clive.counters()):
             if bool(nonzero & (1 << index)) != (count > 0):
-                return f"non-zero mirror wrong at counter {index}"
+                return f"nonzero_value wrong at counter {index}"
         if nonzero >> self.clive.num_counters:
-            return "non-zero mirror has bits beyond num_counters"
+            return "nonzero_value has bits beyond num_counters"
         return None
 
 
@@ -253,10 +253,6 @@ def _apply(mirror, op, arg):
         want = [mirror.ref[which].query(item) for item in items]
         if got != want:
             return f"contains_many mismatch: {got} vs ref {want}"
-        cgot = mirror.clive.contains_many(items)
-        cwant = [mirror.cref.query(item) for item in items]
-        if cgot != cwant:
-            return f"counting contains_many mismatch: {cgot} vs ref {cwant}"
     elif op == "serialize":
         live = mirror.live[arg]
         raw = live.to_bytes()

@@ -52,12 +52,12 @@ GEOMETRIES = [
 
 def _pile(filter_bits, num_hashes, size=20):
     """``size`` items of this geometry that all map onto counter cell 0."""
-    probe = shared_family(num_hashes, filter_bits, HASH_SEED).probe
+    cells = shared_family(num_hashes, filter_bits, HASH_SEED).cells
     pile, n = [], 0
     while len(pile) < size:
         item = f"/pile/{n}"
         n += 1
-        if 0 in probe(item)[0]:
+        if 0 in cells(item):
             pile.append(item)
     return pile
 

@@ -214,7 +214,7 @@ class TestLRUSlices:
         """``size`` items that all map onto counter cell 0."""
         items, n = [], 0
         while len(items) < size:
-            if 0 in lru._family.probe(f"/pile/{n}")[0]:
+            if 0 in lru._family.cells(f"/pile/{n}"):
                 items.append(f"/pile/{n}")
             n += 1
         return items

@@ -111,18 +111,64 @@ class TestConversions:
         assert a.is_compatible(b)
         assert not a.is_compatible(c)
 
-    def test_contains_indices_matches_query(self):
-        cbf = CountingBloomFilter(256, 4)
-        cbf.add("x")
-        indices = cbf.hash_family.indices("x")
-        assert cbf.contains_indices(indices)
-        absent = cbf.hash_family.indices("definitely-absent-item-123")
-        assert cbf.contains_indices(absent) == cbf.query(
-            "definitely-absent-item-123"
-        )
-
     def test_size_bytes_positive(self):
         assert CountingBloomFilter(128, 4).size_bytes() > 0
+
+
+class TestCountersAreTheOnlyState:
+    """``query`` and the packed forms are read off the counters when asked
+    for; nothing is kept beside them that could disagree."""
+
+    #: (cells, hashes, counter_bits): 6 hashes over 4 or 5 cells repeat an
+    #: index within one item; 1- and 2-bit counters saturate at once.
+    CORNERS = [(4, 6, 1), (5, 6, 2), (8, 3, 1), (64, 3, 4), (256, 4, 4)]
+
+    def _script(self, cbf):
+        """Adds past saturation, then removals (some of absent items), with
+        a look at the filter after every step."""
+        items = [f"/f/{i}" for i in range(12)]
+        for _ in range(cbf.max_count + 2):
+            for item in items:
+                cbf.add(item)
+                yield
+        for item in items + ["/absent/1", "/absent/2"] + items:
+            cbf.discard(item)
+            yield
+
+    @pytest.mark.parametrize("cells, hashes, counter_bits", CORNERS)
+    def test_query_is_every_counter_nonzero(self, cells, hashes, counter_bits):
+        cbf = CountingBloomFilter(cells, hashes, counter_bits=counter_bits)
+        probes = [f"/f/{i}" for i in range(12)] + [f"/q/{i}" for i in range(40)]
+        repeats = 0
+        for _ in self._script(cbf):
+            counters = cbf.counters()
+            for item in probes:
+                indices = cbf.hash_family.indices(item)
+                repeats += len(set(indices)) < len(indices)
+                assert cbf.query(item) == all(counters[i] > 0 for i in indices)
+                assert (item in cbf) == cbf.query(item)
+        assert max(cbf.counters()) <= cbf.max_count
+        if hashes > cells:
+            assert repeats
+
+    @pytest.mark.parametrize("cells, hashes, counter_bits", CORNERS)
+    def test_packed_forms_are_the_counters_cell_by_cell(
+        self, cells, hashes, counter_bits
+    ):
+        cbf = CountingBloomFilter(cells, hashes, counter_bits=counter_bits)
+        saturated = False
+        for _ in self._script(cbf):
+            counters = cbf.counters()
+            saturated |= cbf.max_count in counters
+            packed = cbf.nonzero_value
+            bloom = cbf.to_bloom_filter()
+            assert packed >> cells == 0
+            for cell, count in enumerate(counters):
+                assert bool(packed >> cell & 1) == (count > 0)
+                assert bloom.bits.get(cell) == (count > 0)
+            assert bloom.num_items == cbf.num_items
+            assert cbf.fill_ratio() == bin(packed).count("1") / cells
+        assert saturated
 
 
 class TestTypedStorage:

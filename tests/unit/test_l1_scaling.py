@@ -67,7 +67,7 @@ def _alone(lru, item, home, count):
     a counter that crosses zero runs one line more than one that does not,
     and which cells are shared depends on the homes held."""
     counters = lru._filters[home].counters()
-    return all(counters[cell] == count for cell in lru._family.probe(item)[0])
+    return all(counters[cell] == count for cell in lru._family.cells(item))
 
 
 def test_evicting_record_cost_is_independent_of_the_homes_held():

@@ -3,33 +3,7 @@
 import pytest
 
 from repro.sim.rng import ZipfSampler, exponential_interarrival, make_rng, weighted_choice
-from repro.sim.stats import Counter, LatencyRecorder, SeriesRecorder
-
-
-class TestCounter:
-    def test_increment_and_get(self):
-        counter = Counter()
-        counter.increment("L1")
-        counter.increment("L1", 2)
-        assert counter["L1"] == 3
-        assert counter.get("missing") == 0
-
-    def test_fractions(self):
-        counter = Counter()
-        counter.increment("a", 3)
-        counter.increment("b", 1)
-        fractions = counter.fractions()
-        assert fractions["a"] == pytest.approx(0.75)
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
-    def test_fractions_empty(self):
-        assert Counter().fractions() == {}
-
-    def test_clear(self):
-        counter = Counter()
-        counter.increment("x")
-        counter.clear()
-        assert counter.total() == 0
+from repro.sim.stats import LatencyRecorder, SeriesRecorder
 
 
 class TestLatencyRecorder:
