@@ -12,85 +12,41 @@ crash/restart) and prints the survival report; the exit code is nonzero
 when any query was lost, resolved falsely negative, or the retry/drop
 accounting failed to reconcile.  ``drill`` replays crash schedules
 against the simulator's heartbeat monitor and checks detection latency.
+Both run through the scenario shell (:func:`repro.scenario.run_scenario`);
+parameters without a flag are defaults of
+:class:`~repro.faults.soak.SoakConfig` / :class:`DetectionSpec`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+from dataclasses import dataclass
 
 from repro.faults.drill import run_drill
 from repro.faults.soak import SoakConfig, run_soak
+from repro.scenario import ScenarioResult, parse_spec, require_positive, run_scenario
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+@dataclass(frozen=True)
+class DetectionSpec:
+    """A heartbeat detection drill: fleet size and seed."""
+
+    servers: int = 9
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_positive(self, "servers")
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
-def _rate(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
-
-
-def _cmd_soak(args) -> int:
-    config = SoakConfig(
-        seed=args.seed,
-        duration_s=args.duration_s,
-        num_nodes=args.nodes,
-        num_files=args.files,
-        ops_per_s=args.ops_per_s,
-        drop_rate=args.drop_rate,
-        delay_rate=args.delay_rate,
-        duplicate_rate=args.duplicate_rate,
-        with_crash=not args.no_crash,
-        with_partition=not args.no_partition,
-        max_attempts=args.max_attempts,
-    )
-    tracer = None
-    flight = None
-    if args.trace_out:
-        from repro.obs.trace import CollectingTracer
-
-        tracer = CollectingTracer()
-    if args.flight_dir:
-        from repro.obs.flight import FlightRecorderHub
-
-        flight = FlightRecorderHub(dump_dir=args.flight_dir)
+def soak(config: SoakConfig, tracer=None, flight=None) -> ScenarioResult:
     report = run_soak(config, tracer=tracer, flight=flight)
-    print(report.render())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote report to {args.json}")
-    if tracer is not None:
-        from repro.obs.export import write_spans_jsonl
-
-        written = write_spans_jsonl(tracer.finished_spans(), args.trace_out)
-        print(f"wrote {written} spans to {args.trace_out}")
-    if flight is not None:
-        print(
-            f"flight recorder: {len(flight.dumps)} dump(s) in "
-            f"{args.flight_dir}"
-        )
-    return 0 if report.passed else 1
+    return ScenarioResult(report.to_dict(), report.render(), report.failures)
 
 
-def _cmd_drill(args) -> int:
-    report = run_drill(num_servers=args.servers, seed=args.seed)
-    print(report.render())
-    return 0 if report.within_bound else 1
+def drill(spec: DetectionSpec, tracer=None, flight=None) -> ScenarioResult:
+    report = run_drill(num_servers=spec.servers, seed=spec.seed)
+    failures = [] if report.within_bound else ["detection outside its bound"]
+    return ScenarioResult({}, report.render(), failures)
 
 
 def main(argv=None) -> int:
@@ -99,44 +55,44 @@ def main(argv=None) -> int:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    soak = subparsers.add_parser(
+    soak_cmd = subparsers.add_parser(
         "soak", help="run the chaos soak and print the survival report"
     )
-    soak.add_argument("--seed", type=int, default=7)
-    soak.add_argument("--duration-s", type=_positive_float, default=5.0)
-    soak.add_argument("--nodes", type=_positive_int, default=8)
-    soak.add_argument("--files", type=_positive_int, default=240)
-    soak.add_argument("--ops-per-s", type=_positive_float, default=50.0)
-    soak.add_argument("--drop-rate", type=_rate, default=0.05)
-    soak.add_argument("--delay-rate", type=_rate, default=0.10)
-    soak.add_argument("--duplicate-rate", type=_rate, default=0.02)
-    soak.add_argument("--max-attempts", type=_positive_int, default=3)
-    soak.add_argument("--no-crash", action="store_true")
-    soak.add_argument("--no-partition", action="store_true")
-    soak.add_argument("--json", default=None, metavar="FILE.json")
-    soak.add_argument(
+    soak_cmd.add_argument("--seed", type=int, default=7)
+    soak_cmd.add_argument("--duration-s", type=float, default=5.0)
+    soak_cmd.add_argument("--files", type=int, default=240)
+    soak_cmd.add_argument("--json", default=None, metavar="FILE.json")
+    soak_cmd.add_argument(
         "--trace-out",
         default=None,
         metavar="FILE.jsonl",
         help="record per-lookup spans (with causal context) as JSONL",
     )
-    soak.add_argument(
+    soak_cmd.add_argument(
         "--flight-dir",
         default=None,
         metavar="DIR",
         help="write flight-recorder dumps here on every crash",
     )
-    soak.set_defaults(func=_cmd_soak)
 
-    drill = subparsers.add_parser(
+    drill_cmd = subparsers.add_parser(
         "drill", help="measure heartbeat failure-detection latency"
     )
-    drill.add_argument("--servers", type=_positive_int, default=9)
-    drill.add_argument("--seed", type=int, default=0)
-    drill.set_defaults(func=_cmd_drill)
+    drill_cmd.add_argument("--servers", type=int, default=9)
+    drill_cmd.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    if args.command == "soak":
+        config = parse_spec(
+            parser, SoakConfig,
+            seed=args.seed, duration_s=args.duration_s, num_files=args.files,
+        )
+        return run_scenario(
+            "soak", soak, config, json_path=args.json,
+            trace_out=args.trace_out, flight_dir=args.flight_dir,
+        )
+    spec = parse_spec(parser, DetectionSpec, servers=args.servers, seed=args.seed)
+    return run_scenario("drill", drill, spec)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ lands inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.faults.injector import PlanFaultInjector
 from repro.faults.plan import CrashEvent, FaultPlan
@@ -95,23 +95,15 @@ def default_drill_plan(seed: int, num_servers: int) -> FaultPlan:
     return FaultPlan(seed=seed, crashes=tuple(crashes))
 
 
-def run_drill(
-    num_servers: int = 9,
-    seed: int = 0,
-    plan: Optional[FaultPlan] = None,
-    config: Optional[Any] = None,
-) -> DrillReport:
+def run_drill(num_servers: int = 9, seed: int = 0) -> DrillReport:
     """Run a detection drill; deterministic for given arguments."""
     from repro.core.cluster import GHBACluster
     from repro.core.config import GHBAConfig
     from repro.core.failure import HeartbeatMonitor
     from repro.sim.engine import Simulator
 
-    cfg = config if config is not None else GHBAConfig(seed=seed)
-    if plan is None:
-        plan = default_drill_plan(seed, num_servers)
-    if not plan.crashes:
-        raise ValueError("drill plan has no crashes to detect")
+    cfg = GHBAConfig(seed=seed)
+    plan = default_drill_plan(seed, num_servers)
     injector = PlanFaultInjector(plan)
     simulator = Simulator()
     cluster = GHBACluster(num_servers, cfg, seed=seed, faults=injector)

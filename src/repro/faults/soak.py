@@ -26,6 +26,9 @@ from repro.faults.plan import CrashEvent, FaultPlan, Partition
 from repro.faults.retry import RetryPolicy
 from repro.sim.rng import make_rng
 
+#: Every k-th op of the workload queries a path that does not exist.
+NEGATIVE_EVERY = 8
+
 
 @dataclass(frozen=True)
 class SoakConfig:
@@ -46,7 +49,6 @@ class SoakConfig:
     with_crash: bool = True
     with_partition: bool = True
     max_attempts: int = 3
-    negative_every: int = 8  # every k-th op queries a nonexistent path
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -57,10 +59,6 @@ class SoakConfig:
             raise ValueError(f"num_files must be >= 1, got {self.num_files}")
         if self.ops_per_s <= 0:
             raise ValueError(f"ops_per_s must be positive, got {self.ops_per_s}")
-        if self.negative_every < 2:
-            raise ValueError(
-                f"negative_every must be >= 2, got {self.negative_every}"
-            )
 
 
 @dataclass
@@ -103,13 +101,20 @@ class SoakReport:
         return 1.0 - bad / self.ops
 
     @property
-    def passed(self) -> bool:
-        return (
-            self.lost == 0
-            and self.false_negatives == 0
-            and self.misrouted == 0
-            and self.reconciled
+    def failures(self) -> List[str]:
+        """One message per failed gate (none: the soak passed)."""
+        counts = (
+            ("lost queries", self.lost),
+            ("false negatives", self.false_negatives),
+            ("misrouted", self.misrouted),
         )
+        return [f"{n} {what}" for what, n in counts if n] + (
+            [] if self.reconciled else ["retry/drop ledger does not reconcile"]
+        )
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dump (used by the determinism tests and the CLI)."""
@@ -267,7 +272,7 @@ def run_soak(config: SoakConfig, tracer=None, flight=None) -> SoakReport:
                 else:
                     cluster.restore_node(node_id)
                 report.events.append((at_s, kind, node_id))
-            if op % config.negative_every == config.negative_every - 1:
+            if op % NEGATIVE_EVERY == NEGATIVE_EVERY - 1:
                 path = f"/soak/missing{op:05d}"
             else:
                 path = paths[workload_rng.randrange(len(paths))]

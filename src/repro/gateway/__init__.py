@@ -27,10 +27,10 @@ traffic never reaches it:
 - :mod:`repro.gateway.staleness` — the staleness-window auditor shared
   by the cohort scenario and the correctness harness.
 - :mod:`repro.gateway.scenario` — the scenario engine behind ``python -m
-  repro.gateway bench``: one spec, one fleet recipe, one replay, one
-  emit-and-gate tail; the shield / cohort / write-back / tenant
-  scenarios (:mod:`~repro.gateway.scenarios`,
-  :mod:`~repro.gateway.tenant_bench`) run on it.
+  repro.gateway bench``: one spec, one replay, one drain; the shield /
+  cohort / write-back / tenant scenarios (:mod:`~repro.gateway.scenarios`,
+  :mod:`~repro.gateway.tenant_bench`) run on it and report, emit and
+  gate through :func:`repro.scenario.run_scenario`.
 - :mod:`repro.gateway.writeback` — the write-back mutation buffer:
   per-home buckets of versioned final-state mutations, absorbed in
   place, drained as batched ``MUTATE_BATCH`` flushes with lease-version

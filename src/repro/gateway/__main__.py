@@ -42,9 +42,10 @@ from __future__ import annotations
 import argparse
 from typing import Dict, List, Optional
 
-from repro.gateway.scenario import ScenarioSpec, run_scenario
+from repro.gateway.scenario import ScenarioSpec
 from repro.gateway.scenarios import run_cohort, run_shield, run_writeback
 from repro.gateway.tenant_bench import run_tenants
+from repro.scenario import parse_spec, run_scenario
 from repro.traces.profiles import PROFILES
 
 #: scenario name -> (function, key the JSON stats nest under, defaults
@@ -61,14 +62,7 @@ SCENARIOS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
-def _cmd_bench(args) -> int:
+def _cmd_bench(parser, args) -> int:
     if args.cohort is not None:
         name = "cohort"
     elif args.tenants is not None:
@@ -83,7 +77,7 @@ def _cmd_bench(args) -> int:
         for field, value in vars(args).items()
         if field in ScenarioSpec.__dataclass_fields__ and value is not None
     }
-    spec = ScenarioSpec(**{**defaults, **given})
+    spec = parse_spec(parser, ScenarioSpec, **{**defaults, **given})
     return run_scenario(
         name,
         scenario,
@@ -108,15 +102,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
-        "--servers", type=_positive_int, default=None,
+        "--servers", type=int, default=None,
         help="MDS count (default: 20)",
     )
     bench.add_argument(
-        "--files", type=_positive_int, default=None,
+        "--files", type=int, default=None,
         help="namespace size (default: 3000; tenant mode: 1500)",
     )
     bench.add_argument(
-        "--ops", type=_positive_int, default=None,
+        "--ops", type=int, default=None,
         help="trace length (default: 5000; cohort mode: 20000 so "
         "compulsory misses amortize; tenant mode: 4000)",
     )
@@ -129,7 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="shield / write-back: run under a seeded fault plan",
     )
     bench.add_argument(
-        "--cohort", type=_positive_int, default=None, metavar="N",
+        "--cohort", type=int, default=None, metavar="N",
         help="cohort scenario: N multicast-coherent gateways vs N "
         "independent gateways (always under a seeded fault plan)",
     )
@@ -139,7 +133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "write-through on one trace (with deterministic MDS crash windows)",
     )
     bench.add_argument(
-        "--tenants", type=_positive_int, default=None, metavar="N",
+        "--tenants", type=int, default=None, metavar="N",
         help="tenant scenario: N Zipf-mixed tenants through fair vs "
         "global vs solo deployments at every trace-rate sweep point",
     )
@@ -161,7 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: --trace-rate and 1000)",
     )
     bench.add_argument(
-        "--flush-max-pending", type=_positive_int, default=None,
+        "--flush-max-pending", type=int, default=None,
         help="write-back: flush a home's bucket at this many pending "
         "(default: 16)",
     )
@@ -183,10 +177,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="fault forensics: write flight-recorder dumps here on "
         "crash windows and gate failures",
     )
-    bench.set_defaults(func=_cmd_bench)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
+    return _cmd_bench(parser, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

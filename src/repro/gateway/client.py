@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cluster import MutationEvent, MutationOutcome
 from repro.core.query import QueryResult
@@ -106,6 +106,15 @@ class GatewayResponse:
         return self.home_id is not None
 
 
+#: Counters of the hotspot detector's space-saving sketch.
+HOTSPOT_CAPACITY = 64
+#: Width of the hotspot detector's rotating window (virtual seconds).
+HOTSPOT_WINDOW_S = 5.0
+#: Client-side cost model: a lease answer costs one local memory probe
+#: equivalent; it never touches the network.
+CACHE_HIT_LATENCY_MS = 0.001
+
+
 @dataclass(frozen=True)
 class GatewayConfig:
     """Tunables of the gateway tier (all times in virtual seconds)."""
@@ -124,19 +133,10 @@ class GatewayConfig:
     #: bucket — kept so the isolation harness can show it failing.
     #: With one tenant the two modes are bit-identical.
     admission_mode: str = "fair"
-    #: Static tenant → weight map; tenants not listed get
-    #: ``tenant_default_weight``.  Weights must be positive.
-    tenant_weights: Optional[Mapping[str, float]] = None
-    tenant_default_weight: float = 1.0
     # Coalescing / batching
     max_batch: int = 16
     # Hotspot detection
-    hotspot_capacity: int = 64
-    hotspot_window_s: float = 5.0
     hot_threshold: int = 32
-    # Client-side cost model: a lease answer costs one local memory probe
-    # equivalent; it never touches the network.
-    cache_hit_latency_ms: float = 0.001
     # Write-back mutation buffering (DESIGN.md §11).  Off by default:
     # mutations stay synchronous write-through, bit-identical to PR 3.
     writeback: bool = False
@@ -170,16 +170,6 @@ class GatewayConfig:
                 "admission_mode must be 'fair' or 'global', "
                 f"got {self.admission_mode!r}"
             )
-        if self.tenant_default_weight <= 0:
-            raise ValueError(
-                "tenant_default_weight must be positive, "
-                f"got {self.tenant_default_weight}"
-            )
-        for tenant, weight in (self.tenant_weights or {}).items():
-            if weight <= 0:
-                raise ValueError(
-                    f"tenant {tenant!r} weight must be positive, got {weight}"
-                )
         if self.writeback:
             if self.flush_max_pending < 1:
                 raise ValueError(
@@ -258,14 +248,12 @@ class MetadataClient:
             burst=cfg.burst,
             queue_capacity=cfg.queue_capacity,
             queue_deadline_s=cfg.queue_deadline_s,
-            weights=cfg.tenant_weights,
-            default_weight=cfg.tenant_default_weight,
             per_tenant=cfg.admission_mode == "fair",
         )
         self.batcher = HomeBatcher(max_batch=cfg.max_batch)
         self.hotspots = HotspotDetector(
-            capacity=cfg.hotspot_capacity,
-            window_s=cfg.hotspot_window_s,
+            capacity=HOTSPOT_CAPACITY,
+            window_s=HOTSPOT_WINDOW_S,
             hot_threshold=cfg.hot_threshold,
         )
         self.backend_queries = 0  # full walks + batch round trips
@@ -578,7 +566,7 @@ class MetadataClient:
                             outcome=Outcome.OVERLAY,
                             home_id=pending.home_id,
                             record=pending.record,
-                            latency_ms=cfg.cache_hit_latency_ms,
+                            latency_ms=CACHE_HIT_LATENCY_MS,
                             from_overlay=True,
                             tenant=owner[path],
                         )
@@ -586,7 +574,7 @@ class MetadataClient:
                         answered[path] = GatewayResponse(
                             path=path,
                             outcome=Outcome.OVERLAY,
-                            latency_ms=cfg.cache_hit_latency_ms,
+                            latency_ms=CACHE_HIT_LATENCY_MS,
                             from_overlay=True,
                             tenant=owner[path],
                         )
@@ -598,7 +586,7 @@ class MetadataClient:
                     answered[path] = GatewayResponse(
                         path=path,
                         outcome=Outcome.NEGATIVE_HIT,
-                        latency_ms=cfg.cache_hit_latency_ms,
+                        latency_ms=CACHE_HIT_LATENCY_MS,
                         from_cache=True,
                         tenant=owner[path],
                     )
@@ -609,7 +597,7 @@ class MetadataClient:
                         outcome=Outcome.HIT,
                         home_id=lookup.home_id,
                         record=lookup.record,
-                        latency_ms=cfg.cache_hit_latency_ms,
+                        latency_ms=CACHE_HIT_LATENCY_MS,
                         from_cache=True,
                         tenant=owner[path],
                     )
@@ -912,7 +900,7 @@ class MetadataClient:
                 pending_after.home_id if pending_after is not None else home_id
             ),
             record=record,
-            latency_ms=self.config.cache_hit_latency_ms,
+            latency_ms=CACHE_HIT_LATENCY_MS,
             from_overlay=True,
         )
 
@@ -922,7 +910,7 @@ class MetadataClient:
         pending = buffer.get(path)
         home_id: Optional[int] = None
         base_version: Optional[int] = None
-        latency_ms = self.config.cache_hit_latency_ms
+        latency_ms = CACHE_HIT_LATENCY_MS
         if pending is not None:
             home_id = pending.home_id
         else:
@@ -932,7 +920,7 @@ class MetadataClient:
                 return GatewayResponse(
                     path=path,
                     outcome=Outcome.NEGATIVE_HIT,
-                    latency_ms=self.config.cache_hit_latency_ms,
+                    latency_ms=CACHE_HIT_LATENCY_MS,
                     from_cache=True,
                 )
             if entry is not None and entry.home_id is not None:

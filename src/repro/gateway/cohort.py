@@ -63,6 +63,11 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.transport import InProcessTransport
 
+#: Minimum spacing between anti-entropy requests to one origin (virtual
+#: seconds), so a burst of out-of-order records does not stampede the
+#: publisher.
+RESYNC_INTERVAL_S = 0.05
+
 
 @dataclass(frozen=True)
 class InvalidationRecord:
@@ -145,9 +150,6 @@ class CohortConfig:
     heartbeat_interval_s: float = 0.05
     suspect_after_s: float = 0.15
     ttl_clamp_s: float = 0.10
-    #: Minimum spacing between anti-entropy requests to one origin, so a
-    #: burst of out-of-order records does not stampede the publisher.
-    resync_interval_s: float = 0.05
     #: Covers tick granularity plus injected message delays when deriving
     #: the staleness bound.
     scheduling_slack_s: float = 0.10
@@ -163,7 +165,6 @@ class CohortConfig:
             "heartbeat_interval_s",
             "suspect_after_s",
             "ttl_clamp_s",
-            "resync_interval_s",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -574,7 +575,7 @@ class CohortMember:
         if self.gap_since[origin] is None:
             self.gap_since[origin] = now
             self._c["gaps"].labels(self._label).inc()
-        if now - self._last_sync_sent[origin] >= self.config.resync_interval_s:
+        if now - self._last_sync_sent[origin] >= RESYNC_INTERVAL_S:
             self._last_sync_sent[origin] = now
             self._c["sync_requests"].labels(self._label).inc()
             self._send(

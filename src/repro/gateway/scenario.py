@@ -4,25 +4,21 @@ Every ``python -m repro.gateway bench`` scenario (shield, cohort,
 write-back, tenants) is the same experiment under different parameters:
 size a fleet for the namespace, populate and synchronize it, front it
 with :class:`~repro.gateway.client.MetadataClient`\\ s, replay a seeded
-trace through them, drain admission, then report, emit JSON and gate.
-This module holds the one copy of each step; a scenario
-(:mod:`repro.gateway.scenarios`, :mod:`repro.gateway.tenant_bench`) adds
-only its handlers, its audit and its gates.
+trace through them, drain admission.  This module holds the one copy
+of each of those steps; a scenario (:mod:`repro.gateway.scenarios`,
+:mod:`repro.gateway.tenant_bench`) adds only its handlers, its audit
+and its gates, and :func:`repro.scenario.run_scenario` reports, emits
+JSON and gates it like every other seeded driver.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import subprocess
-import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cluster import GHBACluster
-from repro.core.config import GHBAConfig
 from repro.gateway.client import GatewayConfig, GatewayResponse, MetadataClient
+from repro.scenario import build_fleet, require_positive
 from repro.traces.profiles import PROFILES
 from repro.traces.records import MetadataOp, TraceRecord
 from repro.traces.synthetic import SyntheticTraceGenerator
@@ -66,10 +62,14 @@ class ScenarioSpec:
     tenants: int = 4
     #: Skew of tenant popularity (``u0`` is the noisy neighbour).
     tenant_zipf: float = 2.0
-    #: Admission rate as a fraction of the trace rate (< 1 = contention).
-    tenant_rate_factor: float = 0.5
     #: Trace-rate sweep points (default: ``trace_rate`` and 1000).
     tenant_rates: Optional[Tuple[float, ...]] = None
+
+    def __post_init__(self) -> None:
+        require_positive(
+            self, "servers", "files", "ops", "cohort", "tenants",
+            "flush_max_pending",
+        )
 
     def trace(
         self, ops_per_second: Optional[float] = None, tenants=None
@@ -97,31 +97,6 @@ class ScenarioSpec:
         )
         settings.update(overrides)
         return GatewayConfig(**settings)
-
-
-def build_fleet(
-    servers: int,
-    files: int,
-    seed: int,
-    paths: Iterable[str],
-    group_size: int = 5,
-    tracer=None,
-    faults=None,
-) -> GHBACluster:
-    """A populated, synchronized fleet sized for a ``files``-path namespace
-    (filters provisioned at 3x the mean per-MDS share, so placement skew
-    and trace creates stay inside the design point)."""
-    config = GHBAConfig(
-        max_group_size=group_size,
-        expected_files_per_mds=max(256, files * 3 // servers),
-        lru_capacity=max(256, files // 4),
-        lru_filter_bits=1 << 12,
-        seed=seed,
-    )
-    cluster = GHBACluster(servers, config, seed=seed, tracer=tracer, faults=faults)
-    cluster.populate(paths)
-    cluster.synchronize_replicas(force=True)
-    return cluster
 
 
 def fault_clock(fleet: GHBACluster) -> Optional[Callable[[float], None]]:
@@ -202,91 +177,3 @@ def drain(
         account(gateway.pump(now + step * gateway.config.queue_deadline_s))
         if gateway.admission.queue_depth == 0:
             break
-
-
-def run_metadata(duration_s: float) -> Dict[str, object]:
-    """Provenance stamped into every ``--json`` file under ``"_meta"``:
-    which machine, toolchain and revision produced the numbers.
-    ``git_rev`` is the checkout this module was loaded from ("" when that
-    is not a git work tree)."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        git_rev = proc.stdout.strip() if proc.returncode == 0 else ""
-    except (OSError, subprocess.SubprocessError):
-        git_rev = ""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "git_rev": git_rev,
-        "run_duration_s": round(duration_s, 3),
-        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-
-
-@dataclass
-class ScenarioResult:
-    """What ``scenario(spec, tracer=None, flight=None)`` hands the tail:
-    machine-readable stats, the rendered report, and one message per
-    failed gate."""
-
-    stats: Dict[str, object]
-    report: str
-    failures: List[str]
-
-
-def run_scenario(
-    name: str,
-    scenario: Callable[..., ScenarioResult],
-    spec: ScenarioSpec,
-    json_path: Optional[str] = None,
-    json_key: Optional[str] = None,
-    trace_out: Optional[str] = None,
-    flight_dir: Optional[str] = None,
-) -> int:
-    """Run, print, emit, gate: the tail every scenario shares.
-
-    JSON is written only to an explicit ``json_path`` (stats nested
-    under ``json_key`` when given, beside a ``_meta`` provenance block).
-    A red gate dumps the flight rings (they hold the events leading up
-    to it) to ``flight_dir`` as ``<name>-gate-failure``; exit code 1.
-    """
-    started = time.time()
-    tracer = flight = None
-    if trace_out:
-        from repro.obs.trace import CollectingTracer
-
-        tracer = CollectingTracer()
-    if flight_dir:
-        from repro.obs.flight import FlightRecorderHub
-
-        flight = FlightRecorderHub(dump_dir=flight_dir)
-
-    result = scenario(spec, tracer=tracer, flight=flight)
-    print(result.report)
-    if json_path:
-        payload = {json_key: result.stats} if json_key else dict(result.stats)
-        payload["_meta"] = run_metadata(time.time() - started)
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nwrote bench stats to {json_path}")
-    if result.failures and flight is not None:
-        flight.dump(f"{name}-gate-failure")
-    if tracer is not None:
-        from repro.obs.export import write_spans_jsonl
-
-        written = write_spans_jsonl(tracer.finished_spans(), trace_out)
-        print(f"wrote {written} spans to {trace_out}")
-    if flight is not None:
-        print(f"flight recorder: {len(flight.dumps)} dump(s) in {flight_dir}")
-    if result.failures:
-        print("FAILED: " + "; ".join(result.failures))
-        return 1
-    return 0

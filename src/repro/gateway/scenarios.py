@@ -18,16 +18,11 @@ from repro.faults.injector import PlanFaultInjector
 from repro.faults.plan import FaultPlan, Partition
 from repro.gateway.client import GatewayConfig, MetadataClient, Outcome
 from repro.gateway.cohort import CohortConfig, GatewayCohort
-from repro.gateway.scenario import (
-    ScenarioResult,
-    ScenarioSpec,
-    drain,
-    fault_clock,
-    replay,
-)
+from repro.gateway.scenario import ScenarioSpec, drain, fault_clock, replay
 from repro.gateway.staleness import StalenessAuditor, matches_fleet
 from repro.metadata.namespace import is_under
 from repro.obs.report import gateway_hotspot_report
+from repro.scenario import ScenarioResult
 from repro.sim.stats import percentile
 from repro.traces.records import MetadataOp
 

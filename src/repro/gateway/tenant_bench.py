@@ -46,16 +46,14 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.gateway.admission import fractional_fair_shares
 from repro.gateway.client import MetadataClient
-from repro.gateway.scenario import (
-    ScenarioResult,
-    ScenarioSpec,
-    drain,
-    fault_clock,
-    replay,
-)
+from repro.gateway.scenario import ScenarioSpec, drain, fault_clock, replay
+from repro.scenario import ScenarioResult
 from repro.sim.stats import percentile
 from repro.traces.records import TraceRecord
 from repro.traces.tenants import TenantModel
+
+#: Admission rate as a fraction of the trace rate (< 1 = contention).
+TENANT_RATE_FACTOR = 0.5
 
 #: Virtual tick width: all arrivals inside one tick are submitted
 #: together, which is what per-tenant fairness is decided over.
@@ -304,7 +302,7 @@ def run_tenants(spec: ScenarioSpec, tracer=None, flight=None) -> ScenarioResult:
     for trace_rate in points:
         records, paths = spec.trace(ops_per_second=trace_rate, tenants=model)
         lookups = [record for record in records if record.op.is_lookup]
-        rate_per_s = trace_rate * spec.tenant_rate_factor
+        rate_per_s = trace_rate * TENANT_RATE_FACTOR
         fair = replay_admission(spec, lookups, paths, rate_per_s, "fair")
         fair_repeat = replay_admission(
             spec, lookups, paths, rate_per_s, "fair"
@@ -347,7 +345,7 @@ def run_tenants(spec: ScenarioSpec, tracer=None, flight=None) -> ScenarioResult:
         "ops": spec.ops,
         "tenants": spec.tenants,
         "tenant_zipf": spec.tenant_zipf,
-        "rate_factor": spec.tenant_rate_factor,
+        "rate_factor": TENANT_RATE_FACTOR,
         "sweep": sweep,
         "failures": failures,
     }

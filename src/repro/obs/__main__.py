@@ -8,6 +8,7 @@ Usage::
     python -m repro.obs assemble spans.jsonl         # causal trace trees
     python -m repro.obs assemble a.jsonl b.jsonl --chains-only --json
     python -m repro.obs slo                          # demo SLO report
+    python -m repro.obs pipeline --seed 7 --trace-out pipe.jsonl
 
 ``report`` spins up a G-HBA cluster, replays a mixed workload with
 tracing enabled, and renders the operator dashboard (health summary +
@@ -28,13 +29,27 @@ mutation workload with an injected mid-run crash, then assembles and
 prints the resulting causal trees — the end-to-end demo of the
 five-hop ``wb_enqueue -> wb_flush -> wb_arbitrate -> inval_mint ->
 inval_apply`` chain, with a flight-recorder dump at the crash.
+
+``slo`` and ``pipeline`` are gated scenarios of the shell
+(:func:`repro.scenario.run_scenario`): a failed gate exits 1.
+Parameters without a flag are defaults of :class:`SLOSpec` /
+:class:`PipelineSpec`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import dataclass
 
+from repro.core.cluster import GHBACluster
+from repro.core.config import GHBAConfig
+from repro.faults.injector import PlanFaultInjector
+from repro.faults.plan import FaultPlan
+from repro.gateway import CohortConfig, GatewayCohort
+from repro.gateway.client import GatewayConfig, MetadataClient
+from repro.gateway.staleness import StalenessAuditor
+from repro.metadata.attributes import FileMetadata
 from repro.obs.assemble import (
     assemble_traces,
     find_chains,
@@ -44,38 +59,27 @@ from repro.obs.assemble import (
 from repro.obs.export import (
     SnapshotSeries,
     read_spans_jsonl,
+    span_to_dict,
     write_prometheus,
     write_spans_jsonl,
 )
 from repro.obs.report import render_report
 from repro.obs.slo import SLOEngine, render_slo_report
 from repro.obs.trace import CollectingTracer
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+from repro.scenario import (
+    ScenarioResult,
+    build_fleet,
+    parse_spec,
+    require_positive,
+    run_scenario,
+)
+from repro.sim.rng import make_rng
 
 
 def _build_cluster(args, tracer):
     """A populated demo cluster with a Zipf-ish mixed workload applied."""
-    # Imported here so `repro.obs` stays importable without `repro.core`
-    # fully loaded (and to keep module import light for library users).
-    from repro.gateway.scenario import build_fleet
-    from repro.metadata.attributes import FileMetadata
-    from repro.sim.rng import make_rng
-
     known = [f"/obs/dir{i % 16}/file{i}" for i in range(args.files)]
-    cluster = build_fleet(
-        args.servers,
-        args.files,
-        args.seed,
-        known,
-        group_size=args.group_size,
-        tracer=tracer,
-    )
+    cluster = build_fleet(args.servers, args.files, args.seed, known, tracer=tracer)
     rng = make_rng(args.seed ^ 0x0B5)
     inode = len(known)
     for index in range(args.ops):
@@ -147,29 +151,38 @@ def _cmd_assemble(args) -> int:
     return 0
 
 
-def _cmd_slo(args) -> int:
-    # Lazy imports: same rule as _build_cluster.
-    from repro.core.cluster import GHBACluster
-    from repro.core.config import GHBAConfig
-    from repro.gateway.client import GatewayConfig, MetadataClient
-    from repro.gateway.staleness import StalenessAuditor
-    from repro.sim.rng import make_rng
+@dataclass(frozen=True)
+class SLOSpec:
+    """The SLO demo: fleet, namespace and workload size, seed."""
 
-    config = GHBAConfig(seed=args.seed)
-    cluster = GHBACluster(args.servers, config, seed=args.seed)
-    paths = [f"/slo/dir{i % 8}/file{i}" for i in range(args.files)]
+    servers: int = 12
+    files: int = 500
+    ops: int = 2_000
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        require_positive(self, "servers", "files", "ops")
+
+
+def slo(spec: SLOSpec, tracer=None, flight=None) -> ScenarioResult:
+    """A gateway demo workload (lookups, write-back mutations, a
+    staleness audit) against the default objectives; a failure per
+    objective out of compliance."""
+    config = GHBAConfig(seed=spec.seed)
+    cluster = GHBACluster(spec.servers, config, seed=spec.seed)
+    paths = [f"/slo/dir{i % 8}/file{i}" for i in range(spec.files)]
     cluster.populate(paths)
     cluster.synchronize_replicas(force=True)
     gateway = MetadataClient(
         cluster,
-        GatewayConfig(writeback=True, rate_per_s=args.ops / 2.0, burst=64),
+        GatewayConfig(writeback=True, rate_per_s=spec.ops / 2.0, burst=64),
     )
     auditor = StalenessAuditor(cluster, 0.5, metrics=gateway.metrics)
     series = SnapshotSeries()
-    rng = make_rng(args.seed ^ 0x510)
+    rng = make_rng(spec.seed ^ 0x510)
     now = 0.0
-    snapshot_every = max(1, args.ops // 20)
-    for index in range(args.ops):
+    snapshot_every = max(1, spec.ops // 20)
+    for index in range(spec.ops):
         now += 0.01
         roll = rng.random()
         if roll < 0.05:
@@ -188,43 +201,39 @@ def _cmd_slo(args) -> int:
             series.append(now, gateway.metrics.snapshot())
     gateway.flush_barrier(now + 1.0)
     series.append(now + 1.0, gateway.metrics.snapshot())
-    engine = SLOEngine(gateway.metrics)
-    results = engine.evaluate(series)
-    print(render_slo_report(results), end="")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(
-                [result.as_dict() for result in results],
-                handle,
-                sort_keys=True,
-                indent=2,
-            )
-        print(f"\nwrote SLO verdicts to {args.json_out}")
-    return 0 if all(result.ok for result in results) else 1
+    results = SLOEngine(gateway.metrics).evaluate(series)
+    failures = [f"{r.objective.name} out of compliance" for r in results if not r.ok]
+    return ScenarioResult({}, render_slo_report(results).rstrip("\n"), failures)
 
 
-def _cmd_pipeline(args) -> int:
-    # Lazy imports: same rule as _build_cluster.
-    from repro.core.cluster import GHBACluster
-    from repro.core.config import GHBAConfig
-    from repro.faults.plan import FaultPlan
-    from repro.faults.injector import PlanFaultInjector
-    from repro.gateway import CohortConfig, GatewayConfig, GatewayCohort
-    from repro.obs.export import span_to_dict
-    from repro.obs.flight import FlightRecorderHub
-    from repro.sim.rng import make_rng
+#: Mutations of the pipeline demo; the peer crashes after half of them.
+PIPELINE_MUTATIONS = 40
 
-    tracer = CollectingTracer()
-    flight = FlightRecorderHub(dump_dir=args.flight_dir)
-    config = GHBAConfig(seed=args.seed)
-    cluster = GHBACluster(
-        args.servers, config, seed=args.seed, tracer=tracer
-    )
-    paths = [f"/pipe/dir{i % 8}/file{i}" for i in range(args.files)]
+
+@dataclass(frozen=True)
+class PipelineSpec:
+    """The causal-pipeline demo; ``top`` complete chains are printed."""
+
+    servers: int = 8
+    files: int = 200
+    seed: int = 7
+    top: int = 2
+
+    def __post_init__(self) -> None:
+        require_positive(self, "servers", "files", "top")
+
+
+def pipeline(spec: PipelineSpec, tracer, flight) -> ScenarioResult:
+    """A write-back cohort through a seeded mutation workload with a
+    mid-run peer crash; gates on at least one complete five-hop chain in
+    ``tracer``'s spans and a dump in ``flight`` (run it ``observed``)."""
+    config = GHBAConfig(seed=spec.seed)
+    cluster = GHBACluster(spec.servers, config, seed=spec.seed, tracer=tracer)
+    paths = [f"/pipe/dir{i % 8}/file{i}" for i in range(spec.files)]
     cluster.populate(paths)
     cluster.synchronize_replicas(force=True)
     injector = PlanFaultInjector(
-        FaultPlan(seed=args.seed), metrics=cluster.metrics, flight=flight
+        FaultPlan(seed=spec.seed), metrics=cluster.metrics, flight=flight
     )
     cohort = GatewayCohort(
         cluster,
@@ -235,10 +244,10 @@ def _cmd_pipeline(args) -> int:
         flight=flight,
     )
     left, right = cohort.members
-    rng = make_rng(args.seed ^ 0x91E)
+    rng = make_rng(spec.seed ^ 0x91E)
     now = 0.0
-    crash_at = args.mutations // 2
-    for index in range(args.mutations):
+    crash_at = PIPELINE_MUTATIONS // 2
+    for index in range(PIPELINE_MUTATIONS):
         now += 0.05
         injector.advance(now)
         victim = paths[rng.randrange(len(paths))]
@@ -258,20 +267,21 @@ def _cmd_pipeline(args) -> int:
     cohort.flush_barrier(now + 1.0)
     cohort.step(now + 1.0)
 
-    spans = [span_to_dict(span) for span in tracer.finished_spans()]
-    if args.trace_out:
-        written = write_spans_jsonl(tracer.finished_spans(), args.trace_out)
-        print(f"wrote {written} spans to {args.trace_out}\n")
-    trees = assemble_traces(spans)
+    trees = assemble_traces([span_to_dict(span) for span in tracer.finished_spans()])
     complete = find_chains(trees)
-    shown = complete[: args.top]
-    print(render_forest(shown), end="")
-    print(
-        f"\n{len(trees)} trace(s), {len(complete)} with the complete "
-        f"mutation chain (showing {len(shown)})"
+    shown = complete[: spec.top]
+    failures = []
+    if not complete:
+        failures.append("no trace holds the complete mutation chain")
+    if not flight.dumps:
+        failures.append("the crash left no flight-recorder dump")
+    return ScenarioResult(
+        {},
+        f"{render_forest(shown)}\n{len(trees)} trace(s), {len(complete)} with "
+        f"the complete mutation chain (showing {len(shown)})\n"
+        f"flight recorder: {len(flight.dumps)} dump(s)",
+        failures,
     )
-    print(f"flight recorder: {len(flight.dumps)} dump(s)")
-    return 0 if complete and flight.dumps else 1
 
 
 def main(argv=None) -> int:
@@ -283,15 +293,13 @@ def main(argv=None) -> int:
     report = subparsers.add_parser(
         "report", help="run a demo workload and render the dashboard"
     )
-    report.add_argument("--servers", type=_positive_int, default=20)
-    report.add_argument("--group-size", type=_positive_int, default=5)
-    report.add_argument("--files", type=_positive_int, default=2_000)
-    report.add_argument("--ops", type=_positive_int, default=3_000)
+    report.add_argument("--servers", type=int, default=20)
+    report.add_argument("--files", type=int, default=2_000)
+    report.add_argument("--ops", type=int, default=3_000)
     report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--top", type=_positive_int, default=5)
+    report.add_argument("--top", type=int, default=5)
     report.add_argument("--trace-out", default=None, metavar="FILE.jsonl")
     report.add_argument("--prom-out", default=None, metavar="FILE.prom")
-    report.set_defaults(func=_cmd_report)
 
     assemble = subparsers.add_parser(
         "assemble", help="stitch span JSONL files into causal trace trees"
@@ -304,38 +312,54 @@ def main(argv=None) -> int:
         help="keep only traces with the full write-back mutation chain",
     )
     assemble.add_argument("--json", action="store_true")
-    assemble.set_defaults(func=_cmd_assemble)
 
-    slo = subparsers.add_parser(
+    slo_cmd = subparsers.add_parser(
         "slo", help="run a gateway demo workload and evaluate default SLOs"
     )
-    slo.add_argument("--servers", type=_positive_int, default=12)
-    slo.add_argument("--files", type=_positive_int, default=500)
-    slo.add_argument("--ops", type=_positive_int, default=2_000)
-    slo.add_argument("--seed", type=int, default=0)
-    slo.add_argument("--json-out", default=None, metavar="FILE.json")
-    slo.set_defaults(func=_cmd_slo)
+    slo_cmd.add_argument("--servers", type=int, default=12)
+    slo_cmd.add_argument("--files", type=int, default=500)
+    slo_cmd.add_argument("--ops", type=int, default=2_000)
+    slo_cmd.add_argument("--seed", type=int, default=0)
 
-    pipeline = subparsers.add_parser(
+    pipeline_cmd = subparsers.add_parser(
         "pipeline",
         help="demo the five-hop causal chain through a write-back cohort",
     )
-    pipeline.add_argument("--servers", type=_positive_int, default=8)
-    pipeline.add_argument("--files", type=_positive_int, default=200)
-    pipeline.add_argument("--mutations", type=_positive_int, default=40)
-    pipeline.add_argument("--seed", type=int, default=7)
-    pipeline.add_argument("--top", type=_positive_int, default=2)
-    pipeline.add_argument("--trace-out", default=None, metavar="FILE.jsonl")
-    pipeline.add_argument(
+    pipeline_cmd.add_argument("--servers", type=int, default=8)
+    pipeline_cmd.add_argument("--files", type=int, default=200)
+    pipeline_cmd.add_argument("--seed", type=int, default=7)
+    pipeline_cmd.add_argument("--top", type=int, default=2)
+    pipeline_cmd.add_argument("--trace-out", default=None, metavar="FILE.jsonl")
+    pipeline_cmd.add_argument(
         "--flight-dir",
         default=None,
         metavar="DIR",
         help="write flight-recorder dumps here (dumped at the crash)",
     )
-    pipeline.set_defaults(func=_cmd_pipeline)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    if args.command == "report":
+        try:
+            require_positive(args, "servers", "files", "ops", "top")
+        except ValueError as exc:
+            parser.error(str(exc))
+        return _cmd_report(args)
+    if args.command == "assemble":
+        return _cmd_assemble(args)
+    if args.command == "slo":
+        spec = parse_spec(
+            parser, SLOSpec,
+            servers=args.servers, files=args.files, ops=args.ops, seed=args.seed,
+        )
+        return run_scenario("slo", slo, spec)
+    spec = parse_spec(
+        parser, PipelineSpec,
+        servers=args.servers, files=args.files, seed=args.seed, top=args.top,
+    )
+    return run_scenario(
+        "pipeline", pipeline, spec,
+        trace_out=args.trace_out, flight_dir=args.flight_dir, observed=True,
+    )
 
 
 if __name__ == "__main__":

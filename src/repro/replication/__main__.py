@@ -9,6 +9,8 @@ fleet with CDC capture, async shipping to a standby, a primary kill at
 divergence + RPO audit, and a redirected workload against the promoted
 fleet.  Exit status 0 only when the audit is clean (no divergence, no
 acked-mutation loss, fencing holds, RPO within ``--rpo-bound``).
+Parameters without a flag are defaults of
+:class:`~repro.replication.drill.DrillSpec`.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.replication.drill import run_drill
+from repro.replication.drill import DrillSpec, run_drill
+from repro.scenario import parse_spec, run_scenario
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.replication",
         description="Cross-cluster replication drills.",
@@ -41,9 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     drill.add_argument("--ops", type=int, default=1200)
     drill.add_argument("--seed", type=int, default=11)
     drill.add_argument(
-        "--dirs", type=int, default=8, help="top-level rename-unit dirs"
-    )
-    drill.add_argument(
         "--kill-at",
         type=float,
         default=0.7,
@@ -56,13 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=16,
         dest="ship_every",
         help="ship a batch every N operations (default 16)",
-    )
-    drill.add_argument("--batch-max", type=int, default=64, dest="batch_max")
-    drill.add_argument(
-        "--rate",
-        type=float,
-        default=500.0,
-        help="virtual ops/s (sets the virtual clock step)",
     )
     drill.add_argument(
         "--chaos",
@@ -85,22 +78,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "(-1: report only)",
     )
     drill.add_argument(
-        "--standby-checkpoint",
-        default=None,
-        dest="standby_checkpoint",
-        help="path where the standby persists its durable checkpoint",
-    )
-    drill.add_argument(
         "--json", default=None, help="write BENCH-style stats to this file"
     )
-    return parser
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "drill":
-        return run_drill(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    args = parser.parse_args(argv)
+    fields = {
+        name: value
+        for name, value in vars(args).items()
+        if name in DrillSpec.__dataclass_fields__
+    }
+    spec = parse_spec(parser, DrillSpec, **fields)
+    return run_scenario(
+        "replication", run_drill, spec, json_path=args.json, json_key="replication"
+    )
 
 
 if __name__ == "__main__":

@@ -8,14 +8,14 @@ over real localhost sockets.
 
 from __future__ import annotations
 
-import argparse
+import dataclasses
 import json
+import threading
 
 import pytest
 
 from repro.metadata.attributes import FileMetadata
 from repro.net.tcp import PortMap, TcpTransport
-from repro.obs.registry import MetricsRegistry
 from repro.prototype.transport import InProcessTransport
 from repro.replication import (
     ChangeCapture,
@@ -24,36 +24,29 @@ from repro.replication import (
     StandbyNode,
     promote_standby,
 )
+from repro.replication.__main__ import main as replication_main
 from repro.replication.audit import diff_states, snapshot_state
-from repro.replication.drill import run_drill
+from repro.replication.drill import DrillSpec, run_drill
+from repro.scenario import run_scenario
+
+SMALL = DrillSpec(servers=3, files=120, ops=400, seed=11, dirs=6, redirect_ops=120)
 
 
-def _drill_args(**overrides):
-    base = dict(
-        transport="inproc",
-        servers=3,
-        files=120,
-        ops=400,
-        seed=11,
-        dirs=6,
-        kill_at=0.7,
-        ship_every=16,
-        batch_max=64,
-        rate=500.0,
-        chaos=False,
-        redirect_ops=120,
-        rpo_bound=-1,
-        standby_checkpoint=None,
-        json=None,
+def _drill(json_path=None, **overrides) -> int:
+    """The drill through the scenario shell, as the CLI runs it."""
+    return run_scenario(
+        "replication",
+        run_drill,
+        dataclasses.replace(SMALL, **overrides),
+        json_path=json_path,
+        json_key="replication",
     )
-    base.update(overrides)
-    return argparse.Namespace(**base)
 
 
 class TestDrillEndToEnd:
     def test_inproc_drill_passes(self, capsys, tmp_path):
         out_json = tmp_path / "bench.json"
-        code = run_drill(_drill_args(json=str(out_json)))
+        code = _drill(json_path=str(out_json))
         captured = capsys.readouterr().out
         assert code == 0
         assert "PASS" in captured
@@ -67,7 +60,7 @@ class TestDrillEndToEnd:
         assert "_meta" in document
 
     def test_chaos_drill_still_zero_divergence(self, capsys):
-        code = run_drill(_drill_args(chaos=True, seed=23))
+        code = _drill(chaos=True, seed=23)
         captured = capsys.readouterr().out
         assert code == 0
         assert "divergences=0 lost_acked=0" in captured
@@ -75,11 +68,108 @@ class TestDrillEndToEnd:
     def test_rpo_bound_enforced(self, capsys):
         # An impossible bound must flip the exit code, proving the gate
         # is wired to the measured RPO and not vacuous.
-        args = _drill_args(ship_every=10_000, rpo_bound=0)
-        code = run_drill(args)
+        code = _drill(ship_every=10_000, rpo_bound=0)
         captured = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in captured
+
+
+class TestDrillSpec:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ship_every", 0),
+            ("kill_at", 0.0),
+            ("kill_at", 1.5),
+            ("ops", 0),
+            ("files", -3),
+            ("servers", 0),
+            ("dirs", 0),
+            ("redirect_ops", -1),
+            ("transport", "udp"),
+        ],
+    )
+    def test_out_of_range_field_is_a_value_error(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DrillSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--ship-every", "0"],
+            ["--rate", "0"],  # no such flag: the clock step is a constant
+            ["--kill-at", "0"],
+            ["--kill-at", "1.01"],
+            ["--ops", "-5"],
+            ["--files", "0"],
+            ["--servers", "0"],
+            ["--redirect-ops", "-1"],
+        ],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            replication_main(["drill", *flags])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_whole_trace_kill_is_in_range(self):
+        assert DrillSpec(kill_at=1.0).kill_at == 1.0
+
+
+def _tcp_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("tcp-transport")]
+
+
+class TestDrillTeardown:
+    """The standby thread and (over TCP) both transports go away on
+    every exit path of the drill."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every standby the drill starts and every transport it closes."""
+        seen = {"standbys": [], "closed": []}
+        start, close = StandbyNode.start, TcpTransport.close
+
+        def tracked_start(node):
+            seen["standbys"].append(node)
+            start(node)
+
+        def tracked_close(transport):
+            seen["closed"].append(transport)
+            close(transport)
+
+        monkeypatch.setattr(StandbyNode, "start", tracked_start)
+        monkeypatch.setattr(TcpTransport, "close", tracked_close)
+        return seen
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_rejected_bootstrap_stops_the_standby(
+        self, transport, opened, monkeypatch
+    ):
+        monkeypatch.setattr(
+            ReplicationShipper, "sync", lambda self, now=0.0: {"ok": False}
+        )
+        result = run_drill(dataclasses.replace(SMALL, transport=transport))
+        assert result.failures == ["standby bootstrap rejected: {'ok': False}"]
+        assert "PASS" not in result.report
+        [standby] = opened["standbys"]
+        assert not standby.is_alive()
+        assert len(opened["closed"]) == (2 if transport == "tcp" else 0)
+        assert _tcp_threads() == []
+
+    def test_a_failed_standby_stop_is_a_failure(self, opened, monkeypatch):
+        stop = StandbyNode.stop
+
+        def stop_then_fail(node, timeout_s=5.0):
+            stop(node, timeout_s)
+            raise RuntimeError("stuck")
+
+        monkeypatch.setattr(StandbyNode, "stop", stop_then_fail)
+        result = run_drill(dataclasses.replace(SMALL, transport="tcp"))
+        assert result.failures == ["standby did not stop: RuntimeError('stuck')"]
+        assert "PASS" not in result.report
+        assert len(opened["closed"]) == 2
+        assert _tcp_threads() == []
 
 
 class TestStandbyCrashRestore:
@@ -258,11 +348,8 @@ class TestTcpReplication:
             client.close()
 
     def test_tcp_drill_passes(self, capsys):
-        code = run_drill(
-            _drill_args(
-                transport="tcp", files=80, ops=240, redirect_ops=80,
-                seed=5,
-            )
+        code = _drill(
+            transport="tcp", files=80, ops=240, redirect_ops=80, seed=5
         )
         captured = capsys.readouterr().out
         assert code == 0

@@ -23,9 +23,9 @@ from repro.faults.injector import PlanFaultInjector
 from repro.faults.plan import FaultPlan
 from repro.gateway.backend import MetadataBackend
 from repro.gateway.client import GatewayConfig, MetadataClient, Outcome
-from repro.gateway.scenario import build_fleet
 from repro.gateway.staleness import matches_fleet
 from repro.metadata.attributes import FileMetadata
+from repro.scenario import build_fleet
 
 BACKEND_NAMES = frozenset(
     name
@@ -175,7 +175,7 @@ def test_the_surface_is_fourteen_names_and_the_cluster_has_them():
 
 
 #: The modules a served request passes through.  Fleet set-up
-#: (``scenario.build_fleet``) and the write-back scenario's end-of-run
+#: (``repro.scenario.build_fleet``) and the write-back scenario's end-of-run
 #: namespace dump are set-up and audit, not serving, and are not listed.
 SERVING_MODULES = (
     "client", "cohort", "cache", "coalesce", "hotspot", "admission",

@@ -7,7 +7,8 @@ import re
 import pytest
 
 from repro.gateway.__main__ import main as gateway_main
-from repro.gateway.scenario import ScenarioSpec, build_fleet, replay
+from repro.gateway.scenario import ScenarioSpec, replay
+from repro.scenario import build_fleet
 from repro.sim.stats import percentile
 from repro.traces.records import MetadataOp, TraceRecord
 
@@ -112,6 +113,18 @@ class TestSpecAndFleet:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.seed = 8
         assert dataclasses.replace(spec, chaos=True).chaos and not spec.chaos
+
+    @pytest.mark.parametrize(
+        "field", ["servers", "files", "ops", "cohort", "tenants", "flush_max_pending"]
+    )
+    def test_spec_range_checks_are_usage_errors(self, field, capsys):
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec(**{field: 0})
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(SystemExit) as excinfo:
+            gateway_main(["bench", flag, "0"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_gateway_config_burst_scales_with_clients(self):
         assert ScenarioSpec(clients=8).gateway_config().burst == 64.0
