@@ -247,8 +247,9 @@ def populate_servers(
 
 
 #: ``walk`` numbers levels as ``QueryLevel`` does; an index is cheaper than
-#: the enum's by-value constructor on a path every query takes.
-_LEVELS = (None, *QueryLevel)
+#: the enum's by-value constructor on a path every query takes, and the
+#: label beside each level is cheaper than its ``label`` property.
+_LEVELS = (None, *((level, level.label) for level in QueryLevel))
 
 
 class _ModelWalk:
@@ -367,11 +368,7 @@ class _ModelWalk:
             l3 = group.multicast_query(self.path)
         else:
             l3 = group.multicast_query(self.path, member_ids=[origin_id] + peers)
-        child = cluster._group_multicast_children.get(group.group_id)
-        if child is None:
-            child = cluster._group_multicasts.labels(group.group_id)
-            cluster._group_multicast_children[group.group_id] = child
-        child.inc()
+        cluster._group_multicasts.labels(group.group_id).inc()
         if self.span is not None:
             l3_detail = {"lost": len(lost_peers)} if lost_peers else {}
             self.hop(
@@ -398,11 +395,7 @@ class _ModelWalk:
                 if traced:
                     self.hop("forward_timeout", target=target_id)
                 return False
-        child = cluster._forward_children.get(target_id)
-        if child is None:
-            child = cluster._server_forwards.labels(target_id)
-            cluster._forward_children[target_id] = child
-        child.inc()
+        cluster._server_forwards.labels(target_id).inc()
         if target_id != origin_id:
             self.latency += self.rtt + self.q_ms
             self.messages += 2
@@ -420,11 +413,7 @@ class _ModelWalk:
         if traced:
             self.hop("verify", target=target_id, found=meta is not None)
         if meta is None:
-            child = cluster._false_children.get(target_id)
-            if child is None:
-                child = cluster._server_false.labels(target_id)
-                cluster._false_children[target_id] = child
-            child.inc()
+            cluster._server_false.labels(target_id).inc()
             if traced:
                 self.hop("false_forward", target=target_id)
         return meta is not None
@@ -475,7 +464,7 @@ class _ModelWalk:
         """Feed the answer back into the origin's L1 (and, cooperatively,
         its peers'), book the query's totals, close the span."""
         cluster, origin_id = self.cluster, self.origin_id
-        level = _LEVELS[level]
+        level, label = _LEVELS[level]
         if home is not None:
             self.origin.record_lru(self.path, home)
             if cluster.config.cooperative_lru:
@@ -491,48 +480,19 @@ class _ModelWalk:
             origin_id, self.degraded,
         )
         if self.degraded:
-            child = cluster._degraded_child
-            if child is None:
-                child = cluster._degraded_queries.labels()
-                cluster._degraded_child = child
-            child.inc()
-        child = cluster._level_children.get(level)
-        if child is None:
-            child = cluster._queries_by_level.labels(level.label)
-            cluster._level_children[level] = child
-        child.inc()
+            cluster._degraded_queries.labels().inc()
+        cluster._queries_by_level.labels(label).inc()
         cluster._latency_child.observe(latency)
         if messages:
-            child = cluster._messages_child
-            if child is None:
-                child = cluster._messages.labels()
-                cluster._messages_child = child
-            child.inc(messages)
+            cluster._messages.labels().inc(messages)
         if false_forwards:
-            child = cluster._false_forwards_child
-            if child is None:
-                child = cluster._false_forwards_counter.labels()
-                cluster._false_forwards_child = child
-            child.inc(false_forwards)
-        child = cluster._origin_children.get(origin_id)
-        if child is None:
-            child = cluster._server_origin.labels(origin_id)
-            cluster._origin_children[origin_id] = child
-        child.inc()
+            cluster._false_forwards_counter.labels().inc(false_forwards)
+        cluster._server_origin.labels(origin_id).inc()
         if home is not None:
-            child = cluster._served_children.get(home)
-            if child is None:
-                child = cluster._server_served.labels(home)
-                cluster._served_children[home] = child
-            child.inc()
-            group_id = cluster._group_of[home]
-            child = cluster._group_served_children.get(group_id)
-            if child is None:
-                child = cluster._group_served.labels(group_id)
-                cluster._group_served_children[group_id] = child
-            child.inc()
+            cluster._server_served.labels(home).inc()
+            cluster._group_served.labels(cluster._group_of[home]).inc()
         if self.span is not None:
-            self.span.finish(level.label, home, latency, messages, false_forwards)
+            self.span.finish(label, home, latency, messages, false_forwards)
         return result
 
 
@@ -631,15 +591,10 @@ class GHBACluster:
         self._messages = m.counter(
             "ghba_messages_total", "Network messages sent on the query path."
         )
-        # Unlabeled child caches, resolved on first increment: ``labels()``
-        # *creates* the child, and an eagerly-created zero child would be
-        # visible in metric dumps before any event occurred.
-        self._messages_child = None
         self._false_forwards_counter = m.counter(
             "ghba_false_forwards_total",
             "Unique Bloom hits that misrouted a query.",
         )
-        self._false_forwards_child = None
         self._server_served = m.counter(
             "ghba_server_queries_served_total",
             "Queries served, by home server.",
@@ -677,21 +632,6 @@ class GHBACluster:
             "ghba_degraded_queries_total",
             "Queries that lost multicast legs to faults and degraded.",
         )
-        self._degraded_child = None
-        # Lazy child caches for the labeled families the query path hits on
-        # every lookup.  ``labels()`` re-derives the child key (tuple build
-        # + str conversion + dict probe) per call; caching the child object
-        # keyed by the raw label value makes a repeat increment one dict
-        # get.  Children are still created on first use only, so counter
-        # snapshots (``as_dict``) list exactly the series that were
-        # actually incremented — identical to calling ``labels()`` inline.
-        self._level_children: Dict[QueryLevel, object] = {}
-        self._origin_children: Dict[int, object] = {}
-        self._served_children: Dict[int, object] = {}
-        self._forward_children: Dict[int, object] = {}
-        self._false_children: Dict[int, object] = {}
-        self._group_served_children: Dict[int, object] = {}
-        self._group_multicast_children: Dict[int, object] = {}
 
     # Read-through views kept for the pre-registry API.
     @property

@@ -1,4 +1,5 @@
-"""Shared experiment plumbing: result containers, table rendering, tracing.
+"""Shared experiment plumbing: result containers, table rendering, windowed
+series, tracing.
 
 Experiments that replay queries against a live cluster accept an opt-in
 ``--trace-out PATH`` flag: when given, every query runs under a
@@ -77,6 +78,62 @@ def format_table(rows: Sequence[Dict[str, Any]], float_digits: int = 3) -> str:
     ]
     lines.insert(1, "-" * len(lines[0]))
     return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class SeriesPoint:
+    """One window of a metric series."""
+
+    x: float
+    mean: float
+    count: int
+
+
+class SeriesRecorder:
+    """Windowed averages: mean of ``value`` per fixed-width window of ``x``.
+
+    Figures 8-10 and 14 plot average latency against cumulative operation
+    count; feeding ``(operation_index, latency)`` pairs here with a window
+    width of e.g. 10^5 yields exactly those series.
+    """
+
+    def __init__(self, window_width: float) -> None:
+        if window_width <= 0:
+            raise ValueError(f"window_width must be positive, got {window_width}")
+        self._width = window_width
+        self._points: List[SeriesPoint] = []
+        self._window_start = 0.0
+        self._window_sum = 0.0
+        self._window_count = 0
+
+    def record(self, x: float, value: float) -> None:
+        if x < self._window_start:
+            raise ValueError(
+                f"x must be non-decreasing: {x} < window start {self._window_start}"
+            )
+        while x >= self._window_start + self._width:
+            self._flush_window()
+        self._window_sum += value
+        self._window_count += 1
+
+    def _flush_window(self) -> None:
+        if self._window_count > 0:
+            self._points.append(
+                SeriesPoint(
+                    x=self._window_start + self._width / 2.0,
+                    mean=self._window_sum / self._window_count,
+                    count=self._window_count,
+                )
+            )
+        self._window_start += self._width
+        self._window_sum = 0.0
+        self._window_count = 0
+
+    def finish(self) -> List[SeriesPoint]:
+        """Flush the trailing partial window and return all points."""
+        if self._window_count > 0:
+            self._flush_window()
+        return list(self._points)
 
 
 # ----------------------------------------------------------------------

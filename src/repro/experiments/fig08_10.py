@@ -24,9 +24,8 @@ from typing import Dict, List, Sequence
 from repro.baselines.hba import HBACluster
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import ExperimentResult, SeriesRecorder
 from repro.metadata.attributes import FileMetadata
-from repro.sim.stats import SeriesRecorder
 from repro.traces.profiles import PROFILES
 from repro.traces.records import MetadataOp
 from repro.traces.synthetic import SyntheticTraceGenerator

@@ -19,13 +19,13 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.config import GHBAConfig
 from repro.experiments.common import (
     ExperimentResult,
+    SeriesRecorder,
     add_trace_out_argument,
     finish_trace,
     tracer_for,
 )
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.prototype.cluster import PrototypeCluster
-from repro.sim.stats import SeriesRecorder
 from repro.traces.profiles import PROFILES
 from repro.traces.records import MetadataOp
 from repro.traces.synthetic import SyntheticTraceGenerator

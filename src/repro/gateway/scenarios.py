@@ -21,9 +21,9 @@ from repro.gateway.cohort import CohortConfig, GatewayCohort
 from repro.gateway.scenario import ScenarioSpec, drain, fault_clock, replay
 from repro.gateway.staleness import StalenessAuditor, matches_fleet
 from repro.metadata.namespace import is_under
+from repro.obs.registry import percentile
 from repro.obs.report import gateway_hotspot_report
 from repro.scenario import ScenarioResult
-from repro.sim.stats import percentile
 from repro.traces.records import MetadataOp
 
 

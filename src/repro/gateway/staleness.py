@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.gateway.backend import MetadataBackend
 from repro.gateway.client import GatewayResponse, Outcome
 from repro.metadata.namespace import is_under
-from repro.sim.stats import percentile
+from repro.obs.registry import percentile
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ from typing import Dict, List, Sequence, Tuple
 from repro.gateway.admission import fractional_fair_shares
 from repro.gateway.client import MetadataClient
 from repro.gateway.scenario import ScenarioSpec, drain, fault_clock, replay
+from repro.obs.registry import percentile
 from repro.scenario import ScenarioResult
-from repro.sim.stats import percentile
 from repro.traces.records import TraceRecord
 from repro.traces.tenants import TenantModel
 

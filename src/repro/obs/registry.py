@@ -6,22 +6,25 @@ fixed label schema (``("level",)``, ``("server",)``), then increment child
 series per label value.  Exporters (:mod:`repro.obs.export`) walk the
 registry to produce Prometheus text exposition or JSON snapshots.
 
-Histograms reuse :class:`repro.sim.stats.LatencyRecorder` for exact
-mean/min/max and reservoir percentiles, and add fixed cumulative buckets
-for the Prometheus exposition format.
+A histogram child is its own recorder: exact count/sum/min/max, a
+seeded reservoir for percentiles, and fixed cumulative buckets for the
+Prometheus exposition format.  :func:`percentile` beside it is the one
+list-based percentile, for callers that keep every sample.
 
 Conventions follow Prometheus: counters end in ``_total``, label values
 are strings, and a family with an empty label schema has exactly one
 (unlabeled) child whose operations are proxied by the family itself, so
-``registry.counter("x_total").inc()`` just works.
+``registry.counter("x_total").inc()`` just works.  The family is also the
+only child cache: :meth:`MetricFamily.labels` memoises each child under
+the raw values it was called with, so hot paths call it per event.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
+import random
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-from repro.sim.stats import LatencyRecorder
 
 #: Default histogram buckets, in milliseconds: spans memory probes
 #: (microseconds) through disk accesses and wide multicasts (tens of ms).
@@ -41,6 +44,22 @@ DEFAULT_LATENCY_BUCKETS_MS: Tuple[float, ...] = (
     50.0,
     100.0,
 )
+
+#: Samples a histogram child keeps for its interior percentiles.
+RESERVOIR_SIZE = 4096
+
+
+def percentile(values: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile of a plain list (``p`` in [0, 100]); 0.0
+    on empty input.  The one list-based percentile in the repo: staleness
+    audits and the scenarios' ``--json`` stats use it (a
+    :class:`HistogramChild` interpolates over a reservoir instead — a
+    different estimator for streams too long to keep)."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    index = min(len(ordered) - 1, int(round(p / 100.0 * (len(ordered) - 1))))
+    return ordered[index]
 
 
 class MetricError(Exception):
@@ -80,57 +99,108 @@ class GaugeChild:
 
 
 class HistogramChild:
-    """One histogram series: cumulative buckets + a streaming recorder.
+    """One histogram series: cumulative buckets plus the stream itself.
 
     Bucket counts follow Prometheus semantics (``le`` upper bounds,
-    cumulative at exposition time); exact mean/min/max and reservoir
-    percentiles come from the wrapped
-    :class:`~repro.sim.stats.LatencyRecorder`.
+    cumulative at exposition time).  ``count``, ``sum`` (added in
+    observation order), :attr:`minimum` and :attr:`maximum` are exact;
+    interior percentiles come from a uniform reservoir of
+    :data:`RESERVOIR_SIZE` samples, deterministic given the seed.
     """
 
-    __slots__ = ("bounds", "bucket_counts", "recorder")
+    __slots__ = (
+        "bounds", "bucket_counts", "count", "sum", "_min", "_max",
+        "_reservoir", "_rng",
+    )
 
-    def __init__(
-        self,
-        bounds: Sequence[float],
-        reservoir_size: int = 4096,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, bounds: Sequence[float], seed: int = 0) -> None:
         self.bounds: Tuple[float, ...] = tuple(bounds)
         self.bucket_counts = [0] * (len(self.bounds) + 1)  # last is +Inf
-        self.recorder = LatencyRecorder(reservoir_size=reservoir_size, seed=seed)
+        self.count = 0
+        self.sum = 0.0
+        self._min = math.inf
+        self._max = -math.inf
+        self._reservoir: List[float] = []
+        self._rng = random.Random(seed)
 
     def observe(self, value: float) -> None:
+        # Validate before touching anything: a rejected value leaves no
+        # bucket counted.
+        if value < 0:
+            raise ValueError(f"latency must be non-negative, got {value}")
         self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.recorder.record(value)
-
-    # Convenience passthroughs so a histogram can stand in for the bare
-    # LatencyRecorder it replaced in older call sites.
-    @property
-    def count(self) -> int:
-        return self.recorder.count
-
-    @property
-    def sum(self) -> float:
-        return self.recorder.total
+        self.count = count = self.count + 1
+        self.sum += value
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
+        reservoir = self._reservoir
+        if len(reservoir) < RESERVOIR_SIZE:
+            reservoir.append(value)
+        else:
+            # Same draw sequence as ``randrange(count)`` without the
+            # argument-validation wrapper (this runs once per observation).
+            slot = self._rng._randbelow(count)
+            if slot < RESERVOIR_SIZE:
+                reservoir[slot] = value
 
     @property
     def mean(self) -> float:
-        return self.recorder.mean
+        return self.sum / self.count if self.count else 0.0
 
     @property
     def minimum(self) -> float:
-        return self.recorder.minimum
+        return self._min if self.count else 0.0
 
     @property
     def maximum(self) -> float:
-        return self.recorder.maximum
+        return self._max if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        return self.recorder.percentile(p)
+        """Return the ``p``-th percentile (0 <= p <= 100).
+
+        Accuracy contract:
+
+        - With no observations the result is ``0.0`` (matching
+          :attr:`mean`/:attr:`minimum`/:attr:`maximum`), never an
+          exception.
+        - ``p == 0`` and ``p == 100`` return the *exact* streamed
+          :attr:`minimum` / :attr:`maximum` — extremes are tracked outside
+          the reservoir, so they never suffer sampling error.
+        - Interior percentiles interpolate over the reservoir.  While
+          ``count <= RESERVOIR_SIZE`` it holds every sample and the result
+          is exact; beyond that it is a deterministic (seeded) uniform
+          sample, accurate to well under a percentile point at the sample
+          counts our experiments produce.
+        """
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"p must be in [0, 100], got {p}")
+        if not self._reservoir:
+            return 0.0
+        if p == 0.0:
+            return self.minimum
+        if p == 100.0:
+            return self.maximum
+        ordered = sorted(self._reservoir)
+        rank = p / 100.0 * (len(ordered) - 1)
+        low = int(math.floor(rank))
+        high = int(math.ceil(rank))
+        if low == high:
+            return ordered[low]
+        weight = rank - low
+        return ordered[low] * (1.0 - weight) + ordered[high] * weight
 
     def summary(self) -> Dict[str, float]:
-        return self.recorder.summary()
+        return {
+            "count": float(self.count),
+            "mean": self.mean,
+            "min": self.minimum,
+            "max": self.maximum,
+            "p50": self.percentile(50),
+            "p95": self.percentile(95),
+            "p99": self.percentile(99),
+        }
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(le, cumulative_count)`` pairs, ending with ``(inf, count)``."""
@@ -158,6 +228,9 @@ class MetricFamily:
         self.help = help_text
         self.label_names = label_names
         self._children: Dict[Tuple[str, ...], object] = {}
+        #: Raw label values as called -> child: ``labels(7)`` and
+        #: ``labels("7")`` are two entries naming one child.
+        self._memo: Dict[Tuple[object, ...], object] = {}
 
     def _new_child(self) -> object:
         raise NotImplementedError
@@ -171,12 +244,22 @@ class MetricFamily:
         return tuple(str(v) for v in values)
 
     def labels(self, *values: object):
-        """Child for one label-value tuple (created on first use)."""
+        """Child for one label-value tuple (created on first use).
+
+        A repeat call is one dict probe on the raw values, so hot paths
+        call this per event instead of caching children themselves.
+        Label values are strings or ints; two values that compare equal
+        but print differently (``1`` and ``1.0``) would share a memo entry.
+        """
+        try:
+            return self._memo[values]
+        except KeyError:
+            pass
         key = self._key(values)
         child = self._children.get(key)
         if child is None:
-            child = self._new_child()
-            self._children[key] = child
+            child = self._children[key] = self._new_child()
+        self._memo[values] = child
         return child
 
     def children(self) -> Iterator[Tuple[Tuple[str, ...], object]]:
@@ -190,6 +273,7 @@ class MetricFamily:
         series for servers that have left the cluster.
         """
         keep = {tuple(str(v) for v in key) for key in keys}
+        self._memo.clear()
         for key in list(self._children):
             if key not in keep:
                 del self._children[key]
@@ -270,20 +354,16 @@ class HistogramFamily(MetricFamily):
         help_text: str,
         label_names: Tuple[str, ...],
         buckets: Sequence[float],
-        reservoir_size: int,
         seed: int,
     ) -> None:
         super().__init__(name, "histogram", help_text, label_names)
         if list(buckets) != sorted(set(buckets)):
             raise MetricError(f"{name}: buckets must be sorted and unique")
         self.buckets = tuple(buckets)
-        self._reservoir_size = reservoir_size
         self._seed = seed
 
     def _new_child(self) -> HistogramChild:
-        return HistogramChild(
-            self.buckets, reservoir_size=self._reservoir_size, seed=self._seed
-        )
+        return HistogramChild(self.buckets, seed=self._seed)
 
     def observe(self, value: float) -> None:
         self.labels().observe(value)
@@ -337,13 +417,10 @@ class MetricsRegistry:
         help_text: str = "",
         labels: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_MS,
-        reservoir_size: int = 4096,
         seed: int = 0,
     ) -> HistogramFamily:
         family = self._register(
-            HistogramFamily(
-                name, help_text, tuple(labels), buckets, reservoir_size, seed
-            )
+            HistogramFamily(name, help_text, tuple(labels), buckets, seed)
         )
         return family  # type: ignore[return-value]
 

@@ -1,4 +1,4 @@
-"""Simulation substrate: event engine, network & memory models, metrics.
+"""Simulation substrate: event engine, network & memory models, samplers.
 
 The paper evaluates G-HBA with a trace-driven simulator.  This package
 provides the simulator's foundations:
@@ -10,14 +10,16 @@ provides the simulator's foundations:
 - :class:`~repro.sim.memory.MemoryModel` — per-MDS memory budget; when
   Bloom filter replicas outgrow it, probe latency degrades toward disk
   speed (the effect behind Figures 8-10).
-- :mod:`~repro.sim.stats` — latency recorders and windowed series.
 - :mod:`~repro.sim.rng` — seeded Zipf / exponential samplers.
+
+Metrics are not kept here: counters, gauges and latency histograms live
+in :mod:`repro.obs.registry`, and the experiments' windowed series in
+:mod:`repro.experiments.common`.
 """
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import NetworkModel
 from repro.sim.memory import MemoryModel
-from repro.sim.stats import LatencyRecorder, SeriesRecorder
 from repro.sim.rng import ZipfSampler, make_rng
 
 __all__ = [
@@ -25,8 +27,6 @@ __all__ = [
     "Simulator",
     "NetworkModel",
     "MemoryModel",
-    "LatencyRecorder",
-    "SeriesRecorder",
     "ZipfSampler",
     "make_rng",
 ]

@@ -6,8 +6,10 @@ verbatim — the inline walk with its ``hop`` / ``finish`` / ``verify_at`` /
 ``forward_and_verify`` closures, every latency term in its original
 addition order, every lazily pinned counter child, every span event.  It
 sits on a subclass, so everything it reaches through ``self`` (servers,
-groups, the fault injector, the metric families and their child caches,
-``_share_lru_hint``) is the live class's.
+groups, the fault injector, the metric families, ``_share_lru_hint``) is
+the live class's.  The exception is the lazily pinned child caches: the
+live class dropped them when ``MetricFamily.labels()`` began to memoise,
+so the subclass sets them up itself, as they were.
 ``tests/property/test_query_differential.py`` drives it and the live
 class through seeded scripts and compares every ``QueryResult`` field,
 the metrics dump, every span event and each origin's L1 contents with
@@ -29,6 +31,23 @@ from repro.metadata.attributes import FileMetadata
 
 class ReferenceQueryCluster(GHBACluster):
     """The live cluster with the pre-walk ``query``."""
+
+    def _register_metrics(self, seed: int) -> None:
+        # The live class dropped its child caches once
+        # ``MetricFamily.labels()`` memoised; the frozen body below still
+        # reads them, so they are set up here exactly as the live class
+        # set them up then.
+        super()._register_metrics(seed)
+        self._messages_child = None
+        self._false_forwards_child = None
+        self._degraded_child = None
+        self._level_children = {}
+        self._origin_children = {}
+        self._served_children = {}
+        self._forward_children = {}
+        self._false_children = {}
+        self._group_served_children = {}
+        self._group_multicast_children = {}
 
     def query(
         self,

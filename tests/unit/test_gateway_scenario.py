@@ -8,8 +8,8 @@ import pytest
 
 from repro.gateway.__main__ import main as gateway_main
 from repro.gateway.scenario import ScenarioSpec, replay
+from repro.obs.registry import percentile
 from repro.scenario import build_fleet
-from repro.sim.stats import percentile
 from repro.traces.records import MetadataOp, TraceRecord
 
 

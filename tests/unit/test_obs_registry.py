@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.obs.export import prometheus_exposition
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_MS,
     MetricError,
@@ -56,6 +57,58 @@ class TestCounters:
             family.labels("only-one")
 
 
+class TestLabelMemo:
+    def test_repeat_labels_returns_the_same_child(self, registry):
+        family = registry.counter("m_total", labels=("server",))
+        first = family.labels(3)
+        assert family.labels(3) is first
+        family.labels(3).inc()
+        assert first.value == 1
+
+    def test_int_and_str_label_are_one_series(self, registry):
+        family = registry.counter("s_total", labels=("server",))
+        family.labels(1).inc()
+        family.labels("1").inc(2)
+        family.labels(1).inc()
+        assert family.labels("1") is family.labels(1)
+        assert family.as_dict() == {"1": 4}
+        assert len(family) == 1
+
+    def test_unlabeled_family_creates_no_child_before_first_inc(self, registry):
+        family = registry.counter("u_total")
+        assert len(family) == 0
+        assert registry.snapshot()["u_total"] == {"kind": "counter", "series": {}}
+        family.inc()
+        family.inc()
+        assert len(family) == 1
+        assert registry.snapshot()["u_total"]["series"] == {"": 2}
+
+    def test_wrong_arity_raises_after_a_memo_hit(self, registry):
+        family = registry.counter("w_total", labels=("server", "level"))
+        family.labels(1, "L1").inc()
+        family.labels(1, "L1").inc()
+        with pytest.raises(MetricError):
+            family.labels(1)
+        with pytest.raises(MetricError):
+            family.labels(1, "L1", "extra")
+        unlabeled = registry.counter("w0_total")
+        unlabeled.inc()
+        with pytest.raises(MetricError):
+            unlabeled.labels("x")
+
+    def test_retain_forgets_the_memo(self, registry):
+        gauge = registry.gauge("r", labels=("server",))
+        dropped = gauge.labels(1)
+        dropped.set(5)
+        gauge.labels(2).set(7)
+        gauge.retain([(2,)])
+        fresh = gauge.labels(1)
+        assert fresh is not dropped
+        assert fresh.value == 0.0
+        assert [key for key, _ in gauge.children()] == [("1",), ("2",)]
+        assert gauge.labels("1") is fresh
+
+
 class TestGauges:
     def test_set_inc_dec(self, registry):
         gauge = registry.gauge("g")
@@ -106,6 +159,20 @@ class TestHistograms:
         assert set(child.summary()) == {
             "count", "mean", "min", "max", "p50", "p95", "p99",
         }
+
+    def test_rejected_observation_leaves_no_trace(self, registry):
+        histogram = registry.histogram("h_ms", buckets=(1.0,))
+        child = histogram.labels()
+        child.observe(1.0)
+        with pytest.raises(ValueError):
+            child.observe(-0.5)
+        assert child.bucket_counts == [1, 0]
+        assert (child.count, child.sum, child.minimum, child.maximum) == (
+            1, 1.0, 1.0, 1.0,
+        )
+        exposition = prometheus_exposition(registry)
+        assert 'h_ms_bucket{le="+Inf"} 1' in exposition
+        assert "h_ms_count 1" in exposition
 
     def test_unsorted_buckets_rejected(self, registry):
         with pytest.raises(MetricError):

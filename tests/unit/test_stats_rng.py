@@ -2,89 +2,92 @@
 
 import pytest
 
+from repro.experiments.common import SeriesRecorder
+from repro.obs.registry import RESERVOIR_SIZE, MetricsRegistry
 from repro.sim.rng import ZipfSampler, exponential_interarrival, make_rng, weighted_choice
-from repro.sim.stats import LatencyRecorder, SeriesRecorder
+
+
+def histogram_child(seed=0):
+    """A fresh unlabeled histogram child: the repo's latency recorder."""
+    return MetricsRegistry().histogram("t_ms", seed=seed).labels()
 
 
 class TestLatencyRecorder:
     def test_exact_moments(self):
-        recorder = LatencyRecorder()
+        recorder = histogram_child()
         for value in (1.0, 2.0, 3.0):
-            recorder.record(value)
+            recorder.observe(value)
         assert recorder.count == 3
         assert recorder.mean == pytest.approx(2.0)
         assert recorder.minimum == 1.0
         assert recorder.maximum == 3.0
 
     def test_percentiles_small_sample(self):
-        recorder = LatencyRecorder()
+        recorder = histogram_child()
         for value in range(1, 101):
-            recorder.record(float(value))
+            recorder.observe(float(value))
         assert recorder.percentile(50) == pytest.approx(50.5, abs=1.0)
         assert recorder.percentile(0) == 1.0
         assert recorder.percentile(100) == 100.0
 
     def test_reservoir_bounded(self):
-        recorder = LatencyRecorder(reservoir_size=64)
-        for value in range(10_000):
-            recorder.record(float(value % 100))
+        recorder = histogram_child()
+        for value in range(3 * RESERVOIR_SIZE):
+            recorder.observe(float(value % 100))
         # percentile over reservoir stays in the data range
         assert 0 <= recorder.percentile(50) <= 99
-        assert recorder.count == 10_000
-
-    def test_stddev(self):
-        recorder = LatencyRecorder()
-        for value in (2.0, 2.0, 2.0):
-            recorder.record(value)
-        assert recorder.stddev == pytest.approx(0.0)
+        assert recorder.count == 3 * RESERVOIR_SIZE
+        assert len(recorder._reservoir) == RESERVOIR_SIZE
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            LatencyRecorder().record(-1.0)
+            histogram_child().observe(-1.0)
 
     def test_summary_keys(self):
-        recorder = LatencyRecorder()
-        recorder.record(1.0)
+        recorder = histogram_child()
+        recorder.observe(1.0)
         summary = recorder.summary()
         assert set(summary) == {"count", "mean", "min", "max", "p50", "p95", "p99"}
 
     def test_empty_recorder_safe(self):
-        recorder = LatencyRecorder()
+        recorder = histogram_child()
         assert recorder.mean == 0.0
         assert recorder.percentile(50) == 0.0
 
     def test_empty_recorder_extreme_percentiles(self):
-        recorder = LatencyRecorder()
+        recorder = histogram_child()
         assert recorder.percentile(0) == 0.0
         assert recorder.percentile(100) == 0.0
 
     def test_extreme_percentiles_exact_beyond_reservoir(self):
-        # The reservoir keeps only 4 of 1000 samples, yet p=0/p=100 must
-        # return the exact streamed extremes, not reservoir endpoints.
-        recorder = LatencyRecorder(reservoir_size=4, seed=1)
-        for value in range(1, 1001):
-            recorder.record(float(value))
+        # The reservoir keeps RESERVOIR_SIZE of 2.5x as many samples, yet
+        # p=0/p=100 must return the exact streamed extremes, not reservoir
+        # endpoints.
+        recorder = histogram_child(seed=1)
+        total = RESERVOIR_SIZE * 5 // 2
+        for value in range(1, total + 1):
+            recorder.observe(float(value))
         assert recorder.percentile(0) == 1.0
-        assert recorder.percentile(100) == 1000.0
+        assert recorder.percentile(100) == float(total)
 
     def test_percentile_exact_while_reservoir_unsaturated(self):
-        recorder = LatencyRecorder(reservoir_size=100)
+        recorder = histogram_child()
         for value in (10.0, 20.0, 30.0, 40.0, 50.0):
-            recorder.record(value)
+            recorder.observe(value)
         assert recorder.percentile(50) == 30.0
         assert recorder.percentile(25) == 20.0
 
     def test_percentile_out_of_range_rejected(self):
-        recorder = LatencyRecorder()
-        recorder.record(1.0)
+        recorder = histogram_child()
+        recorder.observe(1.0)
         with pytest.raises(ValueError):
             recorder.percentile(-0.1)
         with pytest.raises(ValueError):
             recorder.percentile(100.1)
 
     def test_single_sample_all_percentiles(self):
-        recorder = LatencyRecorder()
-        recorder.record(7.5)
+        recorder = histogram_child()
+        recorder.observe(7.5)
         for p in (0, 1, 50, 99, 100):
             assert recorder.percentile(p) == 7.5
 
