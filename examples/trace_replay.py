@@ -73,7 +73,6 @@ def main() -> None:
         max_group_size=6,
         expected_files_per_mds=max(256, stats.num_active_files // args.servers * 2),
         lru_capacity=1_000,
-        memory_mode="proportional",
     )
     # Constrain memory to ~60% of HBA's working set, the regime where
     # Figure 8 shows HBA degrading.

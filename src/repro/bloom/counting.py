@@ -16,7 +16,7 @@ index over them instead of a packed form per filter.
 Storage: one byte per cell (two when ``counter_bits > 8``), not a list of
 Python ints — a fleet holds one of these per (MDS, home) pair.  That is
 the process's footprint; :meth:`CountingBloomFilter.size_bytes` stays the
-*modelled* ``counter_bits`` per cell that ``MemoryModel`` budgets with.
+*modelled* ``counter_bits`` per cell that the memory budget counts.
 """
 
 from __future__ import annotations

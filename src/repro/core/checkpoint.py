@@ -32,7 +32,7 @@ from repro.metadata.attributes import FileKind, FileMetadata
 PathLike = Union[str, Path]
 
 #: Bumped on any incompatible format change.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -55,7 +55,6 @@ _CONFIG_FIELDS = (
     "cooperative_fanout",
     "update_threshold_bits",
     "memory_budget_bytes",
-    "memory_mode",
     "seed",
     "heartbeat_interval_s",
     "heartbeat_timeout_s",

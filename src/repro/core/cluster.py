@@ -29,10 +29,7 @@ from repro.core.group import Group, GroupError
 from repro.core.query import QueryLevel, QueryResult
 from repro.core.walk import walk
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
-from repro.core.server import (
-    CONSUMER_METADATA,
-    MetadataServer,
-)
+from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -441,7 +438,7 @@ class _ModelWalk:
             server = cluster.servers[server_id]
             if not server.local_filter.query(self.path):
                 continue
-            meta_fraction = server.memory.resident_fraction(CONSUMER_METADATA)
+            meta_fraction = server.resident_fraction
             verify_costs.append(
                 net.memory_probe_ms
                 + meta_fraction * net.memory_record_ms

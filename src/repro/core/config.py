@@ -48,9 +48,9 @@ class GHBAConfig:
         its bit difference from the live filter exceeds this (Section 3.4).
     memory_budget_bytes:
         Per-MDS main memory for Bloom structures + metadata; None = unbounded.
-    memory_mode:
-        Residency policy of :class:`~repro.sim.memory.MemoryModel`
-        ("priority" or "proportional").
+        Past it every structure keeps ``budget / footprint`` of itself in
+        memory (:attr:`MetadataServer.resident_fraction
+        <repro.core.server.MetadataServer.resident_fraction>`).
     seed:
         Hash family seed shared by every MDS so filters stay comparable.
     network:
@@ -70,7 +70,6 @@ class GHBAConfig:
     cooperative_fanout: int = 2
     update_threshold_bits: int = 64
     memory_budget_bytes: Optional[int] = None
-    memory_mode: str = "proportional"
     seed: int = 0
     network: NetworkModel = field(default_factory=NetworkModel)
     heartbeat_interval_s: float = 1.0
@@ -99,10 +98,10 @@ class GHBAConfig:
             )
         if self.heartbeat_interval_s <= 0 or self.heartbeat_timeout_s <= 0:
             raise ValueError("heartbeat intervals must be positive")
-        if self.memory_mode not in ("priority", "proportional"):
+        if self.memory_budget_bytes is not None and self.memory_budget_bytes < 0:
             raise ValueError(
-                f"memory_mode must be 'priority' or 'proportional', "
-                f"got {self.memory_mode!r}"
+                "memory_budget_bytes must be non-negative, "
+                f"got {self.memory_budget_bytes}"
             )
         if self.lru_policy not in ("lru", "fifo", "lfu"):
             raise ValueError(

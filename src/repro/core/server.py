@@ -10,8 +10,10 @@ Each MDS owns:
   resolved lookups,
 - an L2 :class:`~repro.bloom.arrays.BloomFilterArray` holding the ``theta``
   replicas assigned to it by its group,
-- a :class:`~repro.sim.memory.MemoryModel` deciding how much of that state
-  is memory-resident.
+- a memory budget and the one resident fraction it implies: once the
+  footprint of all of the above outgrows the budget, every structure keeps
+  ``budget / footprint`` of itself in memory and the rest pays disk
+  latency (the mechanism of Figures 8-10 and 14).
 
 The server knows nothing about groups or routing — that is the cluster's
 job — but exposes the probe and verification primitives each query level
@@ -32,18 +34,6 @@ from repro.metadata.store import MetadataStore
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.obs.registry import MetricsRegistry
-from repro.sim.memory import (
-    MemoryModel,
-    PRIORITY_METADATA,
-    PRIORITY_PINNED,
-    PRIORITY_REPLICAS,
-)
-
-#: Memory consumer names used by every MDS.
-CONSUMER_LOCAL_FILTER = "local_filter"
-CONSUMER_LRU = "lru_array"
-CONSUMER_REPLICAS = "replicas"
-CONSUMER_METADATA = "metadata"
 
 
 class MetadataServer:
@@ -79,7 +69,7 @@ class MetadataServer:
         else:
             self._l1_probe_counter = None
             self._l2_probe_counter = None
-        self.store = MetadataStore(memory_budget_bytes=None)
+        self.store = MetadataStore()
         self.local_filter = BloomFilter(
             config.filter_num_bits, config.filter_num_hashes, config.seed
         )
@@ -94,7 +84,7 @@ class MetadataServer:
         #: Groups holding a fused L3 probe plan over this server's segment;
         #: replica mutations push-invalidate their plans (see Group).
         self._plan_owners: List[object] = []
-        self.memory = MemoryModel(config.memory_budget_bytes, config.memory_mode)
+        self._memory_budget_bytes = config.memory_budget_bytes
         self._metadata_bytes = 0
         #: Snapshot of the local filter as last replicated to remote groups;
         #: the XOR-threshold rule compares against this (Section 3.4).
@@ -117,14 +107,12 @@ class MetadataServer:
         #: Mutations this server actually applied (not deduped, not noop) —
         #: the observable the at-most-once tests assert on.
         self.writeback_applied = 0
-        # Latency-model memos for the query hot path.  Both are keyed on
-        # the identity of the MemoryModel's residency dict — a fresh dict
-        # object appears whenever any consumer (and hence theta) or the
-        # budget changes, so identity doubles as a version token.
-        self._probe_cost_token: Optional[Dict[str, float]] = None
+        # Latency-model memos for the query hot path, each valid for the
+        # network it was derived with.  Every refresh of the resident
+        # fraction clears both, and theta only moves under a refresh, so
+        # a memo re-derives exactly when one of its inputs may have moved.
         self._probe_cost_net: object = None
         self._probe_cost_ms = 0.0
-        self._fetch_penalty_token: Optional[Dict[str, float]] = None
         self._fetch_penalty_net: object = None
         self._fetch_penalty_ms = 0.0
         self._empty_segment_lookup: Optional[ArrayLookup] = None
@@ -133,15 +121,22 @@ class MetadataServer:
     # ------------------------------------------------------------------
     # Memory accounting
     # ------------------------------------------------------------------
+    @property
+    def memory_budget_bytes(self) -> Optional[int]:
+        """Main memory for Bloom structures + metadata; None = unbounded."""
+        return self._memory_budget_bytes
+
+    @memory_budget_bytes.setter
+    def memory_budget_bytes(self, budget: Optional[int]) -> None:
+        if budget is not None and budget < 0:
+            raise ValueError(f"budget must be non-negative, got {budget}")
+        self._memory_budget_bytes = budget
+        self._derive_resident_fraction()
+
     def _refresh_memory_accounting(self) -> None:
-        """Re-read all four footprints: what a replica or filter change,
-        a bulk load and a restore call."""
-        self.memory.set_consumer(
-            CONSUMER_LOCAL_FILTER, self.local_filter.size_bytes(), PRIORITY_PINNED
-        )
-        self.memory.set_consumer(
-            CONSUMER_REPLICAS, self.segment.size_bytes(), PRIORITY_REPLICAS
-        )
+        """Re-read every footprint: what a replica or filter change, a
+        bulk load and a restore call."""
+        self._filter_bytes = self.local_filter.size_bytes() + self.segment.size_bytes()
         self._refresh_record_accounting()
 
     def _refresh_record_accounting(self) -> None:
@@ -151,43 +146,41 @@ class MetadataServer:
         segment change under a full refresh, nowhere else).  The L1
         array's is re-read too: it grows on the *query* path, and the next
         mutation is what has always carried that growth into the memory
-        model (DESIGN.md §17).  Either ``set_consumer`` drops the
-        residency dict, so the ``*_cached`` identity tokens below re-derive
-        exactly as after a full refresh.
+        model (DESIGN.md §17).
         """
-        self.memory.set_consumer(
-            CONSUMER_LRU, self.lru.size_bytes(), PRIORITY_PINNED
+        #: Bytes of local filter, replicas, L1 array and records as of
+        #: the last refresh.
+        self.footprint_bytes = (
+            self._filter_bytes + self.lru.size_bytes() + self._metadata_bytes
         )
-        self.memory.set_consumer(
-            CONSUMER_METADATA, self._metadata_bytes, PRIORITY_METADATA
+        self._derive_resident_fraction()
+
+    def _derive_resident_fraction(self) -> None:
+        budget, total = self._memory_budget_bytes, self.footprint_bytes
+        #: Share of every structure held in memory; the rest pays disk.
+        self.resident_fraction = (
+            1.0 if budget is None or total <= budget else budget / total
         )
+        self._probe_cost_net = None
+        self._fetch_penalty_net = None
 
     def probe_cost_cached(self, net) -> float:
-        """Memoized ``net.probe_cost_ms(theta, replica residency)``.
-
-        Bit-identical to recomputing: the memo key is the residency dict's
-        identity, and every path that changes theta or residency refreshes
-        the memory accounting, which mints a new dict.
-        """
-        token = self.memory._residency()
-        if token is not self._probe_cost_token or net is not self._probe_cost_net:
+        """Memoized ``net.probe_cost_ms(theta, resident_fraction)``."""
+        if net is not self._probe_cost_net:
             self._probe_cost_ms = net.probe_cost_ms(
-                len(self.segment), token[CONSUMER_REPLICAS]
+                len(self.segment), self.resident_fraction
             )
-            self._probe_cost_token = token
             self._probe_cost_net = net
         return self._probe_cost_ms
 
     def fetch_penalty_cached(self, net) -> float:
         """Memoized metadata-fetch latency (memory/disk blend) at this MDS."""
-        token = self.memory._residency()
-        if token is not self._fetch_penalty_token or net is not self._fetch_penalty_net:
-            fraction = token[CONSUMER_METADATA]
+        if net is not self._fetch_penalty_net:
+            fraction = self.resident_fraction
             self._fetch_penalty_ms = (
                 fraction * net.memory_record_ms
                 + (1.0 - fraction) * net.disk_access_ms
             )
-            self._fetch_penalty_token = token
             self._fetch_penalty_net = net
         return self._fetch_penalty_ms
 
@@ -321,7 +314,7 @@ class MetadataServer:
         return len(self.store)
 
     def has_metadata(self, path: str) -> bool:
-        """Ground-truth check (no stats side effects)."""
+        """Ground-truth check (leaves the store's recency order alone)."""
         return path in self.store
 
     def verify_and_fetch(self, path: str) -> Optional[FileMetadata]:

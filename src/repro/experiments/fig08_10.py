@@ -8,9 +8,9 @@ steeply with accumulated metadata, while G-HBA's ``(N - M')/M'`` replicas
 stay memory-resident and its latency remains low and flat.
 
 We reproduce the mechanism at laptop scale (DESIGN.md §2): metadata
-accumulates as the trace touches new files, the per-MDS
-:class:`~repro.sim.memory.MemoryModel` computes the shrinking resident
-fraction, and Bloom probes against spilled replicas pay disk latency.
+accumulates as the trace touches new files, each MDS's resident fraction
+(budget over footprint) shrinks, and Bloom probes against spilled replicas
+pay disk latency.
 Memory budgets are expressed as fractions of the end-of-run working set so
 the experiment is scale-free; EXPERIMENTS.md maps them onto the paper's
 absolute MB figures.
@@ -88,7 +88,6 @@ def run_one(
         expected_files_per_mds=max(256, int(num_files / num_servers * 1.5)),
         lru_capacity=max(64, num_files // 20),
         lru_filter_bits=1 << 10,
-        memory_mode="proportional",
         seed=seed,
     )
     # Budget is anchored to HBA's working set so "500 MB" means the same

@@ -57,7 +57,6 @@ def run_one(
         expected_files_per_mds=max(256, int(num_files / num_nodes * 2)),
         lru_capacity=max(128, num_files // 4),
         lru_filter_bits=1 << 12,
-        memory_mode="proportional",
         seed=seed,
     )
     rows: List[Dict[str, object]] = []

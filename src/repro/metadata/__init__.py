@@ -7,14 +7,13 @@ the metadata being managed:
   (size, timestamps, ownership, mode).
 - :class:`~repro.metadata.namespace.Namespace` — a hierarchical directory
   tree with POSIX-style path resolution, create/delete/rename.
-- :class:`~repro.metadata.store.MetadataStore` — the per-MDS store with an
-  in-memory tier and a simulated on-disk tier, tracking which accesses would
-  have hit disk (the quantity behind Figures 8-10).
+- :class:`~repro.metadata.store.MetadataStore` — the per-MDS record store,
+  in recency order with a lazy sorted path index for subtree renames.
 """
 
 from repro.metadata.attributes import FileKind, FileMetadata
 from repro.metadata.namespace import Namespace, NamespaceError, PathNotFound
-from repro.metadata.store import MetadataStore, StoreAccess
+from repro.metadata.store import MetadataStore
 
 __all__ = [
     "FileKind",
@@ -23,5 +22,4 @@ __all__ = [
     "NamespaceError",
     "PathNotFound",
     "MetadataStore",
-    "StoreAccess",
 ]

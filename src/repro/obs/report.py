@@ -236,18 +236,15 @@ def gateway_pipeline_report(registry, prefixes=PIPELINE_PREFIXES) -> str:
     return "\n".join(["-- gateway pipeline counters --"] + rows)
 
 
-def transport_report(registry) -> str:
-    """Counter/gauge tables for the wire transport (``transport_*``).
-
-    Covers both transports' shared retry counters and the TCP-only wire
-    stats (bytes/frames by direction, connects, backpressure stalls,
-    queue high-water).  Returns ``""`` when no transport family has
-    recorded anything, so virtual-clock runs keep their report
-    byte-identical.
+def _counter_section(registry, prefix: str, title: str) -> str:
+    """One line per counter or gauge family named ``prefix*``, its
+    series ordered by joined label string, under ``-- {title} --``.
+    Returns ``""`` when no such family has recorded anything, so runs
+    without that subsystem keep their report byte-identical.
     """
     rows: List[str] = []
     for family in registry.families():
-        if not family.name.startswith("transport_"):
+        if not family.name.startswith(prefix):
             continue
         if family.kind not in ("counter", "gauge") or len(family) == 0:
             continue
@@ -264,36 +261,21 @@ def transport_report(registry) -> str:
         rows.append(f"{family.name:<42} {cells}")
     if not rows:
         return ""
-    return "\n".join(["-- transport counters --"] + rows)
+    return "\n".join([f"-- {title} --"] + rows)
+
+
+def transport_report(registry) -> str:
+    """The wire transport's section (``transport_*``): both transports'
+    shared retry counters and the TCP-only wire stats (bytes/frames by
+    direction, connects, backpressure stalls, queue high-water)."""
+    return _counter_section(registry, "transport_", "transport counters")
 
 
 def replication_report(registry) -> str:
-    """Counter/gauge tables for cross-cluster replication
-    (``replication_*``): captured/shipped/acked entries, retransmits,
-    fencing rejections, per-home lag gauges.  Returns ``""`` when no
-    replication family has recorded anything, so runs without a
-    standby keep their report byte-identical.
-    """
-    rows: List[str] = []
-    for family in registry.families():
-        if not family.name.startswith("replication_"):
-            continue
-        if family.kind not in ("counter", "gauge") or len(family) == 0:
-            continue
-        series = {
-            "|".join(labels): child.value
-            for labels, child in family.children()
-        }
-        if set(series) == {""}:
-            cells = f"{series['']:g}"
-        else:
-            cells = "  ".join(
-                f"{label}={value:g}" for label, value in sorted(series.items())
-            )
-        rows.append(f"{family.name:<42} {cells}")
-    if not rows:
-        return ""
-    return "\n".join(["-- replication counters --"] + rows)
+    """Cross-cluster replication's section (``replication_*``):
+    captured/shipped/acked entries, retransmits, fencing rejections,
+    per-home lag gauges."""
+    return _counter_section(registry, "replication_", "replication counters")
 
 
 def render_report(

@@ -13,6 +13,7 @@ reaches the plan's directory by its own, cheaper, piggy-backed exchange.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
 from typing import Dict, Iterable, List, Optional
@@ -370,17 +371,21 @@ class PrototypeCluster:
         return placement
 
     def set_memory_budget(self, budget_bytes: Optional[int]) -> None:
-        """Apply a per-node memory budget to every node (and future state).
+        """Apply a per-node memory budget to every live node and to every
+        node built later (a newcomer, a restored crash).
 
         Used by the latency experiments to anchor both schemes to the same
         absolute budget after population, when working sets are measurable.
         """
+        self.config = dataclasses.replace(
+            self.config, memory_budget_bytes=budget_bytes
+        )
         for node in self.nodes.values():
-            node.server.memory.budget_bytes = budget_bytes
+            node.server.memory_budget_bytes = budget_bytes
 
     def mean_working_set_bytes(self) -> float:
-        """Mean per-node bytes across all registered memory consumers."""
-        totals = [node.server.memory.total_bytes for node in self.nodes.values()]
+        """Mean per-node memory footprint as of each node's last refresh."""
+        totals = [node.server.footprint_bytes for node in self.nodes.values()]
         return sum(totals) / len(totals)
 
     def _refresh_replicas(self) -> None:

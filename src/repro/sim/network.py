@@ -26,7 +26,7 @@ class NetworkModel:
     memory_probe_ms:
         One Bloom filter probe against an in-memory filter.
     memory_record_ms:
-        Fetching a metadata record from the in-memory store tier.
+        Fetching a memory-resident metadata record.
     disk_access_ms:
         One disk access (probing a spilled Bloom filter page or reading an
         on-disk metadata record).
@@ -66,8 +66,8 @@ class NetworkModel:
         """Cost of probing ``num_filters`` Bloom filters on one node.
 
         ``in_memory_fraction`` is the fraction of the filters resident in
-        memory (from :class:`~repro.sim.memory.MemoryModel`); the remainder
-        costs a disk access each.
+        memory (an MDS's ``resident_fraction``); the remainder costs a
+        disk access each.
         """
         if num_filters < 0:
             raise ValueError(f"num_filters must be non-negative, got {num_filters}")

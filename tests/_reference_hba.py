@@ -55,7 +55,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.core.cluster import populate_servers
 from repro.core.config import GHBAConfig
 from repro.core.query import QueryLevel, QueryResult
-from repro.core.server import CONSUMER_METADATA, MetadataServer
+from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 
 
@@ -384,7 +384,7 @@ class HBACluster:
         for server in self.servers.values():
             if not server.local_filter.query(path):
                 continue
-            meta_fraction = server.memory.resident_fraction(CONSUMER_METADATA)
+            meta_fraction = server.resident_fraction
             verify_costs.append(
                 net.memory_probe_ms
                 + meta_fraction * net.memory_record_ms

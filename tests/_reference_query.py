@@ -25,7 +25,7 @@ from typing import List, Optional
 
 from repro.core.cluster import GHBACluster
 from repro.core.query import QueryLevel, QueryResult
-from repro.core.server import CONSUMER_METADATA, MetadataServer
+from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 
 
@@ -328,7 +328,7 @@ class ReferenceQueryCluster(GHBACluster):
             server = self.servers[server_id]
             if not server.local_filter.query(path):
                 continue
-            meta_fraction = server.memory.resident_fraction(CONSUMER_METADATA)
+            meta_fraction = server.resident_fraction
             verify_costs.append(
                 net.memory_probe_ms
                 + meta_fraction * net.memory_record_ms

@@ -95,7 +95,6 @@ class TestMemoryPressureEffect:
             expected_files_per_mds=512,
             lru_capacity=64,
             lru_filter_bits=512,
-            memory_mode="proportional",
             seed=2,
         )
         n = 12
@@ -106,7 +105,7 @@ class TestMemoryPressureEffect:
         probe = HBACluster(n, base, seed=2)
         probe.populate(paths)
         working_set = sum(
-            server.memory.total_bytes for server in probe.servers.values()
+            server.footprint_bytes for server in probe.servers.values()
         ) / n
         config = dataclasses.replace(
             base, memory_budget_bytes=int(working_set * 0.6)

@@ -139,6 +139,16 @@ class TestDynamicMembership:
             assert len(proto.groups) == groups_before + 1
             proto.check_directory()
 
+    def test_memory_budget_reaches_restored_and_new_nodes(self, ghba_proto):
+        ghba_proto.populate(f"/d/f{i}" for i in range(50))
+        ghba_proto.set_memory_budget(1000)
+        ghba_proto.crash_node(3)
+        restored = ghba_proto.restore_node(3).server
+        newcomer = ghba_proto.nodes[ghba_proto.add_node()["node_id"]].server
+        for server in (restored, newcomer, ghba_proto.nodes[0].server):
+            assert server.memory_budget_bytes == 1000
+            assert server.resident_fraction == 1000 / server.footprint_bytes
+
 
 class TestNodeRemoval:
     def test_ghba_remove_keeps_directory_consistent(self, ghba_proto):

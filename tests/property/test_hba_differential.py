@@ -61,7 +61,6 @@ def _config(seed, budget=None):
         lru_num_hashes=3,
         update_threshold_bits=8,
         memory_budget_bytes=budget,
-        memory_mode="proportional",
         seed=seed,
     )
 
@@ -118,7 +117,7 @@ class _Twins:
             probe = ReferenceHBACluster(servers, _config(seed), seed=seed)
             probe.populate(PATHS, policy)
             working_set = sum(
-                server.memory.total_bytes for server in probe.servers.values()
+                server.footprint_bytes for server in probe.servers.values()
             ) / servers
             budget = int(working_set * budget_share)
         config = _config(seed, budget)
@@ -274,7 +273,7 @@ def test_scripts_reach_the_cases_that_matter():
                 grew += live.num_servers > before
                 shrank += live.num_servers < before
             spilled += any(
-                server.memory.resident_fraction("replicas") < 1.0
+                server.resident_fraction < 1.0
                 for server in live.servers.values()
             )
     assert levels == set(QueryLevel) - {QueryLevel.L3}, levels

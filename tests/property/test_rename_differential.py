@@ -193,8 +193,6 @@ class _Twins:
                     f"MDS {server_id} holds {sorted(mine.store.paths())}, "
                     f"reference {sorted(theirs.store.paths())}"
                 )
-            if mine.store.stats != theirs.store.stats:
-                return f"MDS {server_id} store stats diverged"
             if mine.local_filter.bits != theirs.local_filter.bits:
                 return f"MDS {server_id} local filter bits diverged"
             if list(mine.lru._entries.items()) != list(theirs.lru._entries.items()):

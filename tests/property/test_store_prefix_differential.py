@@ -9,13 +9,12 @@ sequences and requires, after every op, that
 
 - ``paths_under(prefix)`` is the scan's answer in sorted order, for the
   op's own prefix, and
-- once built, the index is exactly ``sorted(store.paths())`` — both
-  tiers, nothing stale, nothing twice.
+- once built, the index is exactly ``sorted(store.paths())`` — nothing
+  stale, nothing twice.
 
 The first query lands at a random point of the sequence, so the lazy
-build sees a store with history (overwrites, ``get`` promotions, records
-spilled to the disk tier by a budget shrink) and every later op runs
-against a maintained index.  Names come from an alphabet chosen for how
+build sees a store with history (overwrites, ``get`` promotions,
+removals) and every later op runs against a maintained index.  Names come from an alphabet chosen for how
 it *sorts*: ``-``, ``.`` and space order below ``/``, ``0`` is the code
 point right above it (the range's open end), and ``é`` is outside ASCII
 (once inside a component, once leading it, far above any ASCII bound);
@@ -41,9 +40,6 @@ SEEDS = range(48)
 #: One component per way of sorting around ``/`` (0x2F): ``d`` followed
 #: by space (0x20), ``-`` (0x2D), ``.`` (0x2E), ``0`` (0x30), ``é``.
 COMPONENTS = ("d", "d.mv", "d-1", "d x", "d0", "dé", "éd")
-#: A record is 256 + len(path) bytes; budgets from "nothing fits" to "a
-#: handful fit" to unbounded.
-BUDGETS = (0, 300, 1500, 4000, None)
 
 
 def _scan(store, prefix):
@@ -73,12 +69,10 @@ def _generate_ops(seed, length=140):
             ops.append(("under", prefix))
         elif roll < 0.62:
             ops.append(("put", (_path(rng), rng.randrange(1 << 20))))
-        elif roll < 0.74:
+        elif roll < 0.78:
             ops.append(("get", _path(rng)))
-        elif roll < 0.90:
-            ops.append(("remove", _path(rng)))
         elif roll < 0.98:
-            ops.append(("budget", rng.choice(BUDGETS)))
+            ops.append(("remove", _path(rng)))
         else:
             ops.append(("clear", None))
     return ops
@@ -92,8 +86,6 @@ def _apply(store, op, arg):
         store.get(arg)
     elif op == "remove":
         store.remove(arg, missing_ok=True)
-    elif op == "budget":
-        store.memory_budget_bytes = arg
     elif op == "clear":
         store.clear()
     elif op == "under":
@@ -130,10 +122,10 @@ def test_indexed_subtree_query_matches_the_scan(seed):
 
 def test_sequences_reach_the_cases_that_matter():
     """The generator is not vacuous: across the seeds the lazy build sees
-    a non-empty store, answers come out of the disk tier, a prefix is
-    itself a stored file with records below it, the ``.mv`` sibling sits
-    beside a non-empty ``d/…``, and the index survives a ``clear``."""
-    lazy_builds = from_disk = prefix_is_file = mv_sibling = rebuilt = 0
+    a non-empty store, a prefix is itself a stored file with records
+    below it, the ``.mv`` sibling sits beside a non-empty ``d/…``, and the
+    index survives a ``clear``."""
+    lazy_builds = prefix_is_file = mv_sibling = rebuilt = 0
     for seed in SEEDS:
         store = MetadataStore()
         cleared = False
@@ -148,13 +140,12 @@ def test_sequences_reach_the_cases_that_matter():
                 lazy_builds += 1
                 rebuilt += cleared
             answer = store.paths_under(arg)
-            from_disk += any(path in store._disk for path in answer)
             prefix_is_file += arg in store and len(answer) > 1
             mv_sibling += (
                 len(answer) > 0 and arg + ".mv" in store and arg in ("/d", "/éd/d")
             )
-    assert min(lazy_builds, from_disk, prefix_is_file, mv_sibling, rebuilt) > 0, (
-        lazy_builds, from_disk, prefix_is_file, mv_sibling, rebuilt
+    assert min(lazy_builds, prefix_is_file, mv_sibling, rebuilt) > 0, (
+        lazy_builds, prefix_is_file, mv_sibling, rebuilt
     )
 
 
@@ -179,7 +170,7 @@ def test_subtree_is_the_name_plus_one_half_open_range():
 
 def test_index_is_not_built_until_a_subtree_is_asked_for():
     """A store that never renames pays nothing: no index object exists."""
-    store = MetadataStore(memory_budget_bytes=600)
+    store = MetadataStore()
     for inode in range(8):
         store.put(FileMetadata(path=f"/d/f{inode}", inode=inode))
     store.get("/d/f0")

@@ -1,17 +1,20 @@
 """Property-based tests for the store, memory model and event engine."""
 
+from collections import OrderedDict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import GHBAConfig
+from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 from repro.metadata.store import MetadataStore
 from repro.sim.engine import Simulator
-from repro.sim.memory import MemoryModel
 
 
 class TestStoreModelConformance:
-    """The tiered store must behave exactly like a dict, regardless of the
-    memory budget — tiering may move records, never lose or corrupt them."""
+    """The store must behave exactly like an ordered dict in recency
+    order: ``put`` re-appends, a ``get`` hit moves to the end."""
 
     @given(
         ops=st.lists(
@@ -21,82 +24,61 @@ class TestStoreModelConformance:
             ),
             max_size=60,
         ),
-        budget=st.one_of(st.none(), st.integers(min_value=0, max_value=2_000)),
     )
     @settings(max_examples=60)
-    def test_matches_dict_model(self, ops, budget):
-        store = MetadataStore(memory_budget_bytes=budget)
-        model = {}
+    def test_matches_dict_model(self, ops):
+        store = MetadataStore()
+        model = OrderedDict()
         for op, key_index in ops:
             path = f"/store/k{key_index}"
             if op == "put":
                 meta = FileMetadata(path=path, inode=key_index)
                 store.put(meta)
+                model.pop(path, None)
                 model[path] = meta
             elif op == "get":
                 assert store.get(path) == model.get(path)
+                if path in model:
+                    model.move_to_end(path)
             else:
                 assert store.remove(path, missing_ok=True) == (
                     model.pop(path, None) is not None
                 )
             assert len(store) == len(model)
-        for path, meta in model.items():
-            assert store.get(path) == meta
-
-    @given(budget=st.integers(min_value=0, max_value=5_000))
-    @settings(max_examples=30)
-    def test_memory_tier_never_exceeds_budget(self, budget):
-        store = MetadataStore(memory_budget_bytes=budget)
-        for i in range(30):
-            store.put(FileMetadata(path=f"/b/k{i}", inode=i))
-        assert store.memory_bytes <= max(
-            budget, FileMetadata(path="/b/k0", inode=0).size_bytes()
-        )
+        assert list(store.records()) == list(model.values())
 
 
 class TestMemoryModelProperties:
-    @given(
-        consumers=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=10_000),  # bytes
-                st.integers(min_value=0, max_value=3),       # priority
-            ),
-            min_size=1,
-            max_size=8,
-        ),
-        budget=st.one_of(st.none(), st.integers(min_value=0, max_value=30_000)),
-        mode=st.sampled_from(["priority", "proportional"]),
-    )
-    @settings(max_examples=80)
-    def test_residency_invariants(self, consumers, budget, mode):
-        model = MemoryModel(budget_bytes=budget, mode=mode)
-        for index, (size, priority) in enumerate(consumers):
-            model.set_consumer(f"c{index}", size, priority)
-        resident_bytes = 0.0
-        for name, size, fraction in model.snapshot():
-            assert 0.0 <= fraction <= 1.0
-            resident_bytes += size * fraction
-        if budget is not None:
-            assert resident_bytes <= budget + 1e-6
-        else:
-            assert resident_bytes == model.total_bytes
+    """``MetadataServer.resident_fraction``: the one memory model."""
 
     @given(
-        sizes=st.lists(
-            st.integers(min_value=1, max_value=1_000), min_size=2, max_size=6
-        ),
-        budget=st.integers(min_value=0, max_value=3_000),
+        sizes=st.lists(st.integers(min_value=1, max_value=400), max_size=12),
+        budget=st.one_of(st.none(), st.integers(min_value=0, max_value=30_000)),
     )
     @settings(max_examples=60)
-    def test_priority_mode_orders_residency(self, sizes, budget):
-        """A higher-priority (lower value) consumer is never less resident
-        than a lower-priority one."""
-        model = MemoryModel(budget_bytes=budget, mode="priority")
+    def test_residency_invariants(self, sizes, budget):
+        server = MetadataServer(
+            0,
+            GHBAConfig(
+                expected_files_per_mds=64,
+                lru_filter_bits=1 << 10,
+                memory_budget_bytes=budget,
+            ),
+        )
+        fraction = server.resident_fraction
         for index, size in enumerate(sizes):
-            model.set_consumer(f"c{index}", size, priority=index)
-        fractions = [model.resident_fraction(f"c{i}") for i in range(len(sizes))]
-        for earlier, later in zip(fractions, fractions[1:]):
-            assert earlier >= later - 1e-9
+            server.record_lru(f"/seen/{index}", index + 1)
+            server.insert_metadata(
+                FileMetadata(path="/r" + "x" * size + str(index), inode=index)
+            )
+            assert 0.0 <= server.resident_fraction <= 1.0
+            if budget is None or server.footprint_bytes <= budget:
+                assert server.resident_fraction == 1.0
+            else:
+                assert server.resident_fraction == budget / server.footprint_bytes
+            # The footprint only grew: residency never rises.
+            assert server.resident_fraction <= fraction
+            fraction = server.resident_fraction
 
 
 class TestEngineProperties:

@@ -105,6 +105,14 @@ class TestFormatGuards:
         with pytest.raises(ValueError, match="format"):
             checkpoint.restore(document)
 
+    def test_version_1_document_with_memory_mode_rejected(self, live_cluster):
+        """Refused with the typed error, not a TypeError from the config."""
+        document = checkpoint.snapshot(live_cluster)
+        document["format_version"] = 1
+        document["config"]["memory_mode"] = "proportional"
+        with pytest.raises(checkpoint.CheckpointError, match="format 1"):
+            checkpoint.restore(document)
+
     def test_corrupt_payload_rejected(self, live_cluster, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

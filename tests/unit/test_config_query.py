@@ -28,7 +28,7 @@ class TestConfig:
             {"lru_capacity": 0},
             {"update_threshold_bits": -1},
             {"heartbeat_interval_s": 0},
-            {"memory_mode": "bogus"},
+            {"memory_budget_bytes": -1},
         ],
     )
     def test_rejects_invalid(self, kwargs):

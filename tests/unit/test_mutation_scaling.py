@@ -128,7 +128,8 @@ def test_insert_and_delete_cost_is_independent_of_l1_filter_count():
         inserts.append(_lines(lambda: cluster.insert_file(meta, home_id=4)))
         deletes.append(_lines(lambda: cluster.delete_file("/new/file")))
         assert cluster.home_of("/new/file") is None
-        assert home.memory.consumer_bytes("lru_array") == home.lru.size_bytes()
+        rest = home._filter_bytes + home._metadata_bytes
+        assert home.footprint_bytes == rest + home.lru.size_bytes()
         cluster.check_invariants()
     assert inserts[0] == inserts[1] > 0
     assert deletes[0] == deletes[1] > 0

@@ -1,8 +1,10 @@
-"""Unit tests for the network latency and memory models."""
+"""Unit tests for the network latency model and an MDS's resident fraction."""
 
 import pytest
 
-from repro.sim.memory import MemoryModel, megabytes
+from repro.core.config import GHBAConfig
+from repro.core.server import MetadataServer
+from repro.metadata.attributes import FileMetadata
 from repro.sim.network import NetworkModel
 
 
@@ -62,83 +64,65 @@ class TestNetworkModel:
             NetworkModel(disk_access_ms=-1)
 
 
-class TestMemoryModelPriority:
-    def test_unbounded_everything_resident(self):
-        model = MemoryModel()
-        model.set_consumer("a", 1000, 0)
-        assert model.resident_fraction("a") == 1.0
 
-    def test_priority_spill_order(self):
-        model = MemoryModel(budget_bytes=150, mode="priority")
-        model.set_consumer("pinned", 100, 0)
-        model.set_consumer("bulk", 100, 2)
-        assert model.resident_fraction("pinned") == 1.0
-        assert model.resident_fraction("bulk") == pytest.approx(0.5)
+
+def mds(budget=None):
+    """An MDS with records and two hosted replicas."""
+    config = GHBAConfig(expected_files_per_mds=64, memory_budget_bytes=budget)
+    server = MetadataServer(0, config)
+    server.insert_many([FileMetadata(path=f"/m{i}", inode=i) for i in range(8)])
+    for home_id in (1, 2):
+        server.host_replica(home_id, MetadataServer(home_id, config).publish_filter())
+    return server
+
+
+class TestMemoryModelPriority:
+    """What the removed priority mode shared with the proportional rule,
+    now held by ``MetadataServer.resident_fraction``."""
+
+    def test_unbounded_everything_resident(self):
+        server = mds()
+        net = server.config.network
+        assert server.resident_fraction == 1.0
+        assert server.probe_cost_cached(net) == net.probe_cost_ms(2, 1.0)
 
     def test_fully_spilled_tail(self):
-        model = MemoryModel(budget_bytes=100, mode="priority")
-        model.set_consumer("first", 100, 0)
-        model.set_consumer("second", 50, 1)
-        assert model.resident_fraction("second") == 0.0
-
-    def test_zero_byte_consumer_fully_resident(self):
-        model = MemoryModel(budget_bytes=0, mode="priority")
-        model.set_consumer("empty", 0, 0)
-        assert model.resident_fraction("empty") == 1.0
-
-    def test_unknown_consumer_raises(self):
-        with pytest.raises(KeyError):
-            MemoryModel().resident_fraction("ghost")
+        server = mds(budget=0)
+        net = server.config.network
+        assert server.resident_fraction == 0.0
+        assert server.probe_cost_cached(net) == 2 * net.disk_access_ms
 
     def test_overcommitted_flag(self):
-        model = MemoryModel(budget_bytes=10)
-        model.set_consumer("a", 5, 0)
-        assert not model.overcommitted
-        model.set_consumer("b", 6, 1)
-        assert model.overcommitted
+        server = mds()
+        server.memory_budget_bytes = server.footprint_bytes
+        assert server.resident_fraction == 1.0
+        server.memory_budget_bytes = server.footprint_bytes - 1
+        assert server.resident_fraction < 1.0
 
 
 class TestMemoryModelProportional:
     def test_fits_budget_fully_resident(self):
-        model = MemoryModel(budget_bytes=200, mode="proportional")
-        model.set_consumer("a", 100, 0)
-        model.set_consumer("b", 100, 1)
-        assert model.resident_fraction("a") == 1.0
+        server = mds()
+        server.memory_budget_bytes = 2 * server.footprint_bytes
+        assert server.resident_fraction == 1.0
 
     def test_overcommit_shares_fraction(self):
-        model = MemoryModel(budget_bytes=100, mode="proportional")
-        model.set_consumer("a", 100, 0)
-        model.set_consumer("b", 100, 1)
-        assert model.resident_fraction("a") == pytest.approx(0.5)
-        assert model.resident_fraction("b") == pytest.approx(0.5)
+        server = mds()
+        budget = server.footprint_bytes // 2
+        server.memory_budget_bytes = budget
+        fraction = budget / server.footprint_bytes
+        assert server.resident_fraction == fraction
+        net = server.config.network
+        assert server.probe_cost_cached(net) == net.probe_cost_ms(2, fraction)
+        assert server.fetch_penalty_cached(net) == (
+            fraction * net.memory_record_ms + (1.0 - fraction) * net.disk_access_ms
+        )
 
     def test_budget_update_changes_fractions(self):
-        model = MemoryModel(budget_bytes=100, mode="proportional")
-        model.set_consumer("a", 200, 0)
-        assert model.resident_fraction("a") == pytest.approx(0.5)
-        model.budget_bytes = 50
-        assert model.resident_fraction("a") == pytest.approx(0.25)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryModel(mode="magic")
-
-
-class TestHelpers:
-    def test_snapshot_ordering(self):
-        model = MemoryModel(budget_bytes=100)
-        model.set_consumer("z_pinned", 10, 0)
-        model.set_consumer("a_bulk", 10, 2)
-        names = [name for name, _, _ in model.snapshot()]
-        assert names == ["z_pinned", "a_bulk"]
-
-    def test_remove_consumer(self):
-        model = MemoryModel()
-        model.set_consumer("a", 10, 0)
-        model.remove_consumer("a")
-        assert model.total_bytes == 0
-
-    def test_megabytes(self):
-        assert megabytes(1) == 1024 * 1024
-        with pytest.raises(ValueError):
-            megabytes(-1)
+        server = mds()
+        net = server.config.network
+        server.memory_budget_bytes = server.footprint_bytes // 2
+        half = server.probe_cost_cached(net)
+        server.memory_budget_bytes = server.footprint_bytes // 4
+        assert server.resident_fraction == pytest.approx(0.25, abs=1e-3)
+        assert server.probe_cost_cached(net) > half

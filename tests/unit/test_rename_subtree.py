@@ -103,11 +103,11 @@ class TestRenameByteAccounting:
         server = cluster.servers[0]
         cluster.insert_file(_meta("/dir/a"), home_id=0)
         cluster.insert_file(_meta("/dir/b"), home_id=0)
-        before = server.memory.consumer_bytes("metadata")
+        before = server.footprint_bytes
         cluster.rename_subtree("/dir", "/dir.mv")
-        assert server.memory.consumer_bytes("metadata") == before + 2 * 3
+        assert server.footprint_bytes == before + 2 * 3
         cluster.rename_subtree("/dir.mv", "/d")
-        assert server.memory.consumer_bytes("metadata") == before - 2 * 2
+        assert server.footprint_bytes == before - 2 * 2
 
     def test_overwritten_record_releases_its_bytes(self, small_cluster):
         cluster = small_cluster

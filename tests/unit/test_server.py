@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.config import GHBAConfig
-from repro.core.server import (
-    CONSUMER_METADATA,
-    CONSUMER_REPLICAS,
-    MetadataServer,
-)
+from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 
 
@@ -44,9 +40,8 @@ class TestHomeMetadata:
 
     def test_verify_and_fetch_filter_negative_short_circuits(self, server):
         """A negative filter answer must not touch the store."""
-        before = server.store.stats.total_lookups
+        server.store.get = lambda path: pytest.fail(f"store read for {path}")
         assert server.verify_and_fetch("/absent") is None
-        assert server.store.stats.total_lookups == before
 
     def test_remove_keeps_filter_bit_until_rebuild(self, server):
         server.insert_metadata(meta("/f"))
@@ -67,28 +62,52 @@ class TestHomeMetadata:
 
     def test_reinsert_does_not_double_count_memory(self, server):
         server.insert_metadata(meta("/f"))
-        bytes_before = server.memory.consumer_bytes(CONSUMER_METADATA)
+        bytes_before = server.footprint_bytes
         server.insert_metadata(meta("/f"))
-        assert server.memory.consumer_bytes(CONSUMER_METADATA) == bytes_before
+        assert server.footprint_bytes == bytes_before
 
     def test_record_mutations_carry_l1_growth_into_the_memory_model(self, server):
         """The L1 array grows on the query path; the next insert or delete
-        is what re-reads its footprint (ISSUE 16 kept that when it stopped
-        re-reading the two footprints a record mutation cannot move)."""
+        is what re-reads its footprint, and not before."""
+        server.memory_budget_bytes = server.footprint_bytes + 1
+        before = server.footprint_bytes
         for home_id in range(3):
             server.record_lru(f"/seen/{home_id}", home_id)
-        assert server.memory.consumer_bytes("lru_array") == 0
-        token = server.memory._residency()
+        assert server.lru.size_bytes() > 0
+        assert server.footprint_bytes == before
+        assert server.resident_fraction == 1.0
         server.insert_metadata(meta("/f"))
-        assert server.memory.consumer_bytes("lru_array") == server.lru.size_bytes() > 0
-        assert server.lru.size_bytes() == sum(
-            bloom.size_bytes() for bloom in server.lru._filters.values()
+        assert server.footprint_bytes == (
+            before + server.lru.size_bytes() + meta("/f").size_bytes()
         )
-        # A fresh residency dict: the *_cached latency memos re-derive.
-        assert server.memory._residency() is not token
-        token = server.memory._residency()
+        assert server.resident_fraction < 1.0
+        server.record_lru("/seen/3", 3)
         server.remove_metadata("/f")
-        assert server.memory._residency() is not token
+        assert server.footprint_bytes == before + server.lru.size_bytes()
+
+    def test_cost_memos_rederive_after_a_refresh_and_not_otherwise(self, server):
+        net = CountingNet(server.config.network)
+        costs = lambda: server.probe_cost_cached(net) + server.fetch_penalty_cached(net)
+        costs()
+        reads = net.reads
+        costs()
+        server.record_lru("/seen", 3)
+        costs()
+        assert net.reads == reads > 0
+        server.insert_metadata(meta("/f"))
+        costs()
+        assert net.reads == 2 * reads
+
+
+class CountingNet:
+    """A network model that counts the attributes read from it."""
+
+    def __init__(self, net):
+        self.net, self.reads = net, 0
+
+    def __getattr__(self, name):
+        self.reads += 1
+        return getattr(self.net, name)
 
 
 class TestReplicaHosting:
@@ -115,9 +134,12 @@ class TestReplicaHosting:
         assert server.probe_segment("/new-file").unique_hit == 1
 
     def test_memory_accounting_tracks_replicas(self, server, config):
-        before = server.memory.consumer_bytes(CONSUMER_REPLICAS)
-        server.host_replica(1, MetadataServer(1, config).publish_filter())
-        assert server.memory.consumer_bytes(CONSUMER_REPLICAS) > before
+        before = server.footprint_bytes
+        replica = MetadataServer(1, config).publish_filter()
+        server.host_replica(1, replica)
+        assert server.footprint_bytes == before + replica.size_bytes()
+        server.drop_replica(1)
+        assert server.footprint_bytes == before
 
 
 class TestLRU:
