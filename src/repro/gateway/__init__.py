@@ -58,7 +58,6 @@ from repro.gateway.client import (
 )
 from repro.gateway.coalesce import CoalescedBatch, HomeBatcher, coalesce
 from repro.gateway.cohort import (
-    BroadcastResult,
     CohortConfig,
     CohortMember,
     GatewayCohort,
@@ -88,7 +87,6 @@ __all__ = [
     "CoalescedBatch",
     "HomeBatcher",
     "coalesce",
-    "BroadcastResult",
     "CohortConfig",
     "CohortMember",
     "GatewayCohort",

@@ -38,12 +38,8 @@ from repro.metadata.namespace import is_under
 
 @dataclass
 class CacheEntry:
-    """One cached lease.
-
-    ``home_id``/``record`` are ``None`` for negative entries.  ``version``
-    bumps on every refresh so tests can distinguish a re-validated lease
-    from a stale survivor.
-    """
+    """One cached lease; ``home_id``/``record`` are ``None`` for negative
+    entries."""
 
     path: str
     home_id: Optional[int]
@@ -51,7 +47,6 @@ class CacheEntry:
     expires_at: float
     negative: bool = False
     pinned: bool = False
-    version: int = 0
     #: Backend path version at install time (``None`` when the installer
     #: did not learn one) — the base the write-back buffer stamps on
     #: mutations so the home MDS can arbitrate version races.
@@ -85,10 +80,7 @@ class CacheStats:
     hits: int = 0
     negative_hits: int = 0
     misses: int = 0
-    expired: int = 0
-    insertions: int = 0
     evictions: int = 0
-    clamped: int = 0
     invalidations: Dict[str, int] = field(default_factory=dict)
 
     def count_invalidation(self, cause: str, amount: int = 1) -> None:
@@ -169,7 +161,6 @@ class GatewayCache:
                 record=entry.record,
             )
         self.stats.misses += 1
-        self.stats.expired += 1
         predicted = None if entry.negative else entry.home_id
         return CacheLookup(path=path, predicted_home=predicted)
 
@@ -229,13 +220,11 @@ class GatewayCache:
         previous = self._entries.pop(entry.path, None)
         if previous is not None:
             self._unpinned.pop(entry.path, None)
-            entry.version = previous.version + 1
             # A refresh never *loses* the pin a hot entry earned.
             entry.pinned = entry.pinned or (previous.pinned and not entry.negative)
         self._entries[entry.path] = entry
         if not entry.pinned:
             self._unpinned[entry.path] = None
-        self.stats.insertions += 1
         while len(self._entries) > self.capacity:
             # The least-recent unpinned entry goes (the newcomer itself
             # when it is the only one).  Degenerate case, everything
@@ -328,7 +317,6 @@ class GatewayCache:
             if entry.expires_at > limit:
                 entry.expires_at = limit
                 shortened += 1
-        self.stats.clamped += shortened
         return shortened
 
     def release_ttl_clamp(self) -> None:

@@ -113,6 +113,18 @@ HOTSPOT_WINDOW_S = 5.0
 #: Client-side cost model: a lease answer costs one local memory probe
 #: equivalent; it never touches the network.
 CACHE_HIT_LATENCY_MS = 0.001
+#: Admission queue: requests parked beyond the token budget, and how long
+#: each may wait for a token before it sheds (virtual seconds).
+QUEUE_CAPACITY = 128
+QUEUE_DEADLINE_S = 0.5
+#: Keys per multi-key ``verify_batch`` round trip.
+MAX_BATCH = 16
+#: Attempts per write-back flush before the batch is re-parked (at a
+#: barrier: declared lost); then that home is left alone this long
+#: (virtual seconds), so an outage does not re-burn the retry budget on
+#: every enqueue or lookup.  Barriers ignore the backoff.
+FLUSH_RETRY_LIMIT = 3
+FLUSH_RETRY_BACKOFF_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -126,15 +138,11 @@ class GatewayConfig:
     # Admission control
     rate_per_s: float = 2000.0
     burst: float = 200.0
-    queue_capacity: int = 128
-    queue_deadline_s: float = 0.5
     #: ``"fair"`` (default) shares the rate across tenants by weighted
     #: max-min; ``"global"`` is the legacy single-FIFO tenant-blind
     #: bucket — kept so the isolation harness can show it failing.
     #: With one tenant the two modes are bit-identical.
     admission_mode: str = "fair"
-    # Coalescing / batching
-    max_batch: int = 16
     # Hotspot detection
     hot_threshold: int = 32
     # Write-back mutation buffering (DESIGN.md §11).  Off by default:
@@ -144,14 +152,6 @@ class GatewayConfig:
     flush_max_pending: int = 16
     #: ... or once its oldest pending mutation is this old (virtual s).
     flush_age_s: float = 0.25
-    #: Attempts per flush before the batch is re-parked (or, at a
-    #: barrier, declared lost).
-    flush_retry_limit: int = 3
-    #: After an unreachable-home flush re-parks its batch, leave that
-    #: home alone for this long before the triggers may fire again —
-    #: otherwise every enqueue/lookup during an outage re-burns the full
-    #: retry budget.  Barriers ignore the backoff.
-    flush_retry_backoff_s: float = 0.5
     #: Seed of the gateway-local RNG that places buffered creates with
     #: no home hint; separate from the cluster's RNG so buffering does
     #: not perturb backend query streams.
@@ -178,15 +178,6 @@ class GatewayConfig:
             if self.flush_age_s <= 0:
                 raise ValueError(
                     f"flush_age_s must be positive, got {self.flush_age_s}"
-                )
-            if self.flush_retry_limit < 1:
-                raise ValueError(
-                    f"flush_retry_limit must be >= 1, got {self.flush_retry_limit}"
-                )
-            if self.flush_retry_backoff_s < 0:
-                raise ValueError(
-                    "flush_retry_backoff_s must be non-negative, "
-                    f"got {self.flush_retry_backoff_s}"
                 )
 
 
@@ -246,11 +237,11 @@ class MetadataClient:
         self.admission: FairAdmissionController[str] = FairAdmissionController(
             rate_per_s=cfg.rate_per_s,
             burst=cfg.burst,
-            queue_capacity=cfg.queue_capacity,
-            queue_deadline_s=cfg.queue_deadline_s,
+            queue_capacity=QUEUE_CAPACITY,
+            queue_deadline_s=QUEUE_DEADLINE_S,
             per_tenant=cfg.admission_mode == "fair",
         )
-        self.batcher = HomeBatcher(max_batch=cfg.max_batch)
+        self.batcher = HomeBatcher(max_batch=MAX_BATCH)
         self.hotspots = HotspotDetector(
             capacity=HOTSPOT_CAPACITY,
             window_s=HOTSPOT_WINDOW_S,
@@ -438,13 +429,6 @@ class MetadataClient:
             if delta:
                 self._invalidations.labels(cause).inc(delta)
 
-    def clamp_leases(self, clamp_s: float, now: float) -> int:
-        """Bound every lease to ``clamp_s`` (cohort graceful degradation)."""
-        return self.cache.clamp_ttl(clamp_s, now)
-
-    def release_lease_clamp(self) -> None:
-        self.cache.release_ttl_clamp()
-
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
@@ -538,11 +522,10 @@ class MetadataClient:
     def _serve_tick(
         self, admitted: List[Tuple[str, str]], now: float
     ) -> List[GatewayResponse]:
-        cfg = self.config
         tenants = [tenant for tenant, _ in admitted]
         paths = [path for _, path in admitted]
-        for tenant, path in admitted:
-            self.hotspots.observe(path, now, tenant=tenant)
+        for path in paths:
+            self.hotspots.observe(path, now)
         # ---- cache ----------------------------------------------------
         answered: Dict[str, GatewayResponse] = {}
         predictions: List[Tuple[str, Optional[int]]] = []
@@ -1104,7 +1087,7 @@ class MetadataClient:
                 m.trace = span.context(origin)
         payload = [m.as_path_mutation() for m in batch]
         result = None
-        for _ in range(self.config.flush_retry_limit):
+        for _ in range(FLUSH_RETRY_LIMIT):
             report.attempts += 1
             self.backend_mutations += 1
             self._backend.labels("mutate_batch").inc()
@@ -1131,9 +1114,7 @@ class MetadataClient:
             if not final:
                 for mutation in batch:
                     mutation.retries += 1
-                self._wb_backoff[home_id] = (
-                    now + self.config.flush_retry_backoff_s
-                )
+                self._wb_backoff[home_id] = now + FLUSH_RETRY_BACKOFF_S
             self._unacked(batch, home_id, final, flush_spans, report)
             return report
         self._wb_backoff.pop(home_id, None)

@@ -32,7 +32,8 @@ bit-for-bit deterministic — the property the staleness harness in
 
 Staleness contract: a cache-served read may trail an invalidating
 mutation by at most :attr:`CohortConfig.staleness_bound_s` =
-``max(2·heartbeat, heartbeat + suspect_after + ttl_clamp) + slack``:
+``max(2·heartbeat, heartbeat + suspect_after + ttl_clamp) +``
+:data:`SCHEDULING_SLACK_S`:
 
 - delivered invalidations apply within one heartbeat of tick slack;
 - a gap heals within a heartbeat (detection) plus a sync round trip;
@@ -67,6 +68,9 @@ from repro.prototype.transport import InProcessTransport
 #: seconds), so a burst of out-of-order records does not stampede the
 #: publisher.
 RESYNC_INTERVAL_S = 0.05
+#: Covers tick granularity plus injected message delays when deriving
+#: the staleness bound (virtual seconds).
+SCHEDULING_SLACK_S = 0.10
 
 
 @dataclass(frozen=True)
@@ -120,25 +124,6 @@ class InvalidationRecord:
 
 
 @dataclass(frozen=True)
-class BroadcastResult:
-    """Accounting of one invalidation publish (gather-parity semantics).
-
-    ``missing`` is a *set-deduplicated* tuple: a peer counts as missing
-    exactly once no matter how many protocol copies duplication faults
-    put on the wire — the same contract
-    :class:`~repro.prototype.transport.GatherResult` keeps for multicast.
-    """
-
-    record: InvalidationRecord
-    sent_to: Tuple[int, ...] = ()
-    missing: Tuple[int, ...] = ()
-
-    @property
-    def complete(self) -> bool:
-        return not self.missing
-
-
-@dataclass(frozen=True)
 class CohortConfig:
     """Tunables of the cohort protocol (virtual seconds throughout).
 
@@ -150,14 +135,6 @@ class CohortConfig:
     heartbeat_interval_s: float = 0.05
     suspect_after_s: float = 0.15
     ttl_clamp_s: float = 0.10
-    #: Covers tick granularity plus injected message delays when deriving
-    #: the staleness bound.
-    scheduling_slack_s: float = 0.10
-    #: Negative-test hook: a cohort that never *mints* invalidation
-    #: records while still heartbeating as healthy is exactly the broken
-    #: deployment the staleness checker must catch — suspicion never
-    #: fires (everyone looks alive), so nothing bounds the stale leases.
-    publish_invalidations: bool = True
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
 
     def __post_init__(self) -> None:
@@ -168,8 +145,6 @@ class CohortConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.scheduling_slack_s < 0:
-            raise ValueError("scheduling_slack_s must be non-negative")
         if self.heartbeat_interval_s > self.suspect_after_s:
             raise ValueError(
                 "heartbeat_interval_s must not exceed suspect_after_s "
@@ -191,7 +166,7 @@ class CohortConfig:
         degraded = (
             self.heartbeat_interval_s + self.suspect_after_s + self.ttl_clamp_s
         )
-        return max(propagation, degraded) + self.scheduling_slack_s
+        return max(propagation, degraded) + SCHEDULING_SLACK_S
 
 
 class CohortMember:
@@ -341,13 +316,13 @@ class CohortMember:
         new_path: str,
         now: float,
         parent: Optional[Tuple[int, int, int]] = None,
-    ) -> BroadcastResult:
+    ) -> None:
         # The mint span is opened *before* the record so its context can
         # travel on the record across the multicast; ``parent`` is the
         # flush span of a write-back ack (None for write-through roots).
         span = None
         trace_ctx: Optional[Tuple[int, int, int]] = None
-        if self.tracer.enabled and self.config.publish_invalidations:
+        if self.tracer.enabled:
             span = self.tracer.start_span(
                 path or new_path,
                 self.member_id,
@@ -366,26 +341,17 @@ class CohortMember:
             epoch=now,
             trace=trace_ctx,
         )
-        if not self.config.publish_invalidations:
-            # Broken-deployment mode: the mutation happened but no record
-            # is ever minted.  Crucially the member keeps heartbeating
-            # (advertising an unchanged log), so peers see a healthy
-            # gateway and never engage the clamp — their long leases go
-            # stale unbounded, which is what the negative staleness test
-            # must detect.
-            return BroadcastResult(record=record, sent_to=())
         self.log.append(record)
         if not self.peers:
             if span is not None:
                 span.event("cohort_publish", seq=record.seq, op=op, peers=0)
                 span.finish("COHORT-PUBLISH", self.member_id, 0.0, 0)
-            return BroadcastResult(record=record, sent_to=())
+            return
         self._c["published"].labels(self._label).inc()
         if self._flight.enabled:
             self._flight.record(
                 "inval_mint", now, seq=record.seq, op=op, path=path
             )
-        sent: List[int] = []
         for peer in self.peers:
             self._send(
                 peer,
@@ -394,23 +360,19 @@ class CohortMember:
                 now,
                 trace=trace_ctx,
             )
-            sent.append(peer)
-        # Peers currently suspected are expected to miss this publish —
-        # dedup through the (sorted) suspicion set so duplication faults
-        # or repeated publishes can never double-count an outage.
-        missing = tuple(sorted(self.suspected))
         if span is not None:
+            # Suspected peers are expected to miss this publish, each once
+            # however many copies duplication faults put on the wire.
             span.event(
                 "cohort_publish",
                 seq=record.seq,
                 op=op,
-                peers=len(sent),
-                missing=len(missing),
+                peers=len(self.peers),
+                missing=len(self.suspected),
             )
-            span.finish("COHORT-PUBLISH", self.member_id, 0.0, len(sent))
-        return BroadcastResult(
-            record=record, sent_to=tuple(sent), missing=missing
-        )
+            span.finish(
+                "COHORT-PUBLISH", self.member_id, 0.0, len(self.peers)
+            )
 
     # ------------------------------------------------------------------
     # Protocol pump
@@ -506,7 +468,7 @@ class CohortMember:
                     if seq > base
                 }
                 self.gap_since[sender] = None
-                self.client.clamp_leases(self.config.ttl_clamp_s, now)
+                self.client.cache.clamp_ttl(self.config.ttl_clamp_s, now)
             for raw in payload["records"]:
                 record = InvalidationRecord.from_payload(raw)
                 if self._ingest(record, now):
@@ -654,13 +616,13 @@ class CohortMember:
                 self._flight.record(
                     "clamp_engaged", now, suspected=sorted(self.suspected)
                 )
-            self.client.clamp_leases(cfg.ttl_clamp_s, now)
+            self.client.cache.clamp_ttl(cfg.ttl_clamp_s, now)
         elif not self.suspected and self.clamped:
             self.clamped = False
             self._c["clamp_released"].labels(self._label).inc()
             if self._flight.enabled:
                 self._flight.record("clamp_released", now)
-            self.client.release_lease_clamp()
+            self.client.cache.release_ttl_clamp()
 
     def _send(
         self,

@@ -30,21 +30,14 @@ asked, and sharing it multiplies the backend savings — but it means a
 noisy tenant can *donate* cache benefit, never steal it: pins extend
 TTLs and block eviction, they never consume another tenant's admission
 tokens (admission fairness is enforced upstream, per tenant, in
-``repro.gateway.admission``).  The detector therefore *attributes* heat
-per tenant (:meth:`HotspotDetector.dominant_tenant`) for observability —
-the shield itself stays shared.  ``tests/unit/test_gateway_hotspot.py``
-locks both halves of this contract.
+``repro.gateway.admission``).  The detector therefore never sees a
+tenant.  ``tests/unit/test_gateway_hotspot.py`` locks this contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Set, Tuple
-
-#: Tenant key used when the caller does not identify one (kept in sync
-#: with ``repro.gateway.admission.DEFAULT_TENANT`` without importing it —
-#: the sketch layer stays dependency-free).
-DEFAULT_TENANT = "-"
 
 
 @dataclass(frozen=True)
@@ -74,18 +67,15 @@ class SpaceSavingSketch:
         self.capacity = capacity
         self._counts: Dict[str, int] = {}
         self._errors: Dict[str, int] = {}
-        self.observed = 0
 
     def offer(self, key: str, amount: int = 1) -> Optional[str]:
         """Account one observation of ``key``.
 
         Returns the evicted key when the offer displaced a monitored
-        counter, else None — callers keeping per-key side state (the
-        detector's tenant attribution) prune on it.
+        counter, else None — the detector drops it from the hot set.
         """
         if amount < 1:
             raise ValueError(f"amount must be >= 1, got {amount}")
-        self.observed += amount
         if key in self._counts:
             self._counts[key] += amount
             return None
@@ -127,10 +117,7 @@ class SpaceSavingSketch:
         return key in self._counts
 
     def __repr__(self) -> str:
-        return (
-            f"SpaceSavingSketch(keys={len(self._counts)}/{self.capacity}, "
-            f"observed={self.observed})"
-        )
+        return f"SpaceSavingSketch(keys={len(self._counts)}/{self.capacity})"
 
 
 class HotspotDetector:
@@ -144,7 +131,8 @@ class HotspotDetector:
         Epoch length in virtual seconds; an observation influences the
         hot set for at most two windows.
     hot_threshold:
-        Windowed estimate at which a key counts as hot.
+        Windowed estimate at which a key counts as hot (fixed for the
+        detector's life).
     """
 
     def __init__(
@@ -155,36 +143,20 @@ class HotspotDetector:
     ) -> None:
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
+        if hot_threshold < 1:
+            raise ValueError(f"hot_threshold must be >= 1, got {hot_threshold}")
         self.capacity = capacity
         self.window_s = window_s
+        self.hot_threshold = hot_threshold
         self._current = SpaceSavingSketch(capacity)
         self._previous = SpaceSavingSketch(capacity)
         #: Every monitored key whose windowed estimate reaches the
         #: threshold, maintained incrementally: an observation can change
         #: the state of the observed key and of the key its offer evicted,
-        #: nothing else; rotation and a threshold change rebuild it.
+        #: nothing else; rotation rebuilds it.
         self._hot: Set[str] = set()
-        self._hot_threshold = 0
-        # Per-tenant attribution of each monitored key's heat, one map
-        # per epoch, pruned in lockstep with sketch evictions so memory
-        # stays bounded by ``2 × capacity`` keys.
-        self._current_tenants: Dict[str, Dict[str, int]] = {}
-        self._previous_tenants: Dict[str, Dict[str, int]] = {}
         self._epoch_start = 0.0
         self.rotations = 0
-        self.hot_threshold = hot_threshold  # validated by the property
-
-    @property
-    def hot_threshold(self) -> int:
-        return self._hot_threshold
-
-    @hot_threshold.setter
-    def hot_threshold(self, value: int) -> None:
-        if value < 1:
-            raise ValueError(f"hot_threshold must be >= 1, got {value}")
-        if value != self._hot_threshold:
-            self._hot_threshold = value
-            self._rebuild_hot()
 
     def _rebuild_hot(self) -> None:
         # In place: a caller holding ``hot_set()`` keeps a live view.
@@ -192,43 +164,37 @@ class HotspotDetector:
         self._hot.clear()
         self._hot.update(
             key for key in monitored
-            if self.estimate(key) >= self._hot_threshold
+            if self.estimate(key) >= self.hot_threshold
         )
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
     def _maybe_rotate(self, now: float) -> None:
-        before = self.rotations
-        while now - self._epoch_start >= self.window_s:
-            self._previous = self._current
-            self._current = SpaceSavingSketch(self.capacity)
-            self._previous_tenants = self._current_tenants
-            self._current_tenants = {}
-            self._epoch_start += self.window_s
-            self.rotations += 1
-        if self.rotations != before:
-            self._rebuild_hot()
+        windows = int((now - self._epoch_start) // self.window_s)
+        if windows < 1:
+            return
+        # One elapsed window ages the current epoch into the previous one;
+        # after two or more, nothing offered since is left in either, so
+        # every elapsed window is skipped in one step, whatever the gap.
+        self._previous = (
+            self._current if windows == 1 else SpaceSavingSketch(self.capacity)
+        )
+        self._current = SpaceSavingSketch(self.capacity)
+        self._epoch_start += windows * self.window_s
+        self.rotations += windows
+        self._rebuild_hot()
 
-    def observe(
-        self, key: str, now: float, tenant: str = DEFAULT_TENANT
-    ) -> None:
-        """Account one request for ``key`` at virtual time ``now``.
-
-        ``tenant`` attributes the heat for observability; it never
-        changes what is hot (the shield is shared — see module docs).
-        """
+    def observe(self, key: str, now: float) -> None:
+        """Account one request for ``key`` at virtual time ``now``."""
         self._maybe_rotate(now)
         evicted = self._current.offer(key)
         if evicted is not None:
-            self._current_tenants.pop(evicted, None)
             # The evicted key keeps only its previous-epoch count.
-            if self._previous.estimate(evicted) < self._hot_threshold:
+            if self._previous.estimate(evicted) < self.hot_threshold:
                 self._hot.discard(evicted)
-        if self.estimate(key) >= self._hot_threshold:
+        if self.estimate(key) >= self.hot_threshold:
             self._hot.add(key)
-        per_tenant = self._current_tenants.setdefault(key, {})
-        per_tenant[tenant] = per_tenant.get(tenant, 0) + 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -248,27 +214,6 @@ class HotspotDetector:
         """The maintained hot set itself — a live, unordered view for
         per-tick callers; do not mutate."""
         return self._hot
-
-    def tenant_counts(self, key: str) -> Dict[str, int]:
-        """Windowed per-tenant attribution of ``key``'s heat.
-
-        Only meaningful while ``key`` is monitored; an evicted or
-        rotated-out key returns {} (attribution is bounded best-effort,
-        exactly like the sketch estimates it annotates).
-        """
-        merged: Dict[str, int] = {}
-        for epoch in (self._current_tenants, self._previous_tenants):
-            for tenant, count in epoch.get(key, {}).items():
-                merged[tenant] = merged.get(tenant, 0) + count
-        return merged
-
-    def dominant_tenant(self, key: str) -> Optional[str]:
-        """The tenant contributing the most heat to ``key`` (ties by
-        name; None when the key carries no attribution)."""
-        counts = self.tenant_counts(key)
-        if not counts:
-            return None
-        return min(counts, key=lambda t: (-counts[t], t))
 
     def top_k(self, k: int = 5) -> List[HeavyHitter]:
         """Top hotspots by windowed estimate (merged across both epochs)."""

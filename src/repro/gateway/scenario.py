@@ -174,6 +174,6 @@ def drain(
     another queue deadline, so everything parked either gets its token
     or sheds explicitly; ``account`` sees every response."""
     for step in range(1, 41):
-        account(gateway.pump(now + step * gateway.config.queue_deadline_s))
+        account(gateway.pump(now + step * gateway.admission.queue_deadline_s))
         if gateway.admission.queue_depth == 0:
             break

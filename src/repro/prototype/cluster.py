@@ -609,7 +609,8 @@ class PrototypeCluster:
         The departing node's hosted replicas migrate to remaining group
         members; every other group is told to drop its replica; its
         metadata records are re-homed out of band (like population).
-        Groups that now fit within M merge.  Returns message counts.
+        Groups that now fit within M merge; survivors forget their L1
+        entries naming it.  Returns message counts.
         """
         if node_id not in self.nodes:
             raise KeyError(f"unknown node {node_id}")
@@ -632,6 +633,8 @@ class PrototypeCluster:
         for index, meta in enumerate(records):
             target = self.nodes[survivors[index % len(survivors)]]
             target.server.insert_metadata(meta)
+        for survivor in survivors:
+            self.nodes[survivor].server.lru.invalidate_home(node_id)
         self._refresh_replicas()
         return {"node_id": node_id, "messages": messages}
 

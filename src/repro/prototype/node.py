@@ -223,14 +223,15 @@ class MDSNode(MailboxNode):
         return message.reply(ok=True, finish_vtime=finish)
 
     def _on_send_local_to(self, message: Message) -> Message:
-        """Ship this node's own filter as a replica to ``dest`` (one-way)."""
+        """Ship this node's last published filter to ``dest`` (one-way)."""
         dest = message.payload["dest"]
         finish = self._serve_record_op(message)
-        self._ship_replica(dest, self.node_id, self.server.publish_filter(), finish)
+        replica = self.server.published_filter.copy()
+        self._ship_replica(dest, self.node_id, replica, finish)
         return message.reply(ok=True, finish_vtime=finish)
 
     def _on_exchange_replica(self, message: Message) -> Message:
-        """HBA join: host the newcomer's filter, reply with our own."""
+        """HBA join: host the newcomer's filter, reply with our published one."""
         home_id = message.payload["home_id"]
         replica = message.payload["replica"]
         finish = self._serve_record_op(message)
@@ -239,7 +240,7 @@ class MDSNode(MailboxNode):
         else:
             self.server.host_replica(home_id, replica)
         return message.reply(
-            replica=self.server.publish_filter(), finish_vtime=finish
+            replica=self.server.published_filter.copy(), finish_vtime=finish
         )
 
     def _on_probe_segment(self, message: Message) -> Message:

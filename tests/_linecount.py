@@ -9,9 +9,10 @@ state that a step costs the same at two sizes, without a clock.
 import sys
 
 
-def lines_executed(call, roots):
+def lines_executed(call, roots, limit=None):
     """Source lines ``call()`` executes in files below ``roots`` (a path
-    prefix or a tuple of them)."""
+    prefix or a tuple of them); past ``limit`` lines it is stopped with
+    an ``AssertionError`` instead of run to the end."""
     lines = 0
 
     def tracer(frame, event, arg):
@@ -20,6 +21,8 @@ def lines_executed(call, roots):
             return None
         if event == "line":
             lines += 1
+            if limit is not None and lines > limit:
+                raise AssertionError(f"more than {limit} lines executed")
         return tracer
 
     previous = sys.gettrace()

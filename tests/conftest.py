@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 
@@ -60,97 +62,105 @@ def run_cohort_scenario(
     Everything — trace, fault draws, protocol schedule — derives from
     ``seed``, so two calls with equal arguments must produce
     bit-identical counters (the determinism test pins exactly that).
+
+    ``publish_invalidations=False`` runs the broken deployment the
+    staleness checker must catch: mutations happen but no member ever
+    mints a record, while heartbeats keep advertising a healthy,
+    unchanged log — suspicion never fires, so nothing bounds the stale
+    leases.
     """
     from repro.faults import PlanFaultInjector
     from repro.gateway import CohortConfig, GatewayConfig, GatewayCohort
+    from repro.gateway.cohort import CohortMember
     from repro.gateway.staleness import StalenessAuditor
 
-    config = GHBAConfig(
-        max_group_size=4,
-        expected_files_per_mds=200,
-        lru_capacity=256,
-        lru_filter_bits=1 << 11,
-        seed=seed,
-    )
-    cluster = GHBACluster(8, config, seed=seed)
-    live = [f"/fs/d{i % 8}/f{i}" for i in range(200)]
-    hot = list(live[:40])
-    cluster.populate(live)
-    cluster.synchronize_replicas(force=True)
+    broken = mock.patch.object(CohortMember, "_publish", lambda *a, **k: None)
+    with broken if not publish_invalidations else contextlib.nullcontext():
+        config = GHBAConfig(
+            max_group_size=4,
+            expected_files_per_mds=200,
+            lru_capacity=256,
+            lru_filter_bits=1 << 11,
+            seed=seed,
+        )
+        cluster = GHBACluster(8, config, seed=seed)
+        live = [f"/fs/d{i % 8}/f{i}" for i in range(200)]
+        hot = list(live[:40])
+        cluster.populate(live)
+        cluster.synchronize_replicas(force=True)
 
-    cohort_config = CohortConfig(
-        publish_invalidations=publish_invalidations,
-        gateway=GatewayConfig(lease_ttl_s=60.0, cache_capacity=1024),
-    )
-    faults = (
-        PlanFaultInjector(plan, metrics=cluster.metrics)
-        if plan is not None
-        else None
-    )
-    cohort = GatewayCohort(cluster, size, cohort_config, faults=faults)
-    auditor = StalenessAuditor(cluster, cohort_config.staleness_bound_s)
+        cohort_config = CohortConfig(
+            gateway=GatewayConfig(lease_ttl_s=60.0, cache_capacity=1024),
+        )
+        faults = (
+            PlanFaultInjector(plan, metrics=cluster.metrics)
+            if plan is not None
+            else None
+        )
+        cohort = GatewayCohort(cluster, size, cohort_config, faults=faults)
+        auditor = StalenessAuditor(cluster, cohort_config.staleness_bound_s)
 
-    rng = random.Random(seed)
-    step_s = cohort_config.heartbeat_interval_s / 2.0
-    now = 0.0
-    next_step = 0.0
-    serial = 0
-    # Old names of recently-mutated paths.  Reading these is what makes
-    # staleness *observable*: a member still holding the old lease will
-    # serve it until the invalidation (or the clamp) kills it.
-    ghosts = []
-    for _ in range(ops):
-        now += rng.expovariate(rate_per_s)
-        while next_step <= now:
-            for member_id, responses in cohort.step(next_step).items():
-                for response in responses:
-                    auditor.audit(response, next_step, member_id)
-            next_step += step_s
-        member = cohort.members[rng.randrange(size)]
-        draw = rng.random()
-        if draw < lookup_fraction or not live:
-            probe = rng.random()
-            if ghosts and probe < 0.25:
-                target = rng.choice(ghosts)
-            elif hot and probe < 0.85:
-                target = rng.choice(hot)
-            else:
-                target = rng.choice(live)
-            auditor.audit(member.lookup(target, now), now, member.member_id)
-        elif draw < lookup_fraction + 0.08:
-            serial += 1
-            path = f"/fs/d{serial % 8}/new{serial}"
-            member.create(path, now)
-            auditor.note_mutation("create", path, now)
-            live.append(path)
-        elif draw < lookup_fraction + 0.16 and live:
-            # Prefer hot victims: they are cached at every member, so a
-            # delete exercises remote invalidation where it matters.
-            pool = hot if hot and rng.random() < 0.5 else live
-            victim = pool[rng.randrange(len(pool))]
-            live.remove(victim)
-            if victim in hot:
-                hot.remove(victim)
-            member.delete(victim, now)
-            auditor.note_mutation("delete", victim, now)
-            ghosts.append(victim)
-        elif live:
-            pool = hot if hot and rng.random() < 0.5 else live
-            source = pool[rng.randrange(len(pool))]
-            index = live.index(source)
-            renamed = source + ".r"
-            member.rename(source, renamed, now)
-            auditor.note_mutation("rename", source, now, new_path=renamed)
-            live[index] = renamed
-            if source in hot:
-                hot[hot.index(source)] = renamed
-            ghosts.append(source)
-        del ghosts[:-32]  # only recent mutations are interesting probes
-    end = cohort.settle(now)
-    for member_id, responses in cohort.step(end).items():
-        for response in responses:
-            auditor.audit(response, end, member_id)
-    return cohort, auditor
+        rng = random.Random(seed)
+        step_s = cohort_config.heartbeat_interval_s / 2.0
+        now = 0.0
+        next_step = 0.0
+        serial = 0
+        # Old names of recently-mutated paths.  Reading these is what makes
+        # staleness *observable*: a member still holding the old lease will
+        # serve it until the invalidation (or the clamp) kills it.
+        ghosts = []
+        for _ in range(ops):
+            now += rng.expovariate(rate_per_s)
+            while next_step <= now:
+                for member_id, responses in cohort.step(next_step).items():
+                    for response in responses:
+                        auditor.audit(response, next_step, member_id)
+                next_step += step_s
+            member = cohort.members[rng.randrange(size)]
+            draw = rng.random()
+            if draw < lookup_fraction or not live:
+                probe = rng.random()
+                if ghosts and probe < 0.25:
+                    target = rng.choice(ghosts)
+                elif hot and probe < 0.85:
+                    target = rng.choice(hot)
+                else:
+                    target = rng.choice(live)
+                auditor.audit(member.lookup(target, now), now, member.member_id)
+            elif draw < lookup_fraction + 0.08:
+                serial += 1
+                path = f"/fs/d{serial % 8}/new{serial}"
+                member.create(path, now)
+                auditor.note_mutation("create", path, now)
+                live.append(path)
+            elif draw < lookup_fraction + 0.16 and live:
+                # Prefer hot victims: they are cached at every member, so a
+                # delete exercises remote invalidation where it matters.
+                pool = hot if hot and rng.random() < 0.5 else live
+                victim = pool[rng.randrange(len(pool))]
+                live.remove(victim)
+                if victim in hot:
+                    hot.remove(victim)
+                member.delete(victim, now)
+                auditor.note_mutation("delete", victim, now)
+                ghosts.append(victim)
+            elif live:
+                pool = hot if hot and rng.random() < 0.5 else live
+                source = pool[rng.randrange(len(pool))]
+                index = live.index(source)
+                renamed = source + ".r"
+                member.rename(source, renamed, now)
+                auditor.note_mutation("rename", source, now, new_path=renamed)
+                live[index] = renamed
+                if source in hot:
+                    hot[hot.index(source)] = renamed
+                ghosts.append(source)
+            del ghosts[:-32]  # only recent mutations are interesting probes
+        end = cohort.settle(now)
+        for member_id, responses in cohort.step(end).items():
+            for response in responses:
+                auditor.audit(response, end, member_id)
+        return cohort, auditor
 
 
 @pytest.fixture

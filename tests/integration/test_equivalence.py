@@ -233,9 +233,10 @@ def _walk_script(num_servers, max_group_size):
     path)`` deletes at the home only (unsynced: L2 / L3 are refuted);
     ``("new", path, home draw)`` creates one there (unsynced: only L4 finds
     it); ``("sync",)`` republishes every filter; ``("a",)`` joins a node —
-    M + 1 of them, so a group splits."""
+    M + 1 of them, so a group splits; ``("r", draw)`` removes one (fewer
+    than join)."""
     rng = random.Random(num_servers * 37 + max_group_size)
-    ops, joins, created = [], 0, []
+    ops, joins, departures, created = [], 0, 0, []
     for _ in range(160):
         roll = rng.random()
         if roll < 0.55:
@@ -259,10 +260,21 @@ def _walk_script(num_servers, max_group_size):
             ops.append(("del", rng.choice(WALK_PATHS)))
         elif roll < 0.93:
             ops.append(("sync",))
-        elif joins <= max_group_size:
+        elif roll < 0.97 and joins <= max_group_size:
+            # The newcomer fetches filters that have not heard of a fresh
+            # file yet, then asks for it.
             joins += 1
-            ops.append(("a",))
+            created.append(f"/eq/new/f{len(created)}")
+            ops.append(("new", created[-1], rng.random()))
+            ops += [("a",), ("q", created[-1], 0.999)]
+        elif departures < joins - 1:
+            departures += 1
+            ops.append(("r", rng.random()))
     return ops
+
+
+def _homes(servers):
+    return {r.path: sid for sid, s in servers.items() for r in s.store.records()}
 
 
 class _BothDrivers:
@@ -323,14 +335,21 @@ class _BothDrivers:
         elif op == "sync":
             self.sim.synchronize_replicas(force=True)
             self.proto._refresh_replicas()
-        else:
-            # Joins start from published filters: a fetch ships the home's
-            # last publication in the simulator and a fresh one in the
-            # prototype (ROADMAP item 4) — reconfiguration's, not the walk's.
-            self.apply("sync")
+        elif op == "a":
             self.sim.add_server()
             self.proto.add_node()
             self.proto.check_directory()
+        else:
+            ids = self.sim.server_ids()
+            victim = ids[int(args[0] * len(ids))]
+            self.sim.remove_server(victim)
+            self.proto.remove_node(victim)
+            # The prototype republishes every filter after re-homing and
+            # the simulator does not (DESIGN.md §2): sync both alike.
+            self.apply("sync")
+            self.placement = _homes(self.sim.servers)
+            nodes = self.proto.nodes
+            assert self.placement == _homes({n: nodes[n].server for n in nodes})
 
 
 class TestWalkEquivalence:
@@ -338,9 +357,7 @@ class TestWalkEquivalence:
     simulator — itself held to a frozen reference — is the prototype's
     oracle: same home, same level, same false forwards on every lookup,
     and what a prototype lookup reports as ``messages`` is what it put on
-    the wire.  Departures are left out of the script: the simulator's
-    survivors drop their L1 entries naming the departed MDS, the
-    prototype's do not yet (ROADMAP item 4)."""
+    the wire, through joins from unsynced filters and departures."""
 
     @pytest.mark.parametrize("num_servers, max_group_size, scheme", WALK_SHAPES)
     def test_same_home_level_and_false_forwards_on_every_lookup(

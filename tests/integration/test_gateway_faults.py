@@ -17,6 +17,7 @@ from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.faults import FaultPlan, Partition, PlanFaultInjector
 from repro.gateway import GatewayConfig, MetadataClient, Outcome
+from repro.gateway import client as gateway_client
 
 
 def _config(seed=33):
@@ -120,10 +121,11 @@ class TestDegradedNeverCached:
 
 
 class TestShedReconciliation:
-    def test_gateway_shed_total_matches_admission_stats(self):
+    def test_gateway_shed_total_matches_admission_stats(self, monkeypatch):
+        monkeypatch.setattr(gateway_client, "QUEUE_CAPACITY", 6)
+        monkeypatch.setattr(gateway_client, "QUEUE_DEADLINE_S", 0.05)
         cluster, gateway, paths, faults = _partitioned_stack(
-            rate_per_s=100.0, burst=4.0, queue_capacity=6,
-            queue_deadline_s=0.05,
+            rate_per_s=100.0, burst=4.0
         )
         rejected = 0
         answered = 0

@@ -14,6 +14,7 @@ from repro.core.config import GHBAConfig
 from repro.core.cluster import GHBACluster
 from repro.faults import FaultPlan, PlanFaultInjector
 from repro.gateway import GatewayConfig, MetadataClient
+from repro.gateway import client as gateway_client
 from repro.metadata.attributes import FileMetadata
 from repro.prototype.cluster import PrototypeCluster
 
@@ -132,9 +133,11 @@ class TestPrototypeAtMostOnce:
             assert server.store.get("/wb/lossy") is not None
 
 
-def _run_ghba_fault_scenario():
+def _run_ghba_fault_scenario(monkeypatch):
     """One deterministic write-back run under a silence window; returns
     the final ``gateway_writeback_*`` counter series."""
+    monkeypatch.setattr(gateway_client, "FLUSH_RETRY_LIMIT", 2)
+    monkeypatch.setattr(gateway_client, "FLUSH_RETRY_BACKOFF_S", 0.1)
     injector = PlanFaultInjector(FaultPlan(seed=11))
     config = GHBAConfig(
         max_group_size=4,
@@ -155,8 +158,6 @@ def _run_ghba_fault_scenario():
             writeback=True,
             flush_max_pending=3,
             flush_age_s=0.2,
-            flush_retry_limit=2,
-            flush_retry_backoff_s=0.1,
             writeback_seed=11,
         ),
     )
@@ -186,8 +187,8 @@ def _run_ghba_fault_scenario():
 
 
 class TestGHBAFaultDeterminism:
-    def test_losses_are_explicit_not_silent(self):
-        counters, fleet, lost = _run_ghba_fault_scenario()
+    def test_losses_are_explicit_not_silent(self, monkeypatch):
+        counters, fleet, lost = _run_ghba_fault_scenario(monkeypatch)
         assert lost == ["/g/doomed"]
         assert "/g/doomed" not in fleet
         assert counters["gateway_writeback_lost_total"][""] == 1.0
@@ -196,9 +197,9 @@ class TestGHBAFaultDeterminism:
             assert f"/g/new{i}" in fleet
         assert "/g/f0" not in fleet
 
-    def test_counters_bit_identical_for_same_seed_and_plan(self):
-        first, fleet_a, lost_a = _run_ghba_fault_scenario()
-        second, fleet_b, lost_b = _run_ghba_fault_scenario()
+    def test_counters_bit_identical_for_same_seed_and_plan(self, monkeypatch):
+        first, fleet_a, lost_a = _run_ghba_fault_scenario(monkeypatch)
+        second, fleet_b, lost_b = _run_ghba_fault_scenario(monkeypatch)
         assert first == second
         assert fleet_a == fleet_b
         assert lost_a == lost_b

@@ -22,6 +22,19 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "unknown experiment" in err
 
+    def test_record_then_check_and_a_one_byte_edit_fails(self, tmp_path, capsys):
+        assert main(["--record", str(tmp_path), "table01", "fig07"]) == 0
+        assert main(["--check", str(tmp_path), "table01", "fig07"]) == 0
+        recorded = tmp_path / "fig07.txt"
+        text = recorded.read_bytes()
+        recorded.write_bytes(text[:40] + b"#" + text[41:])
+        (tmp_path / "table01.txt").unlink()
+        capsys.readouterr()
+        assert main(["--check", str(tmp_path), "table01", "fig07"]) == 1
+        out = capsys.readouterr().out
+        assert f"FAILED: {tmp_path / 'table01.txt'}: no recorded output" in out
+        assert f"FAILED: {recorded}: first difference at line 1" in out
+
     def test_registry_modules_importable(self):
         import importlib
 

@@ -15,6 +15,7 @@ from repro.core.cluster import GHBACluster
 from repro.faults import FaultPlan, Partition, PlanFaultInjector
 from repro.gateway import CohortConfig, GatewayConfig, GatewayCohort
 from repro.gateway.cohort import InvalidationRecord
+from repro.obs.trace import CollectingTracer
 
 
 def _config(seed=33):
@@ -71,7 +72,6 @@ class TestCohortConfig:
             heartbeat_interval_s=0.05,
             suspect_after_s=0.15,
             ttl_clamp_s=0.10,
-            scheduling_slack_s=0.10,
         )
         # One heartbeat to notice the gap, the suspicion grace period,
         # then no lease survives past the clamp — plus tick slack.
@@ -103,13 +103,13 @@ class TestInvalidationPropagation:
         left, right = cohort.members
         right.lookup("/fs/a/b/f", 0.0)
         right.lookup("/fs/a/bc/f", 0.0)
-        version_before = right.client.cache.peek("/fs/a/bc/f").version
+        entry = right.client.cache.peek("/fs/a/bc/f")
 
         left.rename("/fs/a/b", "/fs/a/moved", 0.1)
         cohort.step(0.1)
 
         assert "/fs/a/b/f" not in right.client.cache
-        assert right.client.cache.peek("/fs/a/bc/f").version == version_before
+        assert right.client.cache.peek("/fs/a/bc/f") is entry
 
     def test_create_through_one_member_kills_peer_negative(self):
         cohort = _cohort(["/fs/a"])
@@ -197,17 +197,25 @@ class TestSuspicionAndClamp:
         assert _counter(cohort, "clamp_released", "0") == 1
 
     def test_publish_reports_suspected_peer_missing_once(self):
-        cohort = _cohort(["/fs/a", "/fs/b"], suspect_after_s=0.1)
+        tracer = CollectingTracer()
+        cohort = GatewayCohort(
+            _cluster(["/fs/a", "/fs/b"]), 2,
+            CohortConfig(suspect_after_s=0.1), tracer=tracer,
+        )
         left, right = cohort.members
         left.tick(0.2)  # right never ticked: suspected
         assert right.member_id in left.suspected
 
-        first = left._publish("delete", "/fs/a", "", 0.3)
-        second = left._publish("delete", "/fs/b", "", 0.3)
-        # Deduplicated tuple, stable across repeated publishes.
-        assert first.missing == (right.member_id,)
-        assert second.missing == (right.member_id,)
-        assert not first.complete
+        left._publish("delete", "/fs/a", "", 0.3)
+        left._publish("delete", "/fs/b", "", 0.3)
+        # One missing peer per publish, stable across repeated publishes.
+        events = [
+            event.detail
+            for span in tracer.finished_spans()
+            for event in span.events
+            if event.kind == "cohort_publish"
+        ]
+        assert [(e["peers"], e["missing"]) for e in events] == [(1, 1), (1, 1)]
 
 
 class TestMissingExactlyOnceUnderDuplication:

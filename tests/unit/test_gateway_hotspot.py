@@ -1,20 +1,26 @@
 """Unit tests for heavy-hitter detection (repro.gateway.hotspot).
 
 Includes the lock for the documented **shared-pin semantics**: the
-hotspot shield and ``LeaseCache.pin`` are tenant-blind by design — a pin
-earned by one tenant's traffic protects the lease for every tenant
-(pins donate benefit, never steal capacity), while per-tenant *blame*
-lives in the detector's tenant attribution and per-tenant fairness is
-enforced upstream at admission.  See the module docstring of
+hotspot shield and ``GatewayCache.pin`` are tenant-blind by design — a
+pin earned by one tenant's traffic protects the lease for every tenant
+(pins donate benefit, never steal capacity), while per-tenant fairness
+is enforced upstream at admission.  See the module docstring of
 :mod:`repro.gateway.hotspot`.
 """
 
+import os
+
 import pytest
 
+import repro.gateway
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.gateway.client import GatewayConfig, MetadataClient, Outcome
 from repro.gateway.hotspot import HotspotDetector, SpaceSavingSketch
+
+from tests._linecount import lines_executed
+
+GATEWAY_DIR = os.path.dirname(repro.gateway.__file__)
 
 
 class TestSpaceSavingSketch:
@@ -72,25 +78,6 @@ class TestHotspotDetector:
         assert not detector.is_hot("/cold")
         assert detector.hot_keys() == ["/hot"]
 
-    def test_threshold_assignment_reclassifies_the_monitored_keys(self):
-        """The threshold moves by plain attribute assignment (the cache
-        differential drives it); the maintained hot set must follow at once."""
-        detector = HotspotDetector(window_s=5.0, hot_threshold=3)
-        for count, key in ((4, "/a"), (2, "/b"), (1, "/c")):
-            for _ in range(count):
-                detector.observe(key, 0.0)
-        assert detector.hot_keys() == ["/a"]
-        view = detector.hot_set()
-        detector.hot_threshold = 2
-        assert detector.hot_keys() == ["/a", "/b"]
-        assert view == {"/a", "/b"} and detector.hot_set() is view  # live
-        assert detector.is_hot("/b") and not detector.is_hot("/c")
-        detector.hot_threshold = 5
-        assert detector.hot_keys() == [] and not detector.is_hot("/a")
-        with pytest.raises(ValueError):
-            detector.hot_threshold = 0
-        assert detector.hot_threshold == 5
-
     def test_sketch_eviction_cools_the_evicted_key(self):
         detector = HotspotDetector(capacity=2, window_s=5.0, hot_threshold=1)
         detector.observe("/a", 0.0)
@@ -124,6 +111,20 @@ class TestHotspotDetector:
         detector.observe("/a", 0.0)
         detector.observe("/a", 10.0)  # long idle gap
         assert detector.estimate("/a") == 1  # the old epoch fell off
+        assert detector.rotations == 10
+
+    def test_a_long_gap_costs_one_jump_not_a_pass_per_window(self):
+        """2 * 10^6 elapsed windows: counted, cooled, and a few lines."""
+        detector = HotspotDetector(window_s=5.0, hot_threshold=2)
+        for _ in range(3):
+            detector.observe("/a", 1.0)
+        view = detector.hot_set()
+        assert view == {"/a"}
+        lines_executed(lambda: detector.observe("/a", 1e7 + 1.0), GATEWAY_DIR, 60)
+        assert view == set() and detector.hot_set() is view
+        assert detector.rotations == 2_000_000 and detector.estimate("/a") == 1
+        with pytest.raises(ValueError):
+            HotspotDetector(hot_threshold=0)
 
     def test_top_k_merges_epochs(self):
         detector = HotspotDetector(window_s=1.0, hot_threshold=2)
@@ -135,61 +136,13 @@ class TestHotspotDetector:
         assert [(h.key, h.count) for h in top] == [("/a", 3), ("/b", 1)]
 
 
-class TestTenantAttribution:
-    """Per-tenant blame for heat: who made a key hot, without changing
-    what *hot* means (the shield itself stays tenant-blind)."""
-
-    def test_counts_and_dominant_tenant(self):
-        detector = HotspotDetector(window_s=5.0, hot_threshold=3)
-        detector.observe("/hot", 0.0, tenant="u0")
-        detector.observe("/hot", 0.1, tenant="u0")
-        detector.observe("/hot", 0.2, tenant="u1")
-        assert detector.tenant_counts("/hot") == {"u0": 2, "u1": 1}
-        assert detector.dominant_tenant("/hot") == "u0"
-        assert detector.tenant_counts("/cold") == {}
-        assert detector.dominant_tenant("/cold") is None
-
-    def test_dominance_tie_breaks_by_name(self):
-        detector = HotspotDetector(window_s=5.0, hot_threshold=3)
-        detector.observe("/p", 0.0, tenant="u9")
-        detector.observe("/p", 0.1, tenant="u1")
-        assert detector.dominant_tenant("/p") == "u1"
-
-    def test_attribution_merges_epochs_and_decays(self):
-        detector = HotspotDetector(window_s=1.0, hot_threshold=2)
-        detector.observe("/a", 0.9, tenant="u0")
-        detector.observe("/a", 1.1, tenant="u1")  # rotation in between
-        assert detector.tenant_counts("/a") == {"u0": 1, "u1": 1}
-        # Two windows past the last observation both epochs have
-        # rotated away: the attribution is forgotten with the counts.
-        detector.observe("/b", 3.5, tenant="u2")
-        assert detector.tenant_counts("/a") == {}
-
-    def test_eviction_prunes_attribution(self):
-        detector = HotspotDetector(capacity=2, window_s=5.0, hot_threshold=2)
-        detector.observe("/a", 0.0, tenant="u0")
-        detector.observe("/a", 0.1, tenant="u0")
-        detector.observe("/b", 0.2, tenant="u1")
-        detector.observe("/c", 0.3, tenant="u2")  # evicts /b (min count)
-        assert detector.tenant_counts("/b") == {}
-        assert detector.dominant_tenant("/b") is None
-        # Attribution never outlives sketch membership.
-        assert detector.tenant_counts("/c") == {"u2": 1}
-
-    def test_default_tenant_when_unattributed(self):
-        detector = HotspotDetector(window_s=5.0, hot_threshold=2)
-        detector.observe("/a", 0.0)
-        assert detector.tenant_counts("/a") == {"-": 1}
-
-
 class TestSharedPinSemantics:
     """The documented contract: hot-path pins are **tenant-blind**.
 
     A pin earned by one tenant's traffic shields the lease for everyone
     — it can only *add* cache residency (donate), never take another
     tenant's admission share (fairness is enforced upstream, before the
-    cache is consulted).  Per-tenant blame stays available through the
-    detector's attribution.
+    cache is consulted).
     """
 
     def _client(self, paths, **overrides):
@@ -231,9 +184,14 @@ class TestSharedPinSemantics:
         assert response.outcome is Outcome.HIT
         assert response.from_cache
         assert response.tenant == "u1"
-        # Blame stays attributed: the heat belongs to u0.
-        assert client.hotspots.dominant_tenant("/pin/hot") == "u0"
-        assert client.hotspots.tenant_counts("/pin/hot")["u0"] >= 3
+
+    def test_a_lookup_at_wall_clock_seconds_returns(self):
+        """A caller passing ``time.time()`` as ``now`` (~1.7 * 10^9 s) is
+        served at once, not after one rotation per elapsed window."""
+        cluster, client = self._client(["/pin/hot"])
+        lines_executed(lambda: client.lookup("/pin/hot", now=1.7e9), GATEWAY_DIR, 1000)
+        assert client.cache.peek("/pin/hot").home_id is not None
+        assert client.hotspots.rotations == int(1.7e9 / client.hotspots.window_s)
 
     def test_unpinned_lease_is_evicted_by_the_same_churn(self):
         """Non-vacuity: without the pin (threshold out of reach) the

@@ -19,6 +19,7 @@ from repro.gateway import (
     MutationBuffer,
     Outcome,
 )
+from repro.gateway import client as gateway_client
 from repro.metadata.attributes import FileMetadata
 from repro.obs.trace import CollectingTracer
 
@@ -271,15 +272,11 @@ class TestVersionArbitration:
 
 
 class TestExplicitLoss:
-    def test_barrier_reports_unreachable_mutations_as_lost(self):
+    def test_barrier_reports_unreachable_mutations_as_lost(self, monkeypatch):
+        monkeypatch.setattr(gateway_client, "FLUSH_RETRY_LIMIT", 2)
         injector = PlanFaultInjector(FaultPlan(seed=5))
         cluster = _cluster(faults=injector)
-        client = _client(
-            cluster,
-            flush_max_pending=100,
-            flush_age_s=1e9,
-            flush_retry_limit=2,
-        )
+        client = _client(cluster, flush_max_pending=100, flush_age_s=1e9)
         client.create("/wb/doomed", now=0.0, home_id=1)
         injector.silence(1)
         report = client.flush_barrier(now=0.0)
@@ -288,21 +285,19 @@ class TestExplicitLoss:
         assert [m.path for m in client.lost_mutations] == ["/wb/doomed"]
         assert "/wb/doomed" not in _fleet_paths(cluster)
 
-    def test_each_lost_mutation_is_settled_and_dropped_before_its_ack(self):
+    def test_each_lost_mutation_is_settled_and_dropped_before_its_ack(
+        self, monkeypatch
+    ):
         """Per mutation: settle -> drop the lease -> seal its flush span
         -> ack; an ack listener never sees a lost mutation still pending
         or leased, nor a later mutation's flush span already sealed."""
+        monkeypatch.setattr(gateway_client, "FLUSH_RETRY_LIMIT", 1)
         injector = PlanFaultInjector(FaultPlan(seed=5))
         cluster = _cluster(faults=injector)
         tracer = CollectingTracer()
         client = MetadataClient(
             cluster,
-            GatewayConfig(
-                writeback=True,
-                flush_max_pending=100,
-                flush_age_s=1e9,
-                flush_retry_limit=1,
-            ),
+            GatewayConfig(writeback=True, flush_max_pending=100, flush_age_s=1e9),
             tracer=tracer,
         )
         paths = ["/wb/doomed-a", "/wb/doomed-b"]
@@ -349,16 +344,12 @@ class TestExplicitLoss:
         client.flush_barrier(now=0.1)
         assert counted == [("create", 1), ("delete", 2)]
 
-    def test_non_final_flush_defers_instead_of_losing(self):
+    def test_non_final_flush_defers_instead_of_losing(self, monkeypatch):
+        monkeypatch.setattr(gateway_client, "FLUSH_RETRY_LIMIT", 1)
+        monkeypatch.setattr(gateway_client, "FLUSH_RETRY_BACKOFF_S", 0.2)
         injector = PlanFaultInjector(FaultPlan(seed=5))
         cluster = _cluster(faults=injector)
-        client = _client(
-            cluster,
-            flush_max_pending=2,
-            flush_age_s=1e9,
-            flush_retry_limit=1,
-            flush_retry_backoff_s=0.2,
-        )
+        client = _client(cluster, flush_max_pending=2, flush_age_s=1e9)
         injector.silence(1)
         client.create("/wb/parked", now=0.0, home_id=1)
         client.create("/wb/parked2", now=0.0, home_id=1)  # size trigger
@@ -370,16 +361,12 @@ class TestExplicitLoss:
         assert len(report.acked) == 2
         assert {"/wb/parked", "/wb/parked2"} <= _fleet_paths(cluster)
 
-    def test_backoff_throttles_flushes_to_silenced_home(self):
+    def test_backoff_throttles_flushes_to_silenced_home(self, monkeypatch):
+        monkeypatch.setattr(gateway_client, "FLUSH_RETRY_LIMIT", 1)
+        monkeypatch.setattr(gateway_client, "FLUSH_RETRY_BACKOFF_S", 10.0)
         injector = PlanFaultInjector(FaultPlan(seed=5))
         cluster = _cluster(faults=injector)
-        client = _client(
-            cluster,
-            flush_max_pending=1,
-            flush_age_s=1e9,
-            flush_retry_limit=1,
-            flush_retry_backoff_s=10.0,
-        )
+        client = _client(cluster, flush_max_pending=1, flush_age_s=1e9)
         injector.silence(1)
         client.create("/wb/slow", now=0.0, home_id=1)
         attempts = client.backend_mutations
@@ -406,5 +393,3 @@ class TestZeroOverheadDisabled:
             GatewayConfig(writeback=True, flush_max_pending=0)
         with pytest.raises(ValueError):
             GatewayConfig(writeback=True, flush_age_s=0.0)
-        with pytest.raises(ValueError):
-            GatewayConfig(writeback=True, flush_retry_backoff_s=-1.0)

@@ -5,12 +5,13 @@ Every seeded driver — the gateway benches, ``faults soak|drill``,
 tracer=None, flight=None) -> ScenarioResult`` and leaves printing, JSON,
 spans, flight dumps and the exit code to :func:`run_scenario`.  These
 tests hold the shell's contract, keep the tail from growing back in a
-driver, and keep every driver flag tied to a caller.
+driver, and keep every driver flag and gateway setting tied to a caller.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.gateway import CohortConfig, GatewayConfig
 from repro.replication.drill import run_drill
 from repro.scenario import ScenarioResult, require_positive, run_scenario
 
@@ -149,6 +151,43 @@ def test_driver_help_lists_only_flags_with_a_caller(driver, capsys):
     assert set(allowed) - flags == set(), "stale allow-list entry"
     for flag, caller in allowed.items():
         assert flag in (ROOT / caller).read_text(encoding="utf-8"), (flag, caller)
+
+
+#: Every field of the gateway's two configs, with a file under ``src/`` or
+#: ``bench/`` that passes it by name.  A setting no caller there sets is a
+#: module constant instead.
+CONFIG_FIELDS = {
+    GatewayConfig: {
+        "cache_capacity": "bench/workloads/gateway.py",
+        "lease_ttl_s": "src/repro/gateway/scenario.py",
+        "negative_ttl_s": "src/repro/gateway/scenarios.py",
+        "hot_lease_ttl_s": "src/repro/gateway/scenarios.py",
+        "rate_per_s": "bench/workloads/gateway.py",
+        "burst": "bench/workloads/gateway.py",
+        "admission_mode": "src/repro/gateway/tenant_bench.py",
+        "hot_threshold": "src/repro/gateway/scenario.py",
+        "writeback": "bench/workloads/gateway.py",
+        "flush_max_pending": "src/repro/gateway/scenarios.py",
+        "flush_age_s": "src/repro/gateway/scenarios.py",
+        "writeback_seed": "src/repro/gateway/scenarios.py",
+        "writeback_origin": "src/repro/gateway/cohort.py",
+    },
+    CohortConfig: {
+        "heartbeat_interval_s": "src/repro/gateway/scenarios.py",
+        "suspect_after_s": "src/repro/gateway/scenarios.py",
+        "ttl_clamp_s": "src/repro/gateway/scenarios.py",
+        "gateway": "src/repro/gateway/scenarios.py",
+    },
+}
+
+
+@pytest.mark.parametrize("config", list(CONFIG_FIELDS), ids=lambda c: c.__name__)
+def test_every_gateway_setting_has_a_caller(config):
+    allowed = CONFIG_FIELDS[config]
+    assert {f.name for f in dataclasses.fields(config)} == set(allowed)
+    for name, caller in allowed.items():
+        text = (ROOT / caller).read_text(encoding="utf-8")
+        assert re.search(rf"\b{name}=", text), (name, caller)
 
 
 def _modules(*packages):
