@@ -11,7 +11,7 @@ exercises every layer on one small deployment:
    gauges and histograms the cluster maintains as it serves queries;
 3. the operator dashboard and hotspot view (`repro.obs.report`);
 4. exporters — a JSONL span log and a Prometheus text-exposition dump;
-5. periodic metric snapshots driven by the discrete-event engine.
+5. a metrics time series: registry snapshots on a virtual clock.
 
 Run:  python examples/observability_tour.py
 """
@@ -22,14 +22,9 @@ from pathlib import Path
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.metadata.attributes import FileMetadata
-from repro.obs.export import (
-    prometheus_exposition,
-    schedule_metrics_snapshots,
-    write_spans_jsonl,
-)
+from repro.obs.export import SnapshotSeries, prometheus_exposition, write_spans_jsonl
 from repro.obs.report import hotspot_report, render_report
 from repro.obs.trace import CollectingTracer
-from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 
 
@@ -93,16 +88,12 @@ def main() -> None:
         for line in exposition.splitlines()[:6]:
             print(f"  {line}")
 
-    # 5. Periodic snapshots on the event engine: virtual-time series.
-    simulator = Simulator(metrics=cluster.metrics)
-    series, stop = schedule_metrics_snapshots(
-        simulator, cluster.metrics, interval_s=1.0
-    )
+    # 5. A time series: one hot query per virtual second, then a snapshot.
+    series = SnapshotSeries()
     hot = paths[0]
-    for tick in range(5):
-        simulator.schedule(tick + 0.5, lambda: cluster.query(hot))
-    simulator.run_until(5.0)
-    stop()
+    for second in range(1, 6):
+        cluster.query(hot)
+        series.append(float(second), cluster.metrics.snapshot())
     counts = series.series("ghba_messages_total")
     print(
         f"\nsnapshots at t={series.times()} s; "

@@ -5,7 +5,7 @@ Beyond the paper's query path, a production metadata service needs
 day-2 machinery.  This example exercises:
 
 1. health summaries (`repro.core.metrics`);
-2. heartbeat failure detection on the event engine (§4.5);
+2. heartbeat failure detection on a virtual clock (§4.5);
 3. recovery of a crashed MDS from its on-disk metadata (Table 1);
 4. whole-cluster checkpoint / restore;
 5. replica-update byte accounting with compressed transfer.
@@ -23,7 +23,6 @@ from repro.core.failure import HeartbeatMonitor
 from repro.core.metrics import summarize
 from repro.metadata.attributes import FileMetadata
 from repro.obs.report import render_summary
-from repro.sim.engine import Simulator
 
 
 def main() -> None:
@@ -53,13 +52,11 @@ def main() -> None:
 
     # Heartbeat-detected crash, degraded service, then recovery.
     print("\n-- crash, detect, recover --")
-    simulator = Simulator()
-    monitor = HeartbeatMonitor(cluster, simulator)
-    monitor.start()
+    monitor = HeartbeatMonitor(cluster)
     victim = cluster.server_ids()[2]
     victim_file = next(p for p, h in placement.items() if h == victim)
     monitor.crash(victim)
-    simulator.run_until(10.0)
+    monitor.advance(10.0)
     event = monitor.failures[0]
     print(
         f"MDS{victim} crashed; detected by MDS{event.detected_by} at "

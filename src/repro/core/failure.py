@@ -4,22 +4,22 @@
 an MDS failure is detected, the corresponding Bloom filters are removed
 from the other MDSs to reduce the number of false positives."
 
-:class:`HeartbeatMonitor` drives that protocol on the deterministic
-discrete-event engine: every server beats every ``heartbeat_interval_s``;
-group peers watch each other's last-seen timestamps; a server silent for
-longer than ``heartbeat_timeout_s`` is declared failed, excised from every
-Bloom structure via :meth:`GHBACluster.fail_server`, and reported to the
-registered callbacks.  The metadata service remains functional at degraded
-coverage, exactly as the paper describes.
+:class:`HeartbeatMonitor` runs that protocol on the caller's virtual clock,
+like every other timed component: :meth:`HeartbeatMonitor.advance` runs
+each round due by ``now``, one every ``heartbeat_interval_s``.  In a round
+every live server beats to its group peers, then the peers look for a
+member silent for longer than ``heartbeat_timeout_s``; a live peer declares
+it failed and it is excised from every Bloom structure via
+:meth:`GHBACluster.fail_server`.  The metadata service remains functional
+at degraded coverage, exactly as the paper describes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.core.cluster import GHBACluster
-from repro.sim.engine import Simulator
 
 
 @dataclass
@@ -35,146 +35,78 @@ class FailureEvent:
 class HeartbeatMonitor:
     """Group-scoped heartbeat exchange and failure detection.
 
-    Parameters
-    ----------
-    cluster:
-        The cluster to protect; heartbeat timing comes from its config
-        (``heartbeat_interval_s`` / ``heartbeat_timeout_s``).
-    simulator:
-        The event engine supplying virtual time.
-    auto_excise:
-        When True (default), a detected failure immediately calls
-        ``cluster.fail_server`` so stale filters stop misrouting.
+    Heartbeat timing comes from ``cluster.config``
+    (``heartbeat_interval_s`` / ``heartbeat_timeout_s``).  The monitor's
+    clock starts at 0 with every member just heard from; a server that
+    joins later is watched from the first round that sees it.
     """
 
-    def __init__(
-        self,
-        cluster: GHBACluster,
-        simulator: Simulator,
-        auto_excise: bool = True,
-    ) -> None:
+    def __init__(self, cluster: GHBACluster) -> None:
         self.cluster = cluster
-        self.simulator = simulator
-        self.auto_excise = auto_excise
-        self._last_seen: Dict[int, float] = {}
+        self._now = 0.0
+        self._next_round = cluster.config.heartbeat_interval_s
+        self._last_seen: Dict[int, float] = dict.fromkeys(cluster.server_ids(), 0.0)
         self._down: Set[int] = set()
-        self._stopped = False
-        self._stop_fns: List[Callable[[], None]] = []
         self.failures: List[FailureEvent] = []
-        self._callbacks: List[Callable[[FailureEvent], None]] = []
-        #: ``(event, exception)`` pairs from callbacks that raised.  A bad
-        #: callback must not block the remaining ones (or re-enter the
-        #: detection round), so errors are collected here instead of
-        #: propagating.
-        self.callback_errors: List[Tuple[FailureEvent, Exception]] = []
         self.heartbeats_sent = 0
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Begin periodic heartbeats and timeout checks."""
-        interval = self.cluster.config.heartbeat_interval_s
-        now = self.simulator.now
-        for server_id in self.cluster.server_ids():
-            self._last_seen[server_id] = now
-        self._stop_fns.append(
-            self.simulator.schedule_periodic(interval, self._beat_round)
-        )
-        self._stop_fns.append(
-            self.simulator.schedule_periodic(interval, self._check_round)
-        )
+    def advance(self, now: float) -> None:
+        """Run every round due by ``now`` (the clock never goes backward)."""
+        if now < self._now:
+            raise ValueError(f"clock went backward: {now} < {self._now}")
+        self._now = now
+        while self._next_round <= now:
+            self._round(self._next_round)
+            self._next_round += self.cluster.config.heartbeat_interval_s
 
-    def stop(self) -> None:
-        self._stopped = True
-        for stop in self._stop_fns:
-            stop()
-        self._stop_fns.clear()
-
-    def on_failure(self, callback: Callable[[FailureEvent], None]) -> None:
-        """Register a callback invoked on every detection."""
-        self._callbacks.append(callback)
-
-    # ------------------------------------------------------------------
-    # Crash injection (tests / failure-injection experiments)
-    # ------------------------------------------------------------------
     def crash(self, server_id: int) -> None:
         """Silence ``server_id``: it stops beating but is not yet excised.
 
-        Detection (and excision, if ``auto_excise``) happens only when the
-        timeout elapses — the window during which the paper's stale-filter
-        misrouting risk exists.
+        Detection and excision happen only when the timeout elapses — the
+        window during which the paper's stale-filter misrouting risk exists.
         """
-        if server_id not in self._last_seen:
+        if server_id not in self.cluster.servers:
             raise KeyError(f"unknown server {server_id}")
         self._down.add(server_id)
-
-    def is_down(self, server_id: int) -> bool:
-        return server_id in self._down
 
     def detected(self, server_id: int) -> bool:
         return any(event.server_id == server_id for event in self.failures)
 
-    # ------------------------------------------------------------------
-    # Protocol rounds
-    # ------------------------------------------------------------------
-    def _beat_round(self) -> None:
-        """Every live server heartbeats to its group peers."""
-        if self._stopped:
-            return
-        now = self.simulator.now
-        for server_id in list(self._last_seen):
+    def _round(self, now: float) -> None:
+        """Every live server beats to its group peers; then the peers look
+        for members whose beats have gone silent."""
+        cluster = self.cluster
+        last_seen = self._last_seen
+        for server_id in [s for s in last_seen if s not in cluster.servers]:
+            del last_seen[server_id]
+        for server_id in cluster.server_ids():
             if server_id in self._down:
-                continue
-            if server_id not in self.cluster.servers:
-                self._last_seen.pop(server_id, None)
-                continue
-            self._last_seen[server_id] = now
-            group = self.cluster.group_of(server_id)
-            self.heartbeats_sent += max(0, group.size - 1)
-
-    def _check_round(self) -> None:
-        """Group peers look for members whose beats have gone silent."""
-        if self._stopped:
-            return
-        now = self.simulator.now
-        timeout = self.cluster.config.heartbeat_timeout_s
-        for server_id, last in list(self._last_seen.items()):
-            if server_id not in self.cluster.servers:
-                self._last_seen.pop(server_id, None)
-                continue
+                last_seen.setdefault(server_id, now)
+            else:
+                last_seen[server_id] = now
+                self.heartbeats_sent += cluster.group_of(server_id).size - 1
+        timeout = cluster.config.heartbeat_timeout_s
+        for server_id, last in list(last_seen.items()):
             if now - last <= timeout:
                 continue
-            group = self.cluster.group_of(server_id)
             witnesses = [
-                peer for peer in group.member_ids() if peer != server_id
+                peer
+                for peer in cluster.group_of(server_id).member_ids()
+                if peer != server_id and peer not in self._down
             ]
-            detector = witnesses[0] if witnesses else server_id
-            event = FailureEvent(
-                server_id=server_id,
-                detected_at=now,
-                detected_by=detector,
-                last_heartbeat_at=last,
+            if not witnesses:
+                continue  # nobody alive observed the silence
+            self.failures.append(
+                FailureEvent(
+                    server_id=server_id,
+                    detected_at=now,
+                    detected_by=witnesses[0],
+                    last_heartbeat_at=last,
+                )
             )
-            self.failures.append(event)
-            self._last_seen.pop(server_id, None)
+            del last_seen[server_id]
             self._down.discard(server_id)
-            if self.auto_excise and self.cluster.num_servers > 1:
-                self.cluster.fail_server(server_id)
-            # Excision is complete before any callback runs, and one
-            # misbehaving callback cannot starve the others.
-            for callback in self._callbacks:
-                try:
-                    callback(event)
-                except Exception as exc:
-                    self.callback_errors.append((event, exc))
-
-    # ------------------------------------------------------------------
-    # Membership tracking
-    # ------------------------------------------------------------------
-    def track(self, server_id: int) -> None:
-        """Start monitoring a newly joined server."""
-        self._last_seen[server_id] = self.simulator.now
+            cluster.fail_server(server_id)
 
     def __repr__(self) -> str:
         return (

@@ -5,13 +5,13 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments fig06
     python -m repro.experiments all        # every experiment, CI-scale
-    python -m repro.experiments --record DIR [NAME ...]
     python -m repro.experiments --check DIR [NAME ...]   # exit 1 on a diff
 
 Each experiment also runs standalone (``python -m
 repro.experiments.fig06``); this dispatcher adds discovery, an
-everything-at-once mode and ``--record`` / ``--check`` of what each named
-experiment (all by default) prints against ``DIR/NAME.txt``.
+everything-at-once mode and ``--check`` of what each named experiment (all
+by default) prints against ``DIR/NAME.txt``.  Recording is the one-name
+command redirected: ``python -m repro.experiments NAME > DIR/NAME.txt``.
 """
 
 from __future__ import annotations
@@ -68,19 +68,15 @@ def run_experiment(name: str, extra: Sequence[str] = ()) -> None:
     print()
 
 
-def check_or_record(directory: str, names: Sequence[str], record: bool) -> int:
-    """Write each experiment's stdout to ``DIR/NAME.txt`` (``record``) or
-    compare it byte for byte; 1 when a file is missing or differs."""
+def check(directory: str, names: Sequence[str]) -> int:
+    """Compare each experiment's stdout with ``DIR/NAME.txt`` byte for
+    byte; 1 when a file is missing or differs."""
     failed = 0
     for name in names:
         path, out = Path(directory) / f"{name}.txt", io.StringIO()
         with contextlib.redirect_stdout(out):
             run_experiment(name)
         printed = out.getvalue().encode("utf-8")
-        if record:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(printed)
-            continue
         recorded = path.read_bytes() if path.is_file() else None
         if printed != recorded:
             failed += 1
@@ -90,7 +86,7 @@ def check_or_record(directory: str, names: Sequence[str], record: bool) -> int:
             pairs = zip(printed.splitlines(True), recorded.splitlines(True))
             same = len(list(takewhile(lambda pair: pair[0] == pair[1], pairs)))
             print(f"FAILED: {path}: first difference at line {same + 1}")
-    print(f"{len(names)} experiment(s) {'recorded' if record else 'checked'}")
+    print(f"{len(names)} experiment(s) checked")
     return 1 if failed else 0
 
 
@@ -103,15 +99,13 @@ def main(argv=None) -> int:
         nargs="?",
         help="experiment name, 'list' or 'all'",
     )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--check", metavar="DIR", help="compare with DIR/NAME.txt")
-    mode.add_argument("--record", metavar="DIR", help="write DIR/NAME.txt")
+    parser.add_argument("--check", metavar="DIR", help="compare with DIR/NAME.txt")
     args, extra = parser.parse_known_args(argv)
-    if args.check or args.record:
+    if args.check:
         names = [args.experiment, *extra] if args.experiment else list(REGISTRY)
         if not set(names) <= REGISTRY.keys():
             parser.error(f"unknown experiment in {' '.join(names)}")
-        return check_or_record(args.check or args.record, names, bool(args.record))
+        return check(args.check, names)
     if args.experiment is None:
         parser.error("name an experiment, 'list' or 'all'")
     if args.experiment == "list":

@@ -16,12 +16,10 @@ where re-homing keeps coverage at 100%.
 
 from __future__ import annotations
 
-
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.failure import HeartbeatMonitor
 from repro.experiments.common import ExperimentResult
-from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 
 
@@ -59,9 +57,8 @@ def run(
     cluster = GHBACluster(num_servers, config, seed=seed)
     placement = cluster.populate(f"/avail/d{i % 9}/f{i}" for i in range(num_files))
     cluster.synchronize_replicas(force=True)
-    simulator = Simulator()
-    monitor = HeartbeatMonitor(cluster, simulator)
-    monitor.start()
+    monitor = HeartbeatMonitor(cluster)
+    clock = 0.0
     rng = make_rng(seed ^ 0xA7)
     probe_paths = rng.sample(sorted(placement), min(sample, len(placement)))
 
@@ -95,9 +92,8 @@ def run(
             cluster.synchronize_replicas(force=True)
         else:
             monitor.crash(victim)
-            simulator.advance(
-                config.heartbeat_timeout_s + 2 * config.heartbeat_interval_s
-            )
+            clock += config.heartbeat_timeout_s + 2 * config.heartbeat_interval_s
+            monitor.advance(clock)
             assert monitor.detected(victim)
         cluster.check_invariants()
         measure(round_index + 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.faults.drill import run_drill
 from repro.faults.soak import SoakConfig, run_soak
-from repro.scenario import ScenarioResult, parse_spec, require_positive, run_scenario
+from repro.scenario import ScenarioResult, parse_spec, run_scenario
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,10 @@ class DetectionSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_positive(self, "servers")
+        # The drill crashes two servers; only from three on is a live
+        # group peer left to witness both.
+        if self.servers < 3:
+            raise ValueError(f"servers must be at least 3, got {self.servers}")
 
 
 def soak(config: SoakConfig, tracer=None, flight=None) -> ScenarioResult:

@@ -16,7 +16,7 @@ lands inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.faults.injector import PlanFaultInjector
 from repro.faults.plan import CrashEvent, FaultPlan
@@ -100,46 +100,32 @@ def run_drill(num_servers: int = 9, seed: int = 0) -> DrillReport:
     from repro.core.cluster import GHBACluster
     from repro.core.config import GHBAConfig
     from repro.core.failure import HeartbeatMonitor
-    from repro.sim.engine import Simulator
 
     cfg = GHBAConfig(seed=seed)
     plan = default_drill_plan(seed, num_servers)
     injector = PlanFaultInjector(plan)
-    simulator = Simulator()
     cluster = GHBACluster(num_servers, cfg, seed=seed, faults=injector)
-    monitor = HeartbeatMonitor(cluster, simulator)
-    results: Dict[int, DrillResult] = {}
-
-    def on_detect(event) -> None:
-        result = results.get(event.server_id)
-        if result is not None and result.detected_at_s is None:
-            result.detected_at_s = event.detected_at
-            result.detected_by = event.detected_by
-
-    monitor.on_failure(on_detect)
-    monitor.start()
+    monitor = HeartbeatMonitor(cluster)
     for crash in plan.crashes:
-        results[crash.node_id] = DrillResult(
-            node_id=crash.node_id, crashed_at_s=crash.at_s
-        )
-
-        def fire(crash: CrashEvent = crash) -> None:
-            injector.advance(simulator.now)
-            injector.silence(crash.node_id)
-            monitor.crash(crash.node_id)
-
-        simulator.schedule_at(crash.at_s, fire)
+        # A round due at the crash instant runs before the crash.
+        monitor.advance(crash.at_s)
+        injector.advance(crash.at_s)
+        injector.silence(crash.node_id)
+        monitor.crash(crash.node_id)
 
     last_crash = max(crash.at_s for crash in plan.crashes)
-    horizon = (
-        last_crash
-        + cfg.heartbeat_timeout_s
-        + 3 * cfg.heartbeat_interval_s
+    monitor.advance(
+        last_crash + cfg.heartbeat_timeout_s + 3 * cfg.heartbeat_interval_s
     )
-    simulator.run_until(horizon)
-    monitor.stop()
 
+    detections = {event.server_id: event for event in monitor.failures}
     bound = cfg.heartbeat_timeout_s + 2 * cfg.heartbeat_interval_s
     report = DrillReport(bound_s=bound, heartbeats_sent=monitor.heartbeats_sent)
-    report.results = [results[crash.node_id] for crash in plan.crashes]
+    for crash in plan.crashes:
+        result = DrillResult(node_id=crash.node_id, crashed_at_s=crash.at_s)
+        event = detections.get(crash.node_id)
+        if event is not None:
+            result.detected_at_s = event.detected_at
+            result.detected_by = event.detected_by
+        report.results.append(result)
     return report

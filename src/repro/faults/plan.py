@@ -8,9 +8,9 @@ per-message decisions with a dedicated seeded RNG, so the same plan and
 seed always produce the same injected fault sequence.
 
 Times are in *virtual* seconds: the prototype soak advances virtual time
-one operation at a time, and the simulator drills use
-:class:`~repro.sim.engine.Simulator` time directly.  Nothing in this
-module reads the wall clock.
+one operation at a time, and the heartbeat drill advances the injector and
+the :class:`~repro.core.failure.HeartbeatMonitor` to each crash time.
+Nothing in this module reads the wall clock.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class CrashEvent:
     the run.  The injector only *tracks* silence windows — actually killing
     a prototype node (and restoring it from its checkpoint) is the chaos
     driver's job, so the same plan drives both the threaded prototype and
-    the discrete-event heartbeat drills.
+    the simulator's heartbeat drills.
     """
 
     at_s: float

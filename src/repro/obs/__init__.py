@@ -11,7 +11,7 @@ Seven layers, composable and individually optional:
 - :mod:`repro.obs.registry` — named counters, gauges and streaming
   histograms with per-server / per-group / per-tenant labels.
 - :mod:`repro.obs.export` — JSONL span logs, Prometheus text exposition,
-  and periodic snapshots driven by the discrete-event engine.
+  and snapshot time series a caller appends on its own clock.
 - :mod:`repro.obs.flight` — bounded per-component flight recorders,
   dumped automatically on crash or harness violation.
 - :mod:`repro.obs.assemble` — stitches span JSONL dumps back into
@@ -37,7 +37,6 @@ from repro.obs.export import (
     SnapshotSeries,
     prometheus_exposition,
     read_spans_jsonl,
-    schedule_metrics_snapshots,
     span_to_dict,
     write_prometheus,
     write_spans_jsonl,
@@ -134,7 +133,6 @@ __all__ = [
     "render_summary",
     "render_slo_report",
     "render_tree",
-    "schedule_metrics_snapshots",
     "select",
     "server_hotspots",
     "span_to_dict",

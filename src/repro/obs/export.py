@@ -1,4 +1,4 @@
-"""Exporters: JSONL span logs, Prometheus text exposition, snapshots.
+"""Exporters: JSONL span logs, Prometheus text exposition, snapshot series.
 
 Three machine-readable surfaces over the trace layer and the registry:
 
@@ -8,17 +8,15 @@ Three machine-readable surfaces over the trace layer and the registry:
 - :func:`prometheus_exposition` / :func:`write_prometheus` — the standard
   ``text/plain; version=0.0.4`` exposition format, scrape-compatible with
   Prometheus and its ecosystem.
-- :func:`schedule_metrics_snapshots` — a periodic hook for the
-  discrete-event engine: every ``interval_s`` of *virtual* time the
-  registry is snapshotted (to an in-memory series and/or JSONL file),
-  turning point-in-time counters into time series.
+- :class:`SnapshotSeries` — registry snapshots a caller appends at its
+  own virtual times, turning point-in-time counters into time series.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.obs.registry import (
     CounterFamily,
@@ -156,7 +154,7 @@ def write_prometheus(registry: MetricsRegistry, path: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# Periodic snapshots on the discrete-event engine
+# Snapshot time series
 # ----------------------------------------------------------------------
 
 
@@ -186,45 +184,3 @@ class SnapshotSeries:
 
     def __len__(self) -> int:
         return len(self.snapshots)
-
-
-def schedule_metrics_snapshots(
-    simulator: Any,
-    registry: MetricsRegistry,
-    interval_s: float,
-    sink: Optional[Callable[[float, Dict[str, Any]], None]] = None,
-    jsonl_path: Optional[str] = None,
-) -> Tuple[SnapshotSeries, Callable[[], None]]:
-    """Snapshot ``registry`` every ``interval_s`` of virtual time.
-
-    ``simulator`` is any object with the
-    :class:`~repro.sim.engine.Simulator` periodic-scheduling surface
-    (``schedule_periodic``/``now``).  Snapshots land in the returned
-    :class:`SnapshotSeries`; optionally they are also passed to ``sink``
-    and appended (one JSON object per line, with a ``"time_s"`` key) to
-    ``jsonl_path``.
-
-    Returns ``(series, stop)`` where ``stop()`` cancels future snapshots.
-    """
-    series = SnapshotSeries()
-    handle = open(jsonl_path, "w", encoding="utf-8") if jsonl_path else None
-
-    def take_snapshot() -> None:
-        snapshot = registry.snapshot()
-        series.append(simulator.now, snapshot)
-        if sink is not None:
-            sink(simulator.now, snapshot)
-        if handle is not None:
-            record = {"time_s": simulator.now, "metrics": snapshot}
-            handle.write(json.dumps(record, sort_keys=True))
-            handle.write("\n")
-            handle.flush()
-
-    stop_periodic = simulator.schedule_periodic(interval_s, take_snapshot)
-
-    def stop() -> None:
-        stop_periodic()
-        if handle is not None:
-            handle.close()
-
-    return series, stop

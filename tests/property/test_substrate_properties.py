@@ -1,4 +1,4 @@
-"""Property-based tests for the store, memory model and event engine."""
+"""Property-based tests for the store and the memory model."""
 
 from collections import OrderedDict
 
@@ -9,7 +9,6 @@ from repro.core.config import GHBAConfig
 from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 from repro.metadata.store import MetadataStore
-from repro.sim.engine import Simulator
 
 
 class TestStoreModelConformance:
@@ -80,56 +79,3 @@ class TestMemoryModelProperties:
             assert server.resident_fraction <= fraction
             fraction = server.resident_fraction
 
-
-class TestEngineProperties:
-    @given(
-        delays=st.lists(
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            max_size=40,
-        )
-    )
-    @settings(max_examples=60)
-    def test_execution_order_is_sorted_by_time(self, delays):
-        sim = Simulator()
-        fired = []
-        for index, delay in enumerate(delays):
-            sim.schedule(delay, lambda d=delay: fired.append(d))
-        sim.run()
-        assert fired == sorted(fired)
-        assert len(fired) == len(delays)
-
-    @given(
-        delays=st.lists(
-            st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-            max_size=25,
-        ),
-        cutoff=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-    )
-    @settings(max_examples=60)
-    def test_run_until_partitions_events_exactly(self, delays, cutoff):
-        sim = Simulator()
-        fired = []
-        for delay in delays:
-            sim.schedule(delay, lambda d=delay: fired.append(d))
-        sim.run_until(cutoff)
-        assert sorted(fired) == sorted(d for d in delays if d <= cutoff)
-        assert sim.pending == sum(1 for d in delays if d > cutoff)
-
-    @given(
-        delays=st.lists(
-            st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-            max_size=30,
-        )
-    )
-    @settings(max_examples=40)
-    def test_two_runs_identical(self, delays):
-        """Determinism: two engines fed the same schedule fire identically."""
-        logs = []
-        for _ in range(2):
-            sim = Simulator()
-            log = []
-            for index, delay in enumerate(delays):
-                sim.schedule(delay, lambda i=index: log.append((sim.now, i)))
-            sim.run()
-            logs.append(log)
-        assert logs[0] == logs[1]

@@ -23,7 +23,10 @@ class TestCLI:
         assert "unknown experiment" in err
 
     def test_record_then_check_and_a_one_byte_edit_fails(self, tmp_path, capsys):
-        assert main(["--record", str(tmp_path), "table01", "fig07"]) == 0
+        # Recording is the one-name command's stdout, redirected to the file.
+        for name in ("table01", "fig07"):
+            assert main([name]) == 0
+            (tmp_path / f"{name}.txt").write_bytes(capsys.readouterr().out.encode())
         assert main(["--check", str(tmp_path), "table01", "fig07"]) == 0
         recorded = tmp_path / "fig07.txt"
         text = recorded.read_bytes()

@@ -6,9 +6,6 @@ import time
 
 import pytest
 
-from repro.core.cluster import GHBACluster
-from repro.core.config import GHBAConfig
-from repro.core.failure import HeartbeatMonitor
 from repro.faults import (
     DEFAULT_RETRY,
     NO_RETRY,
@@ -20,9 +17,10 @@ from repro.faults import (
     RetryPolicy,
     run_drill,
 )
+from repro.faults.__main__ import DetectionSpec
+from repro.faults.__main__ import main as faults_main
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.transport import InProcessTransport, TransportClosed
-from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 
 
@@ -366,73 +364,8 @@ def _request_message():
 
 
 # ----------------------------------------------------------------------
-# Heartbeat: callback safety + detection drill
+# Heartbeat detection drill
 # ----------------------------------------------------------------------
-class TestHeartbeatCallbackSafety:
-    def _monitored_cluster(self):
-        config = GHBAConfig(
-            max_group_size=3,
-            expected_files_per_mds=64,
-            heartbeat_interval_s=1.0,
-            heartbeat_timeout_s=3.0,
-            seed=5,
-        )
-        cluster = GHBACluster(6, config, seed=5)
-        simulator = Simulator()
-        monitor = HeartbeatMonitor(cluster, simulator)
-        return cluster, simulator, monitor
-
-    def test_bad_callback_does_not_starve_others(self):
-        cluster, simulator, monitor = self._monitored_cluster()
-        seen = []
-
-        def bad(event):
-            raise RuntimeError("boom")
-
-        def good(event):
-            seen.append(event.server_id)
-
-        monitor.on_failure(bad)
-        monitor.on_failure(good)
-        monitor.start()
-        monitor.crash(0)
-        simulator.run_until(10.0)
-        assert seen == [0]
-        assert len(monitor.callback_errors) == 1
-        event, error = monitor.callback_errors[0]
-        assert event.server_id == 0
-        assert isinstance(error, RuntimeError)
-
-    def test_excision_completes_before_callbacks(self):
-        cluster, simulator, monitor = self._monitored_cluster()
-        excised_at_callback = []
-
-        def probe(event):
-            excised_at_callback.append(event.server_id in cluster.servers)
-            raise RuntimeError("after checking")
-
-        monitor.on_failure(probe)
-        monitor.start()
-        monitor.crash(1)
-        simulator.run_until(10.0)
-        assert excised_at_callback == [False]
-        # The raising callback did not corrupt detection state.
-        assert monitor.detected(1)
-        assert not monitor.is_down(1)
-
-    def test_detection_continues_after_callback_error(self):
-        cluster, simulator, monitor = self._monitored_cluster()
-        monitor.on_failure(lambda event: (_ for _ in ()).throw(ValueError()))
-        monitor.start()
-        monitor.crash(0)
-        simulator.run_until(6.0)
-        monitor.crash(3)
-        simulator.run_until(14.0)
-        assert monitor.detected(0)
-        assert monitor.detected(3)
-        assert len(monitor.callback_errors) == 2
-
-
 class TestDetectionDrill:
     def test_drill_detects_within_bound(self):
         report = run_drill(num_servers=9, seed=0)
@@ -453,3 +386,23 @@ class TestDetectionDrill:
     def test_drill_render_mentions_verdict(self):
         report = run_drill(num_servers=6, seed=1)
         assert "PASS" in report.render()
+
+    def test_witness_is_a_live_peer(self):
+        # Node 1 crashes at 2.5 s, before node 0's silence is noticed at
+        # 5.0 s: only node 2 is left alive to witness either.
+        report = run_drill(num_servers=3, seed=0)
+        assert [(r.node_id, r.detected_by) for r in report.results] == [(0, 2), (1, 2)]
+        assert report.within_bound
+
+    def test_no_live_witness_is_no_detection(self):
+        report = run_drill(num_servers=2, seed=0)
+        assert [r.detected for r in report.results] == [False, False]
+        assert "verdict: FAIL" in report.render()
+
+    def test_drill_needs_three_servers(self, capsys):
+        with pytest.raises(ValueError, match="at least 3"):
+            DetectionSpec(servers=2)
+        with pytest.raises(SystemExit) as excinfo:
+            faults_main(["drill", "--servers", "2"])
+        assert excinfo.value.code == 2
+        assert "servers must be at least 3, got 2" in capsys.readouterr().err

