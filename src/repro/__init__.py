@@ -21,8 +21,8 @@ Packages
 --------
 - ``repro.bloom`` — Bloom filter substrate (filters, counting filters,
   algebra, arrays).
-- ``repro.metadata`` — file metadata, namespace tree, tiered stores.
-- ``repro.sim`` — discrete-event engine, network/memory models, metrics.
+- ``repro.metadata`` — file metadata, namespace tree, record stores.
+- ``repro.sim`` — the network latency model and seeded samplers.
 - ``repro.traces`` — synthetic HP/INS/RES-shaped workloads and TIF scaling.
 - ``repro.core`` — the G-HBA scheme itself.
 - ``repro.baselines`` — HBA (the cluster at M = 1), the BFA memory

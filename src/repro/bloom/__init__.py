@@ -3,11 +3,10 @@
 This package implements, from scratch, every probabilistic data structure the
 paper relies on:
 
-- :class:`~repro.bloom.bitvector.BitVector` — a compact bit array.
 - :class:`~repro.bloom.hashing.HashFamily` — ``k`` index functions derived by
   double hashing, the standard construction for Bloom filters.
 - :class:`~repro.bloom.bloom_filter.BloomFilter` — the standard filter
-  (Bloom, 1970).
+  (Bloom, 1970), its ``m`` bits packed into one Python int.
 - :class:`~repro.bloom.counting.CountingBloomFilter` — counting variant
   supporting deletion (Fan et al., Summary Cache), used by the IDBFA.
 - :mod:`~repro.bloom.algebra` — union / intersection / XOR of filters
@@ -22,7 +21,6 @@ paper relies on:
   :class:`IDBloomFilterArray` used for replica localization.
 """
 
-from repro.bloom.bitvector import BitVector
 from repro.bloom.hashing import HashFamily
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.counting import CountingBloomFilter
@@ -53,7 +51,6 @@ from repro.bloom.compressed import (
 )
 
 __all__ = [
-    "BitVector",
     "HashFamily",
     "BloomFilter",
     "CountingBloomFilter",

@@ -19,7 +19,7 @@ re-replicates only when the number of differing bits exceeds a threshold.
 
 from __future__ import annotations
 
-from repro.bloom.bloom_filter import BloomFilter
+from repro.bloom.bloom_filter import BloomFilter, popcount
 
 
 def _check_pair(a: BloomFilter, b: BloomFilter) -> None:
@@ -70,7 +70,7 @@ def bit_difference(a: BloomFilter, b: BloomFilter) -> int:
     threshold (paper Section 3.4, last paragraph).
     """
     _check_pair(a, b)
-    return a.bits.hamming_distance(b.bits)
+    return popcount(a.bits ^ b.bits)
 
 
 def needs_update(local: BloomFilter, replica: BloomFilter, threshold: int) -> bool:
@@ -138,5 +138,5 @@ def measured_false_positive_rate(
 def merge_into(target: BloomFilter, source: BloomFilter) -> None:
     """In-place union: fold ``source`` into ``target`` (Property 1)."""
     _check_pair(target, source)
-    target.bits.__ior__(source.bits)
+    target._bits |= source._bits
     target._num_items += source.num_items

@@ -147,7 +147,7 @@ class BloomFilterArray:
             if bloom._hashes is not family:
                 family = bloom._hashes
                 mask = family.mask(item)
-            if (bloom._bits._value & mask) == mask:
+            if (bloom._bits & mask) == mask:
                 hits.append(home_id)
         probes = len(self._filters)
         if hits:
@@ -171,7 +171,7 @@ class BloomFilterArray:
             if bloom._hashes is not family:
                 family = bloom._hashes
                 mask = family.mask(item)
-            if (bloom._bits._value & mask) == mask:
+            if (bloom._bits & mask) == mask:
                 hits.add(home_id)
         return len(self._filters)
 
@@ -191,7 +191,7 @@ class BloomFilterArray:
                 if bloom._hashes is not family:
                     family = bloom._hashes
                     mask = family.mask(item)
-                if (bloom._bits._value & mask) == mask:
+                if (bloom._bits & mask) == mask:
                     hits.append(home_id)
             out.append(ArrayLookup(hits=tuple(hits), probes=probes))
         return out

@@ -6,21 +6,37 @@ other servers.  The filter therefore needs to be cheaply copyable,
 serializable, and comparable bit-by-bit (for the XOR-threshold update rule of
 paper Section 3.4).
 
-Hot path: membership tests go through the packed-mask primitives — the
-shared :class:`~repro.bloom.hashing.HashFamily` memoizes each key's probe
-mask, and :meth:`query` is then one big-int AND plus a compare against
-the packed :class:`~repro.bloom.bitvector.BitVector`.  The batched
-:meth:`contains_many` amortizes attribute lookups across a whole
-``VERIFY_BATCH`` (DESIGN.md §15).
+Representation: the ``m`` bits are one Python int, ``_bits`` — bit ``i``
+of the filter is bit ``i`` of the int — and ``m`` itself is read from the
+filter's interned :class:`~repro.bloom.hashing.HashFamily`.  Union,
+intersection, XOR and popcount are then single C-level big-int ops, and
+``_bits.to_bytes(n, "little")`` places bit ``i`` at
+``byte[i >> 3] & (1 << (i & 7))``, the historical wire layout.
+
+Hot path: the shared family memoizes each key's probe mask (the OR of
+``1 << i`` over its ``k`` indices), so :meth:`query` is one AND plus a
+compare against ``_bits``; the segment arrays and the L3 plan read the
+same attribute.  The batched :meth:`contains_many` amortizes attribute
+lookups across a whole ``VERIFY_BATCH`` (DESIGN.md §15).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-from repro.bloom.bitvector import BitVector
 from repro.bloom.hashing import HashFamily, shared_family
 from repro.bloom.analysis import false_positive_rate, optimal_num_hashes
+
+# ``int.bit_count`` is 3.10+; CI also runs 3.9.  ``bin(x).count("1")`` is
+# the portable fallback and still operates on the whole word at once.
+if hasattr(int, "bit_count"):  # pragma: no branch
+    def popcount(value: int) -> int:
+        """Number of set bits of a non-negative int."""
+        return value.bit_count()
+else:  # pragma: no cover - exercised only on Python < 3.10
+    def popcount(value: int) -> int:
+        """Number of set bits of a non-negative int."""
+        return bin(value).count("1")
 
 
 class BloomFilter:
@@ -41,7 +57,7 @@ class BloomFilter:
     __slots__ = ("_bits", "_hashes", "_num_items")
 
     def __init__(self, num_bits: int, num_hashes: int, seed: int = 0) -> None:
-        self._bits = BitVector(num_bits)
+        self._bits = 0
         # Same-geometry filters share one family — and one mask memo —
         # so a key hashed at one replica is free at every other.
         self._hashes = shared_family(num_hashes, num_bits, seed)
@@ -92,7 +108,7 @@ class BloomFilter:
     # ------------------------------------------------------------------
     @property
     def num_bits(self) -> int:
-        return self._bits.num_bits
+        return self._hashes.num_bits
 
     @property
     def num_hashes(self) -> int:
@@ -108,8 +124,8 @@ class BloomFilter:
         return self._num_items
 
     @property
-    def bits(self) -> BitVector:
-        """The underlying bit vector (shared, not a copy)."""
+    def bits(self) -> int:
+        """The packed bits: bit ``i`` of the filter is bit ``i`` here."""
         return self._bits
 
     @property
@@ -121,7 +137,7 @@ class BloomFilter:
     # ------------------------------------------------------------------
     def add(self, item: object) -> None:
         """Insert ``item`` into the filter."""
-        self._bits.set_mask(self._hashes.mask(item))
+        self._bits |= self._hashes.mask(item)
         self._num_items += 1
 
     def update(self, items: Iterable[object]) -> None:
@@ -135,7 +151,7 @@ class BloomFilter:
     def query(self, item: object) -> bool:
         """Return True if ``item`` *may* be in the set (no false negatives)."""
         mask = self._hashes.mask(item)
-        return (self._bits.value & mask) == mask
+        return (self._bits & mask) == mask
 
     def contains_many(self, items: Sequence[object]) -> List[bool]:
         """Batched membership: one pass, one answer per item.
@@ -145,13 +161,13 @@ class BloomFilter:
         ``VERIFY_BATCH`` costs k hashes (amortized zero once cached) plus
         one AND/compare per item.
         """
-        value = self._bits.value
+        value = self._bits
         mask_of = self._hashes.mask
         return [(value & (m := mask_of(item))) == m for item in items]
 
     def clear(self) -> None:
         """Remove all items (reset every bit)."""
-        self._bits.reset()
+        self._bits = 0
         self._num_items = 0
 
     # ------------------------------------------------------------------
@@ -159,7 +175,7 @@ class BloomFilter:
     # ------------------------------------------------------------------
     def fill_ratio(self) -> float:
         """Fraction of set bits."""
-        return self._bits.fill_ratio()
+        return popcount(self._bits) / self._hashes.num_bits
 
     def estimated_fpr(self) -> float:
         """Estimated false-positive rate from the analytic formula."""
@@ -171,10 +187,7 @@ class BloomFilter:
 
     def copy(self) -> "BloomFilter":
         """Return an independent deep copy (a *replica* of this filter)."""
-        clone = BloomFilter(self.num_bits, self.num_hashes, self.seed)
-        clone._bits = self._bits.copy()
-        clone._num_items = self._num_items
-        return clone
+        return self._with_bits(self._bits, self._num_items)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):
@@ -201,7 +214,7 @@ class BloomFilter:
             + self.seed.to_bytes(8, "big", signed=True)
             + self._num_items.to_bytes(8, "big")
         )
-        return header + self._bits.to_bytes()
+        return header + self._bits.to_bytes(self.size_bytes(), "little")
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "BloomFilter":
@@ -213,14 +226,20 @@ class BloomFilter:
         seed = int.from_bytes(payload[12:20], "big", signed=True)
         num_items = int.from_bytes(payload[20:28], "big")
         bloom = cls(num_bits, num_hashes, seed)
-        bloom._bits = BitVector.from_bytes(num_bits, payload[28:])
+        bits = payload[28:]
+        if len(bits) != bloom.size_bytes():
+            raise ValueError(
+                f"payload has {len(bits)} bytes, expected {bloom.size_bytes()} "
+                f"for {num_bits} bits"
+            )
+        bloom._bits = int.from_bytes(bits, "little")
         bloom._num_items = num_items
         return bloom
 
     # ------------------------------------------------------------------
-    # Internal helper used by the algebra module
+    # Internal helper used by copy and the algebra module
     # ------------------------------------------------------------------
-    def _with_bits(self, bits: BitVector, num_items: int) -> "BloomFilter":
+    def _with_bits(self, bits: int, num_items: int) -> "BloomFilter":
         result = BloomFilter(self.num_bits, self.num_hashes, self.seed)
         result._bits = bits
         result._num_items = num_items

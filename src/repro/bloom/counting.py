@@ -185,7 +185,7 @@ class CountingBloomFilter:
     def to_bloom_filter(self) -> BloomFilter:
         """Project to a plain Bloom filter (counter > 0 → bit set)."""
         bloom = BloomFilter(self.num_counters, self.num_hashes, self.seed)
-        bloom.bits.set_mask(self.nonzero_value)
+        bloom._bits = self.nonzero_value
         bloom._num_items = self._num_items
         return bloom
 

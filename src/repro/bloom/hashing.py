@@ -24,9 +24,9 @@ int ops, so this module adds two layers on top of the construction:
   ``item -> (index, ...)`` and :meth:`HashFamily.mask` memoizes
   ``item -> OR of 1 << index``, each filled only by the callers that ask
   for it.  Counter arrays are read by cell (counting filters, the L1
-  slices); a packed :class:`~repro.bloom.bitvector.BitVector` is tested
-  with ``(bits & mask) == mask`` — no per-index loop at all (plain
-  filters, segment arrays, the L3 plan).  A geometry's filters are all of
+  slices); a filter's packed ``_bits`` int is tested with
+  ``(bits & mask) == mask`` — no per-index loop at all (plain filters,
+  segment arrays, the L3 plan).  A geometry's filters are all of
   one kind, so it holds one form per item, not both.  Both memos are
   bounded — cells by entries, masks by bytes, since a mask is as wide as
   the filter; on overflow the oldest half (dict insertion order) is
@@ -152,8 +152,8 @@ class HashFamily:
 
     def mask(self, item: object) -> int:
         """The OR of ``1 << i`` over the ``k`` indices of ``item``
-        (memoized) — the single-int form consumed by
-        :meth:`~repro.bloom.bitvector.BitVector.contains_mask`."""
+        (memoized) — the single-int form a packed filter is tested by,
+        ``(bits & mask) == mask``."""
         memo = self._masks
         mask = memo.get(item)
         if mask is None:

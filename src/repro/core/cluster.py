@@ -404,7 +404,7 @@ class _ModelWalk:
         local = server.local_filter
         mask = local._hashes.mask(self.path)
         meta = None
-        if (local._bits._value & mask) == mask:
+        if (local._bits & mask) == mask:
             self.latency += server.fetch_penalty_cached(self.net)
             meta = server.store.get(self.path)
         if traced:

@@ -236,14 +236,14 @@ class Group:
         for member, pairs, member_probes, counter in entries:
             if counter is not None:
                 counter.inc()
-            for bits, home_id in pairs:
-                if (bits._value & mask) == mask:
+            for bloom, home_id in pairs:
+                if (bloom._bits & mask) == mask:
                     add_hit(home_id)
             # The local filter can be swapped wholesale (rebuilds, restore
             # from checkpoint), so fetch it fresh and re-check its family.
             local = member.local_filter
             if local._hashes is family:
-                if (local._bits._value & mask) == mask:
+                if (local._bits & mask) == mask:
                     add_hit(member.server_id)
             elif local.query(path):
                 add_hit(member.server_id)
@@ -253,15 +253,17 @@ class Group:
     def _build_probe_plan(self) -> tuple:
         """Flatten the members' segment arrays for the fused L3 probe.
 
-        The plan pairs each member with ``(bit-vector, home_id)`` tuples for
+        The plan pairs each member with ``(filter, home_id)`` tuples for
         every replica it hosts; when all filters share one (interned) hash
         family the multicast becomes one mask computation plus one AND and
-        compare per replica.  Plans are push-invalidated: membership changes
-        (:meth:`adopt_member` / :meth:`abandon_member`) and replica
-        installs/updates/drops on any member (which funnel through
-        ``MetadataServer.host_replica`` and friends) null ``_probe_plan``,
-        so a non-None plan is always current and queries skip validation
-        entirely.
+        compare per replica.  The plan holds the filter, not its ``_bits``
+        int, and reads the int on every probe: a replica updated in place
+        must not leave a stale copy behind.  Plans are push-invalidated:
+        membership changes (:meth:`adopt_member` / :meth:`abandon_member`)
+        and replica installs/updates/drops on any member (which funnel
+        through ``MetadataServer.host_replica`` and friends) null
+        ``_probe_plan``, so a non-None plan is always current and queries
+        skip validation entirely.
         """
         family = None
         fused = True
@@ -274,7 +276,7 @@ class Group:
                     family = bloom._hashes
                 elif bloom._hashes is not family:
                     fused = False
-                pairs.append((bloom._bits, home_id))
+                pairs.append((bloom, home_id))
             local_family = member.local_filter._hashes
             if family is None:
                 family = local_family

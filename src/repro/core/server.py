@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
+from repro.bloom.algebra import bit_difference
 from repro.bloom.arrays import ArrayLookup, BloomFilterArray, LRUBloomFilterArray
 from repro.bloom.bloom_filter import BloomFilter
 from repro.core.config import GHBAConfig
@@ -346,7 +347,7 @@ class MetadataServer:
         probes = self.segment.query_into(path, hits) + 1
         local = self.local_filter
         mask = local._hashes.mask(path)
-        if (local._bits.value & mask) == mask:
+        if (local._bits & mask) == mask:
             hits.add(self.server_id)
         if hits:
             return ArrayLookup(hits=tuple(sorted(hits)), probes=probes)
@@ -368,7 +369,7 @@ class MetadataServer:
         probes = self.segment.query_into(path, hits)
         local = self.local_filter
         mask = local._hashes.mask(path)
-        if (local._bits.value & mask) == mask:
+        if (local._bits & mask) == mask:
             hits.add(self.server_id)
         return probes + 1
 
@@ -416,7 +417,7 @@ class MetadataServer:
 
     def staleness_bits(self) -> int:
         """Bit difference between the live and last-published filters."""
-        return self.local_filter.bits.hamming_distance(self.published_filter.bits)
+        return bit_difference(self.local_filter, self.published_filter)
 
     def __repr__(self) -> str:
         return (

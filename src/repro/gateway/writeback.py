@@ -149,8 +149,9 @@ class MutationBuffer:
         The replacement keeps the *earliest* base version and enqueue
         time (the backend never saw the intermediate states, so the race
         window starts at the first buffered intent) but takes a fresh
-        sequence version — the home's high-water dedup requires versions
-        to grow monotonically.
+        sequence version — the home dedups by version (the per-origin ack
+        floor plus the outcomes cached above it), so a new intent needs a
+        version no earlier batch has used.
         """
         if op not in ("create", "delete"):
             raise ValueError(f"unknown buffered op {op!r}")

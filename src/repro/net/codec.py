@@ -359,8 +359,9 @@ def _decode_value(reader: _Reader) -> Any:
         raw = reader.take(reader.varint())
         if len(raw) < 28:
             raise CodecError("BloomFilter blob shorter than its header")
-        # BloomFilter.from_bytes allocates num_bits of BitVector before
-        # it validates the payload length, so a corrupt header claiming
+        # BloomFilter.from_bytes builds the filter's hash family, which
+        # sizes its mask memo with a num_bits-wide int, before it
+        # validates the payload length, so a corrupt header claiming
         # 2^60 bits would be a giant allocation.  Check the claimed
         # geometry against the bytes actually present first.
         num_bits = int.from_bytes(raw[0:8], "big")

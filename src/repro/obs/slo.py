@@ -16,7 +16,7 @@ required to add one.  Two shapes cover the repo's surfaces:
 
 - **lifetime** compliance from the live registry — always available;
 - **windowed burn rates** from a :class:`~repro.obs.export.SnapshotSeries`
-  (the periodic snapshots the discrete-event engine already takes).  A
+  (the periodic registry snapshots its caller appends as it runs).  A
   burn rate of 1x means the error budget is being consumed exactly at
   the rate that exhausts it at the window's end; the classic
   multi-window rule fires an alert only when *every* window burns above

@@ -435,10 +435,11 @@ class PrototypeCluster:
 
         The gateway's batch path: one VERIFY_BATCH request carries every
         key predicted onto the node; the reply maps path → found.  On a
-        timeout (fault injection) ``degraded`` is True and ``found`` is
-        empty — the caller falls back to per-key :meth:`lookup`.
+        timeout (fault injection, a crashed node) ``degraded`` is True and
+        ``found`` is empty — the caller falls back to per-key
+        :meth:`lookup`.
         """
-        if node_id not in self.nodes:
+        if node_id not in self.nodes and node_id not in self._crashed:
             raise KeyError(f"unknown node {node_id}")
         payload = {"paths": list(paths)}
         return self._batch_request(
@@ -497,8 +498,9 @@ class PrototypeCluster:
         Each mutation dict carries ``version``/``op``/``path`` (plus
         ``record`` for creates); the node applies them **at most once**
         per ``(origin, version)`` — the transport's retry policy may
-        duplicate the request, and the node's durable high-water mark
-        absorbs the replay.  On a timeout (crash, drop schedule beyond
+        duplicate the request, and the node's durable dedup record (the
+        per-origin ack floor plus the outcomes cached above it) absorbs
+        the replay.  On a timeout (crash, drop schedule beyond
         the retry budget) ``degraded`` is True and *whether* the batch
         applied is unknown — the caller retries the identical batch or
         declares the loss at its flush barrier.

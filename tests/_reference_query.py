@@ -176,7 +176,7 @@ class ReferenceQueryCluster(GHBACluster):
             latency += mpm
             local = server.local_filter
             mask = local._hashes.mask(path)
-            if (local._bits._value & mask) != mask:
+            if (local._bits & mask) != mask:
                 return None
             latency += server.fetch_penalty_cached(net)
             return server.store.get(path)

@@ -132,6 +132,28 @@ class TestPrototypeAtMostOnce:
             assert server.writeback_applied == 1
             assert server.store.get("/wb/lossy") is not None
 
+    def test_crashed_node_answers_both_batch_calls_degraded(self, config):
+        """A crashed home is a degraded answer, not a ``KeyError``, for
+        ``verify_batch`` as for ``apply_mutation_batch``: the caller falls
+        back to a walk instead of failing."""
+        with PrototypeCluster(4, config, scheme="ghba", seed=21) as proto:
+            node_id = proto.node_ids()[1]
+            path = "/wb/before-crash"
+            proto.apply_mutation_batch(
+                node_id, [_mutation(1, "create", path, inode=7)], origin=3
+            )
+            assert proto.verify_batch(node_id, [path])["found"] == {path: True}
+            proto.crash_node(node_id)
+            verify = proto.verify_batch(node_id, [path])
+            assert verify["degraded"] and verify["found"] == {}
+            mutate = proto.apply_mutation_batch(
+                node_id, [_mutation(2, "delete", path)], origin=3
+            )
+            assert mutate["degraded"] and mutate["outcomes"] == []
+            assert verify["virtual_latency_ms"] == mutate["virtual_latency_ms"]
+            with pytest.raises(KeyError):
+                proto.verify_batch(99, [path])
+
 
 def _run_ghba_fault_scenario(monkeypatch):
     """One deterministic write-back run under a silence window; returns

@@ -39,7 +39,7 @@ from repro.bloom.algebra import (
     bloom_xor,
     needs_update,
 )
-from repro.bloom.bloom_filter import BloomFilter
+from repro.bloom.bloom_filter import BloomFilter, popcount
 from repro.bloom.compressed import compress_filter, decompress_filter
 from repro.bloom.counting import CountingBloomFilter
 
@@ -65,6 +65,11 @@ GEOMETRIES = [
 ]
 HASH_SEEDS = [-2, 0, 1, 7, 12345]
 COUNTER_BITS = [1, 2, 4]
+
+
+def _packed(ref):
+    """The reference filter's per-bit ``bytearray`` as the live form's int."""
+    return int.from_bytes(ref.bits.to_bytes(), "little")
 
 
 def _gen_item(rng, serial):
@@ -154,9 +159,9 @@ class _Mirror:
         """Full bit-for-bit state diff — run after every op."""
         for which in range(2):
             live, ref = self.live[which], self.ref[which]
-            if live.bits.to_bytes() != ref.bits.to_bytes():
+            if live.bits != _packed(ref):
                 return f"filter {which} bit vectors diverged"
-            if live.bits.popcount() != ref.bits.popcount():
+            if popcount(live.bits) != ref.bits.popcount():
                 return f"filter {which} popcounts diverged"
             if live.num_items != ref.num_items:
                 return (
@@ -230,7 +235,7 @@ def _apply(mirror, op, arg):
         }[kind]
         live_out = live_fn(mirror.live[0], mirror.live[1])
         ref_out = ref_fn(mirror.ref[0], mirror.ref[1])
-        if live_out.bits.to_bytes() != ref_out.bits.to_bytes():
+        if live_out.bits != _packed(ref_out):
             return f"{kind} bit vectors diverged"
         if live_out.num_items != ref_out.num_items:
             return (
@@ -267,7 +272,7 @@ def _apply(mirror, op, arg):
     elif op == "cbloom":
         live_proj = mirror.clive.to_bloom_filter()
         ref_proj = mirror.cref.to_bloom_filter()
-        if live_proj.bits.to_bytes() != ref_proj.bits.to_bytes():
+        if live_proj.bits != _packed(ref_proj):
             return "to_bloom_filter projections diverged"
         if live_proj.num_items != ref_proj.num_items:
             return "to_bloom_filter num_items diverged"

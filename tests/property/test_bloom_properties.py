@@ -9,8 +9,7 @@ from repro.bloom.algebra import (
     bloom_union,
     bloom_xor,
 )
-from repro.bloom.bitvector import BitVector
-from repro.bloom.bloom_filter import BloomFilter
+from repro.bloom.bloom_filter import BloomFilter, popcount
 
 items_strategy = st.lists(
     st.text(min_size=1, max_size=24), max_size=60, unique=True
@@ -69,7 +68,7 @@ class TestAlgebraLaws:
     def test_intersection_bits_superset_of_direct(self, a, b):
         inter = bloom_intersection(build(a), build(b))
         direct = build(list(set(a) & set(b)))
-        assert direct.bits.is_subset_of(inter.bits)
+        assert direct.bits & ~inter.bits == 0
 
     @given(a=items_strategy, b=items_strategy)
     def test_xor_consistent_with_bitvectors(self, a, b):
@@ -78,7 +77,7 @@ class TestAlgebraLaws:
 
     @given(a=items_strategy)
     def test_xor_self_is_empty(self, a):
-        assert bloom_xor(build(a), build(a)).bits.popcount() == 0
+        assert bloom_xor(build(a), build(a)).bits == 0
 
     @given(a=items_strategy, b=items_strategy)
     def test_bit_difference_is_metric_like(self, a, b):
@@ -94,39 +93,9 @@ class TestAlgebraLaws:
         )
 
 
-class TestBitVectorLaws:
-    @given(
-        bits=st.lists(st.integers(min_value=0, max_value=255), max_size=40),
-        size=st.just(256),
-    )
-    def test_popcount_matches_set_bits(self, bits, size):
-        vector = BitVector(size)
-        for bit in bits:
-            vector.set(bit)
-        assert vector.popcount() == len(set(bits))
-
-    @given(
-        a_bits=st.sets(st.integers(min_value=0, max_value=127)),
-        b_bits=st.sets(st.integers(min_value=0, max_value=127)),
-    )
-    def test_or_and_xor_match_set_semantics(self, a_bits, b_bits):
-        a, b = BitVector(128), BitVector(128)
-        for bit in a_bits:
-            a.set(bit)
-        for bit in b_bits:
-            b.set(bit)
-        assert {i for i in range(128) if (a | b).get(i)} == a_bits | b_bits
-        assert {i for i in range(128) if (a & b).get(i)} == a_bits & b_bits
-        assert {i for i in range(128) if (a ^ b).get(i)} == a_bits ^ b_bits
-
-    @given(
-        a_bits=st.sets(st.integers(min_value=0, max_value=63)),
-        b_bits=st.sets(st.integers(min_value=0, max_value=63)),
-    )
-    def test_hamming_distance_is_xor_popcount(self, a_bits, b_bits):
-        a, b = BitVector(64), BitVector(64)
-        for bit in a_bits:
-            a.set(bit)
-        for bit in b_bits:
-            b.set(bit)
-        assert a.hamming_distance(b) == (a ^ b).popcount()
+class TestPopcount:
+    @given(value=st.integers(min_value=0, max_value=(1 << 300) - 1))
+    def test_popcount_matches_set_bits(self, value):
+        """The one popcount (``int.bit_count`` or its 3.9 fallback) over
+        ints wider than a machine word."""
+        assert popcount(value) == bin(value).count("1")

@@ -52,7 +52,7 @@ class TestProperty2Intersection:
         b = build(common + [f"b{i}" for i in range(20)])
         inter = bloom_intersection(a, b)
         direct = build(common)
-        assert direct.bits.is_subset_of(inter.bits)
+        assert direct.bits & ~inter.bits == 0
 
 
 class TestProperty3Xor:
@@ -65,7 +65,7 @@ class TestProperty3Xor:
     def test_xor_of_identical_filters_is_empty(self):
         a = build(["p", "q"])
         b = build(["p", "q"])
-        assert bloom_xor(a, b).bits.popcount() == 0
+        assert bloom_xor(a, b).bits == 0
 
 
 class TestBitDifference:
@@ -75,7 +75,7 @@ class TestBitDifference:
     def test_counts_hamming_distance(self):
         a = build([])
         b = build(["new"])
-        assert bit_difference(a, b) == b.bits.popcount()
+        assert bit_difference(a, b) == bin(b.bits).count("1")
 
     def test_grows_with_divergence(self):
         base = build([f"f{i}" for i in range(10)])

@@ -91,6 +91,9 @@ class TestCompatibilityAndEquality:
         replica = original.copy()
         replica.add("later")
         assert "later" not in original
+        original.add("earlier")
+        assert "earlier" not in replica
+        assert replica.bits != original.bits
 
 
 class TestEstimates:
@@ -126,3 +129,59 @@ class TestSerialization:
     def test_truncated_payload_raises(self):
         with pytest.raises(ValueError):
             BloomFilter.from_bytes(b"short")
+
+    def test_wrong_payload_length_raises(self):
+        raw = BloomFilter(29, 3).to_bytes()
+        with pytest.raises(ValueError, match="expected 4 for 29 bits"):
+            BloomFilter.from_bytes(raw[:-1])
+        with pytest.raises(ValueError, match="expected 4 for 29 bits"):
+            BloomFilter.from_bytes(raw + b"\x00")
+
+
+WORD_EDGES = [8, 9, 63, 64, 65]
+
+
+class TestBitLayout:
+    """A filter's bits are one int: bit ``i`` of the filter is bit ``i`` of
+    ``bits``, and byte ``i >> 3``, position ``i & 7`` of the payload."""
+
+    @pytest.mark.parametrize("num_bits", WORD_EDGES)
+    def test_every_bit_individually_addressable(self, num_bits):
+        bloom = BloomFilter(num_bits, 2)
+        for index in range(num_bits):
+            bloom._bits = 1 << index
+            payload = bloom.to_bytes()[28:]
+            assert len(payload) == (num_bits + 7) // 8
+            assert [
+                i for i in range(num_bits) if payload[i >> 3] & (1 << (i & 7))
+            ] == [index]
+
+    @pytest.mark.parametrize("num_bits", WORD_EDGES)
+    def test_added_items_land_at_their_indices(self, num_bits):
+        bloom = BloomFilter(num_bits, 3, seed=5)
+        expected = set()
+        for i in range(6):
+            bloom.add(f"/f{i}")
+            expected.update(bloom.hash_family.indices(f"/f{i}"))
+        payload = bloom.to_bytes()[28:]
+        assert {
+            i for i in range(num_bits) if payload[i >> 3] & (1 << (i & 7))
+        } == expected
+        assert bloom.bits == sum(1 << i for i in expected)
+        assert bloom.fill_ratio() == len(expected) / num_bits
+
+    @pytest.mark.parametrize("num_bits", WORD_EDGES)
+    def test_top_bit_round_trips_through_bytes(self, num_bits):
+        bloom = BloomFilter(num_bits, 2)
+        bloom._bits = 1 << (num_bits - 1) | 1
+        restored = BloomFilter.from_bytes(bloom.to_bytes())
+        assert restored.bits == bloom.bits
+        assert restored == bloom
+
+    def test_num_bits_is_the_hash_family_s(self):
+        for num_bits in WORD_EDGES:
+            bloom = BloomFilter(num_bits, 4)
+            assert bloom.num_bits == bloom.hash_family.num_bits == num_bits
+            assert BloomFilter.from_bytes(bloom.to_bytes()).num_bits == num_bits
+        with pytest.raises(ValueError):
+            BloomFilter(0, 4)

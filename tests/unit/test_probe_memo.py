@@ -145,7 +145,7 @@ def test_an_eviction_changes_no_answer(families, monkeypatch):
                 answers.append(bloom.contains_many(rng.sample(names, 5)))
         lru.check_slices()
         counters = [(h, f.counters()) for h, f in lru._filters.items()]
-        return answers, counters, list(lru._slices), bloom.bits.value, lru, bloom
+        return answers, counters, list(lru._slices), bloom.bits, lru, bloom
 
     roomy = script()
     assert max(len(f._cells) + len(f._masks) for f in families.values()) == 60
