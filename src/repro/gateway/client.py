@@ -1096,7 +1096,7 @@ class MetadataClient:
                 home_id,
                 payload,
                 origin=self.config.writeback_origin,
-                acked_version=buffer.ack_floor,
+                acked_version=buffer.acks.floor,
             )
             if not attempt.degraded:
                 result = attempt

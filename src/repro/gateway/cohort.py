@@ -62,6 +62,7 @@ from repro.obs.flight import NULL_RECORDER, FlightRecorderHub
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.prototype.messages import Message, MessageKind
+from repro.prototype.seqlog import SeqLog, SeqReceiver
 from repro.prototype.transport import InProcessTransport
 
 #: Minimum spacing between anti-entropy requests to one origin (virtual
@@ -224,17 +225,13 @@ class CohortMember:
         self._clock = 0.0
         self._c = counters
         self._label = str(member_id)
-        # Publishing side.  ``log_base`` counts records truncated off the
-        # front after every peer cumulatively acked them; ``log[i]`` holds
-        # the record with seq ``log_base + i + 1``.
-        self.log: List[InvalidationRecord] = []
-        self.log_base = 0
+        # Publishing side: the log keeps what some peer has not acked yet.
+        self.log: SeqLog[InvalidationRecord] = SeqLog()
         self.acked_seq: Dict[int, int] = {p: 0 for p in self.peers}
         self._last_heartbeat_sent = float("-inf")
-        # Receiving side
-        self.applied_seq: Dict[int, int] = {p: 0 for p in self.peers}
-        self._pending: Dict[int, Dict[int, InvalidationRecord]] = {
-            p: {} for p in self.peers
+        # Receiving side: one stream per peer.
+        self.streams: Dict[int, SeqReceiver[InvalidationRecord]] = {
+            p: SeqReceiver() for p in self.peers
         }
         self.last_heard: Dict[int, float] = {p: 0.0 for p in self.peers}
         self.gap_since: Dict[int, Optional[float]] = {p: None for p in self.peers}
@@ -334,14 +331,14 @@ class CohortMember:
             trace_ctx = span.context(self.member_id)
         record = InvalidationRecord(
             origin=self.member_id,
-            seq=self.log_base + len(self.log) + 1,
+            seq=self.log.last + 1,
             op=op,
             path=path,
             new_path=new_path,
             epoch=now,
             trace=trace_ctx,
         )
-        self.log.append(record)
+        self.log.entries.append(record)
         if not self.peers:
             if span is not None:
                 span.event("cohort_publish", seq=record.seq, op=op, peers=0)
@@ -425,7 +422,7 @@ class CohortMember:
         elif message.kind is MessageKind.COHORT_HEARTBEAT:
             self._c["heartbeats"].labels(self._label).inc()
             latest = int(payload["latest"])
-            if sender in self.applied_seq:
+            if sender in self.streams:
                 self._check_for_gap(sender, latest, now)
                 acked = payload.get("acked", {})
                 mine = int(acked.get(self.member_id, 0))
@@ -438,35 +435,30 @@ class CohortMember:
             # starts.  A requester further behind than the truncation
             # floor sees ``base > since`` and knows the gap records are
             # unrecoverable.
-            start = max(since, self.log_base)
+            start = max(since, self.log.base)
             self._send(
                 sender,
                 MessageKind.COHORT_SYNC_REPLY,
                 {
-                    "records": [
-                        r.as_payload()
-                        for r in self.log[start - self.log_base:]
-                    ],
-                    "latest": self.log_base + len(self.log),
+                    "records": [r.as_payload() for r in self.log.after(start)],
+                    "latest": self.log.last,
                     "base": start,
                 },
                 now,
             )
         elif message.kind is MessageKind.COHORT_SYNC_REPLY:
             base = int(payload.get("base", 0))
-            if sender in self.applied_seq and base > self.applied_seq[sender]:
+            stream = self.streams.get(sender)
+            if stream is not None and base > stream.floor:
                 # The suffix we asked for was truncated away: the missing
                 # records are unrecoverable, so skip the gap and fall back
                 # to a full TTL re-clamp — every surviving lease expires
                 # within ``ttl_clamp_s``, which bounds whatever staleness
-                # the lost invalidations would have cured.
+                # the lost invalidations would have cured.  Records held
+                # above the skipped gap may now be due.
                 self._c["reclamp"].labels(self._label).inc()
-                self.applied_seq[sender] = base
-                self._pending[sender] = {
-                    seq: record
-                    for seq, record in self._pending[sender].items()
-                    if seq > base
-                }
+                for record in stream.skip_to(base):
+                    self._apply(record)
                 self.gap_since[sender] = None
                 self.client.cache.clamp_ttl(self.config.ttl_clamp_s, now)
             for raw in payload["records"]:
@@ -477,19 +469,16 @@ class CohortMember:
     def _ingest(self, record: InvalidationRecord, now: float) -> bool:
         """Apply (or buffer) one record; True when it was new."""
         origin = record.origin
-        if origin not in self.applied_seq:
+        stream = self.streams.get(origin)
+        if stream is None:
             return False  # not a peer (e.g. a departed member)
-        applied = self.applied_seq[origin]
-        buffer = self._pending[origin]
-        if record.seq <= applied or record.seq in buffer:
+        due = stream.offer(record.seq, record)
+        if due is None:
             self._c["duplicates"].labels(self._label).inc()
             return False
-        buffer[record.seq] = record
-        while applied + 1 in buffer:
-            self._apply(buffer.pop(applied + 1))
-            applied += 1
-        self.applied_seq[origin] = applied
-        if buffer:
+        for ready in due:
+            self._apply(ready)
+        if stream.held:
             self._note_gap(origin, now)
         else:
             self.gap_since[origin] = None
@@ -528,9 +517,10 @@ class CohortMember:
             )
 
     def _check_for_gap(self, origin: int, latest: int, now: float) -> None:
-        if latest > self.applied_seq[origin]:
+        stream = self.streams[origin]
+        if latest > stream.floor:
             self._note_gap(origin, now)
-        elif not self._pending[origin]:
+        elif not stream.held:
             self.gap_since[origin] = None
 
     def _note_gap(self, origin: int, now: float) -> None:
@@ -543,7 +533,7 @@ class CohortMember:
             self._send(
                 origin,
                 MessageKind.COHORT_SYNC,
-                {"since": self.applied_seq[origin]},
+                {"since": self.streams[origin].floor},
                 now,
             )
 
@@ -554,8 +544,8 @@ class CohortMember:
             return
         self._last_heartbeat_sent = now
         payload = {
-            "latest": self.log_base + len(self.log),
-            "acked": dict(self.applied_seq),
+            "latest": self.log.last,
+            "acked": {p: stream.floor for p, stream in self.streams.items()},
         }
         for peer in self.peers:
             self._send(peer, MessageKind.COHORT_HEARTBEAT, payload, now)
@@ -571,11 +561,8 @@ class CohortMember:
         """
         if not self.peers:
             return
-        floor = min(self.acked_seq.values())
-        drop = floor - self.log_base
-        if drop > 0:
-            del self.log[:drop]
-            self.log_base = floor
+        drop = self.log.truncate(min(self.acked_seq.values()))
+        if drop:
             self._c["log_truncated"].labels(self._label).inc(drop)
 
     def _update_suspicion(self, now: float) -> None:
@@ -647,12 +634,13 @@ class CohortMember:
     # ------------------------------------------------------------------
     @property
     def published(self) -> int:
-        return self.log_base + len(self.log)
+        return self.log.last
 
     def __repr__(self) -> str:
+        applied = {p: stream.floor for p, stream in self.streams.items()}
         return (
             f"CohortMember(id={self.member_id}, published={self.published}, "
-            f"applied={dict(self.applied_seq)}, "
+            f"applied={applied}, "
             f"suspected={sorted(self.suspected)}, clamped={self.clamped})"
         )
 

@@ -39,6 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.core.cluster import MutationOutcome, PathMutation
 from repro.metadata.attributes import FileMetadata
 from repro.metadata.namespace import is_under
+from repro.prototype.seqlog import SeqReceiver
 
 #: Ack listener signature: (mutation, outcome) at flush-ack time, or
 #: (mutation, None) when the mutation is declared lost at a barrier.
@@ -124,13 +125,11 @@ class MutationBuffer:
         self._by_home: Dict[int, "OrderedDict[str, PendingMutation]"] = {}
         self.enqueued = 0
         self.absorbed = 0
-        #: Cumulative-ack floor: every version ≤ ``ack_floor`` is settled
-        #: (acked, conflicted, lost, or absorbed before flushing) and will
-        #: never be retried — the home MDS may prune its replay cache up
-        #: to here.  Versions settle out of order; the floor advances only
-        #: through the dense prefix.
-        self.ack_floor = 0
-        self._settled: set = set()
+        #: Cumulative acks: every version at or below ``acks.floor`` is
+        #: settled (acked, conflicted, lost, or absorbed before flushing)
+        #: and will never be retried — the home MDS may prune its replay
+        #: cache up to there.  Versions settle out of order.
+        self.acks: SeqReceiver[None] = SeqReceiver()
 
     # ------------------------------------------------------------------
     # Enqueue / absorb
@@ -200,12 +199,7 @@ class MutationBuffer:
 
     def settle(self, version: int) -> None:
         """Mark ``version`` as never-to-be-retried; advance the floor."""
-        if version <= self.ack_floor:
-            return
-        self._settled.add(version)
-        while self.ack_floor + 1 in self._settled:
-            self.ack_floor += 1
-            self._settled.remove(self.ack_floor)
+        self.acks.offer(version, None)
 
     # ------------------------------------------------------------------
     # Overlay probe (read-your-writes)

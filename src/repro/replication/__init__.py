@@ -5,8 +5,8 @@ The primary fleet's applied mutations are captured CDC-style
 the prototype node's ``cdc`` hook), shipped as per-home ordered streams
 (:class:`ReplicationShipper`, ``REPL_SHIP``) to a standby fleet
 (:class:`StandbyEndpoint` / :class:`StandbyNode`) over either transport,
-and acknowledged cumulatively — the write-back floor machinery from
-PR 5, specialized to contiguous sequences.  Promotion
+and acknowledged cumulatively through :mod:`repro.prototype.seqlog`,
+the very stream the write-back ack floor runs on.  Promotion
 (:func:`promote_standby`, ``REPL_PROMOTE``) fences the old primary's
 epoch; the :class:`DivergenceAuditor` proves zero acknowledged-mutation
 loss and measures RPO.  ``python -m repro.replication drill`` runs the

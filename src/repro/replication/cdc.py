@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.cluster import ChangeEvent, GHBACluster
 from repro.metadata.attributes import FileMetadata
+from repro.prototype.seqlog import SeqLog
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,9 @@ class ChangeCapture:
     """Per-home ordered change log fed by the cluster's CDC hook."""
 
     def __init__(self, metrics=None, keep_history: bool = False) -> None:
-        #: Un-acked suffix of each home's stream (the retransmit buffer).
-        self.logs: Dict[int, List[CapturedChange]] = {}
-        #: Highest sequence number ever assigned per home.
-        self.seqs: Dict[int, int] = {}
+        #: Un-acked suffix of each home's stream (the retransmit buffer);
+        #: its ``last`` is the highest seq ever assigned there.
+        self.logs: Dict[int, SeqLog[CapturedChange]] = {}
         self.keep_history = keep_history
         #: Every entry ever captured (only when ``keep_history``) — the
         #: auditor's replay oracle, unaffected by truncation.
@@ -135,18 +135,17 @@ class ChangeCapture:
         Also the direct entry point for the prototype node's ``cdc``
         hook, which sees mutations outside any :class:`GHBACluster`.
         """
-        seq = self.seqs.get(home_id, 0) + 1
-        self.seqs[home_id] = seq
+        log = self.logs.setdefault(home_id, SeqLog())
         entry = CapturedChange(
             home_id=home_id,
-            seq=seq,
+            seq=log.last + 1,
             op=op,
             path=path,
             new_path=new_path,
             record=record,
             vtime=self.now if vtime is None else vtime,
         )
-        self.logs.setdefault(home_id, []).append(entry)
+        log.entries.append(entry)
         if self.keep_history:
             self.history.append(entry)
         if self._captured is not None:
@@ -157,24 +156,21 @@ class ChangeCapture:
     # Shipper interface
     # ------------------------------------------------------------------
     def homes(self) -> List[int]:
-        return sorted(self.seqs)
+        return sorted(self.logs)
 
     def last_seq(self, home_id: int) -> int:
-        return self.seqs.get(home_id, 0)
+        log = self.logs.get(home_id)
+        return log.last if log is not None else 0
 
     def pending(self, home_id: int, floor: int) -> List[CapturedChange]:
         """Entries of ``home_id`` above the cumulative-ack ``floor``."""
-        return [e for e in self.logs.get(home_id, ()) if e.seq > floor]
+        log = self.logs.get(home_id)
+        return log.after(floor) if log is not None else []
 
     def truncate(self, home_id: int, floor: int) -> int:
         """Drop acked entries (seq <= floor); returns how many."""
         log = self.logs.get(home_id)
-        if not log:
-            return 0
-        kept = [e for e in log if e.seq > floor]
-        dropped = len(log) - len(kept)
-        self.logs[home_id] = kept
-        return dropped
+        return log.truncate(floor) if log is not None else 0
 
     def pending_total(self, floors: Dict[int, int]) -> int:
         return sum(
@@ -185,7 +181,5 @@ class ChangeCapture:
     def oldest_pending_vtime(
         self, home_id: int, floor: int
     ) -> Optional[float]:
-        for entry in self.logs.get(home_id, ()):
-            if entry.seq > floor:
-                return entry.vtime
-        return None
+        pending = self.pending(home_id, floor)
+        return pending[0].vtime if pending else None

@@ -2,8 +2,8 @@
 
 One :class:`ReplicationShipper` per primary fleet.  Each
 :meth:`~ReplicationShipper.ship` pass sends, per home with pending
-entries, one ``REPL_SHIP`` batch and advances that home's floor to the
-standby's cumulative ack, truncating the capture log beneath it.  Lost
+entries, one ``REPL_SHIP`` batch and truncates that home's capture log
+to the standby's cumulative ack, so the log's base *is* the floor.  Lost
 requests surface as :class:`TimeoutError` from the transport's retry
 layer and simply leave the floor where it was — the next pass
 retransmits from ``floor + 1`` (counted in
@@ -69,9 +69,6 @@ class ReplicationShipper:
         self.batch_max = batch_max
         self.timeout_s = timeout_s
         self.sender = sender
-        #: Standby's cumulative ack per home: entries at or below are
-        #: durable over there and truncated from the capture log.
-        self.floors: Dict[int, int] = {}
         #: Highest seq ever put on the wire per home (retransmit
         #: accounting: re-shipping below this is a retransmit).
         self.shipped_high: Dict[int, int] = {}
@@ -112,20 +109,19 @@ class ReplicationShipper:
             )
 
     # ------------------------------------------------------------------
-    def pending(self, home_id: int) -> List[CapturedChange]:
-        return self.capture.pending(home_id, self.floors.get(home_id, 0))
-
-    def pending_total(self) -> int:
-        return self.capture.pending_total(self.floors)
+    @property
+    def floors(self) -> Dict[int, int]:
+        """Standby's cumulative ack per home: entries at or below are
+        durable over there, so the capture log is truncated to it."""
+        return {home: log.base for home, log in self.capture.logs.items()}
 
     def ship(self, now: float = 0.0) -> ShipReport:
         """One pass: ship up to ``batch_max`` pending entries per home."""
         report = ShipReport()
         if self.fenced:
             return report
-        for home in self.capture.homes():
-            floor = self.floors.get(home, 0)
-            entries = self.capture.pending(home, floor)[: self.batch_max]
+        for home, log in sorted(self.capture.logs.items()):
+            entries = log.entries[: self.batch_max]
             if not entries:
                 continue
             high = self.shipped_high.get(home, 0)
@@ -133,7 +129,7 @@ class ReplicationShipper:
             payload = {
                 "home": home,
                 "epoch": self.epoch,
-                "acked": floor,
+                "acked": log.base,
                 "entries": [entry_to_wire(e) for e in entries],
             }
             message = Message(
@@ -167,16 +163,12 @@ class ReplicationShipper:
                 if self._ships is not None:
                     self._fenced_ships.inc()
                 break
-            new_floor = int(answer.get("acked", floor))
-            if new_floor > floor:
-                newly_acked = [
-                    e for e in entries if floor < e.seq <= new_floor
-                ]
-                report.acked[home] = newly_acked
-                self.floors[home] = new_floor
-                self.capture.truncate(home, new_floor)
+            # The batch starts at the log's base: the ack drops a prefix of it.
+            dropped = log.truncate(int(answer.get("acked", 0)))
+            if dropped:
+                report.acked[home] = entries[:dropped]
                 if self._ships is not None:
-                    self._acked.labels(home).inc(len(newly_acked))
+                    self._acked.labels(home).inc(dropped)
         return report
 
     def sync(self, now: float = 0.0) -> Dict[str, Any]:
@@ -216,10 +208,8 @@ class ReplicationShipper:
             if self._ships is not None:
                 self._fenced_ships.inc()
             return answer
-        for home in self.capture.homes():
-            seq = self.capture.last_seq(home)
-            self.floors[home] = seq
-            self.capture.truncate(home, seq)
+        for log in self.capture.logs.values():
+            log.truncate(log.last)
         if self._ships is not None:
             self._syncs.inc()
         return answer

@@ -3,10 +3,10 @@
 A :class:`StandbyEndpoint` owns a full :class:`GHBACluster` replica and
 the per-home cumulative-ack floors.  It bootstraps from a ``REPL_SYNC``
 (a complete :mod:`repro.core.checkpoint` document), then applies
-``REPL_SHIP`` batches exactly once: per home, an entry is applied iff
-``seq == floor + 1`` (contiguous sequences make the floor the entire
-dedup record — duplicates sit at or below it, reorders leave a gap
-above it and wait for the retransmit).  The floors are durable with the
+``REPL_SHIP`` batches exactly once: each batch runs through a
+:class:`~repro.prototype.seqlog.SeqReceiver` at the home's floor, so a
+duplicate is skipped and a reorder stalls the batch until the
+retransmit.  The floors are durable with the
 replica (:meth:`save` / :meth:`load`, atomic via
 :func:`repro.core.checkpoint.atomic_write_text`) and persisted *before*
 the ack is returned, so a crash between apply and ack replays as a
@@ -34,6 +34,7 @@ from repro.core.checkpoint import CheckpointError, atomic_write_text
 from repro.core.cluster import GHBACluster
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.node import MailboxNode
+from repro.prototype.seqlog import SeqReceiver
 from repro.replication.cdc import entry_from_wire
 
 #: Bumped on any incompatible change to the standby checkpoint layout.
@@ -158,26 +159,36 @@ class StandbyEndpoint:
                 "unsynced": True,
                 "epoch": self.epoch,
             }
+        # The receiver lives for this one batch: an entry held above a gap
+        # is dropped with it, so the batch stalls (nothing is buffered).
+        stream = SeqReceiver(floor)
         applied = 0
         duplicates = 0
         gap = False
-        for raw in payload.get("entries", ()):
-            entry = entry_from_wire(home, raw)
-            if entry.seq <= floor:
-                duplicates += 1
-                continue
-            if entry.seq != floor + 1:
-                gap = True
-                break
-            self._apply(entry)
-            floor = entry.seq
-            applied += 1
-        self.floors[home] = floor
-        self.applied_total += applied
+        try:
+            for raw in payload.get("entries", ()):
+                entry = entry_from_wire(home, raw)
+                due = stream.offer(entry.seq, entry)
+                if due is None:
+                    duplicates += 1
+                    continue
+                if not due:
+                    gap = True
+                    break
+                for ready in due:
+                    self._apply(ready)
+                    applied += 1
+        finally:
+            # Applies are contiguous, so even an entry that raises halfway
+            # leaves ``floor + applied`` as the exact applied prefix: a
+            # retry replays that prefix as duplicates.
+            floor += applied
+            self.floors[home] = floor
+            self.applied_total += applied
+            if applied and self._applied is not None:
+                self._applied.labels(home).inc(applied)
         self.duplicate_total += duplicates
         if self._applied is not None:
-            if applied:
-                self._applied.labels(home).inc(applied)
             if duplicates:
                 self._dups.inc(duplicates)
             if gap:

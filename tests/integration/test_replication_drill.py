@@ -298,7 +298,7 @@ class TestPrototypeCdcHook:
             outcomes = reply.payload["outcomes"]
             changed = [o for o in outcomes if o["changed"]]
             assert len(changed) == 1  # the no-op delete never applied
-            ops = [(e.op, e.path) for e in capture.logs.get(0, [])]
+            ops = [(e.op, e.path) for e in capture.logs[0].entries]
             assert ops == [("create", "/proto/a")]
         finally:
             node.stop()

@@ -128,11 +128,11 @@ class TestSequencing:
         left, right = cohort.members
         left.delete("/fs/a", 0.1)
         cohort.step(0.1)
-        record = left.log[0]
+        record = left.log.entries[0]
 
         assert right._ingest(record, 0.2) is False
         assert _counter(cohort, "duplicates", "1") == 1
-        assert right.applied_seq[0] == 1
+        assert right.streams[0].floor == 1
 
     def test_gap_buffers_then_sync_recovers_in_order(self):
         cohort = _cohort(["/fs/a", "/fs/b", "/fs/c"])
@@ -143,13 +143,13 @@ class TestSequencing:
         # Publish three deletes but feed the peer only seq 3: a gap.
         for index, path in enumerate(("/fs/a", "/fs/b", "/fs/c")):
             left.client.delete(path, 0.1)
-            left.log.append(
+            left.log.entries.append(
                 InvalidationRecord(
                     origin=0, seq=index + 1, op="delete", path=path, epoch=0.1
                 )
             )
-        right._ingest(left.log[2], 0.2)
-        assert right.applied_seq[0] == 0  # buffered, nothing applied
+        right._ingest(left.log.entries[2], 0.2)
+        assert right.streams[0].floor == 0  # buffered, nothing applied
         assert right.gap_since[0] == 0.2
         assert _counter(cohort, "gaps", "1") == 1
         assert _counter(cohort, "sync_requests", "1") == 1
@@ -157,7 +157,7 @@ class TestSequencing:
         # The sync request is in member 0's mailbox; one round trip heals.
         left.drain(0.3)
         right.drain(0.3)
-        assert right.applied_seq[0] == 3
+        assert right.streams[0].floor == 3
         assert right.gap_since[0] is None
         assert all(
             path not in right.client.cache
@@ -353,19 +353,19 @@ class TestLogTruncation:
     def test_acked_records_truncate(self):
         cohort, left, right, _ = self._settled_cohort()
         assert left.published == 5
-        assert right.applied_seq[left.member_id] == 5
+        assert right.streams[left.member_id].floor == 5
         # Every record the peer acked is gone from memory; the offset
         # remembers where the log now starts.
-        assert left.log_base == 5
-        assert left.log == []
+        assert left.log.base == 5
+        assert left.log.entries == []
         assert _counter(cohort, "log_truncated", "0") == 5
 
     def test_publishing_continues_after_truncation(self):
         cohort, left, right, clock = self._settled_cohort()
         left.create("/fs/after", clock)
-        assert left.log[-1].seq == left.published == 6
+        assert left.log.entries[-1].seq == left.published == 6
         cohort.settle(clock + 0.5)
-        assert right.applied_seq[left.member_id] == 6
+        assert right.streams[left.member_id].floor == 6
 
     def test_sync_serves_offset_suffix_after_truncation(self):
         """A peer whose gap starts at or above the truncation floor
@@ -374,11 +374,11 @@ class TestLogTruncation:
         # Two fresh records the peer has not heard yet (no step between).
         left.create("/fs/s1", clock)
         left.create("/fs/s2", clock)
-        assert left.log_base == 5 and len(left.log) == 2
+        assert left.log.base == 5 and len(left.log.entries) == 2
         right._note_gap(left.member_id, clock + 1.0)
         cohort.settle(clock + 1.5)
         assert _counter(cohort, "sync_requests", "1") == 1
-        assert right.applied_seq[left.member_id] == 7
+        assert right.streams[left.member_id].floor == 7
         # Recovery came record-by-record from the truncated suffix (the
         # multicast copies dedupe against it), never via the re-clamp.
         assert _counter(cohort, "reclamp", "1") == 0
@@ -390,15 +390,33 @@ class TestLogTruncation:
         surviving lease instead."""
         cohort, left, right, clock = self._settled_cohort()
         # Simulate reset state: the peer regressed below the floor.
-        right.applied_seq[left.member_id] = 0
+        right.streams[left.member_id].floor = 0
         right.gap_since[left.member_id] = None
         right.lookup("/fs/a", clock)  # a live lease the clamp must bound
         right._note_gap(left.member_id, clock + 1.0)
         end = cohort.settle(clock + 1.5)
         assert _counter(cohort, "reclamp", "1") == 1
         # The gap closed by jumping to the floor, not replaying records.
-        assert right.applied_seq[left.member_id] >= left.log_base
+        assert right.streams[left.member_id].floor >= left.log.base
         assert right.gap_since[left.member_id] is None
         entry = right.client.cache.peek("/fs/a")
         assert entry is not None
         assert entry.expires_at <= end + cohort.config.ttl_clamp_s + 1e-9
+
+    def test_reclamp_applies_the_record_held_above_the_gap(self):
+        """A record held above an unrecoverable gap is due once the
+        re-clamp skips the gap: it is applied, not stranded."""
+        cohort, left, right, clock = self._settled_cohort()
+        right.streams[left.member_id].floor = 0
+        right.gap_since[left.member_id] = None
+        left.create("/fs/held", clock)  # seq 6, multicast to right
+        right.drain(clock)  # held above the reset floor; sync requested
+        assert list(right.streams[left.member_id].held) == [6]
+        cohort.settle(clock, rounds=40)
+        stream = right.streams[left.member_id]
+        assert stream.floor == 6
+        assert stream.held == {}
+        assert not right.suspected
+        assert not right.clamped
+        assert _counter(cohort, "sync_requests", "1") == 1
+        assert _counter(cohort, "reclamp", "1") == 1

@@ -82,18 +82,18 @@ class TestMutationBuffer:
         assert second.enqueued_at == 1.0
         assert second.home_id == 2
         # The absorbed version is settled: it will never be flushed.
-        assert buffer.ack_floor == first.version
+        assert buffer.acks.floor == first.version
 
     def test_ack_floor_advances_through_dense_prefix_only(self):
         buffer = MutationBuffer()
         for path in ("/a", "/b", "/c"):
             buffer.enqueue("create", path, 0, 0.0, record=None)
         buffer.settle(3)
-        assert buffer.ack_floor == 0  # hole at 1
+        assert buffer.acks.floor == 0  # hole at 1
         buffer.settle(1)
-        assert buffer.ack_floor == 1  # hole at 2
+        assert buffer.acks.floor == 1  # hole at 2
         buffer.settle(2)
-        assert buffer.ack_floor == 3
+        assert buffer.acks.floor == 3
 
     def test_paths_under_is_boundary_aware(self):
         buffer = MutationBuffer()
@@ -214,7 +214,7 @@ class TestFlushEngine:
         report = client.flush_barrier(now=0.0)
         assert len(report.acked) == 5
         assert not report.lost and not report.deferred
-        assert client.writeback.ack_floor == 5
+        assert client.writeback.acks.floor == 5
         assert {f"/wb/f{i}" for i in range(5)} <= _fleet_paths(cluster)
 
     def test_flush_installs_leases(self):

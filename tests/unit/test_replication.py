@@ -82,7 +82,7 @@ class TestChangeCapture:
         for i in range(0, 30, 3):
             primary.delete_file(f"/c/f{i}")
         for home in capture.homes():
-            seqs = [e.seq for e in capture.logs[home]]
+            seqs = [e.seq for e in capture.logs[home].entries]
             assert seqs == list(range(1, len(seqs) + 1))
 
     def test_rename_captured_per_home(self):
@@ -99,7 +99,7 @@ class TestChangeCapture:
         primary.rename_subtree("/r/sub", "/r/moved")
         for home in homes:
             renames = [
-                e for e in capture.logs[home] if e.op == "rename"
+                e for e in capture.logs[home].entries if e.op == "rename"
             ]
             assert len(renames) == 1
             assert renames[0].path == "/r/sub"
@@ -202,6 +202,32 @@ class TestStandbyEndpoint:
         )
         assert reply["applied"] == 2
         assert reply["acked"] == base + 2
+
+    def test_entry_raising_halfway_keeps_the_applied_prefix(self):
+        """A batch whose second entry raises has already applied its
+        first: the floor records that prefix, so the retry replays it as
+        a duplicate instead of applying it twice."""
+        primary, capture, standby = _synced_pair()
+        home = primary.insert_file(FileMetadata(path="/n/r1", inode=905))
+        primary.insert_file(
+            FileMetadata(path="/n/r2", inode=906), home_id=home
+        )
+        good = [entry_to_wire(e) for e in capture.pending(home, 0)]
+        assert [e["seq"] for e in good] == [1, 2]
+        broken = [good[0], dict(good[1], record=None)]
+        with pytest.raises(ReplicationError):
+            standby.apply_ship(
+                {"home": home, "epoch": 1, "acked": 0, "entries": broken}
+            )
+        assert standby.floors[home] == 1
+        assert standby.applied_total == 1
+        reply = standby.apply_ship(
+            {"home": home, "epoch": 1, "acked": 0, "entries": good}
+        )
+        assert reply["applied"] == 1
+        assert reply["duplicates"] == 1
+        assert reply["acked"] == 2
+        assert standby.applied_total == 2
 
     def test_promotion_fences_old_epoch(self):
         primary, capture, standby = _synced_pair()
