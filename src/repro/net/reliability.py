@@ -214,7 +214,7 @@ class ReliableTransport:
         metrics=None,
     ) -> None:
         self._lock = threading.Lock()
-        self._mailboxes: Dict[int, queue.Queue] = {}
+        self._mailboxes: Dict[int, queue.SimpleQueue] = {}
         self._messages_sent = 0
         self._replies_received = 0
         self._default_timeout = default_timeout_s
@@ -246,12 +246,14 @@ class ReliableTransport:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(self, node_id: int) -> queue.Queue:
-        """Open the mailbox ``node_id`` will be served from."""
+    def register(self, node_id: int) -> queue.SimpleQueue:
+        """Open the mailbox ``node_id`` will be served from: an unbounded
+        FIFO whose ``put`` / ``get`` / ``get_nowait`` are C calls (no
+        ``task_done`` bookkeeping, which nothing here uses)."""
         with self._lock:
             if node_id in self._mailboxes:
                 raise ValueError(f"node {node_id} already registered")
-            mailbox: queue.Queue = queue.Queue()
+            mailbox: queue.SimpleQueue = queue.SimpleQueue()
             self._mailboxes[node_id] = mailbox
             return mailbox
 
@@ -371,8 +373,8 @@ class ReliableTransport:
     # Wire adapter driven by reliable_request / reliable_gather
     # ------------------------------------------------------------------
     def dispatch_attempt(self, dest: int, message, count: bool) -> bool:
-        """Arm a fresh reply queue and put one attempt on the wire."""
-        message.reply_to = queue.Queue()
+        """Arm a fresh reply slot and put one attempt on the wire."""
+        message.reply_to = queue.SimpleQueue()
         return self.send(dest, message, count=count)
 
     def collect_reply(self, message, timeout_s: float):

@@ -2,7 +2,7 @@
 
 One :class:`TcpTransport` per OS process.  It exposes the exact surface
 of :class:`~repro.prototype.transport.InProcessTransport` — ``register``
-(returns a plain ``queue.Queue`` mailbox, so :class:`~repro.prototype.
+(returns a plain ``queue.SimpleQueue`` mailbox, so :class:`~repro.prototype.
 node.MDSNode` runs unmodified), ``send`` / ``request`` / ``gather``,
 the same counters, the same fault-injector hook — which is what lets
 ``PrototypeCluster``, the gateway cohort, and the write-back flush
@@ -22,7 +22,13 @@ or hands replies to waiting requests by ``request_id`` (client side);
 each registered node adds one accept thread.  All are named
 ``tcp-transport-*`` and none exists before the first ``register`` or
 connect.  The two thread-to-thread hand-offs left per RPC (reader →
-mailbox, reader → reply queue) are the node's contract, not the wire's.
+mailbox, reader → reply slot) are the node's contract, not the wire's;
+both are ``queue.SimpleQueue`` objects, whose ``put`` and ``get`` run in C
+without the condition-variable bookkeeping of ``queue.Queue``.  Frames
+are encoded and decoded by :mod:`repro.net.codec`, which walks byte
+offsets with no per-field cursor call; a reply that the codec refuses to
+encode is answered with an error reply to the same request, so it fails
+that one call instead of the node thread.
 
 A write is bounded by ``default_timeout_s``: a peer that stops reading
 costs the writer one timeout, then the connection is dropped (a torn
@@ -68,7 +74,7 @@ from repro.net.reliability import (
     ReliableTransport,
     TransportClosed,
 )
-from repro.prototype.messages import Message
+from repro.prototype.messages import Message, MessageKind
 
 __all__ = ["PortMap", "TcpTransport"]
 
@@ -164,7 +170,8 @@ class _ReplyShim:
     The node's handler calls ``reply_to.put(reply)``; here the node
     thread encodes the reply and writes it to the connection the request
     arrived on (bounded like every write: a peer that reads slowly costs
-    the node one timeout and its connection).
+    the node one timeout and its connection).  ``put`` never raises a
+    :class:`CodecError` into the node's loop.
     """
 
     __slots__ = ("_transport", "_conn")
@@ -174,7 +181,20 @@ class _ReplyShim:
         self._conn = conn
 
     def put(self, reply: Message) -> None:
-        body = encode_body(reply, expects_reply=False)
+        try:
+            body = encode_body(reply, expects_reply=False)
+        except CodecError as exc:
+            # A reply the wire refuses (a non-str dict key, a frame over
+            # MAX_FRAME_BYTES) becomes an error reply to the same
+            # request: the client fails fast, the node thread lives on.
+            error = Message(
+                kind=MessageKind.REPLY,
+                sender=reply.sender,
+                payload={"error": f"CodecError: {exc}"},
+                request_id=reply.request_id,
+                trace=reply.trace,
+            )
+            body = encode_body(error, expects_reply=False)
         self._transport._write_frame(self._conn, body)
 
 
@@ -210,7 +230,7 @@ class TcpTransport(ReliableTransport):
         self._backpressure_stalls = 0
         self._queue_high_water = 0
 
-        self._pending: Dict[int, "queue.Queue[Message]"] = {}
+        self._pending: Dict[int, "queue.SimpleQueue[Message]"] = {}
         self._listeners: Dict[int, Tuple[socket.socket, threading.Thread]] = {}
         self._pooled: Dict[int, _Connection] = {}
         self._connect_gates: Dict[int, threading.Lock] = {}
@@ -282,7 +302,10 @@ class TcpTransport(ReliableTransport):
     # Connections: one reader thread each
     # ------------------------------------------------------------------
     def _adopt(
-        self, sock: socket.socket, name: str, mailbox: Optional[queue.Queue]
+        self,
+        sock: socket.socket,
+        name: str,
+        mailbox: Optional[queue.SimpleQueue],
     ) -> Optional[_Connection]:
         """Start the reader of a fresh connection; None (socket closed)
         when the transport was closed meanwhile."""
@@ -302,7 +325,7 @@ class TcpTransport(ReliableTransport):
         return conn
 
     def _read_loop(
-        self, conn: _Connection, mailbox: Optional[queue.Queue]
+        self, conn: _Connection, mailbox: Optional[queue.SimpleQueue]
     ) -> None:
         """Decode one connection's frames into ``mailbox`` (server side),
         or hand them to the requests waiting for them (``mailbox`` None:
@@ -415,7 +438,7 @@ class TcpTransport(ReliableTransport):
     # ------------------------------------------------------------------
     # Registration (server side)
     # ------------------------------------------------------------------
-    def register(self, node_id: int) -> "queue.Queue[Message]":
+    def register(self, node_id: int) -> "queue.SimpleQueue[Message]":
         mailbox = super().register(node_id)
         listener = socket.create_server(self.portmap.endpoint(node_id))
         acceptor = threading.Thread(
@@ -429,7 +452,7 @@ class TcpTransport(ReliableTransport):
         return mailbox
 
     def _accept_loop(
-        self, listener: socket.socket, node_id: int, mailbox: queue.Queue
+        self, listener: socket.socket, node_id: int, mailbox: queue.SimpleQueue
     ) -> None:
         with listener:
             while True:

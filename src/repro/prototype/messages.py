@@ -77,7 +77,7 @@ class Message:
     sender: int
     payload: Dict[str, Any] = field(default_factory=dict)
     request_id: int = field(default_factory=lambda: next(_request_ids))
-    reply_to: Optional["queue.Queue[Message]"] = None
+    reply_to: Optional["queue.SimpleQueue[Message]"] = None
     arrival_vtime: float = 0.0
     trace: Optional[Tuple[int, int, int]] = None
 

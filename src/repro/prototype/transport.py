@@ -1,8 +1,10 @@
 """In-process transport: per-node mailboxes with wire-level accounting.
 
-Each registered node owns a :class:`queue.Queue` mailbox.  ``send`` enqueues
-a message and bumps the message counter; ``request`` additionally blocks on
-a private reply queue.  Counting happens at the transport, so the message
+Each registered node owns a :class:`queue.SimpleQueue` mailbox.  ``send``
+enqueues a message and bumps the message counter; ``request`` additionally
+blocks on a private reply slot (another ``SimpleQueue``, one per attempt:
+a C-level FIFO that costs far less to build and hand over than a
+``queue.Queue``).  Counting happens at the transport, so the message
 totals of Figures 14-15 are *observed*, not computed.
 
 The transport is also the fault boundary (``repro.faults``): every send
@@ -42,14 +44,14 @@ class InProcessTransport(ReliableTransport):
         with self._lock:
             return node_id in self._mailboxes
 
-    def _route(self, dest: int) -> "queue.Queue[Message]":
+    def _route(self, dest: int) -> "queue.SimpleQueue[Message]":
         mailbox = self._mailboxes.get(dest)
         if mailbox is None:
             raise TransportClosed(f"node {dest} is not registered")
         return mailbox
 
     def _deliver(
-        self, route: "queue.Queue[Message]", message: Message, copies: int
+        self, route: "queue.SimpleQueue[Message]", message: Message, copies: int
     ) -> None:
         for _ in range(copies):
             route.put(message)

@@ -282,3 +282,47 @@ class TestSlowReader:
             fleet.assert_unharmed()
         finally:
             fleet.close()
+
+
+class TestUnencodableReplies:
+    """A reply the codec refuses must not take the node thread with it:
+    the client gets a typed error for that request, before its timeout,
+    and the node goes on serving."""
+
+    def _assert_error_reply_then_served(self, fleet, request, reason):
+        started = time.monotonic()
+        reply = fleet.client.request(0, request)
+        assert time.monotonic() - started < BOUND_S
+        assert fleet.client.retries == 0
+        assert reply.request_id == request.request_id
+        assert reply.payload["error"].startswith("CodecError: ")
+        assert reason in reply.payload["error"]
+        fleet.pings += 1
+        assert fleet.node.is_alive()
+        follow_up = fleet.client.request(0, _verify_batch(["/a", "/b"]))
+        assert follow_up.payload["found"] == {"/a": False, "/b": False}
+        fleet.pings += 1
+        fleet.assert_unharmed()
+
+    def test_a_non_str_dict_key_in_the_reply(self, fleet):
+        # The node answers found={7: False}: a dict key the wire refuses.
+        self._assert_error_reply_then_served(
+            fleet, _verify_batch([7]), "keys must be str"
+        )
+
+    def test_a_reply_over_the_frame_cap(self, fleet, monkeypatch):
+        # The request fits under the (lowered) cap; the reply, which adds
+        # its finish time to the same paths, does not.
+        paths = [f"/big/{index:04d}" for index in range(60)]
+        request = _verify_batch(paths)
+        body = len(encode_frame(request, expects_reply=True)) - 4
+        monkeypatch.setattr("repro.net.codec.MAX_FRAME_BYTES", body + 8)
+        self._assert_error_reply_then_served(
+            fleet, request, "exceeds MAX_FRAME_BYTES"
+        )
+
+
+def _verify_batch(paths):
+    return Message(
+        kind=MessageKind.VERIFY_BATCH, sender=-1, payload={"paths": paths}
+    )

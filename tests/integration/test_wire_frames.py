@@ -39,7 +39,7 @@ CLIENT_SENDER = -1
 REQUEST_ID = 20_517
 
 
-def _wire_mixed_messages():
+def wire_mixed_messages():
     """``name -> (message, expects_reply)`` for the four wire_mixed shapes."""
     verify = Message(
         kind=MessageKind.VERIFY_BATCH,
@@ -112,7 +112,7 @@ def messages():
             ),
             False,
         )
-    pinned.update(_wire_mixed_messages())
+    pinned.update(wire_mixed_messages())
     return pinned
 
 

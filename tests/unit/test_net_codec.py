@@ -437,3 +437,52 @@ def test_bloom_length_prefix_vs_header_mismatch():
     body += bytes(encoded_len) + bytes(raw)
     with pytest.raises(CodecError, match="inconsistent"):
         decode_body(bytes(body))
+
+
+# ----------------------------------------------------------------------
+# What the encoder refuses, it refuses as CodecError; so does the decoder
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        ({"s": "\ud800"}, "unencodable string"),  # a lone surrogate
+        ({"d": {1: "x", "a": "y"}}, "keys must be str"),  # keys that do not sort
+    ],
+)
+def test_encode_failures_are_codec_errors(payload, reason):
+    message = Message(
+        kind=MessageKind.PING, sender=0, payload=payload, request_id=9
+    )
+    with pytest.raises(CodecError, match=reason):
+        encode_frame(message)
+
+
+def test_a_payload_that_contains_itself_is_a_codec_error():
+    loop = []
+    loop.append(loop)
+    message = Message(
+        kind=MessageKind.PING, sender=0, payload={"l": loop}, request_id=10
+    )
+    with pytest.raises(CodecError, match="nested too deeply"):
+        encode_frame(message)
+
+
+def test_a_non_dict_payload_fails_on_the_sender():
+    message = Message(
+        kind=MessageKind.PING, sender=0, payload=["a"], request_id=11
+    )
+    with pytest.raises(CodecError, match="payload must be a dict"):
+        encode_frame(message)
+
+
+def test_nesting_past_the_recursion_limit_is_a_codec_error():
+    # Two bytes per level (list tag, count 1): a few kilobytes of frame
+    # nest deeper than the interpreter recurses.
+    good = encode_body(
+        Message(kind=MessageKind.PING, sender=0, payload={}, request_id=12),
+        expects_reply=False,
+    )
+    assert good.endswith(bytes([0x08, 0x00]))
+    deep = good[:-1] + bytes([0x01, 0x01]) + b"x" + b"\x07\x01" * 5000 + b"\x00"
+    with pytest.raises(CodecError, match="nested too deeply"):
+        decode_body(deep)
