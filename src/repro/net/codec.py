@@ -150,7 +150,7 @@ _TIMES = struct.Struct(">ddd")
 # ----------------------------------------------------------------------
 # Encoding: append to one bytearray
 # ----------------------------------------------------------------------
-def _put_varint(out: bytearray, value: int) -> None:
+def _put_varint(value: int, out: bytearray) -> None:
     if 0 <= value < 0x80:
         out.append(value)
         return
@@ -164,19 +164,19 @@ def _put_varint(out: bytearray, value: int) -> None:
     out.append(value)
 
 
-def _put_zigzag(out: bytearray, value: int) -> None:
+def _put_zigzag(value: int, out: bytearray) -> None:
     encoded = (value << 1) if value >= 0 else ((-value << 1) - 1)
     if encoded > _MAX_VARINT:
         raise CodecError(f"int {value} exceeds the 70-bit varint range")
-    _put_varint(out, encoded)
+    _put_varint(encoded, out)
 
 
-def _put_str(out: bytearray, value: str) -> None:
+def _put_str(value: str, out: bytearray) -> None:
     raw = value.encode("utf-8")
     if len(raw) < 0x80:
         out.append(len(raw))
     else:
-        _put_varint(out, len(raw))
+        _put_varint(len(raw), out)
     out += raw
 
 
@@ -190,7 +190,7 @@ def _put_bool(value: bool, out: bytearray) -> None:
 
 def _put_int(value: int, out: bytearray) -> None:
     out.append(_TAG_INT)
-    _put_zigzag(out, value)
+    _put_zigzag(value, out)
 
 
 def _put_float(value: float, out: bytearray) -> None:
@@ -200,25 +200,25 @@ def _put_float(value: float, out: bytearray) -> None:
 
 def _put_text(value: str, out: bytearray) -> None:
     out.append(_TAG_STR)
-    _put_str(out, value)
+    _put_str(value, out)
 
 
 def _put_bytes(value: bytes, out: bytearray) -> None:
     out.append(_TAG_BYTES)
-    _put_varint(out, len(value))
+    _put_varint(len(value), out)
     out += value
 
 
 def _put_list(value: list, out: bytearray) -> None:
     out.append(_TAG_LIST)
-    _put_varint(out, len(value))
+    _put_varint(len(value), out)
     for item in value:
         (_ENCODERS.get(type(item)) or _encoder_for(item))(item, out)
 
 
 def _put_dict(value: dict, out: bytearray) -> None:
     out.append(_TAG_DICT)
-    _put_varint(out, len(value))
+    _put_varint(len(value), out)
     try:
         keys = sorted(value)
     except TypeError:  # keys of mixed types do not even order
@@ -228,29 +228,29 @@ def _put_dict(value: dict, out: bytearray) -> None:
             raise CodecError(
                 f"dict keys must be str, got {type(key).__name__}"
             )
-        _put_str(out, key)
+        _put_str(key, out)
         item = value[key]
         (_ENCODERS.get(type(item)) or _encoder_for(item))(item, out)
 
 
 def _put_metadata(value: FileMetadata, out: bytearray) -> None:
     out.append(_TAG_METADATA)
-    _put_str(out, value.path)
-    _put_varint(out, value.inode)
+    _put_str(value.path, out)
+    _put_varint(value.inode, out)
     out.append(_FILE_KIND_TO_WIRE[value.kind])
-    _put_varint(out, value.size)
-    _put_zigzag(out, value.uid)
-    _put_zigzag(out, value.gid)
-    _put_varint(out, value.mode)
+    _put_varint(value.size, out)
+    _put_zigzag(value.uid, out)
+    _put_zigzag(value.gid, out)
+    _put_varint(value.mode, out)
     out += _TIMES.pack(value.atime, value.mtime, value.ctime)
-    _put_varint(out, value.nlink)
-    _put_str(out, value.symlink_target)
+    _put_varint(value.nlink, out)
+    _put_str(value.symlink_target, out)
 
 
 def _put_bloom(value: BloomFilter, out: bytearray) -> None:
     raw = value.to_bytes()
     out.append(_TAG_BLOOM)
-    _put_varint(out, len(raw))
+    _put_varint(len(raw), out)
     out += raw
 
 
@@ -298,14 +298,14 @@ def _encode_message(
     if trace is not None:
         flags |= FLAG_HAS_TRACE
     out += _HEADER.pack(WIRE_MAGIC, WIRE_VERSION, wire_kind, flags)
-    _put_zigzag(out, message.sender)
-    _put_varint(out, message.request_id)
+    _put_zigzag(message.sender, out)
+    _put_varint(message.request_id, out)
     out += _FLOAT.pack(message.arrival_vtime)
     if trace is not None:
         trace_id, parent_span_id, origin = trace
-        _put_zigzag(out, trace_id)
-        _put_zigzag(out, parent_span_id)
-        _put_zigzag(out, origin)
+        _put_zigzag(trace_id, out)
+        _put_zigzag(parent_span_id, out)
+        _put_zigzag(origin, out)
     if not isinstance(message.payload, dict):
         raise CodecError("frame payload must be a dict")
     try:
