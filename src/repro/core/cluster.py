@@ -398,15 +398,13 @@ class _ModelWalk:
             self.messages += 2
             if traced:
                 self.hop("forward", target=target_id, msg=2)
-        # Home-MDS verification: filter probe, then store access.
+        # Home-MDS verification, charged as filter probe, then store
+        # access on a "maybe" (the server reads its store first).
         server = cluster.servers[target_id]
+        ((meta, maybe),) = server.verify_many((self.path,))
         self.latency += self.mpm
-        local = server.local_filter
-        mask = local._hashes.mask(self.path)
-        meta = None
-        if (local._bits & mask) == mask:
+        if maybe:
             self.latency += server.fetch_penalty_cached(self.net)
-            meta = server.store.get(self.path)
         if traced:
             self.hop("verify", target=target_id, found=meta is not None)
         if meta is None:
@@ -942,11 +940,12 @@ class GHBACluster:
         """Multi-key direct verification at one MDS — the gateway's batch path.
 
         The gateway groups keys whose expired leases predict the same home
-        MDS and re-validates them with *one* round trip: the target probes
-        its local filter and store for every asked path.  This bypasses
-        the L1-L4 walk entirely when the prediction holds; a missing path
-        in ``results`` means the prediction went stale and the caller must
-        fall back to :meth:`query`.
+        MDS and re-validates them with *one* round trip: the target reads
+        its store for every asked path and probes its local filter only
+        for the ones it does not hold (``MetadataServer.verify_many``).
+        This bypasses the L1-L4 walk entirely when the prediction holds; a
+        missing path in ``results`` means the prediction went stale and the
+        caller must fall back to :meth:`query`.
 
         Never called on the direct query path, so clusters that are not
         fronted by a gateway stay bit-identical to pre-gateway builds.
@@ -960,17 +959,14 @@ class GHBACluster:
             return result
         latency = result.latency_ms
         record_cost = server.fetch_penalty_cached(net)
-        # One pass over the local filter for the whole batch, then store
-        # lookups only for the (possible) positives.
+        # Charged as one filter probe per key plus a record fetch per
+        # "maybe"; the server answers stored keys without the probe.
         latency += net.memory_probe_ms * len(paths)
         results = result.results
-        store_get = server.store.get
-        for path, maybe in zip(paths, server.local_filter.contains_many(paths)):
+        for path, (meta, maybe) in zip(paths, server.verify_many(paths)):
             if maybe:
                 latency += record_cost
-                results[path] = store_get(path)
-            else:
-                results[path] = None
+            results[path] = meta
         versions = result.versions
         path_versions = self._path_versions
         for path in paths:
@@ -1034,6 +1030,8 @@ class GHBACluster:
           conflicts likewise.
         - A delete of an absent path is an applied no-op (the requested
           final state already holds).
+        - An unknown op, or a create whose record names another path,
+          raises :class:`ValueError`.
 
         At-most-once: gateway versions are globally sequenced but each
         home receives only a gappy subsequence, so dedup is **exact** —
@@ -1134,6 +1132,11 @@ class GHBACluster:
         if mutation.op not in ("create", "delete"):
             raise ValueError(f"unknown mutation op {mutation.op!r}")
         path = mutation.path
+        record = mutation.record
+        if mutation.op == "create" and record is not None and record.path != path:
+            raise ValueError(
+                f"create of {path!r} carries the record of {record.path!r}"
+            )
         current = self._path_versions.get(path, 0)
         existing_home = self.home_of(path)
         lost_race = (

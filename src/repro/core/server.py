@@ -22,7 +22,7 @@ needs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -329,6 +329,32 @@ class MetadataServer:
         if not self.local_filter.query(path):
             return None
         return self.store.get(path)
+
+    def verify_many(
+        self, paths: Sequence[str]
+    ) -> List[Tuple[Optional[FileMetadata], bool]]:
+        """The home-MDS verification of each of ``paths``, store first:
+        ``(record or None, whether the local filter says "maybe")``.
+
+        The filter has no false negatives, so a stored path is a "maybe"
+        without a probe; only the store's misses are probed, in one
+        :meth:`~repro.bloom.bloom_filter.BloomFilter.contains_many` pass.
+        The answers are those of the filter-first order (probe, then read
+        the store on a positive), which is what callers charge for: a
+        "maybe" pays the record fetch, found or not.
+        """
+        get = self.store.get
+        found = []
+        misses = []
+        for path in paths:
+            meta = get(path)
+            if meta is None:
+                misses.append(path)
+            found.append((meta, True))
+        if not misses:
+            return found
+        maybes = iter(self.local_filter.contains_many(misses))
+        return [pair if pair[0] is not None else (None, next(maybes)) for pair in found]
 
     # ------------------------------------------------------------------
     # Probe primitives used by the cluster's query path

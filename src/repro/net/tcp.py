@@ -34,10 +34,12 @@ A write is bounded by ``default_timeout_s``: a peer that stops reading
 costs the writer one timeout, then the connection is dropped (a torn
 frame is never followed by another), the frame counts as lost on the
 wire and the retry layer takes over.  Reads wait indefinitely — an idle
-connection is not an error.  Frames that found another frame ahead of
-them on their connection are counted in
-``transport_backpressure_stalls_total``, the deepest such line in the
-``transport_queue_high_water`` gauge.
+connection is not an error.  A dropped connection, whichever end dropped
+it, wakes every request still waiting for a reply written on it, so the
+retry layer re-sends at once instead of waiting out the attempt timeout.
+Frames that found another frame ahead of them on their connection are
+counted in ``transport_backpressure_stalls_total``, the deepest such line
+in the ``transport_queue_high_water`` gauge.
 
 Fault-boundary parity: ``send`` (count, then the fault injector's
 verdict: drop → ``False`` but still counted, delay → virtual arrival
@@ -230,7 +232,11 @@ class TcpTransport(ReliableTransport):
         self._backpressure_stalls = 0
         self._queue_high_water = 0
 
-        self._pending: Dict[int, "queue.SimpleQueue[Message]"] = {}
+        #: request_id -> (reply slot, the connection the request was
+        #: written on): dropping that connection wakes the slot at once.
+        self._pending: Dict[
+            int, Tuple["queue.SimpleQueue[Optional[Message]]", "_Connection"]
+        ] = {}
         self._listeners: Dict[int, Tuple[socket.socket, threading.Thread]] = {}
         self._pooled: Dict[int, _Connection] = {}
         self._connect_gates: Dict[int, threading.Lock] = {}
@@ -345,7 +351,7 @@ class TcpTransport(ReliableTransport):
                     with self._lock:
                         waiter = self._pending.get(message.request_id)
                     if waiter is not None:
-                        waiter.put(message)
+                        waiter[0].put(message)
                     # else: a reply nobody waits for anymore (late duplicate
                     # after the retry budget) — dropped, like in-process.
         finally:
@@ -379,11 +385,16 @@ class TcpTransport(ReliableTransport):
 
     def _drop(self, conn: _Connection) -> None:
         """End a connection: its reader sees end-of-stream and closes the
-        socket, a write stalled on it fails at once."""
+        socket, a write stalled on it fails at once, and every request
+        written on it stops waiting (its slot gets None, which the retry
+        layer takes for a lost reply and re-sends on a fresh connection)."""
         with self._lock:
             if conn.closed:
                 return
             conn.closed = True
+            for slot, written_on in self._pending.values():
+                if written_on is conn:
+                    slot.put(None)
             try:
                 conn.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -540,11 +551,13 @@ class TcpTransport(ReliableTransport):
         A peer absent from the port map, or refusing connections beyond
         the bounded connect retries, raises :class:`TransportClosed`."""
         expects_reply = message.reply_to is not None
-        if expects_reply:
-            with self._lock:
-                self._pending[message.request_id] = message.reply_to
         body = encode_body(message, expects_reply)
         conn = self._connection(route)
+        if expects_reply:
+            with self._lock:
+                self._pending[message.request_id] = (message.reply_to, conn)
+                if conn.closed:  # dropped before it could be woken
+                    message.reply_to.put(None)
         for _ in range(copies):
             self._write_frame(conn, body)
 

@@ -254,10 +254,8 @@ class MDSNode(MailboxNode):
         return message.reply(hits=list(lookup.hits), finish_vtime=finish)
 
     def _on_verify(self, message: Message) -> Message:
-        path = message.payload["path"]
-        positive = self.server.local_filter.query(path)
-        finish = self._serve(message.arrival_vtime, self._verify_ms(positive))
-        meta = self.server.store.get(path) if positive else None
+        ((meta, maybe),) = self.server.verify_many((message.payload["path"],))
+        finish = self._serve(message.arrival_vtime, self._verify_ms(maybe))
         return message.reply(
             found=meta is not None,
             home_id=self.node_id if meta is not None else None,
@@ -265,21 +263,25 @@ class MDSNode(MailboxNode):
         )
 
     def _on_verify_batch(self, message: Message) -> Message:
-        """Multi-key verification: one request, one filter+store pass per key.
+        """Multi-key verification: one request, one store read per key.
 
         The gateway tier batches keys predicted onto this node into a
-        single message; the reply maps each path to whether (and what)
-        this node holds.  Service time charges one probe per key plus a
-        record fetch per positive, all inside one queued service slot —
-        that is the batching win over per-key VERIFY round trips.
+        single message; the reply maps each path to whether this node
+        holds it.  Only the keys the store misses are probed against the
+        local filter (``MetadataServer.verify_many``).  Service time
+        charges one probe per key plus a record fetch per "maybe", all
+        inside one queued service slot — that is the batching win over
+        per-key VERIFY round trips.
         """
         paths = message.payload["paths"]
+        # _verify_ms(False) and _verify_ms(True), read once per batch.
+        net = self.config.network
+        miss_ms = net.memory_probe_ms
+        maybe_ms = miss_ms + self.server.fetch_penalty_cached(net)
         service_ms = 0.0
         found: Dict[str, bool] = {}
-        for path in paths:
-            positive = self.server.local_filter.query(path)
-            service_ms += self._verify_ms(positive)
-            meta = self.server.store.get(path) if positive else None
+        for path, (meta, maybe) in zip(paths, self.server.verify_many(paths)):
+            service_ms += maybe_ms if maybe else miss_ms
             found[path] = meta is not None
         finish = self._serve(message.arrival_vtime, service_ms)
         return message.reply(found=found, finish_vtime=finish)
@@ -320,6 +322,10 @@ class MDSNode(MailboxNode):
             changed = False
             if op == "create":
                 meta: FileMetadata = raw["record"]
+                if meta.path != path:
+                    raise ValueError(
+                        f"create of {path!r} carries the record of {meta.path!r}"
+                    )
                 server.insert_metadata(meta)
                 changed = True
             elif op == "delete":

@@ -235,6 +235,49 @@ class TestSilentAndVanishingPeers:
             assert _transport_threads() == []
 
 
+class TestHangUp:
+    ATTEMPT_TIMEOUT_S = 3.0
+
+    def test_a_peer_that_hangs_up_on_each_request_fails_fast(self):
+        """A peer that reads each request and closes the connection:
+        every waiter is woken by the drop, not by its attempt timeout,
+        and the retry budget runs out in well under one timeout."""
+        portmap = PortMap.reserve([0])
+        listener = socket.create_server(portmap.endpoint(0))
+        accepted = []
+
+        def hang_up_after_each_request():
+            with listener:
+                while True:
+                    try:
+                        sock, _ = listener.accept()
+                    except OSError:
+                        return  # the test shut the listener down
+                    accepted.append(sock)
+                    with sock:
+                        sock.settimeout(BOUND_S)
+                        (length,) = struct.unpack(">I", _recv_exactly(sock, 4))
+                        _recv_exactly(sock, length)
+
+        peer = threading.Thread(target=hang_up_after_each_request, daemon=True)
+        peer.start()
+        client = TcpTransport(portmap, default_timeout_s=self.ATTEMPT_TIMEOUT_S)
+        try:
+            started = time.monotonic()
+            with pytest.raises(TimeoutError, match="after 3 attempt"):
+                client.request(0, _ping())
+            assert time.monotonic() - started < 1.0
+            assert client.retries == 2
+            assert client.exhausted == 1
+            assert client.stats()["connects"] == 3  # one dial per attempt
+            assert len(accepted) == 3
+        finally:
+            client.close()
+            listener.shutdown(socket.SHUT_RDWR)
+            peer.join(BOUND_S)
+        assert _transport_threads() == []
+
+
 class TestSlowReader:
     #: ~40 MB of unread ~20 KB replies: past the kernel's socket buffers
     #: and past a thousand-frame user-space queue in front of them.

@@ -10,7 +10,7 @@ version arbitration (conflicts never clobber), rename partial barriers
 
 import pytest
 
-from repro.core.cluster import GHBACluster
+from repro.core.cluster import GHBACluster, PathMutation
 from repro.core.config import GHBAConfig
 from repro.faults import FaultPlan, PlanFaultInjector
 from repro.gateway import (
@@ -269,6 +269,23 @@ class TestVersionArbitration:
         read = client.lookup(victim, now=0.6)
         assert read.from_cache
         assert read.record is not None and read.record.inode == 123_456
+
+
+    def test_create_whose_record_names_another_path_is_refused(self):
+        """Regression: such a create was acked as applied for its path
+        but stored the record under the record's own name."""
+        cluster = _cluster()
+        create = PathMutation(
+            version=1,
+            op="create",
+            path="/a",
+            record=FileMetadata(path="/b", inode=1),
+        )
+        with pytest.raises(ValueError, match="'/a'.*'/b'"):
+            cluster.apply_mutation_batch(0, [create], origin=1)
+        assert cluster.home_of("/a") is None
+        assert cluster.home_of("/b") is None
+        assert cluster.path_version("/b") == 0
 
 
 class TestExplicitLoss:

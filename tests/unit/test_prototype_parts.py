@@ -174,6 +174,28 @@ class TestNode:
         )
         assert probe.payload["hits"] == [99]
 
+    def test_create_whose_record_names_another_path_is_refused(
+        self, node, transport
+    ):
+        """Regression: the node stored such a create under the record's
+        name and acked it as applied under the asked one."""
+        create = {
+            "version": 1,
+            "op": "create",
+            "path": "/a",
+            "record": FileMetadata(path="/b", inode=1),
+        }
+        reply = self.request(
+            transport, 0, MessageKind.MUTATE_BATCH, origin=1, mutations=[create]
+        )
+        assert "outcomes" not in reply.payload
+        assert "'/a'" in reply.payload["error"] and "'/b'" in reply.payload["error"]
+        found = self.request(
+            transport, 0, MessageKind.VERIFY_BATCH, paths=["/a", "/b"]
+        )
+        assert found.payload["found"] == {"/a": False, "/b": False}
+        assert node.server.writeback_applied == 0
+
     def test_unknown_kind_gets_error_reply(self, node, transport):
         reply = transport.request(
             0, Message(kind=MessageKind.REPLY, sender=-1)
