@@ -73,6 +73,9 @@ class BloomFilterArray:
         # Insertion-ordered like every dict; a plain dict probes and
         # iterates faster than OrderedDict on the query hot path.
         self._filters: Dict[int, BloomFilter] = {}
+        #: ``tuple(_filters.items())``, re-taken by every replica change;
+        #: the probes below and the L3 multicast walk it.
+        self._pairs: Tuple[Tuple[int, BloomFilter], ...] = ()
         # Most probes miss every filter; reuse one (immutable) empty result
         # instead of allocating a fresh ArrayLookup per miss.
         self._empty_lookup: Optional[ArrayLookup] = None
@@ -92,12 +95,14 @@ class BloomFilterArray:
         if home_id in self._filters:
             raise ValueError(f"replica for MDS {home_id} already present")
         self._filters[home_id] = bloom
+        self._pairs = tuple(self._filters.items())
 
     def replace_replica(self, home_id: int, bloom: BloomFilter) -> None:
         """Overwrite the replica for ``home_id`` (replica update path)."""
         if home_id not in self._filters:
             raise KeyError(f"no replica for MDS {home_id}")
         self._filters[home_id] = bloom
+        self._pairs = tuple(self._filters.items())
 
     def remove_replica(self, home_id: int) -> BloomFilter:
         """Remove and return the replica for ``home_id``."""
@@ -105,6 +110,7 @@ class BloomFilterArray:
             replica = self._filters.pop(home_id)
         except KeyError:
             raise KeyError(f"no replica for MDS {home_id}") from None
+        self._pairs = tuple(self._filters.items())
         return replica
 
     def get_replica(self, home_id: int) -> BloomFilter:
@@ -143,7 +149,7 @@ class BloomFilterArray:
         hits: List[int] = []
         family = None
         mask = 0
-        for home_id, bloom in self._filters.items():
+        for home_id, bloom in self._pairs:
             if bloom._hashes is not family:
                 family = bloom._hashes
                 mask = family.mask(item)
@@ -161,13 +167,12 @@ class BloomFilterArray:
     def query_into(self, item: object, hits: set) -> int:
         """Fused :meth:`query`: union hit IDs into ``hits``, return probes.
 
-        The L3 multicast probes every group member's array for the same
-        item and only needs the union of hits; this variant skips the
-        per-member :class:`ArrayLookup` allocation and sort (DESIGN.md §15).
+        The L2 probe unions the array's hits with its local filter's; this
+        variant skips the :class:`ArrayLookup` allocation (DESIGN.md §15).
         """
         family = None
         mask = 0
-        for home_id, bloom in self._filters.items():
+        for home_id, bloom in self._pairs:
             if bloom._hashes is not family:
                 family = bloom._hashes
                 mask = family.mask(item)
@@ -180,7 +185,7 @@ class BloomFilterArray:
         per-call plumbing (filter iteration setup, family dispatch) hoisted
         out of the loop.  Semantically identical to ``[self.query(i) for i
         in items]``."""
-        filters = list(self._filters.items())
+        filters = self._pairs
         probes = len(filters)
         out: List[ArrayLookup] = []
         for item in items:

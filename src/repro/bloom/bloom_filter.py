@@ -15,8 +15,8 @@ intersection, XOR and popcount are then single C-level big-int ops, and
 
 Hot path: the shared family memoizes each key's probe mask (the OR of
 ``1 << i`` over its ``k`` indices), so :meth:`query` is one AND plus a
-compare against ``_bits``; the segment arrays and the L3 plan read the
-same attribute.  The batched :meth:`contains_many` amortizes attribute
+compare against ``_bits``; the segment arrays and the L3 multicast read
+the same attribute.  The batched :meth:`contains_many` amortizes attribute
 lookups across a whole ``VERIFY_BATCH`` (DESIGN.md §15).
 """
 

@@ -26,7 +26,7 @@ int ops, so this module adds two layers on top of the construction:
   for it.  Counter arrays are read by cell (counting filters, the L1
   slices); a filter's packed ``_bits`` int is tested with
   ``(bits & mask) == mask`` — no per-index loop at all (plain filters,
-  segment arrays, the L3 plan).  A geometry's filters are all of
+  segment arrays, the L3 multicast).  A geometry's filters are all of
   one kind, so it holds one form per item, not both.  Both memos are
   bounded — cells by entries, masks by bytes, since a mask is as wide as
   the filter; on overflow the oldest half (dict insertion order) is

@@ -341,8 +341,8 @@ class _ModelWalk:
             num_reached = len(peers)
         else:
             # Fault-free fast path: every peer is reached, so the reply
-            # count mirrors the request count and the fused full-group
-            # probe plan applies without a reachability restriction.
+            # count mirrors the request count and the multicast walks
+            # every member's row without a reachability restriction.
             peers = None
             lost_peers = ()
             self.messages += 2 * (group.size - 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.bloom.arrays import ArrayLookup, IDBloomFilterArray
+from repro.bloom.arrays import ArrayLookup, BloomFilterArray, IDBloomFilterArray
 from repro.bloom.bloom_filter import BloomFilter
 from repro.core.reconfiguration import imbalance
 from repro.core.server import MetadataServer
@@ -46,12 +46,10 @@ class Group:
         self.group_id = group_id
         self._members: Dict[int, MetadataServer] = {}
         self.idbfa = IDBloomFilterArray()
-        # Fused L3 probe plan: a flattened (member, bit-vector, home-id)
-        # view of every member's segment array, rebuilt lazily whenever
-        # membership or any member's segment version changes.
-        self._probe_plan: Optional[tuple] = None
-        self._membership_version = 0
-        self._member_ids_cache: Optional[Tuple[int, List[int]]] = None
+        #: One L3 row per member: ``(server, server.segment, its L2 probe
+        #: counter)``.  None of the three is ever rebound on a server, so
+        #: only a membership change touches a row.
+        self._rows: Dict[int, Tuple[MetadataServer, BloomFilterArray, object]] = {}
         if metrics is not None:
             self._update_messages = metrics.counter(
                 "ghba_replica_update_messages_total",
@@ -76,11 +74,7 @@ class Group:
         return len(self._members)
 
     def member_ids(self) -> List[int]:
-        cache = self._member_ids_cache
-        if cache is None or cache[0] != self._membership_version:
-            cache = (self._membership_version, sorted(self._members))
-            self._member_ids_cache = cache
-        return list(cache[1])
+        return sorted(self._members)
 
     def members(self) -> List[MetadataServer]:
         members = self._members
@@ -178,23 +172,18 @@ class Group:
         """Raw membership insert: bookkeeping only, no replica migration.
 
         Every path that makes ``server`` a member — cluster formation,
-        reconfiguration, checkpoint restore — must come through here so the
-        membership version, the member-ID cache, and the fused L3 probe plan stay
-        coherent.  The group also registers itself on the server: replica
-        installs/updates/drops on any member push-invalidate the plan.
+        reconfiguration, checkpoint restore — must come through here so
+        the member's L3 row is there.
         """
         self._members[server.server_id] = server
-        self._membership_version += 1
-        server._plan_owners.append(self)
-        self._probe_plan = None
+        self._rows[server.server_id] = (
+            server, server.segment, server._l2_probe_counter
+        )
 
     def abandon_member(self, server_id: int) -> MetadataServer:
         """Raw membership removal: bookkeeping only, no replica migration."""
-        server = self._members.pop(server_id)
-        self._membership_version += 1
-        server._plan_owners.remove(self)
-        self._probe_plan = None
-        return server
+        del self._rows[server_id]
+        return self._members.pop(server_id)
 
     # ------------------------------------------------------------------
     # Group-level query (L3)
@@ -204,90 +193,36 @@ class Group:
     ) -> ArrayLookup:
         """Probe every member's segment array + local filter (L3).
 
-        Returns the union of hits across the group.  With the mirror
-        invariant intact, the group sees all N filters, so a genuine home
-        MDS is always among the hits.  ``member_ids`` restricts the probe
-        to the members a (possibly faulty) multicast actually reached; the
-        default probes everyone.
+        Returns the union of hits across the group; the probes and each
+        member's L2 probe count are those of its own ``probe_segment``.
+        With the mirror invariant intact, the group sees all N filters, so
+        a genuine home MDS is always among the hits.  ``member_ids``
+        restricts the probe to the members a (possibly faulty) multicast
+        actually reached; the default probes everyone.  A member hosts
+        only filters of its local filter's hash family (``host_replica``
+        refuses others), so one mask tests a whole member.
         """
+        rows = self._rows.values()
         if member_ids is not None:
-            ids = list(member_ids)
-            if len(ids) != len(self._members) or set(ids) != self._members.keys():
-                # Partial multicast (fault-restricted): probe just the
-                # reachable members, outside the fused plan.
-                hits: set = set()
-                probes = 0
-                for mid in ids:
-                    probes += self._members[mid].probe_segment_into(path, hits)
-                return ArrayLookup(hits=tuple(sorted(hits)), probes=probes)
-        plan = self._probe_plan
-        if plan is None:
-            plan = self._build_probe_plan()
-        entries, family = plan
-        hits = set()
-        probes = 0
-        if family is None:
-            # Mixed hash geometries: fall back to per-member probes.
-            for member, _pairs, _member_probes, _counter in entries:
-                probes += member.probe_segment_into(path, hits)
-            return ArrayLookup(hits=tuple(sorted(hits)), probes=probes)
-        mask = family.mask(path)
+            rows = [self._rows[mid] for mid in member_ids]
+        hits: set = set()
         add_hit = hits.add
-        for member, pairs, member_probes, counter in entries:
+        probes = 0
+        family = None
+        for member, segment, counter in rows:
             if counter is not None:
                 counter.inc()
-            for bloom, home_id in pairs:
+            local = member.local_filter
+            if local._hashes is not family:
+                family = local._hashes
+                mask = family.mask(path)
+            if (local._bits & mask) == mask:
+                add_hit(member.server_id)
+            for home_id, bloom in segment._pairs:
                 if (bloom._bits & mask) == mask:
                     add_hit(home_id)
-            # The local filter can be swapped wholesale (rebuilds, restore
-            # from checkpoint), so fetch it fresh and re-check its family.
-            local = member.local_filter
-            if local._hashes is family:
-                if (local._bits & mask) == mask:
-                    add_hit(member.server_id)
-            elif local.query(path):
-                add_hit(member.server_id)
-            probes += member_probes
+            probes += len(segment._pairs) + 1
         return ArrayLookup(hits=tuple(sorted(hits)), probes=probes)
-
-    def _build_probe_plan(self) -> tuple:
-        """Flatten the members' segment arrays for the fused L3 probe.
-
-        The plan pairs each member with ``(filter, home_id)`` tuples for
-        every replica it hosts; when all filters share one (interned) hash
-        family the multicast becomes one mask computation plus one AND and
-        compare per replica.  The plan holds the filter, not its ``_bits``
-        int, and reads the int on every probe: a replica updated in place
-        must not leave a stale copy behind.  Plans are push-invalidated:
-        membership changes (:meth:`adopt_member` / :meth:`abandon_member`)
-        and replica installs/updates/drops on any member (which funnel
-        through ``MetadataServer.host_replica`` and friends) null
-        ``_probe_plan``, so a non-None plan is always current and queries
-        skip validation entirely.
-        """
-        family = None
-        fused = True
-        entries = []
-        for mid in sorted(self._members):
-            member = self._members[mid]
-            pairs = []
-            for home_id, bloom in member.segment._filters.items():
-                if family is None:
-                    family = bloom._hashes
-                elif bloom._hashes is not family:
-                    fused = False
-                pairs.append((bloom, home_id))
-            local_family = member.local_filter._hashes
-            if family is None:
-                family = local_family
-            elif local_family is not family:
-                fused = False
-            entries.append(
-                (member, tuple(pairs), len(pairs) + 1, member._l2_probe_counter)
-            )
-        plan = (entries, family if fused else None)
-        self._probe_plan = plan
-        return plan
 
     # ------------------------------------------------------------------
     # Invariant checking (used heavily in tests)

@@ -82,9 +82,6 @@ class MetadataServer:
             policy=config.lru_policy,
         )
         self.segment = BloomFilterArray()
-        #: Groups holding a fused L3 probe plan over this server's segment;
-        #: replica mutations push-invalidate their plans (see Group).
-        self._plan_owners: List[object] = []
         self._memory_budget_bytes = config.memory_budget_bytes
         self._metadata_bytes = 0
         #: Snapshot of the local filter as last replicated to remote groups;
@@ -383,22 +380,6 @@ class MetadataServer:
             self._empty_segment_lookup = empty
         return empty
 
-    def probe_segment_into(self, path: str, hits: set) -> int:
-        """Fused L2 probe for the L3 multicast: union hits into ``hits``.
-
-        Increments the same probe counter and contributes the same hit set
-        as :meth:`probe_segment`, but skips the per-member result
-        allocation — the multicast only needs the union (DESIGN.md §15).
-        """
-        if self._l2_probe_counter is not None:
-            self._l2_probe_counter.inc()
-        probes = self.segment.query_into(path, hits)
-        local = self.local_filter
-        mask = local._hashes.mask(path)
-        if (local._bits & mask) == mask:
-            hits.add(self.server_id)
-        return probes + 1
-
     def record_lru(self, path: str, home_id: int) -> None:
         """Feed a resolved lookup back into the L1 array."""
         self.lru.record(path, home_id)
@@ -406,23 +387,33 @@ class MetadataServer:
     # ------------------------------------------------------------------
     # Replica hosting (assigned by the group)
     # ------------------------------------------------------------------
+    def _check_replica(self, replica: BloomFilter) -> None:
+        """Refuse, before anything is stored, all but a filter of the
+        local filter's hash family: L3 tests a member with one mask per
+        path (DESIGN.md §15)."""
+        if not isinstance(replica, BloomFilter):
+            raise ValueError(
+                f"a replica must be a BloomFilter, got {type(replica).__name__}"
+            )
+        if replica._hashes is not self.local_filter._hashes:
+            raise ValueError(
+                f"replica geometry {replica._hashes.parameters()} is not the "
+                f"local filter's {self.local_filter._hashes.parameters()}"
+            )
+
     def host_replica(self, home_id: int, replica: BloomFilter) -> None:
+        self._check_replica(replica)
         self.segment.add_replica(home_id, replica)
-        for group in self._plan_owners:
-            group._probe_plan = None
         self._refresh_memory_accounting()
 
     def drop_replica(self, home_id: int) -> BloomFilter:
         replica = self.segment.remove_replica(home_id)
-        for group in self._plan_owners:
-            group._probe_plan = None
         self._refresh_memory_accounting()
         return replica
 
     def replace_replica(self, home_id: int, replica: BloomFilter) -> None:
+        self._check_replica(replica)
         self.segment.replace_replica(home_id, replica)
-        for group in self._plan_owners:
-            group._probe_plan = None
         self._refresh_memory_accounting()
 
     def hosted_replicas(self) -> List[int]:

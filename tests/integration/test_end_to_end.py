@@ -62,8 +62,8 @@ class TestTraceDrivenReplay:
 
 class TestNamespaceBackedCluster:
     def test_namespace_as_source_of_truth(self, config):
-        """Build MDS content from a real namespace tree; rename and verify
-        the metadata moves follow."""
+        """Build MDS content from a real namespace tree; rename a directory
+        in both and verify the records follow without migrating."""
         ns = Namespace()
         for i in range(60):
             ns.ensure_file(f"/proj/src/mod{i % 5}/file{i}.c")
@@ -74,13 +74,20 @@ class TestNamespaceBackedCluster:
         cluster.synchronize_replicas(force=True)
         for path, home in list(placement.items())[:20]:
             assert cluster.query(path).home_id == home
-        # Rename a directory in the namespace: old paths disappear from the
-        # namespace; the metadata servers must be updated by re-inserting.
+        # Rename a directory in the namespace and in the cluster: each
+        # record is re-keyed on its home, none migrates.
         moved = ns.rename("/proj/src/mod0", "/proj/src/renamed")
         assert moved > 1
-        for meta in ns.files():
-            if meta.path.startswith("/proj/src/renamed"):
-                assert not cluster.query(meta.path).found or True
+        rekeyed = cluster.rename_subtree("/proj/src/mod0", "/proj/src/renamed")
+        assert rekeyed == 12
+        cluster.synchronize_replicas(force=True)
+        old_names = [p for p in placement if p.startswith("/proj/src/mod0/")]
+        assert len(old_names) == rekeyed
+        for old in old_names:
+            new = "/proj/src/renamed" + old[len("/proj/src/mod0"):]
+            result = cluster.query(new)
+            assert result.found and result.home_id == placement[old], new
+            assert not cluster.query(old).found, old
 
 
 class TestMemoryPressureEffect:
