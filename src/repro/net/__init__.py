@@ -6,9 +6,10 @@ a transport object exposing ``send`` / ``request`` / ``gather``.  This
 package supplies the second implementation of that surface:
 
 - :mod:`repro.net.reliability` — the core both transports are built on
-  (:class:`~repro.net.reliability.ReliableTransport`), its
-  transport-agnostic retry/backoff drivers, and the shared
-  ``GatherResult`` / ``TransportClosed`` vocabulary.
+  (:class:`~repro.net.reliability.ReliableTransport`, whose ``request``
+  and ``gather`` run the retry/backoff loops over a two-method wire
+  seam), and the shared ``GatherResult`` / ``TransportClosed``
+  vocabulary.
 - :mod:`repro.net.codec` — a versioned, length-prefixed, deterministic
   binary wire format for every :class:`~repro.prototype.messages.
   MessageKind` payload (stdlib only).

@@ -6,26 +6,9 @@ The in-process and the TCP transport need identical recovery semantics
 (same attempt budget, same backoff draws, same partial-failure shape)
 and identical accounting, so :class:`ReliableTransport` holds both once
 and a transport adds only how a message physically reaches its
-destination.  The retry loops are free functions that drive any wire
-through a small adapter surface (a test substitutes a scripted fake):
-
-``dispatch_attempt(dest, message, count)``
-    Arm the reply path and put one attempt on the wire.  Returns True
-    when the attempt was delivered, False when the fault layer is known
-    to have dropped it (the driver then skips the real-clock wait), and
-    raises :class:`TransportClosed` when the destination is gone.
-``collect_reply(message, timeout_s)``
-    Block up to ``timeout_s`` for the attempt's reply; None on timeout.
-``reply_received(count)``
-    Accounting hook: one reply arrived (``count=False`` for harness
-    pings that stay off the wire totals).
-``retry_attempt(message, backoff_s)``
-    Build the re-sent attempt (fresh copy, later virtual arrival).
-``next_backoff(retry_index)``
-    Draw the next backoff from the policy (the transport owns the seeded
-    RNG so instrumenting one transport never perturbs another).
-``note_retry(backoff_s)`` / ``note_exhausted(count)``
-    Counter hooks.
+destination.  Its ``request`` and ``gather`` run the retry loops and
+reach the wire only through ``dispatch_attempt`` and ``collect_reply``,
+the seam a subclass (or a test's scripted fake) overrides.
 
 Attempt ordering, one backoff draw per retry wave and the shared
 per-wave gather deadline are pinned by a regression test (retry and
@@ -80,115 +63,15 @@ class GatherResult:
         return len(self.replies)
 
 
-def reliable_request(
-    wire,
-    policy: RetryPolicy,
-    dest: int,
-    message,
-    timeout_s: float,
-    count: bool = True,
-):
-    """Send one request with bounded retry; return the reply.
-
-    Raises :class:`TimeoutError` once the attempt budget is exhausted and
-    propagates :class:`TransportClosed` from the wire (a vanished
-    destination is a different failure than a silent one).
-    """
-    attempt = message
-    for index in range(policy.max_attempts):
-        delivered = wire.dispatch_attempt(dest, attempt, count)
-        reply = None
-        if delivered:
-            reply = wire.collect_reply(attempt, timeout_s)
-        if reply is not None:
-            wire.reply_received(count)
-            return reply
-        if index + 1 >= policy.max_attempts:
-            break
-        backoff = wire.next_backoff(index)
-        wire.note_retry(backoff)
-        attempt = wire.retry_attempt(attempt, backoff)
-    wire.note_exhausted(1)
-    raise TimeoutError(
-        f"no reply from node {dest} for {message.kind.value} "
-        f"(request {message.request_id}) after "
-        f"{policy.max_attempts} attempt(s)"
-    )
-
-
-def reliable_gather(
-    wire,
-    policy: RetryPolicy,
-    dests: Iterable[int],
-    build_message: Callable[[int], object],
-    timeout_s: float,
-) -> GatherResult:
-    """Multicast with per-wave shared deadline and bounded retry.
-
-    All destinations of one attempt wave share a single deadline — the
-    total real wait is bounded by ``timeout_s`` per wave, not
-    ``len(dests) x timeout_s`` — and destinations that stay silent are
-    retried with backoff.  Unreachable destinations (wire raised
-    :class:`TransportClosed`) are reported, never raised.
-    """
-    replies: Dict[int, object] = {}
-    unreachable: List[int] = []
-    # dest -> (in-flight message, delivered?)
-    pending: Dict[int, Tuple[object, bool]] = {}
-
-    def dispatch(dest: int, message) -> None:
-        try:
-            delivered = wire.dispatch_attempt(dest, message, True)
-        except TransportClosed:
-            unreachable.append(dest)
-            return
-        pending[dest] = (message, delivered)
-
-    for dest in dests:
-        dispatch(dest, build_message(dest))
-
-    for index in range(policy.max_attempts):
-        # Collect this wave against one shared deadline.  Replies land
-        # concurrently in per-dest reply paths, so draining them one by
-        # one against the common deadline still bounds the total wait.
-        deadline = time.monotonic() + timeout_s
-        for dest in list(pending):
-            message, delivered = pending[dest]
-            if not delivered:
-                continue  # known-dropped: no reply will ever come
-            remaining = deadline - time.monotonic()
-            reply = wire.collect_reply(message, max(0.0, remaining))
-            if reply is None:
-                continue
-            replies[dest] = reply
-            del pending[dest]
-            wire.reply_received(True)
-        if not pending or index + 1 >= policy.max_attempts:
-            break
-        backoff = wire.next_backoff(index)
-        for dest in sorted(pending):
-            message, _ = pending.pop(dest)
-            wire.note_retry(backoff)
-            dispatch(dest, wire.retry_attempt(message, backoff))
-
-    if pending:
-        wire.note_exhausted(len(pending))
-    return GatherResult(
-        replies=replies,
-        missing=tuple(sorted(pending)),
-        unreachable=tuple(sorted(unreachable)),
-    )
-
-
 class ReliableTransport:
     """What every transport does the same way, whatever the wire: count
     messages, consult the fault injector on every send, recover lost
-    replies (it is the wire adapter of the two drivers above) and export
-    the retry metrics; it also keeps the mailboxes of the nodes served
-    here.  A subclass supplies the physical steps: ``_route(dest)``,
-    called with the counter lock held, resolves ``dest`` to what
-    ``_deliver`` needs or raises :class:`TransportClosed` when it is known
-    gone before anything goes on the wire;
+    replies (``request`` / ``gather`` retry over ``dispatch_attempt`` /
+    ``collect_reply``) and export the retry metrics; it also keeps the
+    mailboxes of the nodes served here.  A subclass supplies the physical
+    steps: ``_route(dest)``, called with the counter lock held, resolves
+    ``dest`` to what ``_deliver`` needs or raises :class:`TransportClosed`
+    when it is known gone before anything goes on the wire;
     ``_deliver(route, message, copies)`` puts the copies on the wire.
 
     Parameters
@@ -284,22 +167,36 @@ class ReliableTransport:
         with self._lock:
             return self._exhausted
 
-    def reset_counters(self) -> None:
+    def _reply_received(self, count: bool) -> None:
         with self._lock:
-            self._messages_sent = 0
-            self._replies_received = 0
-            self._retries = 0
-            self._exhausted = 0
+            if count:
+                self._messages_sent += 1  # the reply on the wire
+            self._replies_received += 1
 
-    def _note_retry(self, backoff_s: float) -> None:
+    def _next_backoff(self, retry_index: int) -> float:
+        """One draw from the policy: the transport owns the seeded RNG, so
+        instrumenting one transport never perturbs another."""
+        with self._lock:
+            return self.retry.backoff_s(retry_index, self._retry_rng)
+
+    def _retry_attempt(self, message, backoff_s: float):
+        """Count one retry and build the re-sent attempt: same request,
+        later virtual arrival.  The failed attempt's timeout and the
+        backoff are virtual-clock costs (the client *waited* that long
+        before re-sending)."""
         with self._lock:
             self._retries += 1
         if self._retries_counter is not None:
             self._retries_counter.inc()
         if self._backoff_hist is not None:
             self._backoff_hist.observe(backoff_s * 1000.0)
+        return dataclasses.replace(
+            message,
+            reply_to=None,
+            arrival_vtime=message.arrival_vtime + self.retry.timeout_s + backoff_s,
+        )
 
-    def _note_exhausted(self, count: int = 1) -> None:
+    def _note_exhausted(self, count: int) -> None:
         with self._lock:
             self._exhausted += count
         if self._exhausted_counter is not None:
@@ -345,9 +242,26 @@ class ReliableTransport:
         once the budget is exhausted.  Messages the fault layer is known
         to have dropped skip the real-clock wait — the timeout is charged
         to the retry's virtual arrival time instead.
+        :class:`TransportClosed` from the wire propagates (a vanished
+        destination is a different failure than a silent one).
         """
         timeout = timeout_s if timeout_s is not None else self._default_timeout
-        return reliable_request(self, self.retry, dest, message, timeout, count)
+        attempt = message
+        for index in range(self.retry.max_attempts):
+            if self.dispatch_attempt(dest, attempt, count):
+                reply = self.collect_reply(attempt, timeout)
+                if reply is not None:
+                    self._reply_received(count)
+                    return reply
+            if index + 1 < self.retry.max_attempts:
+                backoff = self._next_backoff(index)
+                attempt = self._retry_attempt(attempt, backoff)
+        self._note_exhausted(1)
+        raise TimeoutError(
+            f"no reply from node {dest} for {message.kind.value} "
+            f"(request {message.request_id}) after "
+            f"{self.retry.max_attempts} attempt(s)"
+        )
 
     def gather(
         self,
@@ -358,52 +272,75 @@ class ReliableTransport:
         """Multicast: send to every dest, then gather whatever replies.
 
         ``build_message(dest)`` constructs each request (so every request
-        carries its own reply queue).  All destinations share one deadline
+        carries its own reply slot).  All destinations share one deadline
         per attempt wave — total real wait is bounded by the timeout, not
         ``len(dests) × timeout`` — and destinations that stay silent are
-        retried with backoff.  The result carries the collected replies
-        *plus* the set of silent/unreachable destinations, so callers can
-        degrade (e.g. escalate to the global broadcast) instead of
-        aborting and discarding replies already received.
+        retried with backoff (one draw per wave).  The result carries the
+        collected replies *plus* the silent and the unreachable
+        destinations (the wire raised :class:`TransportClosed`; reported,
+        never raised), so callers can degrade (e.g. escalate to the
+        global broadcast) instead of aborting and discarding replies
+        already received.
         """
         timeout = timeout_s if timeout_s is not None else self._default_timeout
-        return reliable_gather(self, self.retry, dests, build_message, timeout)
+        replies: Dict[int, object] = {}
+        unreachable: List[int] = []
+        # dest -> (in-flight message, delivered?)
+        pending: Dict[int, Tuple[object, bool]] = {}
+        wave = ((dest, build_message(dest)) for dest in dests)
+        for index in range(self.retry.max_attempts):
+            for dest, message in wave:
+                try:
+                    delivered = self.dispatch_attempt(dest, message, True)
+                except TransportClosed:
+                    unreachable.append(dest)
+                    continue
+                pending[dest] = (message, delivered)
+            # Replies land concurrently in per-attempt slots, so draining
+            # them one by one against the wave's deadline bounds the wait.
+            deadline = time.monotonic() + timeout
+            for dest in list(pending):
+                message, delivered = pending[dest]
+                if not delivered:
+                    continue  # known-dropped: no reply will ever come
+                remaining = deadline - time.monotonic()
+                reply = self.collect_reply(message, max(0.0, remaining))
+                if reply is not None:
+                    replies[dest] = reply
+                    del pending[dest]
+                    self._reply_received(True)
+            if not pending or index + 1 >= self.retry.max_attempts:
+                break
+            backoff = self._next_backoff(index)
+            wave = [
+                (dest, self._retry_attempt(pending.pop(dest)[0], backoff))
+                for dest in sorted(pending)
+            ]
+        if pending:
+            self._note_exhausted(len(pending))
+        return GatherResult(
+            replies=replies,
+            missing=tuple(sorted(pending)),
+            unreachable=tuple(sorted(unreachable)),
+        )
 
     # ------------------------------------------------------------------
-    # Wire adapter driven by reliable_request / reliable_gather
+    # The wire seam
     # ------------------------------------------------------------------
     def dispatch_attempt(self, dest: int, message, count: bool) -> bool:
-        """Arm a fresh reply slot and put one attempt on the wire."""
+        """Arm a fresh reply slot and put one attempt on the wire.
+
+        True when the attempt was delivered, False when the fault layer
+        is known to have dropped it (the loops then skip the real-clock
+        wait); :class:`TransportClosed` when the destination is gone.
+        """
         message.reply_to = queue.SimpleQueue()
         return self.send(dest, message, count=count)
 
     def collect_reply(self, message, timeout_s: float):
+        """Block up to ``timeout_s`` for the attempt's reply; None on
+        timeout (or when the wire knows the reply is lost)."""
         try:
             return message.reply_to.get(timeout=timeout_s)
         except queue.Empty:
             return None
-
-    def reply_received(self, count: bool) -> None:
-        with self._lock:
-            if count:
-                self._messages_sent += 1  # the reply on the wire
-            self._replies_received += 1
-
-    def next_backoff(self, retry_index: int) -> float:
-        with self._lock:
-            return self.retry.backoff_s(retry_index, self._retry_rng)
-
-    note_retry = _note_retry
-    note_exhausted = _note_exhausted
-
-    def retry_attempt(self, message, backoff_s: float):
-        """The re-sent attempt: same request, later virtual arrival.
-
-        The failed attempt's timeout and the backoff are virtual-clock
-        costs (the client *waited* that long before re-sending).
-        """
-        return dataclasses.replace(
-            message,
-            reply_to=None,
-            arrival_vtime=message.arrival_vtime + self.retry.timeout_s + backoff_s,
-        )

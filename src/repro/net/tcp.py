@@ -18,8 +18,11 @@ cannot tell the two transports apart).  A per-connection lock keeps
 frames whole when several threads share the one pooled connection to a
 peer.  Every connection — accepted, or pooled per peer — has one daemon
 reader thread that decodes frames into the node's mailbox (server side)
-or hands replies to waiting requests by ``request_id`` (client side);
-each registered node adds one accept thread.  All are named
+or hands replies to waiting requests by ``request_id`` (client side) —
+only to a request that was written on that same connection: a reply
+from any other peer is dropped like a late duplicate, so a server
+cannot answer another caller's request.  Each registered node adds one
+accept thread.  All are named
 ``tcp-transport-*`` and none exists before the first ``register`` or
 connect.  The two thread-to-thread hand-offs left per RPC (reader →
 mailbox, reader → reply slot) are the node's contract, not the wire's;
@@ -46,9 +49,12 @@ verdict: drop → ``False`` but still counted, delay → virtual arrival
 bump, duplicate → extra frames), the counters and the retry/backoff loop
 are inherited from :class:`~repro.net.reliability.ReliableTransport`,
 the core the in-process transport sits on too, so accounting and
-recovery are identical by construction; this module adds the wire.  A
-peer that cannot be reached (connect refused after bounded attempts, or
-not in the port map) raises :class:`TransportClosed` — which ``gather``
+recovery are identical by construction; this module adds the wire and
+the life of a reply slot (``_deliver`` registers it with its connection,
+the reader fills it, ``_drop`` wakes it, ``collect_reply`` forgets it).
+A node not in the port map is refused before anything is counted, and
+a peer that refuses connects past the bounded attempts after the send
+was counted; both raise :class:`TransportClosed` — which ``gather``
 reports as ``unreachable``, matching a deregistered in-process node.
 """
 
@@ -61,7 +67,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
@@ -71,11 +77,7 @@ from repro.net.codec import (
     decode_body,
     encode_body,
 )
-from repro.net.reliability import (
-    GatherResult,
-    ReliableTransport,
-    TransportClosed,
-)
+from repro.net.reliability import ReliableTransport, TransportClosed
 from repro.prototype.messages import Message, MessageKind
 
 __all__ = ["PortMap", "TcpTransport"]
@@ -350,10 +352,11 @@ class TcpTransport(ReliableTransport):
                         continue
                     with self._lock:
                         waiter = self._pending.get(message.request_id)
-                    if waiter is not None:
+                    if waiter is not None and waiter[1] is conn:
                         waiter[0].put(message)
                     # else: a reply nobody waits for anymore (late duplicate
-                    # after the retry budget) — dropped, like in-process.
+                    # after the retry budget), or one from a connection the
+                    # request was not written on — dropped, like in-process.
         finally:
             self._drop(conn)  # fails a writer stalled on this connection
             with conn.write_lock:  # ... so none is mid-send on the fd
@@ -544,12 +547,14 @@ class TcpTransport(ReliableTransport):
     def _route(self, dest: int) -> int:
         if self._closed:
             raise TransportClosed("transport is closed")
+        if dest not in self.portmap:
+            raise TransportClosed(f"node {dest} is not in the port map")
         return dest
 
     def _deliver(self, route: int, message: Message, copies: int) -> None:
         """Encode once, write ``copies`` frames to the peer connection.
-        A peer absent from the port map, or refusing connections beyond
-        the bounded connect retries, raises :class:`TransportClosed`."""
+        A peer refusing connections beyond the bounded connect retries
+        raises :class:`TransportClosed`."""
         expects_reply = message.reply_to is not None
         body = encode_body(message, expects_reply)
         conn = self._connection(route)
@@ -561,38 +566,27 @@ class TcpTransport(ReliableTransport):
         for _ in range(copies):
             self._write_frame(conn, body)
 
-    def request(
-        self,
-        dest: int,
-        message: Message,
-        timeout_s: Optional[float] = None,
-        count: bool = True,
-    ) -> Message:
-        try:
-            return super().request(dest, message, timeout_s, count)
-        finally:
-            with self._lock:
-                self._pending.pop(message.request_id, None)
+    def collect_reply(self, message: Message, timeout_s: float):
+        """Wait for the attempt's reply, then forget its ``_pending``
+        entry.  Both retry loops collect every attempt that was delivered
+        (``request`` each one, ``gather`` every delivered destination of
+        each wave, and its last wave sends no retries), so each entry is
+        removed by the collect of the attempt that registered it.  The one
+        way to skip a collect is an exception that escapes ``gather``
+        between dispatch and collect — a ``CodecError`` on a later
+        destination's payload, say — which no caller under ``src/`` can
+        raise: nothing there calls ``gather`` on a TCP transport, and the
+        prototype's wire walk (``_WireWalk._gather``) builds one payload
+        for every destination."""
+        reply = super().collect_reply(message, timeout_s)
+        with self._lock:
+            self._pending.pop(message.request_id, None)
+        return reply
 
-    def gather(
-        self,
-        dests: Iterable[int],
-        build_message: Callable[[int], Message],
-        timeout_s: Optional[float] = None,
-    ) -> GatherResult:
-        issued: List[int] = []
-
-        def build(dest: int) -> Message:
-            message = build_message(dest)
-            issued.append(message.request_id)
-            return message
-
-        try:
-            return super().gather(dests, build, timeout_s)
-        finally:
-            with self._lock:
-                for request_id in issued:
-                    self._pending.pop(request_id, None)
+    # Bound here, not inherited: the benchmark's span patcher wraps
+    # ``vars(TcpTransport)["request"]``, so ``request`` must be defined
+    # on this class.
+    request = ReliableTransport.request
 
     # ------------------------------------------------------------------
     # Shutdown

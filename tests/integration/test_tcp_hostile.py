@@ -5,7 +5,8 @@ A live :class:`~repro.prototype.node.MDSNode` behind a
 break the protocol in every way a peer can: garbage behind a valid
 length, an oversized length prefix, a frame cut short by FIN, a
 connection that never speaks, a reset while the reply is on its way, a
-reader that never reads, and a peer that is simply gone.  Each case
+reader that never reads, a peer that is simply gone, and a server that
+answers with another caller's ``request_id``.  Each case
 asserts, in bounded time, that the offending connection is dropped,
 that nothing of it reached the node's mailbox, that the listener still
 accepts, that a well-behaved client talking to the same node meanwhile
@@ -13,6 +14,7 @@ is unaffected — and, when the transports are closed, that no
 ``tcp-transport*`` thread is left alive.
 """
 
+import queue
 import socket
 import struct
 import threading
@@ -21,6 +23,8 @@ import time
 import pytest
 
 from repro.core.config import GHBAConfig
+from repro.faults.injector import FaultPlan, PlanFaultInjector
+from repro.faults.retry import RetryPolicy
 from repro.net.codec import MAX_FRAME_BYTES, decode_frame, encode_frame
 from repro.net.reliability import TransportClosed
 from repro.net.tcp import PortMap, TcpTransport
@@ -107,6 +111,49 @@ class _Fleet:
         self.client.close()
         self.transport.close()
         assert _transport_threads() == []
+
+
+class _RawPeer:
+    """A raw-socket server at one port-map endpoint, one connection at a
+    time: it queues each request it reads on ``requests`` and writes back
+    the messages ``answer(request)`` returns (none: it stays silent)."""
+
+    def __init__(self, endpoint, answer=lambda request: ()):
+        self.requests = queue.SimpleQueue()
+        self._answer = answer
+        self._listener = socket.create_server(endpoint)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        with self._listener:
+            while True:
+                try:
+                    sock, _ = self._listener.accept()
+                except OSError:
+                    return  # close() shut the listener down
+                with sock, sock.makefile("rb") as stream:
+                    try:
+                        self._serve_one(sock, stream)
+                    except OSError:
+                        pass  # the client reset the connection
+
+    def _serve_one(self, sock, stream):
+        while True:
+            header = stream.read(4)
+            if len(header) < 4:
+                return  # the client hung up
+            (length,) = struct.unpack(">I", header)
+            request, _ = decode_frame(header + stream.read(length))
+            self.requests.put(request)
+            for reply in self._answer(request):
+                sock.sendall(encode_frame(reply, expects_reply=False))
+
+    def close(self):
+        """Stop accepting (close the clients first: a connection being
+        served ends when its client hangs up)."""
+        self._listener.shutdown(socket.SHUT_RDWR)
+        self._thread.join(BOUND_S)
 
 
 def _recv_exactly(sock, count):
@@ -369,3 +416,100 @@ def _verify_batch(paths):
     return Message(
         kind=MessageKind.VERIFY_BATCH, sender=-1, payload={"paths": paths}
     )
+
+
+class TestForgedReplies:
+    def test_a_reply_from_a_peer_that_was_not_asked_is_dropped(self):
+        """Node 1 answers the client's request to it, but first writes a
+        reply carrying the request id of the client's request to node 0,
+        which stays silent.  That request was not written on node 1's
+        connection, so the forged reply must not answer it."""
+        portmap = PortMap.reserve([0, 1])
+        asked = _ping()
+
+        def forge_then_answer(request):
+            forged = Message(
+                kind=MessageKind.REPLY,
+                sender=1,
+                payload={"forged": True},
+                request_id=asked.request_id,
+            )
+            return forged, request.reply(alive=True)
+
+        silent = _RawPeer(portmap.endpoint(0))
+        forger = _RawPeer(portmap.endpoint(1), forge_then_answer)
+        client = TcpTransport(
+            portmap, default_timeout_s=2.0, retry=RetryPolicy(max_attempts=1)
+        )
+        outcome = []
+
+        def ask_node_0():
+            try:
+                outcome.append(client.request(0, asked))
+            except TimeoutError as exc:
+                outcome.append(exc)
+
+        waiter = threading.Thread(target=ask_node_0, daemon=True)
+        waiter.start()
+        try:
+            heard = silent.requests.get(timeout=BOUND_S)
+            assert heard.request_id == asked.request_id
+            reply = client.request(1, _ping())
+            assert reply.payload == {"alive": True}
+            waiter.join(BOUND_S)
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], TimeoutError), outcome[0]
+            assert client._pending == {}
+        finally:
+            client.close()
+            silent.close()
+            forger.close()
+        assert _transport_threads() == []
+
+
+class TestReplySlots:
+    def test_no_reply_slot_outlives_its_attempt(self):
+        """Every ``_pending`` entry is forgotten by the collect of the
+        attempt that registered it: answered, timed out, dropped or
+        duplicated by the fault layer, or silent inside a gather."""
+        portmap = PortMap.reserve([0, 1])
+        server = TcpTransport(portmap, default_timeout_s=BOUND_S)
+        node = MDSNode(0, GHBAConfig(expected_files_per_mds=512), server)
+        node.start()
+        silent = _RawPeer(portmap.endpoint(1))
+        retry = RetryPolicy(max_attempts=2, timeout_s=0.01)
+        client = TcpTransport(portmap, default_timeout_s=BOUND_S, retry=retry)
+        injector = PlanFaultInjector(
+            FaultPlan(seed=3, drop_rate=0.3, duplicate_rate=0.3)
+        )
+        faulty = TcpTransport(
+            portmap, default_timeout_s=BOUND_S, injector=injector, retry=retry
+        )
+        try:
+            assert client.request(0, _ping()).payload["alive"] is True
+            assert client._pending == {}
+
+            with pytest.raises(TimeoutError, match="after 2 attempt"):
+                client.request(1, _ping(), timeout_s=0.1)
+            assert client._pending == {}
+
+            for _ in range(20):
+                try:
+                    faulty.request(0, _ping())
+                except TimeoutError:
+                    pass  # both attempts dropped
+                assert faulty._pending == {}
+            assert injector.counts["drop_request"] > 0
+            assert injector.counts["duplicate"] > 0
+
+            result = client.gather([0, 1], lambda dest: _ping(), timeout_s=0.5)
+            assert sorted(result.replies) == [0]
+            assert result.missing == (1,)
+            assert client._pending == {}
+        finally:
+            node.stop(timeout_s=BOUND_S)
+            client.close()
+            faulty.close()
+            server.close()
+            silent.close()
+        assert _transport_threads() == []

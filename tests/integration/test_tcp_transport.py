@@ -252,6 +252,23 @@ class TestTcpShutdownSemantics:
         finally:
             client.close()
 
+    def test_a_node_outside_the_map_is_never_counted(self):
+        """Both transports refuse such a node before counting anything,
+        and report it unreachable."""
+        portmap = PortMap.reserve([0])
+        tcp = TcpTransport(portmap, default_timeout_s=1.0)
+        try:
+            for transport in (InProcessTransport(default_timeout_s=1.0), tcp):
+                with pytest.raises(TransportClosed):
+                    transport.send(5, Message(kind=MessageKind.PING, sender=-1))
+                result = transport.gather(
+                    [5], lambda dest: Message(kind=MessageKind.PING, sender=-1)
+                )
+                assert result.unreachable == (5,)
+                assert transport.messages_sent == 0
+        finally:
+            tcp.close()
+
     def test_send_after_close_is_transport_closed(self):
         portmap = PortMap.reserve([0])
         client = TcpTransport(portmap, default_timeout_s=1.0)

@@ -1,10 +1,13 @@
-"""The hoisted retry/backoff layer must be counter-invisible.
+"""The transport core's retry/backoff loops must be counter-invisible.
 
-``repro.net.reliability`` now drives ``InProcessTransport.request`` /
-``gather``.  The golden values below were captured from the pre-hoist
-transport (the loop living inline in ``transport.py``) under a seeded
-fault plan; any drift in attempt ordering, backoff draws, or wave
-deadlines shows up here as a counter mismatch.
+``ReliableTransport.request`` / ``gather`` (``repro.net.reliability``)
+run the retries of both transports.  The golden values below were
+captured from the in-process transport when its loop still lived inline
+in ``transport.py``, under a seeded fault plan; any drift in attempt
+ordering, backoff draws, or wave deadlines shows up here as a counter
+mismatch.  The loops' semantics are also driven through a scripted fake
+wire that overrides only the seam, ``dispatch_attempt`` and
+``collect_reply``.
 
 Timeouts are deliberately generous (0.25 s real-clock per wave) so slow
 CI machines cannot turn a reply that *would* have arrived into a missed
@@ -22,9 +25,8 @@ from repro.faults.injector import FaultPlan, PlanFaultInjector
 from repro.faults.retry import RetryPolicy
 from repro.net.reliability import (
     GatherResult,
+    ReliableTransport,
     TransportClosed,
-    reliable_gather,
-    reliable_request,
 )
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.transport import InProcessTransport
@@ -142,15 +144,14 @@ def test_hoisted_retry_layer_reproduces_pre_hoist_counters(seed):
 # ----------------------------------------------------------------------
 # Driver semantics against a scripted fake wire
 # ----------------------------------------------------------------------
-class _FakeWire:
+class _FakeWire(ReliableTransport):
     """Scripted wire: per-call outcomes, full call log."""
 
-    def __init__(self, outcomes):
+    def __init__(self, outcomes, policy):
+        super().__init__(retry=policy)
         # outcomes: list of "reply" | "silent" | "dropped" | "closed"
         self.outcomes = list(outcomes)
         self.calls = []
-        self.retries = 0
-        self.exhausted = 0
         self._cursor = 0
         self._outcome_by_message = {}
 
@@ -172,67 +173,38 @@ class _FakeWire:
             return message.reply(ok=True)
         return None
 
-    def reply_received(self, count):
-        self.calls.append(("reply_received", count))
-
-    def next_backoff(self, retry_index):
-        return 0.001 * (retry_index + 1)
-
-    def note_retry(self, backoff_s):
-        self.retries += 1
-
-    def note_exhausted(self, count):
-        self.exhausted += count
-
-    def retry_attempt(self, message, backoff_s):
-        return Message(
-            kind=message.kind,
-            sender=message.sender,
-            payload=dict(message.payload, retried=True),
-            request_id=message.request_id,
-            arrival_vtime=message.arrival_vtime + backoff_s,
-            trace=message.trace,
-        )
-
 
 def _msg(n=0):
     return Message(kind=MessageKind.PING, sender=1, payload={"n": n})
 
 
 def test_request_skips_wait_for_known_dropped_attempts():
-    wire = _FakeWire(["dropped", "reply"])
-    reply = reliable_request(wire, RetryPolicy(max_attempts=3), 5, _msg(), 10.0)
+    wire = _FakeWire(["dropped", "reply"], RetryPolicy(max_attempts=3))
+    reply = wire.request(5, _msg(), timeout_s=10.0)
     assert reply.kind is MessageKind.REPLY
     assert wire.retries == 1 and wire.exhausted == 0
 
 
 def test_request_exhausts_budget_with_exact_message():
-    wire = _FakeWire(["silent", "silent"])
-    policy = RetryPolicy(max_attempts=2)
+    wire = _FakeWire(["silent", "silent"], RetryPolicy(max_attempts=2))
     with pytest.raises(TimeoutError) as excinfo:
-        reliable_request(wire, policy, 7, _msg(3), 0.0)
+        wire.request(7, _msg(3), timeout_s=0.0)
     assert "no reply from node 7" in str(excinfo.value)
     assert "after 2 attempt(s)" in str(excinfo.value)
     assert wire.retries == 1 and wire.exhausted == 1
 
 
 def test_request_propagates_transport_closed():
-    wire = _FakeWire(["closed"])
+    wire = _FakeWire(["closed"], RetryPolicy(max_attempts=3))
     with pytest.raises(TransportClosed):
-        reliable_request(wire, RetryPolicy(max_attempts=3), 9, _msg(), 0.0)
+        wire.request(9, _msg(), timeout_s=0.0)
     assert wire.exhausted == 0
 
 
 def test_gather_reports_closed_peers_as_unreachable():
     # dest 0 answers, dest 1 is gone: partial result, no exception.
-    wire = _FakeWire(["reply", "closed"])
-    result = reliable_gather(
-        wire,
-        RetryPolicy(max_attempts=2),
-        [0, 1],
-        lambda dest: _msg(dest),
-        0.0,
-    )
+    wire = _FakeWire(["reply", "closed"], RetryPolicy(max_attempts=2))
+    result = wire.gather([0, 1], lambda dest: _msg(dest), timeout_s=0.0)
     assert isinstance(result, GatherResult)
     assert sorted(result.replies) == [0]
     assert result.unreachable == (1,)
@@ -242,14 +214,8 @@ def test_gather_reports_closed_peers_as_unreachable():
 
 def test_gather_retries_silent_peers_then_reports_missing():
     # dest 0 replies first wave; dest 1 silent both waves.
-    wire = _FakeWire(["reply", "silent", "silent"])
-    result = reliable_gather(
-        wire,
-        RetryPolicy(max_attempts=2),
-        [0, 1],
-        lambda dest: _msg(dest),
-        0.0,
-    )
+    wire = _FakeWire(["reply", "silent", "silent"], RetryPolicy(max_attempts=2))
+    result = wire.gather([0, 1], lambda dest: _msg(dest), timeout_s=0.0)
     assert sorted(result.replies) == [0]
     assert result.missing == (1,)
     assert wire.retries == 1 and wire.exhausted == 1

@@ -93,12 +93,6 @@ class TestTransport:
         transport.deregister(1)
         assert 1 not in transport
 
-    def test_reset_counters(self, transport):
-        transport.register(1)
-        transport.send(1, Message(kind=MessageKind.PING, sender=-1))
-        transport.reset_counters()
-        assert transport.messages_sent == 0
-
 
 class TestNode:
     def request(self, transport, node_id, kind, arrival=0.0, **payload):
