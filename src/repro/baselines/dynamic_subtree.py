@@ -91,9 +91,6 @@ class DynamicSubtreePartition:
         """Subtrees moved so far (the scheme's migration cost)."""
         return self._migrations
 
-    def subtree_assignments(self) -> Dict[str, int]:
-        return dict(self._assignments)
-
     # ------------------------------------------------------------------
     # The dynamic part
     # ------------------------------------------------------------------
@@ -135,10 +132,6 @@ class DynamicSubtreePartition:
             self._migrations += 1
             moved += 1
         return moved
-
-    def reset_epoch(self) -> None:
-        """Start a new measurement epoch (forget old access counts)."""
-        self._subtree_hits.clear()
 
     def __repr__(self) -> str:
         return (

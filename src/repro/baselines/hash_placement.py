@@ -84,9 +84,6 @@ class HashPlacementGroup:
             rid for rid, host in self._placements.items() if host == member_id
         )
 
-    def replica_count(self) -> int:
-        return len(self._placements)
-
     # ------------------------------------------------------------------
     # Reconfiguration — the expensive part
     # ------------------------------------------------------------------

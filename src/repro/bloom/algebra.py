@@ -15,6 +15,8 @@ same geometry and hash functions:
 The bit-level XOR drives the replica update rule: an MDS periodically XORs
 its live local filter against the version last shipped to remote groups, and
 re-replicates only when the number of differing bits exceeds a threshold.
+:func:`needs_update` is that rule; ``GHBACluster.synchronize_replicas``
+applies it to every server, so the rule lives here alone.
 """
 
 from __future__ import annotations
@@ -90,53 +92,3 @@ def needs_update(local: BloomFilter, replica: BloomFilter, threshold: int) -> bo
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     return bit_difference(local, replica) > threshold
 
-
-def intersection_excess_probability(
-    num_bits: int,
-    num_hashes: int,
-    a_only_items: int,
-    b_only_items: int,
-) -> float:
-    """Section 3.4's intersection analysis, as a computable function.
-
-    The paper states that the false-positive probability of the directly
-    built ``BF(A ∩ B)`` is smaller than that of the bitwise
-    ``BF(A) & BF(B)`` *with probability*
-
-        (1 - (1 - 1/m)^(k |A - (A∩B)|)) * (1 - (1 - 1/m)^(k |B - (A∩B)|)),
-
-    i.e. the probability that both exclusive sides contribute at least one
-    extra bit position to the AND (each term is the chance that a given
-    position is touched by the side's exclusive items).  When either side
-    has no exclusive items the AND equals the direct filter and the excess
-    vanishes.
-    """
-    if num_bits <= 0:
-        raise ValueError(f"num_bits must be positive, got {num_bits}")
-    if num_hashes <= 0:
-        raise ValueError(f"num_hashes must be positive, got {num_hashes}")
-    if a_only_items < 0 or b_only_items < 0:
-        raise ValueError("exclusive item counts must be non-negative")
-    miss = 1.0 - 1.0 / num_bits
-    term_a = 1.0 - miss ** (num_hashes * a_only_items)
-    term_b = 1.0 - miss ** (num_hashes * b_only_items)
-    return term_a * term_b
-
-
-def measured_false_positive_rate(
-    bloom: BloomFilter, probes: int = 2_000, tag: str = "fpr"
-) -> float:
-    """Empirical false-positive rate over never-inserted probe items."""
-    if probes <= 0:
-        raise ValueError(f"probes must be positive, got {probes}")
-    hits = sum(
-        1 for index in range(probes) if bloom.query(f"__{tag}_probe_{index}")
-    )
-    return hits / probes
-
-
-def merge_into(target: BloomFilter, source: BloomFilter) -> None:
-    """In-place union: fold ``source`` into ``target`` (Property 1)."""
-    _check_pair(target, source)
-    target._bits |= source._bits
-    target._num_items += source.num_items

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from repro.bloom.hashing import HashFamily, shared_family
-from repro.bloom.analysis import false_positive_rate, optimal_num_hashes
+from repro.bloom.analysis import optimal_num_hashes
 
 # ``int.bit_count`` is 3.10+; CI also runs 3.9.  ``bin(x).count("1")`` is
 # the portable fallback and still operates on the whole word at once.
@@ -88,20 +88,6 @@ class BloomFilter:
             )
         num_bits = max(8, int(expected_items * bits_per_item))
         return cls(num_bits, optimal_num_hashes(bits_per_item), seed)
-
-    @classmethod
-    def from_items(
-        cls,
-        items: Iterable[object],
-        num_bits: int,
-        num_hashes: int,
-        seed: int = 0,
-    ) -> "BloomFilter":
-        """Build a filter containing ``items``."""
-        bloom = cls(num_bits, num_hashes, seed)
-        for item in items:
-            bloom.add(item)
-        return bloom
 
     # ------------------------------------------------------------------
     # Properties
@@ -176,10 +162,6 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         """Fraction of set bits."""
         return popcount(self._bits) / self._hashes.num_bits
-
-    def estimated_fpr(self) -> float:
-        """Estimated false-positive rate from the analytic formula."""
-        return false_positive_rate(self.num_bits, self._num_items, self.num_hashes)
 
     def is_compatible(self, other: "BloomFilter") -> bool:
         """True if ``other`` uses the same geometry and hash family."""

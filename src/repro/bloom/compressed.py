@@ -45,10 +45,6 @@ class TransferCost:
             return 1.0
         return self.compressed_bytes / self.raw_bytes
 
-    @property
-    def saved_bytes(self) -> int:
-        return max(0, self.raw_bytes - self.compressed_bytes)
-
 
 def compress_filter(bloom: BloomFilter) -> bytes:
     """Serialize and DEFLATE-compress ``bloom`` for transfer."""

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.bloom.algebra import needs_update
 from repro.bloom.compressed import transfer_cost_report
 from repro.core.config import GHBAConfig
 from repro.core import reconfiguration
@@ -29,7 +30,7 @@ from repro.core.group import Group, GroupError
 from repro.core.query import QueryLevel, QueryResult
 from repro.core.walk import walk
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
-from repro.core.server import MetadataServer
+from repro.core.server import MetadataServer, check_mutations
 from repro.metadata.attributes import FileMetadata
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -1030,8 +1031,9 @@ class GHBACluster:
           conflicts likewise.
         - A delete of an absent path is an applied no-op (the requested
           final state already holds).
-        - An unknown op, or a create whose record names another path,
-          raises :class:`ValueError`.
+        - An unknown op, a create without a record, or a create whose
+          record names another path raises :class:`ValueError` before any
+          mutation of the batch applies (:func:`check_mutations`).
 
         At-most-once: gateway versions are globally sequenced but each
         home receives only a gappy subsequence, so dedup is **exact** —
@@ -1047,6 +1049,7 @@ class GHBACluster:
         """
         if not mutations:
             raise ValueError("apply_mutation_batch requires at least one mutation")
+        check_mutations((m.op, m.path, m.record) for m in mutations)
         net = self.config.network
         result = BatchMutateResult(server_id=server_id)
         server = self._batch_target(result, outstanding)
@@ -1129,14 +1132,7 @@ class GHBACluster:
         routed to the wrong MDS clobbers nothing).  Otherwise it applies;
         it changes state unless it deletes a path that is already absent.
         """
-        if mutation.op not in ("create", "delete"):
-            raise ValueError(f"unknown mutation op {mutation.op!r}")
         path = mutation.path
-        record = mutation.record
-        if mutation.op == "create" and record is not None and record.path != path:
-            raise ValueError(
-                f"create of {path!r} carries the record of {record.path!r}"
-            )
         current = self._path_versions.get(path, 0)
         existing_home = self.home_of(path)
         lost_race = (
@@ -1153,7 +1149,6 @@ class GHBACluster:
             # counter sees this mutation included.
             self.servers[server_id].writeback_applied += 1
             if mutation.op == "create":
-                assert mutation.record is not None
                 new_version = self._commit_create(server_id, mutation.record)
             else:
                 new_version = self._commit_delete(server_id, path)
@@ -1201,8 +1196,9 @@ class GHBACluster:
         report = SyncReport()
         threshold = self.config.update_threshold_bits
         for server in self.servers.values():
-            stale_bits = server.staleness_bits()
-            if not force and stale_bits <= threshold:
+            if not force and not needs_update(
+                server.local_filter, server.published_filter, threshold
+            ):
                 continue
             payload = transfer_cost_report(self._ship_filter(server, report))
             copies = self.num_groups - 1  # one to each other group

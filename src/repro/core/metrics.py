@@ -1,9 +1,11 @@
-"""Cluster health summary — one call for dashboards and tests.
+"""Cluster summary — one call for dashboards and tests.
 
 :func:`summarize` gathers the operational signals an operator of a G-HBA
 deployment would watch: structure (servers, groups, balance), storage
 (files, filter memory), query health (per-level mix, latency, false
 forwards) and replication freshness (staleness bits outstanding).
+``repro.obs.report.render_summary`` prints them; judging them is the
+reader's.
 """
 
 from __future__ import annotations
@@ -13,33 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.cluster import GHBACluster
-
-
-@dataclass(frozen=True)
-class HealthLimits:
-    """Thresholds for :meth:`ClusterSummary.healthy`.
-
-    Attributes
-    ----------
-    max_file_imbalance:
-        Largest tolerated ratio of the busiest server's file count to the
-        mean (only enforced once the cluster holds enough files; see
-        ``min_files_per_server``).
-    max_replica_imbalance:
-        Largest tolerated max-minus-min replica count within any group.
-    min_files_per_server:
-        The file-imbalance check only kicks in when ``total_files``
-        exceeds ``min_files_per_server * num_servers`` — tiny populations
-        are legitimately lumpy.
-    """
-
-    max_file_imbalance: float = 2.0
-    max_replica_imbalance: int = 2
-    min_files_per_server: int = 10
-
-
-#: What `healthy()` holds a summary to unless told otherwise.
-DEFAULT_HEALTH_LIMITS = HealthLimits()
 
 
 @dataclass(frozen=True)
@@ -63,18 +38,6 @@ class ClusterSummary:
     false_forwards: int
     stale_bits_outstanding: int
     mean_lru_hit_rate: float
-
-    def healthy(self, limits: HealthLimits = DEFAULT_HEALTH_LIMITS) -> bool:
-        """A coarse health predicate: balanced and not misrouting wildly."""
-        if self.num_servers == 0:
-            return False
-        if self.file_imbalance > limits.max_file_imbalance and (
-            self.total_files > limits.min_files_per_server * self.num_servers
-        ):
-            return False
-        if self.replica_imbalance > limits.max_replica_imbalance:
-            return False
-        return True
 
 
 def summarize(cluster: GHBACluster) -> ClusterSummary:

@@ -22,7 +22,7 @@ needs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -35,6 +35,29 @@ from repro.metadata.store import MetadataStore
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.obs.registry import MetricsRegistry
+
+
+def check_mutations(
+    mutations: Iterable[Tuple[str, str, Optional[FileMetadata]]],
+) -> None:
+    """Refuse a malformed write-back batch before any of it applies.
+
+    Each entry is one mutation's ``(op, path, record)``.  Raises
+    :class:`ValueError` on an op other than ``create`` / ``delete``, a
+    create without a record, or a create whose record names another path.
+    Both home MDSs (``GHBACluster.apply_mutation_batch`` and the prototype
+    node's ``MUTATE_BATCH`` handler) run it over the whole batch first, so a
+    batch applies whole or changes nothing.
+    """
+    for op, path, record in mutations:
+        if op not in ("create", "delete"):
+            raise ValueError(f"unknown mutation op {op!r}")
+        if op == "create" and record is None:
+            raise ValueError(f"create of {path!r} carries no record")
+        if op == "create" and record.path != path:
+            raise ValueError(
+                f"create of {path!r} carries the record of {record.path!r}"
+            )
 
 
 class MetadataServer:

@@ -319,10 +319,6 @@ class FairAdmissionController(Generic[T]):
             )
         self._state(tenant).weight = weight
 
-    def weight_of(self, tenant: str) -> float:
-        state = self._tenants.get(tenant)
-        return state.weight if state is not None else self.default_weight
-
     def tenant_stats(self, tenant: str) -> AdmissionStats:
         """This tenant's tallies (zeros for a never-seen tenant)."""
         state = self._tenants.get(tenant)
@@ -491,10 +487,6 @@ class FairAdmissionController(Generic[T]):
     @property
     def queue_depth(self) -> int:
         return sum(len(s.queue) for s in self._tenants.values())
-
-    def queue_depth_of(self, tenant: str) -> int:
-        state = self._tenants.get(tenant)
-        return len(state.queue) if state is not None else 0
 
     def queued_items(self) -> List[T]:
         """Every queued item, oldest enqueue first (across tenants)."""

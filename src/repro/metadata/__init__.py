@@ -5,8 +5,11 @@ the metadata being managed:
 
 - :class:`~repro.metadata.attributes.FileMetadata` — an inode-like record
   (size, timestamps, ownership, mode).
-- :class:`~repro.metadata.namespace.Namespace` — a hierarchical directory
-  tree with POSIX-style path resolution, create/delete/rename.
+- :class:`~repro.metadata.namespace.Namespace` — a hierarchical tree of
+  directories and regular files with create/delete/rename and a depth-first
+  walk; the tests' oracle (no symlink following, no directory listing).
+  Its module's path helpers (``normalize_path``, ``is_under``, …) are what
+  the rest of ``src/`` uses.
 - :class:`~repro.metadata.store.MetadataStore` — the per-MDS record store,
   in recency order with a lazy sorted path index for subtree renames.
 """

@@ -24,8 +24,8 @@ class FileKind(enum.Enum):
 class FileMetadata:
     """An immutable inode-like metadata record.
 
-    Updates produce new records via :meth:`touched` / :meth:`resized`, which
-    keeps stores free to share records across tiers without aliasing bugs.
+    A rename produces a new record via :meth:`renamed`, which keeps stores
+    free to share records without aliasing bugs.
 
     Attributes
     ----------
@@ -79,31 +79,13 @@ class FileMetadata:
     # ------------------------------------------------------------------
     # Functional updates
     # ------------------------------------------------------------------
-    def touched(self, now: float, *, write: bool = False) -> "FileMetadata":
-        """Return a copy with timestamps advanced to ``now``."""
-        if write:
-            return replace(self, atime=now, mtime=now, ctime=now)
-        return replace(self, atime=now)
-
-    def resized(self, size: int, now: float) -> "FileMetadata":
-        """Return a copy with a new size and updated timestamps."""
-        return replace(self, size=size, mtime=now, ctime=now)
-
     def renamed(self, new_path: str) -> "FileMetadata":
         """Return a copy living at ``new_path``."""
         return replace(self, path=new_path)
 
-    def chowned(self, uid: int, gid: int, now: float) -> "FileMetadata":
-        """Return a copy with new ownership."""
-        return replace(self, uid=uid, gid=gid, ctime=now)
-
     @property
     def is_directory(self) -> bool:
         return self.kind is FileKind.DIRECTORY
-
-    @property
-    def is_symlink(self) -> bool:
-        return self.kind is FileKind.SYMLINK
 
     @property
     def name(self) -> str:

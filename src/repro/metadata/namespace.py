@@ -1,10 +1,12 @@
 """Hierarchical namespace (directory tree) with POSIX-style path operations.
 
 Although G-HBA routes lookups by full pathname, the file system still needs a
-real namespace: directory creation, listing, rename (the operation that makes
+real namespace: ``mkdir -p``, file creation, rename (the operation that makes
 hash-based placement expensive — renaming an upper directory changes the hash
-of every descendant), and recursive deletion.  The namespace is the ground
-truth from which MDS-local Bloom filters are built in tests and examples.
+of every descendant), and recursive deletion.  The tree is an oracle for the
+tests: it holds regular files and directories and follows no symlinks (a
+``SYMLINK`` record exists only as a :class:`FileMetadata` kind the wire codec
+carries).  Under ``src/`` only its path helpers are used.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ class AlreadyExists(NamespaceError):
 
 class DirectoryNotEmpty(NamespaceError):
     """Raised when removing a non-empty directory without ``recursive``."""
-
-
-class SymlinkLoop(NamespaceError):
-    """Raised when symlink resolution exceeds the hop limit."""
 
 
 def normalize_path(path: str) -> str:
@@ -102,10 +100,12 @@ class _Node:
 
 
 class Namespace:
-    """A single-rooted directory tree.
+    """A single-rooted tree of directories and regular files.
 
     The tree assigns inode numbers sequentially and keeps
-    :class:`FileMetadata` per node.  All paths are normalized on entry.
+    :class:`FileMetadata` per node.  All paths are normalized on entry;
+    :meth:`stat` and :meth:`exists` follow no symlinks, and :meth:`walk`
+    reads the tree.
     """
 
     def __init__(self) -> None:
@@ -170,10 +170,6 @@ class Namespace:
         """Create a regular file; parent directory must exist."""
         return self._create(path, FileKind.REGULAR, **attrs)
 
-    def create_directory(self, path: str, **attrs: object) -> FileMetadata:
-        """Create a directory; parent directory must exist."""
-        return self._create(path, FileKind.DIRECTORY, **attrs)
-
     def makedirs(self, path: str) -> FileMetadata:
         """Create ``path`` and any missing ancestors (like ``mkdir -p``)."""
         path = normalize_path(path)
@@ -190,40 +186,6 @@ class Namespace:
             node = child
         return node.meta
 
-    def create_symlink(self, path: str, target: str) -> FileMetadata:
-        """Create a symbolic link at ``path`` pointing to ``target``.
-
-        The target need not exist (dangling links are legal, as in POSIX);
-        it must be an absolute path.
-        """
-        target = normalize_path(target)
-        return self._create(path, FileKind.SYMLINK, symlink_target=target)
-
-    def readlink(self, path: str) -> str:
-        """Return the target of the symlink at ``path``."""
-        meta = self.stat(path)
-        if not meta.is_symlink:
-            raise NamespaceError(f"{path!r} is not a symlink")
-        return meta.symlink_target
-
-    #: Maximum symlink hops during resolution (Linux uses 40).
-    MAX_SYMLINK_HOPS = 40
-
-    def resolve(self, path: str) -> FileMetadata:
-        """Resolve ``path``, following symlinks, to its final record.
-
-        Follows whole-path symlinks iteratively with a hop limit;
-        raises :class:`SymlinkLoop` when the limit is exceeded and
-        :class:`PathNotFound` for dangling links.
-        """
-        current = normalize_path(path)
-        for _ in range(self.MAX_SYMLINK_HOPS):
-            meta = self.stat(current)
-            if not meta.is_symlink:
-                return meta
-            current = meta.symlink_target
-        raise SymlinkLoop(path)
-
     def ensure_file(self, path: str, **attrs: object) -> FileMetadata:
         """Create ``path`` (and ancestors) if absent; return its metadata."""
         path = normalize_path(path)
@@ -234,15 +196,8 @@ class Namespace:
         return self.create_file(path, **attrs)
 
     # ------------------------------------------------------------------
-    # Listing and iteration
+    # Iteration
     # ------------------------------------------------------------------
-    def list_directory(self, path: str) -> List[str]:
-        """Return the sorted child names of the directory at ``path``."""
-        node = self._resolve(path)
-        if not node.meta.is_directory:
-            raise NotADirectory(f"{path!r} is not a directory")
-        return sorted(node.children)
-
     def walk(self, path: str = "/") -> Iterator[FileMetadata]:
         """Yield metadata for ``path`` and every descendant, depth-first."""
         node = self._resolve(path)
@@ -332,7 +287,3 @@ class Namespace:
             sub.meta = sub.meta.renamed(new_path + suffix)
             moved += 1
         return moved
-
-    def total_size_bytes(self) -> int:
-        """Aggregate serialized size of every record (memory model input)."""
-        return sum(meta.size_bytes() for meta in self.walk())

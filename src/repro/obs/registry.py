@@ -94,9 +94,6 @@ class GaugeChild:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class HistogramChild:
     """One histogram series: cumulative buckets plus the stream itself.

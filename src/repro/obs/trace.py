@@ -188,10 +188,6 @@ class Span:
         """Sum of per-hop message counts (equals ``messages`` when sealed)."""
         return sum(event.messages for event in self.events)
 
-    def total_event_latency_ms(self) -> float:
-        """Sum of per-hop latencies (equals ``latency_ms`` when sealed)."""
-        return sum(event.latency_ms for event in self.events)
-
     def __iter__(self) -> Iterator[SpanEvent]:
         return iter(self.events)
 
@@ -268,9 +264,6 @@ class _NullSpan:
 
     def total_event_messages(self) -> int:
         return 0
-
-    def total_event_latency_ms(self) -> float:
-        return 0.0
 
     def __repr__(self) -> str:
         return "NullSpan()"

@@ -459,7 +459,9 @@ class PrototypeCluster:
 
         Returns the reply's ``answer`` field with the virtual latency; on
         a timeout or a vanished node, ``nothing`` in its place, the whole
-        retry budget as the latency, and ``degraded`` set.
+        retry budget as the latency, and ``degraded`` set.  A node that
+        refused the request (an ``error`` reply) raises :class:`ValueError`
+        naming the node and its message.
         """
         net = self.config.network
         message = Message(
@@ -478,6 +480,10 @@ class PrototypeCluster:
                 "virtual_latency_ms": penalty * 1000.0,
                 "degraded": True,
             }
+        if "error" in reply.payload:
+            raise ValueError(
+                f"node {node_id} refused {kind.value}: {reply.payload['error']}"
+            )
         finish = reply.payload["finish_vtime"] + net.unicast_ms / 1000.0
         return {
             answer: reply.payload[answer],

@@ -16,7 +16,7 @@ import threading
 from typing import Dict
 
 from repro.core.config import GHBAConfig
-from repro.core.server import MetadataServer
+from repro.core.server import MetadataServer, check_mutations
 from repro.metadata.attributes import FileMetadata
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.transport import InProcessTransport
@@ -130,11 +130,6 @@ class MDSNode(MailboxNode):
             finish = start + service_ms / 1000.0
             self._busy_until = finish
             return finish
-
-    @property
-    def busy_until(self) -> float:
-        with self._clock_lock:
-            return self._busy_until
 
     # ------------------------------------------------------------------
     # Service-time model (mirrors the simulator's costs)
@@ -305,6 +300,9 @@ class MDSNode(MailboxNode):
         origin = int(message.payload.get("origin", 0))
         acked = int(message.payload.get("acked", 0))
         mutations = message.payload["mutations"]
+        check_mutations(
+            (raw["op"], raw["path"], raw.get("record")) for raw in mutations
+        )
         server = self.server
         server.writeback_advance(origin, acked)
         net = self.config.network
@@ -319,19 +317,11 @@ class MDSNode(MailboxNode):
             if replay is not None:
                 outcomes.append(replay)
                 continue
-            changed = False
             if op == "create":
-                meta: FileMetadata = raw["record"]
-                if meta.path != path:
-                    raise ValueError(
-                        f"create of {path!r} carries the record of {meta.path!r}"
-                    )
-                server.insert_metadata(meta)
+                server.insert_metadata(raw["record"])
                 changed = True
-            elif op == "delete":
-                changed = server.remove_metadata(path)
             else:
-                raise ValueError(f"unknown mutation op {op!r}")
+                changed = server.remove_metadata(path)
             if changed:
                 service_ms += self._verify_ms(True)
                 server.writeback_applied += 1

@@ -64,24 +64,12 @@ class ZipfSampler:
         u = self._rng.random()
         return bisect.bisect_left(self._cdf, u)
 
-    def sample_many(self, count: int) -> List[int]:
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        return [self.sample() for _ in range(count)]
-
     def probability(self, rank: int) -> float:
         """Exact probability mass of ``rank``."""
         if not 0 <= rank < self._population:
             raise IndexError(f"rank {rank} out of range")
         lower = self._cdf[rank - 1] if rank > 0 else 0.0
         return self._cdf[rank] - lower
-
-
-def exponential_interarrival(rate_per_second: float, rng: random.Random) -> float:
-    """Draw one exponential inter-arrival gap for a Poisson stream."""
-    if rate_per_second <= 0:
-        raise ValueError(f"rate_per_second must be positive, got {rate_per_second}")
-    return rng.expovariate(rate_per_second)
 
 
 def weighted_choice(weights: Sequence[float], rng: random.Random) -> int:

@@ -80,11 +80,6 @@ class TraceProfile:
                 f"tenant_zipf_alpha must be positive, got {self.tenant_zipf_alpha}"
             )
 
-    def normalized_mix(self) -> Dict[MetadataOp, float]:
-        """The op mix normalized to sum to 1."""
-        total = sum(self.op_mix.values())
-        return {op: weight / total for op, weight in self.op_mix.items()}
-
 
 # Weights below are proportional to the Table 3/4 operation counts
 # (open/close handled by pairing; small create/unlink/rename streams added

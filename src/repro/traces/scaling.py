@@ -16,7 +16,7 @@ intensity.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 from repro.traces.records import TraceRecord
 
@@ -58,29 +58,3 @@ def intensify(records: Sequence[TraceRecord], tif: int) -> List[TraceRecord]:
         heapq.merge(*streams, key=lambda record: record.timestamp)
     )
     return merged
-
-
-def intensify_streaming(
-    records: Sequence[TraceRecord], tif: int
-) -> Iterator[TraceRecord]:
-    """Streaming variant of :func:`intensify` (same ordering guarantees)."""
-    if tif <= 0:
-        raise ValueError(f"tif must be positive, got {tif}")
-
-    def stream(index: int) -> Iterator[TraceRecord]:
-        if index == 0:
-            yield from records
-            return
-        prefix = f"/tif{index}"
-        for record in records:
-            yield record.relocated(
-                subtrace=index,
-                path_prefix=prefix,
-                uid_offset=index * UID_STRIDE,
-                host_offset=index * HOST_STRIDE,
-            )
-
-    yield from heapq.merge(
-        *(stream(index) for index in range(tif)),
-        key=lambda record: record.timestamp,
-    )

@@ -51,18 +51,6 @@ class WorkloadStats:
         total = self.total_ops
         return self.count(op) / total if total else 0.0
 
-    def as_table_row(self) -> Dict[str, float]:
-        """Row in the shape of the paper's Tables 3-4."""
-        return {
-            "hosts": self.num_hosts,
-            "users": self.num_users,
-            "open": self.count(MetadataOp.OPEN),
-            "close": self.count(MetadataOp.CLOSE),
-            "stat": self.count(MetadataOp.STAT),
-            "active_files": self.num_active_files,
-            "total_ops": self.total_ops,
-        }
-
 
 def compute_stats(records: Iterable[TraceRecord]) -> WorkloadStats:
     """Scan a trace and accumulate :class:`WorkloadStats`."""

@@ -91,6 +91,7 @@ class TestRemoveProperties:
                 ns.ensure_file(path)
             except Exception:
                 continue
-        for name in ns.list_directory("/"):
-            ns.remove("/" + name, recursive=True)
+        tops = {meta.path for meta in ns.walk() if meta.path.count("/") == 1}
+        for top in tops - {"/"}:
+            ns.remove(top, recursive=True)
         assert len(ns) == 1  # only the root remains

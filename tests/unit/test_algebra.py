@@ -7,7 +7,6 @@ from repro.bloom.algebra import (
     bloom_intersection,
     bloom_union,
     bloom_xor,
-    merge_into,
     needs_update,
 )
 from repro.bloom.bloom_filter import BloomFilter
@@ -103,55 +102,24 @@ class TestUpdateRule:
             needs_update(build([]), build([]), -1)
 
 
-class TestMergeInto:
-    def test_merge_into_unions_in_place(self):
-        target = build(["x"])
-        merge_into(target, build(["y"]))
-        assert "x" in target and "y" in target
-        assert target.num_items == 2
-
-
 class TestIntersectionAnalysis:
-    """Section 3.4's quantitative claim about BF(A∩B) vs. BF(A) & BF(B)."""
-
-    def test_excess_probability_vanishes_without_exclusive_items(self):
-        from repro.bloom.algebra import intersection_excess_probability
-
-        assert intersection_excess_probability(1024, 5, 0, 50) == 0.0
-        assert intersection_excess_probability(1024, 5, 50, 0) == 0.0
-
-    def test_excess_probability_grows_with_exclusive_items(self):
-        from repro.bloom.algebra import intersection_excess_probability
-
-        small = intersection_excess_probability(1024, 5, 5, 5)
-        large = intersection_excess_probability(1024, 5, 100, 100)
-        assert 0.0 < small < large < 1.0
-
-    def test_excess_probability_validation(self):
-        from repro.bloom.algebra import intersection_excess_probability
-
-        with pytest.raises(ValueError):
-            intersection_excess_probability(0, 5, 1, 1)
-        with pytest.raises(ValueError):
-            intersection_excess_probability(10, 5, -1, 1)
+    """Property 2: BF(A) & BF(B) against the directly built BF(A∩B)."""
 
     def test_and_filter_fpr_at_least_direct(self):
         """Empirically: the AND approximation never beats the direct
         intersection filter on false positives."""
-        from repro.bloom.algebra import measured_false_positive_rate
-
         common = [f"c{i}" for i in range(40)]
         a = build(common + [f"a{i}" for i in range(120)])
         b = build(common + [f"b{i}" for i in range(120)])
         and_filter = bloom_intersection(a, b)
         direct = build(common)
-        assert measured_false_positive_rate(
-            and_filter, probes=3_000
-        ) >= measured_false_positive_rate(direct, probes=3_000)
+        probes = [f"__fpr_probe_{i}" for i in range(3_000)]
+        assert sum(p in and_filter for p in probes) >= sum(
+            p in direct for p in probes
+        )
 
     def test_no_exclusive_items_means_equal_filters(self):
-        """A ⊆ B: the AND equals BF(A) exactly — zero excess, as the
-        formula predicts."""
+        """A ⊆ B: the AND equals BF(A) exactly — zero excess."""
         a_items = [f"s{i}" for i in range(30)]
         b_items = a_items + [f"extra{i}" for i in range(0)]
         a = build(a_items)

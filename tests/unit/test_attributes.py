@@ -40,32 +40,11 @@ class TestPathHelpers:
 
 
 class TestFunctionalUpdates:
-    def test_touched_read_updates_atime_only(self):
-        meta = FileMetadata(path="/f", inode=1, atime=1.0, mtime=1.0, ctime=1.0)
-        touched = meta.touched(5.0)
-        assert touched.atime == 5.0
-        assert touched.mtime == 1.0
-        assert meta.atime == 1.0  # original unchanged
-
-    def test_touched_write_updates_all(self):
-        meta = FileMetadata(path="/f", inode=1)
-        touched = meta.touched(5.0, write=True)
-        assert (touched.atime, touched.mtime, touched.ctime) == (5.0, 5.0, 5.0)
-
-    def test_resized(self):
-        meta = FileMetadata(path="/f", inode=1, size=10)
-        resized = meta.resized(99, now=2.0)
-        assert resized.size == 99 and resized.mtime == 2.0
-
     def test_renamed(self):
         meta = FileMetadata(path="/old/f", inode=1)
         assert meta.renamed("/new/f").path == "/new/f"
         assert meta.renamed("/new/f").inode == 1
-
-    def test_chowned(self):
-        meta = FileMetadata(path="/f", inode=1)
-        owned = meta.chowned(uid=10, gid=20, now=3.0)
-        assert (owned.uid, owned.gid, owned.ctime) == (10, 20, 3.0)
+        assert meta.path == "/old/f"  # original unchanged
 
     def test_size_bytes_grows_with_path_length(self):
         short = FileMetadata(path="/f", inode=1)

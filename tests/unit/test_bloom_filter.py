@@ -57,11 +57,6 @@ class TestConstructors:
         with pytest.raises(ValueError):
             BloomFilter.with_capacity(10, bits_per_item=0)
 
-    def test_from_items(self):
-        bloom = BloomFilter.from_items(["a", "b"], 256, 4)
-        assert "a" in bloom and "b" in bloom
-        assert bloom.num_items == 2
-
 
 class TestCompatibilityAndEquality:
     def test_compatible_same_geometry(self):
@@ -94,12 +89,6 @@ class TestCompatibilityAndEquality:
 
 
 class TestEstimates:
-    def test_estimated_fpr_grows_with_items(self):
-        bloom = BloomFilter(512, 4)
-        empty_estimate = bloom.estimated_fpr()
-        bloom.update(str(i) for i in range(100))
-        assert bloom.estimated_fpr() > empty_estimate
-
     def test_fill_ratio_close_to_expectation(self):
         bloom = BloomFilter(2048, 6)
         bloom.update(str(i) for i in range(200))

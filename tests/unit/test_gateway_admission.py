@@ -112,14 +112,18 @@ class TestFairAdmissionController:
 
     def test_unknown_tenant_gets_default_weight(self):
         ctl = self._controller(
-            weights={"vip": 4.0}, default_weight=1.5
+            burst=4.0, queue_capacity=0, weights={"vip": 1.0},
+            default_weight=3.0,
         )
-        # A tenant first seen mid-run is a first-class citizen.
-        result = ctl.submit_tick([("nobody", "p")], 0.0)
-        assert result.admitted == [("nobody", "p")]
-        assert ctl.weight_of("nobody") == 1.5
-        assert ctl.weight_of("vip") == 4.0
-        assert ctl.weight_of("never-seen") == 1.5
+        # A tenant first seen mid-run is a first-class citizen, and it
+        # competes at the default weight: four tokens split 3 : 1.
+        result = ctl.submit_tick(
+            [(t, f"{t}{i}") for i in range(4) for t in ("nobody", "vip")],
+            0.0,
+        )
+        admitted = [tenant for tenant, _ in result.admitted]
+        assert admitted.count("nobody") == 3
+        assert admitted.count("vip") == 1
 
     def test_zero_weight_rejected(self):
         ctl = self._controller()
@@ -206,8 +210,8 @@ class TestFairAdmissionController:
             [("noisy", f"n{i}") for i in range(8)], 0.0
         )
         assert len(result.admitted) == 2  # burst
-        assert ctl.queue_depth_of("noisy") == 2
+        assert ctl.queued_items() == ["n2", "n3"]
         assert len(result.shed) == 4  # noisy's own overflow
         late = ctl.submit_tick([("quiet", "q1")], 0.001)
         assert not late.shed  # the quiet tenant queues despite the flood
-        assert ctl.queue_depth_of("quiet") == 1
+        assert ctl.queued_items() == ["n2", "n3", "q1"]

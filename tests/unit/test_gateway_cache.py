@@ -182,7 +182,7 @@ class TestRenameCorrectness:
         ns = self._tree()
         moved = ns.rename("/proj/src", "/proj/lib")
         assert moved == 4  # src, deep, a.c, b.c
-        assert ns.resolve("/proj/lib/deep/b.c").path == "/proj/lib/deep/b.c"
+        assert ns.stat("/proj/lib/deep/b.c").path == "/proj/lib/deep/b.c"
         assert not ns.exists("/proj/src/a.c")
 
     def test_gateway_cache_tracks_namespace_rename(self):
@@ -202,10 +202,10 @@ class TestRenameCorrectness:
         # ...while the sibling that merely shares a string prefix survives
         # and still agrees with the namespace.
         assert "/projects/readme" in cache
-        assert ns.resolve("/projects/readme").path == "/projects/readme"
+        assert ns.stat("/projects/readme").path == "/projects/readme"
 
         # Re-resolving through the namespace repopulates correct leases.
-        fresh = ns.resolve("/proj/lib/a.c")
+        fresh = ns.stat("/proj/lib/a.c")
         cache.put(fresh.path, 1, fresh, 1.0)
         assert cache.get("/proj/lib/a.c", 1.5).record == fresh
 

@@ -22,6 +22,7 @@ from repro.gateway import (
 from repro.gateway import client as gateway_client
 from repro.metadata.attributes import FileMetadata
 from repro.obs.trace import CollectingTracer
+from repro.prototype.cluster import PrototypeCluster
 
 
 def _config(seed=17):
@@ -286,6 +287,58 @@ class TestVersionArbitration:
         assert cluster.home_of("/a") is None
         assert cluster.home_of("/b") is None
         assert cluster.path_version("/b") == 0
+
+
+class TestMalformedBatch:
+    """A batch with one malformed mutation is refused whole by both home
+    MDSs: nothing applies and nothing is remembered for dedup.
+    Regression: both applied the valid create ahead of the bad one."""
+
+    VALID = dict(
+        version=1, op="create", path="/a", record=FileMetadata(path="/a", inode=1)
+    )
+    BAD = {
+        "unknown op": dict(version=2, op="rename", path="/b"),
+        "create without a record": dict(version=2, op="create", path="/b"),
+        "record of another path": dict(
+            version=2, op="create", path="/b", record=FileMetadata(path="/c", inode=2)
+        ),
+    }
+
+    @pytest.fixture(params=["core", "prototype"])
+    def stack(self, request):
+        """``(apply(batch) -> outcome dicts, home server, path_version)``;
+        the prototype node keeps no path versions (None)."""
+        if request.param == "core":
+            cluster = _cluster()
+
+            def apply(batch):
+                mutations = [PathMutation(**m) for m in batch]
+                result = cluster.apply_mutation_batch(0, mutations, origin=1)
+                return [vars(outcome) for outcome in result.outcomes]
+
+            yield apply, cluster.servers[0], cluster.path_version
+            return
+        with PrototypeCluster(3, _config(), seed=17) as proto:
+
+            def apply(batch):
+                return proto.apply_mutation_batch(0, batch, origin=1)["outcomes"]
+
+            yield apply, proto.nodes[0].server, None
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_batch_is_refused_whole(self, stack, bad):
+        apply, server, path_version = stack
+        with pytest.raises(ValueError):
+            apply([self.VALID, self.BAD[bad]])
+        assert "/a" not in server.store
+        assert path_version is None or path_version("/a") == 0
+        assert server.writeback_applied == 0
+        assert server.writeback_outcomes == server.writeback_floor == {}
+        # Nothing was remembered: the valid half alone is a first delivery.
+        (outcome,) = apply([self.VALID])
+        assert outcome["changed"] and not outcome["deduped"]
+        assert "/a" in server.store
 
 
 class TestExplicitLoss:

@@ -1,5 +1,7 @@
 """Unit tests for the hierarchical namespace."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.metadata.namespace import (
@@ -106,19 +108,6 @@ class TestCreation:
 
 
 class TestListingAndWalk:
-    def test_list_directory_sorted(self):
-        ns = Namespace()
-        ns.makedirs("/d")
-        ns.create_file("/d/zeta")
-        ns.create_file("/d/alpha")
-        assert ns.list_directory("/d") == ["alpha", "zeta"]
-
-    def test_list_file_raises(self):
-        ns = Namespace()
-        ns.create_file("/f")
-        with pytest.raises(NotADirectory):
-            ns.list_directory("/f")
-
     def test_walk_yields_whole_subtree(self):
         ns = Namespace()
         ns.ensure_file("/a/b/f1")
@@ -210,54 +199,6 @@ class TestRename:
 
 
 class TestSymlinks:
-    def test_create_and_readlink(self):
-        ns = Namespace()
-        ns.create_file("/target")
-        ns.create_symlink("/link", "/target")
-        assert ns.readlink("/link") == "/target"
-        assert ns.stat("/link").is_symlink
-
-    def test_resolve_follows_link(self):
-        ns = Namespace()
-        meta = ns.create_file("/real")
-        ns.create_symlink("/alias", "/real")
-        assert ns.resolve("/alias") == meta
-
-    def test_resolve_follows_chain(self):
-        ns = Namespace()
-        meta = ns.create_file("/end")
-        ns.create_symlink("/hop1", "/end")
-        ns.create_symlink("/hop2", "/hop1")
-        assert ns.resolve("/hop2") == meta
-
-    def test_resolve_plain_file_is_identity(self):
-        ns = Namespace()
-        meta = ns.create_file("/plain")
-        assert ns.resolve("/plain") == meta
-
-    def test_dangling_link_raises_not_found(self):
-        from repro.metadata.namespace import PathNotFound
-
-        ns = Namespace()
-        ns.create_symlink("/dangling", "/nowhere")
-        with pytest.raises(PathNotFound):
-            ns.resolve("/dangling")
-
-    def test_symlink_loop_detected(self):
-        from repro.metadata.namespace import SymlinkLoop
-
-        ns = Namespace()
-        ns.create_symlink("/a-loop", "/b-loop")
-        ns.create_symlink("/b-loop", "/a-loop")
-        with pytest.raises(SymlinkLoop):
-            ns.resolve("/a-loop")
-
-    def test_readlink_on_file_rejected(self):
-        ns = Namespace()
-        ns.create_file("/f")
-        with pytest.raises(NamespaceError):
-            ns.readlink("/f")
-
     def test_symlink_metadata_validation(self):
         from repro.metadata.attributes import FileKind, FileMetadata
 
@@ -271,7 +212,7 @@ class TestUpdate:
     def test_update_replaces_record(self):
         ns = Namespace()
         meta = ns.create_file("/f")
-        ns.update("/f", meta.resized(42, now=1.0))
+        ns.update("/f", replace(meta, size=42))
         assert ns.stat("/f").size == 42
 
     def test_update_path_mismatch_rejected(self):
@@ -280,7 +221,3 @@ class TestUpdate:
         with pytest.raises(ValueError):
             ns.update("/f", meta.renamed("/other"))
 
-    def test_total_size_bytes_positive(self):
-        ns = Namespace()
-        ns.ensure_file("/a/f")
-        assert ns.total_size_bytes() > 0

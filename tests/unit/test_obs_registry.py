@@ -115,7 +115,7 @@ class TestGauges:
         gauge.set(10)
         child = gauge.labels()
         child.inc(5)
-        child.dec(2)
+        child.inc(-2)
         assert gauge.value == 13
 
     def test_retain_prunes_departed_series(self, registry):

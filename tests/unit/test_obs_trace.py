@@ -52,7 +52,7 @@ class TestSpanLifecycle:
         span.event("l1_probe", latency_ms=0.25, messages=2)
         span.event("group_multicast", latency_ms=0.5, messages=8)
         assert span.total_event_messages() == 10
-        assert span.total_event_latency_ms() == pytest.approx(0.75)
+        assert sum(e.latency_ms for e in span.events) == pytest.approx(0.75)
 
     def test_span_event_level_mapping(self):
         assert SpanEvent(kind="l1_probe").level == "L1"
@@ -80,7 +80,6 @@ class TestNullTracer:
         assert span.events == ()
         assert span.level_path() == []
         assert span.total_event_messages() == 0
-        assert span.total_event_latency_ms() == 0.0
         assert span.finished is False
 
 

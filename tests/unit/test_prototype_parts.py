@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import GHBAConfig
 from repro.metadata.attributes import FileMetadata
+from repro.prototype.cluster import PrototypeCluster
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.node import MDSNode
 from repro.prototype.transport import InProcessTransport, TransportClosed
@@ -195,6 +196,31 @@ class TestNode:
             0, Message(kind=MessageKind.REPLY, sender=-1)
         )
         assert "error" in reply.payload
+
+
+class TestClusterErrorReplies:
+    """Regression: the client read ``finish_vtime`` from a node's error
+    reply, so a refused batch surfaced as a bare ``KeyError``."""
+
+    @pytest.mark.parametrize(
+        "call, argument, refusal",
+        [
+            ("verify_batch", [None], "TypeError"),
+            (
+                "apply_mutation_batch",
+                [{"version": 1, "op": "bogus", "path": "/b"}],
+                "unknown mutation op 'bogus'",
+            ),
+        ],
+        ids=["verify_batch", "apply_mutation_batch"],
+    )
+    def test_error_reply_raises_value_error_naming_the_node(
+        self, config, call, argument, refusal
+    ):
+        with PrototypeCluster(2, config, seed=1) as proto:
+            with pytest.raises(ValueError, match="node 1") as raised:
+                getattr(proto, call)(1, argument)
+        assert refusal in str(raised.value)
 
 
 class TestSharedMailboxLoop:

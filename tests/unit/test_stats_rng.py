@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.common import SeriesRecorder
 from repro.obs.registry import RESERVOIR_SIZE, MetricsRegistry
-from repro.sim.rng import ZipfSampler, exponential_interarrival, make_rng, weighted_choice
+from repro.sim.rng import ZipfSampler, make_rng, weighted_choice
 
 
 def histogram_child(seed=0):
@@ -134,7 +134,7 @@ class TestZipfSampler:
 
     def test_skew_prefers_low_ranks(self):
         sampler = ZipfSampler(1000, 1.0, make_rng(2))
-        draws = sampler.sample_many(5_000)
+        draws = [sampler.sample() for _ in range(5_000)]
         head = sum(1 for d in draws if d < 10)
         tail = sum(1 for d in draws if d >= 500)
         assert head > tail
@@ -150,9 +150,9 @@ class TestZipfSampler:
         assert total == pytest.approx(1.0)
 
     def test_deterministic_given_seed(self):
-        a = ZipfSampler(100, 1.0, make_rng(7)).sample_many(20)
-        b = ZipfSampler(100, 1.0, make_rng(7)).sample_many(20)
-        assert a == b
+        a = ZipfSampler(100, 1.0, make_rng(7))
+        b = ZipfSampler(100, 1.0, make_rng(7))
+        assert [a.sample() for _ in range(20)] == [b.sample() for _ in range(20)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -164,17 +164,6 @@ class TestZipfSampler:
 
 
 class TestOtherSamplers:
-    def test_exponential_positive(self):
-        rng = make_rng(5)
-        assert all(
-            exponential_interarrival(100.0, rng) > 0 for _ in range(100)
-        )
-
-    def test_exponential_mean(self):
-        rng = make_rng(6)
-        draws = [exponential_interarrival(10.0, rng) for _ in range(5_000)]
-        assert sum(draws) / len(draws) == pytest.approx(0.1, rel=0.1)
-
     def test_weighted_choice_respects_weights(self):
         rng = make_rng(7)
         draws = [weighted_choice([1.0, 0.0, 3.0], rng) for _ in range(2_000)]

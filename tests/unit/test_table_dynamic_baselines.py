@@ -126,12 +126,6 @@ class TestDynamicSubtree:
         part.rebalance()
         assert part.migrations == part.rebalance() + part.migrations
 
-    def test_reset_epoch(self):
-        part = self.make()
-        part.query("/d0/x")
-        part.reset_epoch()
-        assert part.load_imbalance() == 1.0
-
     def test_queries_still_resolve_after_moves(self):
         part = self.make()
         for _ in range(300):
