@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import ClassVar, Dict, Iterable, List, Optional
 
 from repro.metadata.attributes import FileMetadata
 from repro.metadata.namespace import is_under
@@ -51,6 +51,10 @@ class CacheEntry:
     #: did not learn one) — the base the write-back buffer stamps on
     #: mutations so the home MDS can arbitrate version races.
     backend_version: Optional[int] = None
+    #: The answer to every fresh hit on this entry, built at the first
+    #: (path, home, record and sign never change once installed).  Not a
+    #: field: the instance shadows this default, unseen by ``==``.
+    hit_lookup: ClassVar[Optional["CacheLookup"]] = None
 
     def fresh(self, now: float) -> bool:
         return now < self.expires_at
@@ -152,14 +156,18 @@ class GatewayCache:
                 self._unpinned.move_to_end(path)
             if entry.negative:
                 self.stats.negative_hits += 1
-                return CacheLookup(path=path, hit=True, negative=True)
-            self.stats.hits += 1
-            return CacheLookup(
-                path=path,
-                hit=True,
-                home_id=entry.home_id,
-                record=entry.record,
-            )
+            else:
+                self.stats.hits += 1
+            lookup = entry.hit_lookup
+            if lookup is None:
+                lookup = entry.hit_lookup = CacheLookup(
+                    path=path,
+                    hit=True,
+                    negative=entry.negative,
+                    home_id=entry.home_id,
+                    record=entry.record,
+                )
+            return lookup
         self.stats.misses += 1
         predicted = None if entry.negative else entry.home_id
         return CacheLookup(path=path, predicted_home=predicted)

@@ -1010,24 +1010,21 @@ class MetadataClient:
     # The flush engine
     # ------------------------------------------------------------------
     def maybe_flush(self, now: float) -> FlushReport:
-        """Flush every home bucket that tripped a size or age trigger."""
+        """Flush every home bucket that tripped a size or age trigger
+        (:meth:`MutationBuffer.due`) and is not backing off."""
         report = FlushReport()
         buffer = self.writeback
         if buffer is None:
             return report
         cfg = self.config
-        for home_id in buffer.homes():
+        for home_id in buffer.due(now, cfg.flush_age_s, cfg.flush_max_pending):
             if self._wb_backoff.get(home_id, 0.0) > now:
                 continue
-            if (
-                buffer.pending_for(home_id) >= cfg.flush_max_pending
-                or buffer.oldest_age(home_id, now) >= cfg.flush_age_s
-            ):
-                report.merge(
-                    self._flush_mutations(
-                        home_id, buffer.drain_home(home_id), now, final=False
-                    )
+            report.merge(
+                self._flush_mutations(
+                    home_id, buffer.drain_home(home_id), now, final=False
                 )
+            )
         return report
 
     def flush_barrier(self, now: float = 0.0) -> FlushReport:

@@ -37,6 +37,7 @@ tenant.  ``tests/unit/test_gateway_hotspot.py`` locks this contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 
@@ -53,12 +54,14 @@ class SpaceSavingSketch:
     """Fixed-size space-saving counter table.
 
     ``offer(key)`` is a constant number of dict operations for a monitored
-    key or a table with room, plus an O(capacity) min-scan whenever it
-    evicts.  That scan is not rare: once the table is full, *every* offer
-    of an unmonitored key evicts, so under a uniform scan it runs on each
-    observation — it stays in C (no Python callback per counter) and its
-    cost is set by the counter budget (64 per epoch in the gateway), never
-    by how much the lease cache holds.
+    key or a table with room.  Once the table is full every offer of an
+    unmonitored key evicts (under a uniform scan, nearly every offer), so
+    the victim comes from ``_heap``: one ``(count, key)`` pair per
+    monitored key.  A hit leaves the heap alone, so a pair may trail its
+    key's count, never exceed it; an eviction refreshes stale pairs at the
+    top until the top is current, and that pair is the table's smallest
+    ``(count, key)`` — the victim a full scan picks, ties to the smallest
+    key — at O(log capacity) per refresh.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -67,6 +70,7 @@ class SpaceSavingSketch:
         self.capacity = capacity
         self._counts: Dict[str, int] = {}
         self._errors: Dict[str, int] = {}
+        self._heap: List[Tuple[int, str]] = []
 
     def offer(self, key: str, amount: int = 1) -> Optional[str]:
         """Account one observation of ``key``.
@@ -76,20 +80,27 @@ class SpaceSavingSketch:
         """
         if amount < 1:
             raise ValueError(f"amount must be >= 1, got {amount}")
-        if key in self._counts:
-            self._counts[key] += amount
+        counts = self._counts
+        if key in counts:
+            counts[key] += amount
             return None
-        if len(self._counts) < self.capacity:
-            self._counts[key] = amount
+        heap = self._heap
+        if len(counts) < self.capacity:
+            counts[key] = amount
             self._errors[key] = 0
+            heappush(heap, (amount, key))
             return None
         # Evict the minimum counter; the newcomer inherits its count as
         # over-estimation error (ties broken by key for determinism).
-        floor, victim = min(zip(self._counts.values(), self._counts))
-        del self._counts[victim]
+        floor, victim = heap[0]
+        while counts[victim] != floor:
+            heapreplace(heap, (counts[victim], victim))
+            floor, victim = heap[0]
+        del counts[victim]
         del self._errors[victim]
-        self._counts[key] = floor + amount
+        counts[key] = floor + amount
         self._errors[key] = floor
+        heapreplace(heap, (floor + amount, key))
         return victim
 
     def estimate(self, key: str) -> int:

@@ -113,8 +113,11 @@ class MutationBuffer:
     """Per-home buckets of pending mutations with a global path overlay.
 
     The buffer is pure data structure — enqueue, absorb, drain, probe —
-    with no policy; triggers and backend I/O live in the client's flush
-    engine so the buffer stays trivially testable.
+    with no policy; trigger settings, backoff and backend I/O live in the
+    client's flush engine so the buffer stays trivially testable.  Each
+    bucket's earliest ``enqueued_at`` is kept as the bucket changes, so
+    :meth:`due` answers which buckets reach the triggers without walking
+    one.
     """
 
     def __init__(self) -> None:
@@ -123,6 +126,8 @@ class MutationBuffer:
         self._by_path: Dict[str, PendingMutation] = {}
         #: Flush buckets: home → insertion-ordered path → mutation.
         self._by_home: Dict[int, "OrderedDict[str, PendingMutation]"] = {}
+        #: home → the smallest ``enqueued_at`` in its bucket.
+        self._oldest: Dict[int, float] = {}
         self.enqueued = 0
         self.absorbed = 0
         #: Cumulative acks: every version at or below ``acks.floor`` is
@@ -158,9 +163,10 @@ class MutationBuffer:
         previous = self._by_path.pop(path, None)
         absorbed = 0
         if previous is not None:
+            # The replacement re-enters the same bucket with the same
+            # enqueue time, so the bucket (even when this empties it for
+            # a moment) and its kept oldest time stay as they are.
             del self._by_home[previous.home_id][path]
-            if not self._by_home[previous.home_id]:
-                del self._by_home[previous.home_id]
             # The absorbed intent never reaches the backend: settled now.
             self.settle(previous.version)
             # A delete of a pending create stays routed at the create's
@@ -180,22 +186,28 @@ class MutationBuffer:
             enqueued_at=now,
             absorbed=absorbed,
         )
-        self._by_path[path] = mutation
-        self._by_home.setdefault(home_id, OrderedDict())[path] = mutation
+        self._park(mutation)
         self.enqueued += 1
         return mutation
 
+    def _park(self, mutation: PendingMutation) -> None:
+        """Index ``mutation`` by path and into its home's bucket."""
+        home_id = mutation.home_id
+        self._by_path[mutation.path] = mutation
+        self._by_home.setdefault(home_id, OrderedDict())[mutation.path] = mutation
+        oldest = self._oldest.get(home_id)
+        if oldest is None or mutation.enqueued_at < oldest:
+            self._oldest[home_id] = mutation.enqueued_at
+
     def requeue(self, mutations: Iterable[PendingMutation]) -> None:
-        """Re-park drained mutations after a failed flush (front of
-        bucket, original order), unless a newer intent superseded them
-        while the flush was in flight."""
+        """Re-park drained mutations after a failed flush (at the back of
+        their bucket: nothing reads bucket order, drains sort by version),
+        unless a newer intent superseded them while the flush was in
+        flight."""
         for mutation in mutations:
             if mutation.path in self._by_path:
                 continue  # superseded: the newer intent carries the state
-            self._by_path[mutation.path] = mutation
-            bucket = self._by_home.setdefault(mutation.home_id, OrderedDict())
-            bucket[mutation.path] = mutation
-            bucket.move_to_end(mutation.path, last=False)
+            self._park(mutation)
 
     def settle(self, version: int) -> None:
         """Mark ``version`` as never-to-be-retried; advance the floor."""
@@ -218,18 +230,21 @@ class MutationBuffer:
     def homes(self) -> List[int]:
         return sorted(self._by_home)
 
-    def pending_for(self, home_id: int) -> int:
-        return len(self._by_home.get(home_id, ()))
-
-    def oldest_age(self, home_id: int, now: float) -> float:
-        bucket = self._by_home.get(home_id)
-        if not bucket:
-            return 0.0
-        return max(0.0, now - min(m.enqueued_at for m in bucket.values()))
+    def due(self, now: float, age_s: float, max_pending: int) -> List[int]:
+        """The homes, in order, whose bucket holds ``max_pending``
+        mutations or whose earliest is ``age_s`` old at ``now``: one kept
+        time and one ``len`` per home, never a walk of a bucket."""
+        by_home = self._by_home
+        return sorted(
+            home_id
+            for home_id, oldest in self._oldest.items()
+            if len(by_home[home_id]) >= max_pending or now - oldest >= age_s
+        )
 
     def drain_home(self, home_id: int) -> List[PendingMutation]:
         """Remove and return one home's bucket, in version order."""
         bucket = self._by_home.pop(home_id, None)
+        self._oldest.pop(home_id, None)
         if not bucket:
             return []
         drained = sorted(bucket.values(), key=lambda m: m.version)
@@ -252,8 +267,15 @@ class MutationBuffer:
             if not bucket:
                 del self._by_home[mutation.home_id]
             grouped.setdefault(mutation.home_id, []).append(mutation)
-        for mutations in grouped.values():
+        for home_id, mutations in grouped.items():
             mutations.sort(key=lambda m: m.version)
+            bucket = self._by_home.get(home_id)
+            if bucket:
+                self._oldest[home_id] = min(
+                    m.enqueued_at for m in bucket.values()
+                )
+            else:
+                del self._oldest[home_id]
         return grouped
 
     # ------------------------------------------------------------------

@@ -1,15 +1,23 @@
-"""The lease cache and the shield refresh cost the same at any occupancy.
+"""The gateway's bookkeeping costs the same whatever the gateway holds.
 
 Counted, not timed: under ``sys.settrace`` the number of source lines
-executed inside ``repro/gateway/`` by one install into a full, all-pinned
-cache — and by one whole gateway tick, shield refresh included — must be
-*equal* at capacity 64 and at capacity 16 384.  That is the property the
-``gw_cold_scan`` ledger numbers rest on (the parent walked every pinned
-lease per install: 4 097 loop iterations at the benchmark's capacity),
-checkable without a clock.  Lines are the unit because the C-level work
-left on the path (dict and ``OrderedDict`` operations, the sketch's
-``min`` over its own fixed counter budget) does not depend on the cache
-either.
+executed inside ``repro/gateway/`` must be *equal* at two very different
+amounts of held state —
+
+- one install into a full, all-pinned cache, and one whole gateway tick,
+  shield refresh included, at capacity 64 and at capacity 16 384 (an
+  earlier eviction walked every pinned lease per install: 4 097 loop
+  iterations at the benchmark's capacity);
+- one write-back ``maybe_flush`` that trips no trigger, over 8 pending
+  mutations and over 400 spread across the same 8 homes (an earlier
+  engine walked every pending mutation of every bucket on every tick to
+  find the oldest, though most ticks flush nothing).
+
+That is the property the ``gw_cold_scan`` and ``gw_write_mix`` ledger
+numbers rest on, checkable without a clock.  Lines are the unit because
+the work these steps leave in C (dict and ``OrderedDict`` operations,
+one ``len`` per home, the sketch's heap steps) is set by the fleet and
+the counter budget, never by what the cache or the buffer holds.
 """
 
 import os
@@ -23,15 +31,31 @@ from repro.gateway import GatewayConfig, MetadataClient
 from repro.gateway.cache import GatewayCache
 from repro.metadata.attributes import FileMetadata
 
-from tests._linecount import lines_executed
+from tests._linecount import REPRO_DIR, lines_executed
 
 CAPACITIES = (64, 16_384)
 GATEWAY_DIR = os.path.dirname(repro.gateway.__file__)
+#: Pending write-back mutations over the same 8 homes: one a home, 50 a home.
+DEPTHS = (8, 400)
 
 
 def _gateway_lines(call):
     """Source lines ``call()`` executes in ``repro/gateway/``."""
     return lines_executed(call, GATEWAY_DIR)
+
+
+def _cluster(num_servers):
+    return GHBACluster(
+        num_servers,
+        GHBAConfig(
+            max_group_size=4,
+            expected_files_per_mds=64,
+            lru_capacity=64,
+            lru_filter_bits=1 << 10,
+            seed=5,
+        ),
+        seed=5,
+    )
 
 
 def _all_pinned(cache):
@@ -64,17 +88,7 @@ def test_gateway_tick_with_shield_refresh_is_occupancy_independent():
     duplicate, and the shield refresh pinning a 16-key hot set."""
     counts = []
     for capacity in CAPACITIES:
-        cluster = GHBACluster(
-            4,
-            GHBAConfig(
-                max_group_size=4,
-                expected_files_per_mds=64,
-                lru_capacity=64,
-                lru_filter_bits=1 << 10,
-                seed=5,
-            ),
-            seed=5,
-        )
+        cluster = _cluster(4)
         files = [f"/s/d{i % 3}/f{i}" for i in range(40)]
         cluster.populate(files)
         cluster.synchronize_replicas(force=True)
@@ -97,3 +111,36 @@ def test_gateway_tick_with_shield_refresh_is_occupancy_independent():
         assert client.cache.stats.evictions - evictions == 9
         assert client.cache.stats.hits == 1
     assert counts[0] == counts[1] > 0
+
+
+def test_untripped_write_back_check_is_depth_independent():
+    """``maybe_flush`` below both triggers, over 8 and over 400 pending
+    mutations across the same eight homes (at most 50 a bucket, under the
+    size trigger of 64; 1 s old, under the age trigger of 2 s): the same
+    lines, all in ``repro/gateway/``, and nothing flushed."""
+    counts = []
+    for depth in DEPTHS:
+        cluster = _cluster(8)
+        client = MetadataClient(
+            cluster,
+            GatewayConfig(
+                rate_per_s=1e6, burst=1e4, writeback=True,
+                flush_max_pending=64, flush_age_s=2.0,
+            ),
+        )
+        homes = cluster.server_ids()
+        for index in range(depth):
+            client.create(f"/wb/f{index}", 0.0, home_id=homes[index % 8])
+        buffer = client.writeback
+        assert len(buffer) == depth
+        assert len(buffer.homes()) == len(homes)
+        report = None
+
+        def check():
+            nonlocal report
+            report = client.maybe_flush(1.0)
+
+        counts.append(lines_executed(check, REPRO_DIR, by_package=True))
+        assert report.batches == 0 and len(buffer) == depth
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == {"gateway"}

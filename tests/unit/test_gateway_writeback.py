@@ -112,7 +112,7 @@ class TestMutationBuffer:
             m.version for m in drained
         )
         assert not buffer
-        assert buffer.pending_for(3) == 0
+        assert buffer.homes() == []
 
     def test_requeue_skips_superseded_paths(self):
         buffer = MutationBuffer()
