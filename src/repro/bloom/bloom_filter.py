@@ -13,11 +13,14 @@ intersection, XOR and popcount are then single C-level big-int ops, and
 ``_bits.to_bytes(n, "little")`` places bit ``i`` at
 ``byte[i >> 3] & (1 << (i & 7))``, the historical wire layout.
 
-Hot path: the shared family memoizes each key's probe mask (the OR of
-``1 << i`` over its ``k`` indices), so :meth:`query` is one AND plus a
-compare against ``_bits``; the segment arrays and the L3 multicast read
-the same attribute.  The batched :meth:`contains_many` amortizes attribute
-lookups across a whole ``VERIFY_BATCH`` (DESIGN.md §15).
+Hot path: the shared family memoizes each tested key's probe mask (the
+OR of ``1 << i`` over its ``k`` indices), so :meth:`query` is one AND
+plus a compare against ``_bits``; the segment arrays read the same
+attribute.  :meth:`add` reuses a tested key's mask and otherwise builds
+one from the memoized cells and keeps none (hashing's "Two memos, one
+per form").  The batched
+:meth:`contains_many` amortizes attribute lookups across a whole
+``VERIFY_BATCH`` (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ class BloomFilter:
     # ------------------------------------------------------------------
     def add(self, item: object) -> None:
         """Insert ``item`` into the filter."""
-        self._bits |= self._hashes.mask(item)
+        self._bits |= self._hashes.mask_to_add(item)
         self._num_items += 1
 
     def update(self, items: Iterable[object]) -> None:

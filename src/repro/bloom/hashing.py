@@ -22,15 +22,18 @@ int ops, so this module adds two layers on top of the construction:
   replica is free at servers 2..N.
 * **Two memos, one per form** — :meth:`HashFamily.cells` memoizes
   ``item -> (index, ...)`` and :meth:`HashFamily.mask` memoizes
-  ``item -> OR of 1 << index``, each filled only by the callers that ask
-  for it.  Counter arrays are read by cell (counting filters, the L1
-  slices); a filter's packed ``_bits`` int is tested with
-  ``(bits & mask) == mask`` — no per-index loop at all (plain filters,
-  segment arrays, the L3 multicast).  A geometry's filters are all of
-  one kind, so it holds one form per item, not both.  Both memos are
-  bounded — cells by entries, masks by bytes, since a mask is as wide as
-  the filter; on overflow the oldest half (dict insertion order) is
-  dropped in one slice.
+  ``item -> OR of 1 << index`` (built from the cells).  Cells are what
+  every transposed index is read by (the L1 slices, the cluster's LOCAL
+  and PUB index behind L2-L4) and what counter arrays use; a mask is
+  memoized only where a packed ``_bits`` int is *tested*, ``(bits &
+  mask) == mask`` (``BloomFilter.query`` / ``contains_many``, so verify
+  misses and the prototype's and wire processes' probes, and the
+  replicas a cluster host probes by mask).  A mask is as wide as the
+  filter, and a fleet adds every path it holds but tests few of them,
+  so :meth:`HashFamily.mask_to_add` reuses a tested item's mask and
+  otherwise builds one from the cells and keeps none.  Both memos are bounded —
+  cells by entries, masks by bytes; on overflow the oldest half (dict
+  insertion order) is dropped in one slice.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ CELL_MEMO_CAPACITY = 1 << 16
 #: Per-family bound on the bytes of memoized masks (the int objects; keys
 #: and the dict's table come on top, ~100 bytes per entry).  A mask is
 #: ``num_bits / 7.5`` bytes, so the entry bound follows from the geometry:
-#: 31 000 masks at the bench fleet's 16 000 bits (its largest census is
-#: 21 900), 3 100 at ``GHBAConfig()``'s 160 000 (``wire_mixed``: 2 000).
+#: 31 000 masks at 16 000 bits, 3 100 at ``GHBAConfig()``'s 160 000.  Only
+#: tested items are memoized (module docstring), so a fleet holds masks
+#: for the paths it verified and missed, not for every path it added.
 MASK_MEMO_BYTES = 64 << 20
 
 
@@ -141,7 +145,7 @@ class HashFamily:
 
     def cells(self, item: object) -> Tuple[int, ...]:
         """The ``k`` indices of ``item`` (memoized) — the form a counter
-        array is read by."""
+        array and a transposed index are read by."""
         memo = self._cells
         cells = memo.get(item)
         if cells is None:
@@ -149,6 +153,12 @@ class HashFamily:
                 _drop_oldest_half(memo)
             cells = memo[item] = self._compute(item)
         return cells
+
+    def _build_mask(self, item: object) -> int:
+        mask = 0
+        for index in self.cells(item):
+            mask |= 1 << index
+        return mask
 
     def mask(self, item: object) -> int:
         """The OR of ``1 << i`` over the ``k`` indices of ``item``
@@ -159,11 +169,15 @@ class HashFamily:
         if mask is None:
             if len(memo) >= self._mask_capacity:
                 _drop_oldest_half(memo)
-            mask = 0
-            for index in self._compute(item):
-                mask |= 1 << index
-            memo[item] = mask
+            mask = memo[item] = self._build_mask(item)
         return mask
+
+    def mask_to_add(self, item: object) -> int:
+        """The mask that adding ``item`` to a packed filter ORs in: the
+        memoized one when a test already made it, else one built from the
+        memoized cells and not kept (adds never fill the mask memo)."""
+        mask = self._masks.get(item)
+        return mask if mask is not None else self._build_mask(item)
 
     def indices(self, item: object) -> List[int]:
         """Return the ``k`` bit indices for ``item``."""

@@ -25,7 +25,6 @@ from typing import Any, Dict, Union
 from repro.bloom.bloom_filter import BloomFilter
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.core.group import Group
 from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileKind, FileMetadata
 
@@ -143,11 +142,18 @@ def snapshot_server(server: MetadataServer) -> Dict[str, Any]:
 def restore_server(entry: Dict[str, Any], config: GHBAConfig) -> MetadataServer:
     """Reconstruct one server from a :func:`snapshot_server` document."""
     server = MetadataServer(entry["server_id"], config)
+    _load_server(server, entry)
+    _host_replicas(server, entry)
+    return server
+
+
+def _load_server(server: MetadataServer, entry: Dict[str, Any]) -> None:
+    """Everything of ``entry`` but the replicas, into the empty ``server``."""
     server.insert_many([_decode_record(record) for record in entry["records"]])
-    server.local_filter = _decode_filter(entry["local_filter"])
-    server.published_filter = _decode_filter(entry["published_filter"])
-    for home_id, payload in entry["replicas"].items():
-        server.host_replica(int(home_id), _decode_filter(payload))
+    server.load_filters(
+        _decode_filter(entry["local_filter"]),
+        _decode_filter(entry["published_filter"]),
+    )
     # Absent in pre-write-back checkpoints; default to a clean slate.
     server.writeback_floor = {
         int(origin): int(floor)
@@ -160,8 +166,11 @@ def restore_server(entry: Dict[str, Any], config: GHBAConfig) -> MetadataServer:
         }
         for origin, outcomes in entry.get("writeback_outcomes", {}).items()
     }
-    server._refresh_memory_accounting()
-    return server
+
+
+def _host_replicas(server: MetadataServer, entry: Dict[str, Any]) -> None:
+    for home_id, payload in entry["replicas"].items():
+        server.host_replica(int(home_id), _decode_filter(payload))
 
 
 def snapshot(cluster: GHBACluster) -> Dict[str, Any]:
@@ -202,31 +211,26 @@ def restore(document: Dict[str, Any], seed: int = 0) -> GHBACluster:
             f"(expected {FORMAT_VERSION})"
         )
     config = GHBAConfig(**document["config"])
-    # Build a minimal shell through the normal constructor, then replace
-    # its bootstrap state with the serialized one.
-    cluster = GHBACluster(1, config, seed=seed)
-    cluster.servers.clear()
-    cluster._sorted_ids.clear()
-    cluster.groups.clear()
-    cluster._group_of.clear()
-    cluster._crashed_stores.clear()
-    cluster._next_server_id = document["next_server_id"]
-    cluster._next_group_id = document["next_group_id"]
-
+    # Servers and groups are made the way the cluster makes its own, so
+    # they count into its registry and sit in its cell index.  Every
+    # published filter is in before any replica, so a copy equal to its
+    # home's published filter is probed through the index.
+    cluster = GHBACluster._unformed(config, seed=seed)
     for entry in document["servers"]:
-        server = restore_server(entry, config)
-        cluster.servers[server.server_id] = server
-    cluster._sorted_ids.extend(sorted(cluster.servers))
+        _load_server(cluster._new_server(entry["server_id"]), entry)
+    for entry in document["servers"]:
+        _host_replicas(cluster.servers[entry["server_id"]], entry)
+    cluster._next_server_id = document["next_server_id"]
 
     for entry in document["groups"]:
-        group = Group(entry["group_id"])
+        group = cluster._new_group(entry["group_id"])
         for member_id in entry["members"]:
             group.idbfa.add_member(member_id)
             group.adopt_member(cluster.servers[member_id])
             cluster._group_of[member_id] = group.group_id
         for replica_id, host in entry["placements"].items():
             group.idbfa.place(int(replica_id), host)
-        cluster.groups[group.group_id] = group
+    cluster._next_group_id = document["next_group_id"]
 
     cluster.check_invariants()
     return cluster

@@ -18,12 +18,15 @@ This module ties servers and groups into the full scheme:
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bloom.algebra import needs_update
 from repro.bloom.compressed import transfer_cost_report
+from repro.bloom.hashing import shared_family
+from repro.core.cellindex import CellIndex
 from repro.core.config import GHBAConfig
 from repro.core import reconfiguration
 from repro.core.group import Group, GroupError
@@ -428,23 +431,25 @@ class _ModelWalk:
         if lost_nodes:
             self.degraded = True
             self.latency += self.rtt  # waited out the silent nodes
-        # Every reached MDS checks its local filter (memory); positive ones
-        # verify against their store.  All run concurrently: charge the
-        # slowest.
+        # Every reached MDS checks its local filter (memory): LOCAL names
+        # the positive ones, and they verify against their store.  All run
+        # concurrently: charge the slowest.  Were the path stored twice,
+        # the answer is the last holder in the order [origin] + others
+        # (ascending ids): the origin only when it is the one holder.
         verify_costs = [self.mpm]
         found_home: Optional[int] = None
-        for server_id in [origin_id] + others:
+        for server_id in cluster.index.holders(self.path, lost_nodes):
             server = cluster.servers[server_id]
-            if not server.local_filter.query(self.path):
-                continue
             meta_fraction = server.resident_fraction
             verify_costs.append(
                 net.memory_probe_ms
                 + meta_fraction * net.memory_record_ms
                 + (1.0 - meta_fraction) * net.disk_access_ms
             )
-            if server.store.get(self.path) is not None:
-                found_home = server.server_id
+            if server.store.get(self.path) is not None and (
+                found_home is None or server_id != origin_id
+            ):
+                found_home = server_id
         self.latency += max(verify_costs)
         if self.span is not None:
             l4_detail = {"lost": len(lost_nodes)} if lost_nodes else {}
@@ -533,7 +538,26 @@ class GHBACluster:
     ) -> None:
         if num_servers < 1:
             raise ValueError(f"num_servers must be >= 1, got {num_servers}")
-        self.config = config or GHBAConfig()
+        self._setup(config or GHBAConfig(), seed, tracer, metrics, faults)
+        self._bootstrap(num_servers)
+
+    @classmethod
+    def _unformed(cls, config: GHBAConfig, seed: int = 0) -> "GHBACluster":
+        """A cluster with no server and no group yet (checkpoint restore
+        fills it through :meth:`_new_server` and :meth:`_new_group`)."""
+        cluster = cls.__new__(cls)
+        cluster._setup(config, seed, None, None, None)
+        return cluster
+
+    def _setup(
+        self,
+        config: GHBAConfig,
+        seed: int,
+        tracer: Optional[Tracer],
+        metrics: Optional[MetricsRegistry],
+        faults: Optional[FaultInjector],
+    ) -> None:
+        self.config = config
         self.faults: FaultInjector = faults if faults is not None else NULL_INJECTOR
         self._rng = random.Random(seed)
         self._next_server_id = 0
@@ -568,7 +592,15 @@ class GHBACluster:
         #: mutation whose base lost the race instead of clobbering.
         #: Never-mutated paths are implicitly at version 0.
         self._path_versions: Dict[str, int] = {}
-        self._bootstrap(num_servers)
+        #: Every server's live and published filter by cell (L2-L4 probe
+        #: it); servers join it in :meth:`_new_server`, leave in
+        #: :meth:`_depart`.
+        self.index = CellIndex(
+            shared_family(
+                config.filter_num_hashes, config.filter_num_bits, config.seed
+            ),
+            self.servers,
+        )
 
     def _register_metrics(self, seed: int) -> None:
         """Register every metric family the query path increments."""
@@ -651,19 +683,24 @@ class GHBACluster:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _new_server(self) -> MetadataServer:
-        server = MetadataServer(
-            self._next_server_id, self.config, metrics=self.metrics
-        )
-        self.servers[server.server_id] = server
-        self._sorted_ids.append(server.server_id)
-        self._next_server_id += 1
+    def _new_server(self, server_id: Optional[int] = None) -> MetadataServer:
+        """A new, indexed server: the next id, or ``server_id`` (restore)."""
+        if server_id is None:
+            server_id = self._next_server_id
+            self._next_server_id += 1
+        server = MetadataServer(server_id, self.config, metrics=self.metrics)
+        self.servers[server_id] = server
+        bisect.insort(self._sorted_ids, server_id)
+        self.index.join(server)
         return server
 
-    def _new_group(self) -> Group:
-        group = Group(self._next_group_id, metrics=self.metrics)
-        self.groups[group.group_id] = group
-        self._next_group_id += 1
+    def _new_group(self, group_id: Optional[int] = None) -> Group:
+        """A new group: the next id, or ``group_id`` (restore)."""
+        if group_id is None:
+            group_id = self._next_group_id
+            self._next_group_id += 1
+        group = Group(group_id, self.index, metrics=self.metrics)
+        self.groups[group_id] = group
         return group
 
     def _bootstrap(self, num_servers: int) -> None:
@@ -1340,7 +1377,9 @@ class GHBACluster:
         planner = reconfiguration.fail if crashed else reconfiguration.leave
         plan = planner(self._directory(), server_id, self.config.max_group_size)
         report = self._carry_out(plan, server_id)
-        records = list(self.servers.pop(server_id).store.records())
+        departed = self.servers.pop(server_id)
+        self.index.leave(departed)
+        records = list(departed.store.records())
         self._sorted_ids.remove(server_id)
         if crashed:
             self._crashed_stores[server_id] = records

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.bloom.arrays import ArrayLookup, BloomFilterArray, IDBloomFilterArray
 from repro.bloom.bloom_filter import BloomFilter
+from repro.core.cellindex import CellIndex
 from repro.core.reconfiguration import imbalance
 from repro.core.server import MetadataServer
 
@@ -33,23 +34,27 @@ class GroupError(Exception):
 class Group:
     """A logical group of metadata servers.
 
-    ``metrics`` (optional, the cluster's shared registry) adds per-group
-    replica-update accounting: intra-group messages spent locating and
-    replacing replicas, and how many IDBFA candidates were false positives.
+    ``index`` is the cell index its members are in (the cluster's); the
+    L3 multicast reads it.  ``metrics`` (optional, the cluster's shared
+    registry) adds per-group replica-update accounting: intra-group
+    messages spent locating and replacing replicas, and how many IDBFA
+    candidates were false positives.
     """
 
     def __init__(
         self,
         group_id: int,
+        index: CellIndex,
         metrics: "Optional[MetricsRegistry]" = None,
     ) -> None:
         self.group_id = group_id
+        self._index = index
         self._members: Dict[int, MetadataServer] = {}
         self.idbfa = IDBloomFilterArray()
-        #: One L3 row per member: ``(server, server.segment, its L2 probe
-        #: counter)``.  None of the three is ever rebound on a server, so
-        #: only a membership change touches a row.
-        self._rows: Dict[int, Tuple[MetadataServer, BloomFilterArray, object]] = {}
+        #: One L3 row per member: ``(server id, server.segment, its L2
+        #: probe counter)``.  None of the three is ever rebound on a
+        #: server, so only a membership change touches a row.
+        self._rows: Dict[int, Tuple[int, BloomFilterArray, object]] = {}
         if metrics is not None:
             self._update_messages = metrics.counter(
                 "ghba_replica_update_messages_total",
@@ -175,10 +180,9 @@ class Group:
         reconfiguration, checkpoint restore — must come through here so
         the member's L3 row is there.
         """
-        self._members[server.server_id] = server
-        self._rows[server.server_id] = (
-            server, server.segment, server._l2_probe_counter
-        )
+        sid = server.server_id
+        self._members[sid] = server
+        self._rows[sid] = (sid, server.segment, server._l2_probe_counter)
 
     def abandon_member(self, server_id: int) -> MetadataServer:
         """Raw membership removal: bookkeeping only, no replica migration."""
@@ -198,31 +202,24 @@ class Group:
         With the mirror invariant intact, the group sees all N filters, so
         a genuine home MDS is always among the hits.  ``member_ids``
         restricts the probe to the members a (possibly faulty) multicast
-        actually reached; the default probes everyone.  A member hosts
-        only filters of its local filter's hash family (``host_replica``
-        refuses others), so one mask tests a whole member.
+        actually reached; the default probes everyone.  The members'
+        scopes are OR-ed, so the index is read once for the whole group.
         """
         rows = self._rows.values()
         if member_ids is not None:
             rows = [self._rows[mid] for mid in member_ids]
-        hits: set = set()
-        add_hit = hits.add
-        probes = 0
-        family = None
-        for member, segment, counter in rows:
+        index = self._index
+        scopes, fallback = index.scope, index.fallback
+        scope = probes = 0
+        pairs: tuple = ()
+        for sid, segment, counter in rows:
             if counter is not None:
                 counter.inc()
-            local = member.local_filter
-            if local._hashes is not family:
-                family = local._hashes
-                mask = family.mask(path)
-            if (local._bits & mask) == mask:
-                add_hit(member.server_id)
-            for home_id, bloom in segment._pairs:
-                if (bloom._bits & mask) == mask:
-                    add_hit(home_id)
+            scope |= scopes[sid]
+            if fallback[sid]:
+                pairs += fallback[sid]
             probes += len(segment._pairs) + 1
-        return ArrayLookup(hits=tuple(sorted(hits)), probes=probes)
+        return ArrayLookup(hits=index.lookup(path, scope, pairs), probes=probes)
 
     # ------------------------------------------------------------------
     # Invariant checking (used heavily in tests)

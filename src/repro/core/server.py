@@ -34,6 +34,7 @@ from repro.metadata.attributes import FileMetadata
 from repro.metadata.store import MetadataStore
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.core.cellindex import CellIndex
     from repro.obs.registry import MetricsRegistry
 
 
@@ -69,6 +70,13 @@ class MetadataServer:
     ``ghba_server_probes_total{server,level}`` — the raw signal behind the
     hotspot view's per-server attribution.  Without a registry the probe
     path stays completely uninstrumented.
+
+    A cluster's server is also in the cluster's
+    :class:`~repro.core.cellindex.CellIndex` (``_index``), which L2 probes
+    instead of the segment and which every method that changes a filter
+    or a hosted replica keeps current.  A server outside a cluster (a
+    prototype node, a ``repro.net serve`` process) has none and tests its
+    own packed ints.
     """
 
     def __init__(
@@ -137,6 +145,8 @@ class MetadataServer:
         self._fetch_penalty_net: object = None
         self._fetch_penalty_ms = 0.0
         self._empty_segment_lookup: Optional[ArrayLookup] = None
+        #: Set by the cluster's index on join, cleared on leave.
+        self._index: "Optional[CellIndex]" = None
         self._refresh_memory_accounting()
 
     # ------------------------------------------------------------------
@@ -214,15 +224,21 @@ class MetadataServer:
             self._metadata_bytes += meta.size_bytes()
         self.store.put(meta)
         self.local_filter.add(meta.path)
+        if self._index is not None:
+            self._index.local_add(self.server_id, meta.path)
         self._refresh_record_accounting()
 
     def insert_many(self, records: List[FileMetadata]) -> None:
-        """Bulk insert; single memory-accounting refresh at the end."""
+        """Bulk insert; single memory-accounting refresh at the end (and
+        one diff of the local filter for the cluster's index)."""
+        before = self.local_filter._bits
         for meta in records:
             if meta.path not in self.store:
                 self._metadata_bytes += meta.size_bytes()
             self.store.put(meta)
             self.local_filter.add(meta.path)
+        if self._index is not None:
+            self._index.local_changed(self.server_id, before ^ self.local_filter._bits)
         self._refresh_memory_accounting()
 
     def remove_metadata(self, path: str) -> bool:
@@ -267,6 +283,8 @@ class MetadataServer:
                 self._metadata_bytes += renamed.size_bytes()
             store.put(renamed)
             self.local_filter.add(renamed.path)
+            if self._index is not None:
+                self._index.local_add(self.server_id, renamed.path)
             rekeyed.append((path, renamed.path))
         if rekeyed:
             self._refresh_record_accounting()
@@ -326,9 +344,22 @@ class MetadataServer:
         )
         for path in self.store.paths():
             rebuilt.add(path)
-        self.local_filter = rebuilt
-        self._refresh_memory_accounting()
+        self.load_filters(rebuilt, self.published_filter)
         return rebuilt
+
+    def load_filters(self, local: BloomFilter, published: BloomFilter) -> None:
+        """Take ``local`` and ``published`` as this server's live and last
+        published filters (a rebuild, a checkpoint restore); the cluster's
+        index takes the bits that differ."""
+        index = self._index
+        if index is not None:
+            index.local_changed(self.server_id, self.local_filter._bits ^ local._bits)
+            index.published(
+                self.server_id, self.published_filter._bits ^ published._bits
+            )
+        self.local_filter = local
+        self.published_filter = published
+        self._refresh_memory_accounting()
 
     @property
     def file_count(self) -> int:
@@ -386,17 +417,28 @@ class MetadataServer:
         return self.lru.query(path)
 
     def probe_segment(self, path: str) -> ArrayLookup:
-        """L2 probe: the local filter plus every replica assigned here."""
+        """L2 probe: the local filter plus every replica assigned here.
+
+        In a cluster it reads the index under this server's scope (its own
+        LOCAL bit, the PUB bits of the copies it hosts) and tests its
+        fallback replicas by mask."""
         if self._l2_probe_counter is not None:
             self._l2_probe_counter.inc()
-        hits: set = set()
-        probes = self.segment.query_into(path, hits) + 1
-        local = self.local_filter
-        mask = local._hashes.mask(path)
-        if (local._bits & mask) == mask:
-            hits.add(self.server_id)
+        index = self._index
+        if index is not None:
+            sid = self.server_id
+            hits = index.lookup(path, index.scope[sid], index.fallback[sid])
+            probes = len(self.segment._pairs) + 1
+        else:
+            found: set = set()
+            probes = self.segment.query_into(path, found) + 1
+            local = self.local_filter
+            mask = local._hashes.mask(path)
+            if (local._bits & mask) == mask:
+                found.add(self.server_id)
+            hits = tuple(sorted(found))
         if hits:
-            return ArrayLookup(hits=tuple(sorted(hits)), probes=probes)
+            return ArrayLookup(hits=hits, probes=probes)
         empty = self._empty_segment_lookup
         if empty is None or empty.probes != probes:
             empty = ArrayLookup(hits=(), probes=probes)
@@ -427,16 +469,23 @@ class MetadataServer:
     def host_replica(self, home_id: int, replica: BloomFilter) -> None:
         self._check_replica(replica)
         self.segment.add_replica(home_id, replica)
+        if self._index is not None:
+            self._index.host(self.server_id, home_id, replica)
         self._refresh_memory_accounting()
 
     def drop_replica(self, home_id: int) -> BloomFilter:
         replica = self.segment.remove_replica(home_id)
+        if self._index is not None:
+            self._index.unhost(self.server_id, home_id)
         self._refresh_memory_accounting()
         return replica
 
     def replace_replica(self, home_id: int, replica: BloomFilter) -> None:
         self._check_replica(replica)
         self.segment.replace_replica(home_id, replica)
+        if self._index is not None:
+            self._index.unhost(self.server_id, home_id)
+            self._index.host(self.server_id, home_id, replica)
         self._refresh_memory_accounting()
 
     def hosted_replicas(self) -> List[int]:
@@ -452,8 +501,13 @@ class MetadataServer:
     # ------------------------------------------------------------------
     def publish_filter(self) -> BloomFilter:
         """Snapshot the local filter for replication; returns the replica."""
-        self.published_filter = self.local_filter.copy()
-        return self.published_filter.copy()
+        published = self.local_filter.copy()
+        if self._index is not None:
+            self._index.published(
+                self.server_id, self.published_filter._bits ^ published._bits
+            )
+        self.published_filter = published
+        return published.copy()
 
     def staleness_bits(self) -> int:
         """Bit difference between the live and last-published filters."""

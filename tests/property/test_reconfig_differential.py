@@ -103,12 +103,16 @@ class _Twins:
                 return None
             draw, rehome = arg if op == "remove" else (arg, None)
             victim = _pick(live.server_ids(), draw)
+            departed = twin.servers[victim]
             if op == "remove":
                 got = live.remove_server(victim, rehome=rehome)
                 want = ref.ref_remove_server(twin, victim, rehome=rehome)
             else:
                 got = live.fail_server(victim)
                 want = ref.ref_fail_server(twin, victim)
+            # The frozen code predates the cell index: take the departed
+            # server out of it as the live departure does.
+            twin.index.leave(departed)
         elif op == "recover":
             crashed = live.crashed_server_ids()
             if not crashed:

@@ -21,7 +21,9 @@ and requires of the live cluster alone that ``check_invariants()`` holds
 — which since ISSUE 16 includes ``_metadata_bytes == Σ size_bytes()`` per
 server, the accounting the frozen rename gets wrong (the harness repairs
 the twin's count after each frozen rename so its later deletes can
-proceed).
+proceed).  The frozen rename also adds the new names to a local filter
+by hand, around the cluster's cell index, so the harness hands the
+twin's index the bits each frozen rename set.
 
 Re-key *order* is the one declared difference: the frozen code walks the
 store in recency order, the live code in sorted path order.  The trace
@@ -120,10 +122,13 @@ class _Twins:
             for path in sorted(store.paths()):
                 store.get(path)
 
-    def _repair_twin_bytes(self):
-        for server in self.twin.servers.values():
+    def _repair_twin(self, bits_before):
+        for sid, server in self.twin.servers.items():
             server._metadata_bytes = sum(
                 meta.size_bytes() for meta in server.store.records()
+            )
+            self.twin.index.local_changed(
+                sid, bits_before[sid] ^ server.local_filter.bits
             )
 
     def apply(self, op, arg):
@@ -141,6 +146,9 @@ class _Twins:
             if new.startswith(old + "/") or old.startswith(new + "/"):
                 for server_id in live.server_ids():
                     self._level(server_id)
+            bits_before = {
+                sid: server.local_filter.bits for sid, server in twin.servers.items()
+            }
             if op == "rename":
                 got = live.rename_subtree(old, new)
                 want = ref_rename_subtree(twin, old, new)
@@ -148,7 +156,7 @@ class _Twins:
                 home = _pick(live, arg[0])
                 got = live.rename_subtree_at(home, old, new)
                 want = ref_rename_subtree_at(twin, home, old, new)
-            self._repair_twin_bytes()
+            self._repair_twin(bits_before)
         elif op == "query":
             path, draw = arg
             origin = _pick(live, draw)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import checkpoint
 from repro.core.cluster import GHBACluster
+from repro.core.config import GHBAConfig
 from repro.core.query import QueryLevel
 from repro.metadata.attributes import FileMetadata
 
@@ -155,3 +156,42 @@ class TestAtomicWrite:
         checkpoint.atomic_write_text(path, "new")
         assert path.read_text() == "new"
         assert list(tmp_path.iterdir()) == [path]
+
+
+class TestRestoredClusterCounts:
+    """A restored cluster is built the way the cluster builds its own
+    servers and groups, so it counts into its registry like the live one.
+    (Restore used to build each server with no registry and each group
+    as a bare ``Group(gid)``: a restored twin, the replication standby
+    included, counted 0 probes and 0 replica-update messages.)"""
+
+    @staticmethod
+    def _total(cluster, family):
+        metric = cluster.metrics.get(family)
+        return {key: child.value for key, child in metric.children()}
+
+    def test_restored_twin_counts_probes_and_updates_like_the_live_one(self):
+        config = GHBAConfig(
+            max_group_size=3, expected_files_per_mds=64, lru_capacity=16,
+            lru_filter_bits=128, seed=2,
+        )
+        live = GHBACluster(6, config, seed=4)
+        paths = [f"/count/d{i % 7}/f{i}" for i in range(200)]
+        live.populate(paths)
+        live.synchronize_replicas(force=True)
+        twin = checkpoint.restore(checkpoint.snapshot(live))
+        family = "ghba_replica_update_messages_total"
+        before = self._total(live, family)
+        for cluster in (live, twin):
+            for index in range(50):
+                cluster.query(paths[index * 3], origin_id=index % 6)
+            cluster.synchronize_replicas(force=True)
+        probes = self._total(live, "ghba_server_probes_total")
+        assert sum(probes.values()) > 0
+        assert self._total(twin, "ghba_server_probes_total") == probes
+        messages = {
+            key: value - before[key]
+            for key, value in self._total(live, family).items()
+        }
+        assert sum(messages.values()) > 0
+        assert self._total(twin, family) == messages

@@ -3,6 +3,8 @@
 
 import pytest
 
+from repro.bloom.hashing import shared_family
+from repro.core.cellindex import CellIndex
 from repro.core.config import GHBAConfig
 from repro.core.group import Group, GroupError
 from repro.core.reconfiguration import DROP, MOVE, form, imbalance, join, leave
@@ -29,9 +31,17 @@ def make_server(server_id, config, files=()):
 
 
 def make_group(config, member_ids=(0, 1, 2)):
-    group = Group(0)
+    """A group of fresh members, in a cell index of their own; the outside
+    servers whose replicas the tests install are in no index."""
+    servers = {}
+    index = CellIndex(
+        shared_family(config.filter_num_hashes, config.filter_num_bits, config.seed),
+        servers,
+    )
+    group = Group(0, index)
     for server_id in member_ids:
-        server = make_server(server_id, config)
+        server = servers[server_id] = make_server(server_id, config)
+        index.join(server)
         group.idbfa.add_member(server_id)
         group.adopt_member(server)
     return group

@@ -1,4 +1,4 @@
-"""Counted cost of the L3 multicast: no first-call rebuild, no history.
+"""Counted cost of L2 and L3: flat in N, no first-call rebuild, no history.
 
 Counted, not timed (the pattern of ``test_mutation_scaling.py``): under
 ``sys.settrace`` the number of source lines ``Group.multicast_query``
@@ -9,19 +9,29 @@ executes inside ``repro/core``
   membership change leaves nothing to rebuild on the query path;
 - must be equal at two membership histories that end in the same shape
   (group sizes and replicas per member), one formed at once and one
-  reached through joins and departures.
+  reached through joins and departures;
 
-Lines under ``repro/core`` only: the mask memo (``repro/bloom``) and the
-probe counters (``repro/obs``) are the same work on either call.
+and, counted by package under all of ``src/repro``, one multicast and one
+L2 probe of a stored path whose answer is its home alone must execute the
+same lines at N = 20, 80 and 320 servers with M fixed: both AND the k
+cells of the cluster's index, and the walk over members is M long, so
+nothing on either path is as long as the fleet (an AND of the path's
+mask against each filter a group holds, N of them, grows with N).
+
+The first three count ``repro/core`` only: the cell memo of the filter
+geometry (``repro/bloom``) and the probe counters (``repro/obs``) are the
+same work on either call.
 """
 
 import os
+
+import pytest
 
 import repro.core
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 
-from tests._linecount import lines_executed
+from tests._linecount import REPRO_DIR, lines_executed
 
 CORE = os.path.dirname(repro.core.__file__)
 PATHS = tuple(f"/l3/d{i % 5}/f{i}" for i in range(120))
@@ -95,10 +105,47 @@ def test_lines_per_multicast_do_not_depend_on_membership_history():
         counts = []
         for group in sorted(cluster.groups.values(), key=lambda g: g.size):
             for path in ABSENT:
-                group.multicast_query(path)  # warm the mask memo
+                group.multicast_query(path)  # warm the cell memo
                 lookup = group.multicast_query(path)
                 assert lookup.hits == (), (group.group_id, path)
                 counts.append(_lines(lambda: group.multicast_query(path)))
         return counts
 
     assert per_multicast(formed) == per_multicast(churned)
+
+
+@pytest.fixture(scope="module")
+def fleets():
+    """One fleet per N, M = 4, the same 120 paths, every filter published."""
+    return {servers: _cluster(servers) for servers in (20, 80, 320)}
+
+
+def _home_alone_probes(cluster):
+    """A stored path, its home, an L2 origin that hosts the home's replica
+    in another group, and that group: both probes answer the home alone."""
+    for path in PATHS:
+        home = cluster.home_of(path)
+        for group in cluster.groups.values():
+            host = group.idbfa.host_of(home)
+            if host is None:
+                continue
+            origin = cluster.servers[host]
+            if (
+                origin.probe_segment(path).hits == (home,)
+                and group.multicast_query(path).hits == (home,)
+            ):
+                return path, home, origin, group
+    raise AssertionError("no path answers its home alone")
+
+
+def test_l2_and_l3_lines_are_flat_in_the_fleet_size(fleets):
+    l2, l3 = [], []
+    for servers, cluster in fleets.items():
+        path, home, origin, group = _home_alone_probes(cluster)
+        assert cluster.num_servers == servers and group.size == 4
+        assert origin.theta > servers // 4 - 2
+        l2.append(lines_executed(lambda: origin.probe_segment(path), REPRO_DIR, by_package=True))
+        l3.append(lines_executed(lambda: group.multicast_query(path), REPRO_DIR, by_package=True))
+    assert l2[0] == l2[1] == l2[2], l2
+    assert l3[0] == l3[1] == l3[2], l3
+    assert set(l3[0]) == {"core", "bloom", "obs"}

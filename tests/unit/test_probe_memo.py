@@ -1,11 +1,14 @@
-"""One form per fact in the Bloom layer (ISSUE 23).
+"""One form per fact in the Bloom layer.
 
 A ``HashFamily`` memoises an item's cell tuple and its packed mask
 separately, each filled only by the callers that ask for it, and a
-``CountingBloomFilter`` holds its counters and nothing derived from them.
-These tests fail at the parent commit, where every memo entry was an
-``(indices, mask)`` pair and every counting filter flipped bits of a
-``_nonzero`` mirror on each zero crossing.
+``CountingBloomFilter`` holds its counters and nothing derived from them
+(no ``_nonzero`` mirror flipped on each zero crossing).  The counter
+geometries (L1, IDBFA) hold cells only.  The filter geometry holds the
+cells of every path a server added — adds, the cluster's LOCAL / PUB
+index and the L2-L4 probes read cells — and a mask only for an item a
+packed int was tested against (a verify miss, a replica probed by mask):
+a fleet adds every path it holds and tests few of them.
 
 Families are interned process-wide, so each test swaps in an empty intern
 table: what it then finds there was put there by its own script.
@@ -35,7 +38,8 @@ def families(monkeypatch):
 
 
 def _fleet_script(seed=23):
-    """Populate, query, sync, join, leave, query again on a small fleet."""
+    """Populate, query, sync, join, leave, query again on a small fleet;
+    returns it and every path a query asked about."""
     rng = random.Random(seed)
     config = GHBAConfig(
         max_group_size=3,
@@ -48,11 +52,13 @@ def _fleet_script(seed=23):
     cluster = GHBACluster(7, config, seed=seed)
     paths = [f"/d{i % 9}/f{i}" for i in range(300)]
     cluster.populate(paths)
+    asked = set()
 
     def look(count):
         for _ in range(count):
             roll = rng.random()
             path = rng.choice(paths) if roll < 0.9 else f"/never/{rng.randrange(50)}"
+            asked.add(path)
             cluster.query(path, rng.choice(cluster.server_ids()))
 
     look(400)
@@ -67,28 +73,37 @@ def _fleet_script(seed=23):
     cluster.synchronize_replicas(force=True)
     look(200)
     cluster.check_invariants()
-    return cluster
+    return cluster, paths, asked
 
 
-def test_each_geometry_holds_only_the_form_its_readers_read(families):
-    cluster = _fleet_script()
-    by_cell, by_mask = set(), set()
+def test_each_geometry_holds_the_forms_its_readers_read(families):
+    cluster, paths, asked = _fleet_script()
+    by_cell, by_filter = set(), set()
     for server in cluster.servers.values():
-        by_mask.add(server.local_filter.hash_family)
-        by_mask.update(bloom.hash_family for _, bloom in server.segment.items())
+        by_filter.add(server.local_filter.hash_family)
+        by_filter.update(bloom.hash_family for _, bloom in server.segment.items())
         by_cell.add(server.lru._family)
         by_cell.update(f.hash_family for f in server.lru._filters.values())
         server.lru.check_slices()
     for group in cluster.groups.values():
         by_cell.update(f.hash_family for f in group.idbfa._filters.values())
-    # Three geometries - replica, L1, IDBFA - and every family interned
+    # Three geometries - filter, L1, IDBFA - and every family interned
     # during the script is one of them.
-    assert len(by_mask) == 1 and len(by_cell) == 2
-    assert {id(f) for f in families.values()} == {id(f) for f in by_mask | by_cell}
-    for family in by_mask:
-        assert family._masks and not family._cells, family
+    assert len(by_filter) == 1 and len(by_cell) == 2
+    assert {id(f) for f in families.values()} == {id(f) for f in by_filter | by_cell}
     for family in by_cell:
         assert family._cells and not family._masks, family
+    (family,) = by_filter
+    assert family is cluster.index.family
+    # Every path added is held by cell; a mask only for a path a query
+    # asked about, and the paths only ever added have none.
+    assert set(paths) <= family._cells.keys()
+    assert family._masks.keys() <= asked
+    assert set(paths) - asked and not (set(paths) - asked) & family._masks.keys()
+    # Testing a packed int is what memoises a mask.
+    server = cluster.servers[cluster.server_ids()[0]]
+    assert not server.local_filter.query("/tested/once")
+    assert "/tested/once" in family._masks
 
 
 def test_counting_filter_holds_counters_and_nothing_derived():
@@ -148,7 +163,7 @@ def test_an_eviction_changes_no_answer(families, monkeypatch):
         return answers, counters, list(lru._slices), bloom.bits, lru, bloom
 
     roomy = script()
-    assert max(len(f._cells) + len(f._masks) for f in families.values()) == 60
+    assert max(max(len(f._cells), len(f._masks)) for f in families.values()) == 60
 
     families.clear()
     monkeypatch.setattr(hashing, "CELL_MEMO_CAPACITY", 8)
@@ -156,7 +171,8 @@ def test_an_eviction_changes_no_answer(families, monkeypatch):
     tight = script()
     lru, bloom = tight[4:]
     assert bloom.hash_family._mask_capacity == 8
-    assert 0 < len(lru._family._cells) <= 8 and 0 < len(bloom.hash_family._masks) <= 8
+    assert 0 < len(lru._family._cells) <= 8
+    assert 0 < len(bloom.hash_family._cells) <= 8 and 0 < len(bloom.hash_family._masks) <= 8
     assert tight[:4] == roomy[:4]
 
 

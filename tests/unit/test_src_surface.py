@@ -51,6 +51,7 @@ ALLOWED: Dict[str, str] = {
     "repro.bloom.bloom_filter.BloomFilter.hash_family": REFERENCE,
     "repro.bloom.counting.CountingBloomFilter.hash_family": REFERENCE,
     "repro.bloom.arrays.LRUBloomFilterArray.check_slices": CHECKER,
+    "repro.core.cellindex.CellIndex.check_index": CHECKER,
     "repro.core.server.MetadataServer.rebuild_local_filter": CHECKER,
     "repro.metadata.namespace.Namespace.ensure_file": ORACLE,
     "repro.bloom.arrays.ArrayLookup.is_miss": ACCESSOR,
