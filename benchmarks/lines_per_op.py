@@ -1,0 +1,143 @@
+"""Executed source lines per operation, by package: the counted ledger's start.
+
+Lines do not move with the host, so two trees compare on any machine in
+one run each.  This runs the layered benchmark's own op lists (imported
+read-only from ``bench.workloads``) and counts, under ``sys.settrace``,
+the lines each timed operation executes in each top-level package of
+``src/repro``:
+
+- ``fleet_zipf_lookup``: every timed query, averaged per query;
+- ``fleet_churn``: every timed op, averaged per op kind (query, insert,
+  delete, rename, sync, join, leave).
+
+Set-up and warm-up run untraced first, exactly as the benchmark runs them
+(so hash memos and L1 arrays are warm).  Line events differ between
+Python versions; compare numbers taken with the same interpreter, and
+with ``PYTHONHASHSEED=0`` (set-iteration order reaches a few loops).
+
+Usage::
+
+    PYTHONHASHSEED=0 PYTHONPATH=src:. python benchmarks/lines_per_op.py [--seed 7] [--seconds 1]
+
+``--seconds`` sets the op counts as ``python -m bench run --seconds``
+does; 6 is the benchmark's own length (EXPERIMENTS.md records that run).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from typing import Callable, Dict, List, Tuple
+
+import repro
+from bench.workloads.fleet import FleetChurn, FleetZipfLookup
+from repro.metadata.attributes import FileMetadata
+
+REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
+CHURN_KINDS = {"q": "query", "i": "insert", "d": "delete", "r": "rename",
+               "sync": "sync", "add": "join", "rm": "leave"}
+
+
+class LineCounter:
+    """Counts line events under ``src/repro`` by file while running."""
+
+    def __init__(self) -> None:
+        self.files: Dict[str, int] = {}
+
+    def _trace(self, frame, event, arg):
+        filename = frame.f_code.co_filename
+        if not filename.startswith(REPRO_DIR):
+            return None
+        if event == "line":
+            self.files[filename] = self.files.get(filename, 0) + 1
+        return self._trace
+
+    def run(self, call: Callable, *args):
+        previous = sys.gettrace()
+        sys.settrace(self._trace)
+        try:
+            return call(*args)
+        finally:
+            sys.settrace(previous)
+
+    def by_package(self) -> Dict[str, int]:
+        packages: Dict[str, int] = {}
+        for filename, count in self.files.items():
+            head = os.path.relpath(filename, REPRO_DIR).split(os.sep)[0]
+            package = head[:-3] if head.endswith(".py") else head
+            packages[package] = packages.get(package, 0) + count
+        return packages
+
+
+def zipf_lookup(seed: int, seconds: float) -> List[Tuple[str, int, Dict[str, int]]]:
+    workload = FleetZipfLookup()
+    inputs = workload.generate(seed, seconds)
+    system = workload.build(inputs, seed, None)
+    workload.warm_up(system, inputs)
+    counter = LineCounter()
+    query = system.cluster.query
+    for path in inputs["timed"]:
+        counter.run(query, path)
+    return [("fleet_zipf_lookup query", len(inputs["timed"]), counter.by_package())]
+
+
+def fleet_churn(seed: int, seconds: float) -> List[Tuple[str, int, Dict[str, int]]]:
+    """Each timed op of the benchmark's ``FleetChurn.timed`` loop, with its
+    arguments made the way that loop makes them."""
+    workload = FleetChurn()
+    inputs = workload.generate(seed, seconds)
+    system = workload.build(inputs, seed, None)
+    workload.warm_up(system, inputs)
+    cluster = system.cluster
+    calls = {
+        "q": cluster.query,
+        "d": cluster.delete_file,
+        "r": cluster.rename_subtree,
+        "sync": cluster.synchronize_replicas,
+        "add": cluster.add_server,
+    }
+    counters: Dict[str, LineCounter] = {}
+    ops: Dict[str, int] = {}
+    inode = len(inputs["paths"])
+    transient = None
+    for op in inputs["ops"]:
+        kind = op[0]
+        if kind == "i":
+            inode += 1
+            call, args = cluster.insert_file, (FileMetadata(path=op[1], inode=inode), op[2])
+        elif kind == "rm":
+            call, args = cluster.remove_server, (transient,)
+        else:
+            call, args = calls[kind], op[1:]
+        result = counters.setdefault(kind, LineCounter()).run(call, *args)
+        ops[kind] = ops.get(kind, 0) + 1
+        if kind == "add":
+            transient = result.server_id
+    return [
+        (f"fleet_churn {name}", ops[kind], counters[kind].by_package())
+        for kind, name in CHURN_KINDS.items()
+        if kind in ops
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=float, default=1.0)
+    args = parser.parse_args(argv)
+    if args.seconds <= 0:
+        parser.error("--seconds must be positive")
+    rows = zipf_lookup(args.seed, args.seconds) + fleet_churn(args.seed, args.seconds)
+    packages = sorted({package for _, _, counts in rows for package in counts})
+    print(f"lines per op under src/repro, seed {args.seed}, --seconds {args.seconds}, "
+          f"Python {sys.version_info.major}.{sys.version_info.minor}")
+    print(f"{'op':<28}{'ops':>7}{'total':>10}" + "".join(f"{p:>10}" for p in packages))
+    for name, count, counts in rows:
+        cells = "".join(f"{counts.get(p, 0) / count:>10.1f}" for p in packages)
+        print(f"{name:<28}{count:>7}{sum(counts.values()) / count:>10.1f}{cells}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

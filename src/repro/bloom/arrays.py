@@ -205,8 +205,11 @@ class BloomFilterArray:
     # Accounting
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
-        """Total payload size of all replicas."""
-        return sum(bloom.size_bytes() for bloom in self._filters.values())
+        """Total payload size of all replicas, at O(1): a server hosts
+        replicas of its local filter's geometry only
+        (``MetadataServer._check_replica`` refuses any other)."""
+        pairs = self._pairs
+        return len(pairs) * pairs[0][1].size_bytes() if pairs else 0
 
     def __repr__(self) -> str:
         return f"BloomFilterArray(replicas={len(self._filters)})"
@@ -237,6 +240,13 @@ class LRUBloomFilterArray:
     the most homes ever held at once, whatever the server ids are.  The
     counters stay the truth: every mutation goes through the filter's own
     ``add`` / ``discard`` and then re-reads the counters it touched.
+
+    In a cluster the array also reports which items it holds: every key
+    that enters or leaves ``_entries`` sets or clears this array's bit in
+    the cluster's holder map (:meth:`join_holders`), so a delete or a
+    rename invalidates only at the origins whose L1 holds the path.  Outside
+    a cluster (a prototype node, a ``repro.net serve`` process) there is no
+    map and each key change pays one ``is None`` check.
 
     Parameters
     ----------
@@ -291,6 +301,10 @@ class LRUBloomFilterArray:
         #: home -> ``1 << slot``, in ``_filters`` order; slot -> home.
         self._slot_bits: Dict[int, int] = {}
         self._slot_homes: List[Optional[int]] = []
+        #: The cluster's item -> origins map and this array's bit in it;
+        #: None outside a cluster.
+        self._holders: Optional[Dict[object, int]] = None
+        self._holder_bit = 0
 
     # ------------------------------------------------------------------
     # Properties
@@ -344,6 +358,27 @@ class LRUBloomFilterArray:
             self._slot_bits[home_id] = 1 << slot
         return bloom
 
+    def join_holders(self, holders: Dict[object, int], bit: int) -> None:
+        """Report every key, from now on, into ``holders`` under ``bit``:
+        ``holders[item]`` has ``bit`` set while ``item`` is cached here."""
+        self._holders = holders
+        self._holder_bit = bit
+        for item in self._entries:
+            holders[item] = holders.get(item, 0) | bit
+
+    def leave_holders(self) -> None:
+        """Take every key out of the holder map and stop reporting."""
+        if self._holders is not None:
+            for item in self._entries:
+                self._unhold(item)
+            self._holders = None
+
+    def _unhold(self, item: object) -> None:
+        holders = self._holders
+        bits = holders.pop(item)
+        if bits != self._holder_bit:
+            holders[item] = bits ^ self._holder_bit
+
     def _reslice(self, item: object, home_id: int) -> None:
         """Re-read the counters ``item`` maps to in ``home_id``'s filter
         into that home's bit of the k slices."""
@@ -375,7 +410,14 @@ class LRUBloomFilterArray:
                 self._reslice(item, home_id)
             return
         previous = self._entries.pop(item, None)
-        if previous is not None and previous != home_id:
+        if previous is None:
+            holders = self._holders
+            if holders is not None:
+                # One lookup, and no new int, for a key no other origin holds.
+                bits = holders.setdefault(item, self._holder_bit)
+                if bits != self._holder_bit:
+                    holders[item] = bits | self._holder_bit
+        elif previous != home_id:
             self._filters[previous].discard(item)
             self._reslice(item, previous)
             previous = None
@@ -410,6 +452,11 @@ class LRUBloomFilterArray:
     def _evict_one(self) -> None:
         item = self._pick_victim()
         home_id = self._entries.pop(item)
+        holders = self._holders
+        if holders is not None:  # _unhold, inline: evictions ride queries
+            bits = holders.pop(item)
+            if bits != self._holder_bit:
+                holders[item] = bits ^ self._holder_bit
         if self._is_lfu:
             # Keep a ghost frequency count so a repeatedly requested item
             # eventually out-scores incumbents and gets admitted (TinyLFU
@@ -430,6 +477,8 @@ class LRUBloomFilterArray:
         home_id = self._entries.pop(item, None)
         if home_id is None:
             return False
+        if self._holders is not None:
+            self._unhold(item)
         self._use_counts.pop(item, None)
         self._filters[home_id].discard(item)
         self._reslice(item, home_id)
@@ -443,9 +492,12 @@ class LRUBloomFilterArray:
         victims = [
             item for item, home in self._entries.items() if home == home_id
         ]
+        holders = self._holders
         for item in victims:
             del self._entries[item]
             self._use_counts.pop(item, None)
+            if holders is not None:
+                self._unhold(item)
         bloom = self._filters.pop(home_id, None)
         if bloom is not None:
             bit = self._slot_bits.pop(home_id)
@@ -462,6 +514,9 @@ class LRUBloomFilterArray:
         return len(victims)
 
     def clear(self) -> None:
+        if self._holders is not None:
+            for item in self._entries:
+                self._unhold(item)
         self._entries.clear()
         self._use_counts.clear()
         self._filters.clear()

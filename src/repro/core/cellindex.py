@@ -26,6 +26,11 @@ indexes — and masks what is left by who holds what:
 L3 ORs the scopes of the members it reached; L4 masks by ``everyone``,
 the LOCAL bits of every server, less the ones it lost.
 
+The same funnel keeps ``dirty``, the servers whose live filter may differ
+from their published one: a change to a live filter adds the server, a
+publication takes it out.  Replica synchronization reads it instead of
+comparing every server's two filters.
+
 A replica that arrives, moves or leaves changes a scope, never a slice;
 a slice changes only where a server's own filter changed.  Every such
 change reaches the index through one funnel per server (the
@@ -86,6 +91,8 @@ class CellIndex:
         self.fallback: Dict[int, Pairs] = {}
         self.copies: Dict[int, Set[int]] = {}
         self.everyone = 0
+        #: Every server whose live filter changed since it last published.
+        self.dirty: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Membership
@@ -109,6 +116,7 @@ class CellIndex:
             self.copies[home].discard(sid)
         del self.fallback[sid]
         self.everyone ^= _local(sid)
+        self.dirty.discard(sid)
         server._index = None
 
     # ------------------------------------------------------------------
@@ -116,19 +124,25 @@ class CellIndex:
     # ------------------------------------------------------------------
     def local_add(self, sid: int, item: object) -> None:
         """Server ``sid``'s local filter took ``item``."""
+        self.dirty.add(sid)
         bit = _local(sid)
         slices = self.slices
         for cell in self.family.cells(item):
             slices[cell] |= bit
 
     def local_changed(self, sid: int, diff: int) -> None:
-        """Server ``sid``'s local filter flipped the bits of ``diff``."""
+        """Server ``sid``'s local filter flipped the bits of ``diff`` (or
+        was replaced by an equal one: it is marked drifted all the same)."""
+        self.dirty.add(sid)
         self._flip(_local(sid), diff)
 
     def published(self, sid: int, diff: int) -> None:
         """Server ``sid`` published bits that differ by ``diff``: its PUB
         bits follow, and every copy of the old ones leaves its host's scope
-        until :meth:`host` takes an equal copy in its place."""
+        until :meth:`host` takes an equal copy in its place.  The server
+        is no longer drifted: a caller that publishes something other
+        than its live filter reports the live filter after this."""
+        self.dirty.discard(sid)
         if diff:
             self._flip(_pub(sid), diff)
             self._unpublish(sid)
@@ -212,10 +226,11 @@ class CellIndex:
     # ------------------------------------------------------------------
     def check_index(self) -> None:
         """Raise ``AssertionError`` unless the slices are the transpose of
-        every server's live (LOCAL) and published (PUB) filter, and each
-        host's scope and fallback list are what it hosts: a copy in the
+        every server's live (LOCAL) and published (PUB) filter, each
+        host's scope and fallback list are what it hosts (a copy in the
         scope equals its home's published filter, every other replica is
-        in ``fallback``."""
+        in ``fallback``), and ``dirty`` names every server whose two
+        filters differ."""
         servers = self.servers
         width = self.family.num_bits
         expected = [0] * width
@@ -233,6 +248,12 @@ class CellIndex:
             raise AssertionError(
                 f"cell {cell}: slice {self.slices[cell]:#b}, filters {expected[cell]:#b}"
             )
+        drifted = {
+            sid for sid, server in servers.items()
+            if server.local_filter._bits != server.published_filter._bits
+        }
+        if not drifted <= self.dirty <= servers.keys():
+            raise AssertionError(f"dirty {sorted(self.dirty)}, drifted {sorted(drifted)}")
         if self.everyone != sum(map(_local, servers)):
             raise AssertionError(f"everyone {self.everyone:#b}, servers {sorted(servers)}")
         if self.scope.keys() != servers.keys() or self.fallback.keys() != servers.keys():

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.bloom.algebra import needs_update
 from repro.bloom.compressed import transfer_cost_report
 from repro.bloom.hashing import shared_family
-from repro.core.cellindex import CellIndex
+from repro.core.cellindex import CellIndex, set_bits
 from repro.core.config import GHBAConfig
 from repro.core import reconfiguration
 from repro.core.group import Group, GroupError
@@ -35,6 +35,7 @@ from repro.core.walk import walk
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
 from repro.core.server import MetadataServer, check_mutations
 from repro.metadata.attributes import FileMetadata
+from repro.metadata.namespace import subtree_bounds
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
@@ -247,6 +248,17 @@ def populate_servers(
     return placement
 
 
+def _rename_bounds(old_prefix: str, new_prefix: str) -> Optional[Tuple[str, str]]:
+    """``subtree_bounds(old_prefix)`` for a rename, once per rename; None
+    when the rename changes nothing.  Raises ``ValueError`` unless both
+    prefixes are absolute."""
+    if not old_prefix.startswith("/") or not new_prefix.startswith("/"):
+        raise ValueError("prefixes must be absolute paths")
+    if old_prefix == new_prefix:
+        return None
+    return subtree_bounds(old_prefix)
+
+
 #: ``walk`` numbers levels as ``QueryLevel`` does; an index is cheaper than
 #: the enum's by-value constructor on a path every query takes, and the
 #: label beside each level is cheaper than its ``label`` property.
@@ -420,14 +432,17 @@ class _ModelWalk:
     # ---- L4: global multicast -------------------------------------------
     def broadcast(self) -> Optional[int]:
         cluster, net, origin_id = self.cluster, self.net, self.origin_id
-        others = [sid for sid in cluster.servers if sid != origin_id]
-        lost_nodes: List[int] = []
-        if self.faults.enabled and others:
+        requests = replies = cluster.num_servers - 1
+        lost_nodes: Sequence[int] = ()
+        if self.faults.enabled and requests:
+            # Only the fault filter needs the other servers by name.
+            others = [sid for sid in cluster.servers if sid != origin_id]
             others, lost_nodes = self.faults.filter_targets(origin_id, others)
+            replies = len(others)
         self.latency += net.global_multicast_ms(cluster.num_servers)
         self.latency += self.q_ms
         # Requests go to every other MDS; only the reachable ones reply.
-        self.messages += (cluster.num_servers - 1) + len(others)
+        self.messages += requests + replies
         if lost_nodes:
             self.degraded = True
             self.latency += self.rtt  # waited out the silent nodes
@@ -455,7 +470,7 @@ class _ModelWalk:
             l4_detail = {"lost": len(lost_nodes)} if lost_nodes else {}
             self.hop(
                 "global_multicast",
-                msg=(cluster.num_servers - 1) + len(others),
+                msg=requests + replies,
                 found=found_home is not None,
                 **l4_detail,
             )
@@ -601,6 +616,10 @@ class GHBACluster:
             ),
             self.servers,
         )
+        #: Per path, the origins whose L1 array holds it: bit ``1 << sid``
+        #: for each (the arrays keep it, DESIGN.md §15), so a delete or a
+        #: rename invalidates at those origins and no others.
+        self.l1_holders: Dict[str, int] = {}
 
     def _register_metrics(self, seed: int) -> None:
         """Register every metric family the query path increments."""
@@ -692,6 +711,7 @@ class GHBACluster:
         self.servers[server_id] = server
         bisect.insort(self._sorted_ids, server_id)
         self.index.join(server)
+        server.lru.join_holders(self.l1_holders, 1 << server_id)
         return server
 
     def _new_group(self, group_id: Optional[int] = None) -> Group:
@@ -729,10 +749,19 @@ class GHBACluster:
         return list(self._sorted_ids)
 
     def home_of(self, path: str) -> Optional[int]:
-        """Ground-truth home MDS of ``path`` (None if nonexistent)."""
-        for server in self.servers.values():
-            if server.has_metadata(path):
-                return server.server_id
+        """Ground-truth home MDS of ``path`` (None if nonexistent).
+
+        Only the stores whose live filter may hold ``path`` are asked:
+        every path enters a store through a call that also sets its bits
+        in the server's filter, and a filter never loses a bit
+        (:meth:`check_invariants` asserts the first).  Were the path
+        stored twice, the lowest id answers, as a scan of every store
+        would.
+        """
+        servers = self.servers
+        for server_id in self.index.holders(path):
+            if servers[server_id].has_metadata(path):
+                return server_id
         return None
 
     def record_at(self, home_id: int, path: str) -> Optional[FileMetadata]:
@@ -816,7 +845,8 @@ class GHBACluster:
         nowhere.  The path's bits linger in the home's Bloom filter until
         the next rebuild (ordinary staleness — queries now pay a false
         verification there and resolve NEGATIVE); stale L1 entries are
-        dropped at every origin, like :meth:`rename_subtree` does.
+        dropped at the origins that hold it, like :meth:`rename_subtree`
+        does.
         """
         home_id = self.home_of(path)
         if home_id is None:
@@ -848,11 +878,10 @@ class GHBACluster:
 
     def _commit_delete(self, home_id: int, path: str) -> int:
         """Remove ``path`` from its home and drop the stale L1 entries at
-        every origin; returns the new path version."""
+        the origins that hold it; returns the new path version."""
         self.servers[home_id].remove_metadata(path)
         version = self._bump_path_version(path)
-        for server in self.servers.values():
-            server.lru.invalidate(path)
+        self._forget_in_l1(path)
         if self._mutation_listeners:
             self._notify(
                 MutationEvent(op="delete", path=path, home_id=home_id)
@@ -862,6 +891,14 @@ class GHBACluster:
                 ChangeEvent(op="delete", path=path, home_id=home_id)
             )
         return version
+
+    def _forget_in_l1(self, path: str) -> None:
+        """Drop ``path`` from the L1 array of every origin holding it."""
+        holders = self.l1_holders.get(path)
+        if holders:
+            servers = self.servers
+            for server_id in set_bits(holders):
+                servers[server_id].lru.invalidate(path)
 
     def populate(
         self, paths: Iterable[str], policy: str = "random"
@@ -883,15 +920,25 @@ class GHBACluster:
         every server re-keys its own matching records and adds the new
         paths to its local filter.  The old paths' bits linger in the
         filter until the next rebuild (ordinary staleness; queries for the
-        old names now resolve NEGATIVE at L4), and replicas refresh through
-        the usual XOR-threshold synchronization.
+        old names now resolve NEGATIVE at L4), stale L1 entries for them
+        are dropped at the origins that hold them, and replicas refresh
+        through the usual XOR-threshold synchronization.
+
+        The rename reaches every server, as it would every MDS, but a
+        server that holds nothing under ``old_prefix`` pays one range
+        check of its store and nothing more.
 
         Returns the number of records renamed (none of which crossed
         servers).
         """
+        bounds = _rename_bounds(old_prefix, new_prefix)
+        if bounds is None:
+            return 0
         renamed = 0
-        for server_id in self.server_ids():
-            renamed += self.rename_subtree_at(server_id, old_prefix, new_prefix)
+        # ``servers`` holds ascending ids, the order server_ids() lists.
+        for server in self.servers.values():
+            if server.store.holds_under(old_prefix, bounds):
+                renamed += self._rekey_at(server, old_prefix, new_prefix, bounds)
         if renamed and self._mutation_listeners:
             self._notify(
                 MutationEvent(
@@ -913,27 +960,37 @@ class GHBACluster:
         replays on precisely the homes it changed and cannot
         double-apply.  Returns the number of records re-keyed.
         """
-        if not old_prefix.startswith("/") or not new_prefix.startswith("/"):
-            raise ValueError("prefixes must be absolute paths")
-        if old_prefix == new_prefix:
+        bounds = _rename_bounds(old_prefix, new_prefix)
+        if bounds is None:
             return 0
-        rekeyed = self.servers[server_id].rekey_subtree(old_prefix, new_prefix)
+        return self._rekey_at(
+            self.servers[server_id], old_prefix, new_prefix, bounds
+        )
+
+    def _rekey_at(
+        self,
+        server: MetadataServer,
+        old_prefix: str,
+        new_prefix: str,
+        bounds: Tuple[str, str],
+    ) -> int:
+        """Re-key ``server``'s records under ``old_prefix`` (``bounds`` is
+        its ``subtree_bounds``), bump both names' versions, drop the old
+        names from the L1 arrays holding them, emit the home's change."""
+        rekeyed = server.rekey_subtree(old_prefix, new_prefix, bounds)
         if rekeyed:
             for path, new_path in rekeyed:
                 # Both names mutated: the old path vanished, the new one
                 # appeared — a buffered mutation based on either is stale.
                 self._bump_path_version(path)
                 self._bump_path_version(new_path)
-            # Stale LRU entries for the old names drop at every origin.
-            for other in self.servers.values():
-                for path, _ in rekeyed:
-                    other.lru.invalidate(path)
+                self._forget_in_l1(path)
             if self._change_listeners:
                 self._emit_change(
                     ChangeEvent(
                         op="rename",
                         path=old_prefix,
-                        home_id=server_id,
+                        home_id=server.server_id,
                         new_path=new_prefix,
                     )
                 )
@@ -1228,11 +1285,18 @@ class GHBACluster:
         A server re-publishes when its live filter differs from the last
         published snapshot by more than ``config.update_threshold_bits``
         (or always, with ``force=True``).  The fresh replica goes to one
-        MDS per *other* group, located via that group's IDBFA.
+        MDS per *other* group, located via that group's IDBFA.  Only the
+        servers whose filter changed since they last published
+        (``index.dirty``) are compared, in ascending id order.
         """
         report = SyncReport()
         threshold = self.config.update_threshold_bits
-        for server in self.servers.values():
+        servers = self.servers
+        if force:
+            candidates = servers.values()
+        else:
+            candidates = [servers[sid] for sid in sorted(self.index.dirty)]
+        for server in candidates:
             if not force and not needs_update(
                 server.local_filter, server.published_filter, threshold
             ):
@@ -1379,6 +1443,7 @@ class GHBACluster:
         report = self._carry_out(plan, server_id)
         departed = self.servers.pop(server_id)
         self.index.leave(departed)
+        departed.lru.leave_holders()
         records = list(departed.store.records())
         self._sorted_ids.remove(server_id)
         if crashed:
@@ -1443,6 +1508,7 @@ class GHBACluster:
         for group in self.groups.values():
             # ... and the members really hold what the IDBFA says.
             group.check_mirror_invariant(self.servers)
+        holders: Dict[str, int] = {}
         for server_id, server in self.servers.items():
             stored = sum(meta.size_bytes() for meta in server.store.records())
             if server._metadata_bytes != stored:
@@ -1450,6 +1516,20 @@ class GHBACluster:
                     f"MDS {server_id} accounts {server._metadata_bytes} "
                     f"metadata bytes, its store holds {stored}"
                 )
+            # home_of asks only the stores whose LOCAL bits name a path.
+            for path in server.store.paths():
+                if server_id not in self.index.holders(path):
+                    raise GroupError(
+                        f"MDS {server_id} stores {path!r}, its filter lacks it"
+                    )
+            for path in server.lru._entries:
+                holders[path] = holders.get(path, 0) | 1 << server_id
+        if holders != self.l1_holders:
+            wrong = sorted(
+                path for path in holders.keys() | self.l1_holders.keys()
+                if holders.get(path) != self.l1_holders.get(path)
+            )
+            raise GroupError(f"L1 holder map differs from the L1 arrays at {wrong[:5]}")
 
     def replicas_per_server(self) -> Dict[int, int]:
         """theta of every server — Table 5's memory driver."""

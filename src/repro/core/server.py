@@ -248,16 +248,14 @@ class MetadataServer:
         stale bit until the next rebuild (exactly the staleness the paper
         attributes false positives to).  Returns True if the path existed.
         """
-        meta = self.store.get(path) if path in self.store else None
-        removed = self.store.remove(path, missing_ok=True)
-        if removed:
-            if meta is not None:
-                self._metadata_bytes -= meta.size_bytes()
-            self._refresh_record_accounting()
-        return removed
+        if path not in self.store:
+            return False
+        self._metadata_bytes -= self.store.pop(path).size_bytes()
+        self._refresh_record_accounting()
+        return True
 
     def rekey_subtree(
-        self, old_prefix: str, new_prefix: str
+        self, old_prefix: str, new_prefix: str, bounds: Tuple[str, str]
     ) -> List[Tuple[str, str]]:
         """Re-key every record at or under ``old_prefix`` to the same
         place under ``new_prefix``; returns the ``(old, new)`` names.
@@ -267,14 +265,14 @@ class MetadataServer:
         next rebuild) and the byte accounting follows the names, because a
         record's size includes its path.  Victims come from the store's
         path index and are re-keyed in sorted order (DESIGN.md §17 names
-        where that order can be observed).
+        where that order can be observed).  ``bounds`` is
+        ``subtree_bounds(old_prefix)``, computed once per rename.
         """
         store = self.store
         skip = len(old_prefix)
         rekeyed = []
-        for path in store.paths_under(old_prefix):
-            meta = store.get(path)
-            store.remove(path)
+        for path in store.paths_under(old_prefix, bounds):
+            meta = store.pop(path)
             renamed = meta.renamed(new_prefix + path[skip:])
             self._metadata_bytes -= meta.size_bytes()
             # As in insert_metadata: a record overwritten under the new
@@ -353,10 +351,12 @@ class MetadataServer:
         index takes the bits that differ."""
         index = self._index
         if index is not None:
-            index.local_changed(self.server_id, self.local_filter._bits ^ local._bits)
+            # Published first: the live filter's change leaves the server
+            # marked as drifted, whatever the two filters now hold.
             index.published(
                 self.server_id, self.published_filter._bits ^ published._bits
             )
+            index.local_changed(self.server_id, self.local_filter._bits ^ local._bits)
         self.local_filter = local
         self.published_filter = published
         self._refresh_memory_accounting()

