@@ -8,7 +8,12 @@ the lines each timed operation executes in each top-level package of
 
 - ``fleet_zipf_lookup``: every timed query, averaged per query;
 - ``fleet_churn``: every timed op, averaged per op kind (query, insert,
-  delete, rename, sync, join, leave).
+  delete, rename, sync, join, leave);
+- ``gw_hot_lookup`` and ``gw_cold_scan``: every timed tick, averaged per
+  looked-up path;
+- ``gw_write_mix``: every timed call, averaged per call kind (create,
+  delete, rename, a lookup tick of five paths) and the closing flush
+  barrier.
 
 Set-up and warm-up run untraced first, exactly as the benchmark runs them
 (so hash memos and L1 arrays are warm).  Line events differ between
@@ -32,11 +37,20 @@ from typing import Callable, Dict, List, Tuple
 
 import repro
 from bench.workloads.fleet import FleetChurn, FleetZipfLookup
+from bench.workloads.gateway import (
+    LOOKUPS_PER_VIRTUAL_S,
+    GatewayColdScan,
+    GatewayHotLookup,
+    GatewayWriteMix,
+)
 from repro.metadata.attributes import FileMetadata
 
 REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 CHURN_KINDS = {"q": "query", "i": "insert", "d": "delete", "r": "rename",
                "sync": "sync", "add": "join", "rm": "leave"}
+WRITE_MIX_KINDS = {"c": "create", "d": "delete", "r": "rename", "t": "tick",
+                   "barrier": "barrier"}
+Rows = List[Tuple[str, int, Dict[str, int]]]
 
 
 class LineCounter:
@@ -70,7 +84,7 @@ class LineCounter:
         return packages
 
 
-def zipf_lookup(seed: int, seconds: float) -> List[Tuple[str, int, Dict[str, int]]]:
+def zipf_lookup(seed: int, seconds: float) -> Rows:
     workload = FleetZipfLookup()
     inputs = workload.generate(seed, seconds)
     system = workload.build(inputs, seed, None)
@@ -82,7 +96,7 @@ def zipf_lookup(seed: int, seconds: float) -> List[Tuple[str, int, Dict[str, int
     return [("fleet_zipf_lookup query", len(inputs["timed"]), counter.by_package())]
 
 
-def fleet_churn(seed: int, seconds: float) -> List[Tuple[str, int, Dict[str, int]]]:
+def fleet_churn(seed: int, seconds: float) -> Rows:
     """Each timed op of the benchmark's ``FleetChurn.timed`` loop, with its
     arguments made the way that loop makes them."""
     workload = FleetChurn()
@@ -121,6 +135,53 @@ def fleet_churn(seed: int, seconds: float) -> List[Tuple[str, int, Dict[str, int
     ]
 
 
+def gateway_lookups(workload, seed: int, seconds: float) -> Rows:
+    """Each timed tick of the lookup workloads' ``timed`` loop, on the
+    virtual clock that loop keeps."""
+    inputs = workload.generate(seed, seconds)
+    system = workload.build(inputs, seed, None)
+    workload.warm_up(system, inputs)
+    counter = LineCounter()
+    lookup_tick = system.client.lookup_tick
+    now = system.now
+    lookups = 0
+    for tick in inputs["ticks"]:
+        counter.run(lookup_tick, tick, now)
+        lookups += len(tick)
+        now += len(tick) / LOOKUPS_PER_VIRTUAL_S
+    return [(f"{workload.name} lookup", lookups, counter.by_package())]
+
+
+def write_mix(seed: int, seconds: float) -> Rows:
+    """Each timed call of ``GatewayWriteMix.timed``, then its barrier."""
+    workload = GatewayWriteMix()
+    inputs = workload.generate(seed, seconds)
+    system = workload.build(inputs, seed, None)
+    workload.warm_up(system, inputs)
+    client = system.client
+    calls = {"t": client.lookup_tick, "d": client.delete, "r": client.rename}
+    counters: Dict[str, LineCounter] = {}
+    ops: Dict[str, int] = {}
+    now = system.now
+    for op in inputs["ops"]:
+        kind = op[0]
+        counter = counters.setdefault(kind, LineCounter())
+        if kind == "c":
+            counter.run(lambda: client.create(op[1], now, home_id=op[2]))
+        else:
+            counter.run(calls[kind], *op[1:], now)
+        ops[kind] = ops.get(kind, 0) + 1
+        now += workload.CALL_DT_S
+    counters["barrier"] = LineCounter()
+    counters["barrier"].run(client.flush_barrier, now)
+    ops["barrier"] = 1
+    return [
+        (f"gw_write_mix {name}", ops[kind], counters[kind].by_package())
+        for kind, name in WRITE_MIX_KINDS.items()
+        if kind in ops
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -128,7 +189,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
-    rows = zipf_lookup(args.seed, args.seconds) + fleet_churn(args.seed, args.seconds)
+    rows = (
+        zipf_lookup(args.seed, args.seconds)
+        + fleet_churn(args.seed, args.seconds)
+        + gateway_lookups(GatewayHotLookup(), args.seed, args.seconds)
+        + gateway_lookups(GatewayColdScan(), args.seed, args.seconds)
+        + write_mix(args.seed, args.seconds)
+    )
     packages = sorted({package for _, _, counts in rows for package in counts})
     print(f"lines per op under src/repro, seed {args.seed}, --seconds {args.seconds}, "
           f"Python {sys.version_info.major}.{sys.version_info.minor}")

@@ -20,6 +20,9 @@ from typing import Dict
 
 from repro.metadata.namespace import ancestor_paths, normalize_path
 
+#: ``rebalance`` stops once max/mean access load is at most this.
+IMBALANCE_THRESHOLD = 1.5
+
 
 class DynamicSubtreePartition:
     """A subtree partition with load-triggered subtree migration.
@@ -28,27 +31,16 @@ class DynamicSubtreePartition:
     ----------
     assignments:
         Initial ``{subtree_path: server_id}`` including "/".
-    imbalance_threshold:
-        ``rebalance`` stops once max/mean access load is below this.
     """
 
-    def __init__(
-        self,
-        assignments: Dict[str, int],
-        imbalance_threshold: float = 1.5,
-    ) -> None:
+    def __init__(self, assignments: Dict[str, int]) -> None:
         normalized = {
             normalize_path(path): server_id
             for path, server_id in assignments.items()
         }
         if "/" not in normalized:
             raise ValueError("assignments must include the root '/'")
-        if imbalance_threshold < 1.0:
-            raise ValueError(
-                f"imbalance_threshold must be >= 1, got {imbalance_threshold}"
-            )
         self._assignments = normalized
-        self._threshold = imbalance_threshold
         self._subtree_hits: Dict[str, int] = {}
         self._migrations = 0
 
@@ -110,7 +102,7 @@ class DynamicSubtreePartition:
             mean = sum(loads.values()) / len(loads)
             hottest_server = max(loads, key=lambda s: (loads[s], s))
             coldest_server = min(loads, key=lambda s: (loads[s], s))
-            if mean == 0 or loads[hottest_server] / mean <= self._threshold:
+            if mean == 0 or loads[hottest_server] / mean <= IMBALANCE_THRESHOLD:
                 break
             candidates = [
                 (self._subtree_hits.get(subtree, 0), subtree)

@@ -138,8 +138,11 @@ class BloomFilterArray:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def query(self, item: object) -> ArrayLookup:
-        """Probe every filter; return the set of hits.
+    def _hits(self, item: object) -> List[int]:
+        """IDs of the filters that may hold ``item``, in array order: the
+        one probe loop behind :meth:`query`, :meth:`query_into` and
+        :meth:`probe_batch`, none of which calls another (each is its own
+        span in a layered trace).
 
         Filters sharing a hash family (the common case: every MDS uses the
         same geometry so replicas stay comparable — and interning hands
@@ -155,6 +158,11 @@ class BloomFilterArray:
                 mask = family.mask(item)
             if (bloom._bits & mask) == mask:
                 hits.append(home_id)
+        return hits
+
+    def query(self, item: object) -> ArrayLookup:
+        """Probe every filter; return the set of hits."""
+        hits = self._hits(item)
         probes = len(self._filters)
         if hits:
             return ArrayLookup(hits=tuple(hits), probes=probes)
@@ -170,36 +178,17 @@ class BloomFilterArray:
         The L2 probe unions the array's hits with its local filter's; this
         variant skips the :class:`ArrayLookup` allocation (DESIGN.md §15).
         """
-        family = None
-        mask = 0
-        for home_id, bloom in self._pairs:
-            if bloom._hashes is not family:
-                family = bloom._hashes
-                mask = family.mask(item)
-            if (bloom._bits & mask) == mask:
-                hits.add(home_id)
+        hits.update(self._hits(item))
         return len(self._filters)
 
     def probe_batch(self, items: Sequence[object]) -> List[ArrayLookup]:
-        """Batched :meth:`query`: one walk of the array per item, with the
-        per-call plumbing (filter iteration setup, family dispatch) hoisted
-        out of the loop.  Semantically identical to ``[self.query(i) for i
-        in items]``."""
-        filters = self._pairs
-        probes = len(filters)
-        out: List[ArrayLookup] = []
-        for item in items:
-            hits: List[int] = []
-            family = None
-            mask = 0
-            for home_id, bloom in filters:
-                if bloom._hashes is not family:
-                    family = bloom._hashes
-                    mask = family.mask(item)
-                if (bloom._bits & mask) == mask:
-                    hits.append(home_id)
-            out.append(ArrayLookup(hits=tuple(hits), probes=probes))
-        return out
+        """Batched :meth:`query`: one walk of the array per item.
+        Semantically identical to ``[self.query(i) for i in items]``."""
+        probes = len(self._filters)
+        return [
+            ArrayLookup(hits=tuple(self._hits(item)), probes=probes)
+            for item in items
+        ]
 
     # ------------------------------------------------------------------
     # Accounting
@@ -489,6 +478,8 @@ class LRUBloomFilterArray:
 
         Returns the number of entries removed.
         """
+        if home_id not in self._filters:
+            return 0  # every entry's home has a filter: none names this one
         victims = [
             item for item, home in self._entries.items() if home == home_id
         ]

@@ -13,19 +13,23 @@ test reads the k counters at the item's memoized cells, and the packed
 L1 array, which probes many of these at once, keeps its own transposed
 index over them instead of a packed form per filter.
 
-Storage: one byte per cell (two when ``counter_bits > 8``), not a list of
-Python ints — a fleet holds one of these per (MDS, home) pair.  That is
-the process's footprint; :meth:`CountingBloomFilter.size_bytes` stays the
-*modelled* ``counter_bits`` per cell that the memory budget counts.
+Storage: one byte per cell, not a list of Python ints — a fleet holds one
+of these per (MDS, home) pair.  That is the process's footprint;
+:meth:`CountingBloomFilter.size_bytes` stays the *modelled*
+:data:`COUNTER_BITS` per cell that the memory budget counts.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, List
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.hashing import HashFamily, shared_family
+
+#: Width of each counter (at most 8: a counter is one byte).  Counters
+#: saturate at ``2**COUNTER_BITS - 1`` rather than overflowing; 4 bits is
+#: the classic choice and overflows with negligible probability.
+COUNTER_BITS = 4
 
 
 class CountingBloomFilter:
@@ -39,10 +43,6 @@ class CountingBloomFilter:
         Number of hash functions (``k``).
     seed:
         Hash family seed.
-    counter_bits:
-        Width of each counter; counters saturate at ``2**counter_bits - 1``
-        rather than overflowing (4 bits is the classic choice and overflows
-        with negligible probability).
     """
 
     __slots__ = ("_counters", "_hashes", "_num_items", "_max_count")
@@ -52,20 +52,13 @@ class CountingBloomFilter:
         num_counters: int,
         num_hashes: int,
         seed: int = 0,
-        counter_bits: int = 4,
     ) -> None:
         if num_counters <= 0:
             raise ValueError(f"num_counters must be positive, got {num_counters}")
-        if counter_bits <= 0 or counter_bits > 16:
-            raise ValueError(f"counter_bits must be in [1, 16], got {counter_bits}")
-        self._counters = (
-            bytearray(num_counters)
-            if counter_bits <= 8
-            else array("H", [0]) * num_counters
-        )
+        self._counters = bytearray(num_counters)
         self._hashes = shared_family(num_hashes, num_counters, seed)
         self._num_items = 0
-        self._max_count = (1 << counter_bits) - 1
+        self._max_count = (1 << COUNTER_BITS) - 1
 
     # ------------------------------------------------------------------
     # Properties
@@ -213,6 +206,6 @@ class CountingBloomFilter:
         )
 
     def size_bytes(self) -> int:
-        """Approximate in-memory payload size (counter_bits per cell)."""
+        """Approximate in-memory payload size (COUNTER_BITS per cell)."""
         bits = len(self._counters) * max(1, self._max_count.bit_length())
         return (bits + 7) // 8

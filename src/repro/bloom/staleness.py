@@ -25,6 +25,9 @@ from dataclasses import dataclass
 from repro.bloom.analysis import false_positive_rate
 from repro.bloom.bloom_filter import BloomFilter
 
+#: Random probes :func:`measure_staleness` draws.
+STALENESS_PROBES = 1_000
+
 
 @dataclass(frozen=True)
 class StalenessRates:
@@ -105,9 +108,7 @@ def expected_l4_escape_rate(
     return fraction_queries_to_fresh_items * (1.0 - group_coverage)
 
 
-def measure_staleness(
-    live: BloomFilter, replica: BloomFilter, probes: int = 1_000
-) -> float:
+def measure_staleness(live: BloomFilter, replica: BloomFilter) -> float:
     """Empirical drift: fraction of random probes the two filters disagree on.
 
     A cheap Monte-Carlo alternative to the XOR bit-difference for deciding
@@ -116,11 +117,9 @@ def measure_staleness(
     """
     if not live.is_compatible(replica):
         raise ValueError("filters are incompatible")
-    if probes <= 0:
-        raise ValueError(f"probes must be positive, got {probes}")
     disagreements = 0
-    for index in range(probes):
+    for index in range(STALENESS_PROBES):
         probe = f"__staleness_probe_{index}"
         if live.query(probe) != replica.query(probe):
             disagreements += 1
-    return disagreements / probes
+    return disagreements / STALENESS_PROBES

@@ -31,7 +31,7 @@ from repro.metadata.attributes import FileKind, FileMetadata
 PathLike = Union[str, Path]
 
 #: Bumped on any incompatible format change.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -50,7 +50,6 @@ _CONFIG_FIELDS = (
     "lru_filter_bits",
     "lru_num_hashes",
     "lru_policy",
-    "cooperative_lru",
     "cooperative_fanout",
     "update_threshold_bits",
     "memory_budget_bytes",
@@ -202,7 +201,7 @@ def snapshot(cluster: GHBACluster) -> Dict[str, Any]:
     }
 
 
-def restore(document: Dict[str, Any], seed: int = 0) -> GHBACluster:
+def restore(document: Dict[str, Any]) -> GHBACluster:
     """Reconstruct a cluster from a :func:`snapshot` document."""
     version = document.get("format_version")
     if version != FORMAT_VERSION:
@@ -215,7 +214,7 @@ def restore(document: Dict[str, Any], seed: int = 0) -> GHBACluster:
     # they count into its registry and sit in its cell index.  Every
     # published filter is in before any replica, so a copy equal to its
     # home's published filter is probed through the index.
-    cluster = GHBACluster._unformed(config, seed=seed)
+    cluster = GHBACluster._unformed(config)
     for entry in document["servers"]:
         _load_server(cluster._new_server(entry["server_id"]), entry)
     for entry in document["servers"]:
@@ -263,7 +262,7 @@ def save(cluster: GHBACluster, path: PathLike) -> int:
     return len(payload)
 
 
-def load(path: PathLike, seed: int = 0) -> GHBACluster:
+def load(path: PathLike) -> GHBACluster:
     """Read a checkpoint file back into a live cluster.
 
     Raises :class:`CheckpointError` when the file is torn/truncated
@@ -282,4 +281,4 @@ def load(path: PathLike, seed: int = 0) -> GHBACluster:
             f"corrupt checkpoint {path!s}: expected a JSON object, "
             f"got {type(document).__name__}"
         )
-    return restore(document, seed=seed)
+    return restore(document)

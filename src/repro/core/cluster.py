@@ -279,13 +279,11 @@ class _ModelWalk:
 
     __slots__ = (
         "cluster", "path", "origin_id", "origin", "net", "faults", "span",
-        "mpm", "q_ms", "rtt", "latency", "checkpoint", "messages", "degraded",
+        "mpm", "rtt", "latency", "checkpoint", "messages", "degraded",
         "group",  # the origin's; looked up when the walk first asks for peers
     )
 
-    def __init__(
-        self, cluster: "GHBACluster", path: str, origin_id: int, outstanding: int
-    ) -> None:
+    def __init__(self, cluster: "GHBACluster", path: str, origin_id: int) -> None:
         self.cluster = cluster
         self.path = path
         self.origin_id = origin_id
@@ -297,9 +295,8 @@ class _ModelWalk:
         # The elementary costs are pure functions of fixed inputs, so one
         # evaluation serves every charge site bit-identically.
         self.mpm = net.memory_probe_ms
-        self.q_ms = net.queueing_ms(outstanding)
         self.rtt = net.round_trip_ms()
-        self.latency = self.q_ms
+        self.latency = 0.0
         self.checkpoint = 0.0  # latency already attributed to a span event
         self.messages = 0
         self.degraded = False
@@ -344,7 +341,7 @@ class _ModelWalk:
     def multicast(self) -> Sequence[int]:
         cluster, net, origin_id = self.cluster, self.net, self.origin_id
         group = self.group
-        self.latency += net.group_multicast_ms(group.size) + self.q_ms
+        self.latency += net.group_multicast_ms(group.size)
         if self.faults.enabled:
             peers, lost_peers = self.faults.filter_targets(
                 origin_id, [m for m in group.member_ids() if m != origin_id]
@@ -402,7 +399,7 @@ class _ModelWalk:
             if not reachable:
                 # The forward times out: one request on the wire, no
                 # reply; the query degrades to the next level.
-                self.latency += self.rtt + self.q_ms
+                self.latency += self.rtt
                 self.messages += 1
                 self.degraded = True
                 if traced:
@@ -410,7 +407,7 @@ class _ModelWalk:
                 return False
         cluster._server_forwards.labels(target_id).inc()
         if target_id != origin_id:
-            self.latency += self.rtt + self.q_ms
+            self.latency += self.rtt
             self.messages += 2
             if traced:
                 self.hop("forward", target=target_id, msg=2)
@@ -440,7 +437,6 @@ class _ModelWalk:
             others, lost_nodes = self.faults.filter_targets(origin_id, others)
             replies = len(others)
         self.latency += net.global_multicast_ms(cluster.num_servers)
-        self.latency += self.q_ms
         # Requests go to every other MDS; only the reachable ones reply.
         self.messages += requests + replies
         if lost_nodes:
@@ -483,7 +479,7 @@ class _ModelWalk:
         level, label = _LEVELS[level]
         if home is not None:
             self.origin.record_lru(self.path, home)
-            if cluster.config.cooperative_lru:
+            if cluster.config.cooperative_fanout:
                 hints = cluster._share_lru_hint(origin_id, self.path, home)
                 if hints:
                     self.messages += hints
@@ -557,11 +553,11 @@ class GHBACluster:
         self._bootstrap(num_servers)
 
     @classmethod
-    def _unformed(cls, config: GHBAConfig, seed: int = 0) -> "GHBACluster":
-        """A cluster with no server and no group yet (checkpoint restore
-        fills it through :meth:`_new_server` and :meth:`_new_group`)."""
+    def _unformed(cls, config: GHBAConfig) -> "GHBACluster":
+        """A cluster with no server and no group yet, seed 0 (checkpoint
+        restore fills it through :meth:`_new_server` and :meth:`_new_group`)."""
         cluster = cls.__new__(cls)
-        cluster._setup(config, seed, None, None, None)
+        cluster._setup(config, 0, None, None, None)
         return cluster
 
     def _setup(
@@ -999,12 +995,7 @@ class GHBACluster:
     # ------------------------------------------------------------------
     # The four-level query critical path (Section 2.3)
     # ------------------------------------------------------------------
-    def query(
-        self,
-        path: str,
-        origin_id: Optional[int] = None,
-        outstanding: int = 0,
-    ) -> QueryResult:
+    def query(self, path: str, origin_id: Optional[int] = None) -> QueryResult:
         """Resolve the home MDS of ``path`` through the L1-L4 hierarchy:
         :func:`repro.core.walk.walk` decides, a :class:`_ModelWalk` carries
         each step out on this cluster's servers and books what it costs.
@@ -1016,22 +1007,13 @@ class GHBACluster:
         origin_id:
             MDS receiving the client request (random when omitted —
             "each request can randomly choose an MDS", Section 4).
-        outstanding:
-            Concurrent requests in flight at the involved servers; adds
-            queueing delay per remote hop (drives latency growth with
-            operation intensity).
         """
         if origin_id is None:
             origin_id = self._rng.choice(self._sorted_ids)
-        x = _ModelWalk(self, path, origin_id, outstanding)
+        x = _ModelWalk(self, path, origin_id)
         return x.finish(*walk(x))
 
-    def verify_batch(
-        self,
-        server_id: int,
-        paths: Sequence[str],
-        outstanding: int = 0,
-    ) -> BatchVerifyResult:
+    def verify_batch(self, server_id: int, paths: Sequence[str]) -> BatchVerifyResult:
         """Multi-key direct verification at one MDS — the gateway's batch path.
 
         The gateway groups keys whose expired leases predict the same home
@@ -1049,7 +1031,7 @@ class GHBACluster:
             raise ValueError("verify_batch requires at least one path")
         net = self.config.network
         result = BatchVerifyResult(server_id=server_id)
-        server = self._batch_target(result, outstanding)
+        server = self._batch_target(result)
         if server is None:
             return result
         latency = result.latency_ms
@@ -1073,13 +1055,12 @@ class GHBACluster:
             "Multi-key gateway verifications served, by server.",
         )
 
-    def _batch_target(self, result, outstanding: int) -> Optional[MetadataServer]:
+    def _batch_target(self, result) -> Optional[MetadataServer]:
         """The MDS a one-round-trip batch is addressed to, the round trip
         charged to ``result``; None when it is unknown or silenced (fault
         injection) — ``result`` is then the finished degraded answer: the
         request timed out, one message on the wire, no reply."""
-        net = self.config.network
-        result.latency_ms = net.round_trip_ms() + net.queueing_ms(outstanding)
+        result.latency_ms = self.config.network.round_trip_ms()
         server_id = result.server_id
         unreachable = server_id not in self.servers or (
             self.faults.enabled and self.faults.is_silenced(server_id)
@@ -1108,7 +1089,6 @@ class GHBACluster:
         mutations: Sequence[PathMutation],
         origin: int = 0,
         acked_version: int = 0,
-        outstanding: int = 0,
     ) -> BatchMutateResult:
         """Apply one flushed write-back batch at its home MDS.
 
@@ -1146,7 +1126,7 @@ class GHBACluster:
         check_mutations((m.op, m.path, m.record) for m in mutations)
         net = self.config.network
         result = BatchMutateResult(server_id=server_id)
-        server = self._batch_target(result, outstanding)
+        server = self._batch_target(result)
         if server is None:
             return result
         server.writeback_advance(origin, acked_version)

@@ -34,13 +34,11 @@ class GHBAConfig:
     lru_policy:
         L1 replacement policy: "lru" (the paper's choice), "fifo" or "lfu"
         (the Section 7 replacement-efficiency extension).
-    cooperative_lru:
-        Section 7's cooperative-caching extension: when a query resolves,
-        the origin pushes the learned ``file -> home`` mapping to
-        ``cooperative_fanout`` group peers, warming their L1 arrays too
-        (one message each).  Off by default — the paper's scheme.
     cooperative_fanout:
-        Peers warmed per resolved query when ``cooperative_lru`` is on.
+        Section 7's cooperative-caching extension: when a query resolves,
+        the origin pushes the learned ``file -> home`` mapping to this many
+        group peers, warming their L1 arrays too (one message each).  0,
+        the default, is off — the paper's scheme.
     lru_filter_bits / lru_num_hashes:
         Geometry of the per-home counting filters inside the L1 array.
     update_threshold_bits:
@@ -66,8 +64,7 @@ class GHBAConfig:
     lru_filter_bits: int = 1 << 14
     lru_num_hashes: int = 6
     lru_policy: str = "lru"
-    cooperative_lru: bool = False
-    cooperative_fanout: int = 2
+    cooperative_fanout: int = 0
     update_threshold_bits: int = 64
     memory_budget_bytes: Optional[int] = None
     seed: int = 0

@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult
-from repro.traces.profiles import PROFILES
-from repro.traces.synthetic import SyntheticTraceGenerator
+from repro.experiments.common import ExperimentResult, replay_lookups
 
 
 def run(
@@ -38,7 +35,6 @@ def run(
             "num_ops": num_ops,
         },
     )
-    profile = PROFILES[profile_name]
     for capacity in lru_capacities:
         config = GHBAConfig(
             max_group_size=group_size,
@@ -47,14 +43,9 @@ def run(
             lru_filter_bits=1 << 12,
             seed=seed,
         )
-        cluster = GHBACluster(num_servers, config, seed=seed)
-        generator = SyntheticTraceGenerator(profile, num_files, seed=seed)
-        placement = cluster.populate(generator.paths)
-        cluster.synchronize_replicas(force=True)
-        for record in generator.generate(num_ops):
-            if record.path in placement:
-                cluster.query(record.path)
-        fractions = cluster.level_fractions()
+        cluster, fractions = replay_lookups(
+            config, num_servers, num_files, num_ops, profile_name, seed
+        )
         result.rows.append(
             {
                 "lru_capacity": capacity,

@@ -11,11 +11,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult
-from repro.traces.profiles import PROFILES
-from repro.traces.synthetic import SyntheticTraceGenerator
+from repro.experiments.common import ExperimentResult, replay_lookups
 
 
 def run(
@@ -50,17 +47,11 @@ def run(
         lru_filter_bits=1 << 12,
         seed=seed,
     )
-    profile = PROFILES[profile_name]
     for policy in policies:
         config = dataclasses.replace(base, lru_policy=policy)
-        cluster = GHBACluster(num_servers, config, seed=seed)
-        generator = SyntheticTraceGenerator(profile, num_files, seed=seed)
-        placement = cluster.populate(generator.paths)
-        cluster.synchronize_replicas(force=True)
-        for record in generator.generate(num_ops):
-            if record.path in placement:
-                cluster.query(record.path)
-        fractions = cluster.level_fractions()
+        cluster, fractions = replay_lookups(
+            config, num_servers, num_files, num_ops, profile_name, seed
+        )
         result.rows.append(
             {
                 "policy": policy,

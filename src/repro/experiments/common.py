@@ -1,5 +1,5 @@
 """Shared experiment plumbing: result containers, table rendering, windowed
-series, tracing.
+series, the L1 ablations' replay, tracing.
 
 Experiments that replay queries against a live cluster accept an opt-in
 ``--trace-out PATH`` flag: when given, every query runs under a
@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.cluster import GHBACluster
+from repro.core.config import GHBAConfig
 from repro.obs.trace import NULL_TRACER, CollectingTracer, Tracer
 from repro.obs.export import write_spans_jsonl
+from repro.traces.profiles import PROFILES
+from repro.traces.synthetic import SyntheticTraceGenerator
 
 
 @dataclass
@@ -139,6 +143,27 @@ class SeriesRecorder:
 # ----------------------------------------------------------------------
 # Opt-in query tracing (--trace-out)
 # ----------------------------------------------------------------------
+def replay_lookups(
+    config: GHBAConfig,
+    num_servers: int,
+    num_files: int,
+    num_ops: int,
+    profile_name: str,
+    seed: int,
+) -> Tuple[GHBACluster, Dict[str, float]]:
+    """The L1 ablations' run: build a cluster, place a synthetic trace's
+    files, publish every replica, look up each traced path that exists.
+    Returns the cluster and its per-level hit fractions."""
+    cluster = GHBACluster(num_servers, config, seed=seed)
+    generator = SyntheticTraceGenerator(PROFILES[profile_name], num_files, seed=seed)
+    placement = cluster.populate(generator.paths)
+    cluster.synchronize_replicas(force=True)
+    for record in generator.generate(num_ops):
+        if record.path in placement:
+            cluster.query(record.path)
+    return cluster, cluster.level_fractions()
+
+
 def add_trace_out_argument(parser: argparse.ArgumentParser) -> None:
     """Register the shared ``--trace-out PATH`` option on ``parser``."""
     parser.add_argument(

@@ -30,6 +30,9 @@ from repro.traces.profiles import PROFILES
 from repro.traces.records import MetadataOp
 from repro.traces.synthetic import SyntheticTraceGenerator
 
+#: Latency windows per run.
+WINDOWS = 12
+
 #: The paper's memory configurations per figure (MB).
 PAPER_MEMORY_MB = {
     "HP": (1200, 800, 500),
@@ -69,7 +72,6 @@ def run_one(
     group_size: int = 6,
     num_files: int = 9_000,
     num_ops: int = 30_000,
-    windows: int = 12,
     seed: int = 0,
 ) -> List[Dict[str, object]]:
     """Replay one trace against one scheme at one memory budget.
@@ -107,7 +109,7 @@ def run_one(
     else:
         cluster = HBACluster(num_servers, config, seed=seed)
 
-    series = SeriesRecorder(window_width=max(1, num_ops // windows))
+    series = SeriesRecorder(window_width=max(1, num_ops // WINDOWS))
     inserted: Dict[str, int] = {}
     next_inode = 0
     sync_interval = max(1, num_ops // 20)

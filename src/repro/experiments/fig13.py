@@ -37,14 +37,17 @@ from repro.sim.rng import make_rng
 from repro.traces.profiles import PROFILES
 from repro.traces.synthetic import SyntheticTraceGenerator
 
+#: Operations between two bursts of background creates.
+CHURN_INTERVAL = 400
+#: Share of operations that look up a file created since the last sync.
+CHURN_QUERY_FRACTION = 0.04
+
 
 def run_one(
     num_servers: int,
     profile_name: str = "HP",
     num_files: int = 1_000,
     num_ops: int = 24_000,
-    churn_interval: int = 400,
-    churn_query_fraction: float = 0.04,
     seed: int = 0,
     tracer: Tracer = NULL_TRACER,
 ) -> Dict[str, float]:
@@ -70,7 +73,7 @@ def run_one(
     churn_serial = 0
     recent_unsynced: List[str] = []
     for index, record in enumerate(generator.generate(num_ops)):
-        if index % churn_interval == 0:
+        if index % CHURN_INTERVAL == 0:
             # Background churn scaled with system size: every server keeps
             # creating files, so larger systems carry more stale state
             # between threshold-triggered synchronizations.
@@ -86,7 +89,7 @@ def run_one(
             report = cluster.synchronize_replicas(force=False)
             if report.servers_updated:
                 recent_unsynced.clear()
-        if recent_unsynced and rng.random() < churn_query_fraction:
+        if recent_unsynced and rng.random() < CHURN_QUERY_FRACTION:
             cluster.query(rng.choice(recent_unsynced))
             continue
         if record.path in placement:

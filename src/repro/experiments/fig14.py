@@ -30,6 +30,9 @@ from repro.traces.profiles import PROFILES
 from repro.traces.records import MetadataOp
 from repro.traces.synthetic import SyntheticTraceGenerator
 
+#: Latency windows per run.
+WINDOWS = 8
+
 
 def run_one(
     scheme: str,
@@ -38,7 +41,6 @@ def run_one(
     num_files: int = 2_000,
     num_ops: int = 4_000,
     memory_fraction: float = 0.6,
-    windows: int = 8,
     seed: int = 0,
     tracer: Tracer = NULL_TRACER,
 ) -> List[Dict[str, object]]:
@@ -74,7 +76,7 @@ def run_one(
             ghba_extra * config.filter_bytes if scheme == "ghba" else 0
         )
         proto.set_memory_budget(int(hba_working_set * memory_fraction))
-        series = SeriesRecorder(window_width=max(1, num_ops // windows))
+        series = SeriesRecorder(window_width=max(1, num_ops // WINDOWS))
         vtime = 0.0
         issued = 0
         for record in generator.generate(num_ops * 3):

@@ -137,13 +137,9 @@ class FaultPlan:
         seed: int,
         duration_s: float,
         node_ids: Iterable[int],
-        group: Iterable[int] = (),
-        drop_rate: float = 0.05,
     ) -> "FaultPlan":
-        """The default soak schedule: drops, delays, duplicates, one
-        crash/restart mid-run, and one partition window isolating ``group``
-        (when given) for the middle fifth of the run.
-        """
+        """The default soak schedule: drops, delays, duplicates and one
+        crash/restart mid-run."""
         nodes = sorted(node_ids)
         if not nodes:
             raise ValueError("need at least one node for a chaos plan")
@@ -159,23 +155,12 @@ class FaultPlan:
                 restore_at_s=duration_s * 0.7,
             ),
         )
-        partitions: Tuple[Partition, ...] = ()
-        island = frozenset(group)
-        if island and island != set(nodes):
-            partitions = (
-                Partition(
-                    start_s=duration_s * 0.15,
-                    end_s=duration_s * 0.35,
-                    island=island,
-                ),
-            )
         return cls(
             seed=seed,
-            drop_rate=drop_rate,
+            drop_rate=0.05,
             delay_rate=0.10,
             delay_ms_min=0.5,
             delay_ms_max=3.0,
             duplicate_rate=0.02,
             crashes=crashes,
-            partitions=partitions,
         )

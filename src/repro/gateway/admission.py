@@ -78,11 +78,11 @@ class TokenBucket:
         self._refill(now)
         return self._tokens
 
-    def take(self, now: float, amount: float = 1.0) -> bool:
-        """Consume ``amount`` tokens if available; False means over limit."""
+    def take(self, now: float) -> bool:
+        """Consume one token if available; False means over limit."""
         self._refill(now)
-        if self._tokens >= amount:
-            self._tokens -= amount
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 
@@ -261,11 +261,6 @@ class FairAdmissionController(Generic[T]):
         queue; it cannot crowd another tenant's requests out.
     queue_deadline_s:
         Queue-entry lifetime before a deadline shed.
-    weights:
-        Optional static tenant weights; every weight must be positive.
-        Tenants not listed (including ones first seen mid-run) get
-        ``default_weight`` — an unknown tenant is a first-class citizen,
-        never a rejection.
     per_tenant:
         ``False`` degrades to the legacy single-bucket behaviour (one
         global FIFO, tenant-blind token spending) while still keeping
@@ -279,8 +274,6 @@ class FairAdmissionController(Generic[T]):
         burst: float,
         queue_capacity: int = 64,
         queue_deadline_s: float = 1.0,
-        weights: Optional[Mapping[str, float]] = None,
-        default_weight: float = 1.0,
         per_tenant: bool = True,
     ) -> None:
         if queue_capacity < 0:
@@ -291,20 +284,13 @@ class FairAdmissionController(Generic[T]):
             raise ValueError(
                 f"queue_deadline_s must be positive, got {queue_deadline_s}"
             )
-        if default_weight <= 0:
-            raise ValueError(
-                f"default_weight must be positive, got {default_weight}"
-            )
         self.bucket = TokenBucket(rate_per_s, burst)
         self.queue_capacity = queue_capacity
         self.queue_deadline_s = queue_deadline_s
-        self.default_weight = default_weight
         self.per_tenant = per_tenant
         self.stats = AdmissionStats()  # aggregate across tenants
         self._tenants: Dict[str, _TenantState[T]] = {}
         self._seq = 0  # global enqueue order across tenant queues
-        for tenant, weight in sorted((weights or {}).items()):
-            self.set_weight(tenant, weight)
 
     # ------------------------------------------------------------------
     # Tenant registry
@@ -312,7 +298,9 @@ class FairAdmissionController(Generic[T]):
     def set_weight(self, tenant: str, weight: float) -> None:
         """Set a tenant's weight; zero or negative weights are rejected
         outright (a zero-weight tenant would be starved by construction,
-        which the floor guarantee forbids)."""
+        which the floor guarantee forbids).  A tenant never weighted,
+        including one first seen mid-run, weighs 1.0: a first-class
+        citizen, never a rejection."""
         if weight <= 0:
             raise ValueError(
                 f"tenant {tenant!r} weight must be positive, got {weight}"
@@ -330,7 +318,7 @@ class FairAdmissionController(Generic[T]):
     def _state(self, tenant: str) -> _TenantState[T]:
         state = self._tenants.get(tenant)
         if state is None:
-            state = _TenantState(self.default_weight)
+            state = _TenantState(1.0)
             self._tenants[tenant] = state
         return state
 

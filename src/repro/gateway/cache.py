@@ -247,30 +247,30 @@ class GatewayCache:
     # ------------------------------------------------------------------
     # Hot-entry shielding
     # ------------------------------------------------------------------
-    def pin(self, path: str, now: float, extend: bool = True) -> bool:
-        """Mark ``path`` hot: pin it against eviction, optionally
-        extending its lease.
+    def pin(self, path: str, now: float) -> bool:
+        """Mark ``path`` hot: pin it against eviction and extend its lease
+        (:meth:`pin_all` with ``extend=True``).
 
-        ``extend=True`` renews the lease *without re-validation*, which
+        Returns True when an entry existed to pin.
+        """
+        return self.pin_all((path,), now, True) == 1
+
+    def pin_all(self, paths: Iterable[str], now: float, extend: bool) -> int:
+        """Pin every path of ``paths`` against eviction (the shield
+        refresh: one call per tick for the whole hot set); returns how
+        many had an entry to pin.  The outcome does not depend on
+        iteration order.
+
+        ``extend=True`` renews each lease *without re-validation*, which
         is only safe when an external coherence channel (the cluster
-        mutation hook) invalidates this entry on every mutation.  A
+        mutation hook) invalidates the entry on every mutation.  A
         hook-less gateway — a cohort member or an independent deployment
         — must pass ``extend=False``: repeated touch-renewal would keep
         a hot lease alive forever and serve it stale without bound, the
         exact failure the staleness harness exists to catch.  Pinned,
         unextended entries still expire on schedule and re-earn their
         (hot) TTL at the next validated install.
-
-        Returns True when an entry existed to pin.
         """
-        return self.pin_all((path,), now, extend) == 1
-
-    def pin_all(
-        self, paths: Iterable[str], now: float, extend: bool = True
-    ) -> int:
-        """:meth:`pin` every path of ``paths`` (the shield refresh: one
-        call per tick for the whole hot set); returns how many had an
-        entry to pin.  The outcome does not depend on iteration order."""
         limit = None
         if extend:
             extension = self.hot_lease_ttl_s

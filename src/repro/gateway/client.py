@@ -771,11 +771,9 @@ class MetadataClient:
             latency_ms=self.cluster.round_trip_ms(),
         )
 
-    def delete(
-        self, path: str, now: float = 0.0, tenant: str = "-"
-    ) -> GatewayResponse:
+    def delete(self, path: str, now: float = 0.0) -> GatewayResponse:
         """Delete ``path``; a negative lease remembers the absence."""
-        self._requests.labels("delete", tenant).inc()
+        self._requests.labels("delete", "-").inc()
         if self.writeback is not None:
             return self._buffer_delete(path, now)
         return self._delete_through(path, now)
@@ -801,7 +799,6 @@ class MetadataClient:
         old_prefix: str,
         new_prefix: str,
         now: float = 0.0,
-        tenant: str = "-",
     ) -> int:
         """Rename a subtree; the mutation hook invalidates both prefixes.
 
@@ -813,7 +810,7 @@ class MetadataClient:
         declared lost (counted and recorded), never silently dropped —
         its path is about to change, so re-parking it is not sound.
         """
-        self._requests.labels("rename", tenant).inc()
+        self._requests.labels("rename", "-").inc()
         if self.writeback is not None:
             affected = set(self.writeback.paths_under(old_prefix))
             affected.update(self.writeback.paths_under(new_prefix))

@@ -671,7 +671,6 @@ class GatewayCohort:
         config: Optional[CohortConfig] = None,
         faults: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
         flight: Optional[FlightRecorderHub] = None,
     ) -> None:
         if size < 1:
@@ -679,7 +678,7 @@ class GatewayCohort:
         self.cluster = cluster
         self.config = config or CohortConfig()
         self.faults: FaultInjector = faults if faults is not None else NULL_INJECTOR
-        self.metrics = metrics if metrics is not None else cluster.metrics
+        self.metrics = cluster.metrics
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         self.flight = flight
         self.transport = InProcessTransport(injector=self.faults)
@@ -799,22 +798,18 @@ class GatewayCohort:
                 drained[member.member_id] = responses
         return drained
 
-    def settle(self, now: float, rounds: Optional[int] = None) -> float:
+    def settle(self, now: float) -> float:
         """Run quiescing steps so in-flight protocol traffic lands.
 
-        Advances virtual time by one heartbeat interval per round
-        (default: enough rounds to clear suspicion and the clamp when
-        the fault plan has gone quiet).  Returns the final time.
+        Advances virtual time by one heartbeat interval per round, enough
+        rounds to clear suspicion and the clamp once the fault plan has
+        gone quiet.  Returns the final time.
         """
         cfg = self.config
-        if rounds is None:
-            rounds = (
-                int(
-                    (cfg.suspect_after_s + cfg.ttl_clamp_s)
-                    / cfg.heartbeat_interval_s
-                )
-                + 3
-            )
+        rounds = (
+            int((cfg.suspect_after_s + cfg.ttl_clamp_s) / cfg.heartbeat_interval_s)
+            + 3
+        )
         clock = now
         for _ in range(rounds):
             clock += cfg.heartbeat_interval_s

@@ -103,23 +103,14 @@ def replay_admission(
     paths: Sequence[str],
     rate_per_s: float,
     mode: str,
-    fault_plan=None,
 ) -> Dict[str, object]:
     """One replay of ``lookups`` through a fresh gateway + fleet.
 
     Ticks are fixed ``TICK_S`` windows on the trace clock, and the
     admission queue is drained after the last record so every submitted
-    lookup ends as goodput or an explicit shed.  ``fault_plan`` (a
-    :class:`~repro.faults.plan.FaultPlan`) puts the fleet under a fresh
-    seeded injector — the isolation integration test runs the whole
-    comparison beneath one.
+    lookup ends as goodput or an explicit shed.
     """
-    faults = None
-    if fault_plan is not None:
-        from repro.faults.injector import PlanFaultInjector
-
-        faults = PlanFaultInjector(fault_plan)
-    fleet = spec.fleet(list(paths), faults=faults)
+    fleet = spec.fleet(list(paths))
     gateway = MetadataClient(
         fleet,
         spec.gateway_config(

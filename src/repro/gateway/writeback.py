@@ -71,16 +71,14 @@ class PendingMutation:
     #: the gateway when tracing is enabled; None on the hot path.
     trace: Optional[Tuple[int, int, int]] = None
 
-    def as_path_mutation(
-        self, trace: Optional[Tuple[int, int, int]] = None
-    ) -> PathMutation:
+    def as_path_mutation(self) -> PathMutation:
         return PathMutation(
             version=self.version,
             op=self.op,
             path=self.path,
             record=self.record,
             base_version=self.base_version,
-            trace=trace if trace is not None else self.trace,
+            trace=self.trace,
         )
 
 

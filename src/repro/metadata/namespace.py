@@ -32,10 +32,6 @@ class AlreadyExists(NamespaceError):
     """Raised when creating an object over an existing path."""
 
 
-class DirectoryNotEmpty(NamespaceError):
-    """Raised when removing a non-empty directory without ``recursive``."""
-
-
 def normalize_path(path: str) -> str:
     """Return a canonical absolute path: no trailing slash, no empty parts.
 
@@ -223,10 +219,10 @@ class Namespace:
             )
         self._resolve(path).meta = meta
 
-    def remove(self, path: str, recursive: bool = False) -> int:
+    def remove(self, path: str) -> int:
         """Remove the object at ``path``; return the number removed.
 
-        Non-empty directories require ``recursive=True``.
+        A directory goes with its whole subtree.
         """
         path = normalize_path(path)
         if path == "/":
@@ -236,8 +232,6 @@ class Namespace:
         node = parent.children.get(name)
         if node is None:
             raise PathNotFound(path)
-        if node.children and not recursive:
-            raise DirectoryNotEmpty(path)
         removed = sum(1 for _ in self._iter_subtree(node))
         del parent.children[name]
         self._count -= removed

@@ -61,11 +61,9 @@ class MetadataStore:
             self._records.move_to_end(path)
         return meta
 
-    def remove(self, path: str, missing_ok: bool = False) -> bool:
+    def remove(self, path: str) -> bool:
         """Delete a record; return True if one existed."""
         if self._records.pop(path, None) is None:
-            if not missing_ok:
-                raise KeyError(path)
             return False
         if self._index is not None:
             del self._index[bisect_left(self._index, path)]

@@ -142,12 +142,9 @@ def chain_kinds(tree: TraceTree) -> Tuple[str, ...]:
     return tuple(kind for kind in MUTATION_CHAIN if kind in present)
 
 
-def find_chains(
-    trees: Sequence[TraceTree],
-    required: Sequence[str] = MUTATION_CHAIN,
-) -> List[TraceTree]:
-    """Traces containing every stage in ``required``."""
-    wanted = set(required)
+def find_chains(trees: Sequence[TraceTree]) -> List[TraceTree]:
+    """Traces containing every stage of :data:`MUTATION_CHAIN`."""
+    wanted = set(MUTATION_CHAIN)
     return [tree for tree in trees if wanted.issubset(tree.kinds())]
 
 

@@ -170,16 +170,17 @@ class SnapshotSeries:
     def times(self) -> List[float]:
         return [time_s for time_s, _ in self.snapshots]
 
-    def series(self, metric: str, label: str = "") -> List[Tuple[float, Any]]:
-        """One metric series over time: ``(time_s, value)`` pairs."""
+    def series(self, metric: str) -> List[Tuple[float, Any]]:
+        """One unlabelled metric series over time: ``(time_s, value)``
+        pairs."""
         out: List[Tuple[float, Any]] = []
         for time_s, snapshot in self.snapshots:
             family = snapshot.get(metric)
             if family is None:
                 continue
             series = family["series"]
-            if label in series:
-                out.append((time_s, series[label]))
+            if "" in series:
+                out.append((time_s, series[""]))
         return out
 
     def __len__(self) -> int:

@@ -102,10 +102,10 @@ NULL_RECORDER = NullFlightRecorder()
 class FlightRecorderHub:
     """Owns per-component recorders and dumps them on demand.
 
+    Every recorder the hub creates holds :data:`DEFAULT_CAPACITY` events.
+
     Parameters
     ----------
-    capacity:
-        Ring capacity handed to every recorder the hub creates.
     dump_dir:
         Optional directory; when set, each :meth:`dump` also writes a
         ``flight-<n>-<reason>.json`` file there (created on first dump).
@@ -113,12 +113,8 @@ class FlightRecorderHub:
 
     enabled = True
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        dump_dir: Optional[str] = None,
-    ) -> None:
-        self.capacity = capacity
+    def __init__(self, dump_dir: Optional[str] = None) -> None:
+        self.capacity = DEFAULT_CAPACITY
         self.dump_dir = dump_dir
         self._recorders: Dict[str, FlightRecorder] = {}
         #: Every dump taken, in order (kept in memory for the harnesses).

@@ -208,20 +208,20 @@ PIPELINE_PREFIXES = (
 )
 
 
-def gateway_pipeline_report(registry, prefixes=PIPELINE_PREFIXES) -> str:
+def gateway_pipeline_report(registry) -> str:
     """Counter tables for the write-back / cohort / staleness pipelines.
 
-    Walks the registry for counter families whose names match
-    ``prefixes`` and renders one line per family with its per-series
-    tallies.  Returns ``""`` when no matching family has recorded
-    anything, so runs without those subsystems keep their report
-    byte-identical.
+    Walks the registry for counter families whose names start with one
+    of :data:`PIPELINE_PREFIXES` and renders one line per family with
+    its per-series tallies.  Returns ``""`` when no matching family has
+    recorded anything, so runs without those subsystems keep their
+    report byte-identical.
     """
     rows: List[str] = []
     for family in registry.families():
         if family.kind != "counter" or len(family) == 0:
             continue
-        if not any(family.name.startswith(p) for p in prefixes):
+        if not family.name.startswith(PIPELINE_PREFIXES):
             continue
         series = family.as_dict()  # type: ignore[union-attr]
         if set(series) == {""}:
@@ -278,16 +278,10 @@ def replication_report(registry) -> str:
     return _counter_section(registry, "replication_", "replication counters")
 
 
-def render_report(
-    cluster: "GHBACluster",
-    top: int = 5,
-    gateway: "MetadataClient" = None,
-) -> str:
-    """The full dashboard: health summary plus hotspot ranking.
-
-    When a gateway client fronts the cluster, pass it as ``gateway`` to
-    append the gateway-tier hotspots section.
-    """
+def render_report(cluster: "GHBACluster", top: int = 5) -> str:
+    """The full dashboard: health summary plus hotspot ranking, then the
+    pipeline, transport and replication tables of the cluster's registry
+    (shared by gateways and cohorts that front it)."""
     from repro.core.metrics import summarize  # lazy: avoids import cycle
 
     refresh = getattr(cluster, "refresh_gauges", None)
@@ -301,14 +295,7 @@ def render_report(
         "",
         hotspot_report(cluster, top=top),
     ]
-    if gateway is not None:
-        gateway.refresh_gauges()
-        sections.extend(["", gateway_hotspot_report(gateway, top=top)])
-        registry = gateway.metrics
-    else:
-        # Shared-registry runs (cohort harnesses register on the
-        # cluster's registry) still get the pipeline tables.
-        registry = cluster.metrics
+    registry = cluster.metrics
     pipeline = gateway_pipeline_report(registry)
     if pipeline:
         sections.extend(["", pipeline])

@@ -236,34 +236,29 @@ class SLOEngine:
         self,
         registry: MetricsRegistry,
         objectives: Optional[Sequence[Objective]] = None,
-        windows: Sequence[BurnWindow] = DEFAULT_BURN_WINDOWS,
     ) -> None:
         self.registry = registry
         self.objectives: Tuple[Objective, ...] = tuple(
             default_objectives() if objectives is None else objectives
         )
-        self.windows: Tuple[BurnWindow, ...] = tuple(windows)
+        self.windows: Tuple[BurnWindow, ...] = DEFAULT_BURN_WINDOWS
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate(
-        self,
-        series: Optional[SnapshotSeries] = None,
-        now: Optional[float] = None,
-    ) -> List[SLOResult]:
+    def evaluate(self, series: Optional[SnapshotSeries] = None) -> List[SLOResult]:
         """One :class:`SLOResult` per objective, in declaration order.
 
         When ``series`` is given, counter objectives additionally get
-        per-window burn rates computed from snapshot deltas; ``now``
-        defaults to the newest snapshot's timestamp.
+        per-window burn rates computed from snapshot deltas, each window
+        ending at the newest snapshot.
         """
         results = []
         for objective in self.objectives:
             if objective.kind == "latency":
                 result = self._evaluate_latency(objective)
             else:
-                result = self._evaluate_ratio(objective, series, now)
+                result = self._evaluate_ratio(objective, series)
             results.append(result)
         return results
 
@@ -271,14 +266,13 @@ class SLOEngine:
         self,
         objective: Objective,
         series: Optional[SnapshotSeries],
-        now: Optional[float],
     ) -> SLOResult:
         assert objective.bad is not None and objective.total is not None
         bad = objective.bad.family_sum(self.registry)
         total = objective.total.family_sum(self.registry)
         result = self._make_result(objective, bad, total)
         if series is not None and len(series) >= 1:
-            result.windows = self._window_burns(objective, series, now)
+            result.windows = self._window_burns(objective, series)
         return result
 
     def _evaluate_latency(self, objective: Objective) -> SLOResult:
@@ -327,14 +321,11 @@ class SLOEngine:
         self,
         objective: Objective,
         series: SnapshotSeries,
-        now: Optional[float],
     ) -> List[WindowBurn]:
         assert objective.bad is not None and objective.total is not None
         bad_labels = self._label_names(objective.bad.metric)
         total_labels = self._label_names(objective.total.metric)
-        end_time, end_snapshot = series.snapshots[-1]
-        if now is None:
-            now = end_time
+        now, end_snapshot = series.snapshots[-1]
         burns: List[WindowBurn] = []
         for window in self.windows:
             start = self._baseline(series, now - window.window_s)

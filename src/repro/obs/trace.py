@@ -288,22 +288,12 @@ NULL_TRACER = NullTracer()
 
 
 class CollectingTracer:
-    """Collects finished (and in-flight) spans in memory.
-
-    Parameters
-    ----------
-    max_spans:
-        Optional retention bound; when exceeded, the *oldest* spans are
-        dropped so long-running workloads cannot grow without limit.
-    """
+    """Collects finished (and in-flight) spans in memory, every one."""
 
     enabled = True
 
-    def __init__(self, max_spans: Optional[int] = None) -> None:
-        if max_spans is not None and max_spans <= 0:
-            raise ValueError(f"max_spans must be positive, got {max_spans}")
+    def __init__(self) -> None:
         self.spans: List[Span] = []
-        self._max_spans = max_spans
         self._next_id = 0
 
     def start_span(
@@ -327,8 +317,6 @@ class CollectingTracer:
         )
         self._next_id += 1
         self.spans.append(span)
-        if self._max_spans is not None and len(self.spans) > self._max_spans:
-            del self.spans[: len(self.spans) - self._max_spans]
         return span
 
     @property

@@ -24,7 +24,6 @@ from repro.core.cluster import populate_servers
 from repro.core.config import GHBAConfig
 from repro.core.query import QueryLevel, QueryResult
 from repro.core.walk import walk
-from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -253,13 +252,6 @@ class PrototypeCluster:
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; each :meth:`lookup`
         opens a span over the real request/reply protocol hops.
-    metrics:
-        Optional shared :class:`~repro.obs.registry.MetricsRegistry` for
-        per-level lookup counts, lookup latency and wire message totals.
-    injector:
-        Optional :class:`~repro.faults.injector.FaultInjector` installed
-        on the transport; lookups degrade gracefully (escalating to the
-        global broadcast) instead of failing when it loses messages.
     retry:
         Optional :class:`~repro.faults.retry.RetryPolicy` for the
         transport's request/gather retries.
@@ -272,8 +264,6 @@ class PrototypeCluster:
         scheme: str = "ghba",
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        injector: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
         flight=None,
     ) -> None:
@@ -289,10 +279,9 @@ class PrototypeCluster:
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
         #: Optional FlightRecorderHub; crash_node records and dumps here.
         self.flight = flight
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.transport = InProcessTransport(
-            injector=injector, retry=retry, metrics=self.metrics
-        )
+        #: Per-level lookup counts, lookup latency, wire message totals.
+        self.metrics = MetricsRegistry()
+        self.transport = InProcessTransport(retry=retry, metrics=self.metrics)
         self._lookups_by_level = self.metrics.counter(
             "proto_lookups_total",
             "Prototype lookups resolved, by hierarchy level.",
@@ -429,7 +418,6 @@ class PrototypeCluster:
         self,
         node_id: int,
         paths: List[str],
-        vtime: float = 0.0,
     ) -> Dict[str, object]:
         """Multi-key direct verification at ``node_id`` over the wire.
 
@@ -443,7 +431,7 @@ class PrototypeCluster:
             raise KeyError(f"unknown node {node_id}")
         payload = {"paths": list(paths)}
         return self._batch_request(
-            node_id, MessageKind.VERIFY_BATCH, payload, vtime, "found", {}
+            node_id, MessageKind.VERIFY_BATCH, payload, "found", {}
         )
 
     def _batch_request(
@@ -451,7 +439,6 @@ class PrototypeCluster:
         node_id: int,
         kind: MessageKind,
         payload: Dict[str, object],
-        vtime: float,
         answer: str,
         nothing: object,
     ) -> Dict[str, object]:
@@ -468,7 +455,7 @@ class PrototypeCluster:
             kind=kind,
             sender=CLIENT,
             payload=payload,
-            arrival_vtime=vtime + net.unicast_ms / 1000.0,
+            arrival_vtime=net.unicast_ms / 1000.0,
         )
         try:
             reply = self.transport.request(node_id, message)
@@ -487,7 +474,7 @@ class PrototypeCluster:
         finish = reply.payload["finish_vtime"] + net.unicast_ms / 1000.0
         return {
             answer: reply.payload[answer],
-            "virtual_latency_ms": (finish - vtime) * 1000.0,
+            "virtual_latency_ms": finish * 1000.0,
             "degraded": False,
         }
 
@@ -497,7 +484,6 @@ class PrototypeCluster:
         mutations: List[Dict[str, object]],
         origin: int = 0,
         acked_version: int = 0,
-        vtime: float = 0.0,
     ) -> Dict[str, object]:
         """Flush one write-back mutation batch to ``node_id`` over the wire.
 
@@ -519,7 +505,7 @@ class PrototypeCluster:
             "mutations": list(mutations),
         }
         return self._batch_request(
-            node_id, MessageKind.MUTATE_BATCH, payload, vtime, "outcomes", []
+            node_id, MessageKind.MUTATE_BATCH, payload, "outcomes", []
         )
 
     # ------------------------------------------------------------------

@@ -128,7 +128,6 @@ class ChangeCapture:
         home_id: int,
         record: Optional[FileMetadata] = None,
         new_path: str = "",
-        vtime: Optional[float] = None,
     ) -> CapturedChange:
         """Append one change to ``home_id``'s stream; returns the entry.
 
@@ -143,7 +142,7 @@ class ChangeCapture:
             path=path,
             new_path=new_path,
             record=record,
-            vtime=self.now if vtime is None else vtime,
+            vtime=self.now,
         )
         log.entries.append(entry)
         if self.keep_history:

@@ -16,7 +16,7 @@ the drill can report exact percentiles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.replication.cdc import ChangeCapture
 from repro.replication.ship import ReplicationShipper, ShipReport
@@ -107,7 +107,7 @@ class ReplicationController:
         rank = max(1, int(round(p / 100.0 * len(ordered) + 0.5)))
         return ordered[min(rank, len(ordered)) - 1]
 
-    def summary(self, now: Optional[float] = None) -> Dict[str, object]:
+    def summary(self) -> Dict[str, object]:
         floors = self.shipper.floors
         per_home = {
             str(home): {

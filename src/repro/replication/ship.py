@@ -60,7 +60,6 @@ class ReplicationShipper:
         batch_max: int = 64,
         timeout_s: Optional[float] = None,
         metrics=None,
-        sender: int = SHIPPER_SENDER,
     ) -> None:
         self.capture = capture
         self.transport = transport
@@ -68,7 +67,6 @@ class ReplicationShipper:
         self.epoch = epoch
         self.batch_max = batch_max
         self.timeout_s = timeout_s
-        self.sender = sender
         #: Highest seq ever put on the wire per home (retransmit
         #: accounting: re-shipping below this is a retransmit).
         self.shipped_high: Dict[int, int] = {}
@@ -134,7 +132,7 @@ class ReplicationShipper:
             }
             message = Message(
                 kind=MessageKind.REPL_SHIP,
-                sender=self.sender,
+                sender=SHIPPER_SENDER,
                 payload=payload,
                 arrival_vtime=now,
             )
@@ -195,7 +193,7 @@ class ReplicationShipper:
         }
         message = Message(
             kind=MessageKind.REPL_SYNC,
-            sender=self.sender,
+            sender=SHIPPER_SENDER,
             payload=payload,
             arrival_vtime=now,
         )
@@ -214,13 +212,10 @@ class ReplicationShipper:
             self._syncs.inc()
         return answer
 
-    def status(self, now: float = 0.0) -> Dict[str, Any]:
+    def status(self) -> Dict[str, Any]:
         """Poll the standby's floors/epoch (``REPL_ACK``)."""
         message = Message(
-            kind=MessageKind.REPL_ACK,
-            sender=self.sender,
-            payload={},
-            arrival_vtime=now,
+            kind=MessageKind.REPL_ACK, sender=SHIPPER_SENDER, payload={}
         )
         reply = self.transport.request(
             self.standby_id, message, timeout_s=self.timeout_s
@@ -252,9 +247,7 @@ def fence_probe(
     transport,
     standby_id: int,
     epoch: int,
-    home: int = 0,
     timeout_s: Optional[float] = None,
-    sender: int = SHIPPER_SENDER,
     now: float = 0.0,
 ) -> Dict[str, Any]:
     """Send an empty ``REPL_SHIP`` carrying ``epoch`` and return the
@@ -262,8 +255,8 @@ def fence_probe(
     epoch is rejected (``fenced=True``) after promotion."""
     message = Message(
         kind=MessageKind.REPL_SHIP,
-        sender=sender,
-        payload={"home": home, "epoch": epoch, "acked": 0, "entries": []},
+        sender=SHIPPER_SENDER,
+        payload={"home": 0, "epoch": epoch, "acked": 0, "entries": []},
         arrival_vtime=now,
     )
     reply = transport.request(standby_id, message, timeout_s=timeout_s)

@@ -55,13 +55,11 @@ class StandbyEndpoint:
         cluster: Optional[GHBACluster] = None,
         metrics=None,
         checkpoint_path=None,
-        restore_seed: int = 0,
     ) -> None:
         self.node_id = node_id
         self.cluster = cluster
         self.metrics = metrics
         self.checkpoint_path = checkpoint_path
-        self.restore_seed = restore_seed
         #: Per-home cumulative-ack floor: every seq at or below it has
         #: been applied (or was part of the sync base) — the standby
         #: will never apply it again.
@@ -116,9 +114,7 @@ class StandbyEndpoint:
             self._count_fenced()
             return {"ok": False, "fenced": True, "epoch": self.epoch}
         document = json.loads(payload["checkpoint"])
-        self.cluster = core_checkpoint.restore(
-            document, seed=self.restore_seed
-        )
+        self.cluster = core_checkpoint.restore(document)
         self.floors = {
             int(home): int(seq)
             for home, seq in dict(payload.get("base_seqs", {})).items()
@@ -292,7 +288,6 @@ class StandbyEndpoint:
         node_id: int = 0,
         metrics=None,
         checkpoint_path=None,
-        restore_seed: int = 0,
     ) -> "StandbyEndpoint":
         version = document.get("standby_format")
         if version != STANDBY_FORMAT_VERSION:
@@ -302,15 +297,12 @@ class StandbyEndpoint:
             )
         cluster = None
         if document.get("cluster") is not None:
-            cluster = core_checkpoint.restore(
-                document["cluster"], seed=restore_seed
-            )
+            cluster = core_checkpoint.restore(document["cluster"])
         endpoint = cls(
             node_id=node_id,
             cluster=cluster,
             metrics=metrics,
             checkpoint_path=checkpoint_path,
-            restore_seed=restore_seed,
         )
         endpoint.epoch = int(document["epoch"])
         endpoint.promoted = bool(document["promoted"])
@@ -328,7 +320,6 @@ class StandbyEndpoint:
         node_id: int = 0,
         metrics=None,
         checkpoint_path=None,
-        restore_seed: int = 0,
     ) -> "StandbyEndpoint":
         text = Path(path).read_text(encoding="utf-8")
         try:
@@ -342,7 +333,6 @@ class StandbyEndpoint:
             node_id=node_id,
             metrics=metrics,
             checkpoint_path=checkpoint_path,
-            restore_seed=restore_seed,
         )
 
     # ------------------------------------------------------------------
@@ -363,19 +353,14 @@ class StandbyNode(MailboxNode):
         self,
         node_id: int,
         transport,
-        endpoint: Optional[StandbyEndpoint] = None,
         metrics=None,
         checkpoint_path=None,
     ) -> None:
         super().__init__(f"standby-{node_id}", node_id, transport)
-        self.endpoint = (
-            endpoint
-            if endpoint is not None
-            else StandbyEndpoint(
-                node_id=node_id,
-                metrics=metrics,
-                checkpoint_path=checkpoint_path,
-            )
+        #: A restarted standby swaps in ``StandbyEndpoint.load(path)``
+        #: before :meth:`start`.
+        self.endpoint = StandbyEndpoint(
+            node_id=node_id, metrics=metrics, checkpoint_path=checkpoint_path
         )
 
     def _handle(self, message: Message) -> None:

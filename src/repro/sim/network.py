@@ -35,9 +35,6 @@ class NetworkModel:
     per_destination_send_ms:
         Sender-side overhead per additional multicast destination (models
         serialization at the NIC; makes wide multicasts more expensive).
-    queueing_ms_per_outstanding:
-        Queueing delay added per outstanding request at a server — drives
-        the latency growth with operation intensity in Figures 8-10 and 14.
     """
 
     memory_probe_ms: float = 0.002
@@ -45,7 +42,6 @@ class NetworkModel:
     disk_access_ms: float = 5.0
     unicast_ms: float = 0.2
     per_destination_send_ms: float = 0.01
-    queueing_ms_per_outstanding: float = 0.0005
 
     def __post_init__(self) -> None:
         for name in (
@@ -54,7 +50,6 @@ class NetworkModel:
             "disk_access_ms",
             "unicast_ms",
             "per_destination_send_ms",
-            "queueing_ms_per_outstanding",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -106,9 +101,3 @@ class NetworkModel:
         if num_servers < 1:
             raise ValueError(f"num_servers must be >= 1, got {num_servers}")
         return self.multicast_ms(num_servers - 1)
-
-    def queueing_ms(self, outstanding: int) -> float:
-        """Queueing delay for ``outstanding`` concurrent requests."""
-        if outstanding < 0:
-            raise ValueError(f"outstanding must be non-negative, got {outstanding}")
-        return outstanding * self.queueing_ms_per_outstanding

@@ -316,7 +316,7 @@ class HBACluster:
         if origin_id is None:
             origin_id = self._rng.choice(sorted(self.servers))
         origin = self.servers[origin_id]
-        latency = net.queueing_ms(outstanding)
+        latency = 0.0
         messages = 0
         false_forwards = 0
 
@@ -349,7 +349,7 @@ class HBACluster:
         def forward_and_verify(target_id: int) -> Optional[FileMetadata]:
             nonlocal latency, messages
             if target_id != origin_id:
-                latency += net.round_trip_ms() + net.queueing_ms(outstanding)
+                latency += net.round_trip_ms() + 0.0
                 messages += 2
             return verify_at(self.servers[target_id])
 
@@ -377,7 +377,7 @@ class HBACluster:
 
         # Fallback: global multicast (counted as L4 to align level labels).
         latency += net.global_multicast_ms(self.num_servers)
-        latency += net.queueing_ms(outstanding)
+        latency += 0.0
         messages += 2 * (self.num_servers - 1)
         verify_costs = [net.memory_probe_ms]
         found_home: Optional[int] = None

@@ -81,7 +81,7 @@ class ReferenceQueryCluster(GHBACluster):
         # The elementary costs are pure functions of fixed inputs, so one
         # evaluation serves every charge site bit-identically.
         mpm = net.memory_probe_ms
-        q_ms = net.queueing_ms(outstanding)
+        q_ms = 0.0
         rtt = net.round_trip_ms()
         latency = q_ms
         checkpoint = 0.0  # latency already attributed to a span event
@@ -106,7 +106,7 @@ class ReferenceQueryCluster(GHBACluster):
             nonlocal messages
             if home is not None:
                 origin.record_lru(path, home)
-                if self.config.cooperative_lru:
+                if self.config.cooperative_fanout:
                     hints = self._share_lru_hint(origin_id, path, home)
                     if hints:
                         messages += hints

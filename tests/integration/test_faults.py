@@ -79,7 +79,7 @@ class TestNullInjectorZeroOverhead:
         runs = []
         for kwargs in (
             {},
-            {"injector": NULL_INJECTOR, "retry": RetryPolicy(max_attempts=3)},
+            {"retry": RetryPolicy(max_attempts=3)},
         ):
             with PrototypeCluster(
                 6, _config(), scheme="ghba", seed=21, **kwargs

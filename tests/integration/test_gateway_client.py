@@ -16,7 +16,7 @@ from repro.gateway import GatewayConfig, MetadataClient, Outcome
 from repro.gateway.__main__ import main as gateway_main
 from repro.gateway.scenario import ScenarioSpec
 from repro.gateway.scenarios import run_shield
-from repro.obs.report import gateway_hotspot_report, render_report
+from repro.obs.report import gateway_hotspot_report
 
 
 def _config(seed=11):
@@ -198,7 +198,7 @@ class TestMetricsAndReport:
         cluster, gateway, paths = stack
         for _ in range(40):
             gateway.lookup(paths[0], now=0.0)
-        report = render_report(cluster, gateway=gateway)
+        report = gateway_hotspot_report(gateway)
         assert "hotspots: gateway paths" in report
         assert paths[0] in report
 

@@ -214,7 +214,8 @@ class TestStandbyCrashRestore:
             ckpt, node_id=60, checkpoint_path=str(ckpt)
         )
         assert endpoint.floors == floors_before
-        node2 = StandbyNode(60, transport, endpoint=endpoint)
+        node2 = StandbyNode(60, transport)
+        node2.endpoint = endpoint
         node2.start()
         try:
             # Replay the entire acked history: all duplicates.
@@ -265,7 +266,7 @@ class TestPrototypeCdcHook:
         node = MDSNode(0, config, transport)
         capture = ChangeCapture()
         node.cdc = lambda op, path, record, vtime: capture.capture(
-            op, path, home_id=0, record=record, vtime=vtime
+            op, path, home_id=0, record=record
         )
         node.start()
         try:

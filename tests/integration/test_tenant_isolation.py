@@ -26,8 +26,12 @@ share (isolation is a promise to exactly those tenants).  Asserted:
   meaningful baseline.
 """
 
+import dataclasses
+from typing import Optional
+
 import pytest
 
+from repro.faults.injector import PlanFaultInjector
 from repro.faults.plan import FaultPlan, Partition
 from repro.gateway.admission import fractional_fair_shares
 from repro.gateway.scenario import ScenarioSpec
@@ -41,8 +45,18 @@ RATE_PER_S = 100.0  # half the offered load: genuinely contended
 NUM_TENANTS = 4
 
 
+@dataclasses.dataclass(frozen=True)
+class _UnderFaults(ScenarioSpec):
+    """Every fleet it builds runs beneath a fresh injector of ``plan``."""
+
+    plan: Optional[FaultPlan] = None
+
+    def fleet(self, paths, tracer=None, faults=None):
+        return super().fleet(paths, tracer, PlanFaultInjector(self.plan))
+
+
 def _args(seed):
-    return ScenarioSpec(
+    return _UnderFaults(
         servers=6,
         group_size=4,
         files=400,
@@ -50,6 +64,7 @@ def _args(seed):
         cache_capacity=1024,
         lease_ttl_s=5.0,
         hot_threshold=32,
+        plan=_fault_plan(seed),
     )
 
 
@@ -102,11 +117,10 @@ def _quiet_tenants(fair):
 def test_quiet_tenants_isolated_from_noisy_neighbour(seed):
     args = _args(seed)
     lookups, paths = _lookups(args)
-    plan = _fault_plan(seed)
-    fair = replay_admission(args, lookups, paths, RATE_PER_S, "fair", plan)
-    repeat = replay_admission(args, lookups, paths, RATE_PER_S, "fair", plan)
+    fair = replay_admission(args, lookups, paths, RATE_PER_S, "fair")
+    repeat = replay_admission(args, lookups, paths, RATE_PER_S, "fair")
     global_mode = replay_admission(
-        args, lookups, paths, RATE_PER_S, "global", plan
+        args, lookups, paths, RATE_PER_S, "global"
     )
 
     # Bit-identical counters per seed: same trace + same fault plan →
@@ -126,7 +140,7 @@ def test_quiet_tenants_isolated_from_noisy_neighbour(seed):
     global_breaks = []
     for tenant in quiet:
         mine = [r for r in lookups if r.tenant == tenant]
-        solo = replay_admission(args, mine, paths, RATE_PER_S, "fair", plan)
+        solo = replay_admission(args, mine, paths, RATE_PER_S, "fair")
         solo_stats = solo["per_tenant"][tenant]
         fair_stats = fair["per_tenant"][tenant]
         global_stats = global_mode["per_tenant"].get(
@@ -169,10 +183,9 @@ def test_global_mode_shares_pain_proportionally():
     seed = 3
     args = _args(seed)
     lookups, paths = _lookups(args)
-    plan = _fault_plan(seed)
-    fair = replay_admission(args, lookups, paths, RATE_PER_S, "fair", plan)
+    fair = replay_admission(args, lookups, paths, RATE_PER_S, "fair")
     global_mode = replay_admission(
-        args, lookups, paths, RATE_PER_S, "global", plan
+        args, lookups, paths, RATE_PER_S, "global"
     )
     assert (
         global_mode["per_tenant"][NOISY_TENANT]["goodput"]

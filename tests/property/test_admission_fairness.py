@@ -65,11 +65,10 @@ def _generate_ticks(seed, length=80):
 def _run(seed, ticks):
     """Replay ``ticks``; return a failure description or ``None``."""
     controller = FairAdmissionController(
-        rate_per_s=40.0,
-        burst=8.0,
-        queue_capacity=0,
-        weights=WEIGHTS,
+        rate_per_s=40.0, burst=8.0, queue_capacity=0
     )
+    for tenant, weight in sorted(WEIGHTS.items()):
+        controller.set_weight(tenant, weight)
     for now, demands in ticks:
         items = [
             (tenant, f"{tenant}{index}")
@@ -151,7 +150,7 @@ def test_idle_tenants_redistribute_to_the_hungry():
     tenants idle, the demanding tenant takes the whole tick's tokens —
     not just its own quarter-share."""
     controller = FairAdmissionController(
-        rate_per_s=40.0, burst=8.0, queue_capacity=0, weights=WEIGHTS
+        rate_per_s=40.0, burst=8.0, queue_capacity=0
     )
     # Register every tenant so the controller knows the idle ones exist.
     for tenant in TENANTS:

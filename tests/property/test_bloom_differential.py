@@ -41,6 +41,7 @@ from repro.bloom.algebra import (
 )
 from repro.bloom.bloom_filter import BloomFilter, popcount
 from repro.bloom.compressed import compress_filter, decompress_filter
+from repro.bloom import counting
 from repro.bloom.counting import CountingBloomFilter
 
 from tests._reference_bloom import (
@@ -147,9 +148,13 @@ class _Mirror:
         self.ref = [
             RefBloomFilter(num_bits, num_hashes, hash_seed) for _ in range(2)
         ]
-        self.clive = CountingBloomFilter(
-            num_bits, num_hashes, hash_seed, counter_bits=counter_bits
-        )
+        # The live counter width is a module constant: build this one at
+        # the script's width, as the reference is.
+        width, counting.COUNTER_BITS = counting.COUNTER_BITS, counter_bits
+        try:
+            self.clive = CountingBloomFilter(num_bits, num_hashes, hash_seed)
+        finally:
+            counting.COUNTER_BITS = width
         self.cref = RefCountingBloomFilter(
             num_bits, num_hashes, hash_seed, counter_bits=counter_bits
         )

@@ -165,7 +165,9 @@ class _Mirror:
         elif op == "put_negative":
             got, want = cache.put_negative(*arg), ref_cache.put_negative(*arg)
         elif op == "pin":
-            got, want = cache.pin(*arg), ref_cache.pin(*arg)
+            path, now, extend = arg
+            got = cache.pin_all((path,), now, extend) == 1
+            want = ref_cache.pin(path, now, extend)
         elif op == "unpin":
             cache.unpin(arg)
             ref_cache.unpin(arg)

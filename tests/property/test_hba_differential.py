@@ -8,8 +8,8 @@ accounting and ``Counter`` / ``LatencyRecorder`` bookkeeping.  This suite
 drives both through seeded scripts — populate (both policies), inserts
 with and without a home, deletes that no sync follows (stale replicas and
 stale L1 entries: the false-forward paths), queries with and without an
-origin (the clusters' own RNG streams must stay in step), at
-``outstanding`` 0 and 3, with and without a memory budget of 60 % of the
+origin (the clusters' own RNG streams must stay in step), with and
+without a memory budget of 60 % of the
 working set, ``update_server_replicas``, ``synchronize_replicas`` under the
 XOR threshold, ``add_server``, ``remove_server`` — and compares:
 
@@ -39,14 +39,14 @@ from tests._reference_hba import HBACluster as ReferenceHBACluster
 from tests._shrink import greedy_shrink
 
 #: (servers, populate policy, memory budget as a share of the working set
-#: or None, outstanding requests on every query).
+#: or None).
 SHAPES = (
-    (1, "random", None, 0),
-    (4, "round_robin", None, 0),
-    (10, "random", None, 0),
-    (10, "round_robin", 0.6, 3),
-    (16, "random", 0.6, 0),
-    (30, "round_robin", None, 3),
+    (1, "random", None),
+    (4, "round_robin", None),
+    (10, "random", None),
+    (10, "round_robin", 0.6),
+    (16, "random", 0.6),
+    (30, "round_robin", None),
 )
 SEEDS = range(3)
 PATHS = tuple(f"/d{i % 7}/f{i}" for i in range(240))
@@ -111,7 +111,7 @@ class _Twins:
     """The live M = 1 cluster and the frozen HBA class, built alike."""
 
     def __init__(self, shape, seed):
-        servers, policy, budget_share, self.outstanding = shape
+        servers, policy, budget_share = shape
         budget = None
         if budget_share is not None:
             probe = ReferenceHBACluster(servers, _config(seed), seed=seed)
@@ -131,9 +131,9 @@ class _Twins:
             path, draw = arg
             origin = None if draw is None else _pick(live.server_ids(), draw)
             # As tuples: QueryResult's repr rounds what a failure must show.
-            self.last_result = live.query(path, origin, self.outstanding)
+            self.last_result = live.query(path, origin)
             got = tuple(self.last_result)
-            want = tuple(twin.query(path, origin, self.outstanding))
+            want = tuple(twin.query(path, origin))
         elif op == "insert":
             inode, draw = arg
             meta = FileMetadata(path=f"/new/f{inode}", inode=inode)
@@ -234,7 +234,7 @@ def _run(shape, seed, ops):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"N{s[0]}-{s[1]}-{s[2]}-q{s[3]}")
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"N{s[0]}-{s[1]}-{s[2]}")
 def test_hba_at_m1_matches_the_frozen_cluster(shape, seed):
     ops = _generate_ops(seed * 100 + shape[0])
     failure = _run(shape, seed, ops)

@@ -57,7 +57,7 @@ def _config(seed):
         lru_filter_bits=32,
         lru_num_hashes=2,
         lru_policy=POLICIES[seed % 3],
-        cooperative_lru=seed % 2 == 0,
+        cooperative_fanout=2 if seed % 2 == 0 else 0,
         update_threshold_bits=4,
         seed=7,
     )

@@ -93,5 +93,5 @@ class TestRemoveProperties:
                 continue
         tops = {meta.path for meta in ns.walk() if meta.path.count("/") == 1}
         for top in tops - {"/"}:
-            ns.remove(top, recursive=True)
+            ns.remove(top)
         assert len(ns) == 1  # only the root remains

@@ -12,7 +12,7 @@ L2 and L3 are refuted) and at the home only (stale L1 entries: L1 is
 refuted and forgotten), subtree renames, syncs under the XOR threshold,
 joins and departures with splits and merges, a fault plan whose partition
 window opens and closes, a silenced MDS, per-leg message loss, cooperative
-LRU hints, ``outstanding > 0``, M = 1, N = 1, tracing on and off.  After
+LRU hints, M = 1, N = 1, tracing on and off.  After
 every op it compares with ``==``:
 
 - the ``QueryResult`` as a tuple (``latency_ms`` bit for bit);
@@ -46,7 +46,6 @@ class Shape:
     servers: int
     group_size: int
     cooperative: bool = False
-    outstanding: int = 0
     faults: bool = False
     drop_rate: float = 0.0
     traced: bool = True
@@ -56,7 +55,6 @@ class Shape:
             flag
             for flag, on in (
                 ("-coop", self.cooperative),
-                (f"-q{self.outstanding}", self.outstanding),
                 ("-faults", self.faults),
                 ("-loss", self.drop_rate),
                 ("-untraced", not self.traced),
@@ -68,13 +66,13 @@ class Shape:
 
 SHAPES = (
     Shape(1, 4),
-    Shape(6, 1, outstanding=2),
+    Shape(6, 1),
     Shape(9, 4),
     Shape(9, 4, traced=False, faults=True),
-    Shape(10, 3, cooperative=True, outstanding=3),
+    Shape(10, 3, cooperative=True),
     Shape(12, 4, faults=True),
     Shape(12, 4, faults=True, drop_rate=0.08, cooperative=True),
-    Shape(14, 7, faults=True, outstanding=1),
+    Shape(14, 7, faults=True),
 )
 SEEDS = range(5)
 PATHS = tuple(f"/d{i % 7}/s{i % 3}/f{i}" for i in range(260))
@@ -90,8 +88,7 @@ def _config(shape, seed):
         lru_filter_bits=1 << 8,
         lru_num_hashes=3,
         update_threshold_bits=8,
-        cooperative_lru=shape.cooperative,
-        cooperative_fanout=2,
+        cooperative_fanout=2 if shape.cooperative else 0,
         seed=seed,
     )
 
@@ -209,11 +206,8 @@ class _Twins:
         if op == "query":
             path, draw = arg
             origin = None if draw is None else _pick(live.server_ids(), draw)
-            outstanding = self.shape.outstanding
             # As tuples: QueryResult's repr rounds what a failure must show.
-            got, want = self._both(
-                lambda c: tuple(c.query(path, origin, outstanding))
-            )
+            got, want = self._both(lambda c: tuple(c.query(path, origin)))
             self.last_result = live_result = got
             if got != want:
                 return f"returned {live_result!r}, reference {want!r}"

@@ -122,7 +122,7 @@ def _run(seed, ops):
     primary = _build_primary(seed)
     capture = ChangeCapture(keep_history=True)
     capture.attach(primary)
-    standby = StandbyEndpoint(restore_seed=seed)
+    standby = StandbyEndpoint()
     base_seqs = {h: capture.last_seq(h) for h in capture.homes()}
     standby.apply_sync(
         {
@@ -161,9 +161,7 @@ def _run(seed, ops):
             # Durable round-trip through the checkpoint document: the
             # restored endpoint must dedup any replay that follows.
             document = json.loads(json.dumps(standby.checkpoint_doc()))
-            standby = StandbyEndpoint.restore_doc(
-                document, restore_seed=seed
-            )
+            standby = StandbyEndpoint.restore_doc(document)
 
     # Faultless final drain: every pending entry ships in order.
     for _ in range(10_000):
@@ -219,7 +217,7 @@ def test_oracle_is_not_vacuous():
     primary = _build_primary(3)
     capture = ChangeCapture(keep_history=True)
     capture.attach(primary)
-    standby = StandbyEndpoint(restore_seed=3)
+    standby = StandbyEndpoint()
     standby.apply_sync(
         {
             "epoch": 1,

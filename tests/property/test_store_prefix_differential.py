@@ -85,7 +85,7 @@ def _apply(store, op, arg):
     elif op == "get":
         store.get(arg)
     elif op == "remove":
-        store.remove(arg, missing_ok=True)
+        store.remove(arg)
     elif op == "clear":
         store.clear()
     elif op == "under":

@@ -40,7 +40,7 @@ class TestStoreModelConformance:
                 if path in model:
                     model.move_to_end(path)
             else:
-                assert store.remove(path, missing_ok=True) == (
+                assert store.remove(path) == (
                     model.pop(path, None) is not None
                 )
             assert len(store) == len(model)

@@ -48,7 +48,7 @@ class _FilterFirstWalk(_ModelWalk):
         if self.faults.enabled and target_id != origin_id:
             reachable, _ = self.faults.filter_targets(origin_id, (target_id,))
             if not reachable:
-                self.latency += self.rtt + self.q_ms
+                self.latency += self.rtt
                 self.messages += 1
                 self.degraded = True
                 if traced:
@@ -56,7 +56,7 @@ class _FilterFirstWalk(_ModelWalk):
                 return False
         cluster._server_forwards.labels(target_id).inc()
         if target_id != origin_id:
-            self.latency += self.rtt + self.q_ms
+            self.latency += self.rtt
             self.messages += 2
             if traced:
                 self.hop("forward", target=target_id, msg=2)
@@ -77,15 +77,15 @@ class _FilterFirstWalk(_ModelWalk):
         return meta is not None
 
 
-def _reference_query(cluster, path, origin_id, outstanding):
-    x = _FilterFirstWalk(cluster, path, origin_id, outstanding)
+def _reference_query(cluster, path, origin_id):
+    x = _FilterFirstWalk(cluster, path, origin_id)
     return x.finish(*walk(x))
 
 
-def _reference_verify_batch(cluster, server_id, paths, outstanding):
+def _reference_verify_batch(cluster, server_id, paths):
     net = cluster.config.network
     result = BatchVerifyResult(server_id=server_id)
-    server = cluster._batch_target(result, outstanding)
+    server = cluster._batch_target(result)
     if server is None:
         return result
     latency = result.latency_ms
@@ -163,7 +163,6 @@ ops = st.one_of(
         st.lists(probe_names, min_size=1, max_size=6),
         server_index,
         st.booleans(),  # address the batch to the first path's home
-        st.integers(0, 2),  # outstanding
         st.sampled_from((0.0, 0.25, 1.5)),  # the node's arrival vtime
     ),
 )
@@ -202,7 +201,7 @@ class _Twin:
 
     def probe(self, op):
         """Everything the probe asks, as plain comparable values."""
-        _, paths, index, at_home, outstanding, arrival = op
+        _, paths, index, at_home, arrival = op
         cluster = self.cluster
         ids = cluster.server_ids()
         target = ids[index % len(ids)]
@@ -219,10 +218,10 @@ class _Twin:
             arrival_vtime=arrival,
         )
         if self.reference:
-            verified = _reference_verify_batch(cluster, target, paths, outstanding)
+            verified = _reference_verify_batch(cluster, target, paths)
             replies = [_reference_on_verify_batch(node, batch)]
         else:
-            verified = cluster.verify_batch(target, paths, outstanding)
+            verified = cluster.verify_batch(target, paths)
             replies = [node._on_verify_batch(batch)]
         queries = []
         for path in paths:
@@ -235,10 +234,10 @@ class _Twin:
             origin = ids[(index + len(queries)) % len(ids)]
             if self.reference:
                 replies.append(_reference_on_verify(node, single))
-                queries.append(_reference_query(cluster, path, origin, outstanding))
+                queries.append(_reference_query(cluster, path, origin))
             else:
                 replies.append(node._on_verify(single))
-                queries.append(cluster.query(path, origin, outstanding))
+                queries.append(cluster.query(path, origin))
         return (
             [reply.payload for reply in replies],
             vars(verified),
@@ -277,7 +276,7 @@ def test_store_first_verify_equals_filter_first(
             f"/d{d}/f{f}" for d in range(DIRS) for f in range(0, FILES, 2)
         )
         twin.cluster.synchronize_replicas(force=True)
-    for op in script + [("probe", final, 0, True, 0, 0.0)]:
+    for op in script + [("probe", final, 0, True, 0.0)]:
         if op[0] == "probe":
             live, ref = (twin.probe(op) for twin in twins)
             assert live == ref

@@ -1,5 +1,9 @@
 """Unit tests for Bloom filter arrays (plain, LRU and IDBFA)."""
 
+import ast
+import inspect
+import textwrap
+
 import pytest
 
 from repro.bloom.arrays import (
@@ -102,6 +106,21 @@ class TestBloomFilterArray:
         assert lookups == [array.query(item) for item in probes]
         assert all(3 in lookup.hits for lookup in lookups[:-1])
         assert array.probe_batch([]) == []
+
+    def test_no_probe_entry_calls_another(self):
+        """The benchmark's layer ledger wraps all three by name; one
+        calling another would nest a probe span inside a probe span."""
+        entries = {"query", "query_into", "probe_batch"}
+        source = textwrap.dedent(inspect.getsource(BloomFilterArray))
+        for node in ast.parse(source).body[0].body:
+            if isinstance(node, ast.FunctionDef) and node.name in entries:
+                called = {
+                    sub.func.attr
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Attribute)
+                }
+                assert not called & entries, (node.name, called & entries)
 
     def test_size_bytes_sums_replicas(self):
         array = BloomFilterArray()

@@ -114,6 +114,14 @@ class TestFormatGuards:
         with pytest.raises(checkpoint.CheckpointError, match="format 1"):
             checkpoint.restore(document)
 
+    def test_version_2_document_with_cooperative_lru_rejected(self, live_cluster):
+        """``cooperative_lru`` folded into ``cooperative_fanout`` (0 = off)."""
+        document = checkpoint.snapshot(live_cluster)
+        document["format_version"] = 2
+        document["config"]["cooperative_lru"] = False
+        with pytest.raises(checkpoint.CheckpointError, match="format 2"):
+            checkpoint.restore(document)
+
     def test_corrupt_payload_rejected(self, live_cluster, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -106,13 +106,6 @@ class TestQueryCorrectness:
                     return
         pytest.skip("no suitable origin found")
 
-    def test_queueing_adds_latency(self, populated_cluster):
-        cluster, placement = populated_cluster
-        path = next(iter(placement))
-        relaxed = cluster.query(path, origin_id=0, outstanding=0)
-        loaded = cluster.query(path, origin_id=0, outstanding=10_000)
-        assert loaded.latency_ms > relaxed.latency_ms
-
 
 class TestGroupOfOne:
     """A group with no peers has no L3: a query that misses L1 and L2 goes
@@ -150,16 +143,6 @@ class TestGroupOfOne:
         assert result.latency_ms == pytest.approx(
             l1 + l2 + forward + refuted + l4, rel=1e-12
         )
-
-    def test_no_queueing_charged_for_the_absent_multicast(self, stale):
-        net = stale.config.network
-        relaxed = stale.query("/gone", origin_id=0)
-        loaded = stale.query("/gone", origin_id=0, outstanding=3)
-        # Arrival, the one forward, the global multicast: three hops queue.
-        assert loaded.latency_ms - relaxed.latency_ms == pytest.approx(
-            3 * net.queueing_ms(3), rel=1e-9
-        )
-        assert loaded.messages == relaxed.messages
 
 
 class TestMetrics:

@@ -11,9 +11,7 @@ from repro.core.query import QueryLevel
 
 @pytest.fixture
 def coop_config(small_config):
-    return dataclasses.replace(
-        small_config, cooperative_lru=True, cooperative_fanout=2
-    )
+    return dataclasses.replace(small_config, cooperative_fanout=2)
 
 
 class TestHintSharing:
@@ -46,9 +44,7 @@ class TestHintSharing:
         assert coop_result.messages == plain_result.messages + 2
 
     def test_fanout_capped_by_group_size(self, small_config):
-        config = dataclasses.replace(
-            small_config, cooperative_lru=True, cooperative_fanout=50
-        )
+        config = dataclasses.replace(small_config, cooperative_fanout=50)
         cluster = GHBACluster(4, config, seed=1)
         cluster.populate(["/coop/only"])
         cluster.synchronize_replicas(force=True)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bloom import counting
 from repro.bloom.counting import CountingBloomFilter
 
 
@@ -56,10 +57,6 @@ class TestBasics:
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
             CountingBloomFilter(0, 4)
-        with pytest.raises(ValueError):
-            CountingBloomFilter(64, 4, counter_bits=0)
-        with pytest.raises(ValueError):
-            CountingBloomFilter(64, 4, counter_bits=17)
 
 
 class TestCounters:
@@ -69,9 +66,10 @@ class TestCounters:
             cbf.add("multi")
         assert cbf.count_estimate("multi") >= 3
 
-    def test_saturation_does_not_false_negative(self):
+    def test_saturation_does_not_false_negative(self, monkeypatch):
         """Saturated counters must stay saturated through removals."""
-        cbf = CountingBloomFilter(8, 2, counter_bits=2)  # max count 3
+        monkeypatch.setattr(counting, "COUNTER_BITS", 2)
+        cbf = CountingBloomFilter(8, 2)  # max count 3
         for i in range(40):
             cbf.add(f"i{i}")  # guaranteed saturation on 8 counters
         cbf.discard("i0")
@@ -136,8 +134,11 @@ class TestCountersAreTheOnlyState:
             yield
 
     @pytest.mark.parametrize("cells, hashes, counter_bits", CORNERS)
-    def test_query_is_every_counter_nonzero(self, cells, hashes, counter_bits):
-        cbf = CountingBloomFilter(cells, hashes, counter_bits=counter_bits)
+    def test_query_is_every_counter_nonzero(
+        self, cells, hashes, counter_bits, monkeypatch
+    ):
+        monkeypatch.setattr(counting, "COUNTER_BITS", counter_bits)
+        cbf = CountingBloomFilter(cells, hashes)
         probes = [f"/f/{i}" for i in range(12)] + [f"/q/{i}" for i in range(40)]
         repeats = 0
         for _ in self._script(cbf):
@@ -153,9 +154,10 @@ class TestCountersAreTheOnlyState:
 
     @pytest.mark.parametrize("cells, hashes, counter_bits", CORNERS)
     def test_packed_forms_are_the_counters_cell_by_cell(
-        self, cells, hashes, counter_bits
+        self, cells, hashes, counter_bits, monkeypatch
     ):
-        cbf = CountingBloomFilter(cells, hashes, counter_bits=counter_bits)
+        monkeypatch.setattr(counting, "COUNTER_BITS", counter_bits)
+        cbf = CountingBloomFilter(cells, hashes)
         saturated = False
         for _ in self._script(cbf):
             counters = cbf.counters()
@@ -172,38 +174,25 @@ class TestCountersAreTheOnlyState:
 
 
 class TestTypedStorage:
-    """Counters live in a ``bytearray`` (``array('H')`` beyond 8 bits);
-    nothing a caller can see depends on which."""
+    """Counters live in a ``bytearray``."""
 
-    def test_wide_counters_keep_their_width_and_ceiling_through_copy(self):
-        cbf = CountingBloomFilter(8, 1, counter_bits=12)
-        for _ in range(4_090):
-            cbf.add("x")
-        clone = cbf.copy()
-        assert clone._counters.itemsize == cbf._counters.itemsize == 2
-        assert clone.max_count == 4_095
-        for _ in range(10):
-            cbf.add("x")
-            clone.add("x")
-        assert max(clone.counters()) == max(cbf.counters()) == 4_095
-        clone.remove("x")  # saturated: stays put
-        assert clone.counters() == cbf.counters()
-
-    def test_narrow_counters_saturate_without_overflowing_their_byte(self):
-        cbf = CountingBloomFilter(8, 1, counter_bits=8)
+    def test_narrow_counters_saturate_without_overflowing_their_byte(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(counting, "COUNTER_BITS", 8)
+        cbf = CountingBloomFilter(8, 1)
         for _ in range(300):
             cbf.add("x")
         assert max(cbf.counters()) == 255
 
     def test_clear_zeroes_in_place(self):
-        for counter_bits in (4, 12):
-            cbf = CountingBloomFilter(64, 3, counter_bits=counter_bits)
-            storage = cbf._counters
-            cbf.update(f"i{i}" for i in range(20))
-            cbf.clear()
-            assert cbf._counters is storage
-            assert not any(storage) and cbf.nonzero_value == 0
-            assert cbf.num_items == 0 and "i3" not in cbf
+        cbf = CountingBloomFilter(64, 3)
+        storage = cbf._counters
+        cbf.update(f"i{i}" for i in range(20))
+        cbf.clear()
+        assert cbf._counters is storage
+        assert not any(storage) and cbf.nonzero_value == 0
+        assert cbf.num_items == 0 and "i3" not in cbf
 
     def test_counters_is_a_list_copy(self):
         cbf = CountingBloomFilter(16, 2)
@@ -215,4 +204,3 @@ class TestTypedStorage:
 
     def test_size_bytes_is_the_modelled_width_not_the_storage(self):
         assert CountingBloomFilter(4096, 6).size_bytes() == 2_048
-        assert CountingBloomFilter(4096, 6, counter_bits=12).size_bytes() == 6_144

@@ -67,11 +67,10 @@ class TestFaultPlan:
         assert not plan.severed(0, 1, 2.0)  # end is exclusive
 
     def test_chaos_schedule_is_reproducible_data(self):
-        a = FaultPlan.chaos(7, 10.0, range(8), group=(0, 1))
-        b = FaultPlan.chaos(7, 10.0, range(8), group=(0, 1))
+        a = FaultPlan.chaos(7, 10.0, range(8))
+        b = FaultPlan.chaos(7, 10.0, range(8))
         assert a == b
         assert a.crashes[0].node_id == 7 % 8
-        assert a.partitions[0].island == frozenset({0, 1})
 
 
 # ----------------------------------------------------------------------

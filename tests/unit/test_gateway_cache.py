@@ -127,9 +127,9 @@ class TestLRU:
             cache.put("/b", 1, _record("/b"), 0.0, hot=True)
             cache.put_negative("/gone", 0.0)
         paths = {"/a", "/b", "/gone", "/absent"}
-        assert batch.pin_all(paths, 1.0, extend=False) == 2
-        assert sum(one.pin(p, 1.0, extend=False) for p in sorted(paths)) == 2
-        assert batch.pin_all(paths, 2.0) == 2
+        assert batch.pin_all(paths, 1.0, extend=True) == 2
+        assert sum(one.pin(p, 1.0) for p in sorted(paths)) == 2
+        assert batch.pin_all(paths, 2.0, extend=True) == 2
         assert sum(one.pin(p, 2.0) for p in sorted(paths)) == 2
         for path in ("/a", "/b", "/gone"):
             assert batch.peek(path) == one.peek(path)

@@ -412,7 +412,7 @@ class TestLogTruncation:
         left.create("/fs/held", clock)  # seq 6, multicast to right
         right.drain(clock)  # held above the reset floor; sync requested
         assert list(right.streams[left.member_id].held) == [6]
-        cohort.settle(clock, rounds=40)
+        cohort.settle(clock)
         stream = right.streams[left.member_id]
         assert stream.floor == 6
         assert stream.held == {}

@@ -7,10 +7,12 @@ Counted, not timed (the pattern of ``test_gateway_scaling.py``): under
 - one ``rename_subtree`` of a 12-file directory must be *equal* with
   2 000 and with 64 000 files in the fleet (the parent walked every
   stored path on every server per rename: ``for path in
-  server.store.paths()``), and
+  server.store.paths()``),
 - one ``insert_file`` and one ``delete_file`` must be *equal* with 2 and
   with 29 per-home filters in the home's L1 array (the parent re-summed
-  every filter's size on each: ``sum(bloom.size_bytes() for …)``).
+  every filter's size on each: ``sum(bloom.size_bytes() for …)``), and
+- one ``LRUBloomFilterArray.invalidate_home`` of a home the array holds
+  no filter of must be *equal* with 4 and with 400 cached entries.
 
 Lines are the unit because the C-level work left on the path is a
 handful of calls whatever the store holds: two ``bisect`` searches and a
@@ -148,6 +150,21 @@ def test_insert_and_delete_cost_is_independent_of_l1_filter_count():
         cluster.check_invariants()
     assert inserts[0] == inserts[1] > 0
     assert deletes[0] == deletes[1] > 0
+
+
+def test_a_departure_costs_a_survivor_nothing_when_it_caches_no_entry_of_it():
+    """Every survivor's L1 hears of a departure; one that holds no filter
+    of the departed MDS runs the same lines at 4 and at 400 entries (it
+    used to list the whole L1 to find no victim)."""
+    counts = []
+    for entries in (4, 400):
+        lru = LRUBloomFilterArray(512, filter_bits=1 << 8, num_hashes=3)
+        for index in range(entries):
+            lru.record(f"/cached/f{index}", index % 4)
+        assert lru.num_filters == 4
+        counts.append(_lines(lambda: lru.invalidate_home(99)))
+        assert len(lru) == entries
+    assert counts[0] == counts[1] > 0
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from repro.metadata.namespace import (
     AlreadyExists,
-    DirectoryNotEmpty,
     Namespace,
     NamespaceError,
     NotADirectory,
@@ -128,12 +127,10 @@ class TestRemoval:
         assert ns.remove("/f") == 1
         assert not ns.exists("/f")
 
-    def test_remove_nonempty_dir_needs_recursive(self):
+    def test_remove_takes_the_subtree(self):
         ns = Namespace()
         ns.ensure_file("/d/f")
-        with pytest.raises(DirectoryNotEmpty):
-            ns.remove("/d")
-        assert ns.remove("/d", recursive=True) == 2
+        assert ns.remove("/d") == 2
         assert not ns.exists("/d")
 
     def test_remove_root_rejected(self):
@@ -148,7 +145,7 @@ class TestRemoval:
         ns = Namespace()
         ns.ensure_file("/a/b/c")
         before = len(ns)
-        ns.remove("/a", recursive=True)
+        ns.remove("/a")
         assert len(ns) == before - 3
 
 

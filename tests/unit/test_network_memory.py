@@ -54,11 +54,6 @@ class TestNetworkModel:
         net = NetworkModel(unicast_ms=0.3)
         assert net.round_trip_ms() == pytest.approx(0.6)
 
-    def test_queueing_linear(self):
-        net = NetworkModel(queueing_ms_per_outstanding=0.01)
-        assert net.queueing_ms(100) == pytest.approx(1.0)
-        assert net.queueing_ms(0) == 0.0
-
     def test_rejects_negative_constants(self):
         with pytest.raises(ValueError):
             NetworkModel(disk_access_ms=-1)

@@ -55,10 +55,10 @@ class TestNullRecorder:
 
 class TestHub:
     def test_recorder_is_lazily_created_and_cached(self):
-        hub = FlightRecorderHub(capacity=4)
+        hub = FlightRecorderHub()
         a = hub.recorder("gateway-0")
         assert a is hub.recorder("gateway-0")
-        assert a.capacity == 4
+        assert a.capacity == DEFAULT_CAPACITY
         hub.recorder("cohort-1")
         assert hub.components() == ["cohort-1", "gateway-0"]
 

@@ -177,7 +177,7 @@ class TestBurnWindows:
             bad=select("bad_total"), total=select("req_total"),
         )
         engine = SLOEngine(registry, objectives=[objective])
-        (result,) = engine.evaluate(series=series, now=100.0)
+        (result,) = engine.evaluate(series=series)
         fast, slow = result.windows
         # Fast window (60s) baseline is the t=0 snapshot (the only one
         # at or before t=40): delta bad=50/total=100 -> burn 5x, below
@@ -221,7 +221,7 @@ class TestBurnWindows:
             bad=select("bad_total"), total=select("req_total"),
         )
         engine = SLOEngine(registry, objectives=[objective])
-        (result,) = engine.evaluate(series=series, now=1000.0)
+        (result,) = engine.evaluate(series=series)
         fast = result.windows[0]
         assert fast.total == 0 and fast.burn_rate == 0.0
         assert not fast.firing

@@ -101,17 +101,6 @@ class TestCollectingTracer:
         assert tracer.finished_spans() == [done]
         assert open_span in tracer.spans
 
-    def test_max_spans_drops_oldest(self):
-        tracer = CollectingTracer(max_spans=2)
-        for i in range(5):
-            tracer.start_span(f"/p{i}", 0)
-        assert [s.path for s in tracer.spans] == ["/p3", "/p4"]
-        assert tracer.started == 5
-
-    def test_max_spans_validated(self):
-        with pytest.raises(ValueError):
-            CollectingTracer(max_spans=0)
-
     def test_clear(self):
         tracer = CollectingTracer()
         tracer.start_span("/a", 0)

@@ -53,6 +53,7 @@ ALLOWED: Dict[str, str] = {
     "repro.bloom.arrays.LRUBloomFilterArray.check_slices": CHECKER,
     "repro.core.cellindex.CellIndex.check_index": CHECKER,
     "repro.core.server.MetadataServer.rebuild_local_filter": CHECKER,
+    "repro.gateway.admission.FairAdmissionController.set_weight": CHECKER,
     "repro.metadata.namespace.Namespace.ensure_file": ORACLE,
     "repro.bloom.arrays.ArrayLookup.is_miss": ACCESSOR,
     "repro.bloom.arrays.IDBloomFilterArray.replica_count": ACCESSOR,

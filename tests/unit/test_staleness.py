@@ -108,8 +108,3 @@ class TestMeasureStaleness:
     def test_incompatible_rejected(self):
         with pytest.raises(ValueError):
             measure_staleness(BloomFilter(64, 2, 0), BloomFilter(64, 2, 1))
-
-    def test_bad_probe_count(self):
-        bloom = BloomFilter(64, 2)
-        with pytest.raises(ValueError):
-            measure_staleness(bloom, bloom.copy(), probes=0)

@@ -47,9 +47,7 @@ class TestUnbounded:
 
     def test_remove_missing(self):
         store = MetadataStore()
-        with pytest.raises(KeyError):
-            store.remove("/ghost")
-        assert store.remove("/ghost", missing_ok=True) is False
+        assert store.remove("/ghost") is False
 
     def test_everything_stays_in_memory(self):
         store = MetadataStore()
