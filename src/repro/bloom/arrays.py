@@ -610,6 +610,11 @@ class LRUBloomFilterArray:
         )
 
 
+#: Counters and hash functions of each member's ID filter in an IDBFA.
+IDBFA_NUM_COUNTERS = 512
+IDBFA_NUM_HASHES = 4
+
+
 class IDBloomFilterArray:
     """The IDBFA (paper Section 2.4): replica localization within a group.
 
@@ -624,15 +629,7 @@ class IDBloomFilterArray:
     simply drops the update), and so invariants can be asserted in tests.
     """
 
-    def __init__(
-        self,
-        num_counters: int = 512,
-        num_hashes: int = 4,
-        seed: int = 0,
-    ) -> None:
-        self._num_counters = num_counters
-        self._num_hashes = num_hashes
-        self._seed = seed
+    def __init__(self) -> None:
         self._filters: Dict[int, CountingBloomFilter] = {}
         self._placements: Dict[int, int] = {}
 
@@ -644,7 +641,7 @@ class IDBloomFilterArray:
         if mds_id in self._filters:
             raise ValueError(f"MDS {mds_id} already a member")
         self._filters[mds_id] = CountingBloomFilter(
-            self._num_counters, self._num_hashes, self._seed
+            IDBFA_NUM_COUNTERS, IDBFA_NUM_HASHES, 0
         )
 
     def remove_member(self, mds_id: int) -> List[int]:
@@ -732,17 +729,6 @@ class IDBloomFilterArray:
             if bloom.query(replica_id)
         )
         return ArrayLookup(hits=hits, probes=len(self._filters))
-
-    def copy(self) -> "IDBloomFilterArray":
-        """Deep copy — multicast to a newly joined MDS clones the IDBFA."""
-        clone = IDBloomFilterArray(
-            self._num_counters, self._num_hashes, self._seed
-        )
-        clone._filters = {
-            mds_id: bloom.copy() for mds_id, bloom in self._filters.items()
-        }
-        clone._placements = dict(self._placements)
-        return clone
 
     def size_bytes(self) -> int:
         return sum(bloom.size_bytes() for bloom in self._filters.values())

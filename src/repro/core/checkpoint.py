@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, Union
 
 from repro.bloom.bloom_filter import BloomFilter
+from repro.core import reconfiguration
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.server import MetadataServer
@@ -230,6 +231,11 @@ def restore(document: Dict[str, Any]) -> GHBACluster:
         for replica_id, host in entry["placements"].items():
             group.idbfa.place(int(replica_id), host)
     cluster._next_group_id = document["next_group_id"]
+    cluster.directory = reconfiguration.Directory(
+        {gid: group.member_ids() for gid, group in cluster.groups.items()},
+        {gid: group.idbfa.placements() for gid, group in cluster.groups.items()},
+        cluster._next_group_id,
+    )
 
     cluster.check_invariants()
     return cluster

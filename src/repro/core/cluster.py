@@ -1317,15 +1317,6 @@ class GHBACluster:
     # ------------------------------------------------------------------
     # Reconfiguration (Sections 3.1-3.2) and failure handling (4.5)
     # ------------------------------------------------------------------
-    def _directory(self) -> reconfiguration.Directory:
-        """The fleet as :mod:`repro.core.reconfiguration` sees it, read off
-        the groups' membership and IDBFA placements."""
-        return reconfiguration.Directory(
-            {gid: group.member_ids() for gid, group in self.groups.items()},
-            {gid: group.idbfa.placements() for gid, group in self.groups.items()},
-            self._next_group_id,
-        )
-
     def _carry_out(
         self, plan: reconfiguration.Plan, server_id: int
     ) -> ReconfigReport:
@@ -1334,7 +1325,8 @@ class GHBACluster:
         hosts it names — a member arrives in its new group with the first
         step that names it a host there, so what the group did about its
         replica before (fetch it, drop it) happened to an outsider's — then
-        emptied groups and stale IDBFA rows go."""
+        emptied groups and stale IDBFA rows go; the plan's directory is
+        the fleet's from then on."""
         after = plan.directory
         while self._next_group_id < after.next_group_id:
             self._new_group()
@@ -1373,6 +1365,7 @@ class GHBACluster:
                 self.groups[was].idbfa.remove_member(member)
         for gid in self.groups.keys() - after.groups.keys():
             del self.groups[gid]
+        self.directory = after
         cost = plan.cost()
         return ReconfigReport(
             server_id=server_id,
@@ -1387,7 +1380,7 @@ class GHBACluster:
         """Add one MDS (Section 3.1), splitting a group if needed (3.2)."""
         server_id = self._new_server().server_id
         plan = reconfiguration.join(
-            self._directory(), server_id, self.config.max_group_size
+            self.directory, server_id, self.config.max_group_size
         )
         return self._carry_out(plan, server_id)
 
@@ -1419,7 +1412,7 @@ class GHBACluster:
             verb = "fail" if crashed else "remove"
             raise GroupError(f"cannot {verb} the last server of the cluster")
         planner = reconfiguration.fail if crashed else reconfiguration.leave
-        plan = planner(self._directory(), server_id, self.config.max_group_size)
+        plan = planner(self.directory, server_id, self.config.max_group_size)
         report = self._carry_out(plan, server_id)
         departed = self.servers.pop(server_id)
         self.index.leave(departed)
@@ -1470,24 +1463,27 @@ class GHBACluster:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert every structural invariant; raises GroupError on violation."""
+        directory = self.directory
         try:  # sizes, one group per MDS, full mirrors, imbalance <= 1
-            self._directory().check(self.config.max_group_size)
+            directory.check(self.config.max_group_size)
+            directory.check_hosts(
+                {sid: server.hosted_replicas() for sid, server in self.servers.items()}
+            )
         except AssertionError as error:
             raise GroupError(str(error)) from None
-        grouped = {
-            member: gid
+        # ... and the groups are the directory's, in order.
+        groups = [
+            (gid, group.member_ids(), list(group.idbfa.placements().items()))
             for gid, group in self.groups.items()
-            for member in group.member_ids()
-        }
+        ]
+        if groups != [
+            (gid, members, list(directory.placements[gid].items()))
+            for gid, members in directory.groups.items()
+        ]:
+            raise GroupError(f"groups out of step with the directory: {groups}")
+        grouped = {m: gid for gid, members in directory.groups.items() for m in members}
         if grouped != self._group_of:
             raise GroupError(f"group index out of sync: {self._group_of}")
-        if grouped.keys() != self.servers.keys():
-            raise GroupError(
-                f"ungrouped servers: {sorted(self.servers.keys() - grouped.keys())}"
-            )
-        for group in self.groups.values():
-            # ... and the members really hold what the IDBFA says.
-            group.check_mirror_invariant(self.servers)
         holders: Dict[str, int] = {}
         for server_id, server in self.servers.items():
             stored = sum(meta.size_bytes() for meta in server.store.records())

@@ -221,39 +221,6 @@ class Group:
             probes += len(segment._pairs) + 1
         return ArrayLookup(hits=index.lookup(path, scope, pairs), probes=probes)
 
-    # ------------------------------------------------------------------
-    # Invariant checking (used heavily in tests)
-    # ------------------------------------------------------------------
-    def check_mirror_invariant(self, all_server_ids: Iterable[int]) -> None:
-        """Assert the group collectively covers every outside MDS exactly once.
-
-        Raises :class:`GroupError` with a description on violation.
-        """
-        expected = set(all_server_ids) - set(self._members)
-        hosted: Dict[int, int] = {}
-        for member in self.members():
-            for home_id in member.hosted_replicas():
-                if home_id in hosted:
-                    raise GroupError(
-                        f"replica of {home_id} hosted twice in group "
-                        f"{self.group_id} (on {hosted[home_id]} and "
-                        f"{member.server_id})"
-                    )
-                hosted[home_id] = member.server_id
-        if set(hosted) != expected:
-            missing = expected - set(hosted)
-            extra = set(hosted) - expected
-            raise GroupError(
-                f"group {self.group_id} mirror broken: missing={sorted(missing)}, "
-                f"extra={sorted(extra)}"
-            )
-        placements = self.idbfa.placements()
-        if placements != hosted:
-            raise GroupError(
-                f"group {self.group_id} IDBFA out of sync with hosting: "
-                f"idbfa={placements}, actual={hosted}"
-            )
-
     def load_imbalance(self) -> int:
         """Max minus min replicas per member (0 or 1 when balanced)."""
         return imbalance(member.theta for member in self._members.values())

@@ -118,6 +118,24 @@ class Directory:
                 f"group {gid} unbalanced {self.loads(gid)}",
             )
 
+    def check_hosts(self, hosted: Dict[int, List[int]]) -> None:
+        """Raise AssertionError unless the nodes of ``hosted`` are this
+        directory's and each hosts exactly the replicas placed on it."""
+        placed: Dict[int, List[int]] = {
+            node: [] for members in self.groups.values() for node in members
+        }
+        for hosts in self.placements.values():
+            for home, host in hosts.items():
+                placed[host].append(home)
+        if placed.keys() != hosted.keys():
+            raise AssertionError(f"nodes {sorted(hosted)}, directory {sorted(placed)}")
+        for node, homes in placed.items():
+            if sorted(hosted[node]) != sorted(homes):
+                raise AssertionError(
+                    f"node {node} hosts {sorted(hosted[node])}, "
+                    f"the directory places {sorted(homes)}"
+                )
+
 
 @dataclass
 class Plan:

@@ -16,7 +16,7 @@ Nothing in this module reads the wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -126,41 +126,4 @@ class FaultPlan:
         """True when an active partition cuts the ``sender -> dest`` link."""
         return any(
             p.severs(sender, dest) for p in self.partitions if p.active_at(now_s)
-        )
-
-    # ------------------------------------------------------------------
-    # Canned schedules
-    # ------------------------------------------------------------------
-    @classmethod
-    def chaos(
-        cls,
-        seed: int,
-        duration_s: float,
-        node_ids: Iterable[int],
-    ) -> "FaultPlan":
-        """The default soak schedule: drops, delays, duplicates and one
-        crash/restart mid-run."""
-        nodes = sorted(node_ids)
-        if not nodes:
-            raise ValueError("need at least one node for a chaos plan")
-        if duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {duration_s}")
-        # The victim choice is part of the plan, not a runtime draw: derive
-        # it from the seed so the whole schedule is reproducible data.
-        victim = nodes[seed % len(nodes)]
-        crashes = (
-            CrashEvent(
-                at_s=duration_s * 0.4,
-                node_id=victim,
-                restore_at_s=duration_s * 0.7,
-            ),
-        )
-        return cls(
-            seed=seed,
-            drop_rate=0.05,
-            delay_rate=0.10,
-            delay_ms_min=0.5,
-            delay_ms_max=3.0,
-            duplicate_rate=0.02,
-            crashes=crashes,
         )

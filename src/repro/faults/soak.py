@@ -179,9 +179,10 @@ class SoakReport:
 def build_plan(config: SoakConfig, groups: Dict[int, List[int]]) -> FaultPlan:
     """Derive the fault schedule for ``config`` from the cluster layout.
 
-    Mirrors :meth:`FaultPlan.chaos` but honors the config's rate knobs and
-    crash/partition switches; the partition isolates the first group (when
-    there is more than one).
+    Drops, delays and duplicates at the config's rates, one crash/restart
+    mid-run (the victim derived from the seed, so the whole schedule is
+    reproducible data) and a partition that isolates the first group (when
+    there is more than one), each behind its switch.
     """
     node_ids = sorted(nid for members in groups.values() for nid in members)
     crashes: Tuple[CrashEvent, ...] = ()

@@ -700,15 +700,11 @@ class PrototypeCluster:
     # ------------------------------------------------------------------
     def check_directory(self) -> None:
         """Assert each group holds a full, balanced mirror of the outside
-        nodes and that the named hosts really hold the replicas."""
+        nodes and that every node hosts exactly what the directory names."""
         self.directory.check(self.max_group_size)
-        for group_id, placements in self.directory.placements.items():
-            for replica_id, host in placements.items():
-                if replica_id not in self.nodes[host].server.segment:
-                    raise AssertionError(
-                        f"node {host} does not actually host replica "
-                        f"{replica_id} (group {group_id})"
-                    )
+        self.directory.check_hosts(
+            {nid: node.server.hosted_replicas() for nid, node in self.nodes.items()}
+        )
 
     def shutdown(self) -> None:
         """Stop every node thread."""

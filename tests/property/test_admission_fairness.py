@@ -1,8 +1,6 @@
 """Property tests: per-tenant admission vs a weighted max-min oracle.
 
-No hypothesis in the toolchain, so this is a seeded ``random.Random``
-harness with explicit shrinking (the pattern of
-``test_writeback_properties.py``): each seed generates a random sequence
+Seeded scripts on ``tests._harness``: each seed generates a random sequence
 of demand ticks — per tick, each tenant wants 0..8 tokens at a random
 virtual instant — and replays it through a
 :class:`FairAdmissionController` with a zero-capacity queue, so every
@@ -21,7 +19,7 @@ tick:
   ``queue_full`` (capacity 0), and the running stats reconcile exactly
   (``submitted == admitted + shed``, per tenant and in aggregate).
 
-On failure the harness greedily shrinks the tick sequence to a minimal
+On failure the harness shrinks the tick sequence to a minimal
 still-failing subsequence before asserting, so the report is actionable.
 """
 
@@ -35,7 +33,7 @@ from repro.gateway.admission import (
     FairAdmissionController,
 )
 
-from tests._shrink import greedy_shrink
+from tests._harness import check, replay
 
 SEEDS = range(24)
 
@@ -62,14 +60,16 @@ def _generate_ticks(seed, length=80):
     return ticks
 
 
-def _run(seed, ticks):
+def _run(ticks):
     """Replay ``ticks``; return a failure description or ``None``."""
     controller = FairAdmissionController(
         rate_per_s=40.0, burst=8.0, queue_capacity=0
     )
     for tenant, weight in sorted(WEIGHTS.items()):
         controller.set_weight(tenant, weight)
-    for now, demands in ticks:
+
+    def step(tick):
+        now, demands = tick
         items = [
             (tenant, f"{tenant}{index}")
             for tenant in sorted(demands)
@@ -108,6 +108,11 @@ def _run(seed, ticks):
                     f"unexpected shed cause {cause!r} at t={now:.3f} "
                     f"(capacity-0 queue only sheds {SHED_QUEUE_FULL!r})"
                 )
+        return None
+
+    failure = replay(ticks, step)
+    if failure is not None:
+        return failure
     stats = controller.stats
     if stats.admitted + stats.shed != stats.submitted:
         return (
@@ -128,21 +133,9 @@ def _run(seed, ticks):
     return None
 
 
-def _shrink(seed, ticks, failure):
-    """Greedy delta-debug: drop ticks while the failure reproduces."""
-    return greedy_shrink(ticks, lambda c: _run(seed, c) is not None)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_demand_respects_max_min_oracle(seed):
-    ticks = _generate_ticks(seed)
-    failure = _run(seed, ticks)
-    if failure is not None:
-        minimal = _shrink(seed, ticks, failure)
-        pytest.fail(
-            f"seed {seed}: {failure}\nminimal failing schedule "
-            f"({len(minimal)} ticks): {minimal}"
-        )
+    check(seed, _generate_ticks(seed), _run)
 
 
 def test_idle_tenants_redistribute_to_the_hungry():
@@ -160,30 +153,3 @@ def test_idle_tenants_redistribute_to_the_hungry():
     )
     assert len(result.admitted) == 8  # full burst, weight 0.5 or not
     assert not result.shed
-
-
-def test_shrinker_finds_minimal_schedules():
-    """The shrinker itself works: a synthetic always-failing predicate
-    reduces to a single tick (guards against a shrinker that silently
-    stops shrinking and reports giant schedules)."""
-    ticks = _generate_ticks(99, length=30)
-    target = [t for t in ticks if "c" in t[1]]
-    if not target:
-        pytest.skip("schedule never demands from tenant c")
-
-    def fake_run(seed, candidate):
-        return (
-            "synthetic"
-            if any("c" in demands for _, demands in candidate)
-            else None
-        )
-
-    global _run
-    original = _run
-    _run = fake_run
-    try:
-        minimal = _shrink(99, ticks, "synthetic")
-    finally:
-        _run = original
-    assert len(minimal) == 1
-    assert "c" in minimal[0][1]

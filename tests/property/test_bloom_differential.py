@@ -9,11 +9,10 @@ serialized wire form.  ``tests/_reference_bloom.py`` is a frozen copy of
 the pre-packed implementation; this suite replays random op sequences
 through both and diffs everything after every step.
 
-No hypothesis in the toolchain, so this is the repo's standard seeded
-``random.Random`` harness with greedy shrinking (pattern per
-``tests/property/test_writeback_properties.py``): ops carry all their
-randomness, so any subsequence replays deterministically, and a failure
-is first reduced to a minimal still-failing subsequence.
+Seeded scripts on ``tests._harness``: ops carry all their randomness, so
+any subsequence replays deterministically, and a failure is first
+reduced to a minimal still-failing script.  The geometry header stays in
+it, since a script without one replays nothing.
 
 Covered per sequence:
 
@@ -49,7 +48,7 @@ from tests._reference_bloom import (
     RefCountingBloomFilter,
     RefHashFamily,
 )
-from tests._shrink import greedy_shrink
+from tests._harness import check, replay
 
 SEEDS = range(30)
 
@@ -292,41 +291,19 @@ def _apply(mirror, op, arg):
     return None
 
 
-def _run(seed, ops):
+def _run(ops):
     """Replay ``ops``; return a failure description or ``None``."""
     if not ops or ops[0][0] != "geometry":
         return None  # shrinking dropped the header; nothing to replay
     mirror = _Mirror(*ops[0][1])
-    for step, (op, arg) in enumerate(ops[1:], start=1):
-        failure = _apply(mirror, op, arg)
-        if failure is None:
-            failure = mirror.check_state()
-        if failure is not None:
-            return f"step {step} {op}: {failure}"
-    return None
-
-
-def _shrink(seed, ops):
-    """Greedy delta-debug: drop ops while the failure reproduces.
-
-    The geometry header (op 0) is pinned — a sequence without it is
-    vacuously passing, so the shrinker only considers real ops.
-    """
-    return greedy_shrink(
-        ops, lambda c: _run(seed, c) is not None, keep_head=1
+    return replay(
+        ops[1:], lambda op: _apply(mirror, *op) or mirror.check_state()
     )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_packed_substrate_matches_reference(seed):
-    ops = _generate_ops(seed)
-    failure = _run(seed, ops)
-    if failure is not None:
-        minimal = _shrink(seed, ops)
-        pytest.fail(
-            f"seed {seed}: {failure}\nminimal failing sequence "
-            f"({len(minimal)} ops): {minimal}"
-        )
+    check(seed, _generate_ops(seed), _run)
 
 
 def test_remove_raises_in_lockstep():
@@ -342,32 +319,3 @@ def test_remove_raises_in_lockstep():
     live.remove("/present")
     ref.remove("/present")
     assert live.counters() == ref.counters()
-
-
-def test_shrinker_pins_geometry_and_minimizes():
-    """The shrinker reduces a synthetic failure to header + one op."""
-    ops = _generate_ops(7, length=40)
-    assert ops[0][0] == "geometry"
-    target = next(
-        (index for index, (op, _) in enumerate(ops) if op == "cadd"), None
-    )
-    if target is None:
-        pytest.skip("sequence has no cadd")
-    global _run
-    original = _run
-
-    def fake_run(seed, candidate):
-        return (
-            "synthetic"
-            if any(op == "cadd" for op, _ in candidate)
-            else None
-        )
-
-    _run = fake_run
-    try:
-        minimal = _shrink(7, ops)
-    finally:
-        _run = original
-    assert len(minimal) == 2
-    assert minimal[0][0] == "geometry"
-    assert minimal[1][0] == "cadd"

@@ -23,22 +23,20 @@ and after every step
 filters; this suite can.  Three mutants of the index must each be caught
 on some seed.
 
-Standard seeded ``random.Random`` harness with greedy shrinking: every
-op carries its own randomness, so any subsequence replays.
+The steps the L1 holder suite shares are ``tests._harness.cluster_step``;
+``tests._harness.check`` shrinks a failing script.
 """
 
 import random
 
 import pytest
 
-from repro.core import checkpoint
 from repro.core import cellindex
 from repro.core.cellindex import CellIndex
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.metadata.attributes import FileMetadata
 
-from tests._shrink import greedy_shrink
+from tests._harness import check, cluster_step, mutant_caught, pick, replay
 
 SEEDS = range(20)
 PATHS = [f"/c/d{d}/f{f}" for d in range(6) for f in range(12)]
@@ -65,55 +63,34 @@ def _generate_ops(seed, length=45):
     return [(rng.choice(STEPS), rng.random(), rng.random()) for _ in range(length)]
 
 
-def _pick(items, fraction):
-    items = sorted(items)
-    return items[int(fraction * len(items))]
+def _fleet():
+    cluster = GHBACluster(6, _config(), seed=3)
+    cluster.populate(PATHS)
+    cluster.synchronize_replicas(force=True)
+    return cluster
 
 
 def _apply(cluster, op, renamed):
-    """Carry out ``op``; returns the cluster (a round trip makes a new one)."""
+    """Carry out ``op``: this suite's own steps, else the shared ones;
+    returns the cluster (a round trip makes a new one)."""
     kind, a, b = op
     ids = cluster.server_ids()
-    if kind == "insert":
-        path = _pick(PATHS, a) if b < 0.8 else f"/c/new{int(a * 40)}"
-        if cluster.home_of(path) is None:
-            cluster.insert_file(FileMetadata(path=path, inode=1), _pick(ids, b))
-    elif kind == "delete":
-        cluster.delete_file(_pick(PATHS, a))
-    elif kind == "rename":
-        renamed.append(len(renamed))
-        cluster.rename_subtree(f"/c/d{int(a * 6)}", f"/c/r{len(renamed)}")
-    elif kind == "rebuild":
-        cluster.servers[_pick(ids, a)].rebuild_local_filter()
+    if kind == "rebuild":
+        cluster.servers[pick(ids, a)].rebuild_local_filter()
     elif kind == "publish":  # published, not yet shipped
-        cluster.servers[_pick(ids, a)].publish_filter()
-    elif kind in ("sync", "force"):
-        cluster.synchronize_replicas(force=kind == "force")
-    elif kind == "join":
-        if len(ids) < 9:
-            cluster.add_server()
-    elif kind == "leave":
-        if len(ids) > 2:
-            cluster.remove_server(_pick(ids, a))
-    elif kind == "fail":
-        if len(ids) > 2:
-            cluster.fail_server(_pick(ids, a))
-    elif kind == "recover":
-        crashed = cluster.crashed_server_ids()
-        if crashed:
-            cluster.recover_server(_pick(crashed, a))
-    elif kind == "checkpoint":
-        crashed = cluster._crashed_stores
-        cluster = checkpoint.restore(checkpoint.snapshot(cluster))
-        cluster._crashed_stores.update(crashed)
+        cluster.servers[pick(ids, a)].publish_filter()
+    elif kind == "force":
+        cluster.synchronize_replicas(force=True)
     elif kind == "hand":
         hosts = [sid for sid in ids if cluster.servers[sid].theta]
         if hosts:
-            host = cluster.servers[_pick(hosts, a)]
-            home = _pick(host.hosted_replicas(), b)
+            host = cluster.servers[pick(hosts, a)]
+            home = pick(host.hosted_replicas(), b)
             differing = host.segment.get_replica(home).copy()
             differing.add(f"/hand/{int(a * 1000)}")
             host.replace_replica(home, differing)
+    else:
+        return cluster_step(cluster, op, PATHS, renamed)
     return cluster
 
 
@@ -167,33 +144,24 @@ def _compare(cluster, rng_seed):
 
 def _first_failure(ops):
     """Replay ``ops`` on a fresh fleet; the first failed check, or None."""
-    cluster = GHBACluster(6, _config(), seed=3)
-    cluster.populate(PATHS)
-    cluster.synchronize_replicas(force=True)
-    renamed = []
-    for step, op in enumerate(ops):
-        try:
-            cluster = _apply(cluster, op, renamed)
-            cluster.index.check_index()
-        except (AssertionError, KeyError) as error:
-            return f"step {step} {op}: {type(error).__name__}: {error}"
-        mismatch = _compare(cluster, step)
-        if mismatch is not None:
-            return f"step {step} {op}: {mismatch}"
-    return None
+    cluster, renamed = _fleet(), []
+
+    def step(op):
+        nonlocal cluster
+        cluster = _apply(cluster, op, renamed)
+        cluster.index.check_index()
+        return _compare(cluster, str(op))
+
+    return replay(ops, step)
 
 
-def _check(seed):
-    ops = _generate_ops(seed)
-    failure = _first_failure(ops)
-    if failure is not None:
-        shrunk = greedy_shrink(ops, lambda c: _first_failure(c) is not None)
-        pytest.fail(f"seed {seed}: {failure}\nshrunk: {shrunk}\n{_first_failure(shrunk)}")
+def _seed_failure(seed):
+    return _first_failure(_generate_ops(seed))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_index_is_the_transpose_after_every_step(seed):
-    _check(seed)
+    check(seed, _generate_ops(seed), _first_failure)
 
 
 def test_scripts_reach_every_step_and_shape():
@@ -201,10 +169,7 @@ def test_scripts_reach_every_step_and_shape():
     merge, fallback replicas and copies read through PUB."""
     seen, splits, merges, fallback, hosted = set(), 0, 0, 0, 0
     for seed in SEEDS:
-        cluster = GHBACluster(6, _config(), seed=3)
-        cluster.populate(PATHS)
-        cluster.synchronize_replicas(force=True)
-        renamed = []
+        cluster, renamed = _fleet(), []
         for op in _generate_ops(seed):
             before = cluster.num_groups
             cluster = _apply(cluster, op, renamed)
@@ -217,16 +182,11 @@ def test_scripts_reach_every_step_and_shape():
     assert splits and merges and fallback and hosted
 
 
-def _mutant_caught(monkeypatch, name, mutant):
-    monkeypatch.setattr(CellIndex, name, mutant)
-    return any(_first_failure(_generate_ops(seed)) is not None for seed in SEEDS)
-
-
 def test_a_publish_that_leaves_stale_copies_in_pub_is_caught(monkeypatch):
     def published(self, sid, diff):
         self._flip(2 << 2 * sid, diff)  # the copies stay in the scopes
 
-    assert _mutant_caught(monkeypatch, "published", published)
+    assert mutant_caught(monkeypatch, CellIndex, "published", published, SEEDS, _seed_failure)
 
 
 def test_a_move_that_forgets_the_source_mask_is_caught(monkeypatch):
@@ -236,7 +196,7 @@ def test_a_move_that_forgets_the_source_mask_is_caught(monkeypatch):
         if not self.scope[sid] >> (2 * home + 1) & 1:
             original(self, sid, home)
 
-    assert _mutant_caught(monkeypatch, "unhost", unhost)
+    assert mutant_caught(monkeypatch, CellIndex, "unhost", unhost, SEEDS, _seed_failure)
 
 
 def test_a_departure_that_keeps_its_columns_is_caught(monkeypatch):
@@ -249,4 +209,4 @@ def test_a_departure_that_keeps_its_columns_is_caught(monkeypatch):
         self.everyone ^= 1 << 2 * sid
         server._index = None
 
-    assert _mutant_caught(monkeypatch, "leave", leave)
+    assert mutant_caught(monkeypatch, CellIndex, "leave", leave, SEEDS, _seed_failure)

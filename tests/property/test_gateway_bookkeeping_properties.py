@@ -17,7 +17,7 @@ replaced:
   outgrows the counter budget), no pair above its key's count, and every
   eviction victim the smallest ``(count, key)`` of the table.
 
-Standard seeded ``random.Random`` harness with greedy shrinking: every op
+Seeded scripts on ``tests._harness``: every op
 carries its own randomness and the clock is the sum of the ``step`` ops
 replayed, so any subsequence replays deterministically.
 """
@@ -33,7 +33,7 @@ from repro.faults import FaultPlan, PlanFaultInjector
 from repro.gateway import GatewayConfig, MetadataClient
 from repro.gateway.hotspot import SpaceSavingSketch
 
-from tests._shrink import greedy_shrink
+from tests._harness import check, replay
 
 SEEDS = range(24)
 
@@ -147,7 +147,9 @@ def _run(seed, ops):
 
     client.maybe_flush = checked_flush
     now = 0.0
-    for op in ops:
+
+    def step(op):
+        nonlocal now
         kind = op[0]
         absorbed = buffer.absorbed
         if kind == "create":
@@ -171,21 +173,14 @@ def _run(seed, ops):
         mismatch = _kept_oldest_mismatch(buffer)
         if mismatch is not None:
             failures.append(mismatch)
-        if failures:
-            return f"after {op}: {failures[0]}", coverage
-    return None, coverage
+        return failures[0] if failures else None
+
+    return replay(ops, step), coverage
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kept_oldest_and_flush_choice_match_the_scan(seed):
-    ops = _generate_ops(seed)
-    failure, _ = _run(seed, ops)
-    if failure is not None:
-        minimal = greedy_shrink(ops, lambda c: _run(seed, c)[0] is not None)
-        pytest.fail(
-            f"seed {seed}: {failure}\nminimal failing sequence "
-            f"({len(minimal)} ops): {minimal}"
-        )
+    check(seed, _generate_ops(seed), lambda c: _run(seed, c)[0])
 
 
 def test_scripts_reach_every_buffer_transition():

@@ -19,9 +19,8 @@ and diffs every observable after every op:
   exactly the unpinned entries of ``_entries`` in the same order, and
   the maintained hot set is exactly the reference's rebuilt one.
 
-Standard seeded ``random.Random`` harness with greedy shrinking (ops
-carry all their randomness, so any subsequence replays
-deterministically).  The ``shield`` op is the client's per-tick refresh
+Seeded scripts on ``tests._harness`` (ops carry all their randomness, so
+any subsequence replays deterministically).  The ``shield`` op is the client's per-tick refresh
 as each side spells it: one ``pin_all`` over the maintained set against
 a ``pin`` per sorted ``hot_keys()`` entry.
 
@@ -32,6 +31,7 @@ handed them here, unedited, and only the live fields are compared.
 
 import dataclasses
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -41,7 +41,7 @@ from repro.gateway.cache import CacheEntry, CacheStats, GatewayCache
 from repro.gateway.hotspot import HotspotDetector
 from repro.metadata.attributes import FileMetadata
 
-from tests._shrink import greedy_shrink
+from tests._harness import check, replay
 
 with mock.patch.object(repro.gateway.hotspot, "DEFAULT_TENANT", "-", create=True):
     from tests import _reference_gateway_cache as reference
@@ -136,12 +136,9 @@ def _generate_ops(seed, length=160):
 class _Mirror:
     """The live cache + detector and their frozen twins."""
 
-    def __init__(
-        self, capacity, sketch_capacity, window_s, hot_threshold,
-        cache_factory=GatewayCache,
-    ):
+    def __init__(self, capacity, sketch_capacity, window_s, hot_threshold):
         ttls = dict(lease_ttl_s=1.0, negative_ttl_s=0.3, hot_lease_ttl_s=4.0)
-        self.cache = cache_factory(capacity=capacity, **ttls)
+        self.cache = GatewayCache(capacity=capacity, **ttls)
         self.ref_cache = reference.RefGatewayCache(capacity=capacity, **ttls)
         self.hot = HotspotDetector(sketch_capacity, window_s, hot_threshold)
         self.ref_hot = reference.RefHotspotDetector(
@@ -250,30 +247,17 @@ class _Mirror:
         return None
 
 
-def _run(seed, ops, cache_factory=GatewayCache):
+def _run(ops):
     """Replay ``ops``; return a failure description or ``None``."""
     if not ops or ops[0][0] != "geometry":
         return None  # shrinking dropped the header; nothing to replay
-    mirror = _Mirror(*ops[0][1], cache_factory=cache_factory)
-    for step, (op, arg) in enumerate(ops[1:], start=1):
-        failure = mirror.apply(op, arg) or mirror.check_state()
-        if failure is not None:
-            return f"step {step} {op}: {failure}"
-    return None
+    mirror = _Mirror(*ops[0][1])
+    return replay(ops[1:], lambda op: mirror.apply(*op) or mirror.check_state())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_indexed_cache_and_detector_match_reference(seed):
-    ops = _generate_ops(seed)
-    failure = _run(seed, ops)
-    if failure is not None:
-        minimal = greedy_shrink(
-            ops, lambda c: _run(seed, c) is not None, keep_head=1
-        )
-        pytest.fail(
-            f"seed {seed}: {failure}\nminimal failing sequence "
-            f"({len(minimal)} ops): {minimal}"
-        )
+    check(seed, _generate_ops(seed), _run)
 
 
 def test_sequences_reach_the_cases_that_matter():
@@ -301,32 +285,26 @@ def test_sequences_reach_the_cases_that_matter():
     assert unpins > 30 and rotations > 1000
 
 
-class _StaleIndexCache(GatewayCache):
-    """A plausible bug: a hit refreshes ``_entries`` but not the index."""
+def test_oracle_catches_a_stale_unpinned_index(monkeypatch):
+    """The harness is not vacuous: a cache whose ``get`` refreshes
+    ``_entries`` but forgets to touch the unpinned index is caught, and
+    shrinks to a short sequence."""
+    get = GatewayCache.get
 
-    def get(self, path, now):
-        if path in self._unpinned:
-            position = list(self._unpinned).index(path)
-            lookup = super().get(path, now)
-            keys = [p for p in self._unpinned if p != path]
-            keys.insert(position, path)
-            self._unpinned.clear()
-            self._unpinned.update((p, None) for p in keys)
-            return lookup
-        return super().get(path, now)
+    def stale_get(self, path, now):
+        if path not in self._unpinned:
+            return get(self, path, now)
+        keys = list(self._unpinned)
+        lookup = get(self, path, now)
+        self._unpinned.clear()
+        self._unpinned.update((p, None) for p in keys)
+        return lookup
 
-
-def test_oracle_catches_a_stale_unpinned_index():
-    """The harness is not vacuous: a cache whose ``get`` forgets to touch
-    the unpinned index is caught, and shrinks to a short sequence."""
-    for seed in SEEDS:
-        ops = _generate_ops(seed)
-        if _run(seed, ops, _StaleIndexCache) is not None:
-            break
-    else:
-        pytest.fail("no seed exposed the stale unpinned index")
-    minimal = greedy_shrink(
-        ops, lambda c: _run(seed, c, _StaleIndexCache) is not None, keep_head=1
-    )
-    assert "unpinned index" in _run(seed, minimal, _StaleIndexCache)
-    assert len(minimal) <= 4  # header, two puts, the hit
+    monkeypatch.setattr(GatewayCache, "get", stale_get)
+    with pytest.raises(pytest.fail.Exception) as failed:
+        for seed in SEEDS:
+            check(seed, _generate_ops(seed), _run)
+    report = str(failed.value)
+    assert "unpinned index" in report.splitlines()[-1]
+    # header, two puts, the hit
+    assert int(re.search(r"shrunk to (\d+) ops", report).group(1)) <= 4

@@ -36,7 +36,7 @@ from repro.core.query import QueryLevel
 from repro.metadata.attributes import FileMetadata
 
 from tests._reference_hba import HBACluster as ReferenceHBACluster
-from tests._shrink import greedy_shrink
+from tests._harness import check, pick, replay
 
 #: (servers, populate policy, memory budget as a share of the working set
 #: or None).
@@ -103,10 +103,6 @@ def _generate_ops(seed, length=160):
     return ops
 
 
-def _pick(ids, draw):
-    return ids[int(draw * len(ids))]
-
-
 class _Twins:
     """The live M = 1 cluster and the frozen HBA class, built alike."""
 
@@ -129,7 +125,7 @@ class _Twins:
         live, twin = self.live, self.twin
         if op == "query":
             path, draw = arg
-            origin = None if draw is None else _pick(live.server_ids(), draw)
+            origin = None if draw is None else pick(live.server_ids(), draw)
             # As tuples: QueryResult's repr rounds what a failure must show.
             self.last_result = live.query(path, origin)
             got = tuple(self.last_result)
@@ -137,7 +133,7 @@ class _Twins:
         elif op == "insert":
             inode, draw = arg
             meta = FileMetadata(path=f"/new/f{inode}", inode=inode)
-            home = None if draw is None else _pick(live.server_ids(), draw)
+            home = None if draw is None else pick(live.server_ids(), draw)
             got = live.insert_file(dataclasses.replace(meta), home_id=home)
             want = twin.insert_file(dataclasses.replace(meta), home_id=home)
         elif op == "delete":
@@ -148,7 +144,7 @@ class _Twins:
                 for cluster in (live, twin)
             )
         elif op == "update":
-            server_id = _pick(live.server_ids(), arg)
+            server_id = pick(live.server_ids(), arg)
             report = live.update_server_replicas(server_id)
             got = {"messages": report.messages, "latency_ms": report.latency_ms}
             want = twin.update_server_replicas(server_id)
@@ -171,7 +167,7 @@ class _Twins:
         elif op == "remove":
             if live.num_servers < 2:
                 return None
-            victim = _pick(live.server_ids(), arg)
+            victim = pick(live.server_ids(), arg)
             # The frozen class loses the departing MDS's files.
             live.remove_server(victim, rehome=False)
             twin.remove_server(victim)
@@ -226,24 +222,15 @@ class _Twins:
 
 def _run(shape, seed, ops):
     twins = _Twins(shape, seed)
-    for step, (op, arg) in enumerate(ops):
-        failure = twins.apply(op, arg) or twins.check_state()
-        if failure is not None:
-            return f"step {step} {op} {arg}: {failure}"
-    return twins.check_totals()
+    failure = replay(ops, lambda op: twins.apply(*op) or twins.check_state())
+    return failure or twins.check_totals()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"N{s[0]}-{s[1]}-{s[2]}")
 def test_hba_at_m1_matches_the_frozen_cluster(shape, seed):
     ops = _generate_ops(seed * 100 + shape[0])
-    failure = _run(shape, seed, ops)
-    if failure is not None:
-        minimal = greedy_shrink(ops, lambda c: _run(shape, seed, c) is not None)
-        pytest.fail(
-            f"shape {shape} seed {seed}: {failure}\nminimal failing "
-            f"sequence ({len(minimal)} ops): {minimal}"
-        )
+    check((shape, seed), ops, lambda c: _run(shape, seed, c))
 
 
 def test_scripts_reach_the_cases_that_matter():

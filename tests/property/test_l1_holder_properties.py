@@ -21,8 +21,8 @@ Three mutants must each be caught on some seed: an eviction that skips
 the map, a FIFO re-home that drops the key's bit, and a departure that
 leaves the departed array's bits in the map.
 
-Standard seeded ``random.Random`` harness with greedy shrinking: every
-op carries its own randomness, so any subsequence replays.
+The steps the cell-index suite shares are ``tests._harness.cluster_step``;
+``tests._harness.check`` shrinks a failing script.
 """
 
 import random
@@ -30,13 +30,10 @@ import random
 import pytest
 
 from repro.bloom.arrays import LRUBloomFilterArray
-from repro.core import checkpoint
 from repro.core.cluster import GHBACluster, _ModelWalk
 from repro.core.config import GHBAConfig
-from repro.core.group import GroupError
-from repro.metadata.attributes import FileMetadata
 
-from tests._shrink import greedy_shrink
+from tests._harness import check, cluster_step, mutant_caught, pick, replay
 
 SEEDS = range(18)
 PATHS = [f"/h/d{d}/f{f}" for d in range(5) for f in range(8)]
@@ -68,9 +65,11 @@ def _generate_ops(seed, length=60):
     return [(rng.choice(STEPS), rng.random(), rng.random()) for _ in range(length)]
 
 
-def _pick(items, fraction):
-    items = sorted(items)
-    return items[int(fraction * len(items))]
+def _fleet(seed):
+    cluster = GHBACluster(5, _config(seed), seed=seed)
+    cluster.populate(PATHS)
+    cluster.synchronize_replicas(force=True)
+    return cluster
 
 
 def _named(cluster):
@@ -82,47 +81,21 @@ def _named(cluster):
 
 
 def _apply(cluster, op, renamed):
-    """Carry out ``op``; returns the cluster (a round trip makes a new one)."""
+    """Carry out ``op``: this suite's own steps, else the shared ones;
+    returns the cluster (a round trip makes a new one)."""
     kind, a, b = op
     ids = cluster.server_ids()
     if kind == "query":
-        path = _pick(_named(cluster), a)
-        cluster.query(path, _pick(ids, b))
+        cluster.query(pick(_named(cluster), a), pick(ids, b))
     elif kind == "hint":  # a peer's hint; the home may be stale
-        cluster._share_lru_hint(_pick(ids, a), _pick(_named(cluster), b), _pick(ids, a * b))
-    elif kind == "insert":  # a fifth of them store a path twice
-        path = _pick(PATHS, a)
-        if b < 0.2 or cluster.home_of(path) is None:
-            cluster.insert_file(FileMetadata(path=path, inode=1), _pick(ids, b))
-    elif kind == "delete":
-        cluster.delete_file(_pick(_named(cluster), a))
-    elif kind == "rename":
-        renamed.append(len(renamed))
-        cluster.rename_subtree(f"/h/d{int(a * 5)}", f"/h/r{len(renamed)}")
+        cluster._share_lru_hint(pick(ids, a), pick(_named(cluster), b), pick(ids, a * b))
     elif kind == "rename_at":
         renamed.append(len(renamed))
-        cluster.rename_subtree_at(_pick(ids, b), f"/h/d{int(a * 5)}", f"/h/r{len(renamed)}")
+        cluster.rename_subtree_at(pick(ids, b), f"/h/d{int(a * 5)}", f"/h/r{len(renamed)}")
     elif kind == "clear":
-        cluster.servers[_pick(ids, a)].lru.clear()
-    elif kind == "sync":
-        cluster.synchronize_replicas(force=b < 0.3)
-    elif kind == "join":
-        if len(ids) < 8:
-            cluster.add_server()
-    elif kind == "leave":
-        if len(ids) > 2:
-            cluster.remove_server(_pick(ids, a))
-    elif kind == "fail":
-        if len(ids) > 2:
-            cluster.fail_server(_pick(ids, a))
-    elif kind == "recover":
-        crashed = cluster.crashed_server_ids()
-        if crashed:
-            cluster.recover_server(_pick(crashed, a))
-    elif kind == "checkpoint":
-        crashed = cluster._crashed_stores
-        cluster = checkpoint.restore(checkpoint.snapshot(cluster))
-        cluster._crashed_stores.update(crashed)
+        cluster.servers[pick(ids, a)].lru.clear()
+    else:
+        return cluster_step(cluster, op, PATHS, renamed)
     return cluster
 
 
@@ -152,30 +125,25 @@ def _mismatch(cluster):
     return None
 
 
-def _first_failure(ops, seed):
+def _first_failure(seed, ops):
     """Replay ``ops`` on a fresh fleet; the first failed check, or None."""
-    cluster = GHBACluster(5, _config(seed), seed=seed)
-    cluster.populate(PATHS)
-    cluster.synchronize_replicas(force=True)
-    renamed = []
-    for step, op in enumerate(ops):
-        try:
-            cluster = _apply(cluster, op, renamed)
-        except (AssertionError, KeyError, GroupError) as error:
-            return f"step {step} {op}: {type(error).__name__}: {error}"
-        mismatch = _mismatch(cluster)
-        if mismatch is not None:
-            return f"step {step} {op}: {mismatch}"
-    return None
+    cluster, renamed = _fleet(seed), []
+
+    def step(op):
+        nonlocal cluster
+        cluster = _apply(cluster, op, renamed)
+        return _mismatch(cluster)
+
+    return replay(ops, step)
+
+
+def _seed_failure(seed):
+    return _first_failure(seed, _generate_ops(seed))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_holders_and_home_of_after_every_step(seed):
-    ops = _generate_ops(seed)
-    failure = _first_failure(ops, seed)
-    if failure is not None:
-        shrunk = greedy_shrink(ops, lambda c: _first_failure(c, seed) is not None)
-        pytest.fail(f"seed {seed}: {failure}\nshrunk: {shrunk}\n{_first_failure(shrunk, seed)}")
+    check(seed, _generate_ops(seed), lambda ops: _first_failure(seed, ops))
 
 
 def test_scripts_reach_every_step_and_case(monkeypatch):
@@ -209,10 +177,7 @@ def test_scripts_reach_every_step_and_case(monkeypatch):
     monkeypatch.setattr(LRUBloomFilterArray, "record", counting_record)
     monkeypatch.setattr(_ModelWalk, "forget_lru", counting_forget)
     for seed in SEEDS:
-        cluster = GHBACluster(5, _config(seed), seed=seed)
-        cluster.populate(PATHS)
-        cluster.synchronize_replicas(force=True)
-        renamed = []
+        cluster, renamed = _fleet(seed), []
         for op in _generate_ops(seed):
             if op[0] in ("delete", "rename", "rename_at"):
                 cases["several_holders"] += any(
@@ -228,11 +193,6 @@ def test_scripts_reach_every_step_and_case(monkeypatch):
     assert all(cases.values()), cases
 
 
-def _mutant_caught(monkeypatch, name, mutant):
-    monkeypatch.setattr(LRUBloomFilterArray, name, mutant)
-    return any(_first_failure(_generate_ops(seed), seed) is not None for seed in SEEDS)
-
-
 def test_an_eviction_that_skips_the_map_is_caught(monkeypatch):
     def _evict_one(self):
         item = self._pick_victim()
@@ -240,7 +200,9 @@ def test_an_eviction_that_skips_the_map_is_caught(monkeypatch):
         self._filters[home_id].discard(item)
         self._reslice(item, home_id)
 
-    assert _mutant_caught(monkeypatch, "_evict_one", _evict_one)
+    assert mutant_caught(
+        monkeypatch, LRUBloomFilterArray, "_evict_one", _evict_one, SEEDS, _seed_failure
+    )
 
 
 def test_a_fifo_rehome_that_drops_the_bit_is_caught(monkeypatch):
@@ -252,11 +214,15 @@ def test_a_fifo_rehome_that_drops_the_bit_is_caught(monkeypatch):
         if rehome and self._holders is not None:
             self._unhold(item)
 
-    assert _mutant_caught(monkeypatch, "record", mutant)
+    assert mutant_caught(
+        monkeypatch, LRUBloomFilterArray, "record", mutant, SEEDS, _seed_failure
+    )
 
 
 def test_a_departure_that_leaves_its_bits_is_caught(monkeypatch):
     def leave_holders(self):
         self._holders = None
 
-    assert _mutant_caught(monkeypatch, "leave_holders", leave_holders)
+    assert mutant_caught(
+        monkeypatch, LRUBloomFilterArray, "leave_holders", leave_holders, SEEDS, _seed_failure
+    )

@@ -22,11 +22,12 @@ is common, and a pile of items that share a counter cell saturates it
 (4-bit counters stick at 15) so that a cell outlives its items.  Home ids
 are multiples of 997: a slot must not be a server id.
 
-Standard seeded ``random.Random`` harness with greedy shrinking (ops carry
-all their randomness, so any subsequence replays deterministically).
+Seeded scripts on ``tests._harness`` (ops carry all their randomness, so
+any subsequence replays deterministically).
 """
 
 import random
+import re
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.bloom.arrays import REPLACEMENT_POLICIES, LRUBloomFilterArray
 from repro.bloom.hashing import shared_family
 
 from tests._reference_lru import RefLRUBloomFilterArray
-from tests._shrink import greedy_shrink
+from tests._harness import check, replay
 
 SEEDS = range(36)
 HASH_SEED = 5
@@ -130,10 +131,9 @@ def _call(array, op, arg):
 class _Mirror:
     """The live array and its frozen twin."""
 
-    def __init__(self, policy, capacity, filter_bits, num_hashes, homes,
-                 factory=LRUBloomFilterArray):
+    def __init__(self, policy, capacity, filter_bits, num_hashes, homes):
         args = (capacity, filter_bits, num_hashes, HASH_SEED, policy)
-        self.live = factory(*args)
+        self.live = LRUBloomFilterArray(*args)
         self.ref = RefLRUBloomFilterArray(*args)
 
     def apply(self, op, arg):
@@ -172,28 +172,17 @@ class _Mirror:
         return None
 
 
-def _run(ops, factory=LRUBloomFilterArray):
+def _run(ops):
     """Replay ``ops``; return a failure description or ``None``."""
     if not ops or ops[0][0] != "geometry":
         return None  # shrinking dropped the header; nothing to replay
-    mirror = _Mirror(*ops[0][1], factory=factory)
-    for step, (op, arg) in enumerate(ops[1:], start=1):
-        failure = mirror.apply(op, arg) or mirror.check_state()
-        if failure is not None:
-            return f"step {step} {op}: {failure}"
-    return None
+    mirror = _Mirror(*ops[0][1])
+    return replay(ops[1:], lambda op: mirror.apply(*op) or mirror.check_state())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sliced_array_matches_reference(seed):
-    ops = _generate_ops(seed)
-    failure = _run(ops)
-    if failure is not None:
-        minimal = greedy_shrink(ops, lambda c: _run(c) is not None, keep_head=1)
-        pytest.fail(
-            f"seed {seed}: {failure}\nminimal failing sequence "
-            f"({len(minimal)} ops): {minimal}"
-        )
+    check(seed, _generate_ops(seed), _run)
 
 
 def test_scripts_reach_the_cases_that_matter():
@@ -229,27 +218,21 @@ def test_scripts_reach_the_cases_that_matter():
     assert saturated >= 12
 
 
-class _StaleSliceArray(LRUBloomFilterArray):
-    """A plausible bug: an eviction decrements the counters but leaves the
-    victim's bits standing in the slices."""
+def test_oracle_catches_a_slice_left_behind_by_an_eviction(monkeypatch):
+    """The harness is not vacuous: an eviction that decrements the
+    counters but leaves the victim's bits standing in the slices is
+    caught, and shrinks to a short script."""
 
     def _evict_one(self):
         item = self._pick_victim()
         home_id = self._entries.pop(item)
         self._filters[home_id].discard(item)
 
-
-def test_oracle_catches_a_slice_left_behind_by_an_eviction():
-    """The harness is not vacuous: an array whose eviction forgets the
-    slices is caught, and shrinks to a short script."""
-    for seed in SEEDS:
-        ops = _generate_ops(seed)
-        if _run(ops, _StaleSliceArray) is not None:
-            break
-    else:
-        pytest.fail("no seed exposed the stale slice")
-    minimal = greedy_shrink(
-        ops, lambda c: _run(c, _StaleSliceArray) is not None, keep_head=1
-    )
-    assert "check_slices" in _run(minimal, _StaleSliceArray)
-    assert len(minimal) <= 3  # header, two records (the second evicts)
+    monkeypatch.setattr(LRUBloomFilterArray, "_evict_one", _evict_one)
+    with pytest.raises(pytest.fail.Exception) as failed:
+        for seed in SEEDS:
+            check(seed, _generate_ops(seed), _run)
+    report = str(failed.value)
+    assert "check_slices" in report.splitlines()[-1]
+    # header, two records (the second evicts)
+    assert int(re.search(r"shrunk to (\d+) ops", report).group(1)) <= 3

@@ -38,7 +38,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import CollectingTracer
 
 from tests._reference_query import ReferenceQueryCluster
-from tests._shrink import greedy_shrink
+from tests._harness import check, pick, replay
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,10 +151,6 @@ def _generate_ops(shape, seed, length=170):
     return ops
 
 
-def _pick(ids, draw):
-    return ids[int(draw * len(ids))]
-
-
 def _span_dump(tracer):
     """The last span, event by event, then cleared (a span per query)."""
     if not tracer.enabled:
@@ -205,7 +201,7 @@ class _Twins:
         live = self.live
         if op == "query":
             path, draw = arg
-            origin = None if draw is None else _pick(live.server_ids(), draw)
+            origin = None if draw is None else pick(live.server_ids(), draw)
             # As tuples: QueryResult's repr rounds what a failure must show.
             got, want = self._both(lambda c: tuple(c.query(path, origin)))
             self.last_result = live_result = got
@@ -218,7 +214,7 @@ class _Twins:
         if op == "insert":
             inode, draw = arg
             meta = FileMetadata(path=f"/new/f{inode}", inode=10_000 + inode)
-            home = None if draw is None else _pick(live.server_ids(), draw)
+            home = None if draw is None else pick(live.server_ids(), draw)
             got, want = self._both(
                 lambda c: c.insert_file(dataclasses.replace(meta), home_id=home)
             )
@@ -240,7 +236,7 @@ class _Twins:
         elif op == "remove":
             if live.num_servers < 2:
                 return None
-            victim = _pick(live.server_ids(), arg)
+            victim = pick(live.server_ids(), arg)
             if victim in self.silenced:
                 self.silenced.remove(victim)
             got, want = self._both(
@@ -251,7 +247,7 @@ class _Twins:
                 return None
             got, want = self._both(lambda c: c.faults.advance(arg))
         elif op == "silence":
-            victim = _pick(live.server_ids(), arg)
+            victim = pick(live.server_ids(), arg)
             self.silenced.append(victim)
             got, want = self._both(lambda c: c.faults.silence(victim))
         elif op == "restore":
@@ -287,24 +283,13 @@ class _Twins:
 
 def _run(shape, seed, ops):
     twins = _Twins(shape, seed)
-    for step, (op, arg) in enumerate(ops):
-        failure = twins.apply(op, arg) or twins.check_state()
-        if failure is not None:
-            return f"step {step} {op} {arg}: {failure}"
-    return None
+    return replay(ops, lambda op: twins.apply(*op) or twins.check_state())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_query_over_the_walk_matches_the_frozen_inline_walk(shape, seed):
-    ops = _generate_ops(shape, seed)
-    failure = _run(shape, seed, ops)
-    if failure is not None:
-        minimal = greedy_shrink(ops, lambda c: _run(shape, seed, c) is not None)
-        pytest.fail(
-            f"shape {shape} seed {seed}: {failure}\nminimal failing "
-            f"sequence ({len(minimal)} ops): {minimal}"
-        )
+    check((shape, seed), _generate_ops(shape, seed), lambda c: _run(shape, seed, c))
 
 
 def test_scripts_reach_the_cases_that_matter():

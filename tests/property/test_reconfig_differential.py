@@ -34,7 +34,7 @@ from repro.core.group import GroupError
 from repro.metadata.attributes import FileMetadata
 
 from tests import _reference_reconfig as ref
-from tests._shrink import greedy_shrink
+from tests._harness import check, pick, replay
 
 #: (initial servers, M) — M = 1 and 2 dissolve a last member's group on
 #: most departures; (8, 8) and (7, 7) split a single full group.
@@ -68,10 +68,6 @@ def _generate_ops(seed, length=40):
     return ops
 
 
-def _pick(ids, draw):
-    return ids[int(draw * len(ids))]
-
-
 class _Twins:
     """The live cluster and the twin reconfigured by the frozen code."""
 
@@ -102,7 +98,7 @@ class _Twins:
             if live.num_servers < 2:
                 return None
             draw, rehome = arg if op == "remove" else (arg, None)
-            victim = _pick(live.server_ids(), draw)
+            victim = pick(live.server_ids(), draw)
             departed = twin.servers[victim]
             if op == "remove":
                 got = live.remove_server(victim, rehome=rehome)
@@ -117,13 +113,13 @@ class _Twins:
             crashed = live.crashed_server_ids()
             if not crashed:
                 return None
-            victim = _pick(crashed, arg)
+            victim = pick(crashed, arg)
             got = live.recover_server(victim)
             want = ref.ref_recover_server(twin, victim)
         elif op == "insert":
             inode, draw = arg
             meta = FileMetadata(path=f"/new/f{inode}", inode=inode)
-            home = _pick(live.server_ids(), draw)
+            home = pick(live.server_ids(), draw)
             got = live.insert_file(meta, home_id=home)
             want = twin.insert_file(meta, home_id=home)
         elif op == "sync":
@@ -131,7 +127,7 @@ class _Twins:
             want = twin.synchronize_replicas(force=arg)
         elif op == "query":
             path, draw = arg
-            origin = _pick(live.server_ids(), draw)
+            origin = pick(live.server_ids(), draw)
             got, want = (
                 (r.found, r.home_id, r.level, r.messages)
                 for r in (live.query(path, origin), twin.query(path, origin))
@@ -199,24 +195,14 @@ class _Twins:
 
 def _run(shape, seed, ops):
     twins = _Twins(shape, seed)
-    for step, (op, arg) in enumerate(ops):
-        failure = twins.apply(op, arg) or twins.check_state()
-        if failure is not None:
-            return f"step {step} {op} {arg}: {failure}"
-    return None
+    return replay(ops, lambda op: twins.apply(*op) or twins.check_state())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"N{s[0]}-M{s[1]}")
 def test_planned_reconfiguration_matches_the_frozen_one(shape, seed):
     ops = _generate_ops(seed * 100 + shape[0])
-    failure = _run(shape, seed, ops)
-    if failure is not None:
-        minimal = greedy_shrink(ops, lambda c: _run(shape, seed, c) is not None)
-        pytest.fail(
-            f"shape {shape} seed {seed}: {failure}\nminimal failing "
-            f"sequence ({len(minimal)} ops): {minimal}"
-        )
+    check((shape, seed), ops, lambda c: _run(shape, seed, c))
 
 
 def test_scripts_reach_the_cases_that_matter():
@@ -232,7 +218,7 @@ def test_scripts_reach_the_cases_that_matter():
                 alone = False
                 if op in ("remove", "fail") and live.num_servers > 1:
                     draw = arg[0] if op == "remove" else arg
-                    victim = _pick(live.server_ids(), draw)
+                    victim = pick(live.server_ids(), draw)
                     alone = live.group_of(victim).size == 1
                     dissolved += alone and op == "remove"
                     crashed_alone += alone and op == "fail"

@@ -48,7 +48,7 @@ from repro.core.group import GroupError
 from repro.metadata.attributes import FileMetadata
 
 from tests._reference_rename import ref_rename_subtree, ref_rename_subtree_at
-from tests._shrink import greedy_shrink
+from tests._harness import check, pick, replay
 
 SEEDS = range(24)
 SERVERS = 5
@@ -86,11 +86,6 @@ def _generate_ops(seed, length=120):
         else:
             ops.append(("remove", rng.random()))
     return ops
-
-
-def _pick(cluster, draw):
-    ids = cluster.server_ids()
-    return ids[int(draw * len(ids))]
 
 
 class _Twins:
@@ -136,7 +131,7 @@ class _Twins:
         if op == "insert":
             path, inode, draw = arg
             meta = FileMetadata(path=path, inode=inode)
-            home = _pick(live, draw)
+            home = pick(live.server_ids(), draw)
             got = live.insert_file(meta, home_id=home)
             want = twin.insert_file(meta, home_id=home)
         elif op == "delete":
@@ -153,13 +148,13 @@ class _Twins:
                 got = live.rename_subtree(old, new)
                 want = ref_rename_subtree(twin, old, new)
             else:
-                home = _pick(live, arg[0])
+                home = pick(live.server_ids(), arg[0])
                 got = live.rename_subtree_at(home, old, new)
                 want = ref_rename_subtree_at(twin, home, old, new)
             self._repair_twin(bits_before)
         elif op == "query":
             path, draw = arg
-            origin = _pick(live, draw)
+            origin = pick(live.server_ids(), draw)
             got, want = (
                 (r.found, r.home_id, r.level)
                 for r in (live.query(path, origin), twin.query(path, origin))
@@ -172,7 +167,7 @@ class _Twins:
         elif op == "remove":
             if live.num_servers <= 2:
                 return None
-            victim = _pick(live, arg)
+            victim = pick(live.server_ids(), arg)
             self._level(victim)
             got, want = live.remove_server(victim), twin.remove_server(victim)
         else:  # pragma: no cover - generator and runner must stay in sync
@@ -218,23 +213,12 @@ class _Twins:
 
 def _run(seed, ops):
     twins = _Twins(seed)
-    for step, (op, arg) in enumerate(ops):
-        failure = twins.apply(op, arg) or twins.check_state()
-        if failure is not None:
-            return f"step {step} {op} {arg}: {failure}"
-    return None
+    return replay(ops, lambda op: twins.apply(*op) or twins.check_state())
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_indexed_rename_matches_the_frozen_scan(seed):
-    ops = _generate_ops(seed)
-    failure = _run(seed, ops)
-    if failure is not None:
-        minimal = greedy_shrink(ops, lambda c: _run(seed, c) is not None)
-        pytest.fail(
-            f"seed {seed}: {failure}\nminimal failing sequence "
-            f"({len(minimal)} ops): {minimal}"
-        )
+    check(seed, _generate_ops(seed), lambda c: _run(seed, c))
 
 
 def test_traces_reach_the_cases_that_matter():
@@ -252,7 +236,7 @@ def test_traces_reach_the_cases_that_matter():
                 old, new = arg[-2:]
                 homes = (
                     live.server_ids() if op == "rename"
-                    else [_pick(live, arg[0])]
+                    else [pick(live.server_ids(), arg[0])]
                 )
                 for server_id in homes:
                     store = live.servers[server_id].store
@@ -261,7 +245,7 @@ def test_traces_reach_the_cases_that_matter():
                     overwrote += any(target in store for target in targets)
                     nested += bool(targets & set(victims))
             elif op == "remove" and live.num_servers > 2:
-                rehomed += live.servers[_pick(live, arg)].file_count
+                rehomed += live.servers[pick(live.server_ids(), arg)].file_count
             emitted = len(events)
             cached = sum(len(server.lru) for server in live.servers.values())
             assert twins.apply(op, arg) is None and twins.check_state() is None

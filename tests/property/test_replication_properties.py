@@ -1,8 +1,7 @@
 """Property tests: CDC replication vs a dict oracle (ISSUE 8).
 
-No hypothesis in the toolchain, so this is a seeded ``random.Random``
-harness with explicit shrinking (same shape as the write-back property
-suite).  Each seed generates a random sequence of primary mutations and
+Seeded scripts on ``tests._harness`` (as the write-back property suite).
+Each seed generates a random sequence of primary mutations and
 hostile delivery events — dropped batches, duplicated batches, reordered
 batches (gap injection), and standby crash/restores through the durable
 checkpoint document — replayed through the real protocol objects
@@ -17,7 +16,7 @@ Invariants:
   crash/restore never re-apply;
 - **floor monotonicity**: acks never regress, across crashes included.
 
-On failure the op sequence is greedily shrunk to a minimal
+On failure the op sequence is shrunk to a minimal
 still-failing subsequence before asserting.
 """
 
@@ -34,7 +33,7 @@ from repro.replication import ChangeCapture, StandbyEndpoint
 from repro.replication.audit import diff_states, snapshot_state
 from repro.replication.cdc import entry_to_wire
 
-from tests._shrink import greedy_shrink
+from tests._harness import check, replay
 
 SEEDS = range(20)
 
@@ -134,34 +133,38 @@ def _run(seed, ops):
     floors = dict(base_seqs)
     dirs = {k: f"/pr/d{k}" for k in range(4)}
 
-    for op, a, b in ops:
-        if op == "create":
+    def step(op):
+        nonlocal standby
+        kind, a, b = op
+        if kind == "create":
             primary.insert_file(
                 FileMetadata(path=f"/pr/new/{seed}_{a}", inode=10_000 + a)
             )
-        elif op == "delete":
+        elif kind == "delete":
             live = sorted(snapshot_state(primary))
             if live:
                 primary.delete_file(live[a % len(live)])
-        elif op == "rename":
+        elif kind == "rename":
             old = dirs[a]
             new = f"/pr/d{a}-g{b}"
             if primary.rename_subtree(old, new):
                 dirs[a] = new
-        elif op == "ship":
+        elif kind == "ship":
             homes = capture.homes()
-            if not homes:
-                continue
-            failure = _ship_once(
-                capture, standby, floors, homes[a % len(homes)], b
-            )
-            if failure:
-                return failure
-        elif op == "crash":
+            if homes:
+                return _ship_once(
+                    capture, standby, floors, homes[a % len(homes)], b
+                )
+        elif kind == "crash":
             # Durable round-trip through the checkpoint document: the
             # restored endpoint must dedup any replay that follows.
             document = json.loads(json.dumps(standby.checkpoint_doc()))
             standby = StandbyEndpoint.restore_doc(document)
+        return None
+
+    failure = replay(ops, step)
+    if failure is not None:
+        return failure
 
     # Faultless final drain: every pending entry ships in order.
     for _ in range(10_000):
@@ -193,21 +196,9 @@ def _run(seed, ops):
     return None
 
 
-def _shrink(seed, ops):
-    """Greedy delta-debug: drop ops while the failure reproduces."""
-    return greedy_shrink(ops, lambda c: _run(seed, c) is not None)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hostile_delivery_converges_exactly_once(seed):
-    ops = _generate_ops(seed)
-    failure = _run(seed, ops)
-    if failure is not None:
-        minimal = _shrink(seed, ops)
-        pytest.fail(
-            f"seed {seed}: {failure}\nminimal failing sequence "
-            f"({len(minimal)} ops): {minimal}"
-        )
+    check(seed, _generate_ops(seed), lambda c: _run(seed, c))
 
 
 def test_oracle_is_not_vacuous():

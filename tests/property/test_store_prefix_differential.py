@@ -21,9 +21,8 @@ point right above it (the range's open end), and ``é`` is outside ASCII
 ``d.mv`` is the sibling ``fleet_churn``'s own renames put next to ``d/…``,
 and a prefix may itself be a stored file.
 
-Seeded ``random.Random`` harness with the shared greedy shrinker (ops
-carry all their randomness, so any subsequence replays
-deterministically).
+Seeded scripts on ``tests._harness`` (ops carry all their randomness, so
+any subsequence replays deterministically).
 """
 
 import random
@@ -33,7 +32,7 @@ import pytest
 from repro.metadata.attributes import FileMetadata
 from repro.metadata.store import MetadataStore
 
-from tests._shrink import greedy_shrink
+from tests._harness import check, replay
 
 SEEDS = range(48)
 
@@ -101,23 +100,12 @@ def _apply(store, op, arg):
 
 def _run(ops):
     store = MetadataStore()
-    for step, (op, arg) in enumerate(ops):
-        failure = _apply(store, op, arg)
-        if failure is not None:
-            return f"step {step} {op}: {failure}"
-    return None
+    return replay(ops, lambda op: _apply(store, *op))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_indexed_subtree_query_matches_the_scan(seed):
-    ops = _generate_ops(seed)
-    failure = _run(ops)
-    if failure is not None:
-        minimal = greedy_shrink(ops, lambda c: _run(c) is not None)
-        pytest.fail(
-            f"seed {seed}: {failure}\nminimal failing sequence "
-            f"({len(minimal)} ops): {minimal}"
-        )
+    check(seed, _generate_ops(seed), _run)
 
 
 def test_sequences_reach_the_cases_that_matter():

@@ -1,7 +1,6 @@
 """Property tests: write-back buffering vs an in-memory oracle (ISSUE 5).
 
-No hypothesis in the toolchain, so this is a seeded ``random.Random``
-harness with explicit shrinking: each seed generates a random mutation /
+Seeded scripts on ``tests._harness``: each seed generates a random mutation /
 lookup / barrier sequence, replays it through a write-back gateway over a
 real :class:`GHBACluster`, and maintains an **acknowledgement oracle** —
 an in-memory namespace updated only when the flush engine acknowledges a
@@ -13,7 +12,7 @@ mutation (never at enqueue).  Invariants checked:
   intent at that instant;
 - nothing is silently lost (no faults here, so zero losses expected).
 
-On failure the harness greedily shrinks the op sequence to a minimal
+On failure the harness shrinks the op sequence to a minimal
 still-failing subsequence before asserting, so the report is actionable.
 """
 
@@ -25,7 +24,7 @@ from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.gateway import GatewayConfig, MetadataClient, Outcome
 
-from tests._shrink import greedy_shrink
+from tests._harness import check, replay
 
 SEEDS = range(24)
 
@@ -128,10 +127,12 @@ def _run(seed, ops):
                 oracle.add(mutation.path)
 
     client.add_ack_listener(on_ack)
-    for op, arg, now in ops:
-        if op == "create":
+
+    def step(op):
+        kind, arg, now = op
+        if kind == "create":
             client.create(arg, now)
-        elif op == "delete":
+        elif kind == "delete":
             response = client.delete(arg, now)
             if response.outcome not in (
                 Outcome.BUFFERED,
@@ -139,7 +140,7 @@ def _run(seed, ops):
             ):
                 # Passthrough delete: applied synchronously, not acked.
                 oracle.discard(arg)
-        elif op == "lookup":
+        elif kind == "lookup":
             response = client.lookup(arg, now)
             if response.from_overlay:
                 pending = client.writeback.get(arg)
@@ -153,14 +154,17 @@ def _run(seed, ops):
                             f"overlay mismatch at {arg}: pending "
                             f"{pending.op} answered found={has}"
                         )
-        elif op == "barrier":
+        elif kind == "barrier":
             client.flush_barrier(now)
-        elif op == "rename":
+        elif kind == "rename":
             old, new = arg
             client.rename(old, new, now)
             _oracle_rename(oracle, old, new)
-        if failures:
-            return failures[0]
+        return failures[0] if failures else None
+
+    failure = replay(ops, step)
+    if failure is not None:
+        return failure
     if client.lost_mutations:
         return f"{len(client.lost_mutations)} mutations reported lost"
     fleet = {
@@ -175,50 +179,6 @@ def _run(seed, ops):
     return None
 
 
-def _shrink(seed, ops, failure):
-    """Greedy delta-debug: drop ops while the failure reproduces."""
-    return greedy_shrink(ops, lambda c: _run(seed, c) is not None)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_sequences_converge_to_oracle(seed):
-    ops = _generate_ops(seed)
-    failure = _run(seed, ops)
-    if failure is not None:
-        minimal = _shrink(seed, ops, failure)
-        pytest.fail(
-            f"seed {seed}: {failure}\nminimal failing sequence "
-            f"({len(minimal)} ops): {minimal}"
-        )
-
-
-def test_shrinker_finds_minimal_sequences():
-    """The shrinker itself works: an artificial always-failing predicate
-    reduces to a single op (guards against a shrinker that silently
-    stops shrinking and reports giant sequences)."""
-    ops = _generate_ops(99, length=30)
-    # A sequence that ends with a create and never flushes would leave
-    # fleet != oracle only if acks were broken; instead exercise _shrink
-    # directly against a synthetic failure function via monkey substitution.
-    calls = []
-
-    def fake_run(seed, candidate):
-        calls.append(len(candidate))
-        # Fails whenever the sequence still contains any delete op.
-        return (
-            "synthetic"
-            if any(op == "delete" for op, _, _ in candidate)
-            else None
-        )
-
-    if not any(op == "delete" for op, _, _ in ops):
-        pytest.skip("sequence has no delete")
-    global _run
-    original = _run
-    _run = fake_run
-    try:
-        minimal = _shrink(99, ops, "synthetic")
-    finally:
-        _run = original
-    assert len(minimal) == 1
-    assert minimal[0][0] == "delete"
+    check(seed, _generate_ops(seed), lambda c: _run(seed, c))

@@ -315,7 +315,7 @@ class TestLRUSlices:
 
 class TestIDBFA:
     def make(self):
-        idbfa = IDBloomFilterArray(num_counters=256, num_hashes=4)
+        idbfa = IDBloomFilterArray()
         for mds in (1, 2, 3):
             idbfa.add_member(mds)
         return idbfa
@@ -373,11 +373,3 @@ class TestIDBFA:
         assert idbfa.replicas_on(1) == [5, 6]
         assert idbfa.replica_count(1) == 2
         assert idbfa.replica_count(3) == 0
-
-    def test_copy_is_deep(self):
-        idbfa = self.make()
-        idbfa.place(5, 1)
-        clone = idbfa.copy()
-        clone.unplace(5)
-        assert idbfa.host_of(5) == 1
-        assert clone.host_of(5) is None

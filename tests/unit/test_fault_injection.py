@@ -66,12 +66,6 @@ class TestFaultPlan:
         assert plan.severed(0, 1, 1.5)
         assert not plan.severed(0, 1, 2.0)  # end is exclusive
 
-    def test_chaos_schedule_is_reproducible_data(self):
-        a = FaultPlan.chaos(7, 10.0, range(8))
-        b = FaultPlan.chaos(7, 10.0, range(8))
-        assert a == b
-        assert a.crashes[0].node_id == 7 % 8
-
 
 # ----------------------------------------------------------------------
 # RetryPolicy

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bloom.hashing import shared_family
 from repro.core.cellindex import CellIndex
+from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.group import Group, GroupError
 from repro.core.reconfiguration import DROP, MOVE, form, imbalance, join, leave
@@ -198,27 +199,41 @@ class TestMembership:
 
 
 class TestInvariant:
+    """``GHBACluster.check_invariants`` holds the groups to the plan's
+    directory: every member hosts exactly what it places there, and each
+    group's IDBFA records the directory's placements."""
+
+    @staticmethod
+    def cluster_and_host(config):
+        cluster = GHBACluster(6, config, seed=3)
+        cluster.check_invariants()
+        group = cluster.groups[0]
+        host = next(m for m in group.members() if m.theta)
+        return cluster, group, host, host.hosted_replicas()[0]
+
     def test_mirror_invariant_holds(self, config):
-        group = make_group(config)
-        all_ids = [0, 1, 2, 10, 11]
-        for outside_id in (10, 11):
-            install(group, outside_id, config)
-        group.check_mirror_invariant(all_ids)
+        cluster = GHBACluster(6, config, seed=3)
+        cluster.add_server()
+        cluster.remove_server(0)
+        cluster.fail_server(4)
+        cluster.check_invariants()
 
     def test_mirror_invariant_detects_missing(self, config):
-        group = make_group(config)
-        with pytest.raises(GroupError, match="missing"):
-            group.check_mirror_invariant([0, 1, 2, 10])
+        cluster, group, host, home = self.cluster_and_host(config)
+        group.remove_replica(home, host)
+        with pytest.raises(GroupError, match="places"):
+            cluster.check_invariants()
+
+    def test_mirror_invariant_detects_double_hosting(self, config):
+        cluster, group, host, home = self.cluster_and_host(config)
+        other = next(m for m in group.members() if m is not host)
+        other.host_replica(home, cluster.servers[home].published_filter.copy())
+        with pytest.raises(GroupError, match="places"):
+            cluster.check_invariants()
 
     def test_mirror_invariant_detects_idbfa_drift(self, config):
-        group = make_group(config)
-        install(group, 10, config)
-        group.check_mirror_invariant([0, 1, 2, 10])
-        # Corrupt the IDBFA placement record.
-        group.idbfa.move(10, group.member_ids()[0])
-        actual_host = [
-            m.server_id for m in group.members() if 10 in m.segment
-        ][0]
-        if group.idbfa.host_of(10) != actual_host:
-            with pytest.raises(GroupError, match="IDBFA"):
-                group.check_mirror_invariant([0, 1, 2, 10])
+        cluster, group, host, home = self.cluster_and_host(config)
+        other = next(m for m in group.members() if m is not host)
+        group.idbfa.move(home, other.server_id)
+        with pytest.raises(GroupError, match="out of step"):
+            cluster.check_invariants()
