@@ -182,3 +182,21 @@ def _run(seed, ops):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_sequences_converge_to_oracle(seed):
     check(seed, _generate_ops(seed), lambda c: _run(seed, c))
+
+
+def test_shrinker_finds_minimal_sequences():
+    """The harness shrinks this suite's sequences: a synthetic failure on
+    any delete reduces to that single delete (guards against a shrinker
+    that silently stops shrinking and reports giant sequences)."""
+    ops = _generate_ops(99, length=30)
+    assert any(op == "delete" for op, _, _ in ops)
+
+    def has_a_delete(candidate):
+        return replay(
+            candidate, lambda op: "synthetic" if op[0] == "delete" else None
+        )
+
+    with pytest.raises(pytest.fail.Exception) as failed:
+        check(99, ops, has_a_delete)
+    assert "\nshrunk to 1 ops: [('delete', " in str(failed.value)
+    assert str(failed.value).splitlines()[-1].startswith("step 0 ('delete', ")
