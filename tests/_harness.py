@@ -6,13 +6,6 @@ any subsequence replays deterministically: :func:`check` replays a
 suite's script and, when it fails, reduces it by dropping one op at a
 time for as long as the failure still reproduces, then fails the test
 with the seed, the failure and the minimal script.
-
-- :func:`replay` runs a script step by step and names the first step
-  that fails;
-- :func:`pick` is a script's draw in ``[0, 1)`` turned into a choice;
-- :func:`cluster_step` carries out the steps the cluster suites share;
-- :func:`mutant_caught` says whether a monkeypatched mutant fails the
-  suite on some seed.
 """
 
 import pytest
@@ -25,22 +18,19 @@ from repro.metadata.attributes import FileMetadata
 #: and the script shrinks like any other.
 CHECK_ERRORS = (AssertionError, KeyError, GroupError)
 
-#: The largest fleet a cluster script grows to.
-MAX_SERVERS = 9
 
-
-def greedy_shrink(ops, still_fails, keep_head=0):
+def greedy_shrink(ops, still_fails):
     """Minimal still-failing subsequence of ``ops``.
 
     ``still_fails(candidate)`` replays a candidate and says whether the
-    failure reproduced.  The first ``keep_head`` ops (a geometry header,
-    say) are never dropped.
+    failure reproduced.  A script whose first op is a header (a geometry,
+    say) keeps it when a run without it reports no failure.
     """
     current = list(ops)
     shrunk = True
-    while shrunk and len(current) > keep_head + 1:
+    while shrunk and len(current) > 1:
         shrunk = False
-        for index in range(len(current) - 1, keep_head - 1, -1):
+        for index in range(len(current) - 1, -1, -1):
             candidate = current[:index] + current[index + 1:]
             if still_fails(candidate):
                 current = candidate
@@ -66,7 +56,11 @@ def replay(ops, step):
 def check(seed, ops, run):
     """Fail the test if ``run(ops)`` reports a failure, with the seed (or
     whatever names the script), the failure, and the shrunk script with
-    its own failure."""
+    its own failure.
+
+    Any failure counts while shrinking, a step that raises one of
+    :data:`CHECK_ERRORS` included, so the shrunk script may stop at
+    another failure than the full one; the report prints both."""
     failure = run(ops)
     if failure is not None:
         shrunk = greedy_shrink(ops, lambda candidate: run(candidate) is not None)
@@ -83,13 +77,6 @@ def pick(items, draw):
     return items[int(draw * len(items))]
 
 
-def mutant_caught(monkeypatch, owner, name, mutant, seeds, failure):
-    """Whether ``failure(seed)``, a replay of that seed's script, reports
-    a failure on some seed once ``owner.name`` is ``mutant``."""
-    monkeypatch.setattr(owner, name, mutant)
-    return any(failure(seed) is not None for seed in seeds)
-
-
 def cluster_step(cluster, op, paths, renamed):
     """Carry out one step of a seeded ``GHBACluster`` script; returns the
     cluster (a checkpoint round trip makes a new one).
@@ -99,10 +86,11 @@ def cluster_step(cluster, op, paths, renamed):
     its paths (a fifth of them a second time) or, one in five, a new name
     under the root; a delete names one of them; a rename moves the
     directory of one to a fresh ``/<root>/r<n>``, and ``renamed`` counts
-    the renames so far.  The other kinds are ``sync`` (three in ten
-    forced), ``join`` (up to :data:`MAX_SERVERS`), ``leave`` with
-    re-homing, ``fail`` and ``recover`` (a fleet keeps two servers), and
-    ``checkpoint``, a round trip that keeps the crashed stores.
+    the renames so far.  The other kinds are ``sync`` (unforced),
+    ``join`` (up to nine servers), ``leave`` with re-homing, ``fail``
+    and ``recover`` (a fleet keeps two servers), and ``checkpoint``, a
+    round trip that keeps the crashed stores.  A suite whose form of a
+    step differs carries that step out itself.
     """
     kind, a, b = op
     ids = cluster.server_ids()
@@ -118,9 +106,9 @@ def cluster_step(cluster, op, paths, renamed):
         directory = pick(paths, a).rsplit("/", 1)[0]
         cluster.rename_subtree(directory, f"{root}/r{len(renamed)}")
     elif kind == "sync":
-        cluster.synchronize_replicas(force=b < 0.3)
+        cluster.synchronize_replicas()
     elif kind == "join":
-        if len(ids) < MAX_SERVERS:
+        if len(ids) < 9:
             cluster.add_server()
     elif kind in ("leave", "fail"):
         if len(ids) > 2:

@@ -27,6 +27,7 @@ The steps the L1 holder suite shares are ``tests._harness.cluster_step``;
 ``tests._harness.check`` shrinks a failing script.
 """
 
+import itertools
 import random
 
 import pytest
@@ -36,7 +37,7 @@ from repro.core.cellindex import CellIndex
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 
-from tests._harness import check, cluster_step, mutant_caught, pick, replay
+from tests._harness import check, cluster_step, pick, replay
 
 SEEDS = range(20)
 PATHS = [f"/c/d{d}/f{f}" for d in range(6) for f in range(12)]
@@ -144,19 +145,15 @@ def _compare(cluster, rng_seed):
 
 def _first_failure(ops):
     """Replay ``ops`` on a fresh fleet; the first failed check, or None."""
-    cluster, renamed = _fleet(), []
+    cluster, renamed, steps = _fleet(), [], itertools.count()
 
     def step(op):
         nonlocal cluster
         cluster = _apply(cluster, op, renamed)
         cluster.index.check_index()
-        return _compare(cluster, str(op))
+        return _compare(cluster, next(steps))
 
     return replay(ops, step)
-
-
-def _seed_failure(seed):
-    return _first_failure(_generate_ops(seed))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -186,7 +183,8 @@ def test_a_publish_that_leaves_stale_copies_in_pub_is_caught(monkeypatch):
     def published(self, sid, diff):
         self._flip(2 << 2 * sid, diff)  # the copies stay in the scopes
 
-    assert mutant_caught(monkeypatch, CellIndex, "published", published, SEEDS, _seed_failure)
+    monkeypatch.setattr(CellIndex, "published", published)
+    assert any(_first_failure(_generate_ops(seed)) is not None for seed in SEEDS)
 
 
 def test_a_move_that_forgets_the_source_mask_is_caught(monkeypatch):
@@ -196,7 +194,8 @@ def test_a_move_that_forgets_the_source_mask_is_caught(monkeypatch):
         if not self.scope[sid] >> (2 * home + 1) & 1:
             original(self, sid, home)
 
-    assert mutant_caught(monkeypatch, CellIndex, "unhost", unhost, SEEDS, _seed_failure)
+    monkeypatch.setattr(CellIndex, "unhost", unhost)
+    assert any(_first_failure(_generate_ops(seed)) is not None for seed in SEEDS)
 
 
 def test_a_departure_that_keeps_its_columns_is_caught(monkeypatch):
@@ -209,4 +208,5 @@ def test_a_departure_that_keeps_its_columns_is_caught(monkeypatch):
         self.everyone ^= 1 << 2 * sid
         server._index = None
 
-    assert mutant_caught(monkeypatch, CellIndex, "leave", leave, SEEDS, _seed_failure)
+    monkeypatch.setattr(CellIndex, "leave", leave)
+    assert any(_first_failure(_generate_ops(seed)) is not None for seed in SEEDS)

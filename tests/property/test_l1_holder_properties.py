@@ -33,7 +33,7 @@ from repro.bloom.arrays import LRUBloomFilterArray
 from repro.core.cluster import GHBACluster, _ModelWalk
 from repro.core.config import GHBAConfig
 
-from tests._harness import check, cluster_step, mutant_caught, pick, replay
+from tests._harness import check, cluster_step, pick, replay
 
 SEEDS = range(18)
 PATHS = [f"/h/d{d}/f{f}" for d in range(5) for f in range(8)]
@@ -81,11 +81,16 @@ def _named(cluster):
 
 
 def _apply(cluster, op, renamed):
-    """Carry out ``op``: this suite's own steps, else the shared ones;
-    returns the cluster (a round trip makes a new one)."""
+    """Carry out ``op``: this suite's own steps (a delete names any path
+    the script can name, three syncs in ten are forced), else the shared
+    ones; returns the cluster (a round trip makes a new one)."""
     kind, a, b = op
     ids = cluster.server_ids()
-    if kind == "query":
+    if kind == "delete":
+        cluster.delete_file(pick(_named(cluster), a))
+    elif kind == "sync":
+        cluster.synchronize_replicas(force=b < 0.3)
+    elif kind == "query":
         cluster.query(pick(_named(cluster), a), pick(ids, b))
     elif kind == "hint":  # a peer's hint; the home may be stale
         cluster._share_lru_hint(pick(ids, a), pick(_named(cluster), b), pick(ids, a * b))
@@ -137,10 +142,6 @@ def _first_failure(seed, ops):
     return replay(ops, step)
 
 
-def _seed_failure(seed):
-    return _first_failure(seed, _generate_ops(seed))
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_holders_and_home_of_after_every_step(seed):
     check(seed, _generate_ops(seed), lambda ops: _first_failure(seed, ops))
@@ -149,15 +150,18 @@ def test_holders_and_home_of_after_every_step(seed):
 def test_scripts_reach_every_step_and_case(monkeypatch):
     """The scripts exercise what they claim: every step kind under every
     policy, evictions, a ``forget_lru`` of a cached key, a FIFO re-home,
-    a path stored twice, and an invalidation that names several origins."""
+    a path stored twice, an invalidation that names several origins, and
+    a delete of a stored name outside the seeded tree (a renamed one)."""
     seen = set()
     cases = dict.fromkeys(
-        ("evict", "forget", "fifo_rehome", "stored_twice", "several_holders"), 0
+        ("evict", "forget", "fifo_rehome", "stored_twice", "several_holders",
+         "delete_moved"), 0
     )
-    evict, record, forget = (
+    evict, record, forget, delete = (
         LRUBloomFilterArray._evict_one,
         LRUBloomFilterArray.record,
         _ModelWalk.forget_lru,
+        GHBACluster.delete_file,
     )
 
     def counting_evict(self):
@@ -173,9 +177,14 @@ def test_scripts_reach_every_step_and_case(monkeypatch):
         cases["forget"] += self.path in self.origin.lru._entries
         forget(self)
 
+    def counting_delete(self, path):
+        cases["delete_moved"] += path not in PATHS and self.home_of(path) is not None
+        return delete(self, path)
+
     monkeypatch.setattr(LRUBloomFilterArray, "_evict_one", counting_evict)
     monkeypatch.setattr(LRUBloomFilterArray, "record", counting_record)
     monkeypatch.setattr(_ModelWalk, "forget_lru", counting_forget)
+    monkeypatch.setattr(GHBACluster, "delete_file", counting_delete)
     for seed in SEEDS:
         cluster, renamed = _fleet(seed), []
         for op in _generate_ops(seed):
@@ -200,9 +209,8 @@ def test_an_eviction_that_skips_the_map_is_caught(monkeypatch):
         self._filters[home_id].discard(item)
         self._reslice(item, home_id)
 
-    assert mutant_caught(
-        monkeypatch, LRUBloomFilterArray, "_evict_one", _evict_one, SEEDS, _seed_failure
-    )
+    monkeypatch.setattr(LRUBloomFilterArray, "_evict_one", _evict_one)
+    assert any(_first_failure(seed, _generate_ops(seed)) is not None for seed in SEEDS)
 
 
 def test_a_fifo_rehome_that_drops_the_bit_is_caught(monkeypatch):
@@ -214,15 +222,13 @@ def test_a_fifo_rehome_that_drops_the_bit_is_caught(monkeypatch):
         if rehome and self._holders is not None:
             self._unhold(item)
 
-    assert mutant_caught(
-        monkeypatch, LRUBloomFilterArray, "record", mutant, SEEDS, _seed_failure
-    )
+    monkeypatch.setattr(LRUBloomFilterArray, "record", mutant)
+    assert any(_first_failure(seed, _generate_ops(seed)) is not None for seed in SEEDS)
 
 
 def test_a_departure_that_leaves_its_bits_is_caught(monkeypatch):
     def leave_holders(self):
         self._holders = None
 
-    assert mutant_caught(
-        monkeypatch, LRUBloomFilterArray, "leave_holders", leave_holders, SEEDS, _seed_failure
-    )
+    monkeypatch.setattr(LRUBloomFilterArray, "leave_holders", leave_holders)
+    assert any(_first_failure(seed, _generate_ops(seed)) is not None for seed in SEEDS)
