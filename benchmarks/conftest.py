@@ -19,11 +19,11 @@ import pytest
 
 @pytest.fixture
 def run_once(benchmark):
-    """Benchmark a callable with a single round and return its result."""
+    """Benchmark a zero-argument callable with a single round and return
+    its result; a scale is written out in the call it wraps
+    (``run_once(lambda: fig13.run(num_ops=20_000))``)."""
 
-    def _run(func, *args, **kwargs):
-        return benchmark.pedantic(
-            func, args=args, kwargs=kwargs, rounds=1, iterations=1
-        )
+    def _run(func):
+        return benchmark.pedantic(func, rounds=1, iterations=1)
 
     return _run

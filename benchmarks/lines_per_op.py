@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from typing import Callable, Dict, List, Tuple
 
 import repro
@@ -44,6 +45,7 @@ from bench.workloads.gateway import (
     GatewayWriteMix,
 )
 from repro.metadata.attributes import FileMetadata
+from tests._linecount import lines_executed
 
 REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 CHURN_KINDS = {"q": "query", "i": "insert", "d": "delete", "r": "rename",
@@ -53,35 +55,16 @@ WRITE_MIX_KINDS = {"c": "create", "d": "delete", "r": "rename", "t": "tick",
 Rows = List[Tuple[str, int, Dict[str, int]]]
 
 
-class LineCounter:
-    """Counts line events under ``src/repro`` by file while running."""
-
-    def __init__(self) -> None:
-        self.files: Dict[str, int] = {}
-
-    def _trace(self, frame, event, arg):
-        filename = frame.f_code.co_filename
-        if not filename.startswith(REPRO_DIR):
-            return None
-        if event == "line":
-            self.files[filename] = self.files.get(filename, 0) + 1
-        return self._trace
-
-    def run(self, call: Callable, *args):
-        previous = sys.gettrace()
-        sys.settrace(self._trace)
-        try:
-            return call(*args)
-        finally:
-            sys.settrace(previous)
-
-    def by_package(self) -> Dict[str, int]:
-        packages: Dict[str, int] = {}
-        for filename, count in self.files.items():
-            head = os.path.relpath(filename, REPRO_DIR).split(os.sep)[0]
-            package = head[:-3] if head.endswith(".py") else head
-            packages[package] = packages.get(package, 0) + count
-        return packages
+def count(call: Callable[[], object], into: Dict[str, int]):
+    """Runs ``call()``, adds the lines it executed under ``src/repro`` by
+    package to ``into`` and returns its result."""
+    result = []
+    packages = lines_executed(
+        lambda: result.append(call()), REPRO_DIR, by_package=True
+    )
+    for package, lines in packages.items():
+        into[package] = into.get(package, 0) + lines
+    return result[0]
 
 
 def zipf_lookup(seed: int, seconds: float) -> Rows:
@@ -89,11 +72,11 @@ def zipf_lookup(seed: int, seconds: float) -> Rows:
     inputs = workload.generate(seed, seconds)
     system = workload.build(inputs, seed, None)
     workload.warm_up(system, inputs)
-    counter = LineCounter()
+    lines: Dict[str, int] = {}
     query = system.cluster.query
     for path in inputs["timed"]:
-        counter.run(query, path)
-    return [("fleet_zipf_lookup query", len(inputs["timed"]), counter.by_package())]
+        count(partial(query, path), lines)
+    return [("fleet_zipf_lookup query", len(inputs["timed"]), lines)]
 
 
 def fleet_churn(seed: int, seconds: float) -> Rows:
@@ -111,7 +94,7 @@ def fleet_churn(seed: int, seconds: float) -> Rows:
         "sync": cluster.synchronize_replicas,
         "add": cluster.add_server,
     }
-    counters: Dict[str, LineCounter] = {}
+    lines: Dict[str, Dict[str, int]] = {}
     ops: Dict[str, int] = {}
     inode = len(inputs["paths"])
     transient = None
@@ -119,17 +102,18 @@ def fleet_churn(seed: int, seconds: float) -> Rows:
         kind = op[0]
         if kind == "i":
             inode += 1
-            call, args = cluster.insert_file, (FileMetadata(path=op[1], inode=inode), op[2])
+            meta = FileMetadata(path=op[1], inode=inode)
+            call = partial(cluster.insert_file, meta, op[2])
         elif kind == "rm":
-            call, args = cluster.remove_server, (transient,)
+            call = partial(cluster.remove_server, transient)
         else:
-            call, args = calls[kind], op[1:]
-        result = counters.setdefault(kind, LineCounter()).run(call, *args)
+            call = partial(calls[kind], *op[1:])
+        result = count(call, lines.setdefault(kind, {}))
         ops[kind] = ops.get(kind, 0) + 1
         if kind == "add":
             transient = result.server_id
     return [
-        (f"fleet_churn {name}", ops[kind], counters[kind].by_package())
+        (f"fleet_churn {name}", ops[kind], lines[kind])
         for kind, name in CHURN_KINDS.items()
         if kind in ops
     ]
@@ -141,15 +125,15 @@ def gateway_lookups(workload, seed: int, seconds: float) -> Rows:
     inputs = workload.generate(seed, seconds)
     system = workload.build(inputs, seed, None)
     workload.warm_up(system, inputs)
-    counter = LineCounter()
+    lines: Dict[str, int] = {}
     lookup_tick = system.client.lookup_tick
     now = system.now
     lookups = 0
     for tick in inputs["ticks"]:
-        counter.run(lookup_tick, tick, now)
+        count(partial(lookup_tick, tick, now), lines)
         lookups += len(tick)
         now += len(tick) / LOOKUPS_PER_VIRTUAL_S
-    return [(f"{workload.name} lookup", lookups, counter.by_package())]
+    return [(f"{workload.name} lookup", lookups, lines)]
 
 
 def write_mix(seed: int, seconds: float) -> Rows:
@@ -160,23 +144,22 @@ def write_mix(seed: int, seconds: float) -> Rows:
     workload.warm_up(system, inputs)
     client = system.client
     calls = {"t": client.lookup_tick, "d": client.delete, "r": client.rename}
-    counters: Dict[str, LineCounter] = {}
+    lines: Dict[str, Dict[str, int]] = {}
     ops: Dict[str, int] = {}
     now = system.now
     for op in inputs["ops"]:
         kind = op[0]
-        counter = counters.setdefault(kind, LineCounter())
         if kind == "c":
-            counter.run(lambda: client.create(op[1], now, home_id=op[2]))
+            call = partial(client.create, op[1], now, home_id=op[2])
         else:
-            counter.run(calls[kind], *op[1:], now)
+            call = partial(calls[kind], *op[1:], now)
+        count(call, lines.setdefault(kind, {}))
         ops[kind] = ops.get(kind, 0) + 1
         now += workload.CALL_DT_S
-    counters["barrier"] = LineCounter()
-    counters["barrier"].run(client.flush_barrier, now)
+    count(partial(client.flush_barrier, now), lines.setdefault("barrier", {}))
     ops["barrier"] = 1
     return [
-        (f"gw_write_mix {name}", ops[kind], counters[kind].by_package())
+        (f"gw_write_mix {name}", ops[kind], lines[kind])
         for kind, name in WRITE_MIX_KINDS.items()
         if kind in ops
     ]

@@ -11,7 +11,10 @@ from repro.experiments import ablation_bits
 
 def test_ablation_bit_ratio(run_once):
     result = run_once(
-        ablation_bits.run, bit_ratios=(4.0, 8.0, 16.0), num_queries=4_000
+        lambda: ablation_bits.run(
+            bit_ratios=(4.0, 8.0, 16.0),
+            num_queries=4_000,
+        )
     )
     print()
     print(result.format(float_digits=5))

@@ -10,7 +10,7 @@ from repro.experiments import ablation_cooperative
 
 def test_ablation_cooperative_caching(run_once):
     result = run_once(
-        ablation_cooperative.run, fanouts=(0, 2, 4), num_ops=8_000
+        lambda: ablation_cooperative.run(fanouts=(0, 2, 4), num_ops=8_000)
     )
     print()
     print(result.format())

@@ -10,12 +10,13 @@ from repro.experiments import ablation_lru
 
 def test_ablation_lru_capacity(run_once):
     result = run_once(
-        ablation_lru.run,
-        lru_capacities=(1, 64, 512, 4096),
-        num_servers=20,
-        group_size=5,
-        num_files=1_200,
-        num_ops=8_000,
+        lambda: ablation_lru.run(
+            lru_capacities=(1, 64, 512, 4096),
+            num_servers=20,
+            group_size=5,
+            num_files=1_200,
+            num_ops=8_000,
+        )
     )
     print()
     print(result.format())

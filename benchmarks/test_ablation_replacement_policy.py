@@ -10,10 +10,11 @@ from repro.experiments import ablation_policies
 
 def test_ablation_replacement_policy(run_once):
     result = run_once(
-        ablation_policies.run,
-        policies=("fifo", "lru", "lfu"),
-        lru_capacity=24,
-        num_ops=8_000,
+        lambda: ablation_policies.run(
+            policies=("fifo", "lru", "lfu"),
+            lru_capacity=24,
+            num_ops=8_000,
+        )
     )
     print()
     print(result.format())

@@ -9,11 +9,12 @@ from repro.experiments import ablation_updates
 
 def test_ablation_update_threshold(run_once):
     result = run_once(
-        ablation_updates.run,
-        thresholds=(0, 64, 256, 1024),
-        num_servers=20,
-        group_size=5,
-        churn_rounds=30,
+        lambda: ablation_updates.run(
+            thresholds=(0, 64, 256, 1024),
+            num_servers=20,
+            group_size=5,
+            churn_rounds=30,
+        )
     )
     print()
     print(result.format())

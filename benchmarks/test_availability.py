@@ -9,12 +9,13 @@ from repro.experiments import availability
 
 def test_availability_under_crash_failures(run_once):
     result = run_once(
-        availability.run,
-        num_servers=20,
-        group_size=5,
-        num_files=1_000,
-        failures=5,
-        graceful=False,
+        lambda: availability.run(
+            num_servers=20,
+            group_size=5,
+            num_files=1_000,
+            failures=5,
+            graceful=False,
+        )
     )
     print()
     print(result.format())
@@ -34,12 +35,13 @@ def test_availability_under_crash_failures(run_once):
 
 def test_availability_under_graceful_departures(run_once):
     result = run_once(
-        availability.run,
-        num_servers=20,
-        group_size=5,
-        num_files=800,
-        failures=5,
-        graceful=True,
+        lambda: availability.run(
+            num_servers=20,
+            group_size=5,
+            num_files=800,
+            failures=5,
+            graceful=True,
+        )
     )
     # Re-homing keeps every file reachable (Section 3.1's departures).
     assert all(row["coverage"] == 1.0 for row in result.rows)

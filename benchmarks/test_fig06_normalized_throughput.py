@@ -9,7 +9,9 @@ from repro.experiments.fig06 import PAPER_OPTIMA
 
 
 def test_fig06_normalized_throughput(run_once):
-    result = run_once(fig06.run, server_counts=(30, 100), max_group_size=15)
+    result = run_once(
+        lambda: fig06.run(server_counts=(30, 100), max_group_size=15)
+    )
     print()
     for (trace, n), paper_m in sorted(PAPER_OPTIMA.items()):
         rows = result.filter(trace=trace, num_servers=n)

@@ -12,13 +12,14 @@ FRACTIONS = (1.25, 0.7, 0.4)
 
 def test_fig09_latency_res(run_once):
     result = run_once(
-        fig08_10.run,
-        "RES",
-        memory_fractions=FRACTIONS,
-        num_servers=24,
-        group_size=5,
-        num_files=6_000,
-        num_ops=18_000,
+        lambda: fig08_10.run(
+            "RES",
+            memory_fractions=FRACTIONS,
+            num_servers=24,
+            group_size=5,
+            num_files=6_000,
+            num_ops=18_000,
+        )
     )
     print()
     print(result.format())

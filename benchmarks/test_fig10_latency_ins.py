@@ -11,13 +11,14 @@ FRACTIONS = (1.25, 0.7, 0.45)
 
 def test_fig10_latency_ins(run_once):
     result = run_once(
-        fig08_10.run,
-        "INS",
-        memory_fractions=FRACTIONS,
-        num_servers=24,
-        group_size=6,
-        num_files=6_000,
-        num_ops=18_000,
+        lambda: fig08_10.run(
+            "INS",
+            memory_fractions=FRACTIONS,
+            num_servers=24,
+            group_size=6,
+            num_files=6_000,
+            num_ops=18_000,
+        )
     )
     print()
     print(result.format())

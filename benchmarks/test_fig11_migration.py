@@ -11,7 +11,7 @@ SERVER_COUNTS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
 
 def test_fig11_migration(run_once):
-    result = run_once(fig11.run, server_counts=SERVER_COUNTS)
+    result = run_once(lambda: fig11.run(server_counts=SERVER_COUNTS))
     print()
     print(result.format())
 

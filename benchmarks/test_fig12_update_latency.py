@@ -9,7 +9,7 @@ from repro.experiments import fig12
 
 
 def test_fig12_update_latency(run_once):
-    result = run_once(fig12.run, num_updates=40, files_per_update=5)
+    result = run_once(lambda: fig12.run(num_updates=40, files_per_update=5))
     print()
     print(result.format())
 

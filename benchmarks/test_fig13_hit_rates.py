@@ -10,10 +10,11 @@ from repro.experiments import fig13
 
 def test_fig13_hit_rates(run_once):
     result = run_once(
-        fig13.run,
-        server_counts=(10, 30, 60, 100),
-        num_files=1_000,
-        num_ops=20_000,
+        lambda: fig13.run(
+            server_counts=(10, 30, 60, 100),
+            num_files=1_000,
+            num_ops=20_000,
+        )
     )
     print()
     print(result.format())

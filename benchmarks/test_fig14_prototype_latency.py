@@ -14,12 +14,13 @@ from repro.experiments.fig14 import improvement_at_heaviest_load
 
 def test_fig14_prototype_latency(run_once):
     result = run_once(
-        fig14.run,
-        num_nodes=20,
-        group_size=7,
-        num_files=2_000,
-        num_ops=3_000,
-        memory_fraction=0.5,
+        lambda: fig14.run(
+            num_nodes=20,
+            group_size=7,
+            num_files=2_000,
+            num_ops=3_000,
+            memory_fraction=0.5,
+        )
     )
     print()
     print(result.format())

@@ -11,7 +11,9 @@ from repro.experiments import fig15
 
 
 def test_fig15_add_node_messages(run_once):
-    result = run_once(fig15.run, initial_nodes=20, group_size=7, additions=10)
+    result = run_once(
+        lambda: fig15.run(initial_nodes=20, group_size=7, additions=10)
+    )
     print()
     print(result.format())
 

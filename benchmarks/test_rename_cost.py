@@ -10,7 +10,7 @@ from repro.experiments import rename_cost
 
 
 def test_rename_and_resize_cost(run_once):
-    result = run_once(rename_cost.run, num_servers=20, group_size=5)
+    result = run_once(lambda: rename_cost.run(num_servers=20, group_size=5))
     print()
     print(result.format())
     rename_row = next(

@@ -9,7 +9,7 @@ from repro.experiments import scalability
 
 
 def test_scalability_sweep(run_once):
-    result = run_once(scalability.run, server_counts=(20, 40, 80, 160))
+    result = run_once(lambda: scalability.run(server_counts=(20, 40, 80, 160)))
     print()
     print(result.format())
     rows = result.rows

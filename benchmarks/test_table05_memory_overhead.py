@@ -13,9 +13,10 @@ from repro.experiments.table05 import PAPER_GHBA
 
 def test_table05_memory_overhead(run_once):
     result = run_once(
-        table05.run,
-        server_counts=(20, 40, 60, 80, 100),
-        files_per_server=2_000,
+        lambda: table05.run(
+            server_counts=(20, 40, 60, 80, 100),
+            files_per_server=2_000,
+        )
     )
     print()
     print(result.format(float_digits=4))

@@ -8,7 +8,11 @@ from repro.experiments.tables_traces import PAPER_TIF
 
 def test_tables_3_and_4_scaled_traces(run_once):
     result = run_once(
-        tables_traces.run, base_files=1_500, base_ops=4_000, tif_scale=0.2
+        lambda: tables_traces.run(
+            base_files=1_500,
+            base_ops=4_000,
+            tif_scale=0.2,
+        )
     )
     print()
     print(result.format())

@@ -19,7 +19,6 @@ import dataclasses
 
 from repro.core.optimal import (
     TRACE_MODELS,
-    OptimalityModel,
     normalized_throughput,
     optimal_group_size,
     space_overhead,

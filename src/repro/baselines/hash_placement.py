@@ -14,11 +14,9 @@ import hashlib
 from typing import Dict, List, Sequence
 
 
-def _stable_hash(value: int, seed: int = 0) -> int:
+def _stable_hash(value: int) -> int:
     """A deterministic 64-bit hash (``hash()`` is salted per process)."""
-    payload = value.to_bytes(16, "big", signed=True) + seed.to_bytes(
-        8, "big", signed=True
-    )
+    payload = value.to_bytes(16, "big", signed=True) + bytes(8)
     return int.from_bytes(
         hashlib.blake2b(payload, digest_size=8).digest(), "big"
     )
@@ -32,17 +30,14 @@ class HashPlacementGroup:
     member_ids:
         Initial member MDS IDs (order matters: the modulus indexes into the
         sorted member list).
-    seed:
-        Hash seed, letting experiments draw independent runs.
     """
 
-    def __init__(self, member_ids: Sequence[int], seed: int = 0) -> None:
+    def __init__(self, member_ids: Sequence[int]) -> None:
         if not member_ids:
             raise ValueError("a group needs at least one member")
         if len(set(member_ids)) != len(member_ids):
             raise ValueError("member_ids must be unique")
         self._members: List[int] = sorted(member_ids)
-        self._seed = seed
         self._placements: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -58,7 +53,7 @@ class HashPlacementGroup:
 
     def target_of(self, replica_id: int) -> int:
         """The member that must host ``replica_id`` under the current M'."""
-        index = _stable_hash(replica_id, self._seed) % len(self._members)
+        index = _stable_hash(replica_id) % len(self._members)
         return self._members[index]
 
     # ------------------------------------------------------------------
@@ -121,9 +116,7 @@ class HashPlacementGroup:
         )
 
 
-def hash_join_migrations(
-    num_servers: int, group_size: int, seed: int = 0
-) -> int:
+def hash_join_migrations(num_servers: int, group_size: int) -> int:
     """Replicas migrated when one MDS joins a hash-placed group.
 
     Sets up a group of ``group_size`` members hosting the
@@ -138,6 +131,6 @@ def hash_join_migrations(
         )
     members = list(range(group_size))
     outside = list(range(group_size, num_servers))
-    group = HashPlacementGroup(members, seed=seed)
+    group = HashPlacementGroup(members)
     group.place_all(outside)
     return group.add_member(num_servers)

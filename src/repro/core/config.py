@@ -8,8 +8,8 @@ and the per-MDS memory budget driving Figures 8-10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 from repro.bloom.analysis import optimal_num_hashes
 from repro.sim.network import NetworkModel
@@ -52,7 +52,7 @@ class GHBAConfig:
     seed:
         Hash family seed shared by every MDS so filters stay comparable.
     network:
-        Latency model used by the simulator.
+        The simulator's latency model: fixed constants, not a setting.
     heartbeat_interval_s / heartbeat_timeout_s:
         Failure detection parameters (Section 4.5).
     """
@@ -68,7 +68,7 @@ class GHBAConfig:
     update_threshold_bits: int = 64
     memory_budget_bytes: Optional[int] = None
     seed: int = 0
-    network: NetworkModel = field(default_factory=NetworkModel)
+    network: ClassVar[NetworkModel] = NetworkModel()
     heartbeat_interval_s: float = 1.0
     heartbeat_timeout_s: float = 3.0
 

@@ -37,6 +37,29 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+#: Probability that a query reaching L2 *whose answer is locally covered*
+#: resolves with a unique true hit (1 minus the false-routing regime of
+#: Equation 1).
+L2_ACCURACY = 0.95
+#: The L4 escape rate's floor and cap (see :meth:`HitRates.l4_escape_rate`).
+STALE_MISS_BASE = 0.005
+STALE_MISS_CAP = 0.2
+
+#: Delay constants (ms) of the uncongested latency.  Base per-query delay:
+#: L1 probe plus the amortized forward hop.
+DELAY_BASE_MS = 0.05
+#: Delay per filter probed in the local segment array.
+DELAY_L2_PER_FILTER_MS = 0.002
+#: Forward round trip after a unique L2 hit.
+DELAY_FORWARD_MS = 0.4
+#: Multicast base delay and per-destination increment.
+DELAY_MULTICAST_BASE_MS = 0.2
+DELAY_MULTICAST_PER_DEST_MS = 0.01
+#: Work constants (server-ms): receiving and dispatching one query, and
+#: each filter probed at L2.
+WORK_BASE_MS = 0.001
+WORK_L2_PER_FILTER_MS = 0.002
+
 
 @dataclass(frozen=True)
 class HitRates:
@@ -46,64 +69,44 @@ class HitRates:
     ----------
     p_lru:
         P_LRU — unique-hit rate of the L1 LRU array (workload locality).
-    l2_accuracy:
-        Probability that a query reaching L2 *whose answer is locally
-        covered* resolves with a unique true hit (1 minus the false-routing
-        regime of Equation 1).
-    stale_miss_base / stale_miss_rate_per_server / stale_miss_cap:
+    stale_miss_rate_per_server:
         The L4 escape rate: the paper observes the fraction of queries
         served by L4 grows with N because stale replicas accumulate
-        (Section 4.5).  Modeled as ``min(cap, base + per_server * N)``.
+        (Section 4.5).  Modeled as ``min(STALE_MISS_CAP, STALE_MISS_BASE +
+        per_server * N)``.
     """
 
     p_lru: float = 0.70
-    l2_accuracy: float = 0.95
-    stale_miss_base: float = 0.005
     stale_miss_rate_per_server: float = 0.001
-    stale_miss_cap: float = 0.2
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_lru < 1.0:
             raise ValueError(f"p_lru must be in [0, 1), got {self.p_lru}")
-        if not 0.0 < self.l2_accuracy <= 1.0:
-            raise ValueError(f"l2_accuracy must be in (0, 1], got {self.l2_accuracy}")
-        if self.stale_miss_base < 0 or self.stale_miss_rate_per_server < 0:
-            raise ValueError("stale miss parameters must be non-negative")
+        if self.stale_miss_rate_per_server < 0:
+            raise ValueError("stale_miss_rate_per_server must be non-negative")
 
     def l4_escape_rate(self, num_servers: int) -> float:
         """Probability a query reaching L3 still needs L4 (stale replicas)."""
         return min(
-            self.stale_miss_cap,
-            self.stale_miss_base + self.stale_miss_rate_per_server * num_servers,
+            STALE_MISS_CAP,
+            STALE_MISS_BASE + self.stale_miss_rate_per_server * num_servers,
         )
 
 
 @dataclass(frozen=True)
 class OptimalityModel:
-    """Constants of the Equation 2-4 evaluation.
+    """The per-trace constants of the Equation 2-4 evaluation.
 
-    Delay constants (``delay_*``, ms) build the uncongested latency;
-    work constants (``work_*``, server-ms) build per-server utilization.
-    ``arrivals_total_per_s`` is the *system-wide* operation rate — the
-    trace's intensity — which each of the N servers receives 1/N of.
+    The delay constants (``DELAY_*``, ms) build the uncongested latency;
+    the work constants (``WORK_*`` and ``work_*``, server-ms) build
+    per-server utilization.  ``arrivals_total_per_s`` is the *system-wide*
+    operation rate — the trace's intensity — which each of the N servers
+    receives 1/N of.
     """
 
     hit_rates: HitRates = field(default_factory=HitRates)
     #: System-wide metadata operation rate (fixed by the trace).
     arrivals_total_per_s: float = 160_000.0
-    #: Base per-query delay: L1 probe plus the amortized forward hop (ms).
-    delay_base_ms: float = 0.05
-    #: Delay per filter probed in the local segment array (ms).
-    delay_l2_per_filter_ms: float = 0.002
-    #: Forward round trip after a unique L2 hit (ms).
-    delay_forward_ms: float = 0.4
-    #: Multicast base delay (ms) and per-destination increment (ms).
-    delay_multicast_base_ms: float = 0.2
-    delay_multicast_per_dest_ms: float = 0.01
-    #: CPU work to receive and dispatch one query (ms).
-    work_base_ms: float = 0.001
-    #: CPU work per filter probed at L2 (ms).
-    work_l2_per_filter_ms: float = 0.002
     #: CPU work of a group multicast per member (ms), applied to
     #: ``(M - 1) ** work_l3_exponent`` — superlinear for response incast.
     work_l3_per_member_ms: float = 0.03
@@ -116,17 +119,7 @@ class OptimalityModel:
             raise ValueError("arrivals_total_per_s must be positive")
         if self.work_l3_exponent < 1.0:
             raise ValueError("work_l3_exponent must be >= 1")
-        for name in (
-            "delay_base_ms",
-            "delay_l2_per_filter_ms",
-            "delay_forward_ms",
-            "delay_multicast_base_ms",
-            "delay_multicast_per_dest_ms",
-            "work_base_ms",
-            "work_l2_per_filter_ms",
-            "work_l3_per_member_ms",
-            "work_l4_per_server_ms",
-        ):
+        for name in ("work_l3_per_member_ms", "work_l4_per_server_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -147,7 +140,7 @@ class OptimalityModel:
         """Return ``(P_L1, P_L2, P_L3, P_L4)`` — fraction served per level."""
         rates = self.hit_rates
         p1 = rates.p_lru
-        p_l2_local = self.local_coverage(num_servers, group_size) * rates.l2_accuracy
+        p_l2_local = self.local_coverage(num_servers, group_size) * L2_ACCURACY
         p2 = (1.0 - p1) * p_l2_local
         escape = rates.l4_escape_rate(num_servers)
         reach_l3 = (1.0 - p1) * (1.0 - p_l2_local)
@@ -158,15 +151,15 @@ class OptimalityModel:
     def group_multicast_delay_ms(self, group_size: int) -> float:
         """D_group of Table 2."""
         return (
-            self.delay_multicast_base_ms
-            + self.delay_multicast_per_dest_ms * max(0, group_size - 1)
+            DELAY_MULTICAST_BASE_MS
+            + DELAY_MULTICAST_PER_DEST_MS * max(0, group_size - 1)
         )
 
     def global_multicast_delay_ms(self, num_servers: int) -> float:
         """D_net of Table 2."""
         return (
-            self.delay_multicast_base_ms
-            + self.delay_multicast_per_dest_ms * max(0, num_servers - 1)
+            DELAY_MULTICAST_BASE_MS
+            + DELAY_MULTICAST_PER_DEST_MS * max(0, num_servers - 1)
         )
 
     def query_delay_ms(self, num_servers: int, group_size: int) -> float:
@@ -176,9 +169,9 @@ class OptimalityModel:
         reach_l2 = 1.0 - p1
         reach_l3 = p3 + p4
         return (
-            self.delay_base_ms
-            + reach_l2 * self.delay_l2_per_filter_ms * (theta + 1.0)
-            + p2 * self.delay_forward_ms
+            DELAY_BASE_MS
+            + reach_l2 * DELAY_L2_PER_FILTER_MS * (theta + 1.0)
+            + p2 * DELAY_FORWARD_MS
             + reach_l3 * self.group_multicast_delay_ms(group_size)
             + p4 * self.global_multicast_delay_ms(num_servers)
         )
@@ -190,8 +183,8 @@ class OptimalityModel:
         reach_l2 = 1.0 - p1
         reach_l3 = p3 + p4
         return (
-            self.work_base_ms
-            + reach_l2 * self.work_l2_per_filter_ms * (theta + 1.0)
+            WORK_BASE_MS
+            + reach_l2 * WORK_L2_PER_FILTER_MS * (theta + 1.0)
             + reach_l3
             * self.work_l3_per_member_ms
             * max(0, group_size - 1) ** self.work_l3_exponent

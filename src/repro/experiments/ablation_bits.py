@@ -21,18 +21,18 @@ from typing import Sequence
 from repro.bloom.analysis import segment_array_false_positive_rate
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
 from repro.sim.rng import make_rng
+
+NUM_SERVERS = 16
+GROUP_SIZE = 4
+NUM_FILES = 2_000
+#: The share of queries for nonexistent paths.
+NEGATIVE_FRACTION = 0.3
 
 
 def run(
-    bit_ratios: Sequence[float] = (4.0, 8.0, 16.0, 24.0),
-    num_servers: int = 16,
-    group_size: int = 4,
-    num_files: int = 2_000,
-    num_queries: int = 4_000,
-    negative_fraction: float = 0.3,
-    seed: int = 0,
+    bit_ratios: Sequence[float] = (4.0, 8.0, 16.0, 24.0), num_queries: int = 4_000
 ) -> ExperimentResult:
     """Sweep m/n; measure memory, false forwards and the Eq. 1 prediction."""
     result = ExperimentResult(
@@ -40,40 +40,40 @@ def run(
         title="Ablation: bit/file ratio vs. memory and false routing",
         params={
             "bit_ratios": list(bit_ratios),
-            "num_servers": num_servers,
-            "num_files": num_files,
-            "negative_fraction": negative_fraction,
+            "num_servers": NUM_SERVERS,
+            "num_files": NUM_FILES,
+            "negative_fraction": NEGATIVE_FRACTION,
         },
     )
     base = GHBAConfig(
-        max_group_size=group_size,
-        expected_files_per_mds=max(64, num_files // num_servers * 2),
+        max_group_size=GROUP_SIZE,
+        expected_files_per_mds=max(64, NUM_FILES // NUM_SERVERS * 2),
         lru_capacity=32,
         lru_filter_bits=256,
-        seed=seed,
+        seed=SEED,
     )
-    paths = [f"/bits/d{i % 7}/f{i}" for i in range(num_files)]
+    paths = [f"/bits/d{i % 7}/f{i}" for i in range(NUM_FILES)]
     for ratio in bit_ratios:
         config = dataclasses.replace(base, bits_per_file=ratio)
-        cluster = GHBACluster(num_servers, config, seed=seed)
+        cluster = GHBACluster(NUM_SERVERS, config, seed=SEED)
         placement = cluster.populate(paths)
         cluster.synchronize_replicas(force=True)
-        rng = make_rng(seed ^ int(ratio * 10))
+        rng = make_rng(SEED ^ int(ratio * 10))
         for index in range(num_queries):
-            if rng.random() < negative_fraction:
+            if rng.random() < NEGATIVE_FRACTION:
                 # Nonexistent paths: the stream where sparse filters save
                 # multicasts and dense ones trigger false forwards.
                 cluster.query(f"/bits/ghost/{index}")
             else:
-                cluster.query(paths[rng.randrange(num_files)])
-        theta = (num_servers - group_size) / group_size
+                cluster.query(paths[rng.randrange(NUM_FILES)])
+        theta = (NUM_SERVERS - GROUP_SIZE) / GROUP_SIZE
         result.rows.append(
             {
                 "bits_per_file": ratio,
                 "filter_bytes": config.filter_bytes,
                 "bloom_bytes_per_mds": int(
                     sum(cluster.memory_bytes_per_server().values())
-                    / num_servers
+                    / NUM_SERVERS
                 ),
                 "false_forwards": cluster.total_false_forwards,
                 "false_forward_rate": (

@@ -14,17 +14,15 @@ import dataclasses
 from typing import Sequence
 
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult, replay_lookups
+from repro.experiments.common import SEED, ExperimentResult, replay_lookups
+
+NUM_SERVERS = 20
+GROUP_SIZE = 5
+NUM_FILES = 1_200
 
 
 def run(
-    fanouts: Sequence[int] = (0, 1, 2, 4),
-    num_servers: int = 20,
-    group_size: int = 5,
-    num_files: int = 1_200,
-    num_ops: int = 8_000,
-    profile_name: str = "HP",
-    seed: int = 0,
+    fanouts: Sequence[int] = (0, 1, 2, 4), num_ops: int = 8_000
 ) -> ExperimentResult:
     """Sweep the cooperative fanout (0 = the paper's plain scheme)."""
     result = ExperimentResult(
@@ -32,22 +30,20 @@ def run(
         title="Ablation: cooperative L1 caching vs. hit mix and messages",
         params={
             "fanouts": list(fanouts),
-            "num_servers": num_servers,
+            "num_servers": NUM_SERVERS,
             "num_ops": num_ops,
         },
     )
     base = GHBAConfig(
-        max_group_size=group_size,
-        expected_files_per_mds=max(256, int(num_files / num_servers * 2)),
-        lru_capacity=max(128, num_files // 4),
+        max_group_size=GROUP_SIZE,
+        expected_files_per_mds=max(256, int(NUM_FILES / NUM_SERVERS * 2)),
+        lru_capacity=max(128, NUM_FILES // 4),
         lru_filter_bits=1 << 12,
-        seed=seed,
+        seed=SEED,
     )
     for fanout in fanouts:
         config = dataclasses.replace(base, cooperative_fanout=fanout)
-        cluster, fractions = replay_lookups(
-            config, num_servers, num_files, num_ops, profile_name, seed
-        )
+        cluster, fractions = replay_lookups(config, NUM_SERVERS, NUM_FILES, num_ops)
         result.rows.append(
             {
                 "fanout": fanout,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult, replay_lookups
+from repro.experiments.common import SEED, ExperimentResult, replay_lookups
 
 
 def run(
@@ -22,8 +22,6 @@ def run(
     group_size: int = 5,
     num_files: int = 1_200,
     num_ops: int = 8_000,
-    profile_name: str = "HP",
-    seed: int = 0,
 ) -> ExperimentResult:
     """Sweep LRU capacity; capacity 1 approximates 'no L1 level'."""
     result = ExperimentResult(
@@ -41,11 +39,9 @@ def run(
             expected_files_per_mds=max(256, int(num_files / num_servers * 2)),
             lru_capacity=capacity,
             lru_filter_bits=1 << 12,
-            seed=seed,
+            seed=SEED,
         )
-        cluster, fractions = replay_lookups(
-            config, num_servers, num_files, num_ops, profile_name, seed
-        )
+        cluster, fractions = replay_lookups(config, num_servers, num_files, num_ops)
         result.rows.append(
             {
                 "lru_capacity": capacity,

@@ -12,18 +12,17 @@ import dataclasses
 from typing import Sequence
 
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult, replay_lookups
+from repro.experiments.common import SEED, ExperimentResult, replay_lookups
+
+NUM_SERVERS = 20
+GROUP_SIZE = 5
+NUM_FILES = 1_200
 
 
 def run(
     policies: Sequence[str] = ("fifo", "lru", "lfu"),
-    num_servers: int = 20,
-    group_size: int = 5,
-    num_files: int = 1_200,
     num_ops: int = 8_000,
     lru_capacity: int = 32,
-    profile_name: str = "HP",
-    seed: int = 0,
 ) -> ExperimentResult:
     """Replay one trace per policy; everything else held fixed.
 
@@ -35,23 +34,21 @@ def run(
         title="Ablation: L1 replacement policy vs. hit mix and latency",
         params={
             "policies": list(policies),
-            "num_servers": num_servers,
+            "num_servers": NUM_SERVERS,
             "num_ops": num_ops,
             "lru_capacity": lru_capacity,
         },
     )
     base = GHBAConfig(
-        max_group_size=group_size,
-        expected_files_per_mds=max(256, int(num_files / num_servers * 2)),
+        max_group_size=GROUP_SIZE,
+        expected_files_per_mds=max(256, int(NUM_FILES / NUM_SERVERS * 2)),
         lru_capacity=lru_capacity,
         lru_filter_bits=1 << 12,
-        seed=seed,
+        seed=SEED,
     )
     for policy in policies:
         config = dataclasses.replace(base, lru_policy=policy)
-        cluster, fractions = replay_lookups(
-            config, num_servers, num_files, num_ops, profile_name, seed
-        )
+        cluster, fractions = replay_lookups(config, NUM_SERVERS, NUM_FILES, num_ops)
         result.rows.append(
             {
                 "policy": policy,

@@ -18,11 +18,14 @@ from typing import List, Sequence
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.query import QueryLevel
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
 from repro.metadata.attributes import FileMetadata
 from repro.sim.rng import make_rng
 
 import dataclasses
+
+FILES_PER_ROUND = 6
+QUERIES_PER_ROUND = 10
 
 
 def run(
@@ -30,9 +33,6 @@ def run(
     num_servers: int = 20,
     group_size: int = 5,
     churn_rounds: int = 40,
-    files_per_round: int = 6,
-    queries_per_round: int = 10,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Sweep the update threshold under create-then-query churn."""
     result = ExperimentResult(
@@ -41,7 +41,7 @@ def run(
         params={
             "thresholds": list(thresholds),
             "churn_rounds": churn_rounds,
-            "files_per_round": files_per_round,
+            "files_per_round": FILES_PER_ROUND,
         },
     )
     base = GHBAConfig(
@@ -49,26 +49,26 @@ def run(
         expected_files_per_mds=512,
         lru_capacity=64,
         lru_filter_bits=512,
-        seed=seed,
+        seed=SEED,
     )
     for threshold in thresholds:
         config = dataclasses.replace(base, update_threshold_bits=threshold)
-        cluster = GHBACluster(num_servers, config, seed=seed)
-        rng = make_rng(seed ^ threshold)
+        cluster = GHBACluster(num_servers, config, seed=SEED)
+        rng = make_rng(SEED ^ threshold)
         update_messages = 0
         stale_escapes = 0
         fresh_queries = 0
         inode = 0
         for round_index in range(churn_rounds):
             created: List[str] = []
-            for i in range(files_per_round):
+            for i in range(FILES_PER_ROUND):
                 path = f"/ablation/{threshold}/{round_index}/{i}"
                 cluster.insert_file(FileMetadata(path=path, inode=inode))
                 inode += 1
                 created.append(path)
             report = cluster.synchronize_replicas(force=False)
             update_messages += report.messages
-            for _ in range(queries_per_round):
+            for _ in range(QUERIES_PER_ROUND):
                 path = rng.choice(created)
                 outcome = cluster.query(path)
                 fresh_queries += 1

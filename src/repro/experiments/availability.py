@@ -19,8 +19,11 @@ from __future__ import annotations
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.failure import HeartbeatMonitor
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
 from repro.sim.rng import make_rng
+
+#: Surviving files probed after each failure.
+SAMPLE = 300
 
 
 def run(
@@ -29,8 +32,6 @@ def run(
     num_files: int = 1_000,
     failures: int = 6,
     graceful: bool = False,
-    sample: int = 300,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Kill (or gracefully remove) ``failures`` servers, measuring after each."""
     result = ExperimentResult(
@@ -52,15 +53,15 @@ def run(
         expected_files_per_mds=max(256, int(num_files / num_servers * 4)),
         lru_capacity=128,
         lru_filter_bits=1 << 10,
-        seed=seed,
+        seed=SEED,
     )
-    cluster = GHBACluster(num_servers, config, seed=seed)
+    cluster = GHBACluster(num_servers, config, seed=SEED)
     placement = cluster.populate(f"/avail/d{i % 9}/f{i}" for i in range(num_files))
     cluster.synchronize_replicas(force=True)
     monitor = HeartbeatMonitor(cluster)
     clock = 0.0
-    rng = make_rng(seed ^ 0xA7)
-    probe_paths = rng.sample(sorted(placement), min(sample, len(placement)))
+    rng = make_rng(SEED ^ 0xA7)
+    probe_paths = rng.sample(sorted(placement), min(SAMPLE, len(placement)))
 
     def measure(failed_so_far: int) -> None:
         found = 0

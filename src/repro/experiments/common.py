@@ -22,6 +22,9 @@ from repro.obs.export import write_spans_jsonl
 from repro.traces.profiles import PROFILES
 from repro.traces.synthetic import SyntheticTraceGenerator
 
+#: The seed every experiment draws from; the recorded outputs are at 0.
+SEED = 0
+
 
 @dataclass
 class ExperimentResult:
@@ -144,18 +147,13 @@ class SeriesRecorder:
 # Opt-in query tracing (--trace-out)
 # ----------------------------------------------------------------------
 def replay_lookups(
-    config: GHBAConfig,
-    num_servers: int,
-    num_files: int,
-    num_ops: int,
-    profile_name: str,
-    seed: int,
+    config: GHBAConfig, num_servers: int, num_files: int, num_ops: int
 ) -> Tuple[GHBACluster, Dict[str, float]]:
-    """The L1 ablations' run: build a cluster, place a synthetic trace's
-    files, publish every replica, look up each traced path that exists.
-    Returns the cluster and its per-level hit fractions."""
-    cluster = GHBACluster(num_servers, config, seed=seed)
-    generator = SyntheticTraceGenerator(PROFILES[profile_name], num_files, seed=seed)
+    """The L1 ablations' run: build a cluster, place an HP synthetic
+    trace's files, publish every replica, look up each traced path that
+    exists.  Returns the cluster and its per-level hit fractions."""
+    cluster = GHBACluster(num_servers, config, seed=SEED)
+    generator = SyntheticTraceGenerator(PROFILES["HP"], num_files, seed=SEED)
     placement = cluster.populate(generator.paths)
     cluster.synchronize_replicas(force=True)
     for record in generator.generate(num_ops):

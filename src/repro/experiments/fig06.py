@@ -7,13 +7,9 @@ M = 5 (RES, N = 30) and M = 9 (all traces, N = 100).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
-from repro.core.optimal import (
-    TRACE_MODELS,
-    OptimalityModel,
-    throughput_curve,
-)
+from repro.core.optimal import TRACE_MODELS, throughput_curve
 from repro.experiments.common import ExperimentResult
 
 #: Optima the paper reports, for shape assertions.
@@ -30,10 +26,8 @@ PAPER_OPTIMA = {
 def run(
     server_counts: Sequence[int] = (30, 100),
     max_group_size: int = 15,
-    models: Optional[Dict[str, OptimalityModel]] = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 6 series: Gamma(M) per trace and N."""
-    models = models or TRACE_MODELS
     result = ExperimentResult(
         name="fig06",
         title="Figure 6: normalized throughput vs. group size M",
@@ -42,7 +36,7 @@ def run(
             "max_group_size": max_group_size,
         },
     )
-    for trace, model in models.items():
+    for trace, model in TRACE_MODELS.items():
         for num_servers in server_counts:
             curve = throughput_curve(num_servers, model, max_group_size)
             best_m = max(curve, key=lambda pair: pair[1])[0]

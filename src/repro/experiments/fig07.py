@@ -8,35 +8,29 @@ with N.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
-from repro.core.optimal import (
-    TRACE_MODELS,
-    OptimalityModel,
-    optimal_group_size,
-)
+from repro.core.optimal import TRACE_MODELS, optimal_group_size
 from repro.experiments.common import ExperimentResult
 
-#: The paper's Figure 7 optima (the x-axis annotation gives M/N ratios).
+#: The paper's Figure 7 optima (the x-axis annotation gives M/N ratios),
+#: one per N the figure sweeps.
 PAPER_OPTIMA = {10: 3, 30: 6, 60: 7, 100: 9, 150: 11, 200: 14}
+#: The largest group size searched.
+MAX_GROUP_SIZE = 25
 
 
-def run(
-    server_counts: Sequence[int] = (10, 30, 60, 100, 150, 200),
-    max_group_size: int = 25,
-    models: Optional[Dict[str, OptimalityModel]] = None,
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate Figure 7: optimal M per trace and N."""
-    models = models or TRACE_MODELS
     result = ExperimentResult(
         name="fig07",
         title="Figure 7: optimal group size vs. number of MDSs",
-        params={"server_counts": list(server_counts)},
+        params={"server_counts": list(PAPER_OPTIMA)},
     )
-    for num_servers in server_counts:
+    for num_servers in PAPER_OPTIMA:
         row: Dict[str, object] = {"num_servers": num_servers}
-        for trace, model in models.items():
-            best = optimal_group_size(num_servers, model, max_group_size)
+        for trace, model in TRACE_MODELS.items():
+            best = optimal_group_size(num_servers, model, MAX_GROUP_SIZE)
             row[f"optimal_m_{trace.lower()}"] = best
             row[f"ratio_{trace.lower()}"] = best / num_servers
         row["paper_optimal_m"] = PAPER_OPTIMA.get(num_servers)

@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence
 from repro.baselines.hba import HBACluster
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult, SeriesRecorder
+from repro.experiments.common import SEED, ExperimentResult, SeriesRecorder
 from repro.metadata.attributes import FileMetadata
 from repro.traces.profiles import PROFILES
 from repro.traces.records import MetadataOp
@@ -72,7 +72,6 @@ def run_one(
     group_size: int = 6,
     num_files: int = 9_000,
     num_ops: int = 30_000,
-    seed: int = 0,
 ) -> List[Dict[str, object]]:
     """Replay one trace against one scheme at one memory budget.
 
@@ -83,14 +82,14 @@ def run_one(
     if scheme not in ("ghba", "hba"):
         raise ValueError(f"unknown scheme {scheme!r}")
     profile = PROFILES[profile_name]
-    generator = SyntheticTraceGenerator(profile, num_files, seed=seed)
+    generator = SyntheticTraceGenerator(profile, num_files, seed=SEED)
     config = GHBAConfig(
         max_group_size=group_size,
         bits_per_file=16.0,
         expected_files_per_mds=max(256, int(num_files / num_servers * 1.5)),
         lru_capacity=max(64, num_files // 20),
         lru_filter_bits=1 << 10,
-        seed=seed,
+        seed=SEED,
     )
     # Budget is anchored to HBA's working set so "500 MB" means the same
     # thing to both schemes.
@@ -105,9 +104,9 @@ def run_one(
     budget = int(hba_working_set * memory_fraction)
     config = dataclasses.replace(config, memory_budget_bytes=budget)
     if scheme == "ghba":
-        cluster: object = GHBACluster(num_servers, config, seed=seed)
+        cluster: object = GHBACluster(num_servers, config, seed=SEED)
     else:
-        cluster = HBACluster(num_servers, config, seed=seed)
+        cluster = HBACluster(num_servers, config, seed=SEED)
 
     series = SeriesRecorder(window_width=max(1, num_ops // WINDOWS))
     inserted: Dict[str, int] = {}
@@ -154,7 +153,6 @@ def run(
     group_size: int = 6,
     num_files: int = 9_000,
     num_ops: int = 30_000,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate one of Figures 8-10 (pick the trace via ``profile_name``).
 
@@ -190,7 +188,6 @@ def run(
                     group_size=group_size,
                     num_files=num_files,
                     num_ops=num_ops,
-                    seed=seed,
                 )
             )
     return result

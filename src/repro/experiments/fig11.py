@@ -19,21 +19,24 @@ from repro.baselines.hash_placement import hash_join_migrations
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.optimal import TRACE_MODELS, optimal_group_size
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
+
+#: The workloads whose optimal M sets each series' group size.
+TRACES = ("INS", "HP", "RES")
 
 
-def _tiny_config(group_size: int, seed: int) -> GHBAConfig:
+def _tiny_config(group_size: int) -> GHBAConfig:
     """Minimal filters: this experiment counts migrations, not bits."""
     return GHBAConfig(
         max_group_size=group_size,
         expected_files_per_mds=64,
         lru_capacity=16,
         lru_filter_bits=64,
-        seed=seed,
+        seed=SEED,
     )
 
 
-def ghba_join_migrations(num_servers: int, group_size: int, seed: int = 0) -> int:
+def ghba_join_migrations(num_servers: int, group_size: int) -> int:
     """Replicas migrated *to the newly inserted MDS* on a live join.
 
     This is exactly the quantity the paper plots: "G-HBA only needs to
@@ -42,9 +45,7 @@ def ghba_join_migrations(num_servers: int, group_size: int, seed: int = 0) -> in
     the join completes — splits, when triggered, redistribute replicas
     among existing members but ship no extra replicas to the newcomer.
     """
-    cluster = GHBACluster(
-        num_servers - 1, _tiny_config(group_size, seed), seed=seed
-    )
+    cluster = GHBACluster(num_servers - 1, _tiny_config(group_size), seed=SEED)
     report = cluster.add_server()
     cluster.check_invariants()
     return cluster.servers[report.server_id].theta
@@ -52,8 +53,6 @@ def ghba_join_migrations(num_servers: int, group_size: int, seed: int = 0) -> in
 
 def run(
     server_counts: Sequence[int] = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
-    traces: Sequence[str] = ("INS", "HP", "RES"),
-    seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Figure 11's series.
 
@@ -64,20 +63,17 @@ def run(
     result = ExperimentResult(
         name="fig11",
         title="Figure 11: replicas migrated on MDS join",
-        params={"server_counts": list(server_counts), "traces": list(traces)},
+        params={"server_counts": list(server_counts), "traces": list(TRACES)},
     )
     for num_servers in server_counts:
         row = {"num_servers": num_servers, "hba": num_servers}
-        for trace in traces:
+        for trace in TRACES:
             group_size = optimal_group_size(
                 num_servers, TRACE_MODELS[trace], max_group_size=20
             )
-            row[f"hash_{trace.lower()}"] = hash_join_migrations(
-                num_servers, group_size, seed=seed
-            )
-            row[f"ghba_{trace.lower()}"] = ghba_join_migrations(
-                num_servers, group_size, seed=seed
-            )
+            name = trace.lower()
+            row[f"hash_{name}"] = hash_join_migrations(num_servers, group_size)
+            row[f"ghba_{name}"] = ghba_join_migrations(num_servers, group_size)
         result.rows.append(row)
     return result
 

@@ -11,12 +11,12 @@ N = 100 (M = 9).
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.baselines.hba import HBACluster
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
 from repro.metadata.attributes import FileMetadata
 from repro.sim.rng import make_rng
 
@@ -31,23 +31,18 @@ PAPER_CONFIGS: Tuple[Tuple[str, int, int], ...] = (
 )
 
 
-def _config(group_size: int, seed: int) -> GHBAConfig:
+def _config(group_size: int) -> GHBAConfig:
     return GHBAConfig(
         max_group_size=group_size,
         expected_files_per_mds=256,
         lru_capacity=32,
         lru_filter_bits=256,
         update_threshold_bits=0,
-        seed=seed,
+        seed=SEED,
     )
 
 
-def run(
-    configs: Sequence[Tuple[str, int, int]] = PAPER_CONFIGS,
-    num_updates: int = 60,
-    files_per_update: int = 5,
-    seed: int = 0,
-) -> ExperimentResult:
+def run(num_updates: int = 60, files_per_update: int = 5) -> ExperimentResult:
     """Regenerate Figure 12: per-update latency and messages, both schemes.
 
     Each update request inserts a few files at a random MDS (dirtying its
@@ -62,11 +57,11 @@ def run(
             "files_per_update": files_per_update,
         },
     )
-    for trace, num_servers, group_size in configs:
-        config = _config(group_size, seed)
-        ghba = GHBACluster(num_servers, config, seed=seed)
-        hba = HBACluster(num_servers, config, seed=seed)
-        rng = make_rng(seed ^ hash((trace, num_servers)) & 0xFFFF)
+    for trace, num_servers, group_size in PAPER_CONFIGS:
+        config = _config(group_size)
+        ghba = GHBACluster(num_servers, config, seed=SEED)
+        hba = HBACluster(num_servers, config, seed=SEED)
+        rng = make_rng(SEED ^ hash((trace, num_servers)) & 0xFFFF)
         ghba_latency = 0.0
         ghba_messages = 0
         hba_latency = 0.0

@@ -26,6 +26,7 @@ from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.optimal import TRACE_MODELS, optimal_group_size
 from repro.experiments.common import (
+    SEED,
     ExperimentResult,
     add_trace_out_argument,
     finish_trace,
@@ -45,30 +46,28 @@ CHURN_QUERY_FRACTION = 0.04
 
 def run_one(
     num_servers: int,
-    profile_name: str = "HP",
     num_files: int = 1_000,
     num_ops: int = 24_000,
-    seed: int = 0,
     tracer: Tracer = NULL_TRACER,
 ) -> Dict[str, float]:
-    """Measure per-level service fractions for one system size."""
+    """Measure per-level service fractions for one system size, under the
+    HP workload."""
     group_size = optimal_group_size(
-        num_servers, TRACE_MODELS[profile_name], max_group_size=20
+        num_servers, TRACE_MODELS["HP"], max_group_size=20
     )
-    profile = PROFILES[profile_name]
     config = GHBAConfig(
         max_group_size=group_size,
         expected_files_per_mds=max(256, int(num_files / num_servers * 3)),
         lru_capacity=max(256, num_files),
         lru_filter_bits=1 << 13,
         update_threshold_bits=256,
-        seed=seed,
+        seed=SEED,
     )
-    cluster = GHBACluster(num_servers, config, seed=seed, tracer=tracer)
-    generator = SyntheticTraceGenerator(profile, num_files, seed=seed)
+    cluster = GHBACluster(num_servers, config, seed=SEED, tracer=tracer)
+    generator = SyntheticTraceGenerator(PROFILES["HP"], num_files, seed=SEED)
     placement = cluster.populate(generator.paths)
     cluster.synchronize_replicas(force=True)
-    rng = make_rng(seed ^ 0xF13)
+    rng = make_rng(SEED ^ 0xF13)
     inode = 10_000_000
     churn_serial = 0
     recent_unsynced: List[str] = []
@@ -107,10 +106,8 @@ def run_one(
 
 def run(
     server_counts: Sequence[int] = (10, 30, 60, 100),
-    profile_name: str = "HP",
     num_files: int = 1_000,
     num_ops: int = 24_000,
-    seed: int = 0,
     tracer: Tracer = NULL_TRACER,
 ) -> ExperimentResult:
     """Regenerate Figure 13's per-level service percentages."""
@@ -119,19 +116,14 @@ def run(
         title="Figure 13: % of queries served per level",
         params={
             "server_counts": list(server_counts),
-            "profile": profile_name,
+            "profile": "HP",
             "num_files": num_files,
             "num_ops": num_ops,
         },
     )
     for num_servers in server_counts:
         row = run_one(
-            num_servers,
-            profile_name=profile_name,
-            num_files=num_files,
-            num_ops=num_ops,
-            seed=seed,
-            tracer=tracer,
+            num_servers, num_files=num_files, num_ops=num_ops, tracer=tracer
         )
         row["l1_plus_l2"] = row["l1"] + row["l2"]
         row["within_group"] = row["l1"] + row["l2"] + row["l3"]

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import GHBAConfig
 from repro.experiments.common import (
+    SEED,
     ExperimentResult,
     SeriesRecorder,
     add_trace_out_argument,
@@ -41,7 +42,6 @@ def run_one(
     num_files: int = 2_000,
     num_ops: int = 4_000,
     memory_fraction: float = 0.6,
-    seed: int = 0,
     tracer: Tracer = NULL_TRACER,
 ) -> List[Dict[str, object]]:
     """Replay an HP-shaped query stream against one prototype scheme.
@@ -52,18 +52,18 @@ def run_one(
     paper's prototype experiment.
     """
     profile = PROFILES["HP"]
-    generator = SyntheticTraceGenerator(profile, num_files, seed=seed)
+    generator = SyntheticTraceGenerator(profile, num_files, seed=SEED)
     config = GHBAConfig(
         max_group_size=group_size,
         bits_per_file=16.0,
         expected_files_per_mds=max(256, int(num_files / num_nodes * 2)),
         lru_capacity=max(128, num_files // 4),
         lru_filter_bits=1 << 12,
-        seed=seed,
+        seed=SEED,
     )
     rows: List[Dict[str, object]] = []
     with PrototypeCluster(
-        num_nodes, config, scheme=scheme, seed=seed, tracer=tracer
+        num_nodes, config, scheme=scheme, seed=SEED, tracer=tracer
     ) as proto:
         placement = proto.populate(generator.paths)
         # Anchor the budget to the *measured* HBA working set — the same
@@ -110,7 +110,6 @@ def run(
     num_files: int = 2_000,
     num_ops: int = 4_000,
     memory_fraction: float = 0.6,
-    seed: int = 0,
     tracer: Tracer = NULL_TRACER,
 ) -> ExperimentResult:
     """Regenerate Figure 14: prototype latency series for both schemes.
@@ -138,7 +137,6 @@ def run(
                 num_files=num_files,
                 num_ops=num_ops,
                 memory_fraction=memory_fraction,
-                seed=seed,
                 tracer=tracer,
             )
         )

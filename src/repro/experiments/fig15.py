@@ -14,17 +14,17 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
 from repro.prototype.cluster import PrototypeCluster
 
 
-def _config(group_size: int, seed: int) -> GHBAConfig:
+def _config(group_size: int) -> GHBAConfig:
     return GHBAConfig(
         max_group_size=group_size,
         expected_files_per_mds=64,
         lru_capacity=16,
         lru_filter_bits=64,
-        seed=seed,
+        seed=SEED,
     )
 
 
@@ -32,7 +32,6 @@ def run(
     initial_nodes: int = 20,
     group_size: int = 7,
     additions: int = 10,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Figure 15: cumulative join messages for both schemes.
 
@@ -51,7 +50,7 @@ def run(
     per_scheme: Dict[str, List[int]] = {}
     for scheme in ("hba", "ghba"):
         with PrototypeCluster(
-            initial_nodes, _config(group_size, seed), scheme=scheme, seed=seed
+            initial_nodes, _config(group_size), scheme=scheme, seed=SEED
         ) as proto:
             counts: List[int] = []
             for _ in range(additions):

@@ -9,29 +9,17 @@ Bloom-filter replicas — never file metadata — on a join.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.baselines.hash_metadata import HashMetadataCluster
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
 
 
-def _build_namespace(num_dirs: int, files_per_dir: int) -> List[str]:
-    return [
-        f"/volume/project{d}/file{i}"
-        for d in range(num_dirs)
-        for i in range(files_per_dir)
-    ]
+NUM_DIRS = 12
+FILES_PER_DIR = 40
 
 
-def run(
-    num_servers: int = 20,
-    group_size: int = 5,
-    num_dirs: int = 12,
-    files_per_dir: int = 40,
-    seed: int = 0,
-) -> ExperimentResult:
+def run(num_servers: int = 20, group_size: int = 5) -> ExperimentResult:
     """Measure rename and resize migration for both placement schemes."""
     result = ExperimentResult(
         name="rename_cost",
@@ -39,21 +27,25 @@ def run(
         params={
             "num_servers": num_servers,
             "group_size": group_size,
-            "files": num_dirs * files_per_dir,
+            "files": NUM_DIRS * FILES_PER_DIR,
         },
     )
-    paths = _build_namespace(num_dirs, files_per_dir)
+    paths = [
+        f"/volume/project{d}/file{i}"
+        for d in range(NUM_DIRS)
+        for i in range(FILES_PER_DIR)
+    ]
 
-    hash_cluster = HashMetadataCluster(num_servers, seed=seed)
+    hash_cluster = HashMetadataCluster(num_servers, seed=SEED)
     hash_cluster.populate(paths)
     config = GHBAConfig(
         max_group_size=group_size,
         expected_files_per_mds=max(256, len(paths) // num_servers * 3),
         lru_capacity=128,
         lru_filter_bits=1 << 10,
-        seed=seed,
+        seed=SEED,
     )
-    ghba = GHBACluster(num_servers, config, seed=seed)
+    ghba = GHBACluster(num_servers, config, seed=SEED)
     ghba_placement = ghba.populate(paths)
     ghba.synchronize_replicas(force=True)
 
@@ -78,7 +70,7 @@ def run(
     result.rows.append(
         {
             "operation": "rename_directory",
-            "records": files_per_dir,
+            "records": FILES_PER_DIR,
             "hash_migrated": hash_report.migrated,
             "hash_fraction": hash_report.migration_fraction,
             "ghba_migrated": ghba_migrated,

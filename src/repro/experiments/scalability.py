@@ -21,37 +21,36 @@ from repro.baselines.hba import HBACluster
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.optimal import TRACE_MODELS, optimal_group_size
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
+
+#: The workload whose optimal M sets each N's group size.
+TRACE = "HP"
 
 
-def _tiny_config(group_size: int, seed: int) -> GHBAConfig:
+def _tiny_config(group_size: int) -> GHBAConfig:
     return GHBAConfig(
         max_group_size=group_size,
         expected_files_per_mds=64,
         lru_capacity=16,
         lru_filter_bits=64,
-        seed=seed,
+        seed=SEED,
     )
 
 
-def run(
-    server_counts: Sequence[int] = (20, 40, 80, 160),
-    trace: str = "HP",
-    seed: int = 0,
-) -> ExperimentResult:
+def run(server_counts: Sequence[int] = (20, 40, 80, 160)) -> ExperimentResult:
     """Measure per-MDS costs for both schemes across system sizes."""
     result = ExperimentResult(
         name="scalability",
         title="Scalability sweep: per-MDS cost vs. system size",
-        params={"server_counts": list(server_counts), "trace": trace},
+        params={"server_counts": list(server_counts), "trace": TRACE},
     )
     for num_servers in server_counts:
         group_size = optimal_group_size(
-            num_servers, TRACE_MODELS[trace], max_group_size=25
+            num_servers, TRACE_MODELS[TRACE], max_group_size=25
         )
-        config = _tiny_config(group_size, seed)
-        ghba = GHBACluster(num_servers, config, seed=seed)
-        hba = HBACluster(num_servers, config, seed=seed)
+        config = _tiny_config(group_size)
+        ghba = GHBACluster(num_servers, config, seed=SEED)
+        hba = HBACluster(num_servers, config, seed=SEED)
         ghba_theta = statistics.mean(
             server.theta for server in ghba.servers.values()
         )

@@ -17,7 +17,7 @@ grades:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.baselines.dynamic_subtree import DynamicSubtreePartition
 from repro.baselines.hash_metadata import HashMetadataCluster
@@ -26,65 +26,60 @@ from repro.baselines.subtree import StaticSubtreePartition
 from repro.baselines.table_mapping import TableMappingCluster
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
 from repro.sim.rng import ZipfSampler, make_rng
 
 
-def _namespace(num_dirs: int, files_per_dir: int) -> List[str]:
-    return [
-        f"/t1/dir{d}/f{i}"
-        for d in range(num_dirs)
-        for i in range(files_per_dir)
-    ]
+NUM_SERVERS = 12
+GROUP_SIZE = 4
+NUM_DIRS = 24
+FILES_PER_DIR = 20
+NUM_QUERIES = 4_000
+#: The Zipf skew of directory popularity.
+ZIPF_ALPHA = 1.1
 
 
-def run(
-    num_servers: int = 12,
-    group_size: int = 4,
-    num_dirs: int = 24,
-    files_per_dir: int = 20,
-    num_queries: int = 4_000,
-    zipf_alpha: float = 1.1,
-    seed: int = 0,
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Measure every Table 1 column for every implemented scheme."""
     result = ExperimentResult(
         name="table01_quantified",
         title="Table 1, quantified: measured columns per scheme",
         params={
-            "num_servers": num_servers,
-            "group_size": group_size,
-            "files": num_dirs * files_per_dir,
-            "num_queries": num_queries,
+            "num_servers": NUM_SERVERS,
+            "group_size": GROUP_SIZE,
+            "files": NUM_DIRS * FILES_PER_DIR,
+            "num_queries": NUM_QUERIES,
         },
     )
-    paths = _namespace(num_dirs, files_per_dir)
-    rng = make_rng(seed)
+    paths = [
+        f"/t1/dir{d}/f{i}" for d in range(NUM_DIRS) for i in range(FILES_PER_DIR)
+    ]
+    rng = make_rng(SEED)
     # Skew at *directory* granularity: some project directories are hot.
     # (Subtree schemes can only rebalance whole subtrees, so their floor is
     # the hottest directory's load — exactly why Ceph hashes hot
     # directories; the measured dynamic_tree imbalance sits at that floor.)
-    dir_sampler = ZipfSampler(num_dirs, zipf_alpha, rng)
+    dir_sampler = ZipfSampler(NUM_DIRS, ZIPF_ALPHA, rng)
     queries = [
-        f"/t1/dir{dir_sampler.sample()}/f{rng.randrange(files_per_dir)}"
-        for _ in range(num_queries)
+        f"/t1/dir{dir_sampler.sample()}/f{rng.randrange(FILES_PER_DIR)}"
+        for _ in range(NUM_QUERIES)
     ]
     config = GHBAConfig(
-        max_group_size=group_size,
-        expected_files_per_mds=max(256, len(paths) // num_servers * 3),
+        max_group_size=GROUP_SIZE,
+        expected_files_per_mds=max(256, len(paths) // NUM_SERVERS * 3),
         lru_capacity=64,
         lru_filter_bits=512,
-        seed=seed,
+        seed=SEED,
     )
 
     # ---- hash-based mapping ------------------------------------------
-    hashing = HashMetadataCluster(num_servers, seed=seed)
+    hashing = HashMetadataCluster(NUM_SERVERS, seed=SEED)
     hashing.populate(paths)
     per_server_hits: Dict[int, int] = {}
     for path in queries:
         home = hashing.home_of(path)
         per_server_hits[home] = per_server_hits.get(home, 0) + 1
-    mean_hits = num_queries / num_servers
+    mean_hits = NUM_QUERIES / NUM_SERVERS
     rename = hashing.rename_subtree("/t1/dir0", "/t1/moved0")
     join = hashing.add_server()
     result.rows.append(
@@ -99,7 +94,7 @@ def run(
     )
 
     # ---- table-based mapping -----------------------------------------
-    table = TableMappingCluster(num_servers)
+    table = TableMappingCluster(NUM_SERVERS)
     table.populate(paths)
     rename_moved = 0  # the table re-keys; records never move
     join_report = table.add_server()
@@ -116,7 +111,7 @@ def run(
 
     # ---- static subtree partition ------------------------------------
     static = StaticSubtreePartition.divide_evenly(
-        [f"/t1/dir{d}" for d in range(num_dirs)], list(range(num_servers))
+        [f"/t1/dir{d}" for d in range(NUM_DIRS)], list(range(NUM_SERVERS))
     )
     for path in queries:
         static.query(path)
@@ -125,7 +120,7 @@ def run(
         {
             "scheme": "static_tree",
             "lookup_probes": depth,
-            "memory_per_mds": (num_dirs + 1) * 24,
+            "memory_per_mds": (NUM_DIRS + 1) * 24,
             "join_migration": static.migration_cost_on_join,
             "rename_migration": 0.0,
             "load_imbalance": static.load_imbalance(),
@@ -137,13 +132,13 @@ def run(
         {
             "/": 0,
             **{
-                f"/t1/dir{d}": d % num_servers for d in range(num_dirs)
+                f"/t1/dir{d}": d % NUM_SERVERS for d in range(NUM_DIRS)
             },
         }
     )
     # Epochs of traffic interleaved with rebalancing, as a live system runs.
-    epoch = max(1, num_queries // 4)
-    for start in range(0, num_queries, epoch):
+    epoch = max(1, NUM_QUERIES // 4)
+    for start in range(0, NUM_QUERIES, epoch):
         for path in queries[start : start + epoch]:
             dynamic.query(path)
         dynamic.rebalance()
@@ -151,7 +146,7 @@ def run(
         {
             "scheme": "dynamic_tree",
             "lookup_probes": depth,
-            "memory_per_mds": (num_dirs + 1) * 24,
+            "memory_per_mds": (NUM_DIRS + 1) * 24,
             "join_migration": dynamic.migrations,  # subtree moves
             "rename_migration": 0.0,
             "load_imbalance": dynamic.load_imbalance(),
@@ -159,19 +154,19 @@ def run(
     )
 
     # ---- HBA (flat Bloom filter replication) --------------------------
-    hba = HBACluster(num_servers, config, seed=seed)
+    hba = HBACluster(NUM_SERVERS, config, seed=SEED)
     hba.populate(paths)
     hba.synchronize_replicas(force=True)
     for path in queries[:500]:
         hba.query(path)
     hba_join = hba.add_server()
     hba_memory = sum(hba.memory_bytes_per_server().values()) / (
-        num_servers + 1
+        NUM_SERVERS + 1
     )
     result.rows.append(
         {
             "scheme": "hba",
-            "lookup_probes": float(num_servers),  # probes all N filters
+            "lookup_probes": float(NUM_SERVERS),  # probes all N filters
             "memory_per_mds": int(hba_memory),
             "join_migration": hba_join.migrated_replicas,
             "rename_migration": 0.0,
@@ -180,15 +175,15 @@ def run(
     )
 
     # ---- G-HBA ---------------------------------------------------------
-    ghba = GHBACluster(num_servers, config, seed=seed)
+    ghba = GHBACluster(NUM_SERVERS, config, seed=SEED)
     ghba.populate(paths)
     ghba.synchronize_replicas(force=True)
     for path in queries[:500]:
         ghba.query(path)
-    theta = sum(ghba.replicas_per_server().values()) / num_servers
+    theta = sum(ghba.replicas_per_server().values()) / NUM_SERVERS
     ghba_join = ghba.add_server()
     ghba_memory = sum(ghba.memory_bytes_per_server().values()) / (
-        num_servers + 1
+        NUM_SERVERS + 1
     )
     ghba_renamed = ghba.rename_subtree("/t1/dir1", "/t1/moved1")
     result.rows.append(

@@ -28,7 +28,7 @@ from repro.baselines.hba import HBACluster
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.core.optimal import TRACE_MODELS, optimal_group_size
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
 
 #: The paper's Table 5 values for reference columns.
 PAPER_GHBA = {20: 0.2002, 40: 0.1670, 60: 0.1434, 80: 0.1258, 100: 0.1121}
@@ -53,8 +53,6 @@ def _mean_memory(cluster: GHBACluster) -> float:
 def run(
     server_counts: Sequence[int] = (20, 40, 60, 80, 100),
     files_per_server: int = 2_000,
-    trace: str = "HP",
-    seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate Table 5 at laptop scale.
 
@@ -75,17 +73,17 @@ def run(
         lru_capacity=max(16, files_per_server // 100),
         lru_filter_bits=max(64, int(files_per_server * 8 // 100)),
         lru_num_hashes=4,
-        seed=seed,
+        seed=SEED,
     )
     for num_servers in server_counts:
         group_size = optimal_group_size(
-            num_servers, TRACE_MODELS[trace], max_group_size=20
+            num_servers, TRACE_MODELS["HP"], max_group_size=20
         )
         config = dataclasses.replace(base, max_group_size=group_size)
         bfa8 = bfa_memory_bytes_per_server(num_servers, files_per_server, 8.0)
         bfa16 = bfa_memory_bytes_per_server(num_servers, files_per_server, 16.0)
-        hba = _mean_memory(HBACluster(num_servers, config, seed=seed))
-        ghba = _mean_memory(GHBACluster(num_servers, config, seed=seed))
+        hba = _mean_memory(HBACluster(num_servers, config, seed=SEED))
+        ghba = _mean_memory(GHBACluster(num_servers, config, seed=SEED))
         result.rows.append(
             {
                 "num_servers": num_servers,

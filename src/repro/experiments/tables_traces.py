@@ -11,7 +11,7 @@ histogram is preserved while intensity multiplies.
 from __future__ import annotations
 
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import SEED, ExperimentResult
 from repro.traces.profiles import PROFILES
 from repro.traces.records import MetadataOp
 from repro.traces.scaling import intensify
@@ -26,7 +26,6 @@ def run(
     base_files: int = 2_000,
     base_ops: int = 5_000,
     tif_scale: float = 0.1,
-    seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate the Table 3-4 rows at ``tif_scale`` times the paper's TIF.
 
@@ -49,7 +48,7 @@ def run(
     )
     for name, profile in PROFILES.items():
         tif = max(1, int(PAPER_TIF[name] * tif_scale))
-        base = generate_trace(profile, base_files, base_ops, seed=seed)
+        base = generate_trace(profile, base_files, base_ops, seed=SEED)
         scaled = intensify(base, tif)
         base_stats = compute_stats(base)
         stats = compute_stats(scaled)

@@ -3,7 +3,7 @@
 The policy is shared by :meth:`InProcessTransport.request` and
 :meth:`InProcessTransport.gather <repro.prototype.transport.InProcessTransport.gather>`:
 a timed-out attempt is retried up to ``max_attempts`` total sends, each
-retry waiting ``base_delay_s * multiplier**k`` (capped at ``max_delay_s``)
+retry waiting ``BASE_DELAY_S * MULTIPLIER**k`` (capped at ``MAX_DELAY_S``)
 plus a jitter drawn from a seeded RNG — full determinism, no wall-clock
 randomness.  Backoff and timeout penalties are charged to the *virtual*
 clock (the in-process transport delivers instantly in real time; a real
@@ -16,6 +16,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+#: Exponential backoff: retry ``k`` (0-based) waits
+#: ``min(BASE_DELAY_S * MULTIPLIER**k, MAX_DELAY_S)`` before jitter.
+BASE_DELAY_S = 0.010
+MULTIPLIER = 2.0
+MAX_DELAY_S = 0.250
+#: Fraction of the backoff added as seeded random jitter in
+#: ``[0, JITTER * backoff)`` — decorrelates retry storms.
+JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -26,22 +35,12 @@ class RetryPolicy:
     max_attempts:
         Total sends per request, first attempt included; 1 disables
         retries.
-    base_delay_s / multiplier / max_delay_s:
-        Exponential backoff: retry ``k`` (0-based) waits
-        ``min(base_delay_s * multiplier**k, max_delay_s)`` before jitter.
-    jitter:
-        Fraction of the backoff added as seeded random jitter in
-        ``[0, jitter * backoff)`` — decorrelates retry storms.
     timeout_s:
         Virtual seconds charged for each timed-out attempt (the time a
         client waits before concluding the reply is lost).
     """
 
     max_attempts: int = 3
-    base_delay_s: float = 0.010
-    multiplier: float = 2.0
-    max_delay_s: float = 0.250
-    jitter: float = 0.5
     timeout_s: float = 0.050
 
     def __post_init__(self) -> None:
@@ -49,12 +48,6 @@ class RetryPolicy:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.timeout_s < 0:
             raise ValueError(f"timeout_s must be non-negative, got {self.timeout_s}")
 
@@ -62,12 +55,8 @@ class RetryPolicy:
         """Backoff before retry ``retry_index`` (0-based), jitter included."""
         if retry_index < 0:
             raise ValueError(f"retry_index must be non-negative, got {retry_index}")
-        base = min(
-            self.base_delay_s * self.multiplier ** retry_index, self.max_delay_s
-        )
-        if self.jitter == 0.0:
-            return base
-        return base + rng.random() * self.jitter * base
+        base = min(BASE_DELAY_S * MULTIPLIER ** retry_index, MAX_DELAY_S)
+        return base + rng.random() * JITTER * base
 
 
 #: Default policy used by the transport: three attempts, 10 ms base backoff.

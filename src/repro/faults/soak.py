@@ -10,8 +10,8 @@ classified against the ground-truth placement map, and the retry/drop
 counters are reconciled, yielding a :class:`SoakReport` — the survival
 report printed by ``python -m repro.faults soak``.
 
-Determinism: time is *virtual* (``ops = duration_s * ops_per_s``
-sequential lookups, each advancing the clock by ``1/ops_per_s``), every
+Determinism: time is *virtual* (``ops = duration_s * OPS_PER_S``
+sequential lookups, each advancing the clock by ``1/OPS_PER_S``), every
 random draw comes from a seeded RNG, and node replies bypass the
 injector, so the same config produces a bit-identical report.
 """
@@ -19,15 +19,21 @@ injector, so the same config produces a bit-identical report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.faults.injector import NULL_INJECTOR, PlanFaultInjector
 from repro.faults.plan import CrashEvent, FaultPlan, Partition
-from repro.faults.retry import RetryPolicy
 from repro.sim.rng import make_rng
 
 #: Every k-th op of the workload queries a path that does not exist.
 NEGATIVE_EVERY = 8
+#: The cluster: nodes, and lookups per virtual second.
+NUM_NODES = 8
+OPS_PER_S = 50.0
+#: The share of sends the plan drops, delays and duplicates.
+DROP_RATE = 0.05
+DELAY_RATE = 0.10
+DUPLICATE_RATE = 0.02
 
 
 @dataclass(frozen=True)
@@ -35,30 +41,18 @@ class SoakConfig:
     """Tunables of one chaos soak run.
 
     ``duration_s`` is virtual seconds: the run always executes
-    ``round(duration_s * ops_per_s)`` lookups, regardless of wall clock.
+    ``round(duration_s * OPS_PER_S)`` lookups, regardless of wall clock.
     """
 
     seed: int = 7
     duration_s: float = 5.0
-    num_nodes: int = 8
     num_files: int = 240
-    ops_per_s: float = 50.0
-    drop_rate: float = 0.05
-    delay_rate: float = 0.10
-    duplicate_rate: float = 0.02
-    with_crash: bool = True
-    with_partition: bool = True
-    max_attempts: int = 3
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s}")
-        if self.num_nodes < 2:
-            raise ValueError(f"num_nodes must be >= 2, got {self.num_nodes}")
         if self.num_files < 1:
             raise ValueError(f"num_files must be >= 1, got {self.num_files}")
-        if self.ops_per_s <= 0:
-            raise ValueError(f"ops_per_s must be positive, got {self.ops_per_s}")
 
 
 @dataclass
@@ -121,7 +115,7 @@ class SoakReport:
         return {
             "seed": self.config.seed,
             "duration_s": self.config.duration_s,
-            "num_nodes": self.config.num_nodes,
+            "num_nodes": NUM_NODES,
             "ops": self.ops,
             "found_clean": self.found_clean,
             "found_degraded": self.found_degraded,
@@ -148,9 +142,9 @@ class SoakReport:
         """The human-readable survival report."""
         lines = [
             "chaos soak survival report",
-            f"  seed={self.config.seed} nodes={self.config.num_nodes} "
+            f"  seed={self.config.seed} nodes={NUM_NODES} "
             f"duration={self.config.duration_s}s ops={self.ops} "
-            f"drop={self.config.drop_rate:.0%}",
+            f"drop={DROP_RATE:.0%}",
             f"  availability        {self.availability:.4%}",
             f"  found (clean)       {self.found_clean}",
             f"  found (degraded)    {self.found_degraded}",
@@ -179,24 +173,21 @@ class SoakReport:
 def build_plan(config: SoakConfig, groups: Dict[int, List[int]]) -> FaultPlan:
     """Derive the fault schedule for ``config`` from the cluster layout.
 
-    Drops, delays and duplicates at the config's rates, one crash/restart
+    Drops, delays and duplicates at the module's rates, one crash/restart
     mid-run (the victim derived from the seed, so the whole schedule is
     reproducible data) and a partition that isolates the first group (when
-    there is more than one), each behind its switch.
+    there is more than one).
     """
     node_ids = sorted(nid for members in groups.values() for nid in members)
-    crashes: Tuple[CrashEvent, ...] = ()
-    if config.with_crash:
-        victim = node_ids[config.seed % len(node_ids)]
-        crashes = (
-            CrashEvent(
-                at_s=config.duration_s * 0.4,
-                node_id=victim,
-                restore_at_s=config.duration_s * 0.7,
-            ),
-        )
+    crashes = (
+        CrashEvent(
+            at_s=config.duration_s * 0.4,
+            node_id=node_ids[config.seed % len(node_ids)],
+            restore_at_s=config.duration_s * 0.7,
+        ),
+    )
     partitions: Tuple[Partition, ...] = ()
-    if config.with_partition and len(groups) > 1:
+    if len(groups) > 1:
         island = frozenset(groups[min(groups)])
         partitions = (
             Partition(
@@ -207,9 +198,9 @@ def build_plan(config: SoakConfig, groups: Dict[int, List[int]]) -> FaultPlan:
         )
     return FaultPlan(
         seed=config.seed,
-        drop_rate=config.drop_rate,
-        delay_rate=config.delay_rate,
-        duplicate_rate=config.duplicate_rate,
+        drop_rate=DROP_RATE,
+        delay_rate=DELAY_RATE,
+        duplicate_rate=DUPLICATE_RATE,
         crashes=crashes,
         partitions=partitions,
     )
@@ -229,14 +220,11 @@ def run_soak(config: SoakConfig, tracer=None, flight=None) -> SoakReport:
     from repro.core.config import GHBAConfig
     from repro.prototype.cluster import PrototypeCluster
 
-    ghba_config = GHBAConfig(seed=config.seed)
-    retry = RetryPolicy(max_attempts=config.max_attempts)
     cluster = PrototypeCluster(
-        config.num_nodes,
-        ghba_config,
+        NUM_NODES,
+        GHBAConfig(seed=config.seed),
         seed=config.seed,
         tracer=tracer,
-        retry=retry,
         flight=flight,
     )
     report = SoakReport(config=config)
@@ -258,8 +246,8 @@ def run_soak(config: SoakConfig, tracer=None, flight=None) -> SoakReport:
                 events.append((crash.restore_at_s, "restore", crash.node_id))
         events.sort()
 
-        ops = int(round(config.duration_s * config.ops_per_s))
-        dt = 1.0 / config.ops_per_s
+        ops = int(round(config.duration_s * OPS_PER_S))
+        dt = 1.0 / OPS_PER_S
         workload_rng = make_rng(config.seed ^ 0xC0FFEE)
         latency_sum = 0.0
 

@@ -416,18 +416,20 @@ class MetadataClient:
         arrived over the invalidation multicast.
         """
         cache = self.cache
-        before = cache.stats.invalidations.copy()
         if event.op == "rename":
-            cache.invalidate_subtree(event.path, cause="rename")
-            cache.invalidate_subtree(event.new_path, cause="rename")
+            cause = "rename"
+            dropped = cache.invalidate_subtree(event.path, cause=cause)
+            dropped += cache.invalidate_subtree(event.new_path, cause=cause)
         elif event.op in ("create", "delete"):
-            cache.invalidate(event.path, cause=event.op)
+            cause = event.op
+            dropped = int(cache.invalidate(event.path, cause=cause))
         elif event.op == "server_removed":
-            cache.invalidate_home(event.home_id, cause="server_lost")
-        for cause, count in cache.stats.invalidations.items():
-            delta = count - before.get(cause, 0)
-            if delta:
-                self._invalidations.labels(cause).inc(delta)
+            cause = "server_lost"
+            dropped = cache.invalidate_home(event.home_id, cause=cause)
+        else:
+            return
+        if dropped:
+            self._invalidations.labels(cause).inc(dropped)
 
     # ------------------------------------------------------------------
     # Lookups

@@ -194,10 +194,9 @@ class Namespace:
     # ------------------------------------------------------------------
     # Iteration
     # ------------------------------------------------------------------
-    def walk(self, path: str = "/") -> Iterator[FileMetadata]:
-        """Yield metadata for ``path`` and every descendant, depth-first."""
-        node = self._resolve(path)
-        stack = [node]
+    def walk(self) -> Iterator[FileMetadata]:
+        """Yield metadata for the root and every descendant, depth-first."""
+        stack = [self._root]
         while stack:
             current = stack.pop()
             yield current.meta

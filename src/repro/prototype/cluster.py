@@ -24,7 +24,6 @@ from repro.core.cluster import populate_servers
 from repro.core.config import GHBAConfig
 from repro.core.query import QueryLevel, QueryResult
 from repro.core.walk import walk
-from repro.faults.retry import RetryPolicy
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.prototype.messages import Message, MessageKind
@@ -252,9 +251,6 @@ class PrototypeCluster:
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; each :meth:`lookup`
         opens a span over the real request/reply protocol hops.
-    retry:
-        Optional :class:`~repro.faults.retry.RetryPolicy` for the
-        transport's request/gather retries.
     """
 
     def __init__(
@@ -264,7 +260,6 @@ class PrototypeCluster:
         scheme: str = "ghba",
         seed: int = 0,
         tracer: Optional[Tracer] = None,
-        retry: Optional[RetryPolicy] = None,
         flight=None,
     ) -> None:
         if num_nodes < 1:
@@ -281,7 +276,7 @@ class PrototypeCluster:
         self.flight = flight
         #: Per-level lookup counts, lookup latency, wire message totals.
         self.metrics = MetricsRegistry()
-        self.transport = InProcessTransport(retry=retry, metrics=self.metrics)
+        self.transport = InProcessTransport(metrics=self.metrics)
         self._lookups_by_level = self.metrics.counter(
             "proto_lookups_total",
             "Prototype lookups resolved, by hierarchy level.",

@@ -1,7 +1,7 @@
 """Network and device latency model.
 
-All latency constants live here so that every experiment draws from one
-consistent model.  The defaults reproduce the *ordering* the paper depends
+All latency constants live here, fixed, so that every experiment draws
+from one consistent model.  They reproduce the *ordering* the paper depends
 on — memory probes are microseconds, LAN messages are fractions of a
 millisecond, disk accesses are milliseconds — without claiming the authors'
 absolute hardware numbers (our substrate is a simulator; see DESIGN.md §2).
@@ -14,10 +14,7 @@ the same across all remaining MDSs in the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class NetworkModel:
     """Latency constants, all expressed in milliseconds.
 
@@ -37,22 +34,11 @@ class NetworkModel:
         serialization at the NIC; makes wide multicasts more expensive).
     """
 
-    memory_probe_ms: float = 0.002
-    memory_record_ms: float = 0.01
-    disk_access_ms: float = 5.0
-    unicast_ms: float = 0.2
-    per_destination_send_ms: float = 0.01
-
-    def __post_init__(self) -> None:
-        for name in (
-            "memory_probe_ms",
-            "memory_record_ms",
-            "disk_access_ms",
-            "unicast_ms",
-            "per_destination_send_ms",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+    memory_probe_ms = 0.002
+    memory_record_ms = 0.01
+    disk_access_ms = 5.0
+    unicast_ms = 0.2
+    per_destination_send_ms = 0.01
 
     # ------------------------------------------------------------------
     # Elementary costs

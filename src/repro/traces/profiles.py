@@ -48,9 +48,6 @@ class TraceProfile:
         Population ratios used to assign uid/host fields.
     default_tif:
         The intensifying factor the paper uses for this trace.
-    tenant_zipf_alpha:
-        Skew of tenant popularity when the trace is generated with a
-        :class:`~repro.traces.tenants.TenantModel` (ignored otherwise).
     """
 
     name: str
@@ -62,7 +59,6 @@ class TraceProfile:
     users_per_1k_files: float
     hosts_per_1k_files: float
     default_tif: int
-    tenant_zipf_alpha: float = 1.1
 
     def __post_init__(self) -> None:
         if not self.op_mix:
@@ -74,10 +70,6 @@ class TraceProfile:
         if not 0 < self.active_file_fraction <= 1:
             raise ValueError(
                 f"active_file_fraction must be in (0, 1], got {self.active_file_fraction}"
-            )
-        if self.tenant_zipf_alpha <= 0:
-            raise ValueError(
-                f"tenant_zipf_alpha must be positive, got {self.tenant_zipf_alpha}"
             )
 
 

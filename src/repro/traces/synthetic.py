@@ -122,13 +122,8 @@ class SyntheticTraceGenerator:
             self._tenant_zipf = ZipfSampler(
                 tenants.num_tenants, tenants.zipf_alpha, self._rng
             )
-            file_alpha = (
-                tenants.file_zipf_alpha
-                if tenants.file_zipf_alpha is not None
-                else profile.zipf_alpha
-            )
             self._tenant_file_zipf = ZipfSampler(
-                active_count, file_alpha, self._rng
+                active_count, profile.zipf_alpha, self._rng
             )
 
     @property

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.sim.rng import make_rng
 
@@ -44,15 +44,12 @@ class TenantModel:
         with 0 the most popular (Zipf rank 1).
     zipf_alpha:
         Skew of tenant popularity (1.1 default: the classic "one noisy
-        neighbour plus a long tail" shape).
-    file_zipf_alpha:
-        Per-tenant file-popularity skew; None inherits the profile's
-        ``zipf_alpha``.
+        neighbour plus a long tail" shape).  Each tenant's files keep the
+        profile's ``zipf_alpha``.
     """
 
     num_tenants: int
     zipf_alpha: float = 1.1
-    file_zipf_alpha: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.num_tenants < 1:
@@ -62,10 +59,6 @@ class TenantModel:
         if self.zipf_alpha <= 0:
             raise ValueError(
                 f"zipf_alpha must be positive, got {self.zipf_alpha}"
-            )
-        if self.file_zipf_alpha is not None and self.file_zipf_alpha <= 0:
-            raise ValueError(
-                f"file_zipf_alpha must be positive, got {self.file_zipf_alpha}"
             )
 
     def tenant_name(self, index: int) -> str:

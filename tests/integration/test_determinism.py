@@ -52,9 +52,10 @@ class TestDeterminism:
         b = fig11.run(server_counts=(20, 40)).rows
         assert a == b
 
-    def test_fig12_experiment_deterministic(self):
-        a = fig12.run(configs=(("HP", 20, 5),), num_updates=10).rows
-        b = fig12.run(configs=(("HP", 20, 5),), num_updates=10).rows
+    def test_fig12_experiment_deterministic(self, monkeypatch):
+        monkeypatch.setattr(fig12, "PAPER_CONFIGS", (("HP", 20, 5),))
+        a = fig12.run(num_updates=10).rows
+        b = fig12.run(num_updates=10).rows
         assert a == b
 
     def test_table05_experiment_deterministic(self):

@@ -40,7 +40,7 @@ class TestModelExperiments:
                 assert abs(row["optimal_m"] - row["paper_optimal_m"]) <= 1
 
     def test_fig07_growth(self):
-        result = fig07.run(server_counts=(10, 100))
+        result = fig07.run()
         first, last = result.rows[0], result.rows[-1]
         assert last["optimal_m_hp"] > first["optimal_m_hp"]
 
@@ -66,10 +66,9 @@ class TestSimulationExperiments:
         for row in result.rows:
             assert row["ghba_hp"] < row["hash_hp"] < row["hba"]
 
-    def test_fig12_ghba_cheaper(self):
-        result = fig12.run(
-            configs=(("HP", 20, 5),), num_updates=10, files_per_update=3
-        )
+    def test_fig12_ghba_cheaper(self, monkeypatch):
+        monkeypatch.setattr(fig12, "PAPER_CONFIGS", (("HP", 20, 5),))
+        result = fig12.run(num_updates=10, files_per_update=3)
         row = result.rows[0]
         assert row["ghba_avg_messages"] < row["hba_avg_messages"] / 2
         assert row["ghba_avg_latency_ms"] < row["hba_avg_latency_ms"]

@@ -23,9 +23,9 @@ from repro.faults import (
     FaultPlan,
     Partition,
     PlanFaultInjector,
-    RetryPolicy,
     SoakConfig,
     run_soak,
+    soak,
 )
 from repro.prototype.cluster import PrototypeCluster
 
@@ -77,13 +77,10 @@ class TestNullInjectorZeroOverhead:
 
     def test_prototype_wire_counts_identical_under_null_injector(self):
         runs = []
-        for kwargs in (
-            {},
-            {"retry": RetryPolicy(max_attempts=3)},
-        ):
-            with PrototypeCluster(
-                6, _config(), scheme="ghba", seed=21, **kwargs
-            ) as proto:
+        for injector in (None, PlanFaultInjector(FaultPlan(seed=21))):
+            with PrototypeCluster(6, _config(), scheme="ghba", seed=21) as proto:
+                if injector is not None:
+                    proto.transport.injector = injector
                 placement = proto.populate(_paths(60), policy="round_robin")
                 outcomes = []
                 for index, path in enumerate(sorted(placement)):
@@ -237,13 +234,7 @@ class TestDegradedFallback:
 # Chaos soak: determinism + survival
 # ----------------------------------------------------------------------
 class TestSoak:
-    SMALL = SoakConfig(
-        seed=11,
-        duration_s=2.0,
-        num_nodes=6,
-        num_files=120,
-        ops_per_s=30.0,
-    )
+    SMALL = SoakConfig(seed=11, duration_s=2.0, num_files=120)
 
     def test_same_seed_same_report(self):
         first = run_soak(self.SMALL)
@@ -251,15 +242,7 @@ class TestSoak:
         assert first.to_dict() == second.to_dict()
 
     def test_different_seed_different_chaos(self):
-        other = run_soak(
-            SoakConfig(
-                seed=12,
-                duration_s=2.0,
-                num_nodes=6,
-                num_files=120,
-                ops_per_s=30.0,
-            )
-        )
+        other = run_soak(SoakConfig(seed=12, duration_s=2.0, num_files=120))
         baseline = run_soak(self.SMALL)
         assert other.to_dict() != baseline.to_dict()
 
@@ -283,21 +266,12 @@ class TestSoak:
         # Reconciliation restated from the raw counters.
         assert report.dropped_requests == report.retries + report.exhausted
 
-    def test_faultless_soak_is_clean(self):
-        report = run_soak(
-            SoakConfig(
-                seed=3,
-                duration_s=2.0,
-                num_nodes=6,
-                num_files=80,
-                ops_per_s=25.0,
-                drop_rate=0.0,
-                delay_rate=0.0,
-                duplicate_rate=0.0,
-                with_crash=False,
-                with_partition=False,
-            )
+    def test_faultless_soak_is_clean(self, monkeypatch):
+        """The control: the same soak under an empty plan degrades nothing."""
+        monkeypatch.setattr(
+            soak, "build_plan", lambda config, groups: FaultPlan(seed=config.seed)
         )
+        report = run_soak(SoakConfig(seed=3, duration_s=2.0, num_files=80))
         assert report.passed
         assert report.degraded_total == 0
         assert report.unavailable == 0

@@ -21,6 +21,7 @@ import hashlib
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 from repro.bloom import BloomFilter
 from repro.core.cluster import GHBACluster
@@ -140,20 +141,19 @@ def scenario_gateway_cohort() -> dict:
 
 
 def scenario_fig13() -> dict:
-    """Per-level hit fractions of the hierarchy experiment."""
-    rows = fig13.run_one(num_servers=10, num_files=200, num_ops=1_500, seed=3)
+    """Per-level hit fractions of the hierarchy experiment, at seed 3."""
+    with mock.patch.object(fig13, "SEED", 3):
+        rows = fig13.run_one(num_servers=10, num_files=200, num_ops=1_500)
     return {"rows": _round_floats(rows)}
 
 
 def scenario_fig14() -> dict:
-    """Adaptivity experiment rows for the ghba scheme, in four windows."""
-    windows, fig14.WINDOWS = fig14.WINDOWS, 4
-    try:
+    """Adaptivity experiment rows for the ghba scheme, in four windows, at
+    seed 3."""
+    with mock.patch.object(fig14, "WINDOWS", 4), mock.patch.object(fig14, "SEED", 3):
         rows = fig14.run_one(
-            "ghba", num_nodes=6, group_size=3, num_files=200, num_ops=600, seed=3
+            "ghba", num_nodes=6, group_size=3, num_files=200, num_ops=600
         )
-    finally:
-        fig14.WINDOWS = windows
     return {"rows": _round_floats(rows)}
 
 
@@ -171,13 +171,11 @@ def scenario_hba_baseline() -> dict:
         num_files=2_000,
         num_ops=6_000,
     )
+    with mock.patch.object(fig12, "PAPER_CONFIGS", (("HP", 20, 5),)):
+        fig12_rows = fig12.run(num_updates=10, files_per_update=3).rows
     return {
         "fig08_hba": _round_floats(fig08),
-        "fig12": _round_floats(
-            fig12.run(
-                configs=(("HP", 20, 5),), num_updates=10, files_per_update=3
-            ).rows
-        ),
+        "fig12": _round_floats(fig12_rows),
         "table05": _round_floats(
             table05.run(server_counts=(20,), files_per_server=500).rows
         ),

@@ -15,11 +15,10 @@ class TestHashPlacementProperties:
         replicas=st.sets(
             st.integers(min_value=200, max_value=400), max_size=40
         ),
-        seed=st.integers(min_value=0, max_value=20),
     )
     @settings(max_examples=50)
-    def test_every_replica_lands_on_a_member(self, members, replicas, seed):
-        group = HashPlacementGroup(sorted(members), seed=seed)
+    def test_every_replica_lands_on_a_member(self, members, replicas):
+        group = HashPlacementGroup(sorted(members))
         group.place_all(sorted(replicas))
         member_set = set(group.members)
         for replica_id in replicas:
@@ -33,13 +32,12 @@ class TestHashPlacementProperties:
             st.integers(min_value=100, max_value=180), min_size=5, max_size=40
         ),
         newcomer=st.integers(min_value=60, max_value=99),
-        seed=st.integers(min_value=0, max_value=20),
     )
     @settings(max_examples=40)
     def test_join_migration_count_matches_reassignments(
-        self, members, replicas, newcomer, seed
+        self, members, replicas, newcomer
     ):
-        group = HashPlacementGroup(sorted(members), seed=seed)
+        group = HashPlacementGroup(sorted(members))
         group.place_all(sorted(replicas))
         before = {r: group.host_of(r) for r in replicas}
         migrated = group.add_member(newcomer)
@@ -57,11 +55,10 @@ class TestHashPlacementProperties:
             min_size=30,
             max_size=80,
         ),
-        seed=st.integers(min_value=0, max_value=10),
     )
     @settings(max_examples=20)
-    def test_hashing_spreads_load(self, replicas, seed):
-        group = HashPlacementGroup(list(range(4)), seed=seed)
+    def test_hashing_spreads_load(self, replicas):
+        group = HashPlacementGroup(list(range(4)))
         group.place_all(sorted(replicas))
         counts = [len(group.replicas_on(m)) for m in group.members]
         assert max(counts) <= len(replicas)  # sanity

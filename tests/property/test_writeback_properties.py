@@ -10,7 +10,10 @@ mutation (never at enqueue).  Invariants checked:
   (acked mutations are durable, unacked ones are visible as pending);
 - every overlay answer (read-your-writes) matches the buffer's pending
   intent at that instant;
-- nothing is silently lost (no faults here, so zero losses expected).
+- nothing is silently lost (no faults here, so zero losses expected);
+- a rename is a barrier: after it nothing is pending at or under either
+  prefix (the oracle alone would not see a pending write that skipped the
+  barrier, since it follows the acks whenever they come).
 
 On failure the harness shrinks the op sequence to a minimal
 still-failing subsequence before asserting, so the report is actionable.
@@ -23,6 +26,7 @@ import pytest
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
 from repro.gateway import GatewayConfig, MetadataClient, Outcome
+from repro.gateway.writeback import MutationBuffer
 
 from tests._harness import check, replay
 
@@ -160,6 +164,10 @@ def _run(seed, ops):
             old, new = arg
             client.rename(old, new, now)
             _oracle_rename(oracle, old, new)
+            buffer = client.writeback
+            for prefix in (old, new):
+                if buffer.get(prefix) or buffer.paths_under(prefix):
+                    failures.append(f"a write under {prefix} outlived its rename")
         return failures[0] if failures else None
 
     failure = replay(ops, step)
@@ -193,3 +201,14 @@ def test_shrinker_finds_minimal_sequences():
         check(99, _generate_ops(99, length=30), lambda ops: replay(
             ops, lambda op: "synthetic" if op[0] == "delete" else None
         ))
+
+
+def test_a_rename_barrier_that_skips_the_renamed_name_is_caught(monkeypatch):
+    """A barrier that drains ``/a/b``'s descendants but not ``/a/b`` itself
+    fails some seed."""
+
+    def mutant(self, prefix):
+        return [path for path in self._by_path if path.startswith(prefix + "/")]
+
+    monkeypatch.setattr(MutationBuffer, "paths_under", mutant)
+    assert any(_run(seed, _generate_ops(seed)) is not None for seed in SEEDS)

@@ -111,7 +111,7 @@ class TestBFA:
 
 class TestHashPlacement:
     def test_placement_deterministic(self):
-        group = HashPlacementGroup([0, 1, 2], seed=4)
+        group = HashPlacementGroup([0, 1, 2])
         assert group.target_of(50) == group.target_of(50)
 
     def test_place_and_host(self):
@@ -128,7 +128,7 @@ class TestHashPlacement:
 
     def test_join_migrates_most_replicas(self):
         """The Section 2.4 argument: ~(1 - 1/(M'+1)) of replicas move."""
-        group = HashPlacementGroup(list(range(5)), seed=1)
+        group = HashPlacementGroup(list(range(5)))
         replicas = list(range(10, 110))
         group.place_all(replicas)
         migrated = group.add_member(99)
@@ -136,7 +136,7 @@ class TestHashPlacement:
         assert migrated == pytest.approx(expected, rel=0.35)
 
     def test_leave_rehashes(self):
-        group = HashPlacementGroup(list(range(4)), seed=2)
+        group = HashPlacementGroup(list(range(4)))
         group.place_all(range(10, 60))
         migrated = group.remove_member(0)
         assert migrated > 0
@@ -148,7 +148,7 @@ class TestHashPlacement:
             group.remove_member(1)
 
     def test_hash_join_migrations_between_bounds(self):
-        migrated = hash_join_migrations(60, 7, seed=0)
+        migrated = hash_join_migrations(60, 7)
         assert 0 < migrated <= 60 - 7
 
     def test_hash_join_exceeds_ghba_cost(self):

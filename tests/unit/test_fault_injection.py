@@ -17,6 +17,7 @@ from repro.faults import (
     RetryPolicy,
     run_drill,
 )
+from repro.faults import retry
 from repro.faults.__main__ import DetectionSpec
 from repro.faults.__main__ import main as faults_main
 from repro.prototype.messages import Message, MessageKind
@@ -71,20 +72,16 @@ class TestFaultPlan:
 # RetryPolicy
 # ----------------------------------------------------------------------
 class TestRetryPolicy:
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            max_attempts=5,
-            base_delay_s=0.010,
-            multiplier=2.0,
-            max_delay_s=0.025,
-            jitter=0.0,
-        )
+    def test_backoff_grows_and_caps(self, monkeypatch):
+        monkeypatch.setattr(retry, "MAX_DELAY_S", 0.025)
+        monkeypatch.setattr(retry, "JITTER", 0.0)
+        policy = RetryPolicy(max_attempts=5)
         rng = make_rng(0)
         delays = [policy.backoff_s(k, rng) for k in range(4)]
         assert delays == [0.010, 0.020, 0.025, 0.025]
 
     def test_jitter_is_bounded_and_seeded(self):
-        policy = RetryPolicy(jitter=0.5, base_delay_s=0.010)
+        policy = RetryPolicy()
         a = [policy.backoff_s(0, make_rng(3)) for _ in range(5)]
         b = [policy.backoff_s(0, make_rng(3)) for _ in range(5)]
         assert a == b  # fresh same-seed RNGs draw identically
@@ -94,8 +91,6 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
         assert NO_RETRY.max_attempts == 1
         assert DEFAULT_RETRY.max_attempts == 3
 

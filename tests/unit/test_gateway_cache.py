@@ -188,8 +188,9 @@ class TestRenameCorrectness:
     def test_gateway_cache_tracks_namespace_rename(self):
         ns = self._tree()
         cache = GatewayCache()
-        for meta in ns.walk("/proj/src"):
-            cache.put(meta.path, 1, meta, 0.0)
+        for meta in ns.walk():
+            if meta.path == "/proj/src" or meta.path.startswith("/proj/src/"):
+                cache.put(meta.path, 1, meta, 0.0)
         cache.put("/projects/readme", 2, ns.stat("/projects/readme"), 0.0)
 
         ns.rename("/proj/src", "/proj/lib")

@@ -111,8 +111,11 @@ class TestListingAndWalk:
         ns = Namespace()
         ns.ensure_file("/a/b/f1")
         ns.ensure_file("/a/c/f2")
-        paths = {meta.path for meta in ns.walk("/a")}
-        assert paths == {"/a", "/a/b", "/a/b/f1", "/a/c", "/a/c/f2"}
+        ns.ensure_file("/z/f3")
+        paths = {meta.path for meta in ns.walk()}
+        assert paths == {
+            "/", "/a", "/a/b", "/a/b/f1", "/a/c", "/a/c/f2", "/z", "/z/f3"
+        }
 
     def test_files_yields_only_regular(self):
         ns = Namespace()

@@ -51,12 +51,11 @@ class TestNetworkModel:
         assert net.group_multicast_ms(1) == 0.0
 
     def test_round_trip_is_two_unicasts(self):
-        net = NetworkModel(unicast_ms=0.3)
-        assert net.round_trip_ms() == pytest.approx(0.6)
+        net = NetworkModel()
+        assert net.round_trip_ms() == pytest.approx(2 * net.unicast_ms)
 
-    def test_rejects_negative_constants(self):
-        with pytest.raises(ValueError):
-            NetworkModel(disk_access_ms=-1)
+    def test_every_config_shares_the_one_model(self):
+        assert GHBAConfig().network is GHBAConfig(seed=3).network
 
 
 

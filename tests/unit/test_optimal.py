@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.optimal import (
+    STALE_MISS_CAP,
     TRACE_MODELS,
     HitRates,
     OptimalityModel,
@@ -33,14 +34,12 @@ class TestHitRates:
         assert rates.l4_escape_rate(100) > rates.l4_escape_rate(10)
 
     def test_escape_rate_capped(self):
-        rates = HitRates(stale_miss_cap=0.1, stale_miss_rate_per_server=0.01)
-        assert rates.l4_escape_rate(1_000) == 0.1
+        rates = HitRates(stale_miss_rate_per_server=0.01)
+        assert rates.l4_escape_rate(1_000) == STALE_MISS_CAP
 
     def test_validation(self):
         with pytest.raises(ValueError):
             HitRates(p_lru=1.0)
-        with pytest.raises(ValueError):
-            HitRates(l2_accuracy=0.0)
 
 
 class TestModelStructure:

@@ -1,30 +1,46 @@
 """No option under ``src/repro`` exists only for the tests.
 
-A *knob* is a parameter with a default value of a function, a method or an
-``__init__`` defined under ``src/repro``.  A knob is *set* when some call by
-that name in ``src/``, ``bench/``, ``benchmarks/`` or ``examples/`` passes
-it by keyword, reaches its position, or splats ``*args`` / ``**kwargs``.
-An ``__init__`` is called by its class's name, by ``cls(...)`` in its own
-class, and by ``super().__init__`` from a class that names it as a base.
-A function passed around as a value sets nothing: its eventual call goes
-by another name.  The scan matches by name, like
-:mod:`tests.unit.test_src_surface`, whose definition walker it reuses, so
-a knob of one method that shares its name with a used one goes unseen.
+A *knob* is a parameter with a default value of a function, a method or
+an ``__init__`` defined under ``src/repro``, or a defaulted field of a
+frozen ``@dataclass`` there (a config object's fields are its
+``__init__``).  A knob is *set* when a call in ``src/``, ``bench/`` (its
+``tests/`` aside), ``benchmarks/`` or ``examples/`` passes it by keyword,
+reaches its position, or splats ``*args`` / ``**kwargs``.
 
-The result must equal :data:`ALLOWED`: the knobs only tests set, kept on
-purpose, each with one reason from the short list below.  Every other
-test-only knob is a constant in disguise: delete it with the tests that
-turn it.  Fields of config objects are not parameters and stay under
-their own caller checks.
+A call sets only what it resolves to.  Its name is looked up in the
+calling module's imports and top-level definitions, re-exports followed:
+``fig13.run(...)`` after ``from repro.experiments import fig13`` counts
+for ``repro.experiments.fig13.run`` alone, as does a bare ``run(trace)``
+inside ``fig13``, and ``subprocess.run(...)`` sets nothing under
+``repro``.  A call that does not resolve (a method on an object,
+``self.run(...)``) counts for every definition of that name, like
+:mod:`tests.unit.test_src_surface`, whose walkers it reuses; so a knob of
+one method that shares its name with a used one goes unseen.  A class is
+called by its name, by ``cls(...)`` in its own body and by
+``super().__init__`` from a class that names it as a base.  A field is
+also set by a keyword of ``dataclasses.replace`` (of any class: the
+object's type is not known) and of ``parse_spec(parser, Cls, ...)``.  A
+function passed around as a value sets nothing, since its eventual call
+goes by another name: the benchmark suite writes its scales out in a
+lambda, ``run_once(lambda: fig13.run(num_ops=20_000))``.
+
+A new field needs a caller that builds its class with it, replaces it or
+parses it from a command line; a value nobody outside ``tests/`` passes
+is a module constant, which a test monkeypatches.  The result must equal
+:data:`ALLOWED`: the knobs only tests set, kept on purpose, each with one
+reason from the short list below.  Every other test-only knob is a
+constant in disguise: delete it with the tests that turn it.
 """
 
 from __future__ import annotations
 
 import ast
+import textwrap
 from collections import defaultdict
+from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from tests.unit.test_src_surface import ROOT, SCANNED, _definitions
+from tests.unit.test_src_surface import _DEFINITIONS, ROOT, _definitions, sources
 
 DEPLOYMENT = "a deployment setting: an address, path, port or process timeout"
 INJECTED = "an injected tracer, metrics registry or flight recorder"
@@ -60,6 +76,7 @@ ALLOWED: Dict[str, str] = {
     "repro.net.tcp.PortMap.reserve.host": DEPLOYMENT,
     # The retry policy is the per-attempt timeout and the attempt budget.
     "repro.net.tcp.TcpTransport.__init__.retry": DEPLOYMENT,
+    "repro.faults.retry.RetryPolicy.timeout_s": DEPLOYMENT,
     "repro.prototype.node.MailboxNode.stop.timeout_s": DEPLOYMENT,
     "repro.replication.ship.ReplicationShipper.__init__.timeout_s": DEPLOYMENT,
     "repro.replication.ship.fence_probe.timeout_s": DEPLOYMENT,
@@ -75,57 +92,145 @@ ALLOWED: Dict[str, str] = {
 _Call = Tuple[int, frozenset, bool]
 
 
-def _called_name(call: ast.Call) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-def _is_super_init(call: ast.Call) -> bool:
-    func = call.func
+def _shape(call: ast.Call, skip: int = 0) -> _Call:
+    args = call.args[skip:]
     return (
-        isinstance(func, ast.Attribute)
-        and func.attr == "__init__"
-        and isinstance(func.value, ast.Call)
-        and isinstance(func.value.func, ast.Name)
-        and func.value.func.id == "super"
+        sum(not isinstance(arg, ast.Starred) for arg in args),
+        frozenset(kw.arg for kw in call.keywords if kw.arg),
+        any(isinstance(arg, ast.Starred) for arg in args)
+        or any(kw.arg is None for kw in call.keywords),
     )
 
 
-def _calls(
-    tree: ast.AST, owner: str = "", bases: Tuple[str, ...] = ()
-) -> Iterator[Tuple[str, _Call]]:
-    """``(called name, call shape)`` of every call under ``tree``; ``owner``
-    and ``bases`` name the class the call sits in and its bases."""
-    for child in ast.iter_child_nodes(tree):
-        inner = owner, bases
-        if isinstance(child, ast.ClassDef):
-            inner = child.name, tuple(
-                base.id if isinstance(base, ast.Name) else base.attr
-                for base in child.bases
-                if isinstance(base, (ast.Name, ast.Attribute))
-            )
-        if isinstance(child, ast.Call):
-            shape = (
-                sum(not isinstance(arg, ast.Starred) for arg in child.args),
-                frozenset(kw.arg for kw in child.keywords if kw.arg),
-                any(isinstance(arg, ast.Starred) for arg in child.args)
-                or any(kw.arg is None for kw in child.keywords),
-            )
-            name = _called_name(child)
-            if _is_super_init(child):
-                names = bases
-            elif name == "cls" and owner:
-                names = (owner,)
-            else:
-                names = (name,)
-            for name in names:
-                if name is not None:
-                    yield name, shape
-        yield from _calls(child, *inner)
+def _dotted(node: ast.AST) -> Optional[List[str]]:
+    """``["a", "b", "c"]`` for ``a.b.c``; None for any other expression."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return None if head is None else head + [node.attr]
+    return None
+
+
+class _Names:
+    """What each module's names stand for: its absolute imports and its
+    own top-level definitions, re-exports followed."""
+
+    def __init__(self, definitions: Dict[str, ast.AST]) -> None:
+        self.definitions = definitions
+        self.modules: Dict[str, Dict[str, str]] = {}
+
+    def add(self, module: str, tree: ast.Module) -> None:
+        names = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        names[alias.asname] = alias.name
+                    else:  # ``import a.b`` binds ``a``
+                        head = alias.name.split(".")[0]
+                        names[head] = head
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                for alias in node.names:
+                    names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        for node in tree.body:
+            if isinstance(node, _DEFINITIONS):
+                names[node.name] = f"{module}.{node.name}"
+        self.modules[module] = names
+
+    def resolve(self, module: str, dotted: List[str]) -> Optional[str]:
+        """What ``dotted`` names in ``module``: a definition under
+        ``src/repro``, a name outside ``repro``, or None when it names no
+        definition (a value, an object's method, a local)."""
+        target = self.modules[module].get(dotted[0])
+        if target is None:
+            return None
+        qualified, seen = ".".join([target] + dotted[1:]), set()
+        while qualified not in self.definitions:
+            if qualified.split(".")[0] != "repro":
+                return qualified
+            if qualified in seen:
+                return None
+            seen.add(qualified)
+            qualified = self._reexported(qualified)
+            if qualified is None:
+                return None
+        return qualified
+
+    def _reexported(self, qualified: str) -> Optional[str]:
+        """``qualified`` with the name after its longest module prefix
+        replaced by what that name stands for in the module."""
+        parts = qualified.split(".")
+        for cut in range(len(parts) - 1, 0, -1):
+            names = self.modules.get(".".join(parts[:cut]), {})
+            if parts[cut] in names:
+                return ".".join([names[parts[cut]]] + parts[cut + 1:])
+        return None
+
+
+class _Calls:
+    """Every scanned call, filed under what it calls: ``resolved`` by a
+    qualified definition (a class stands for its ``__init__`` and its
+    fields), ``bare`` by the name of a call that did not resolve;
+    ``replaced`` holds the keywords of ``dataclasses.replace``."""
+
+    def __init__(self, names: _Names) -> None:
+        self.names = names
+        self.resolved: Dict[str, List[_Call]] = defaultdict(list)
+        self.bare: Dict[str, List[_Call]] = defaultdict(list)
+        self.replaced: set = set()
+
+    def of(self, qualified: str) -> List[_Call]:
+        return self.resolved[qualified] + self.bare[qualified.rsplit(".", 1)[-1]]
+
+    def gather(
+        self, module: str, tree: ast.AST, owner: str = "", bases: Tuple[str, ...] = ()
+    ) -> None:
+        """Files every call under ``tree``; ``owner`` and ``bases`` name
+        the class the call sits in and its bases."""
+        for child in ast.iter_child_nodes(tree):
+            inner = owner, bases
+            if isinstance(child, ast.ClassDef):
+                inner = f"{module}.{child.name}", tuple(
+                    self._target(module, dotted)
+                    for dotted in map(_dotted, child.bases)
+                    if dotted
+                )
+            if isinstance(child, ast.Call):
+                self._file(module, child, owner, bases)
+            self.gather(module, child, *inner)
+
+    def _target(self, module: str, dotted: List[str]) -> str:
+        return self.names.resolve(module, dotted) or dotted[-1]
+
+    def _file(self, module: str, call: ast.Call, owner: str, bases) -> None:
+        func, dotted = call.func, _dotted(call.func)
+        if (
+            isinstance(func, ast.Attribute) and func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and _dotted(func.value.func) == ["super"]
+        ):
+            targets = bases
+        elif dotted == ["cls"] and owner:
+            targets = (owner,)
+        elif dotted is not None:
+            targets = (self._target(module, dotted),)
+        elif isinstance(func, ast.Attribute):
+            targets = (func.attr,)
+        else:
+            return
+        shape = _shape(call)
+        for target in targets:
+            if target == "dataclasses.replace":
+                self.replaced.update(shape[1])
+                continue
+            if target == "repro.scenario.parse_spec":
+                spec = _dotted(call.args[1]) if len(call.args) > 1 else None
+                if spec is None:
+                    continue
+                target, shape = self._target(module, spec), _shape(call, skip=2)
+            table = self.resolved if "." in target else self.bare
+            table[target].append(shape)
 
 
 def _knobs(node: ast.FunctionDef, bound: bool) -> Iterator[Tuple[str, Optional[int]]]:
@@ -140,6 +245,24 @@ def _knobs(node: ast.FunctionDef, bound: bool) -> Iterator[Tuple[str, Optional[i
             yield arg.arg, None
 
 
+def _fields(node: ast.ClassDef) -> Iterator[Tuple[str, int]]:
+    """``(field, call position)`` of each defaulted field, when ``node`` is
+    a ``@dataclass(frozen=True)``."""
+    if not any(
+        ast.unparse(d).endswith("dataclass(frozen=True)") for d in node.decorator_list
+    ):
+        return
+    fields = [
+        stmt
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and "ClassVar" not in ast.unparse(stmt.annotation)
+    ]
+    for position, stmt in enumerate(fields):
+        if stmt.value is not None:
+            yield stmt.target.id, position
+
+
 def _is_set(param: str, position: Optional[int], calls: List[_Call]) -> bool:
     return any(
         splat or param in keywords or (position is not None and position < npos)
@@ -147,33 +270,38 @@ def _is_set(param: str, position: Optional[int], calls: List[_Call]) -> bool:
     )
 
 
-def scan() -> List[str]:
+def scan(root: Path = ROOT) -> List[str]:
     """Knobs under ``src/repro`` that no scanned call sets, qualified."""
-    calls: Dict[str, List[_Call]] = defaultdict(list)
-    definitions = {}
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-            for name, shape in _calls(tree):
-                calls[name].append(shape)
-            if top == "src":  # src/ holds the one package, repro
-                module = path.relative_to(ROOT / "src").with_suffix("")
-                if module.name == "__init__":
-                    module = module.parent
-                definitions.update(_definitions(tree, ".".join(module.parts)))
+    trees = list(sources(root))
+    definitions: Dict[str, ast.AST] = {}
+    for module, tree in trees:
+        if module.split(".")[0] == "repro":
+            definitions.update(_definitions(tree, module))
+    names = _Names(definitions)
+    for module, tree in trees:
+        names.add(module, tree)
+    calls = _Calls(names)
+    for module, tree in trees:
+        calls.gather(module, tree)
     unset = []
     for qualified, node in definitions.items():
         if isinstance(node, ast.ClassDef):
+            for field, position in _fields(node):
+                if field not in calls.replaced and not _is_set(
+                    field, position, calls.of(qualified)
+                ):
+                    unset.append(f"{qualified}.{field}")
             continue
-        owner = definitions.get(qualified.rsplit(".", 1)[0])
+        owner_name = qualified.rsplit(".", 1)[0]
+        owner = definitions.get(owner_name)
         method = isinstance(owner, ast.ClassDef)
         static = any(
             isinstance(d, ast.Name) and d.id == "staticmethod"
             for d in node.decorator_list
         )
-        name = owner.name if method and node.name == "__init__" else node.name
+        called = owner_name if method and node.name == "__init__" else qualified
         for param, position in _knobs(node, method and not static):
-            if not _is_set(param, position, calls[name]):
+            if not _is_set(param, position, calls.of(called)):
                 unset.append(f"{qualified}.{param}")
     return sorted(unset)
 
@@ -189,3 +317,68 @@ def test_only_the_allowlist_is_set_only_by_tests():
         f"allowlisted but now set outside tests/, or gone: {stale} — drop "
         "them from ALLOWED"
     )
+
+
+def _plant(root: Path, files: Dict[str, str]) -> Path:
+    """A scanned tree under ``root``: ``src/repro`` and what calls it."""
+    files = {"src/repro/__init__.py": "", **files}
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text), encoding="utf-8")
+    return root
+
+
+def test_a_call_sets_only_the_definition_it_resolves_to(tmp_path):
+    root = _plant(tmp_path, {
+        "src/repro/a.py": """
+            def run(scale=1):
+                pass
+
+            def main():
+                run(5)
+        """,
+        "src/repro/b.py": "def run(trace=None, seed=0):\n    pass\n",
+        "examples/tour.py": "from repro import a\n\na.run(*[2])\n",
+    })
+    assert scan(root) == ["repro.b.run.seed", "repro.b.run.trace"]
+
+
+def test_bench_tests_are_not_scanned(tmp_path):
+    root = _plant(tmp_path, {
+        "src/repro/a.py": "def run(scale=1):\n    pass\n",
+        "bench/tests/test_a.py": "from repro.a import run\n\nrun(scale=2)\n",
+    })
+    assert scan(root) == ["repro.a.run.scale"]
+
+
+def test_a_frozen_config_field_only_tests_set_is_listed(tmp_path):
+    root = _plant(tmp_path, {
+        "src/repro/scenario.py": """
+            def parse_spec(parser, spec_type, **fields):
+                return spec_type(**fields)
+        """,
+        "src/repro/config.py": """
+            from dataclasses import dataclass, replace
+            from typing import ClassVar
+
+            @dataclass(frozen=True)
+            class Config:
+                name: str
+                size: int = 1
+                rate: float = 0.5
+                seed: int = 0
+                limit: int = 3
+                model: ClassVar[int] = 7
+
+            def tuned():
+                return replace(Config("a", 2), rate=0.1)
+        """,
+        "examples/cli.py": """
+            from repro.config import Config
+            from repro.scenario import parse_spec
+
+            parse_spec(None, Config, name="b", seed=4)
+        """,
+    })
+    assert scan(root) == ["repro.config.Config.limit"]

@@ -2,14 +2,15 @@
 
 The scan: a function, method or class defined under ``src/repro`` (dunder
 names excluded) is *test-only* when its name never occurs outside its own
-definition in the ASTs of ``src/``, ``bench/``, ``benchmarks/`` and
-``examples/``.  An occurrence is a ``Name``, an ``Attribute``, an import
-alias or a string constant shaped like an identifier (``getattr`` and
-dispatch tables name callers that way).  The scan matches by name, so a
-test-only method that shares its name with a used one goes unseen.  Some
-of those unseen ones stay on purpose: ``bench/layers.py`` (never edited)
-wraps methods by name to book their cost, so ``GatewayCache.pin``,
-``MetadataStore.remove``, ``BloomFilterArray.query`` / ``probe_batch`` and
+definition in the ASTs of ``src/``, ``bench/`` (its ``tests/`` aside),
+``benchmarks/`` and ``examples/``.  An occurrence is a ``Name``, an
+``Attribute``, an import alias or a string constant shaped like an
+identifier (``getattr`` and dispatch tables name callers that way).  The
+scan matches by name, so a test-only method that shares its name with a
+used one goes unseen.  Some of those unseen ones stay on purpose:
+``bench/layers.py`` (never edited) wraps methods by name to book their
+cost, so ``GatewayCache.pin``, ``MetadataStore.remove``,
+``BloomFilterArray.query`` / ``probe_batch`` and
 ``LRUBloomFilterArray.probe_batch`` must exist even where only tests call
 them.
 
@@ -24,7 +25,7 @@ import ast
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Tuple
 
 ROOT = Path(__file__).resolve().parents[2]
 SCANNED = ("src", "bench", "benchmarks", "examples")
@@ -102,19 +103,31 @@ def _definitions(tree: ast.AST, prefix: str) -> Iterator[tuple]:
             yield from _definitions(child, prefix)
 
 
+def sources(root: Path = ROOT) -> Iterator[Tuple[str, ast.Module]]:
+    """``(module name, tree)`` of every scanned file.  ``bench/tests/``
+    holds tests, so it is not scanned; a module under ``src/`` is named
+    as it is imported (``repro.core.cluster``), any other by its path."""
+    for top in SCANNED:
+        for path in sorted((root / top).rglob("*.py")):
+            parts = path.relative_to(root).with_suffix("").parts
+            if parts[:2] == ("bench", "tests"):
+                continue
+            if top == "src":  # src/ holds the one package, repro
+                parts = parts[1:]
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            text = path.read_text(encoding="utf-8")
+            yield ".".join(parts), ast.parse(text, str(path))
+
+
 def scan() -> Dict[str, int]:
     """Test-only definitions under ``src/repro``, qualified name → lines."""
     uses: Counter = Counter()
     candidates = []
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-            uses.update(_occurrences(tree))
-            if top == "src":  # src/ holds the one package, repro
-                module = path.relative_to(ROOT / "src").with_suffix("")
-                if module.name == "__init__":
-                    module = module.parent
-                candidates.extend(_definitions(tree, ".".join(module.parts)))
+    for module, tree in sources():
+        uses.update(_occurrences(tree))
+        if module.split(".")[0] == "repro":
+            candidates.extend(_definitions(tree, module))
     # An occurrence inside a definition's own body (recursion) is no caller.
     own: Counter = Counter()
     for _, node in candidates:
