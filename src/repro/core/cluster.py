@@ -288,7 +288,7 @@ class _ModelWalk:
         self.path = path
         self.origin_id = origin_id
         self.origin = cluster.servers[origin_id]
-        self.net = net = cluster.config.network
+        self.net = net = cluster.net
         self.faults = cluster.faults
         tracer = cluster.tracer
         self.span = tracer.start_span(path, origin_id) if tracer.enabled else None
@@ -569,6 +569,7 @@ class GHBACluster:
         faults: Optional[FaultInjector],
     ) -> None:
         self.config = config
+        self.net = config.network  # read on every walk and batch
         self.faults: FaultInjector = faults if faults is not None else NULL_INJECTOR
         self._rng = random.Random(seed)
         self._next_server_id = 0
@@ -771,7 +772,7 @@ class GHBACluster:
 
     def round_trip_ms(self) -> float:
         """Modelled latency of one client-to-MDS round trip."""
-        return self.config.network.round_trip_ms()
+        return self.net.round_trip_ms()
 
     # ------------------------------------------------------------------
     # Mutation hooks (cache coherence for the gateway tier)
@@ -1029,7 +1030,7 @@ class GHBACluster:
         """
         if not paths:
             raise ValueError("verify_batch requires at least one path")
-        net = self.config.network
+        net = self.net
         result = BatchVerifyResult(server_id=server_id)
         server = self._batch_target(result)
         if server is None:
@@ -1060,7 +1061,7 @@ class GHBACluster:
         charged to ``result``; None when it is unknown or silenced (fault
         injection) — ``result`` is then the finished degraded answer: the
         request timed out, one message on the wire, no reply."""
-        result.latency_ms = self.config.network.round_trip_ms()
+        result.latency_ms = self.net.round_trip_ms()
         server_id = result.server_id
         unreachable = server_id not in self.servers or (
             self.faults.enabled and self.faults.is_silenced(server_id)
@@ -1124,7 +1125,7 @@ class GHBACluster:
         if not mutations:
             raise ValueError("apply_mutation_batch requires at least one mutation")
         check_mutations((m.op, m.path, m.record) for m in mutations)
-        net = self.config.network
+        net = self.net
         result = BatchMutateResult(server_id=server_id)
         server = self._batch_target(result)
         if server is None:
@@ -1309,7 +1310,7 @@ class GHBACluster:
             report.messages += messages
             report.false_candidates += false_candidates
         # One multicast round to all groups, performed concurrently.
-        report.latency_ms += self.config.network.multicast_ms(
+        report.latency_ms += self.net.multicast_ms(
             max(0, self.num_groups - 1)
         )
         return replica_template

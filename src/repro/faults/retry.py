@@ -5,10 +5,10 @@ The policy is shared by :meth:`InProcessTransport.request` and
 a timed-out attempt is retried up to ``max_attempts`` total sends, each
 retry waiting ``BASE_DELAY_S * MULTIPLIER**k`` (capped at ``MAX_DELAY_S``)
 plus a jitter drawn from a seeded RNG — full determinism, no wall-clock
-randomness.  Backoff and timeout penalties are charged to the *virtual*
-clock (the in-process transport delivers instantly in real time; a real
-deployment would sleep them), so retrying never slows the test suite and
-the latency accounting still shows the cost of recovery.
+randomness.  Backoff and ``TIMEOUT_S`` penalties are charged to the
+*virtual* clock (the in-process transport delivers instantly in real time;
+a real deployment would sleep them), so retrying never slows the test
+suite and the latency accounting still shows the cost of recovery.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ MAX_DELAY_S = 0.250
 #: Fraction of the backoff added as seeded random jitter in
 #: ``[0, JITTER * backoff)`` — decorrelates retry storms.
 JITTER = 0.5
+#: Virtual seconds charged for each timed-out attempt (the time a client
+#: waits before concluding the reply is lost); no wall-clock wait reads it.
+TIMEOUT_S = 0.050
 
 
 @dataclass(frozen=True)
@@ -35,21 +38,15 @@ class RetryPolicy:
     max_attempts:
         Total sends per request, first attempt included; 1 disables
         retries.
-    timeout_s:
-        Virtual seconds charged for each timed-out attempt (the time a
-        client waits before concluding the reply is lost).
     """
 
     max_attempts: int = 3
-    timeout_s: float = 0.050
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.timeout_s < 0:
-            raise ValueError(f"timeout_s must be non-negative, got {self.timeout_s}")
 
     def backoff_s(self, retry_index: int, rng: random.Random) -> float:
         """Backoff before retry ``retry_index`` (0-based), jitter included."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.faults.injector import FaultInjector, NULL_INJECTOR
-from repro.faults.retry import DEFAULT_RETRY, RetryPolicy
+from repro.faults.retry import DEFAULT_RETRY, TIMEOUT_S, RetryPolicy
 
 
 class TransportClosed(Exception):
@@ -193,7 +193,7 @@ class ReliableTransport:
         return dataclasses.replace(
             message,
             reply_to=None,
-            arrival_vtime=message.arrival_vtime + self.retry.timeout_s + backoff_s,
+            arrival_vtime=message.arrival_vtime + TIMEOUT_S + backoff_s,
         )
 
     def _note_exhausted(self, count: int) -> None:

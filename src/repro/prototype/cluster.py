@@ -24,6 +24,7 @@ from repro.core.cluster import populate_servers
 from repro.core.config import GHBAConfig
 from repro.core.query import QueryLevel, QueryResult
 from repro.core.walk import walk
+from repro.faults.retry import TIMEOUT_S
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.prototype.messages import Message, MessageKind
@@ -72,7 +73,7 @@ class _WireWalk:
         self.degraded = False
         # Virtual wait a client spends on a request that never answers.
         retry = self.transport.retry
-        self.exhaust_penalty_s = retry.timeout_s * retry.max_attempts
+        self.exhaust_penalty_s = TIMEOUT_S * retry.max_attempts
         #: The origin's L2 hits once known: PROBE_LOCAL carries L1 + L2 in
         #: one request and skips L2 when L1 is unique.
         self.l2_hits: Optional[List[int]] = None
@@ -456,7 +457,7 @@ class PrototypeCluster:
             reply = self.transport.request(node_id, message)
         except (TransportClosed, TimeoutError):
             retry = self.transport.retry
-            penalty = retry.timeout_s * retry.max_attempts
+            penalty = TIMEOUT_S * retry.max_attempts
             return {
                 answer: nothing,
                 "virtual_latency_ms": penalty * 1000.0,

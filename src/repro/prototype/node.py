@@ -91,6 +91,7 @@ class MDSNode(MailboxNode):
             )
         super().__init__(f"mds-{node_id}", node_id, transport)
         self.config = config
+        self.net = config.network
         self.server = server
         self._clock_lock = threading.Lock()
         self._busy_until = 0.0
@@ -135,16 +136,16 @@ class MDSNode(MailboxNode):
     # Service-time model (mirrors the simulator's costs)
     # ------------------------------------------------------------------
     def _lru_probe_ms(self) -> float:
-        return self.config.network.memory_probe_ms * max(
+        return self.net.memory_probe_ms * max(
             1, self.server.lru.num_filters
         )
 
     def _segment_probe_ms(self) -> float:
-        net = self.config.network
+        net = self.net
         return self.server.probe_cost_cached(net) + net.memory_probe_ms
 
     def _verify_ms(self, positive: bool) -> float:
-        net = self.config.network
+        net = self.net
         cost = net.memory_probe_ms
         if positive:
             cost += self.server.fetch_penalty_cached(net)
@@ -154,7 +155,7 @@ class MDSNode(MailboxNode):
         """The flat charge of a replica or record operation (one in-memory
         record access) on the virtual clock; returns the finish time."""
         return self._serve(
-            message.arrival_vtime, self.config.network.memory_record_ms
+            message.arrival_vtime, self.net.memory_record_ms
         )
 
     def _ship_replica(self, dest: int, home_id: int, replica, finish: float) -> None:
@@ -270,7 +271,7 @@ class MDSNode(MailboxNode):
         """
         paths = message.payload["paths"]
         # _verify_ms(False) and _verify_ms(True), read once per batch.
-        net = self.config.network
+        net = self.net
         miss_ms = net.memory_probe_ms
         maybe_ms = miss_ms + self.server.fetch_penalty_cached(net)
         service_ms = 0.0
@@ -305,7 +306,7 @@ class MDSNode(MailboxNode):
         )
         server = self.server
         server.writeback_advance(origin, acked)
-        net = self.config.network
+        net = self.net
         service_ms = 0.0
         outcomes = []
         for raw in mutations:
@@ -384,7 +385,7 @@ class MDSNode(MailboxNode):
         path = message.payload["path"]
         home_id = message.payload["home_id"]
         finish = self._serve(
-            message.arrival_vtime, self.config.network.memory_probe_ms
+            message.arrival_vtime, self.net.memory_probe_ms
         )
         self.server.record_lru(path, home_id)
         return message.reply(ok=True, finish_vtime=finish)

@@ -34,11 +34,14 @@ class NetworkModel:
         serialization at the NIC; makes wide multicasts more expensive).
     """
 
-    memory_probe_ms = 0.002
-    memory_record_ms = 0.01
-    disk_access_ms = 5.0
-    unicast_ms = 0.2
-    per_destination_send_ms = 0.01
+    def __init__(self) -> None:
+        # Fixed values held on the instance: CPython specialises an
+        # instance read, not a class constant read through an instance.
+        self.memory_probe_ms = 0.002
+        self.memory_record_ms = 0.01
+        self.disk_access_ms = 5.0
+        self.unicast_ms = 0.2
+        self.per_destination_send_ms = 0.01
 
     # ------------------------------------------------------------------
     # Elementary costs

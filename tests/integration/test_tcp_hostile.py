@@ -477,7 +477,7 @@ class TestReplySlots:
         node = MDSNode(0, GHBAConfig(expected_files_per_mds=512), server)
         node.start()
         silent = _RawPeer(portmap.endpoint(1))
-        retry = RetryPolicy(max_attempts=2, timeout_s=0.01)
+        retry = RetryPolicy(max_attempts=2)
         client = TcpTransport(portmap, default_timeout_s=BOUND_S, retry=retry)
         injector = PlanFaultInjector(
             FaultPlan(seed=3, drop_rate=0.3, duplicate_rate=0.3)

@@ -183,7 +183,7 @@ class TestTcpFaultBoundaryParity:
         """drop_rate=1.0: both transports burn the same attempts and
         raise the same timeout, because the injector wraps TCP sends at
         the same boundary as in-process sends."""
-        retry = RetryPolicy(max_attempts=3, timeout_s=0.02)
+        retry = RetryPolicy(max_attempts=3)
 
         plan = FaultPlan(seed=5, drop_rate=1.0)
         inproc = InProcessTransport(

@@ -74,7 +74,7 @@ def _run_scenario(seed):
     transport = InProcessTransport(
         default_timeout_s=0.25,
         injector=injector,
-        retry=RetryPolicy(max_attempts=3, timeout_s=0.01),
+        retry=RetryPolicy(max_attempts=3),
     )
 
     def serve(node_id, mailbox):

@@ -18,11 +18,16 @@ inside ``fig13``, and ``subprocess.run(...)`` sets nothing under
 one method that shares its name with a used one goes unseen.  A class is
 called by its name, by ``cls(...)`` in its own body and by
 ``super().__init__`` from a class that names it as a base.  A field is
-also set by a keyword of ``dataclasses.replace`` (of any class: the
-object's type is not known) and of ``parse_spec(parser, Cls, ...)``.  A
-function passed around as a value sets nothing, since its eventual call
-goes by another name: the benchmark suite writes its scales out in a
-lambda, ``run_once(lambda: fig13.run(num_ops=20_000))``.
+also set by a keyword of ``parse_spec(parser, Cls, ...)`` and of
+``dataclasses.replace``: for the one class whose call builds the object,
+in place or through a name the same scope binds only from such calls
+(``base = GHBAConfig(...)``); for every class when the object's class is
+not known (``replace(config, ...)`` of a parameter), a fallback that can
+hide a same-named field.  A frozen dataclass is one whose
+``dataclass(...)`` decorator, or a module-level alias of it, passes
+``frozen=True``.  A function passed around as a value sets nothing,
+since its eventual call goes by another name: the benchmark suite writes
+its scales out in a lambda, ``run_once(lambda: fig13.run(num_ops=20_000))``.
 
 A new field needs a caller that builds its class with it, replaces it or
 parses it from a command line; a value nobody outside ``tests/`` passes
@@ -74,9 +79,8 @@ ALLOWED: Dict[str, str] = {
     "repro.net.supervisor.ProcessSupervisor.launch_mds.checkpoint": DEPLOYMENT,
     "repro.net.supervisor.ProcessSupervisor.stop_mds.timeout_s": DEPLOYMENT,
     "repro.net.tcp.PortMap.reserve.host": DEPLOYMENT,
-    # The retry policy is the per-attempt timeout and the attempt budget.
+    # The retry policy is the attempt budget of a deployed transport.
     "repro.net.tcp.TcpTransport.__init__.retry": DEPLOYMENT,
-    "repro.faults.retry.RetryPolicy.timeout_s": DEPLOYMENT,
     "repro.prototype.node.MailboxNode.stop.timeout_s": DEPLOYMENT,
     "repro.replication.ship.ReplicationShipper.__init__.timeout_s": DEPLOYMENT,
     "repro.replication.ship.fence_probe.timeout_s": DEPLOYMENT,
@@ -168,11 +172,28 @@ class _Names:
         return None
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _scope(node: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of ``node``'s own scope: nested functions, lambdas and
+    class bodies left out."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, _SCOPES + (ast.Lambda,)):
+            yield child
+            yield from _scope(child)
+
+#: A scope's names bound to a class: the class's qualified name, or None
+#: for a name that may hold anything else.
+_Bound = Dict[str, Optional[str]]
+
+
 class _Calls:
     """Every scanned call, filed under what it calls: ``resolved`` by a
     qualified definition (a class stands for its ``__init__`` and its
     fields), ``bare`` by the name of a call that did not resolve;
-    ``replaced`` holds the keywords of ``dataclasses.replace``."""
+    ``replaced`` holds the keywords of a ``dataclasses.replace`` whose
+    object's class is not known."""
 
     def __init__(self, names: _Names) -> None:
         self.names = names
@@ -184,26 +205,72 @@ class _Calls:
         return self.resolved[qualified] + self.bare[qualified.rsplit(".", 1)[-1]]
 
     def gather(
-        self, module: str, tree: ast.AST, owner: str = "", bases: Tuple[str, ...] = ()
+        self,
+        module: str,
+        tree: ast.AST,
+        owner: str = "",
+        bases: Tuple[str, ...] = (),
+        bound: Optional[_Bound] = None,
     ) -> None:
         """Files every call under ``tree``; ``owner`` and ``bases`` name
-        the class the call sits in and its bases."""
+        the class the call sits in and its bases, ``bound`` the names of
+        its scope that hold an instance of a known class."""
+        if bound is None:
+            bound = self._bind(module, tree, {})
         for child in ast.iter_child_nodes(tree):
-            inner = owner, bases
+            inner = owner, bases, bound
             if isinstance(child, ast.ClassDef):
                 inner = f"{module}.{child.name}", tuple(
                     self._target(module, dotted)
                     for dotted in map(_dotted, child.bases)
                     if dotted
-                )
+                ), bound
+            elif isinstance(child, _SCOPES):
+                inner = owner, bases, self._bind(module, child, bound)
             if isinstance(child, ast.Call):
-                self._file(module, child, owner, bases)
+                self._file(module, child, owner, bases, bound)
             self.gather(module, child, *inner)
 
     def _target(self, module: str, dotted: List[str]) -> str:
         return self.names.resolve(module, dotted) or dotted[-1]
 
-    def _file(self, module: str, call: ast.Call, owner: str, bases) -> None:
+    def _class_of(self, module: str, expr: ast.AST, bound: _Bound) -> Optional[str]:
+        """The class ``expr`` is an instance of, when a call of the class
+        builds it or a name bound from one holds it; else None."""
+        if isinstance(expr, ast.Name):
+            return bound.get(expr.id)
+        dotted = _dotted(expr.func) if isinstance(expr, ast.Call) else None
+        target = dotted and self.names.resolve(module, dotted)
+        if isinstance(self.names.definitions.get(target), ast.ClassDef):
+            return target
+        return None
+
+    def _bind(self, module: str, node: ast.AST, outer: _Bound) -> _Bound:
+        """``outer`` with the names ``node``'s own scope assigns: each
+        bound only from calls of one class stands for that class, every
+        other one (a parameter too) for None."""
+        bound = dict(outer)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                bound[arg.arg] = None
+        built = {}
+        for stmt in _scope(node):
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for target in targets:
+                    built[id(target)] = self._class_of(module, stmt.value, outer)
+        classes = defaultdict(set)
+        for name in _scope(node):
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                classes[name.id].add(built.get(id(name)))
+        for name, kinds in classes.items():
+            bound[name] = kinds.pop() if len(kinds) == 1 else None
+        return bound
+
+    def _file(
+        self, module: str, call: ast.Call, owner: str, bases, bound: _Bound
+    ) -> None:
         func, dotted = call.func, _dotted(call.func)
         if (
             isinstance(func, ast.Attribute) and func.attr == "__init__"
@@ -222,8 +289,11 @@ class _Calls:
         shape = _shape(call)
         for target in targets:
             if target == "dataclasses.replace":
-                self.replaced.update(shape[1])
-                continue
+                known = call.args and self._class_of(module, call.args[0], bound)
+                if not known:
+                    self.replaced.update(shape[1])
+                    continue
+                target, shape = known, _shape(call, skip=1)
             if target == "repro.scenario.parse_spec":
                 spec = _dotted(call.args[1]) if len(call.args) > 1 else None
                 if spec is None:
@@ -245,11 +315,35 @@ def _knobs(node: ast.FunctionDef, bound: bool) -> Iterator[Tuple[str, Optional[i
             yield arg.arg, None
 
 
-def _fields(node: ast.ClassDef) -> Iterator[Tuple[str, int]]:
+def _frozen(decorator: ast.AST) -> bool:
+    """Whether ``decorator`` is ``dataclass(..., frozen=True, ...)``."""
+    return (
+        isinstance(decorator, ast.Call)
+        and (_dotted(decorator.func) or [""])[-1] == "dataclass"
+        and any(
+            kw.arg == "frozen" and getattr(kw.value, "value", None) is True
+            for kw in decorator.keywords
+        )
+    )
+
+
+def _frozen_aliases(tree: ast.Module) -> set:
+    """Names a module binds to a frozen ``dataclass(...)`` decorator."""
+    return {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _frozen(node.value)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _fields(node: ast.ClassDef, aliases: set) -> Iterator[Tuple[str, int]]:
     """``(field, call position)`` of each defaulted field, when ``node`` is
-    a ``@dataclass(frozen=True)``."""
+    a frozen dataclass (decorated directly or through one of ``aliases``)."""
     if not any(
-        ast.unparse(d).endswith("dataclass(frozen=True)") for d in node.decorator_list
+        _frozen(d) or (isinstance(d, ast.Name) and d.id in aliases)
+        for d in node.decorator_list
     ):
         return
     fields = [
@@ -274,9 +368,12 @@ def scan(root: Path = ROOT) -> List[str]:
     """Knobs under ``src/repro`` that no scanned call sets, qualified."""
     trees = list(sources(root))
     definitions: Dict[str, ast.AST] = {}
+    aliases: Dict[str, set] = {}  # frozen-dataclass aliases of each class's module
     for module, tree in trees:
         if module.split(".")[0] == "repro":
-            definitions.update(_definitions(tree, module))
+            found = dict(_definitions(tree, module))
+            definitions.update(found)
+            aliases.update(dict.fromkeys(found, _frozen_aliases(tree)))
     names = _Names(definitions)
     for module, tree in trees:
         names.add(module, tree)
@@ -286,7 +383,7 @@ def scan(root: Path = ROOT) -> List[str]:
     unset = []
     for qualified, node in definitions.items():
         if isinstance(node, ast.ClassDef):
-            for field, position in _fields(node):
+            for field, position in _fields(node, aliases[qualified]):
                 if field not in calls.replaced and not _is_set(
                     field, position, calls.of(qualified)
                 ):
@@ -362,6 +459,8 @@ def test_a_frozen_config_field_only_tests_set_is_listed(tmp_path):
             from dataclasses import dataclass, replace
             from typing import ClassVar
 
+            _frozen = dataclass(frozen=True)
+
             @dataclass(frozen=True)
             class Config:
                 name: str
@@ -371,8 +470,18 @@ def test_a_frozen_config_field_only_tests_set_is_listed(tmp_path):
                 limit: int = 3
                 model: ClassVar[int] = 7
 
+            @dataclass(frozen=True, slots=True)
+            class Other:
+                limit: int = 0
+                mode: str = "a"
+
+            @_frozen
+            class Aliased:
+                depth: int = 2
+
             def tuned():
-                return replace(Config("a", 2), rate=0.1)
+                base = Config("a", 2)
+                return replace(base, rate=0.1), replace(Other(), limit=1)
         """,
         "examples/cli.py": """
             from repro.config import Config
@@ -381,4 +490,8 @@ def test_a_frozen_config_field_only_tests_set_is_listed(tmp_path):
             parse_spec(None, Config, name="b", seed=4)
         """,
     })
-    assert scan(root) == ["repro.config.Config.limit"]
+    assert scan(root) == [
+        "repro.config.Aliased.depth",
+        "repro.config.Config.limit",
+        "repro.config.Other.mode",
+    ]
