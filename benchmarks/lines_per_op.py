@@ -13,7 +13,11 @@ the lines each timed operation executes in each top-level package of
   looked-up path;
 - ``gw_write_mix``: every timed call, averaged per call kind (create,
   delete, rename, a lookup tick of five paths) and the closing flush
-  barrier.
+  barrier;
+- ``wire_mixed``: every RPC of its timed ticks, served by two in-process
+  ``MDSNode``s through ``_handle`` (the node's dispatch, without the
+  socket, the codec or the node thread), averaged per path a
+  ``VERIFY_BATCH`` looks up and per path a ``MUTATE_BATCH`` mutates.
 
 Set-up and warm-up run untraced first, exactly as the benchmark runs them
 (so hash memos and L1 arrays are warm).  Line events differ between
@@ -44,7 +48,21 @@ from bench.workloads.gateway import (
     GatewayHotLookup,
     GatewayWriteMix,
 )
+from bench.workloads.wire import (
+    BULK_BATCH,
+    CLIENT_ORIGIN,
+    CLIENT_SENDER,
+    DRIVER_ORIGIN,
+    WireMixed,
+    home_of,
+    record_for,
+    verify_message,
+)
+from repro.core.config import GHBAConfig
 from repro.metadata.attributes import FileMetadata
+from repro.prototype.messages import Message, MessageKind
+from repro.prototype.node import MDSNode
+from repro.prototype.transport import InProcessTransport
 from tests._linecount import lines_executed
 
 REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
@@ -165,6 +183,70 @@ def write_mix(seed: int, seconds: float) -> Rows:
     ]
 
 
+def wire_mixed(seed: int, seconds: float) -> Rows:
+    """Each RPC of ``WireMixed``'s timed ticks, made the way its client
+    makes them, after its populate and warm-up ticks (untraced)."""
+    workload = WireMixed()
+    inputs = workload.generate(seed, seconds)
+    paths = inputs["paths"]
+    index_of = {path: index for index, path in enumerate(paths)}
+    transport = InProcessTransport()
+    nodes: Dict[int, MDSNode] = {}
+    exists = dict.fromkeys(paths, True)
+    version = acked = 0
+
+    def node(home: int) -> MDSNode:
+        if home not in nodes:
+            nodes[home] = MDSNode(home, GHBAConfig(), transport)
+        return nodes[home]
+
+    def mutate(origin: int, floor: int, mutations: List[dict]) -> Message:
+        payload = {"origin": origin, "acked": floor, "mutations": mutations}
+        return Message(kind=MessageKind.MUTATE_BATCH, sender=CLIENT_SENDER, payload=payload)
+
+    def rpcs(op: list) -> List[Tuple[str, int, Message]]:
+        """``(kind, home, message)`` per RPC of one tick, in send order."""
+        nonlocal version, acked
+        grouped: Dict[int, list] = {}
+        if op[0] == "l":
+            for path in op[1]:
+                grouped.setdefault(home_of(path), []).append(path)
+            return [("VERIFY_BATCH", home, verify_message(CLIENT_SENDER, batch))
+                    for home, batch in sorted(grouped.items())]
+        for path in op[1]:
+            version += 1
+            if exists[path]:
+                mutation = {"version": version, "op": "delete", "path": path, "record": None}
+            else:
+                mutation = {"version": version, "op": "create", "path": path,
+                            "record": record_for(path, index_of[path])}
+            exists[path] = not exists[path]
+            grouped.setdefault(home_of(path), []).append(mutation)
+        floor, acked = acked, version
+        return [("MUTATE_BATCH", home, mutate(CLIENT_ORIGIN, floor, batch))
+                for home, batch in sorted(grouped.items())]
+
+    creates: Dict[int, List[dict]] = {}
+    for index, path in enumerate(paths):
+        creates.setdefault(home_of(path), []).append(
+            {"version": index + 1, "op": "create", "path": path,
+             "record": record_for(path, index)})
+    for home, batch in sorted(creates.items()):
+        for start in range(0, len(batch), BULK_BATCH):
+            node(home)._handle(mutate(DRIVER_ORIGIN, 0, batch[start:start + BULK_BATCH]))
+    for op in inputs["warmup"]:
+        for _, home, message in rpcs(op):
+            node(home)._handle(message)
+    lines: Dict[str, Dict[str, int]] = {"VERIFY_BATCH": {}, "MUTATE_BATCH": {}}
+    ops = dict.fromkeys(lines, 0)
+    for op in inputs["schedule"]:
+        for kind, home, message in rpcs(op):
+            count(partial(node(home)._handle, message), lines[kind])
+            key = "paths" if kind == "VERIFY_BATCH" else "mutations"
+            ops[kind] += len(message.payload[key])
+    return [(f"wire_mixed {kind} path", ops[kind], lines[kind]) for kind in lines]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -178,6 +260,7 @@ def main(argv=None) -> int:
         + gateway_lookups(GatewayHotLookup(), args.seed, args.seconds)
         + gateway_lookups(GatewayColdScan(), args.seed, args.seconds)
         + write_mix(args.seed, args.seconds)
+        + wire_mixed(args.seed, args.seconds)
     )
     packages = sorted({package for _, _, counts in rows for package in counts})
     print(f"lines per op under src/repro, seed {args.seed}, --seconds {args.seconds}, "

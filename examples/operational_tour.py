@@ -31,8 +31,6 @@ def main() -> None:
         expected_files_per_mds=600,
         lru_capacity=200,
         lru_filter_bits=1 << 10,
-        heartbeat_interval_s=1.0,
-        heartbeat_timeout_s=3.0,
     )
     cluster = GHBACluster(12, config, seed=8)
     placement = cluster.populate(f"/ops/team{i % 6}/f{i}" for i in range(2_000))

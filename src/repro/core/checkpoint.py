@@ -32,7 +32,7 @@ from repro.metadata.attributes import FileKind, FileMetadata
 PathLike = Union[str, Path]
 
 #: Bumped on any incompatible format change.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class CheckpointError(ValueError):
@@ -55,8 +55,6 @@ _CONFIG_FIELDS = (
     "update_threshold_bits",
     "memory_budget_bytes",
     "seed",
-    "heartbeat_interval_s",
-    "heartbeat_timeout_s",
 )
 
 

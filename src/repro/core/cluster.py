@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bloom.algebra import needs_update
@@ -33,7 +34,7 @@ from repro.core.group import Group, GroupError
 from repro.core.query import QueryLevel, QueryResult
 from repro.core.walk import walk
 from repro.faults.injector import NULL_INJECTOR, FaultInjector
-from repro.core.server import MetadataServer, check_mutations
+from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 from repro.metadata.namespace import subtree_bounds
 from repro.obs.registry import MetricsRegistry
@@ -1115,81 +1116,33 @@ class GHBACluster:
         a ``(origin, version)`` pair is a duplicate iff the version is
         at or below the origin's cumulative-ack floor (settled
         client-side, never retried) or present in the per-origin outcome
-        cache.  Duplicates are **replayed** from the cached outcome, not
-        re-applied.  ``acked_version`` advances the floor and prunes the
-        cache beneath it.
+        cache.  Duplicates are **replayed** from the cached outcome as
+        ``changed=False``, not re-applied.  ``acked_version`` advances the
+        floor and prunes the cache beneath it.  The loop is the server's
+        (:meth:`MetadataServer.apply_mutations`, which the prototype node
+        runs too); this method hands it the arbitration.
 
         ``degraded`` (target silenced/unknown) means nothing was applied;
         the caller may retry the identical batch.
         """
         if not mutations:
             raise ValueError("apply_mutation_batch requires at least one mutation")
-        check_mutations((m.op, m.path, m.record) for m in mutations)
-        net = self.net
         result = BatchMutateResult(server_id=server_id)
         server = self._batch_target(result)
         if server is None:
             return result
-        server.writeback_advance(origin, acked_version)
-        latency = result.latency_ms
-        record_ms = server.fetch_penalty_cached(net)
-        for mutation in mutations:
-            latency += net.memory_probe_ms
-            replay = server.writeback_replay(
-                origin, mutation.version, mutation.op, mutation.path
-            )
-            if replay is not None:
-                # Retried batch or stray re-delivery: the effect already
-                # happened; repeat the ack without touching state (a
-                # settled version carries no detail: live path version).
-                result.outcomes.append(
-                    MutationOutcome(
-                        version=mutation.version,
-                        op=mutation.op,
-                        path=mutation.path,
-                        applied=replay["applied"],
-                        conflict=replay.get("conflict", False),
-                        changed=False,
-                        deduped=True,
-                        new_version=replay.get(
-                            "new_version",
-                            self._path_versions.get(mutation.path, 0),
-                        ),
-                    )
-                )
-                continue
-            outcome = self._apply_one_mutation(server_id, mutation)
-            if outcome.changed:
-                latency += record_ms
-            # vars(): the outcome's fields in declaration order, which is
-            # the dict a checkpoint writes (remember() takes its own copy).
-            server.writeback_remember(origin, mutation.version, vars(outcome))
-            result.outcomes.append(outcome)
-            if self.tracer.enabled and mutation.trace is not None:
-                trace_id, parent_id, trace_origin = mutation.trace
-                span = self.tracer.start_span(
-                    mutation.path,
-                    trace_origin,
-                    trace_id=trace_id,
-                    parent_id=parent_id,
-                    component="mds",
-                    kind="wb_arbitrate",
-                )
-                span.event(
-                    "wb_arbitrate",
-                    target=server_id,
-                    op=mutation.op,
-                    applied=outcome.applied,
-                    conflict=outcome.conflict,
-                    changed=outcome.changed,
-                    new_version=outcome.new_version,
-                )
-                span.finish(
-                    "WB-APPLIED" if outcome.applied else "WB-CONFLICT",
-                    server_id,
-                    0.0,
-                    0,
-                )
+        outcomes, latency = server.apply_mutations(
+            origin,
+            acked_version,
+            mutations,
+            result.latency_ms,
+            partial(self._apply_one_mutation, server_id),
+        )
+        # A settled version is acked without detail: it reports the
+        # path's live version.
+        live = self._path_versions.get
+        acks = [{"new_version": live(o["path"], 0), **o} for o in outcomes]
+        result.outcomes = [MutationOutcome(**ack) for ack in acks]
         return self._batch_served(
             result,
             latency,
@@ -1199,8 +1152,10 @@ class GHBACluster:
 
     def _apply_one_mutation(
         self, server_id: int, mutation: PathMutation
-    ) -> MutationOutcome:
-        """Arbitrate and apply one mutation; returns its outcome.
+    ) -> Dict[str, object]:
+        """Arbitrate and apply one mutation; returns its outcome as the
+        dict of a :class:`MutationOutcome`'s fields, in declaration order
+        (what a checkpoint writes).
 
         A mutation conflicts when its base lost the race or the path is
         homed on a *different* MDS (never mint a second home; a delete
@@ -1227,15 +1182,38 @@ class GHBACluster:
                 new_version = self._commit_create(server_id, mutation.record)
             else:
                 new_version = self._commit_delete(server_id, path)
-        return MutationOutcome(
-            version=mutation.version,
-            op=mutation.op,
-            path=path,
-            applied=applied,
-            conflict=not applied,
-            changed=changed,
-            new_version=new_version,
-        )
+        if self.tracer.enabled and mutation.trace is not None:
+            trace_id, parent_id, trace_origin = mutation.trace
+            span = self.tracer.start_span(
+                path,
+                trace_origin,
+                trace_id=trace_id,
+                parent_id=parent_id,
+                component="mds",
+                kind="wb_arbitrate",
+            )
+            span.event(
+                "wb_arbitrate",
+                target=server_id,
+                op=mutation.op,
+                applied=applied,
+                conflict=not applied,
+                changed=changed,
+                new_version=new_version,
+            )
+            span.finish(
+                "WB-APPLIED" if applied else "WB-CONFLICT", server_id, 0.0, 0
+            )
+        return {
+            "version": mutation.version,
+            "op": mutation.op,
+            "path": path,
+            "applied": applied,
+            "conflict": not applied,
+            "changed": changed,
+            "deduped": False,
+            "new_version": new_version,
+        }
 
     def _share_lru_hint(self, origin_id: int, path: str, home: int) -> int:
         """Cooperative caching (Section 7 extension): push the resolved

@@ -53,8 +53,6 @@ class GHBAConfig:
         Hash family seed shared by every MDS so filters stay comparable.
     network:
         The simulator's latency model: fixed constants, not a setting.
-    heartbeat_interval_s / heartbeat_timeout_s:
-        Failure detection parameters (Section 4.5).
     """
 
     max_group_size: int = 6
@@ -69,8 +67,6 @@ class GHBAConfig:
     memory_budget_bytes: Optional[int] = None
     seed: int = 0
     network: ClassVar[NetworkModel] = NetworkModel()
-    heartbeat_interval_s: float = 1.0
-    heartbeat_timeout_s: float = 3.0
 
     def __post_init__(self) -> None:
         if self.max_group_size < 1:
@@ -93,8 +89,6 @@ class GHBAConfig:
                 "update_threshold_bits must be non-negative, "
                 f"got {self.update_threshold_bits}"
             )
-        if self.heartbeat_interval_s <= 0 or self.heartbeat_timeout_s <= 0:
-            raise ValueError("heartbeat intervals must be positive")
         if self.memory_budget_bytes is not None and self.memory_budget_bytes < 0:
             raise ValueError(
                 "memory_budget_bytes must be non-negative, "

@@ -6,10 +6,10 @@ from the other MDSs to reduce the number of false positives."
 
 :class:`HeartbeatMonitor` runs that protocol on the caller's virtual clock,
 like every other timed component: :meth:`HeartbeatMonitor.advance` runs
-each round due by ``now``, one every ``heartbeat_interval_s``.  In a round
-every live server beats to its group peers, then the peers look for a
-member silent for longer than ``heartbeat_timeout_s``; a live peer declares
-it failed and it is excised from every Bloom structure via
+each round due by ``now``, one every :data:`HEARTBEAT_INTERVAL_S`.  In a
+round every live server beats to its group peers, then the peers look for
+a member silent for longer than :data:`HEARTBEAT_TIMEOUT_S`; a live peer
+declares it failed and it is excised from every Bloom structure via
 :meth:`GHBACluster.fail_server`.  The metadata service remains functional
 at degraded coverage, exactly as the paper describes.
 """
@@ -20,6 +20,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from repro.core.cluster import GHBACluster
+
+#: Virtual seconds between heartbeat rounds.
+HEARTBEAT_INTERVAL_S = 1.0
+#: Silence, in virtual seconds, after which a group peer declares a member
+#: failed.
+HEARTBEAT_TIMEOUT_S = 3.0
 
 
 @dataclass
@@ -35,16 +41,16 @@ class FailureEvent:
 class HeartbeatMonitor:
     """Group-scoped heartbeat exchange and failure detection.
 
-    Heartbeat timing comes from ``cluster.config``
-    (``heartbeat_interval_s`` / ``heartbeat_timeout_s``).  The monitor's
-    clock starts at 0 with every member just heard from; a server that
-    joins later is watched from the first round that sees it.
+    Heartbeat timing is fixed (:data:`HEARTBEAT_INTERVAL_S` /
+    :data:`HEARTBEAT_TIMEOUT_S`).  The monitor's clock starts at 0 with
+    every member just heard from; a server that joins later is watched
+    from the first round that sees it.
     """
 
     def __init__(self, cluster: GHBACluster) -> None:
         self.cluster = cluster
         self._now = 0.0
-        self._next_round = cluster.config.heartbeat_interval_s
+        self._next_round = HEARTBEAT_INTERVAL_S
         self._last_seen: Dict[int, float] = dict.fromkeys(cluster.server_ids(), 0.0)
         self._down: Set[int] = set()
         self.failures: List[FailureEvent] = []
@@ -57,7 +63,7 @@ class HeartbeatMonitor:
         self._now = now
         while self._next_round <= now:
             self._round(self._next_round)
-            self._next_round += self.cluster.config.heartbeat_interval_s
+            self._next_round += HEARTBEAT_INTERVAL_S
 
     def crash(self, server_id: int) -> None:
         """Silence ``server_id``: it stops beating but is not yet excised.
@@ -85,7 +91,7 @@ class HeartbeatMonitor:
             else:
                 last_seen[server_id] = now
                 self.heartbeats_sent += cluster.group_of(server_id).size - 1
-        timeout = cluster.config.heartbeat_timeout_s
+        timeout = HEARTBEAT_TIMEOUT_S
         for server_id, last in list(last_seen.items()):
             if now - last <= timeout:
                 continue

@@ -22,7 +22,7 @@ needs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -35,22 +35,21 @@ from repro.metadata.store import MetadataStore
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.core.cellindex import CellIndex
+    from repro.core.cluster import PathMutation
     from repro.obs.registry import MetricsRegistry
 
 
-def check_mutations(
-    mutations: Iterable[Tuple[str, str, Optional[FileMetadata]]],
-) -> None:
+def check_mutations(mutations: "Sequence[PathMutation]") -> None:
     """Refuse a malformed write-back batch before any of it applies.
 
-    Each entry is one mutation's ``(op, path, record)``.  Raises
+    Each entry has a mutation's ``op``, ``path`` and ``record``.  Raises
     :class:`ValueError` on an op other than ``create`` / ``delete``, a
     create without a record, or a create whose record names another path.
-    Both home MDSs (``GHBACluster.apply_mutation_batch`` and the prototype
-    node's ``MUTATE_BATCH`` handler) run it over the whole batch first, so a
-    batch applies whole or changes nothing.
+    :meth:`MetadataServer.apply_mutations` runs it over the whole batch
+    first, so a batch applies whole or changes nothing.
     """
-    for op, path, record in mutations:
+    for mutation in mutations:
+        op, path, record = mutation.op, mutation.path, mutation.record
         if op not in ("create", "delete"):
             raise ValueError(f"unknown mutation op {op!r}")
         if op == "create" and record is None:
@@ -130,16 +129,18 @@ class MetadataServer:
         #: cache.  Both ride :func:`~repro.core.checkpoint.snapshot_server`
         #: so a crash between apply and ack cannot double-apply a retry;
         #: outcomes are kept as the JSON-safe dicts the checkpoint writes.
-        #: Every driver goes through the three ``writeback_*`` methods.
+        #: Only :meth:`apply_mutations` (and the checkpoint) touch them.
         self.writeback_floor: Dict[int, int] = {}
         self.writeback_outcomes: Dict[int, Dict[int, Dict[str, Any]]] = {}
         #: Mutations this server actually applied (not deduped, not noop) —
         #: the observable the at-most-once tests assert on.
         self.writeback_applied = 0
         # Latency-model memos for the query hot path, each valid for the
-        # network it was derived with.  Every refresh of the resident
-        # fraction clears both, and theta only moves under a refresh, so
-        # a memo re-derives exactly when one of its inputs may have moved.
+        # network it was derived with.  A change of the resident fraction
+        # clears both, and a full refresh (the only place theta moves)
+        # clears the probe cost's, so a memo re-derives exactly when one
+        # of its inputs may have moved.
+        self.resident_fraction = 1.0
         self._probe_cost_net: object = None
         self._probe_cost_ms = 0.0
         self._fetch_penalty_net: object = None
@@ -168,6 +169,8 @@ class MetadataServer:
         """Re-read every footprint: what a replica or filter change, a
         bulk load and a restore call."""
         self._filter_bytes = self.local_filter.size_bytes() + self.segment.size_bytes()
+        # Theta moves only here (a replica hosted, dropped or replaced).
+        self._probe_cost_net = None
         self._refresh_record_accounting()
 
     def _refresh_record_accounting(self) -> None:
@@ -188,12 +191,12 @@ class MetadataServer:
 
     def _derive_resident_fraction(self) -> None:
         budget, total = self._memory_budget_bytes, self.footprint_bytes
-        #: Share of every structure held in memory; the rest pays disk.
-        self.resident_fraction = (
-            1.0 if budget is None or total <= budget else budget / total
-        )
-        self._probe_cost_net = None
-        self._fetch_penalty_net = None
+        fraction = 1.0 if budget is None or total <= budget else budget / total
+        if fraction != self.resident_fraction:
+            #: Share of every structure held in memory; the rest pays disk.
+            self.resident_fraction = fraction
+            self._probe_cost_net = None
+            self._fetch_penalty_net = None
 
     def probe_cost_cached(self, net) -> float:
         """Memoized ``net.probe_cost_ms(theta, resident_fraction)``."""
@@ -289,49 +292,86 @@ class MetadataServer:
         return rekeyed
 
     # ------------------------------------------------------------------
-    # At-most-once MUTATE_BATCH record
+    # At-most-once MUTATE_BATCH application
     # ------------------------------------------------------------------
-    def writeback_advance(self, origin: int, acked: int) -> None:
-        """Start a batch from ``origin``: raise its cumulative-ack floor
-        to ``acked`` and prune the outcome cache beneath it."""
+    def apply_mutations(
+        self,
+        origin: int,
+        acked: int,
+        mutations: Sequence["PathMutation"],
+        latency_ms: float,
+        commit: "Optional[Callable[[PathMutation], Dict[str, Any]]]" = None,
+    ) -> Tuple[List[Dict[str, Any]], float]:
+        """Apply one write-back batch from ``origin`` at most once; returns
+        each mutation's outcome and ``latency_ms`` plus the batch's charge.
+
+        The write loop of every home MDS (the cluster's flush path and the
+        node's ``MUTATE_BATCH`` handler).  :func:`check_mutations` runs over
+        the whole batch first.  ``acked`` (the origin's cumulative ack)
+        raises the origin's floor and prunes the outcome cache beneath it.
+        A duplicate (a version in the cache, or at or below the floor: a
+        stray re-delivery of a settled version, acked without detail) is
+        replayed as ``changed=False, deduped=True`` without touching the
+        store: the effect happened once, only the ack repeats.  A first
+        delivery goes to ``commit``, whose outcome dict is remembered;
+        the default stores or removes the record here.  Charged: one
+        memory probe per mutation, plus one record fetch per mutation that
+        changed state, added in batch order onto ``latency_ms``.
+        """
+        check_mutations(mutations)
+        if commit is None:
+            commit = self._commit_locally
         floor = max(self.writeback_floor.get(origin, 0), acked)
         self.writeback_floor[origin] = floor
         cache = self.writeback_outcomes.setdefault(origin, {})
         if floor:
             for version in [v for v in cache if v <= floor]:
                 del cache[version]
+        net = self.config.network
+        probe_ms = net.memory_probe_ms
+        record_ms = self.fetch_penalty_cached(net)
+        outcomes = []
+        for mutation in mutations:
+            latency_ms += probe_ms
+            version = mutation.version
+            cached = cache.get(version)
+            if cached is not None:
+                outcome = dict(cached, changed=False, deduped=True)
+            elif version <= floor:
+                outcome = {
+                    "version": version,
+                    "op": mutation.op,
+                    "path": mutation.path,
+                    "applied": True,
+                    "changed": False,
+                    "deduped": True,
+                }
+            else:
+                outcome = commit(mutation)
+                if outcome["changed"]:
+                    latency_ms += record_ms
+                cache[version] = dict(outcome)
+            outcomes.append(outcome)
+        return outcomes, latency_ms
 
-    def writeback_replay(
-        self, origin: int, version: int, op: str, path: str
-    ) -> Optional[Dict[str, Any]]:
-        """The ack to repeat for a duplicate ``(origin, version)``; None
-        on a first delivery, which the caller applies and records with
-        :meth:`writeback_remember`.
-
-        A cached version replays its recorded outcome; one at or below
-        the floor (settled client-side, never retried) is a stray
-        re-delivery, acked as applied-without-detail.  Neither touches
-        the store.  Call after :meth:`writeback_advance`.
-        """
-        cached = self.writeback_outcomes[origin].get(version)
-        if cached is not None:
-            return dict(cached, deduped=True)
-        if version <= self.writeback_floor[origin]:
-            return {
-                "version": version,
-                "op": op,
-                "path": path,
-                "applied": True,
-                "changed": False,
-                "deduped": True,
-            }
-        return None
-
-    def writeback_remember(
-        self, origin: int, version: int, outcome: Dict[str, Any]
-    ) -> None:
-        """Record the outcome of a first delivery for later replays."""
-        self.writeback_outcomes[origin][version] = dict(outcome)
+    def _commit_locally(self, mutation: "PathMutation") -> Dict[str, Any]:
+        """The default commit: store or remove the record, arbitrating
+        nothing (a delete of an absent path is an applied no-op)."""
+        if mutation.op == "create":
+            self.insert_metadata(mutation.record)
+            changed = True
+        else:
+            changed = self.remove_metadata(mutation.path)
+        if changed:
+            self.writeback_applied += 1
+        return {
+            "version": mutation.version,
+            "op": mutation.op,
+            "path": mutation.path,
+            "applied": True,
+            "changed": changed,
+            "deduped": False,
+        }
 
     def rebuild_local_filter(self) -> BloomFilter:
         """Rebuild the local filter from the store (clears deletions)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.core.failure import HeartbeatMonitor
+from repro.core.failure import HEARTBEAT_INTERVAL_S, HEARTBEAT_TIMEOUT_S, HeartbeatMonitor
 from repro.experiments.common import SEED, ExperimentResult
 from repro.sim.rng import make_rng
 
@@ -93,7 +93,7 @@ def run(
             cluster.synchronize_replicas(force=True)
         else:
             monitor.crash(victim)
-            clock += config.heartbeat_timeout_s + 2 * config.heartbeat_interval_s
+            clock += HEARTBEAT_TIMEOUT_S + 2 * HEARTBEAT_INTERVAL_S
             monitor.advance(clock)
             assert monitor.detected(victim)
         cluster.check_invariants()

@@ -7,7 +7,7 @@ the fault injector, so degraded queries and detection share one notion of
 "down"), and the drill records when the group peers declared it failed.
 
 The paper's bound (Section 4.5): a silent MDS is detected within
-``heartbeat_timeout_s`` plus at most one check interval after its last
+``HEARTBEAT_TIMEOUT_S`` plus at most one check interval after its last
 heartbeat.  :attr:`DrillReport.bound_s` adds one more interval of slack
 for the beat/check round alignment; the drill asserts every detection
 lands inside it.
@@ -99,13 +99,13 @@ def run_drill(num_servers: int = 9, seed: int = 0) -> DrillReport:
     """Run a detection drill; deterministic for given arguments."""
     from repro.core.cluster import GHBACluster
     from repro.core.config import GHBAConfig
-    from repro.core.failure import HeartbeatMonitor
+    from repro.core import failure
 
     cfg = GHBAConfig(seed=seed)
     plan = default_drill_plan(seed, num_servers)
     injector = PlanFaultInjector(plan)
     cluster = GHBACluster(num_servers, cfg, seed=seed, faults=injector)
-    monitor = HeartbeatMonitor(cluster)
+    monitor = failure.HeartbeatMonitor(cluster)
     for crash in plan.crashes:
         # A round due at the crash instant runs before the crash.
         monitor.advance(crash.at_s)
@@ -115,11 +115,11 @@ def run_drill(num_servers: int = 9, seed: int = 0) -> DrillReport:
 
     last_crash = max(crash.at_s for crash in plan.crashes)
     monitor.advance(
-        last_crash + cfg.heartbeat_timeout_s + 3 * cfg.heartbeat_interval_s
+        last_crash + failure.HEARTBEAT_TIMEOUT_S + 3 * failure.HEARTBEAT_INTERVAL_S
     )
 
     detections = {event.server_id: event for event in monitor.failures}
-    bound = cfg.heartbeat_timeout_s + 2 * cfg.heartbeat_interval_s
+    bound = failure.HEARTBEAT_TIMEOUT_S + 2 * failure.HEARTBEAT_INTERVAL_S
     report = DrillReport(bound_s=bound, heartbeats_sent=monitor.heartbeats_sent)
     for crash in plan.crashes:
         result = DrillResult(node_id=crash.node_id, crashed_at_s=crash.at_s)

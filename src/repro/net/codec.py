@@ -93,8 +93,10 @@ _TAG_BLOOM = 0x0A
 
 # Wire IDs are assigned explicitly (not enum order at runtime) so that
 # reordering the enum in a refactor cannot silently change the protocol.
+# ID 1 (the L1-only PROBE_LRU; PROBE_LOCAL answers L1 and L2) is retired,
+# not free: a peer that still sends it gets a codec error, never another
+# kind.
 KIND_TO_WIRE = {
-    MessageKind.PROBE_LRU: 1,
     MessageKind.PROBE_LOCAL: 2,
     MessageKind.PROBE_SEGMENT: 3,
     MessageKind.VERIFY: 4,

@@ -14,7 +14,6 @@ _request_ids = itertools.count(1)
 class MessageKind(enum.Enum):
     """Request kinds a node understands (plus the generic REPLY)."""
 
-    PROBE_LRU = "probe_lru"          # L1 probe at one node
     PROBE_LOCAL = "probe_local"      # combined L1 + L2 probe at the origin
     PROBE_SEGMENT = "probe_segment"  # L2 probe (segment array + local filter)
     VERIFY = "verify"                # home-MDS verification (filter + store)

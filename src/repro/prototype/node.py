@@ -16,7 +16,8 @@ import threading
 from typing import Dict
 
 from repro.core.config import GHBAConfig
-from repro.core.server import MetadataServer, check_mutations
+from repro.core.cluster import PathMutation
+from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
 from repro.prototype.messages import Message, MessageKind
 from repro.prototype.transport import InProcessTransport
@@ -96,14 +97,7 @@ class MDSNode(MailboxNode):
         self._clock_lock = threading.Lock()
         self._busy_until = 0.0
         self.requests_served = 0
-        #: Change-data-capture hook (repro.replication): when set, called
-        #: as ``cdc(op, path, record, vtime)`` for every MUTATE_BATCH
-        #: mutation that actually changed durable state — the prototype
-        #: half of the capture point GHBACluster exposes via
-        #: ``add_change_listener``.  ``None`` default: zero overhead.
-        self.cdc = None
         self._handlers = {
-            MessageKind.PROBE_LRU: self._on_probe_lru,
             MessageKind.PROBE_LOCAL: self._on_probe_local,
             MessageKind.PROBE_SEGMENT: self._on_probe_segment,
             MessageKind.COPY_REPLICA_TO: self._on_copy_replica_to,
@@ -189,12 +183,6 @@ class MDSNode(MailboxNode):
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def _on_probe_lru(self, message: Message) -> Message:
-        path = message.payload["path"]
-        finish = self._serve(message.arrival_vtime, self._lru_probe_ms())
-        lookup = self.server.probe_lru(path)
-        return message.reply(hits=list(lookup.hits), finish_vtime=finish)
-
     def _on_probe_local(self, message: Message) -> Message:
         """Combined L1 + L2 probe — the origin MDS's local critical path."""
         path = message.payload["path"]
@@ -286,63 +274,29 @@ class MDSNode(MailboxNode):
         """Batched write-back mutation flush, applied **at most once**.
 
         The transport's retry policy re-sends a request whose reply was
-        lost, so the node dedups on ``(origin, version)``.  Gateway
-        versions are globally sequenced but this node sees only a gappy
-        subsequence, so the test is **exact**: a version is a duplicate
-        iff it is at or below the origin's cumulative-ack floor (settled
-        client-side, never retried) or present in the outcome cache —
-        duplicates are acked again from the cache without re-touching
-        the store.  Both structures are durable (they ride
-        :func:`~repro.core.checkpoint.snapshot_server` with the store),
-        so a crash between apply and ack cannot lead the restored node
-        to double-apply the retry.  ``acked`` is the client's cumulative
-        ack; it advances the floor and prunes the cache beneath it.
+        lost; :meth:`MetadataServer.apply_mutations` dedups on ``(origin,
+        version)`` and replays a duplicate's ack without re-touching the
+        store.  Its record is durable (it rides
+        :func:`~repro.core.checkpoint.snapshot_server` with the store), so
+        a crash between apply and ack cannot lead the restored node to
+        double-apply the retry.  ``acked`` is the client's cumulative ack.
+        The node arbitrates nothing: a create stores, a delete removes.
         """
-        origin = int(message.payload.get("origin", 0))
-        acked = int(message.payload.get("acked", 0))
-        mutations = message.payload["mutations"]
-        check_mutations(
-            (raw["op"], raw["path"], raw.get("record")) for raw in mutations
+        payload = message.payload
+        outcomes, service_ms = self.server.apply_mutations(
+            int(payload.get("origin", 0)),
+            int(payload.get("acked", 0)),
+            [
+                PathMutation(
+                    int(raw["version"]),
+                    str(raw["op"]),
+                    str(raw["path"]),
+                    raw.get("record"),
+                )
+                for raw in payload["mutations"]
+            ],
+            0.0,
         )
-        server = self.server
-        server.writeback_advance(origin, acked)
-        net = self.net
-        service_ms = 0.0
-        outcomes = []
-        for raw in mutations:
-            version = int(raw["version"])
-            op = str(raw["op"])
-            path = str(raw["path"])
-            service_ms += net.memory_probe_ms
-            replay = server.writeback_replay(origin, version, op, path)
-            if replay is not None:
-                outcomes.append(replay)
-                continue
-            if op == "create":
-                server.insert_metadata(raw["record"])
-                changed = True
-            else:
-                changed = server.remove_metadata(path)
-            if changed:
-                service_ms += self._verify_ms(True)
-                server.writeback_applied += 1
-                if self.cdc is not None:
-                    self.cdc(
-                        op,
-                        path,
-                        raw.get("record"),
-                        message.arrival_vtime,
-                    )
-            outcome = {
-                "version": version,
-                "op": op,
-                "path": path,
-                "applied": True,
-                "changed": changed,
-                "deduped": False,
-            }
-            server.writeback_remember(origin, version, outcome)
-            outcomes.append(outcome)
         finish = self._serve(message.arrival_vtime, service_ms)
         return message.reply(outcomes=outcomes, finish_vtime=finish)
 

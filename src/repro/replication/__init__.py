@@ -1,9 +1,10 @@
 """Cross-cluster asynchronous replication (disaster recovery).
 
 The primary fleet's applied mutations are captured CDC-style
-(:class:`ChangeCapture` on :meth:`GHBACluster.add_change_listener` and
-the prototype node's ``cdc`` hook), shipped as per-home ordered streams
-(:class:`ReplicationShipper`, ``REPL_SHIP``) to a standby fleet
+(:class:`ChangeCapture` on :meth:`GHBACluster.add_change_listener`; the
+prototype and ``repro.net serve`` nodes capture nothing), shipped as
+per-home ordered streams (:class:`ReplicationShipper`, ``REPL_SHIP``) to
+a standby fleet
 (:class:`StandbyEndpoint` / :class:`StandbyNode`) over either transport,
 and acknowledged cumulatively through :mod:`repro.prototype.seqlog`,
 the very stream the write-back ack floor runs on.  Promotion

@@ -126,14 +126,10 @@ class ChangeCapture:
         op: str,
         path: str,
         home_id: int,
-        record: Optional[FileMetadata] = None,
-        new_path: str = "",
+        record: Optional[FileMetadata],
+        new_path: str,
     ) -> CapturedChange:
-        """Append one change to ``home_id``'s stream; returns the entry.
-
-        Also the direct entry point for the prototype node's ``cdc``
-        hook, which sees mutations outside any :class:`GHBACluster`.
-        """
+        """Append one change to ``home_id``'s stream; returns the entry."""
         log = self.logs.setdefault(home_id, SeqLog())
         entry = CapturedChange(
             home_id=home_id,

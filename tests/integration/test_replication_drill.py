@@ -253,58 +253,6 @@ class TestStandbyCrashRestore:
             node2.stop()
 
 
-class TestPrototypeCdcHook:
-    def test_mutate_batch_feeds_capture(self):
-        """The MDSNode cdc hook captures exactly the applied mutations
-        of a MUTATE_BATCH (arbitration-rejected ones never ship)."""
-        from repro.core.config import GHBAConfig
-        from repro.prototype.messages import Message, MessageKind
-        from repro.prototype.node import MDSNode
-
-        config = GHBAConfig(expected_files_per_mds=256, lru_capacity=64)
-        transport = InProcessTransport(default_timeout_s=5.0)
-        node = MDSNode(0, config, transport)
-        capture = ChangeCapture()
-        node.cdc = lambda op, path, record, vtime: capture.capture(
-            op, path, home_id=0, record=record
-        )
-        node.start()
-        try:
-            meta = FileMetadata(path="/proto/a", inode=5)
-            reply = transport.request(
-                0,
-                Message(
-                    kind=MessageKind.MUTATE_BATCH,
-                    sender=-9,
-                    payload={
-                        "origin": -9,
-                        "acked": 0,
-                        "mutations": [
-                            {
-                                "version": 1,
-                                "op": "create",
-                                "path": "/proto/a",
-                                "record": meta,
-                            },
-                            {
-                                "version": 2,
-                                "op": "delete",
-                                "path": "/proto/missing",
-                                "record": None,
-                            },
-                        ],
-                    },
-                ),
-            )
-            outcomes = reply.payload["outcomes"]
-            changed = [o for o in outcomes if o["changed"]]
-            assert len(changed) == 1  # the no-op delete never applied
-            ops = [(e.op, e.path) for e in capture.logs[0].entries]
-            assert ops == [("create", "/proto/a")]
-        finally:
-            node.stop()
-
-
 class TestTcpReplication:
     def test_ship_and_promote_over_sockets(self):
         portmap = PortMap.reserve([70])

@@ -122,6 +122,15 @@ class TestFormatGuards:
         with pytest.raises(checkpoint.CheckpointError, match="format 2"):
             checkpoint.restore(document)
 
+    def test_version_3_document_with_heartbeat_timing_rejected(self, live_cluster):
+        """The heartbeat timing left the config for ``repro.core.failure``."""
+        document = checkpoint.snapshot(live_cluster)
+        document["format_version"] = 3
+        document["config"]["heartbeat_interval_s"] = 1.0
+        document["config"]["heartbeat_timeout_s"] = 3.0
+        with pytest.raises(checkpoint.CheckpointError, match="format 3"):
+            checkpoint.restore(document)
+
     def test_corrupt_payload_rejected(self, live_cluster, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

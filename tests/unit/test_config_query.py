@@ -27,8 +27,8 @@ class TestConfig:
             {"expected_files_per_mds": 0},
             {"lru_capacity": 0},
             {"update_threshold_bits": -1},
-            {"heartbeat_interval_s": 0},
             {"memory_budget_bytes": -1},
+            {"lru_policy": "mru"},
         ],
     )
     def test_rejects_invalid(self, kwargs):

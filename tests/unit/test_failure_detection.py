@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.cluster import GHBACluster
 from repro.core.config import GHBAConfig
-from repro.core.failure import HeartbeatMonitor
+from repro.core import failure
+from repro.core.failure import HEARTBEAT_INTERVAL_S, HEARTBEAT_TIMEOUT_S, HeartbeatMonitor
 
 
 @pytest.fixture
@@ -14,8 +15,6 @@ def config():
         expected_files_per_mds=128,
         lru_capacity=16,
         lru_filter_bits=128,
-        heartbeat_interval_s=1.0,
-        heartbeat_timeout_s=3.0,
         seed=2,
     )
 
@@ -46,6 +45,14 @@ class TestHealthyOperation:
         monitor.advance(3.0)
         assert monitor.heartbeats_sent == 3 * per_round
 
+    def test_the_interval_is_the_module_constant(self, setup, monkeypatch):
+        cluster, _ = setup
+        monkeypatch.setattr(failure, "HEARTBEAT_INTERVAL_S", 0.5)
+        monitor = HeartbeatMonitor(cluster)
+        per_round = sum(cluster.group_of(s).size - 1 for s in cluster.server_ids())
+        monitor.advance(3.0)
+        assert monitor.heartbeats_sent == 6 * per_round
+
     def test_backward_clock_raises(self, setup):
         _, monitor = setup
         monitor.advance(2.0)
@@ -63,8 +70,9 @@ class TestDetection:
         assert monitor.detected(0)
         event = monitor.failures[0]
         # Detection happens after the timeout but not much later.
-        assert event.detected_at - event.last_heartbeat_at >= 3.0
-        assert event.detected_at - event.last_heartbeat_at <= 3.0 + 2 * 1.0
+        silence = event.detected_at - event.last_heartbeat_at
+        assert silence >= HEARTBEAT_TIMEOUT_S
+        assert silence <= HEARTBEAT_TIMEOUT_S + 2 * HEARTBEAT_INTERVAL_S
 
     def test_detection_excises_server(self, setup):
         cluster, monitor = setup

@@ -42,7 +42,6 @@ def _sample_payload(kind):
     bloom = BloomFilter(num_bits=256, num_hashes=3, seed=7)
     bloom.add("/data/a.txt")
     samples = {
-        MessageKind.PROBE_LRU: {"path": "/data/a.txt"},
         MessageKind.PROBE_LOCAL: {"path": "/data/a.txt"},
         MessageKind.PROBE_SEGMENT: {"path": "/data/a.txt"},
         MessageKind.VERIFY: {"path": "/data/a.txt"},
@@ -133,9 +132,10 @@ def test_trace_context_survives_every_kind(kind):
 
 def test_wire_ids_are_frozen():
     # The wire table is protocol, not implementation: renumbering any
-    # entry breaks mixed-version topologies.  Pin all 26.
+    # entry breaks mixed-version topologies.  Pin all 25; ID 1 (the
+    # removed PROBE_LRU) stays retired.
     assert {k.value: v for k, v in KIND_TO_WIRE.items()} == {
-        "probe_lru": 1, "probe_local": 2, "probe_segment": 3, "verify": 4,
+        "probe_local": 2, "probe_segment": 3, "verify": 4,
         "verify_batch": 5, "mutate_batch": 6, "insert": 7, "host_replica": 8,
         "drop_replica": 9, "replace_replica": 10, "publish": 11,
         "copy_replica_to": 12, "send_local_to": 13, "exchange_replica": 14,
@@ -229,6 +229,14 @@ def test_trailing_bytes_rejected():
         decode_frame(frame + b"\x00")
     with pytest.raises(CodecError):
         decode_body(frame[4:] + b"\x00")
+
+
+def test_the_retired_wire_id_is_refused():
+    """ID 1 was PROBE_LRU's; a frame that carries it decodes to no kind."""
+    body = bytearray(_valid_frame()[4:])
+    body[3] = 1
+    with pytest.raises(CodecError, match="wire id"):
+        decode_body(bytes(body))
 
 
 def test_bad_magic_version_kind_flags_tag():

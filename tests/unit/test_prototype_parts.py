@@ -130,8 +130,8 @@ class TestNode:
         self.request(
             transport, 0, MessageKind.RECORD_LRU, path="/hot", home_id=4
         )
-        reply = self.request(transport, 0, MessageKind.PROBE_LRU, path="/hot")
-        assert reply.payload["hits"] == [4]
+        reply = self.request(transport, 0, MessageKind.PROBE_LOCAL, path="/hot")
+        assert reply.payload["l1_hits"] == [4]
 
     def test_virtual_clock_queues_requests(self, node, transport):
         """Two requests arriving at the same vtime serialize on the node."""

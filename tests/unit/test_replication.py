@@ -118,7 +118,7 @@ class TestChangeCapture:
     def test_truncate_drops_acked_prefix_only(self):
         capture = ChangeCapture()
         for seq in range(1, 6):
-            capture.capture("create", f"/t/f{seq}", home_id=0)
+            capture.capture("create", f"/t/f{seq}", 0, None, "")
         assert capture.truncate(0, 3) == 3
         assert [e.seq for e in capture.pending(0, 3)] == [4, 5]
         assert capture.last_seq(0) == 5  # sequences keep counting

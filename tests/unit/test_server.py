@@ -85,18 +85,32 @@ class TestHomeMetadata:
         server.remove_metadata("/f")
         assert server.footprint_bytes == before + server.lru.size_bytes()
 
-    def test_cost_memos_rederive_after_a_refresh_and_not_otherwise(self, server):
+    def test_cost_memos_rederive_after_a_refresh_and_not_otherwise(
+        self, server, config
+    ):
+        """A memo re-derives after a refresh that moved one of its inputs:
+        theta (a hosted replica) for the probe cost, the resident fraction
+        for both.  A write that leaves the fraction where it was keeps
+        them."""
         net = CountingNet(server.config.network)
-        costs = lambda: server.probe_cost_cached(net) + server.fetch_penalty_cached(net)
-        costs()
+        probe = lambda: server.probe_cost_cached(net)
+        fetch = lambda: server.fetch_penalty_cached(net)
+        probe(), fetch()
         reads = net.reads
-        costs()
+        probe(), fetch()
         server.record_lru("/seen", 3)
-        costs()
-        assert net.reads == reads > 0
         server.insert_metadata(meta("/f"))
-        costs()
-        assert net.reads == 2 * reads
+        probe(), fetch()
+        assert net.reads == reads > 0
+        server.host_replica(1, MetadataServer(1, config).publish_filter())
+        fetch()
+        assert net.reads == reads
+        probe()
+        probe_reads = net.reads - reads
+        assert probe_reads > 0
+        server.memory_budget_bytes = server.footprint_bytes // 2
+        probe(), fetch()
+        assert net.reads == 2 * reads + probe_reads
 
 
 class CountingNet:
@@ -172,3 +186,28 @@ class TestPublication:
     def test_rejects_negative_id(self, config):
         with pytest.raises(ValueError):
             MetadataServer(-1, config)
+
+
+class TestApplyMutations:
+    def test_the_charge_is_a_probe_per_mutation_and_a_fetch_per_change(
+        self, server
+    ):
+        """A create, a delete of an absent path and the create's re-send:
+        three probes, and a record fetch for the one change only."""
+        from repro.core.cluster import PathMutation
+
+        net = server.config.network
+        create = PathMutation(1, "create", "/f", meta("/f"))
+        absent = PathMutation(2, "delete", "/ghost")
+        outcomes, latency = server.apply_mutations(
+            7, 0, [create, absent, create], 0.5
+        )
+        assert [(o["changed"], o["deduped"]) for o in outcomes] == [
+            (True, False),
+            (False, False),
+            (False, True),
+        ]
+        fetch = server.fetch_penalty_cached(net)
+        probe = net.memory_probe_ms
+        assert latency == 0.5 + probe + fetch + probe + probe
+        assert server.writeback_applied == 1
