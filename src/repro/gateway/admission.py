@@ -53,14 +53,15 @@ class TokenBucket:
         Steady-state refill rate (tokens per virtual second).
     burst:
         Bucket capacity — the largest instantaneous burst admitted after
-        an idle period.  The bucket starts full.
+        an idle period.  The bucket starts full.  Below ``2**53``, where
+        every whole-token subtraction is exact (:meth:`take_many`).
     """
 
     def __init__(self, rate_per_s: float, burst: float) -> None:
         if rate_per_s <= 0:
             raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
+        if not 1 <= burst < 2.0 ** 53:
+            raise ValueError(f"burst must be >= 1 and < 2**53, got {burst}")
         self.rate_per_s = rate_per_s
         self.burst = float(burst)
         self._tokens = float(burst)
@@ -85,6 +86,14 @@ class TokenBucket:
             self._tokens -= 1.0
             return True
         return False
+
+    def take_many(self, count: int) -> None:
+        """Consume ``count`` tokens the caller has just seen are there
+        (``tokens(now) >= count``).  The same float ``count`` calls of
+        :meth:`take` leave: with ``count <= tokens < 2**53`` every whole
+        number below ``tokens`` is a multiple of its unit in the last
+        place, so each unit subtraction, and this one, is exact."""
+        self._tokens -= count
 
     def __repr__(self) -> str:
         return (
@@ -344,7 +353,33 @@ class FairAdmissionController(Generic[T]):
         across demanding tenants by :func:`weighted_max_min` (or spent
         FIFO in global mode).  Overflow queues per tenant up to
         ``queue_capacity``; the rest sheds with cause ``queue_full``.
+
+        An uncontended tick — no queued entry anywhere and at least one
+        token per item — admits everything in submission order in one
+        pass: nothing can expire, and the allocators would grant every
+        demand in full (DESIGN.md §16).
         """
+        if self.bucket.tokens(now) >= len(items) and not self.queue_depth:
+            demands: Dict[str, int] = {}
+            for tenant, _ in items:
+                demands[tenant] = demands.get(tenant, 0) + 1
+            tenants = self._tenants
+            for tenant, count in demands.items():
+                stats = (tenants.get(tenant) or self._state(tenant)).stats
+                stats.submitted += count
+                stats.admitted += count
+            self.stats.submitted += len(items)
+            self.stats.admitted += len(items)
+            if self.per_tenant:
+                # The fair path's credit update with ideal == alloc ==
+                # demand, kept as written: float(d) - d need not cancel.
+                for tenant, state in tenants.items():
+                    count = demands.get(tenant)
+                    state.credit = 0.0 if count is None else max(
+                        -8.0, min(8.0, state.credit + float(count) - count)
+                    )
+            self.bucket.take_many(len(items))
+            return TickResult(list(items))
         result: TickResult[T] = TickResult()
         self._expire(now, result)
         for tenant, _ in items:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.cluster import MutationEvent, MutationOutcome
 from repro.core.query import QueryResult
@@ -77,13 +77,16 @@ class Outcome(enum.Enum):
         return self not in (Outcome.REJECTED, Outcome.QUEUED)
 
 
-@dataclass(frozen=True)
-class GatewayResponse:
+class GatewayResponse(NamedTuple):
     """One completed (or shed) gateway request.
 
     ``from_cache`` is True when the answer was served from a lease without
     consulting the fleet this tick — exactly the responses the stale-read
     audit in the benchmark re-checks against the live cluster.
+
+    Eight or more of these are built per tick on the hot path; a
+    NamedTuple keeps them immutable while constructing through
+    ``tuple.__new__`` instead of per-field ``object.__setattr__``.
     """
 
     path: str

@@ -16,10 +16,10 @@ virtual time; a key's windowed estimate is the sum of both, which decays
 cold keys within two windows while keeping genuinely hot keys flagged
 across the rotation boundary.
 
-Hot keys feed back into the cache (:meth:`GatewayCache.pin`): extended
-leases, exempt from LRU eviction — the "shielding" of the PR title — and
-surface in the operator report (``repro.obs.report``) as the gateway
-hotspots section.
+Hot keys feed back into the cache: the client passes the whole hot set
+to :meth:`GatewayCache.pin_all` once per tick — extended leases, exempt
+from LRU eviction, the gateway's "shield" — and they surface in the
+operator report (``repro.obs.report``) as the gateway hotspots section.
 
 **Shared-pin semantics (multi-tenant).**  The lease cache is one shared
 structure per gateway process, so a pin is *tenant-blind by design*: when

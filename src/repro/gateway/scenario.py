@@ -87,16 +87,16 @@ class ScenarioSpec:
             group_size=self.group_size, tracer=tracer, faults=faults,
         )
 
-    def gateway_config(self, **overrides) -> GatewayConfig:
-        settings = dict(
+    def gateway_config(self) -> GatewayConfig:
+        """The spec's gateway; a scenario changes the rest with
+        ``dataclasses.replace``."""
+        return GatewayConfig(
             cache_capacity=self.cache_capacity,
             lease_ttl_s=self.lease_ttl_s,
             rate_per_s=self.rate_per_s,
             burst=max(self.clients * 4.0, 64.0),
             hot_threshold=self.hot_threshold,
         )
-        settings.update(overrides)
-        return GatewayConfig(**settings)
 
 
 def fault_clock(fleet: GHBACluster) -> Optional[Callable[[float], None]]:

@@ -11,6 +11,7 @@ same stats and a byte-identical report.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.cluster import MutationEvent
@@ -339,7 +340,8 @@ def _replay_write_mode(
     fleet = spec.fleet(population, tracer=tracer, faults=injector)
     client = MetadataClient(
         fleet,
-        spec.gateway_config(
+        replace(
+            spec.gateway_config(),
             writeback=writeback,
             flush_max_pending=spec.flush_max_pending,
             flush_age_s=spec.flush_age_s,
@@ -584,7 +586,7 @@ def run_cohort(spec: ScenarioSpec, tracer=None, flight=None) -> ScenarioResult:
         # create that would flip the answer is broadcast like any other
         # mutation.  The independent baseline cannot do this and must
         # clamp negatives to the bound below.
-        gateway=spec.gateway_config(negative_ttl_s=spec.lease_ttl_s),
+        gateway=replace(spec.gateway_config(), negative_ttl_s=spec.lease_ttl_s),
     )
     bound = cohort_config.staleness_bound_s
 
@@ -623,7 +625,8 @@ def run_cohort(spec: ScenarioSpec, tracer=None, flight=None) -> ScenarioResult:
 
     # ---- independent-gateways replay ----------------------------------
     indep_fleet = spec.fleet(paths)
-    indep_config = spec.gateway_config(
+    indep_config = replace(
+        spec.gateway_config(),
         lease_ttl_s=min(spec.lease_ttl_s, bound),
         negative_ttl_s=min(GatewayConfig().negative_ttl_s, bound),
         hot_lease_ttl_s=bound,

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple
 
 from repro.gateway.admission import fractional_fair_shares
@@ -113,7 +114,8 @@ def replay_admission(
     fleet = spec.fleet(list(paths))
     gateway = MetadataClient(
         fleet,
-        spec.gateway_config(
+        replace(
+            spec.gateway_config(),
             rate_per_s=rate_per_s,
             # A small burst keeps the bench in steady-state contention
             # instead of letting the noisy tenant spend a deep bucket.

@@ -34,6 +34,29 @@ class TestTokenBucket:
         before = bucket.tokens(1.0)
         assert bucket.tokens(0.5) == before  # stale timestamp is a no-op
 
+    def test_take_many_leaves_the_float_of_unit_takes(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            burst = rng.choice([8.0, 800.0, 2.0 ** 53 - 1])
+            many = TokenBucket(rate_per_s=rng.random() * 1e3 + 0.1, burst=burst)
+            unit = TokenBucket(rate_per_s=many.rate_per_s, burst=burst)
+            spent = rng.randrange(int(min(burst, 64)))
+            for bucket in (many, unit):
+                for _ in range(spent):
+                    bucket.take(0.0)
+            now = rng.random() * 0.1  # a fractional refill
+            count = rng.randrange(int(min(many.tokens(now), 64)) + 1)
+            many.take_many(count)
+            for _ in range(count):
+                assert unit.take(now)
+            assert many.tokens(now) == unit.tokens(now)
+
+    def test_burst_keeps_unit_takes_exact(self):
+        # From 2**53 on a unit take can round: from 2**53 + 2, two of them
+        # leave 2**53 - 1 and one subtraction of 2.0 leaves 2**53.
+        with pytest.raises(ValueError):
+            TokenBucket(rate_per_s=1.0, burst=2.0 ** 53)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             TokenBucket(rate_per_s=0.0, burst=5.0)
@@ -122,6 +145,30 @@ class TestFairAdmissionController:
         admitted = [tenant for tenant, _ in result.admitted]
         assert admitted.count("nobody") == 3
         assert admitted.count("vip") == 1
+
+    def test_uncontended_tick_updates_credits_as_the_fair_path(self):
+        """A tick with no queue and a token per item admits in submission
+        order; a demanding tenant's credit takes ``+ float(d) - d``, which
+        need not cancel, and an idle one's resets."""
+        ctl = self._controller(burst=8.0)
+        ctl.submit_tick([("idle", "i0"), ("busy", "b0")], 0.0)
+        ctl._tenants["idle"].credit = 0.5
+        ctl._tenants["busy"].credit = 0.1
+        result = ctl.submit_tick(
+            [("busy", "b1"), ("new", "n1"), ("busy", "b2"), ("busy", "b3")], 0.0
+        )
+        assert result.admitted == [
+            ("busy", "b1"), ("new", "n1"), ("busy", "b2"), ("busy", "b3")
+        ] and not result.shed
+        assert ctl.tenants() == ["busy", "idle", "new"]
+        assert ctl._tenants["busy"].credit == 0.1 + 3.0 - 3 != 0.1
+        assert ctl._tenants["idle"].credit == 0.0
+        assert ctl._tenants["new"].credit == 0.0
+        assert ctl.bucket.tokens(0.0) == 2.0
+        assert (ctl.stats.submitted, ctl.stats.admitted) == (6, 6)
+        assert (
+            ctl.tenant_stats("busy").submitted, ctl.tenant_stats("busy").admitted
+        ) == (4, 4)
 
     def test_zero_weight_rejected(self):
         ctl = self._controller()

@@ -144,8 +144,10 @@ def _check_mode(writeback: bool) -> set:
         name: family["series"]
         for name, family in bare.metrics.snapshot().items()
     }
+    # The (response, matched) pairs note() records; a GatewayResponse is
+    # a tuple too, so the pair is told apart by its exact type.
     outcomes = {
-        entry[0].outcome for entry in bare_seen if isinstance(entry, tuple)
+        entry[0].outcome for entry in bare_seen if type(entry) is tuple
     }
     assert outcomes >= {
         Outcome.HIT, Outcome.NEGATIVE_HIT, Outcome.BATCHED, Outcome.SERVED,

@@ -129,7 +129,11 @@ class TestSpecAndFleet:
     def test_gateway_config_burst_scales_with_clients(self):
         assert ScenarioSpec(clients=8).gateway_config().burst == 64.0
         assert ScenarioSpec(clients=32).gateway_config().burst == 128.0
-        assert ScenarioSpec().gateway_config(writeback=True).writeback
+        # The spec's own settings carry over; the rest stay the defaults,
+        # which a scenario changes with dataclasses.replace.
+        config = ScenarioSpec(lease_ttl_s=2.0, hot_threshold=3).gateway_config()
+        assert (config.lease_ttl_s, config.hot_threshold) == (2.0, 3)
+        assert config.negative_ttl_s == 0.5 and not config.writeback
 
     def test_build_fleet_is_populated_and_synchronized(self):
         paths = [f"/f/d{i % 3}/f{i}" for i in range(60)]
