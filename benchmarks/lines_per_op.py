@@ -19,6 +19,10 @@ the lines each timed operation executes in each top-level package of
   socket, the codec or the node thread), averaged per path a
   ``VERIFY_BATCH`` looks up and per path a ``MUTATE_BATCH`` mutates.
 
+The ``generated`` column counts the lines of code compiled from strings
+(a dataclass's ``__init__``, a NamedTuple's ``__new__``) that the op
+calls; they lie in no package, so the total leaves them out.
+
 Set-up and warm-up run untraced first, exactly as the benchmark runs them
 (so hash memos and L1 arrays are warm).  Line events differ between
 Python versions; compare numbers taken with the same interpreter, and
@@ -71,17 +75,22 @@ CHURN_KINDS = {"q": "query", "i": "insert", "d": "delete", "r": "rename",
 WRITE_MIX_KINDS = {"c": "create", "d": "delete", "r": "rename", "t": "tick",
                    "barrier": "barrier"}
 Rows = List[Tuple[str, int, Dict[str, int]]]
+#: The key under which ``count`` keeps the generated lines (no package
+#: of ``src/repro`` has this name).
+GENERATED = "generated"
 
 
 def count(call: Callable[[], object], into: Dict[str, int]):
     """Runs ``call()``, adds the lines it executed under ``src/repro`` by
-    package to ``into`` and returns its result."""
+    package to ``into``, and the generated lines it called to
+    ``into[GENERATED]``, and returns its result."""
     result = []
-    packages = lines_executed(
-        lambda: result.append(call()), REPRO_DIR, by_package=True
+    packages, generated = lines_executed(
+        lambda: result.append(call()), REPRO_DIR, by_package=True, generated=True
     )
     for package, lines in packages.items():
         into[package] = into.get(package, 0) + lines
+    into[GENERATED] = into.get(GENERATED, 0) + sum(generated.values())
     return result[0]
 
 
@@ -262,13 +271,18 @@ def main(argv=None) -> int:
         + write_mix(args.seed, args.seconds)
         + wire_mixed(args.seed, args.seconds)
     )
-    packages = sorted({package for _, _, counts in rows for package in counts})
+    packages = sorted(
+        {package for _, _, counts in rows for package in counts} - {GENERATED}
+    )
     print(f"lines per op under src/repro, seed {args.seed}, --seconds {args.seconds}, "
           f"Python {sys.version_info.major}.{sys.version_info.minor}")
-    print(f"{'op':<28}{'ops':>7}{'total':>10}" + "".join(f"{p:>10}" for p in packages))
+    print(f"{'op':<28}{'ops':>7}{'total':>10}"
+          + "".join(f"{p:>10}" for p in packages) + f"{GENERATED:>10}")
     for name, count, counts in rows:
+        total = sum(counts.get(p, 0) for p in packages)
         cells = "".join(f"{counts.get(p, 0) / count:>10.1f}" for p in packages)
-        print(f"{name:<28}{count:>7}{sum(counts.values()) / count:>10.1f}{cells}")
+        made = counts.get(GENERATED, 0) / count
+        print(f"{name:<28}{count:>7}{total / count:>10.1f}{cells}{made:>10.1f}")
     return 0
 
 

@@ -379,7 +379,7 @@ class _ModelWalk:
             l3 = group.multicast_query(self.path)
         else:
             l3 = group.multicast_query(self.path, member_ids=[origin_id] + peers)
-        cluster._group_multicasts.labels(group.group_id).inc()
+        cluster._group_multicasts_by[group.group_id].value += 1
         if self.span is not None:
             l3_detail = {"lost": len(lost_peers)} if lost_peers else {}
             self.hop(
@@ -406,7 +406,7 @@ class _ModelWalk:
                 if traced:
                     self.hop("forward_timeout", target=target_id)
                 return False
-        cluster._server_forwards.labels(target_id).inc()
+        cluster._server_forwards_by[target_id].value += 1
         if target_id != origin_id:
             self.latency += self.rtt
             self.messages += 2
@@ -422,7 +422,7 @@ class _ModelWalk:
         if traced:
             self.hop("verify", target=target_id, found=meta is not None)
         if meta is None:
-            cluster._server_false.labels(target_id).inc()
+            cluster._server_false_by[target_id].value += 1
             if traced:
                 self.hop("false_forward", target=target_id)
         return meta is not None
@@ -484,7 +484,7 @@ class _ModelWalk:
                 hints = cluster._share_lru_hint(origin_id, self.path, home)
                 if hints:
                     self.messages += hints
-                    cluster._lru_hints.inc(hints)
+                    cluster._lru_hints_by[()].value += hints
                     if self.span is not None:
                         self.hop("lru_hint", msg=hints)
         latency, messages = self.latency, self.messages
@@ -493,17 +493,17 @@ class _ModelWalk:
             origin_id, self.degraded,
         )
         if self.degraded:
-            cluster._degraded_queries.labels().inc()
-        cluster._queries_by_level.labels(label).inc()
+            cluster._degraded_by[()].value += 1
+        cluster._queries_by[label].value += 1
         cluster._latency_child.observe(latency)
         if messages:
-            cluster._messages.labels().inc(messages)
+            cluster._messages_by[()].value += messages
         if false_forwards:
-            cluster._false_forwards_counter.labels().inc(false_forwards)
-        cluster._server_origin.labels(origin_id).inc()
+            cluster._false_forwards_by[()].value += false_forwards
+        cluster._server_origin_by[origin_id].value += 1
         if home is not None:
-            cluster._server_served.labels(home).inc()
-            cluster._group_served.labels(cluster._group_of[home]).inc()
+            cluster._server_served_by[home].value += 1
+            cluster._group_served_by[cluster._group_of[home]].value += 1
         if self.span is not None:
             self.span.finish(label, home, latency, messages, false_forwards)
         return result
@@ -677,6 +677,19 @@ class GHBACluster:
             "ghba_degraded_queries_total",
             "Queries that lost multicast legs to faults and degraded.",
         )
+        # The walk books through the families' maps: a subscript and an
+        # add per counter, the child created at its first booking.
+        self._queries_by = self._queries_by_level.by_value
+        self._messages_by = self._messages.by_value
+        self._false_forwards_by = self._false_forwards_counter.by_value
+        self._server_served_by = self._server_served.by_value
+        self._server_origin_by = self._server_origin.by_value
+        self._server_forwards_by = self._server_forwards.by_value
+        self._server_false_by = self._server_false.by_value
+        self._group_served_by = self._group_served.by_value
+        self._group_multicasts_by = self._group_multicasts.by_value
+        self._lru_hints_by = self._lru_hints.by_value
+        self._degraded_by = self._degraded_queries.by_value
 
     # Read-through views kept for the pre-registry API.
     @property

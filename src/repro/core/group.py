@@ -214,7 +214,7 @@ class Group:
         pairs: tuple = ()
         for sid, segment, counter in rows:
             if counter is not None:
-                counter.inc()
+                counter.value += 1
             scope |= scopes[sid]
             if fallback[sid]:
                 pairs += fallback[sid]

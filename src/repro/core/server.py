@@ -94,7 +94,7 @@ class MetadataServer:
                 "Bloom probes answered, by server and level.",
                 labels=("server", "level"),
             )
-            # Children bound once so the probe hot path is a plain inc().
+            # Children bound once: a probe adds 1 to its `.value`.
             self._l1_probe_counter = probes.labels(server_id, "l1")
             self._l2_probe_counter = probes.labels(server_id, "l2")
         else:
@@ -453,7 +453,7 @@ class MetadataServer:
     def probe_lru(self, path: str) -> ArrayLookup:
         """L1 probe."""
         if self._l1_probe_counter is not None:
-            self._l1_probe_counter.inc()
+            self._l1_probe_counter.value += 1
         return self.lru.query(path)
 
     def probe_segment(self, path: str) -> ArrayLookup:
@@ -463,7 +463,7 @@ class MetadataServer:
         LOCAL bit, the PUB bits of the copies it hosts) and tests its
         fallback replicas by mask."""
         if self._l2_probe_counter is not None:
-            self._l2_probe_counter.inc()
+            self._l2_probe_counter.value += 1
         index = self._index
         if index is not None:
             sid = self.server_id

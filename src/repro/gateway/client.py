@@ -324,6 +324,15 @@ class MetadataClient:
             "gateway_degraded_uncached_total",
             "Degraded backend answers returned but not cached.",
         )
+        # A lookup books through the families' maps (a subscript and an
+        # add); mutations and write-back go through ``labels()``.
+        self._requests_by = self._requests.by_value
+        self._lookup_latency_by = self._lookup_latency.by_value
+        self._cache_hits_by = self._cache_hits.by_value
+        self._coalesced_by = self._coalesced.by_value
+        self._batched_by = self._batched.by_value
+        self._backend_by = self._backend.by_value
+        self._uncacheable_by = self._uncacheable.by_value
         # Write-back family (registered unconditionally so determinism
         # snapshots see identical shapes in both modes; all stay zero in
         # write-through mode).
@@ -481,16 +490,16 @@ class MetadataClient:
         counts: Dict[str, int] = {}
         for tenant, _ in items:
             counts[tenant] = counts.get(tenant, 0) + 1
+        requests_by = self._requests_by
         for tenant, count in counts.items():
-            self._requests.labels("lookup", tenant).inc(count)
+            requests_by[("lookup", tenant)].value += count
         before_queued = self.admission.stats.queued
         tick = self.admission.submit_tick(items, now)
         responses = self._serve_admitted(tick, before_queued, now)
+        latency_by = self._lookup_latency_by
         for response in responses:
             if response.outcome not in (Outcome.QUEUED, Outcome.REJECTED):
-                self._lookup_latency.labels(response.tenant).observe(
-                    response.latency_ms
-                )
+                latency_by[response.tenant].observe(response.latency_ms)
         return responses
 
     def _serve_admitted(
@@ -593,14 +602,14 @@ class MetadataClient:
             predictions.append((path, lookup.predicted_home))
         for kind, count in hits.items():
             if count:
-                self._cache_hits.labels(kind).inc(count)
+                self._cache_hits_by[kind].value += count
         # ---- batched re-validation ------------------------------------
         batches, unroutable = self.batcher.plan(predictions)
         fallthrough: List[str] = list(unroutable)
         for batch in batches:
             outcome = self.cluster.verify_batch(batch.home_id, batch.paths)
             self.backend_queries += 1
-            self._backend.labels("batch").inc()
+            self._backend_by["batch"].value += 1
             if outcome.degraded:
                 # The predicted home did not answer; every key in the
                 # batch must walk the full hierarchy instead.
@@ -612,7 +621,7 @@ class MetadataClient:
                     # Prediction went stale (migrated / deleted): full walk.
                     fallthrough.append(path)
                     continue
-                self._batched.inc()
+                self._batched_by[()].value += 1
                 hot = self.hotspots.is_hot(path)
                 self.cache.put(
                     path,
@@ -687,7 +696,7 @@ class MetadataClient:
             base = answered[leader]
             responses[indices[0]] = base
             for index in indices[1:]:
-                self._coalesced.inc()
+                self._coalesced_by[()].value += 1
                 responses[index] = GatewayResponse(
                     path=base.path,
                     outcome=Outcome.COALESCED,
@@ -714,9 +723,9 @@ class MetadataClient:
         from it: neither record nor version is read.
         """
         result = self.cluster.query(path)
-        self._backend.labels(label).inc()
+        self._backend_by[label].value += 1
         if result.degraded:
-            self._uncacheable.inc()
+            self._uncacheable_by[()].value += 1
             return result, None, None
         version = self.cluster.path_version(path)
         if result.home_id is None:

@@ -14,9 +14,21 @@ list-based percentile, for callers that keep every sample.
 Conventions follow Prometheus: counters end in ``_total``, label values
 are strings, and a family with an empty label schema has exactly one
 (unlabeled) child whose operations are proxied by the family itself, so
-``registry.counter("x_total").inc()`` just works.  The family is also the
-only child cache: :meth:`MetricFamily.labels` memoises each child under
-the raw values it was called with, so hot paths call it per event.
+``registry.counter("x_total").inc()`` just works.
+
+The family is also the only child cache.  :attr:`MetricFamily.by_value`
+maps the raw label value (the bare value of a one-label family, the
+values tuple of any other) to its child and creates the child on a miss;
+:meth:`MetricFamily.labels` reads through it.  A series exists from its
+first booking on, never earlier.  A hot path holds the map (or a child)
+and books with a subscript and an add, no Python call::
+
+    served_by = family.by_value          # once, at set-up
+    served_by[server_id].value += 1      # per event
+
+It adds to ``.value`` directly only a literal 1 or a count it has just
+computed (never negative); any other amount goes through
+:meth:`CounterChild.inc`, which checks it.
 """
 
 from __future__ import annotations
@@ -75,7 +87,7 @@ class CounterChild:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
+        if not amount >= 0:  # also refuses NaN
             raise MetricError(f"counters only go up, got {amount}")
         self.value += amount
 
@@ -107,7 +119,7 @@ class HistogramChild:
 
     __slots__ = (
         "bounds", "bucket_counts", "count", "sum", "_min", "_max",
-        "_reservoir", "_rng",
+        "_reservoir", "_getrandbits",
     )
 
     def __init__(self, bounds: Sequence[float], seed: int = 0) -> None:
@@ -118,12 +130,12 @@ class HistogramChild:
         self._min = math.inf
         self._max = -math.inf
         self._reservoir: List[float] = []
-        self._rng = random.Random(seed)
+        self._getrandbits = random.Random(seed).getrandbits
 
     def observe(self, value: float) -> None:
         # Validate before touching anything: a rejected value leaves no
         # bucket counted.
-        if value < 0:
+        if not value >= 0:  # also refuses NaN
             raise ValueError(f"latency must be non-negative, got {value}")
         self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
         self.count = count = self.count + 1
@@ -136,9 +148,13 @@ class HistogramChild:
         if len(reservoir) < RESERVOIR_SIZE:
             reservoir.append(value)
         else:
-            # Same draw sequence as ``randrange(count)`` without the
-            # argument-validation wrapper (this runs once per observation).
-            slot = self._rng._randbelow(count)
+            # ``Random._randbelow(count)`` inlined, so the draws (and every
+            # percentile) are those of ``randrange(count)`` without a frame.
+            getrandbits = self._getrandbits
+            bits = count.bit_length()
+            slot = getrandbits(bits)
+            while slot >= count:
+                slot = getrandbits(bits)
             if slot < RESERVOIR_SIZE:
                 reservoir[slot] = value
 
@@ -210,24 +226,52 @@ class HistogramChild:
         return out
 
 
+class ChildMap(dict):
+    """A family's raw label value -> child map (:attr:`MetricFamily.by_value`).
+
+    A hit is a plain dict subscript; a miss creates (or finds) the child
+    under the values' strings, exactly as :meth:`MetricFamily.labels`
+    does, and remembers it under the raw value.
+    """
+
+    __slots__ = ("_family",)
+
+    def __init__(self, family: "MetricFamily") -> None:
+        super().__init__()
+        self._family = family
+
+    def __missing__(self, raw: object) -> object:
+        family = self._family
+        values = (raw,) if len(family.label_names) == 1 else raw
+        if type(values) is not tuple:
+            raise MetricError(
+                f"{family.name} takes labels {family.label_names}: "
+                f"key it by a tuple of values, got {raw!r}"
+            )
+        key = family._key(values)
+        child = family._children.get(key)
+        if child is None:
+            child = family._children[key] = family._new_child()
+        self[raw] = child
+        return child
+
+
 class MetricFamily:
     """A named metric with a fixed label schema and per-labelset children."""
 
+    #: ``"counter"``, ``"gauge"`` or ``"histogram"``, set by each subclass.
+    kind: str
+
     def __init__(
-        self,
-        name: str,
-        kind: str,
-        help_text: str,
-        label_names: Tuple[str, ...],
+        self, name: str, help_text: str, label_names: Tuple[str, ...]
     ) -> None:
         self.name = name
-        self.kind = kind
         self.help = help_text
         self.label_names = label_names
         self._children: Dict[Tuple[str, ...], object] = {}
-        #: Raw label values as called -> child: ``labels(7)`` and
-        #: ``labels("7")`` are two entries naming one child.
-        self._memo: Dict[Tuple[object, ...], object] = {}
+        #: Raw label value -> child, the family's one memo: ``by_value[7]``
+        #: and ``by_value["7"]`` are two entries naming one child.
+        self.by_value = ChildMap(self)
 
     def _new_child(self) -> object:
         raise NotImplementedError
@@ -238,26 +282,19 @@ class MetricFamily:
                 f"{self.name} takes labels {self.label_names}, "
                 f"got {len(values)} value(s)"
             )
-        return tuple(str(v) for v in values)
+        return tuple(map(str, values))
 
     def labels(self, *values: object):
-        """Child for one label-value tuple (created on first use).
+        """Child for one label-value tuple (created on first use), read
+        through :attr:`by_value`.
 
-        A repeat call is one dict probe on the raw values, so hot paths
-        call this per event instead of caching children themselves.
         Label values are strings or ints; two values that compare equal
         but print differently (``1`` and ``1.0``) would share a memo entry.
         """
-        try:
-            return self._memo[values]
-        except KeyError:
-            pass
-        key = self._key(values)
-        child = self._children.get(key)
-        if child is None:
-            child = self._children[key] = self._new_child()
-        self._memo[values] = child
-        return child
+        if len(self.label_names) == 1:
+            # ``_key`` raises on any other number of values.
+            return self.by_value[values[0] if len(values) == 1 else self._key(values)]
+        return self.by_value[values]
 
     def children(self) -> Iterator[Tuple[Tuple[str, ...], object]]:
         """Deterministic (sorted by label values) iteration for exporters."""
@@ -270,7 +307,7 @@ class MetricFamily:
         series for servers that have left the cluster.
         """
         keep = {tuple(str(v) for v in key) for key in keys}
-        self._memo.clear()
+        self.by_value.clear()  # in place: holders of the map stay current
         for key in list(self._children):
             if key not in keep:
                 del self._children[key]
@@ -289,8 +326,7 @@ class CounterFamily(MetricFamily):
     """Counter family; also provides the tally views legacy code expects
     (``as_dict``/``fractions``/``total``)."""
 
-    def __init__(self, name: str, help_text: str, label_names: Tuple[str, ...]):
-        super().__init__(name, "counter", help_text, label_names)
+    kind = "counter"
 
     def _new_child(self) -> CounterChild:
         return CounterChild()
@@ -330,8 +366,7 @@ class CounterFamily(MetricFamily):
 
 
 class GaugeFamily(MetricFamily):
-    def __init__(self, name: str, help_text: str, label_names: Tuple[str, ...]):
-        super().__init__(name, "gauge", help_text, label_names)
+    kind = "gauge"
 
     def _new_child(self) -> GaugeChild:
         return GaugeChild()
@@ -345,6 +380,8 @@ class GaugeFamily(MetricFamily):
 
 
 class HistogramFamily(MetricFamily):
+    kind = "histogram"
+
     def __init__(
         self,
         name: str,
@@ -353,7 +390,7 @@ class HistogramFamily(MetricFamily):
         buckets: Sequence[float],
         seed: int,
     ) -> None:
-        super().__init__(name, "histogram", help_text, label_names)
+        super().__init__(name, help_text, label_names)
         if list(buckets) != sorted(set(buckets)):
             raise MetricError(f"{name}: buckets must be sorted and unique")
         self.buckets = tuple(buckets)
@@ -380,33 +417,34 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def _register(self, family: MetricFamily) -> MetricFamily:
-        existing = self._families.get(family.name)
-        if existing is not None:
-            if (
-                existing.kind != family.kind
-                or existing.label_names != family.label_names
-            ):
-                raise MetricError(
-                    f"metric {family.name!r} re-registered with a different "
-                    f"schema: {existing.kind}{existing.label_names} vs "
-                    f"{family.kind}{family.label_names}"
-                )
-            return existing
-        self._families[family.name] = family
-        return family
+    def _register(
+        self, cls: type, name: str, help_text: str, labels: Sequence[str], *args
+    ) -> MetricFamily:
+        """The registered family ``name`` if its kind and schema match,
+        else a new ``cls(name, help_text, labels, *args)``, registered: a
+        repeat registration builds no family."""
+        label_names = tuple(labels)
+        existing = self._families.get(name)
+        if existing is None:
+            family = self._families[name] = cls(name, help_text, label_names, *args)
+            return family
+        if existing.kind != cls.kind or existing.label_names != label_names:
+            raise MetricError(
+                f"metric {name!r} re-registered with a different "
+                f"schema: {existing.kind}{existing.label_names} vs "
+                f"{cls.kind}{label_names}"
+            )
+        return existing
 
     def counter(
         self, name: str, help_text: str = "", labels: Sequence[str] = ()
     ) -> CounterFamily:
-        family = self._register(CounterFamily(name, help_text, tuple(labels)))
-        return family  # type: ignore[return-value]
+        return self._register(CounterFamily, name, help_text, labels)  # type: ignore[return-value]
 
     def gauge(
         self, name: str, help_text: str = "", labels: Sequence[str] = ()
     ) -> GaugeFamily:
-        family = self._register(GaugeFamily(name, help_text, tuple(labels)))
-        return family  # type: ignore[return-value]
+        return self._register(GaugeFamily, name, help_text, labels)  # type: ignore[return-value]
 
     def histogram(
         self,
@@ -416,10 +454,9 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_MS,
         seed: int = 0,
     ) -> HistogramFamily:
-        family = self._register(
-            HistogramFamily(name, help_text, tuple(labels), buckets, seed)
+        return self._register(  # type: ignore[return-value]
+            HistogramFamily, name, help_text, labels, buckets, seed
         )
-        return family  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -19,8 +19,9 @@ nothing on either path is as long as the fleet (an AND of the path's
 mask against each filter a group holds, N of them, grows with N).
 
 The first three count ``repro/core`` only: the cell memo of the filter
-geometry (``repro/bloom``) and the probe counters (``repro/obs``) are the
-same work on either call.
+geometry (``repro/bloom``) is the same work on either call.  The per-member
+probe counters cost no ``repro/obs`` line: the multicast adds to each held
+child's ``value`` itself.
 """
 
 import os
@@ -148,4 +149,4 @@ def test_l2_and_l3_lines_are_flat_in_the_fleet_size(fleets):
         l3.append(lines_executed(lambda: group.multicast_query(path), REPRO_DIR, by_package=True))
     assert l2[0] == l2[1] == l2[2], l2
     assert l3[0] == l3[1] == l3[2], l3
-    assert set(l3[0]) == {"core", "bloom", "obs"}
+    assert set(l3[0]) == {"core", "bloom"}  # members book by `.value += 1`, no obs frame
