@@ -4,8 +4,10 @@
 Spins up the message-passing prototype (every MDS is a thread with a
 mailbox), populates it, then fires lookups from several concurrent client
 threads — the in-process equivalent of the paper's 60-node Linux deployment
-(Section 5).  Finishes by adding nodes live and reporting the wire-level
-message counts (the Figure 15 measurement).
+(Section 5).  Then adds nodes live and reports the wire-level message
+counts (the Figure 15 measurement), and finishes with a crash: the
+origin's L1 entry names the dead node, the forward is lost, the entry is
+forgotten, and after a restore the lookup no longer takes that hop.
 
 Run:  python examples/prototype_demo.py
 """
@@ -80,6 +82,19 @@ def main() -> None:
         print(
             f"post-reconfiguration lookup: {paths[0]} -> node "
             f"{outcome.home_id} at {outcome.level.name}"
+        )
+
+        # The repeat is an L1 hit at the origin; crash the home it names.
+        path, origin = paths[0], (outcome.home_id + 1) % proto.num_nodes
+        home = proto.lookup(path, origin_id=origin).home_id
+        proto.crash_node(home)
+        lost = proto.lookup(path, origin_id=origin)
+        proto.restore_node(home)
+        back = proto.lookup(path, origin_id=origin)
+        print(
+            f"node {home} crashed: {path} -> {lost.level.name} after "
+            f"{lost.false_forwards} false forward(s); restored -> node "
+            f"{back.home_id} at {back.level.name}"
         )
 
 

@@ -43,14 +43,6 @@ class HashPlacementGroup:
     # ------------------------------------------------------------------
     # Placement function
     # ------------------------------------------------------------------
-    @property
-    def members(self) -> List[int]:
-        return list(self._members)
-
-    @property
-    def size(self) -> int:
-        return len(self._members)
-
     def target_of(self, replica_id: int) -> int:
         """The member that must host ``replica_id`` under the current M'."""
         index = _stable_hash(replica_id) % len(self._members)
@@ -73,11 +65,6 @@ class HashPlacementGroup:
 
     def host_of(self, replica_id: int) -> int:
         return self._placements[replica_id]
-
-    def replicas_on(self, member_id: int) -> List[int]:
-        return sorted(
-            rid for rid, host in self._placements.items() if host == member_id
-        )
 
     # ------------------------------------------------------------------
     # Reconfiguration — the expensive part

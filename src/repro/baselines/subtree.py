@@ -84,9 +84,6 @@ class StaticSubtreePartition:
         mean = sum(counts) / len(counts)
         return max(counts) / mean if mean else 1.0
 
-    def server_loads(self) -> Dict[int, int]:
-        return dict(self._accesses)
-
     @property
     def migration_cost_on_join(self) -> int:
         """Static partitions migrate nothing on membership change."""

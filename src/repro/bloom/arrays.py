@@ -299,14 +299,6 @@ class LRUBloomFilterArray:
     # Properties
     # ------------------------------------------------------------------
     @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def policy(self) -> str:
-        return self._policy
-
-    @property
     def num_filters(self) -> int:
         """Number of per-home counting filters currently held."""
         return len(self._filters)
@@ -658,9 +650,6 @@ class IDBloomFilterArray:
             del self._placements[replica_id]
         return orphans
 
-    def members(self) -> List[int]:
-        return list(self._filters)
-
     def __contains__(self, mds_id: int) -> bool:
         return mds_id in self._filters
 
@@ -698,16 +687,8 @@ class IDBloomFilterArray:
         """Exact (ground-truth) host of ``replica_id``, or None."""
         return self._placements.get(replica_id)
 
-    def replicas_on(self, mds_id: int) -> List[int]:
-        """Exact list of replica IDs hosted on ``mds_id``."""
-        return [
-            replica_id
-            for replica_id, host in self._placements.items()
-            if host == mds_id
-        ]
-
     def replica_count(self, mds_id: int) -> int:
-        return len(self.replicas_on(mds_id))
+        return sum(host == mds_id for host in self._placements.values())
 
     def placements(self) -> Dict[int, int]:
         """Copy of the exact placement map (replica ID → host MDS)."""
@@ -729,9 +710,6 @@ class IDBloomFilterArray:
             if bloom.query(replica_id)
         )
         return ArrayLookup(hits=hits, probes=len(self._filters))
-
-    def size_bytes(self) -> int:
-        return sum(bloom.size_bytes() for bloom in self._filters.values())
 
     def __repr__(self) -> str:
         return (

@@ -21,7 +21,7 @@ of these per (MDS, home) pair.  That is the process's footprint;
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.hashing import HashFamily, shared_family
@@ -72,21 +72,9 @@ class CountingBloomFilter:
         return self._hashes
 
     @property
-    def num_hashes(self) -> int:
-        return self._hashes.num_hashes
-
-    @property
-    def seed(self) -> int:
-        return self._hashes.seed
-
-    @property
     def num_items(self) -> int:
         """Net number of items currently represented (adds minus removes)."""
         return self._num_items
-
-    @property
-    def max_count(self) -> int:
-        return self._max_count
 
     @property
     def nonzero_value(self) -> int:
@@ -114,10 +102,6 @@ class CountingBloomFilter:
             if count < max_count:
                 counters[index] = count + 1
         self._num_items += 1
-
-    def update(self, items: Iterable[object]) -> None:
-        for item in items:
-            self.add(item)
 
     def remove(self, item: object) -> None:
         """Delete ``item``, decrementing its counters.
@@ -177,32 +161,16 @@ class CountingBloomFilter:
     # ------------------------------------------------------------------
     def to_bloom_filter(self) -> BloomFilter:
         """Project to a plain Bloom filter (counter > 0 → bit set)."""
-        bloom = BloomFilter(self.num_counters, self.num_hashes, self.seed)
+        hashes = self._hashes
+        bloom = BloomFilter(self.num_counters, hashes.num_hashes, hashes.seed)
         bloom._bits = self.nonzero_value
         bloom._num_items = self._num_items
         return bloom
 
-    def fill_ratio(self) -> float:
-        """Fraction of non-zero counters."""
-        nonzero = sum(1 for count in self._counters if count > 0)
-        return nonzero / len(self._counters)
-
-    def copy(self) -> "CountingBloomFilter":
-        clone = CountingBloomFilter(
-            self.num_counters, self.num_hashes, self.seed
-        )
-        clone._max_count = self._max_count
-        clone._counters = self._counters[:]
-        clone._num_items = self._num_items
-        return clone
-
-    def is_compatible(self, other: "CountingBloomFilter") -> bool:
-        return self._hashes.is_compatible(other._hashes)
-
     def __repr__(self) -> str:
         return (
             f"CountingBloomFilter(num_counters={self.num_counters}, "
-            f"num_hashes={self.num_hashes}, num_items={self._num_items})"
+            f"num_hashes={self._hashes.num_hashes}, num_items={self._num_items})"
         )
 
     def size_bytes(self) -> int:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 #: Per-family bound on memoized cell tuples (~250 bytes each at k = 6,
 #: integers included).
@@ -178,10 +178,6 @@ class HashFamily:
         memoized cells and not kept (adds never fill the mask memo)."""
         mask = self._masks.get(item)
         return mask if mask is not None else self._build_mask(item)
-
-    def indices(self, item: object) -> List[int]:
-        """Return the ``k`` bit indices for ``item``."""
-        return list(self.cells(item))
 
     def parameters(self) -> Tuple[int, int, int]:
         """Return ``(num_hashes, num_bits, seed)``."""

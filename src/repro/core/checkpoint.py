@@ -17,6 +17,7 @@ What is durable vs. rebuilt:
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -43,19 +44,28 @@ class CheckpointError(ValueError):
     that caught the broad type keep working.
     """
 
-_CONFIG_FIELDS = (
-    "max_group_size",
-    "bits_per_file",
-    "expected_files_per_mds",
-    "lru_capacity",
-    "lru_filter_bits",
-    "lru_num_hashes",
-    "lru_policy",
-    "cooperative_fanout",
-    "update_threshold_bits",
-    "memory_budget_bytes",
-    "seed",
-)
+
+def config_to_dict(config: GHBAConfig) -> Dict[str, Any]:
+    """A config's fields, in declaration order, as a JSON-safe dict."""
+    return {
+        field.name: getattr(config, field.name)
+        for field in dataclasses.fields(config)
+    }
+
+
+def config_from_dict(data: Any) -> GHBAConfig:
+    """The config :func:`config_to_dict` wrote; a field left out keeps
+    its default.  Raises :class:`CheckpointError` for anything but a
+    mapping, or for a field :class:`GHBAConfig` does not have."""
+    if not isinstance(data, dict):
+        raise CheckpointError(
+            f"config must be a JSON object, got {type(data).__name__}"
+        )
+    known = {field.name for field in dataclasses.fields(GHBAConfig)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise CheckpointError(f"unknown config field(s): {', '.join(unknown)}")
+    return GHBAConfig(**data)
 
 
 def _encode_filter(bloom: BloomFilter) -> str:
@@ -190,9 +200,7 @@ def snapshot(cluster: GHBACluster) -> Dict[str, Any]:
     ]
     return {
         "format_version": FORMAT_VERSION,
-        "config": {
-            field: getattr(cluster.config, field) for field in _CONFIG_FIELDS
-        },
+        "config": config_to_dict(cluster.config),
         "next_server_id": cluster._next_server_id,
         "next_group_id": cluster._next_group_id,
         "servers": servers,
@@ -208,7 +216,9 @@ def restore(document: Dict[str, Any]) -> GHBACluster:
             f"unsupported checkpoint format {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    config = GHBAConfig(**document["config"])
+    if "config" not in document:
+        raise CheckpointError("checkpoint has no config")
+    config = config_from_dict(document["config"])
     # Servers and groups are made the way the cluster makes its own, so
     # they count into its registry and sit in its cell index.  Every
     # published filter is in before any replica, so a copy equal to its

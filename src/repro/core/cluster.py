@@ -207,14 +207,6 @@ class BatchMutateResult:
     messages: int = 0
     degraded: bool = False
 
-    @property
-    def applied(self) -> int:
-        return sum(1 for o in self.outcomes if o.applied)
-
-    @property
-    def conflicts(self) -> int:
-        return sum(1 for o in self.outcomes if o.conflict)
-
 
 def populate_servers(
     servers: Dict[int, MetadataServer],

@@ -632,14 +632,10 @@ class CohortMember:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def published(self) -> int:
-        return self.log.last
-
     def __repr__(self) -> str:
         applied = {p: stream.floor for p, stream in self.streams.items()}
         return (
-            f"CohortMember(id={self.member_id}, published={self.published}, "
+            f"CohortMember(id={self.member_id}, published={self.log.last}, "
             f"applied={applied}, "
             f"suspected={sorted(self.suspected)}, clamped={self.clamped})"
         )
@@ -827,10 +823,6 @@ class GatewayCohort:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
     def backend_queries(self) -> int:
         return sum(m.client.backend_queries for m in self.members)
 
@@ -854,7 +846,7 @@ class GatewayCohort:
 
     def __repr__(self) -> str:
         return (
-            f"GatewayCohort(size={self.size}, "
+            f"GatewayCohort(size={len(self.members)}, "
             f"backend_queries={self.backend_queries}, "
             f"protocol_messages={self.invalidation_messages})"
         )

@@ -22,8 +22,7 @@ from pathlib import Path
 
 
 def _cmd_serve(args) -> int:
-    from repro.core.checkpoint import restore_server
-    from repro.net.supervisor import config_from_dict
+    from repro.core.checkpoint import config_from_dict, restore_server
     from repro.net.tcp import PortMap, TcpTransport
     from repro.prototype.node import MDSNode
 

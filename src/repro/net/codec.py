@@ -93,9 +93,9 @@ _TAG_BLOOM = 0x0A
 
 # Wire IDs are assigned explicitly (not enum order at runtime) so that
 # reordering the enum in a refactor cannot silently change the protocol.
-# ID 1 (the L1-only PROBE_LRU; PROBE_LOCAL answers L1 and L2) is retired,
-# not free: a peer that still sends it gets a codec error, never another
-# kind.
+# ID 1 (the L1-only PROBE_LRU; PROBE_LOCAL answers L1 and L2) and ID 24
+# (REPL_ACK, a standby status poll nothing sent) are retired, not free: a
+# peer that still sends one gets a codec error, never another kind.
 KIND_TO_WIRE = {
     MessageKind.PROBE_LOCAL: 2,
     MessageKind.PROBE_SEGMENT: 3,
@@ -119,7 +119,6 @@ KIND_TO_WIRE = {
     MessageKind.COHORT_SYNC: 21,
     MessageKind.COHORT_SYNC_REPLY: 22,
     MessageKind.REPL_SHIP: 23,
-    MessageKind.REPL_ACK: 24,
     MessageKind.REPL_SYNC: 25,
     MessageKind.REPL_PROMOTE: 26,
 }

@@ -20,22 +20,13 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 import repro
-from repro.core.checkpoint import _CONFIG_FIELDS
+from repro.core.checkpoint import config_to_dict
 from repro.core.config import GHBAConfig
 from repro.net.reliability import TransportClosed
 from repro.net.tcp import PortMap, TcpTransport
 from repro.prototype.messages import Message, MessageKind
 
-__all__ = ["ProcessSupervisor", "config_to_dict", "config_from_dict"]
-
-
-def config_to_dict(config: GHBAConfig) -> Dict[str, object]:
-    """The checkpoint module's config field set, as a JSON-able dict."""
-    return {field: getattr(config, field) for field in _CONFIG_FIELDS}
-
-
-def config_from_dict(data: Dict[str, object]) -> GHBAConfig:
-    return GHBAConfig(**{field: data[field] for field in _CONFIG_FIELDS if field in data})
+__all__ = ["ProcessSupervisor"]
 
 
 class ProcessSupervisor:

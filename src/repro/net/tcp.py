@@ -128,9 +128,6 @@ class PortMap:
                 f"node {node_id} is not in the port map"
             ) from None
 
-    def node_ids(self) -> List[int]:
-        return sorted(self._endpoints)
-
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._endpoints
 
@@ -487,9 +484,6 @@ class TcpTransport(ReliableTransport):
             except OSError:
                 pass
             acceptor.join(timeout=5.0)
-
-    def node_ids(self) -> List[int]:
-        return self.portmap.node_ids()
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.portmap

@@ -31,7 +31,6 @@ from repro.obs.assemble import (
     find_chains,
     render_forest,
     render_tree,
-    tree_to_dict,
 )
 from repro.obs.export import (
     SnapshotSeries,
@@ -137,7 +136,6 @@ __all__ = [
     "server_hotspots",
     "span_to_dict",
     "transport_report",
-    "tree_to_dict",
     "write_prometheus",
     "write_spans_jsonl",
 ]

@@ -6,7 +6,7 @@ Usage::
     python -m repro.obs report --servers 30 --ops 4000 \\
         --trace-out spans.jsonl --prom-out metrics.prom
     python -m repro.obs assemble spans.jsonl         # causal trace trees
-    python -m repro.obs assemble a.jsonl b.jsonl --chains-only --json
+    python -m repro.obs assemble a.jsonl b.jsonl --chains-only
     python -m repro.obs slo                          # demo SLO report
     python -m repro.obs pipeline --seed 7 --trace-out pipe.jsonl
 
@@ -39,7 +39,6 @@ Parameters without a flag are defaults of :class:`SLOSpec` /
 from __future__ import annotations
 
 import argparse
-import json
 from dataclasses import dataclass
 
 from repro.core.cluster import GHBACluster
@@ -54,7 +53,6 @@ from repro.obs.assemble import (
     assemble_traces,
     find_chains,
     render_forest,
-    tree_to_dict,
 )
 from repro.obs.export import (
     SnapshotSeries,
@@ -133,21 +131,12 @@ def _cmd_assemble(args) -> int:
     trees = assemble_traces(spans, trace_id=args.trace_id)
     if args.chains_only:
         trees = find_chains(trees)
-    if args.json:
-        print(
-            json.dumps(
-                [tree_to_dict(tree) for tree in trees],
-                sort_keys=True,
-                indent=2,
-            )
-        )
-    else:
-        print(render_forest(trees), end="")
-        complete = find_chains(trees)
-        print(
-            f"\n{len(trees)} trace(s), "
-            f"{len(complete)} with a complete mutation chain"
-        )
+    print(render_forest(trees), end="")
+    complete = find_chains(trees)
+    print(
+        f"\n{len(trees)} trace(s), "
+        f"{len(complete)} with a complete mutation chain"
+    )
     return 0
 
 
@@ -311,7 +300,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="keep only traces with the full write-back mutation chain",
     )
-    assemble.add_argument("--json", action="store_true")
 
     slo_cmd = subparsers.add_parser(
         "slo", help="run a gateway demo workload and evaluate default SLOs"

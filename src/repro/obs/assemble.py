@@ -199,20 +199,3 @@ def render_forest(trees: Sequence[TraceTree]) -> str:
     if not trees:
         return "no traces\n"
     return "\n\n".join(render_tree(tree) for tree in trees) + "\n"
-
-
-def tree_to_dict(tree: TraceTree) -> Dict[str, Any]:
-    """JSON-able form of one assembled trace (for ``--json`` output)."""
-
-    def node_dict(node: TraceNode) -> Dict[str, Any]:
-        return {
-            "span": node.span,
-            "children": [node_dict(child) for child in node.children],
-        }
-
-    return {
-        "trace_id": tree.trace_id,
-        "span_count": tree.span_count,
-        "chain": list(chain_kinds(tree)),
-        "roots": [node_dict(root) for root in tree.roots],
-    }

@@ -128,9 +128,6 @@ class FlightRecorderHub:
             self._recorders[component] = recorder
         return recorder
 
-    def components(self) -> List[str]:
-        return sorted(self._recorders)
-
     def dump(self, reason: str, now: float = 0.0) -> Dict[str, Any]:
         """Snapshot every ring into one forensic record.
 

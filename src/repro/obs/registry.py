@@ -273,9 +273,6 @@ class MetricFamily:
         #: and ``by_value["7"]`` are two entries naming one child.
         self.by_value = ChildMap(self)
 
-    def _new_child(self) -> object:
-        raise NotImplementedError
-
     def _key(self, values: Tuple[object, ...]) -> Tuple[str, ...]:
         if len(values) != len(self.label_names):
             raise MetricError(

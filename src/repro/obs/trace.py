@@ -319,11 +319,6 @@ class CollectingTracer:
         self.spans.append(span)
         return span
 
-    @property
-    def started(self) -> int:
-        """Total spans ever started (including dropped ones)."""
-        return self._next_id
-
     def finished_spans(self) -> List[Span]:
         return [span for span in self.spans if span.finished]
 

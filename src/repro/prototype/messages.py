@@ -41,7 +41,6 @@ class MessageKind(enum.Enum):
     # Cross-cluster replication protocol (repro.replication).  These
     # travel from the primary fleet's shipper to a standby endpoint.
     REPL_SHIP = "repl_ship"          # per-home ordered change-stream batch
-    REPL_ACK = "repl_ack"            # status poll: cumulative floors + epoch
     REPL_SYNC = "repl_sync"          # full-state bootstrap (checkpoint doc)
     REPL_PROMOTE = "repl_promote"    # promote standby; fence older epochs
 

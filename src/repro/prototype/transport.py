@@ -24,7 +24,6 @@ destination's mailbox.
 from __future__ import annotations
 
 import queue
-from typing import List
 
 from repro.net.reliability import ReliableTransport, TransportClosed
 from repro.prototype.messages import Message
@@ -35,10 +34,6 @@ __all__ = ["InProcessTransport", "TransportClosed"]
 class InProcessTransport(ReliableTransport):
     """The transport core, delivering straight into the mailboxes it keeps
     (parameters: :class:`~repro.net.reliability.ReliableTransport`)."""
-
-    def node_ids(self) -> List[int]:
-        with self._lock:
-            return sorted(self._mailboxes)
 
     def __contains__(self, node_id: int) -> bool:
         with self._lock:

@@ -107,17 +107,6 @@ class SwitchoverReport:
     def ok(self) -> bool:
         return not self.divergences and self.lost_acked == 0
 
-    def summary(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "divergences": len(self.divergences),
-            "lost_acked": self.lost_acked,
-            "rpo_mutations": self.rpo_mutations,
-            "rpo_virtual_ms": round(self.rpo_virtual_ms, 3),
-            "acked_entries": self.acked_entries,
-            "captured_entries": self.captured_entries,
-        }
-
 
 class DivergenceAuditor:
     """Replays the acked change stream and checks the promoted standby.

@@ -43,10 +43,6 @@ class ShipReport:
     #: Entries newly acknowledged this pass, by home, in seq order.
     acked: Dict[int, List[CapturedChange]] = field(default_factory=dict)
 
-    @property
-    def acked_entries(self) -> int:
-        return sum(len(entries) for entries in self.acked.values())
-
 
 class ReplicationShipper:
     """Ships per-home ordered change streams; tracks cumulative acks."""
@@ -211,16 +207,6 @@ class ReplicationShipper:
         if self._ships is not None:
             self._syncs.inc()
         return answer
-
-    def status(self) -> Dict[str, Any]:
-        """Poll the standby's floors/epoch (``REPL_ACK``)."""
-        message = Message(
-            kind=MessageKind.REPL_ACK, sender=SHIPPER_SENDER, payload={}
-        )
-        reply = self.transport.request(
-            self.standby_id, message, timeout_s=self.timeout_s
-        )
-        return reply.payload
 
 
 def promote_standby(

@@ -219,20 +219,6 @@ class StandbyEndpoint:
             "applied_total": self.applied_total,
         }
 
-    def status(self) -> Dict[str, Any]:
-        """``REPL_ACK`` poll: floors, epoch, and apply counters."""
-        return {
-            "floors": {
-                str(home): seq for home, seq in sorted(self.floors.items())
-            },
-            "epoch": self.epoch,
-            "promoted": self.promoted,
-            "applied_total": self.applied_total,
-            "duplicate_total": self.duplicate_total,
-            "gap_total": self.gap_total,
-            "fenced_total": self.fenced_total,
-        }
-
     # ------------------------------------------------------------------
     # Apply
     # ------------------------------------------------------------------
@@ -372,8 +358,6 @@ class StandbyNode(MailboxNode):
                 result = endpoint.apply_sync(message.payload)
             elif message.kind is MessageKind.REPL_PROMOTE:
                 result = endpoint.apply_promote(message.payload)
-            elif message.kind is MessageKind.REPL_ACK:
-                result = endpoint.status()
             elif message.kind is MessageKind.PING:
                 result = {"alive": True}
             else:

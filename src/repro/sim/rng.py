@@ -51,14 +51,6 @@ class ZipfSampler:
         cdf[-1] = 1.0  # guard against float drift
         return cdf
 
-    @property
-    def population(self) -> int:
-        return self._population
-
-    @property
-    def alpha(self) -> float:
-        return self._alpha
-
     def sample(self) -> int:
         """Draw one rank."""
         u = self._rng.random()

@@ -126,14 +126,6 @@ class SyntheticTraceGenerator:
                 active_count, profile.zipf_alpha, self._rng
             )
 
-    @property
-    def num_users(self) -> int:
-        return self._num_users
-
-    @property
-    def num_hosts(self) -> int:
-        return self._num_hosts
-
     def _sample_path(self) -> str:
         return self._active_paths[self._zipf.sample()]
 

@@ -9,15 +9,11 @@ crash/restart drill where the replacement process resumes from a
 
 import pytest
 
-from repro.core.checkpoint import snapshot_server
+from repro.core.checkpoint import config_from_dict, config_to_dict, snapshot_server
 from repro.core.config import GHBAConfig
 from repro.core.server import MetadataServer
 from repro.metadata.attributes import FileMetadata
-from repro.net.supervisor import (
-    ProcessSupervisor,
-    config_from_dict,
-    config_to_dict,
-)
+from repro.net.supervisor import ProcessSupervisor
 from repro.net.tcp import PortMap, TcpTransport
 from repro.prototype.messages import Message, MessageKind
 

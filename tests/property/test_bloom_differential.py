@@ -193,7 +193,7 @@ def _apply(mirror, op, arg):
     """Apply one op to both sides; return a failure string or None."""
     if op == "add":
         which, item = arg
-        live_indices = mirror.live[which].hash_family.indices(item)
+        live_indices = list(mirror.live[which].hash_family.cells(item))
         ref_indices = mirror.ref_family.indices(item)
         if live_indices != ref_indices:
             return f"hash indices diverged for {item!r}"

@@ -20,7 +20,7 @@ class TestCountingFilterProperties:
         for item in items:
             cbf.remove(item)
         assert cbf.num_items == 0
-        assert cbf.fill_ratio() == 0.0
+        assert not any(cbf.counters())
 
     @given(
         keep=st.lists(st.text(min_size=1, max_size=12), max_size=30, unique=True),

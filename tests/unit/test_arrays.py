@@ -370,6 +370,5 @@ class TestIDBFA:
         idbfa = self.make()
         idbfa.place(5, 1)
         idbfa.place(6, 1)
-        assert idbfa.replicas_on(1) == [5, 6]
         assert idbfa.replica_count(1) == 2
         assert idbfa.replica_count(3) == 0

@@ -148,7 +148,7 @@ class TestBitLayout:
         expected = set()
         for i in range(6):
             bloom.add(f"/f{i}")
-            expected.update(bloom.hash_family.indices(f"/f{i}"))
+            expected.update(bloom.hash_family.cells(f"/f{i}"))
         payload = bloom.to_bytes()[28:]
         assert {
             i for i in range(num_bits) if payload[i >> 3] & (1 << (i & 7))
@@ -172,10 +172,10 @@ class TestBitLayout:
         original.add("earlier")
         assert clone.bits & (1 << 1)
         assert clone.bits == 1 << 1 | sum(
-            1 << i for i in clone.hash_family.indices("later")
+            1 << i for i in clone.hash_family.cells("later")
         )
         assert original.bits == 1 << 1 | sum(
-            1 << i for i in original.hash_family.indices("earlier")
+            1 << i for i in original.hash_family.cells("earlier")
         )
 
     def test_num_bits_is_the_hash_family_s(self):

@@ -131,6 +131,38 @@ class TestFormatGuards:
         with pytest.raises(checkpoint.CheckpointError, match="format 3"):
             checkpoint.restore(document)
 
+    def test_unknown_config_field_rejected(self, live_cluster):
+        document = checkpoint.snapshot(live_cluster)
+        document["config"]["max_grup_size"] = 4
+        with pytest.raises(checkpoint.CheckpointError, match="max_grup_size"):
+            checkpoint.restore(document)
+
+    def test_missing_config_rejected(self, live_cluster):
+        document = checkpoint.snapshot(live_cluster)
+        del document["config"]
+        with pytest.raises(checkpoint.CheckpointError, match="no config"):
+            checkpoint.restore(document)
+
+    def test_config_that_is_not_a_mapping_rejected(self, live_cluster):
+        document = checkpoint.snapshot(live_cluster)
+        document["config"] = list(document["config"].values())
+        with pytest.raises(checkpoint.CheckpointError, match="got list"):
+            checkpoint.restore(document)
+
+    def test_config_field_left_out_keeps_its_default(self):
+        config = checkpoint.config_from_dict({"max_group_size": 3})
+        assert config == GHBAConfig(max_group_size=3)
+
+    def test_config_out_of_range_keeps_its_value_error(self):
+        with pytest.raises(ValueError) as raised:
+            checkpoint.config_from_dict({"max_group_size": 0})
+        assert not isinstance(raised.value, checkpoint.CheckpointError)
+
+    def test_config_round_trips_every_field(self, small_config):
+        data = checkpoint.config_to_dict(small_config)
+        assert checkpoint.config_from_dict(json.loads(json.dumps(data))) == small_config
+        assert list(data)[:2] == ["max_group_size", "bits_per_file"]
+
     def test_corrupt_payload_rejected(self, live_cluster, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

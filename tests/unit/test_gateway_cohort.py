@@ -242,7 +242,7 @@ class TestMissingExactlyOnceUnderDuplication:
             # A steady mutation stream keeps INVALIDATE records on the
             # wire so duplication faults have something to duplicate.
             if serial % 4 == 0:
-                publisher = cohort.members[serial % cohort.size]
+                publisher = cohort.members[serial % len(cohort.members)]
                 publisher.create(f"/fs/n{serial}", clock)
             serial += 1
             clock += 0.025
@@ -282,7 +282,7 @@ class TestMissingExactlyOnceUnderDuplication:
         applied = sum(
             cohort.counter_snapshot()["gateway_cohort_applied_total"].values()
         )
-        assert applied <= published * (cohort.size - 1)
+        assert applied <= published * (len(cohort.members) - 1)
 
 
 class TestWritebackFlushAckMinting:
@@ -307,7 +307,7 @@ class TestWritebackFlushAckMinting:
         assert not right.lookup("/fs/new", 0.0).found  # negative cached
         left.create("/fs/new", 0.05)
         cohort.step(0.1)
-        assert left.published == 0
+        assert left.log.last == 0
         # The peer's negative lease is untouched: nothing happened yet.
         assert right.client.cache.peek("/fs/new").negative
 
@@ -317,7 +317,7 @@ class TestWritebackFlushAckMinting:
         assert not right.lookup("/fs/new", 0.0).found
         left.create("/fs/new", 0.05)
         cohort.flush_barrier(0.2)
-        assert left.published == 1
+        assert left.log.last == 1
         cohort.step(0.25)
         assert right.lookup("/fs/new", 0.3).found
 
@@ -330,7 +330,7 @@ class TestWritebackFlushAckMinting:
         left.delete("/fs/ghost", 0.1)
         cohort.flush_barrier(0.2)
         # The delete acked as an applied no-op (changed=False): no mint.
-        assert left.published == 0
+        assert left.log.last == 0
 
 
 class TestLogTruncation:
@@ -352,7 +352,7 @@ class TestLogTruncation:
 
     def test_acked_records_truncate(self):
         cohort, left, right, _ = self._settled_cohort()
-        assert left.published == 5
+        assert left.log.last == 5
         assert right.streams[left.member_id].floor == 5
         # Every record the peer acked is gone from memory; the offset
         # remembers where the log now starts.
@@ -363,7 +363,7 @@ class TestLogTruncation:
     def test_publishing_continues_after_truncation(self):
         cohort, left, right, clock = self._settled_cohort()
         left.create("/fs/after", clock)
-        assert left.log.entries[-1].seq == left.published == 6
+        assert left.log.entries[-1].seq == left.log.last == 6
         cohort.settle(clock + 0.5)
         assert right.streams[left.member_id].floor == 6
 

@@ -87,7 +87,6 @@ def _sample_payload(kind):
                  "record": None, "vtime": 0.75},
             ],
         },
-        MessageKind.REPL_ACK: {},
         MessageKind.REPL_SYNC: {
             "epoch": 1,
             "checkpoint": '{"format": 1}',
@@ -132,8 +131,8 @@ def test_trace_context_survives_every_kind(kind):
 
 def test_wire_ids_are_frozen():
     # The wire table is protocol, not implementation: renumbering any
-    # entry breaks mixed-version topologies.  Pin all 25; ID 1 (the
-    # removed PROBE_LRU) stays retired.
+    # entry breaks mixed-version topologies.  Pin all 24; IDs 1 (the
+    # removed PROBE_LRU) and 24 (the removed REPL_ACK) stay retired.
     assert {k.value: v for k, v in KIND_TO_WIRE.items()} == {
         "probe_local": 2, "probe_segment": 3, "verify": 4,
         "verify_batch": 5, "mutate_batch": 6, "insert": 7, "host_replica": 8,
@@ -141,7 +140,7 @@ def test_wire_ids_are_frozen():
         "copy_replica_to": 12, "send_local_to": 13, "exchange_replica": 14,
         "record_lru": 15, "ping": 16, "stop": 17, "reply": 18,
         "invalidate": 19, "cohort_heartbeat": 20, "cohort_sync": 21,
-        "cohort_sync_reply": 22, "repl_ship": 23, "repl_ack": 24,
+        "cohort_sync_reply": 22, "repl_ship": 23,
         "repl_sync": 25, "repl_promote": 26,
     }
     assert len(KIND_TO_WIRE) == len(MessageKind)
@@ -235,6 +234,14 @@ def test_the_retired_wire_id_is_refused():
     """ID 1 was PROBE_LRU's; a frame that carries it decodes to no kind."""
     body = bytearray(_valid_frame()[4:])
     body[3] = 1
+    with pytest.raises(CodecError, match="wire id"):
+        decode_body(bytes(body))
+
+
+def test_the_retired_status_poll_id_is_refused():
+    """ID 24 was REPL_ACK's, a standby status poll nothing sent."""
+    body = bytearray(_valid_frame()[4:])
+    body[3] = 24
     with pytest.raises(CodecError, match="wire id"):
         decode_body(bytes(body))
 

@@ -7,7 +7,6 @@ from repro.obs.assemble import (
     find_chains,
     render_forest,
     render_tree,
-    tree_to_dict,
 )
 
 
@@ -129,17 +128,3 @@ class TestRendering:
 
     def test_render_forest_empty(self):
         assert render_forest([]) == "no traces\n"
-
-    def test_tree_to_dict_shape(self):
-        (tree,) = assemble_traces(_chain_spans())
-        dumped = tree_to_dict(tree)
-        assert dumped["trace_id"] == 7
-        assert dumped["span_count"] == 5
-        assert dumped["chain"] == list(MUTATION_CHAIN)
-        node = dumped["roots"][0]
-        depth = 1
-        while node["children"]:
-            node = node["children"][0]
-            depth += 1
-        assert depth == 5
-        assert node["span"]["kind"] == "inval_apply"

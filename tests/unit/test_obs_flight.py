@@ -59,8 +59,6 @@ class TestHub:
         a = hub.recorder("gateway-0")
         assert a is hub.recorder("gateway-0")
         assert a.capacity == DEFAULT_CAPACITY
-        hub.recorder("cohort-1")
-        assert hub.components() == ["cohort-1", "gateway-0"]
 
     def test_default_capacity(self):
         hub = FlightRecorderHub()

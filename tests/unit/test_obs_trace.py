@@ -91,7 +91,6 @@ class TestCollectingTracer:
         b = tracer.start_span("/b", 1)
         assert (a.trace_id, b.trace_id) == (0, 1)
         assert len(tracer) == 2
-        assert tracer.started == 2
 
     def test_finished_spans_filters_open_ones(self):
         tracer = CollectingTracer()

@@ -17,7 +17,7 @@ class TestPolicyValidation:
     def test_known_policies(self):
         assert set(REPLACEMENT_POLICIES) == {"lru", "fifo", "lfu"}
         for policy in REPLACEMENT_POLICIES:
-            assert make(policy).policy == policy
+            assert make(policy)._policy == policy
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
@@ -26,7 +26,7 @@ class TestPolicyValidation:
     def test_config_plumbs_policy(self):
         config = GHBAConfig(lru_policy="lfu", lru_capacity=8)
         cluster = GHBACluster(2, config)
-        assert cluster.servers[0].lru.policy == "lfu"
+        assert cluster.servers[0].lru._policy == "lfu"
 
     def test_config_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
